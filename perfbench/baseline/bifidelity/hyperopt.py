@@ -1,0 +1,378 @@
+"""Kernel hyperparameter tuning.
+
+The objective scores a candidate kernel Gramian by its Frobenius distance
+to the linear-kernel reference Gramian plus a stable-rank penalty
+lambda / sqrt(srank). A particle swarm explores a (log-scaled) box, and a
+projected quasi-Newton pass polishes the swarm's best particle.
+"""
+from __future__ import annotations
+
+import logging
+import math
+import time
+from dataclasses import dataclass
+
+import numpy as np
+
+from .data import SnapshotEnsemble
+from .kernels import (
+    HYPER_DIMS,
+    Gramian,
+    KernelFamily,
+    KernelSpec,
+    gramian_entries,
+    pairwise_distances,
+)
+from .numerics import NumericsError, stable_rank
+
+__all__ = [
+    "ObjectiveConfig",
+    "PsoConfig",
+    "OptimizedKernel",
+    "objective",
+    "pso_minimize",
+    "refine_local",
+    "optimize_hyperparams",
+    "default_bounds",
+    "median_pairwise_distance",
+]
+
+log = logging.getLogger(__name__)
+
+
+@dataclass(frozen=True)
+class ObjectiveConfig:
+    """Inputs for the hyperparameter objective of one kernel family."""
+
+    lam: float
+    reference_gramian: Gramian
+    family: KernelFamily
+    bounds: tuple[tuple[float, float], ...]
+    rq_literal: bool = False
+    compact_wendland: bool = False
+
+    def __post_init__(self):
+        if not np.isfinite(self.lam) or self.lam < 0:
+            raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
+        family = KernelFamily(self.family)
+        bounds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
+        if len(bounds) != HYPER_DIMS[family]:
+            raise ValueError(
+                f"{family.name} needs {HYPER_DIMS[family]} bound pairs, got {len(bounds)}"
+            )
+        for lo, hi in bounds:
+            if not (0 < lo < hi):
+                raise ValueError(f"bounds must satisfy 0 < lo < hi, got ({lo}, {hi})")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "bounds", bounds)
+
+
+@dataclass(frozen=True)
+class PsoConfig:
+    """Swarm settings; the velocity limit is a fraction of the box span."""
+
+    swarm_size: int = 30
+    k1: float = 1.49
+    k2: float = 1.49
+    v_max_fraction: float = 0.2
+    max_iters: int = 100
+    stall_iters: int = 15
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.swarm_size < 2:
+            raise ValueError("swarm_size must be at least 2")
+        if self.k1 <= 0 or self.k2 <= 0:
+            raise ValueError("k1 and k2 must be positive")
+        if not 0 < self.v_max_fraction <= 1:
+            raise ValueError("v_max_fraction must be in (0, 1]")
+        if self.max_iters < 1 or self.stall_iters < 1:
+            raise ValueError("max_iters and stall_iters must be at least 1")
+
+
+@dataclass(frozen=True)
+class OptimizedKernel:
+    """A tuned kernel spec with optimization bookkeeping."""
+
+    spec: KernelSpec
+    objective_value: float
+    evaluations_used: int
+    wall_time: float
+
+
+def _spec_for(cfg: ObjectiveConfig, h) -> KernelSpec:
+    arr = np.atleast_1d(np.asarray(h, dtype=float))
+    return KernelSpec(
+        family=cfg.family,
+        h=tuple(float(v) for v in arr),
+        rq_literal=cfg.rq_literal,
+        compact_wendland=cfg.compact_wendland,
+    )
+
+
+def _objective_value(ref: np.ndarray, candidate: np.ndarray, lam: float) -> float:
+    fro = float(np.linalg.norm(ref - candidate))
+    if lam == 0.0:
+        return fro
+    return fro + lam / math.sqrt(stable_rank(candidate))
+
+
+def objective(cfg: ObjectiveConfig, h, lf_ensemble: SnapshotEnsemble) -> float:
+    """Frobenius distance to the reference Gramian plus the srank penalty.
+
+    Any numerical failure (overflow, degenerate Gramian) maps to +inf so
+    optimizers can treat the objective as total on the box.
+    """
+    if cfg.reference_gramian.source_ensemble_id != lf_ensemble.content_id:
+        raise ValueError("reference Gramian was built from a different ensemble")
+    try:
+        spec = _spec_for(cfg, h)
+        cand = gramian_entries(spec, lf_ensemble.outputs)
+        if not np.all(np.isfinite(cand)):
+            return math.inf
+        value = _objective_value(np.asarray(cfg.reference_gramian.entries), cand, cfg.lam)
+    except (NumericsError, ValueError, ArithmeticError):
+        return math.inf
+    return value if np.isfinite(value) else math.inf
+
+
+def _stream(seed: int, iteration: int, particle: int) -> np.random.Generator:
+    """Counter-based stream: identical draws regardless of execution order."""
+    key = np.array(
+        [
+            np.uint64(seed & 0xFFFFFFFFFFFFFFFF),
+            np.uint64(((iteration & 0xFFFFFFFF) << 32) | (particle & 0xFFFFFFFF)),
+        ],
+        dtype=np.uint64,
+    )
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def pso_minimize(f, cfg: PsoConfig, bounds) -> tuple[np.ndarray, float, list[float]]:
+    """Particle swarm minimization over a box.
+
+    Velocity update: v <- v + k1*rho*(best_own - h) + k2*gamma*(best_all - h)
+    with rho, gamma drawn fresh per particle per iteration; velocities are
+    clamped componentwise and positions clipped to the box. Returns the
+    best-ever position, its value, and the best-value trace per iteration.
+    """
+    bounds = np.asarray(bounds, dtype=float)
+    if bounds.ndim != 2 or bounds.shape[1] != 2 or np.any(bounds[:, 0] >= bounds[:, 1]):
+        raise ValueError("bounds must be an array of (lo, hi) pairs with lo < hi")
+    lo, hi = bounds[:, 0], bounds[:, 1]
+    dim = bounds.shape[0]
+    span = hi - lo
+    vmax = cfg.v_max_fraction * span
+
+    pos = np.empty((cfg.swarm_size, dim))
+    vel = np.empty((cfg.swarm_size, dim))
+    for i in range(cfg.swarm_size):
+        g = _stream(cfg.seed, 0, i)
+        pos[i] = lo + g.uniform(size=dim) * span
+        vel[i] = (2.0 * g.uniform(size=dim) - 1.0) * vmax
+
+    values = np.array([f(p) for p in pos], dtype=float)
+    best_pos = pos.copy()
+    best_val = values.copy()
+    g_idx = int(np.argmin(best_val))
+    g_pos = best_pos[g_idx].copy()
+    g_val = float(best_val[g_idx])
+    trace = [g_val]
+
+    stall = 0
+    for it in range(1, cfg.max_iters + 1):
+        for i in range(cfg.swarm_size):
+            rho, gamma = _stream(cfg.seed, it, i).uniform(size=2)
+            vel[i] += cfg.k1 * rho * (best_pos[i] - pos[i])
+            vel[i] += cfg.k2 * gamma * (g_pos - pos[i])
+        np.clip(vel, -vmax, vmax, out=vel)
+        pos += vel
+        np.clip(pos, lo, hi, out=pos)
+        values = np.array([f(p) for p in pos], dtype=float)
+        improved_mask = values < best_val
+        best_val[improved_mask] = values[improved_mask]
+        best_pos[improved_mask] = pos[improved_mask]
+        new_idx = int(np.argmin(best_val))
+        if best_val[new_idx] < g_val:
+            g_val = float(best_val[new_idx])
+            g_pos = best_pos[new_idx].copy()
+            stall = 0
+        else:
+            stall += 1
+        trace.append(g_val)
+        if stall >= cfg.stall_iters:
+            break
+    return g_pos.copy(), g_val, trace
+
+
+def _fd_gradient(f, x: np.ndarray, fx: float) -> np.ndarray:
+    """Central finite differences with one-sided fallback near failures."""
+    grad = np.zeros_like(x)
+    for i in range(x.size):
+        step = 1e-6 * max(1.0, abs(x[i]))
+        xp = x.copy()
+        xp[i] += step
+        xm = x.copy()
+        xm[i] -= step
+        fp, fm = f(xp), f(xm)
+        if np.isfinite(fp) and np.isfinite(fm):
+            grad[i] = (fp - fm) / (2.0 * step)
+        elif np.isfinite(fp):
+            grad[i] = (fp - fx) / step
+        elif np.isfinite(fm):
+            grad[i] = (fx - fm) / step
+        else:
+            grad[i] = 0.0
+    return grad
+
+
+def refine_local(
+    f,
+    h0,
+    bounds,
+    grad_tol: float = 1e-8,
+    step_tol: float = 1e-12,
+    max_iters: int = 500,
+) -> tuple[np.ndarray, float]:
+    """Projected quasi-Newton descent from ``h0`` inside a box.
+
+    Gradients use central finite differences with step 1e-6 * max(1, |h|).
+    Stops when the gradient infinity norm reaches ``grad_tol``, the step
+    shrinks to ``step_tol``, or after ``max_iters`` iterations. The result
+    never exceeds f(h0).
+    """
+    bounds = np.asarray(bounds, dtype=float)
+    lo, hi = bounds[:, 0], bounds[:, 1]
+    x = np.clip(np.asarray(h0, dtype=float).copy(), lo, hi)
+    fx = f(x)
+    best_x, best_f = x.copy(), fx
+    if not np.isfinite(fx):
+        return best_x, best_f
+    dim = x.size
+    Hinv = np.eye(dim)
+    grad = _fd_gradient(f, x, fx)
+
+    for _ in range(max_iters):
+        if np.max(np.abs(grad)) <= grad_tol:
+            break
+        direction = -Hinv @ grad
+        if float(direction @ grad) >= 0.0:
+            direction = -grad
+            Hinv = np.eye(dim)
+
+        t = 1.0
+        accepted = False
+        x_new = x
+        f_new = fx
+        while t >= 1e-16:
+            cand = np.clip(x + t * direction, lo, hi)
+            dx = cand - x
+            if np.linalg.norm(dx) <= step_tol:
+                break
+            f_cand = f(cand)
+            # non-finite values just shrink the step
+            if np.isfinite(f_cand) and f_cand <= fx + 1e-4 * min(0.0, float(grad @ dx)):
+                x_new, f_new, accepted = cand, f_cand, True
+                break
+            t *= 0.5
+        if not accepted:
+            break
+
+        grad_new = _fd_gradient(f, x_new, f_new)
+        s = x_new - x
+        y = grad_new - grad
+        sy = float(s @ y)
+        if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
+            rho = 1.0 / sy
+            I = np.eye(dim)
+            Hinv = (I - rho * np.outer(s, y)) @ Hinv @ (I - rho * np.outer(y, s))
+            Hinv += rho * np.outer(s, s)
+        else:
+            Hinv = np.eye(dim)
+        x, fx, grad = x_new, f_new, grad_new
+        if fx < best_f:
+            best_x, best_f = x.copy(), fx
+    return best_x, best_f
+
+
+def median_pairwise_distance(columns: np.ndarray) -> float:
+    """Median distance between distinct columns; 1.0 when degenerate."""
+    n = columns.shape[1]
+    if n < 2:
+        return 1.0
+    dists = pairwise_distances(columns)
+    upper = dists[np.triu_indices(n, k=1)]
+    med = float(np.median(upper))
+    return med if med > 0 else 1.0
+
+
+def default_bounds(
+    family: KernelFamily, lf_ensemble: SnapshotEnsemble
+) -> tuple[tuple[float, float], ...]:
+    """Search box [1e-3, 1e3] times the median pairwise column distance."""
+    dbar = median_pairwise_distance(lf_ensemble.outputs)
+    return tuple((1e-3 * dbar, 1e3 * dbar) for _ in range(HYPER_DIMS[family]))
+
+
+def optimize_hyperparams(
+    family: KernelFamily,
+    lf_ensemble: SnapshotEnsemble,
+    obj_cfg: ObjectiveConfig,
+    pso_cfg: PsoConfig,
+) -> OptimizedKernel:
+    """Tune one family's hyperparameters: log-scale PSO plus local polish.
+
+    The linear family has nothing to tune and returns immediately with the
+    objective reduced to its stable-rank term and zero evaluations.
+    """
+    family = KernelFamily(family)
+    if family != obj_cfg.family:
+        raise ValueError(
+            f"family {family.name} does not match objective config ({obj_cfg.family.name})"
+        )
+    started = time.perf_counter()
+    if family == KernelFamily.LINEAR:
+        value = objective(obj_cfg, (), lf_ensemble)
+        return OptimizedKernel(
+            spec=KernelSpec(family=KernelFamily.LINEAR),
+            objective_value=value,
+            evaluations_used=0,
+            wall_time=time.perf_counter() - started,
+        )
+
+    ref = np.asarray(obj_cfg.reference_gramian.entries)
+    if obj_cfg.reference_gramian.source_ensemble_id != lf_ensemble.content_id:
+        raise ValueError("reference Gramian was built from a different ensemble")
+    dists = pairwise_distances(lf_ensemble.outputs)
+    evals = 0
+
+    def f_log(theta: np.ndarray) -> float:
+        nonlocal evals
+        evals += 1
+        try:
+            spec = _spec_for(obj_cfg, np.exp(theta))
+            cand = gramian_entries(spec, lf_ensemble.outputs, dists)
+            if not np.all(np.isfinite(cand)):
+                return math.inf
+            value = _objective_value(ref, cand, obj_cfg.lam)
+        except (NumericsError, ValueError, ArithmeticError):
+            return math.inf
+        return value if np.isfinite(value) else math.inf
+
+    log_bounds = np.log(np.asarray(obj_cfg.bounds, dtype=float))
+    theta_pso, _, _ = pso_minimize(f_log, pso_cfg, log_bounds)
+    theta_star, f_star = refine_local(f_log, theta_pso, log_bounds)
+    h_star = np.exp(theta_star)
+    spec = _spec_for(obj_cfg, h_star)
+    log.debug(
+        "%s tuned: h*=%s, heuristic lam/sqrt(N)=%.3e",
+        family.name,
+        spec.h,
+        obj_cfg.lam / math.sqrt(lf_ensemble.n_samples),
+    )
+    return OptimizedKernel(
+        spec=spec,
+        objective_value=float(f_star),
+        evaluations_used=evals,
+        wall_time=time.perf_counter() - started,
+    )

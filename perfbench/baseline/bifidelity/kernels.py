@@ -1,0 +1,271 @@
+"""Kernel library and Gramian assembly over snapshot ensembles.
+
+Seven kernel families act on pairs of model output vectors. All except
+the linear kernel are radial: they depend only on r = ||u - v||. Gramians
+collect pairwise kernel values over the columns of an ensemble and feed
+pivot selection, hyperparameter tuning, and surrogate construction.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+from enum import IntEnum
+
+import numpy as np
+from scipy.spatial.distance import cdist
+
+from .data import SnapshotEnsemble
+
+__all__ = [
+    "KernelFamily",
+    "KernelSpec",
+    "MixtureKernel",
+    "Gramian",
+    "HYPER_DIMS",
+    "kernel_eval",
+    "radial_profile",
+    "build_gramian",
+    "cross_kernel_vector",
+]
+
+
+class KernelFamily(IntEnum):
+    """Library families, numbered so that ties resolve to the lowest index."""
+
+    LINEAR = 1
+    EXPONENTIAL = 2
+    SQUARED_EXPONENTIAL = 3
+    RATIONAL_QUADRATIC = 4
+    MATERN32 = 5
+    MATERN52 = 6
+    COMPACT_RBF = 7
+
+
+#: Number of hyperparameters per family.
+HYPER_DIMS: dict[KernelFamily, int] = {
+    KernelFamily.LINEAR: 0,
+    KernelFamily.EXPONENTIAL: 1,
+    KernelFamily.SQUARED_EXPONENTIAL: 1,
+    KernelFamily.RATIONAL_QUADRATIC: 2,
+    KernelFamily.MATERN32: 1,
+    KernelFamily.MATERN52: 1,
+    KernelFamily.COMPACT_RBF: 2,
+}
+
+
+@dataclass(frozen=True)
+class KernelSpec:
+    """A kernel family plus its hyperparameter vector.
+
+    ``rq_literal`` switches the rational quadratic to the non-normalized
+    form ((1 + r^2) / (2 h1^2 h2))^(-h2); the default form is normalized
+    so K(u, u) = 1. ``compact_wendland`` switches the compactly supported
+    kernel to max(0, 1 - r/h1)^h2 instead of the default
+    max(0, 1 - (r/h1)^h2 * exp(-r^2 / (2 h1^2))).
+    """
+
+    family: KernelFamily
+    h: tuple[float, ...] = ()
+    rq_literal: bool = False
+    compact_wendland: bool = False
+
+    def __post_init__(self):
+        family = KernelFamily(self.family)
+        h = tuple(float(v) for v in self.h)
+        expected = HYPER_DIMS[family]
+        if len(h) != expected:
+            raise ValueError(
+                f"{family.name} takes {expected} hyperparameters, got {len(h)}"
+            )
+        for v in h:
+            if not np.isfinite(v) or v <= 0.0:
+                raise ValueError(f"hyperparameters must be positive and finite, got {v}")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "h", h)
+
+
+@dataclass(frozen=True)
+class MixtureKernel:
+    """Convex combination of kernel specs, at most one per family."""
+
+    components: tuple[tuple[KernelSpec, float], ...]
+
+    def __post_init__(self):
+        comps = tuple((spec, float(w)) for spec, w in self.components)
+        if not comps:
+            raise ValueError("mixture must have at least one component")
+        seen = set()
+        total = 0.0
+        for spec, w in comps:
+            if not isinstance(spec, KernelSpec):
+                raise ValueError("mixture components must be KernelSpec instances")
+            if spec.family in seen:
+                raise ValueError(f"duplicate family {spec.family.name} in mixture")
+            seen.add(spec.family)
+            if not np.isfinite(w) or w < 0.0 or w > 1.0:
+                raise ValueError(f"mixture weight {w} outside [0, 1]")
+            total += w
+        if abs(total - 1.0) > 1e-10:
+            raise ValueError(f"mixture weights sum to {total}, expected 1")
+        object.__setattr__(self, "components", comps)
+
+    @property
+    def weights(self) -> tuple[float, ...]:
+        return tuple(w for _, w in self.components)
+
+
+@dataclass(frozen=True)
+class Gramian:
+    """Pairwise kernel values over the columns of one ensemble."""
+
+    entries: np.ndarray
+    kernel: KernelSpec | MixtureKernel
+    source_ensemble_id: str
+
+    def __post_init__(self):
+        entries = np.array(self.entries, dtype=float)
+        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
+            raise ValueError("Gramian entries must be square")
+        if not np.all(np.isfinite(entries)):
+            raise ValueError("Gramian contains non-finite entries")
+        scale = np.max(np.abs(entries))
+        if scale > 0 and np.max(np.abs(entries - entries.T)) > 1e-12 * scale:
+            raise ValueError("Gramian entries are not symmetric")
+        entries.setflags(write=False)
+        object.__setattr__(self, "entries", entries)
+
+    @property
+    def n(self) -> int:
+        return self.entries.shape[0]
+
+
+def radial_profile(spec: KernelSpec, r) -> np.ndarray:
+    """Kernel value as a function of distance, vectorized over ``r``.
+
+    Undefined for the linear family, which is not radial. Exactly-zero
+    distances short-circuit to the analytic limit of the active form.
+    """
+    r = np.asarray(r, dtype=float)
+    fam = spec.family
+    h = spec.h
+    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+        if fam == KernelFamily.EXPONENTIAL:
+            out = np.exp(-r / h[0])
+        elif fam == KernelFamily.SQUARED_EXPONENTIAL:
+            out = np.exp(-(r**2) / (2.0 * h[0]))
+        elif fam == KernelFamily.RATIONAL_QUADRATIC:
+            h1, h2 = h
+            if spec.rq_literal:
+                base = (1.0 + r**2) / (2.0 * h1**2 * h2)
+            else:
+                base = 1.0 + r**2 / (2.0 * h1**2 * h2)
+            out = base ** (-h2)
+        elif fam == KernelFamily.MATERN32:
+            s = np.sqrt(3.0) * r / h[0]
+            out = (1.0 + s) * np.exp(-s)
+        elif fam == KernelFamily.MATERN52:
+            s = np.sqrt(5.0) * r / h[0]
+            out = (1.0 + s + 5.0 * r**2 / (3.0 * h[0] ** 2)) * np.exp(-s)
+        elif fam == KernelFamily.COMPACT_RBF:
+            h1, h2 = h
+            if spec.compact_wendland:
+                out = np.maximum(0.0, 1.0 - r / h1) ** h2
+            else:
+                # log-space product avoids inf * 0 for extreme exponents
+                safe_r = np.where(r > 0.0, r, 1.0)
+                bump = np.exp(h2 * np.log(safe_r / h1) - r**2 / (2.0 * h1**2))
+                out = np.maximum(0.0, 1.0 - np.where(r > 0.0, bump, 0.0))
+        else:
+            raise ValueError(f"{fam.name} is not a radial family")
+        zero_value = _radial_zero_value(spec)
+    return np.where(r == 0.0, zero_value, out)
+
+
+def _radial_zero_value(spec: KernelSpec) -> float:
+    if spec.family == KernelFamily.RATIONAL_QUADRATIC and spec.rq_literal:
+        h1, h2 = spec.h
+        try:
+            return float((2.0 * h1**2 * h2) ** h2)
+        except OverflowError:
+            # reported as non-finite by the caller, not a bare pow error
+            return np.inf
+    return 1.0
+
+
+def kernel_eval(kernel: KernelSpec | MixtureKernel, u, v) -> float:
+    """Evaluate a kernel on a pair of output vectors."""
+    u = np.asarray(u, dtype=float).ravel()
+    v = np.asarray(v, dtype=float).ravel()
+    if u.shape != v.shape:
+        raise ValueError(f"vector dimensions differ: {u.shape[0]} vs {v.shape[0]}")
+    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+        raise ValueError("kernel inputs must be finite")
+    if isinstance(kernel, MixtureKernel):
+        return float(sum(w * kernel_eval(spec, u, v) for spec, w in kernel.components))
+    if kernel.family == KernelFamily.LINEAR:
+        return float(np.dot(u, v))
+    r = float(np.sqrt(np.sum((u - v) ** 2)))
+    value = float(radial_profile(kernel, r))
+    if not np.isfinite(value):
+        raise ArithmeticError(
+            f"{kernel.family.name} kernel evaluation overflowed at r={r}, h={kernel.h}"
+        )
+    return value
+
+
+def pairwise_distances(columns: np.ndarray) -> np.ndarray:
+    """Euclidean distances between columns; exactly symmetric, zero diagonal."""
+    return cdist(columns.T, columns.T)
+
+
+def gramian_entries(
+    kernel: KernelSpec | MixtureKernel,
+    columns: np.ndarray,
+    dists: np.ndarray | None = None,
+) -> np.ndarray:
+    """Raw Gramian matrix for columns, reusing ``dists`` when supplied."""
+    if isinstance(kernel, MixtureKernel):
+        if dists is None:
+            dists = pairwise_distances(columns)
+        total = np.zeros((columns.shape[1], columns.shape[1]))
+        for spec, w in kernel.components:
+            total += w * gramian_entries(spec, columns, dists)
+        return total
+    if kernel.family == KernelFamily.LINEAR:
+        g = columns.T @ columns
+        return (g + g.T) / 2.0
+    if dists is None:
+        dists = pairwise_distances(columns)
+    return radial_profile(kernel, dists)
+
+
+def build_gramian(
+    kernel: KernelSpec | MixtureKernel, ensemble: SnapshotEnsemble
+) -> Gramian:
+    """Assemble the pairwise kernel matrix over an ensemble's columns."""
+    if ensemble.n_samples < 1:
+        raise ValueError("cannot build a Gramian from an empty ensemble")
+    entries = gramian_entries(kernel, ensemble.outputs)
+    if not np.all(np.isfinite(entries)):
+        raise ArithmeticError("Gramian assembly produced non-finite entries")
+    return Gramian(entries=entries, kernel=kernel, source_ensemble_id=ensemble.content_id)
+
+
+def cross_kernel_vector(
+    kernel: KernelSpec | MixtureKernel, ensemble_columns, query
+) -> np.ndarray:
+    """Kernel values of a query output vector against a set of columns.
+
+    ``ensemble_columns`` may be a 2-d array (one vector per column) or a
+    sequence of 1-d vectors.
+    """
+    cols = np.asarray(ensemble_columns, dtype=float)
+    if cols.ndim == 1:
+        cols = cols[:, None]
+    if cols.ndim != 2:
+        cols = np.column_stack([np.asarray(c, dtype=float) for c in ensemble_columns])
+    query = np.asarray(query, dtype=float).ravel()
+    if query.shape[0] != cols.shape[0]:
+        raise ValueError(
+            f"query dimension {query.shape[0]} does not match columns ({cols.shape[0]})"
+        )
+    return np.array([kernel_eval(kernel, query, cols[:, l]) for l in range(cols.shape[1])])

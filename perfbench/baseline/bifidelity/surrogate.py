@@ -1,0 +1,408 @@
+"""Low-rank bi-fidelity surrogate construction, evaluation, and reporting.
+
+A surrogate approximates an expensive high-fidelity output as a linear
+combination of high-fidelity snapshots taken at n pivot samples chosen
+from cheap low-fidelity data alone. Coefficients come from a regularized
+solve of the pivot-sliced Gramian against the cross-kernel vector of the
+query's low-fidelity output, so the surrogate reproduces the trained
+snapshots wherever that system is well conditioned.
+"""
+from __future__ import annotations
+
+import base64
+import json
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .data import SnapshotEnsemble
+from .kernels import (
+    KernelFamily,
+    KernelSpec,
+    MixtureKernel,
+    build_gramian,
+    cross_kernel_vector,
+)
+from .numerics import SlicedGramian, pivoted_cholesky, slice_gramian, solve_regularized
+from .selection import lower_median
+
+__all__ = [
+    "Surrogate",
+    "CostLedger",
+    "ErrorReport",
+    "HfProviderError",
+    "normalize_ensemble",
+    "build_surrogate",
+    "evaluate",
+    "median_relative_error",
+    "effective_cost",
+    "surrogate_to_dict",
+    "surrogate_from_dict",
+    "save_surrogate",
+    "load_surrogate",
+]
+
+ARCHIVE_VERSION = 1
+
+
+class HfProviderError(RuntimeError):
+    """High-fidelity callback failure, with partial-cost accounting."""
+
+    def __init__(self, sample_index: int, completed: int, partial_cost: float):
+        super().__init__(
+            f"high-fidelity provider failed at sample {sample_index} "
+            f"after {completed} completed draws (partial cost {partial_cost})"
+        )
+        self.sample_index = sample_index
+        self.completed = completed
+        self.partial_cost = partial_cost
+
+
+@dataclass(frozen=True)
+class Surrogate:
+    """Trained emulator state; everything evaluation needs is embedded."""
+
+    kernel: KernelSpec | MixtureKernel
+    pivots: tuple[int, ...]
+    hf_snapshots: np.ndarray
+    sliced: SlicedGramian
+    pivot_lf_columns: np.ndarray
+    rcond: float
+    lf_reference: SnapshotEnsemble | None = None
+
+    def __post_init__(self):
+        hf = np.array(self.hf_snapshots, dtype=float)
+        lf = np.array(self.pivot_lf_columns, dtype=float)
+        pivots = tuple(int(i) for i in self.pivots)
+        n = len(pivots)
+        if hf.ndim != 2 or hf.shape[1] != n:
+            raise ValueError("hf_snapshots must hold one column per pivot")
+        if lf.ndim != 2 or lf.shape[1] != n:
+            raise ValueError("pivot_lf_columns must hold one column per pivot")
+        if self.sliced.n != n:
+            raise ValueError("sliced Gramian dimension must equal the pivot count")
+        hf.setflags(write=False)
+        lf.setflags(write=False)
+        object.__setattr__(self, "hf_snapshots", hf)
+        object.__setattr__(self, "pivot_lf_columns", lf)
+        object.__setattr__(self, "pivots", pivots)
+
+    @property
+    def n_pivots(self) -> int:
+        return len(self.pivots)
+
+
+@dataclass(frozen=True)
+class CostLedger:
+    """Budget accounting in units of one high-fidelity sample."""
+
+    hf_samples_used: int
+    kernel_opt_cost: float
+    one_hf_cost: float
+    effective_hf: int
+
+    def __post_init__(self):
+        if self.one_hf_cost <= 0:
+            raise ValueError("one_hf_cost must be positive")
+        if self.kernel_opt_cost < 0:
+            raise ValueError("kernel_opt_cost must be non-negative")
+        expected = self.hf_samples_used + math.ceil(self.kernel_opt_cost / self.one_hf_cost)
+        if self.effective_hf != expected:
+            raise ValueError(
+                f"effective_hf {self.effective_hf} does not satisfy the ledger "
+                f"identity (expected {expected})"
+            )
+
+
+@dataclass(frozen=True)
+class ErrorReport:
+    """Median relative errors over held-out samples."""
+
+    aggregate_median_rel_error: float
+    per_qoi_median_rel_error: dict[str, float]
+    test_indices: tuple[int, ...]
+    zero_norm_absolute: dict[int, float]
+
+
+def effective_cost(
+    hf_samples_used: int, kernel_opt_cost: float, one_hf_cost: float
+) -> CostLedger:
+    """Fold optimizer cost into whole high-fidelity-sample units."""
+    effective = int(hf_samples_used) + math.ceil(kernel_opt_cost / one_hf_cost)
+    return CostLedger(
+        hf_samples_used=int(hf_samples_used),
+        kernel_opt_cost=float(kernel_opt_cost),
+        one_hf_cost=float(one_hf_cost),
+        effective_hf=effective,
+    )
+
+
+def normalize_ensemble(
+    ensemble: SnapshotEnsemble, groups
+) -> tuple[SnapshotEnsemble, tuple[float, ...]]:
+    """Scale each output-row group to unit root-mean-square column energy.
+
+    ``groups`` partitions the output rows; each group is divided by
+    sqrt(mean over columns of the squared group-restricted column norm).
+    Returns the scaled ensemble and the scale factors for inversion.
+    """
+    rows_seen: set[int] = set()
+    group_list = [list(int(r) for r in g) for g in groups]
+    for g in group_list:
+        if not g:
+            raise ValueError("normalization groups must be non-empty")
+        for r in g:
+            if r in rows_seen:
+                raise ValueError(f"row {r} appears in more than one group")
+            rows_seen.add(r)
+    if rows_seen != set(range(ensemble.output_dim)):
+        raise ValueError("groups must partition all output rows")
+
+    outputs = np.array(ensemble.outputs, dtype=float)
+    factors = []
+    for g in group_list:
+        energy = float(np.mean(np.sum(outputs[g, :] ** 2, axis=0)))
+        if energy == 0.0:
+            raise ValueError(f"group {g} has zero energy and cannot be normalized")
+        scale = math.sqrt(energy)
+        outputs[g, :] /= scale
+        factors.append(scale)
+    scaled = SnapshotEnsemble(
+        outputs=outputs,
+        params=ensemble.params,
+        per_sample_cost=ensemble.per_sample_cost,
+        labels=ensemble.labels,
+    )
+    return scaled, tuple(factors)
+
+
+def build_surrogate(
+    lf: SnapshotEnsemble,
+    kernel: KernelSpec | MixtureKernel,
+    n: int,
+    hf_provider,
+    rcond: float = 1e-12,
+    *,
+    kernel_opt_cost: float = 0.0,
+    one_hf_cost: float = 1.0,
+    drop_tolerance: float = 1e-12,
+) -> tuple[Surrogate, CostLedger]:
+    """Select n pivots from low-fidelity data and draw their HF columns.
+
+    ``hf_provider`` maps a sample index to its high-fidelity output
+    column and is called exactly n times, once per pivot in pivot order.
+
+    Parameters
+    ----------
+    lf : SnapshotEnsemble
+        Low-fidelity ensemble used for pivoting and evaluation.
+    kernel : KernelSpec or MixtureKernel
+        Kernel defining the Gramian geometry.
+    n : int
+        High-fidelity sample budget; 1 <= n <= number of samples.
+    hf_provider : callable
+        Index -> HF column callback.
+    rcond : float
+        Relative eigenvalue cutoff for the training solve.
+    """
+    N = lf.n_samples
+    if not 1 <= n <= N:
+        raise ValueError(f"budget n must be in [1, {N}], got {n}")
+    gram = build_gramian(kernel, lf)
+    piv = pivoted_cholesky(gram, max_steps=n, drop_tolerance=drop_tolerance)
+    pivots = piv.z[:n]
+    sliced = slice_gramian(gram, pivots)
+
+    columns = []
+    drawn = 0
+    for idx in pivots:
+        try:
+            col = np.asarray(hf_provider(int(idx)), dtype=float).ravel()
+        except Exception as exc:
+            raise HfProviderError(
+                sample_index=int(idx), completed=drawn, partial_cost=drawn * one_hf_cost
+            ) from exc
+        if columns and col.shape[0] != columns[0].shape[0]:
+            raise ValueError(
+                f"high-fidelity column {idx} has length {col.shape[0]}, "
+                f"expected {columns[0].shape[0]}"
+            )
+        if not np.all(np.isfinite(col)):
+            raise ValueError(f"high-fidelity column {idx} contains non-finite values")
+        columns.append(col)
+        drawn += 1
+    assert drawn == n
+
+    surrogate = Surrogate(
+        kernel=kernel,
+        pivots=pivots,
+        hf_snapshots=np.column_stack(columns),
+        sliced=sliced,
+        pivot_lf_columns=lf.outputs[:, list(pivots)],
+        rcond=float(rcond),
+        lf_reference=lf,
+    )
+    ledger = effective_cost(n, kernel_opt_cost, one_hf_cost)
+    return surrogate, ledger
+
+
+def evaluate(surrogate: Surrogate, query) -> np.ndarray:
+    """Emulate the high-fidelity output for one query.
+
+    ``query`` is either a sample index into the training ensemble or a
+    fresh low-fidelity output column.
+    """
+    if isinstance(query, (int, np.integer)):
+        if surrogate.lf_reference is None:
+            raise ValueError("index queries need the training ensemble attached")
+        lf_col = surrogate.lf_reference.column(int(query))
+    else:
+        lf_col = np.asarray(query, dtype=float).ravel()
+        if lf_col.shape[0] != surrogate.pivot_lf_columns.shape[0]:
+            raise ValueError(
+                f"query has dimension {lf_col.shape[0]}, expected "
+                f"{surrogate.pivot_lf_columns.shape[0]}"
+            )
+    rhs = cross_kernel_vector(surrogate.kernel, surrogate.pivot_lf_columns, lf_col)
+    coeffs = solve_regularized(surrogate.sliced, rhs, surrogate.rcond)
+    return surrogate.hf_snapshots @ coeffs
+
+
+def median_relative_error(
+    surrogate: Surrogate, hf_truth: SnapshotEnsemble, lf: SnapshotEnsemble
+) -> ErrorReport:
+    """Lower-median relative emulation error over non-pivot samples.
+
+    Samples whose true column has zero norm are excluded from the
+    relative medians and reported with absolute errors instead. Per-QoI
+    medians follow the label groups of ``hf_truth``.
+    """
+    if hf_truth.n_samples != lf.n_samples:
+        raise ValueError("high- and low-fidelity ensembles disagree on sample count")
+    pivots = set(surrogate.pivots)
+    test_indices = tuple(j for j in range(lf.n_samples) if j not in pivots)
+
+    groups = hf_truth.label_groups()
+    rel_errors: list[float] = []
+    zero_norm: dict[int, float] = {}
+    group_rel: dict[str, list[float]] = {name: [] for name in groups}
+    for j in test_indices:
+        truth = hf_truth.column(j)
+        pred = evaluate(surrogate, lf.column(j))
+        diff = truth - pred
+        den = float(np.linalg.norm(truth))
+        num = float(np.linalg.norm(diff))
+        if den == 0.0:
+            zero_norm[j] = num
+        else:
+            rel_errors.append(num / den)
+        for name, rows in groups.items():
+            gden = float(np.linalg.norm(truth[rows]))
+            if gden > 0.0:
+                group_rel[name].append(float(np.linalg.norm(diff[rows])) / gden)
+
+    aggregate = lower_median(rel_errors) if rel_errors else math.nan
+    per_qoi = {
+        name: (lower_median(vals) if vals else math.nan)
+        for name, vals in group_rel.items()
+    }
+    return ErrorReport(
+        aggregate_median_rel_error=aggregate,
+        per_qoi_median_rel_error=per_qoi,
+        test_indices=test_indices,
+        zero_norm_absolute=zero_norm,
+    )
+
+
+# === archive serialization ===
+
+
+def _encode_matrix(arr: np.ndarray) -> dict:
+    arr = np.ascontiguousarray(np.asarray(arr, dtype="<f8"))
+    return {
+        "rows": int(arr.shape[0]),
+        "cols": int(arr.shape[1]),
+        "dtype": "<f8",
+        "data": base64.b64encode(arr.tobytes(order="C")).decode("ascii"),
+    }
+
+
+def _decode_matrix(blob: dict) -> np.ndarray:
+    raw = base64.b64decode(blob["data"])
+    arr = np.frombuffer(raw, dtype=blob.get("dtype", "<f8")).astype(float)
+    return arr.reshape((int(blob["rows"]), int(blob["cols"])))
+
+
+def _kernel_to_dict(kernel: KernelSpec | MixtureKernel) -> dict:
+    if isinstance(kernel, MixtureKernel):
+        return {
+            "kind": "mixture",
+            "components": [
+                {**_kernel_to_dict(spec), "weight": w} for spec, w in kernel.components
+            ],
+        }
+    return {
+        "kind": "single",
+        "family": kernel.family.name.lower(),
+        "h": list(kernel.h),
+        "rq_literal": kernel.rq_literal,
+        "compact_wendland": kernel.compact_wendland,
+    }
+
+
+def _kernel_from_dict(doc: dict) -> KernelSpec | MixtureKernel:
+    if doc["kind"] == "mixture":
+        comps = []
+        for item in doc["components"]:
+            spec = _kernel_from_dict({**item, "kind": "single"})
+            comps.append((spec, float(item["weight"])))
+        return MixtureKernel(components=tuple(comps))
+    return KernelSpec(
+        family=KernelFamily[doc["family"].upper()],
+        h=tuple(float(v) for v in doc["h"]),
+        rq_literal=bool(doc.get("rq_literal", False)),
+        compact_wendland=bool(doc.get("compact_wendland", False)),
+    )
+
+
+def surrogate_to_dict(surrogate: Surrogate) -> dict:
+    return {
+        "version": ARCHIVE_VERSION,
+        "kernel": _kernel_to_dict(surrogate.kernel),
+        "pivots": list(surrogate.pivots),
+        "rcond": surrogate.rcond,
+        "matrices": {
+            "sliced_gramian": _encode_matrix(surrogate.sliced.entries),
+            "hf_snapshots": _encode_matrix(surrogate.hf_snapshots),
+            "pivot_lf_columns": _encode_matrix(surrogate.pivot_lf_columns),
+        },
+    }
+
+
+def surrogate_from_dict(doc: dict) -> Surrogate:
+    if doc.get("version") != ARCHIVE_VERSION:
+        raise ValueError(f"unsupported archive version {doc.get('version')!r}")
+    pivots = tuple(int(i) for i in doc["pivots"])
+    return Surrogate(
+        kernel=_kernel_from_dict(doc["kernel"]),
+        pivots=pivots,
+        hf_snapshots=_decode_matrix(doc["matrices"]["hf_snapshots"]),
+        sliced=SlicedGramian(
+            entries=_decode_matrix(doc["matrices"]["sliced_gramian"]), indices=pivots
+        ),
+        pivot_lf_columns=_decode_matrix(doc["matrices"]["pivot_lf_columns"]),
+        rcond=float(doc["rcond"]),
+        lf_reference=None,
+    )
+
+
+def save_surrogate(surrogate: Surrogate, path) -> None:
+    with open(path, "w", encoding="ascii") as fh:
+        json.dump(surrogate_to_dict(surrogate), fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+def load_surrogate(path) -> Surrogate:
+    with open(path, "r", encoding="ascii") as fh:
+        return surrogate_from_dict(json.load(fh))

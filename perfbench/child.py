@@ -1,6 +1,7 @@
 """One benchmark measurement in a fresh interpreter.
 
-Reads a JSON request on stdin and prints one JSON line on stdout:
+Takes a JSON request as its second argument and prints one JSON line on
+stdout:
 
 * ``{"config": doc, "setup_only": true}`` times importing ``bifidelity``
   and validating ``doc`` with ``parse_config``, and reports the library
@@ -11,8 +12,8 @@ Reads a JSON request on stdin and prints one JSON line on stdout:
   the package is wrapped first, and the per-layer table, counters and
   spans come back as well (the spans are written to ``spans_path``).
 
-The package must be importable from the ``src`` directory given as
-``argv[1]``; any other copy is refused.
+The package must be importable from the ``src`` directory given as the
+first argument; any other copy is refused.
 """
 import json
 import math
@@ -120,7 +121,7 @@ def main() -> int:
     t0 = time.perf_counter()
     src = Path(sys.argv[1]).resolve()
     sys.path.insert(0, str(src))
-    request = json.loads(sys.stdin.read())
+    request = json.loads(sys.argv[2])
     import bifidelity
     from bifidelity import bench, cli
 

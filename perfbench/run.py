@@ -4,19 +4,26 @@
 
 Run from the root of a checkout. Workloads live in ``workloads.json``
 next to this file. Every measurement runs in a fresh child interpreter
-(``child.py``) that imports the package from ``src/``, with one BLAS and
-OpenMP thread and serial cells, one run at a time (a closed loop with one
-client).
+(``child.py``) that imports the package from ``src/`` (or the frozen
+copy), pinned to one CPU, with one BLAS and OpenMP thread and serial
+cells. It needs two CPUs and never runs more children at once.
 
 A run is a closed loop of experiments for ``--seconds``: experiment k at
 seed s runs the workload config with config seed s + 1000*k, so each
 experiment draws fresh PSO streams and the same seed gives the same
-sequence. Each experiment's outputs are checked (see
-``child.check_result``); one that raises or breaks a check counts as
-failed.
+sequence. Each experiment is a pair of runs at that seed, one of the
+package under ``src/`` and one of the frozen copy under
+``perfbench/baseline/``, at the same time on two CPUs that swap every
+experiment. Both runs' outputs are checked (see ``child.check_result``);
+an experiment where either raises or breaks a check counts as failed.
 
 ``--trace 0`` reports the end-to-end metrics as medians over the run's
-measurements. ``--trace 1`` runs experiment 0 once untraced and once with
+measurements. The run time is reported as ``run_rel``, the geometric mean
+over the experiments of the ``src/`` run's wall time divided by the
+baseline run's: the two runs of a pair share the seed and run at the same
+time, so the seed's work and the host's slow or fast phases cancel. The
+raw wall times of both are printed on the lines before the result.
+``--trace 1`` runs experiment 0 of ``src/`` once untraced and once with
 every public function of the package wrapped, and reports per-layer
 calls, inclusive and self seconds, the tuning counters, and the tracing
 overhead (traced minus untraced ``run_s``). Spans and layer tables are
@@ -36,15 +43,17 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
+SRC = ROOT / "src"
+# The package as it was when the benchmark was defined; never edit it.
+BASELINE_SRC = HERE / "baseline"
 OUT_DIR = ROOT / ".perfbench"
 THREADS = 1
 SEED_STRIDE = 1000
-SETUP_CHILDREN = 2
 # Keeps the whole run inside the 180 s a run may take, whatever a child does.
 HARD_LIMIT_S = 170.0
 
 END_TO_END = {
-    "run_s": "s",
+    "run_rel": "ratio",
     "setup_s": "s",
     "peak_rss_mb": "MB",
     "err_baseline": "ratio",
@@ -94,39 +103,64 @@ class ChildFailed(Exception):
 
 
 class Runner:
-    """Starts child interpreters one at a time, within a shared deadline."""
+    """Starts child interpreters, each pinned to a CPU, within a shared deadline."""
 
     def __init__(self, deadline: float):
         self.deadline = deadline
+        self.cpus = sorted(os.sched_getaffinity(0))
         self.env = {
             **os.environ,
-            "PYTHONPATH": str(ROOT / "src"),
             "OMP_NUM_THREADS": str(THREADS),
             "OPENBLAS_NUM_THREADS": str(THREADS),
             "MKL_NUM_THREADS": str(THREADS),
             "BLIS_NUM_THREADS": str(THREADS),
         }
 
-    def child(self, request: dict) -> dict:
-        timeout = self.deadline - time.monotonic()
-        if timeout <= 0:
-            raise ChildFailed("no time left for another child")
+    def child(self, request: dict, src: Path = SRC) -> dict:
+        out = self.together([(request, src)])[0]
+        if isinstance(out, ChildFailed):
+            raise out
+        return out
+
+    def together(self, jobs: list[tuple[dict, Path]]) -> list:
+        """Runs one child per (request, src) job at the same time, each on its
+        own CPU, and returns each child's report or the ChildFailed that
+        stopped it. Every child has ended when this returns."""
+        if len(jobs) > len(self.cpus):
+            raise ChildFailed(f"{len(jobs)} children need as many CPUs, have {self.cpus}")
+        procs = []
         try:
-            proc = subprocess.run(
-                [sys.executable, str(HERE / "child.py"), str(ROOT / "src")],
-                input=json.dumps(request),
-                capture_output=True,
-                text=True,
-                cwd=ROOT,
-                env=self.env,
-                timeout=timeout,
-            )
-        except subprocess.TimeoutExpired as exc:
-            raise ChildFailed(f"child killed after {timeout:.0f} s") from exc
+            for cpu, (request, src) in zip(self.cpus, jobs):
+                proc = subprocess.Popen(
+                    [sys.executable, str(HERE / "child.py"), str(src), json.dumps(request)],
+                    stdin=subprocess.DEVNULL,
+                    stdout=subprocess.PIPE,
+                    stderr=subprocess.PIPE,
+                    text=True,
+                    cwd=ROOT,
+                    env={**self.env, "PYTHONPATH": str(src)},
+                )
+                procs.append(proc)
+                os.sched_setaffinity(proc.pid, {cpu})
+            return [self._report(proc) for proc in procs]
+        finally:
+            for proc in procs:
+                if proc.poll() is None:
+                    proc.kill()
+                proc.wait()
+
+    def _report(self, proc):
+        timeout = self.deadline - time.monotonic()
+        try:
+            stdout, stderr = proc.communicate(timeout=max(timeout, 0))
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.communicate()
+            return ChildFailed(f"child killed after {max(timeout, 0):.0f} s")
         if proc.returncode != 0:
-            tail = proc.stderr.strip().splitlines()[-1:] or ["no stderr"]
-            raise ChildFailed(f"child exited {proc.returncode}: {tail[0]}")
-        return json.loads(proc.stdout.strip().splitlines()[-1])
+            tail = stderr.strip().splitlines()[-1:] or ["no stderr"]
+            return ChildFailed(f"child exited {proc.returncode}: {tail[0]}")
+        return json.loads(stdout.strip().splitlines()[-1])
 
 
 def workload_config(workload: dict, seed: int, k: int) -> dict:
@@ -143,50 +177,62 @@ def quartiles(values) -> tuple[float, float, float]:
 
 
 def timed_run(runner: Runner, doc: dict, log, trace: bool = False, spans_path=None):
-    """One checked run_experiment; returns the child's report or None."""
-    try:
-        out = runner.child({"config": doc, "trace": trace, "spans_path": spans_path})
-    except ChildFailed as exc:
-        log(f"run seed={doc['seed']} trace={int(trace)}: FAILED ({exc})")
+    """One checked run_experiment of ``src/``; returns the child's report or None."""
+    out = runner.together([({"config": doc, "trace": trace, "spans_path": spans_path}, SRC)])[0]
+    return checked(out, doc, SRC, log, trace)
+
+
+def checked(out, doc: dict, src: Path, log, trace: bool = False):
+    """Logs one child's report; returns it, or None if it failed or broke a check."""
+    label = f"run seed={doc['seed']} src={src.relative_to(ROOT)} trace={int(trace)}"
+    if isinstance(out, ChildFailed):
+        log(f"{label}: FAILED ({out})")
         return None
     for problem in out["problems"]:
-        log(f"run seed={doc['seed']}: check failed: {problem}")
-    log(f"run seed={doc['seed']} trace={int(trace)}: run_s={out['run_s']:.3f} "
+        log(f"{label}: check failed: {problem}")
+    log(f"{label}: run_s={out['run_s']:.3f} "
         f"setup_s={out['setup_s']:.3f} peak_rss_mb={out['peak_rss_mb']:.1f} errors={out['errors']}")
     return None if out["problems"] else out
 
 
 def measure(runner: Runner, workload: dict, seed: int, seconds: float, log) -> dict:
     deadline = min(time.monotonic() + seconds, runner.deadline)
-    setups, runs, attempted, failed = [], [], 0, 0
+    setups, runs, base_runs, attempted, failed = [], [], [], 0, 0
     last = 0.0
     # Another run starts while at least half of the last one's time is left,
     # so a run ends within about half an experiment of --seconds.
     while attempted == 0 or deadline - time.monotonic() >= last / 2:
         began = time.monotonic()
         doc = workload_config(workload, seed, attempted)
-        # Set-up-only children before each run spread the set-up samples
-        # over the whole measurement, as the runs are.
-        for _ in range(SETUP_CHILDREN):
-            out = runner.child({"config": doc, "setup_only": True})
-            setups.append(out["setup_s"])
+        # A set-up-only child before each experiment spreads the set-up
+        # samples over the whole measurement, as the runs are.
+        out = runner.child({"config": doc, "setup_only": True})
+        setups.append(out["setup_s"])
         if attempted == 0:
             v = out["versions"]
             log(f"machine: nproc={os.cpu_count()} blas_threads={THREADS} "
                 f"python={sys.version.split()[0]} numpy={v['numpy']} scipy={v['scipy']} "
                 f"blas={v['blas']}")
+        # The two runs of a pair run at the same time on different CPUs;
+        # swapping the CPUs every experiment cancels any difference between
+        # them.
+        order = [SRC, BASELINE_SRC] if attempted % 2 else [BASELINE_SRC, SRC]
         attempted += 1
-        out = timed_run(runner, doc, log)
-        if out is None:
+        outs = runner.together([({"config": doc}, src) for src in order])
+        pair = {src: checked(out, doc, src, log) for src, out in zip(order, outs)}
+        if None in pair.values():
             failed += 1
         else:
-            runs.append(out)
-            setups.append(out["setup_s"])
+            runs.append(pair[SRC])
+            base_runs.append(pair[BASELINE_SRC])
+            setups.append(pair[SRC]["setup_s"])
         last = time.monotonic() - began
 
     samples = {"setup_s": setups}
     if runs:
         samples["run_s"] = [r["run_s"] for r in runs]
+        samples["baseline_run_s"] = [r["run_s"] for r in base_runs]
+        samples["run_rel"] = [r["run_s"] / b["run_s"] for r, b in zip(runs, base_runs)]
         samples["peak_rss_mb"] = [r["peak_rss_mb"] for r in runs]
         samples["err_baseline"] = [r["errors"]["linear-baseline"] for r in runs]
         samples["err_best"] = [min(r["errors"].values()) for r in runs]
@@ -197,8 +243,14 @@ def measure(runner: Runner, workload: dict, seed: int, seconds: float, log) -> d
         q1, med, q3 = quartiles(values)
         log(f"{name}: median={med!r} q1={q1!r} q3={q3!r} over {len(values)} measurements")
     log(f"failed_frac: {failed}/{attempted}")
-    metrics = {name: {"value": statistics.median(samples[name]), "unit": unit}
-               for name, unit in END_TO_END.items() if name in samples}
+    values = {name: statistics.median(v) for name, v in samples.items()}
+    if runs:
+        # The mean of the log ratios, so that a pair's ratio and its inverse
+        # weigh the same; each pair's two CPUs differ, and they alternate.
+        values["run_rel"] = statistics.geometric_mean(samples["run_rel"])
+        log(f"run_rel: geometric mean={values['run_rel']!r} over {len(runs)} pairs")
+    metrics = {name: {"value": values[name], "unit": unit}
+               for name, unit in END_TO_END.items() if name in values}
     return {"correct": failed == 0 and len(metrics) == len(END_TO_END),
             "attempted": attempted, "failed": failed, "metrics": metrics}
 
@@ -246,10 +298,11 @@ def main(argv=None) -> int:
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
 
-    if not (ROOT / "src" / "bifidelity" / "__init__.py").is_file():
-        print(f"no bifidelity package under {ROOT / 'src'}; run from a full checkout",
-              file=sys.stderr)
-        return 2
+    for src in (SRC, BASELINE_SRC):
+        if not (src / "bifidelity" / "__init__.py").is_file():
+            print(f"no bifidelity package under {src}; run from a full checkout",
+                  file=sys.stderr)
+            return 2
 
     def log(line: str) -> None:
         print(f"[{args.workload}] {line}", flush=True)
