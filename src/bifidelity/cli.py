@@ -406,7 +406,6 @@ def run_experiment(cfg: ExperimentConfig, parallel: bool = False, header: bool =
             "h": list(ok.spec.h),
             "objective_value": ok.objective_value,
             "evaluations_used": ok.evaluations_used,
-            "wall_time": ok.wall_time,
         }
         for ok in optimized
     ]}

@@ -117,17 +117,18 @@ def _objective_value(ref: np.ndarray, candidate: np.ndarray, lam: float) -> floa
     return fro + lam / math.sqrt(stable_rank(candidate))
 
 
-def objective(cfg: ObjectiveConfig, h, lf_ensemble: SnapshotEnsemble) -> float:
+def objective(cfg: ObjectiveConfig, h, lf_ensemble: SnapshotEnsemble, dists=None) -> float:
     """Frobenius distance to the reference Gramian plus the srank penalty.
 
     Any numerical failure (overflow, degenerate Gramian) maps to +inf so
-    optimizers can treat the objective as total on the box.
+    optimizers can treat the objective as total on the box. ``dists``
+    are the ensemble's cached pairwise column distances, if any.
     """
     if cfg.reference_gramian.source_ensemble_id != lf_ensemble.content_id:
         raise ValueError("reference Gramian was built from a different ensemble")
     try:
         spec = _spec_for(cfg, h)
-        cand = gramian_entries(spec, lf_ensemble.outputs)
+        cand = gramian_entries(spec, lf_ensemble.outputs, dists)
         if not np.all(np.isfinite(cand)):
             return math.inf
         value = _objective_value(np.asarray(cfg.reference_gramian.entries), cand, cfg.lam)
@@ -340,24 +341,13 @@ def optimize_hyperparams(
             wall_time=time.perf_counter() - started,
         )
 
-    ref = np.asarray(obj_cfg.reference_gramian.entries)
-    if obj_cfg.reference_gramian.source_ensemble_id != lf_ensemble.content_id:
-        raise ValueError("reference Gramian was built from a different ensemble")
     dists = pairwise_distances(lf_ensemble.outputs)
     evals = 0
 
     def f_log(theta: np.ndarray) -> float:
         nonlocal evals
         evals += 1
-        try:
-            spec = _spec_for(obj_cfg, np.exp(theta))
-            cand = gramian_entries(spec, lf_ensemble.outputs, dists)
-            if not np.all(np.isfinite(cand)):
-                return math.inf
-            value = _objective_value(ref, cand, obj_cfg.lam)
-        except (NumericsError, ValueError, ArithmeticError):
-            return math.inf
-        return value if np.isfinite(value) else math.inf
+        return objective(obj_cfg, np.exp(theta), lf_ensemble, dists)
 
     log_bounds = np.log(np.asarray(obj_cfg.bounds, dtype=float))
     theta_pso, _, _ = pso_minimize(f_log, pso_cfg, log_bounds)

@@ -197,24 +197,34 @@ def kernel_eval(kernel: KernelSpec | MixtureKernel, u, v) -> float:
     v = np.asarray(v, dtype=float).ravel()
     if u.shape != v.shape:
         raise ValueError(f"vector dimensions differ: {u.shape[0]} vs {v.shape[0]}")
-    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-        raise ValueError("kernel inputs must be finite")
-    if isinstance(kernel, MixtureKernel):
-        return float(sum(w * kernel_eval(spec, u, v) for spec, w in kernel.components))
-    if kernel.family == KernelFamily.LINEAR:
-        return float(np.dot(u, v))
-    r = float(np.sqrt(np.sum((u - v) ** 2)))
-    value = float(radial_profile(kernel, r))
-    if not np.isfinite(value):
-        raise ArithmeticError(
-            f"{kernel.family.name} kernel evaluation overflowed at r={r}, h={kernel.h}"
-        )
-    return value
+    return float(cross_kernel_vector(kernel, v, u)[0])
 
 
 def pairwise_distances(columns: np.ndarray) -> np.ndarray:
     """Euclidean distances between columns; exactly symmetric, zero diagonal."""
     return cdist(columns.T, columns.T)
+
+
+def _kernel_block(kernel: KernelSpec | MixtureKernel, a, b, dists=None) -> np.ndarray:
+    """K[i, j] = k(a[:, i], b[:, j]), reusing ``dists`` = cdist(a.T, b.T) when supplied.
+
+    A linear block of columns against themselves (``b is a``) is the
+    symmetrised a.T @ a, so Gramians come out exactly symmetric. Any other
+    linear block sums each entry in one fixed order (einsum, not BLAS),
+    so a query's values do not depend on the block it is evaluated in.
+    """
+    if isinstance(kernel, MixtureKernel):
+        if dists is None:
+            dists = cdist(a.T, b.T)
+        return sum(w * _kernel_block(spec, a, b, dists) for spec, w in kernel.components)
+    if kernel.family == KernelFamily.LINEAR:
+        if b is not a:
+            return np.einsum("ki,kj->ij", a, b)
+        g = a.T @ a
+        return (g + g.T) / 2.0
+    if dists is None:
+        dists = cdist(a.T, b.T)
+    return radial_profile(kernel, dists)
 
 
 def gramian_entries(
@@ -223,19 +233,7 @@ def gramian_entries(
     dists: np.ndarray | None = None,
 ) -> np.ndarray:
     """Raw Gramian matrix for columns, reusing ``dists`` when supplied."""
-    if isinstance(kernel, MixtureKernel):
-        if dists is None:
-            dists = pairwise_distances(columns)
-        total = np.zeros((columns.shape[1], columns.shape[1]))
-        for spec, w in kernel.components:
-            total += w * gramian_entries(spec, columns, dists)
-        return total
-    if kernel.family == KernelFamily.LINEAR:
-        g = columns.T @ columns
-        return (g + g.T) / 2.0
-    if dists is None:
-        dists = pairwise_distances(columns)
-    return radial_profile(kernel, dists)
+    return _kernel_block(kernel, columns, columns, dists)
 
 
 def build_gramian(
@@ -253,19 +251,24 @@ def build_gramian(
 def cross_kernel_vector(
     kernel: KernelSpec | MixtureKernel, ensemble_columns, query
 ) -> np.ndarray:
-    """Kernel values of a query output vector against a set of columns.
+    """Kernel values of query output vectors against a set of columns.
 
-    ``ensemble_columns`` may be a 2-d array (one vector per column) or a
-    sequence of 1-d vectors.
+    ``ensemble_columns`` is a (dim x n) array, one vector per column, or a
+    single 1-d column. A 1-d ``query`` returns the n kernel values; a
+    (dim x m) block of query columns returns the n x m block.
     """
     cols = np.asarray(ensemble_columns, dtype=float)
     if cols.ndim == 1:
         cols = cols[:, None]
-    if cols.ndim != 2:
-        cols = np.column_stack([np.asarray(c, dtype=float) for c in ensemble_columns])
-    query = np.asarray(query, dtype=float).ravel()
-    if query.shape[0] != cols.shape[0]:
+    query = np.asarray(query, dtype=float)
+    queries = query if query.ndim == 2 else query.reshape(-1, 1)
+    if queries.shape[0] != cols.shape[0]:
         raise ValueError(
-            f"query dimension {query.shape[0]} does not match columns ({cols.shape[0]})"
+            f"query dimension {queries.shape[0]} does not match columns ({cols.shape[0]})"
         )
-    return np.array([kernel_eval(kernel, query, cols[:, l]) for l in range(cols.shape[1])])
+    if not (np.all(np.isfinite(cols)) and np.all(np.isfinite(queries))):
+        raise ValueError("kernel inputs must be finite")
+    block = _kernel_block(kernel, cols, queries)
+    if not np.all(np.isfinite(block)):
+        raise ArithmeticError(f"kernel evaluation overflowed for {kernel}")
+    return block if query.ndim == 2 else block[:, 0]

@@ -230,7 +230,7 @@ def adaptive_select(
             scores[ok.spec.family] = math.inf
             continue
         pivots = list(piv.z[:n])
-        others = [j for j in range(N) if j not in set(pivots)]
+        others = np.setdiff1d(np.arange(N), pivots)
         sliced = slice_gramian(gram, pivots)
         # rank test mirrors the truncation rule inside solve_regularized
         eigvals = np.linalg.eigvalsh(sliced.entries)

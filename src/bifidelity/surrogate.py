@@ -248,23 +248,17 @@ def build_surrogate(
 
 
 def evaluate(surrogate: Surrogate, query) -> np.ndarray:
-    """Emulate the high-fidelity output for one query.
+    """Emulate the high-fidelity output for one query or a block of queries.
 
-    ``query`` is either a sample index into the training ensemble or a
-    fresh low-fidelity output column.
+    ``query`` is a sample index into the training ensemble, a fresh
+    low-fidelity output column, or a 2-d block of such columns; a block
+    is emulated with one solve and returns one output column per query.
     """
     if isinstance(query, (int, np.integer)):
         if surrogate.lf_reference is None:
             raise ValueError("index queries need the training ensemble attached")
-        lf_col = surrogate.lf_reference.column(int(query))
-    else:
-        lf_col = np.asarray(query, dtype=float).ravel()
-        if lf_col.shape[0] != surrogate.pivot_lf_columns.shape[0]:
-            raise ValueError(
-                f"query has dimension {lf_col.shape[0]}, expected "
-                f"{surrogate.pivot_lf_columns.shape[0]}"
-            )
-    rhs = cross_kernel_vector(surrogate.kernel, surrogate.pivot_lf_columns, lf_col)
+        query = surrogate.lf_reference.column(int(query))
+    rhs = cross_kernel_vector(surrogate.kernel, surrogate.pivot_lf_columns, query)
     coeffs = solve_regularized(surrogate.sliced, rhs, surrogate.rcond)
     return surrogate.hf_snapshots @ coeffs
 
@@ -282,15 +276,15 @@ def median_relative_error(
         raise ValueError("high- and low-fidelity ensembles disagree on sample count")
     pivots = set(surrogate.pivots)
     test_indices = tuple(j for j in range(lf.n_samples) if j not in pivots)
+    preds = evaluate(surrogate, lf.outputs[:, list(test_indices)])
 
     groups = hf_truth.label_groups()
     rel_errors: list[float] = []
     zero_norm: dict[int, float] = {}
     group_rel: dict[str, list[float]] = {name: [] for name in groups}
-    for j in test_indices:
+    for k, j in enumerate(test_indices):
         truth = hf_truth.column(j)
-        pred = evaluate(surrogate, lf.column(j))
-        diff = truth - pred
+        diff = truth - preds[:, k]
         den = float(np.linalg.norm(truth))
         num = float(np.linalg.norm(diff))
         if den == 0.0:

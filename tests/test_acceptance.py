@@ -331,6 +331,7 @@ def test_rerun_reproducibility(tmp_path):
         outputs.append(
             (
                 (out / "results.csv").read_bytes(),
+                (out / "selection.json").read_bytes(),
                 [(p.name, p.read_bytes()) for p in archives],
             )
         )

@@ -336,6 +336,13 @@ def test_eval_round_trip(toy, tmp_path, capsys):
     assert main(["eval", str(archive), str(tmp_path / "bad.csv")]) == 3
     assert main(["eval", str(tmp_path / "no.json"), str(col_path)]) == 3
 
+    # a NaN in the query is a data error
+    column[0] = np.nan
+    write_matrix_csv(tmp_path / "nan.csv", column)
+    capsys.readouterr()
+    assert main(["eval", str(archive), str(tmp_path / "nan.csv")]) == 3
+    assert "finite" in capsys.readouterr().err
+
 
 # === tune-lambda ===
 

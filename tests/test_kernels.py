@@ -113,6 +113,37 @@ def test_cross_kernel_exponential_single_column():
     assert vec[0] == pytest.approx(math.exp(-1), rel=1e-15)
 
 
+def test_cross_kernel_columns_are_vectors():
+    # u1 = [1, 0] and u2 = [2, 5] are the columns, not the rows
+    cols = np.column_stack([[1.0, 0.0], [2.0, 5.0]])
+    vec = cross_kernel_vector(KernelSpec(family=KernelFamily.LINEAR), cols, [1.0, 1.0])
+    np.testing.assert_array_equal(vec, [1.0, 7.0])
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [make_spec(f) for f in KernelFamily]
+    + [
+        MixtureKernel(
+            components=(
+                (make_spec(KernelFamily.LINEAR), 0.25),
+                (make_spec(KernelFamily.MATERN52), 0.75),
+            )
+        )
+    ],
+    ids=[f.name.lower() for f in KernelFamily] + ["mixture"],
+)
+def test_cross_kernel_block_equals_columnwise(kernel):
+    rng = np.random.default_rng(5)
+    cols = rng.normal(size=(3, 6))
+    queries = rng.normal(size=(3, 4))
+    queries[:, 1] = cols[:, 2]  # a zero distance
+    block = cross_kernel_vector(kernel, cols, queries)
+    assert block.shape == (6, 4)
+    for j in range(queries.shape[1]):
+        np.testing.assert_array_equal(block[:, j], cross_kernel_vector(kernel, cols, queries[:, j]))
+
+
 # === agreement with the scalar-formula oracle ===
 
 
@@ -259,6 +290,8 @@ def test_rational_quadratic_literal_overflow_raises():
     )
     with pytest.raises(ArithmeticError, match="overflow"):
         kernel_eval(spec, [0.0], [1e-4])
+    with pytest.raises(ArithmeticError, match="overflow"):
+        cross_kernel_vector(spec, [[0.0, 1.0]], [[1e-4, 2.0]])
 
 
 def test_gramian_requires_symmetry_and_finiteness():

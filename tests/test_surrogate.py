@@ -256,6 +256,18 @@ def test_evaluate_validates_queries():
         evaluate(surr, np.ones(5))
 
 
+
+def test_evaluate_block_matches_columnwise():
+    rng = np.random.default_rng(5)
+    lf = ensemble_from(rng.normal(size=(3, 8)))
+    surr, _ = build_surrogate(lf, SQEXP, 4, provider_for(rng.normal(size=(4, 8))))
+    assert np.linalg.cond(surr.sliced.entries) <= 1e8
+    queries = rng.normal(size=(3, 6))
+    block = evaluate(surr, queries)
+    assert block.shape == (4, 6)
+    for j in range(queries.shape[1]):
+        np.testing.assert_allclose(block[:, j], evaluate(surr, queries[:, j]), rtol=1e-12)
+
 # === error metric ===
 
 
