@@ -127,8 +127,9 @@ class Gramian:
             raise ValueError("Gramian entries must be square")
         if not np.all(np.isfinite(entries)):
             raise ValueError("Gramian contains non-finite entries")
-        scale = np.max(np.abs(entries))
-        if scale > 0 and np.max(np.abs(entries - entries.T)) > 1e-12 * scale:
+        scale = max(entries.max(), -entries.min())
+        asym = entries - entries.T
+        if scale > 0 and np.abs(asym, out=asym).max() > 1e-12 * scale:
             raise ValueError("Gramian entries are not symmetric")
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)

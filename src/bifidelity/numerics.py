@@ -20,7 +20,6 @@ __all__ = [
     "PivotDecomposition",
     "SlicedGramian",
     "pivoted_cholesky",
-    "spectral_norm",
     "stable_rank",
     "slice_gramian",
     "solve_regularized",
@@ -149,42 +148,21 @@ def pivoted_cholesky(G, max_steps: int, drop_tolerance: float = 1e-12) -> PivotD
     )
 
 
-def spectral_norm(A, tol: float = 1e-8, max_iters: int = 10000) -> float:
-    """Largest singular value by power iteration on A^T A.
-
-    Starts from the normalized all-ones vector (with a deterministic ramp
-    fallback if that lands in the null space) and stops once the residual
-    ||A^T A v - theta v|| falls below ``tol * theta``.
-    """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2:
-        raise ValueError("spectral_norm expects a matrix")
-    m = A.shape[1]
-    v = np.ones(m) / np.sqrt(m)
-    theta = 0.0
-    for it in range(max_iters):
-        u = A.T @ (A @ v)
-        nu = float(np.linalg.norm(u))
-        if nu == 0.0:
-            if it == 0:
-                ramp = np.arange(1, m + 1, dtype=float)
-                v = ramp / np.linalg.norm(ramp)
-                continue
-            return 0.0
-        theta = float(v @ u)
-        if np.linalg.norm(u - theta * v) <= tol * theta:
-            return float(np.sqrt(theta))
-        v = u / nu
-    return float(np.sqrt(theta))
-
-
 def stable_rank(A) -> float:
-    """||A||_F^2 / ||A||_2^2; always between 1 and rank(A)."""
+    """||A||_F^2 / ||A||_2^2 of a symmetric matrix; always between 1 and rank(A).
+
+    ||A||_2 is the largest |eigenvalue|, from one symmetric eigensolve, so
+    indefinite matrices are handled. The solver reads only one triangle,
+    so a matrix that is not exactly symmetric raises ValueError.
+    """
     A = _as_matrix(A)
     fro2 = float(np.sum(A * A))
+    if not (np.isfinite(fro2) and np.array_equal(A, A.T)):
+        raise ValueError("stable rank needs a finite, exactly symmetric matrix")
     if fro2 == 0.0:
         raise ZeroGramianError("stable rank undefined for the zero matrix")
-    sigma = spectral_norm(A)
+    w = np.linalg.eigvalsh(A)
+    sigma = max(abs(float(w[0])), abs(float(w[-1])))
     if sigma == 0.0:
         raise ZeroGramianError("stable rank undefined: spectral norm vanished")
     return fro2 / sigma**2

@@ -158,7 +158,7 @@ def additive_select(
             mix += wi * gi
         try:
             value = _objective_value(ref, mix, lam)
-        except ZeroGramianError:
+        except (ZeroGramianError, ValueError):
             return math.inf
         return value if np.isfinite(value) else math.inf
 

@@ -10,10 +10,11 @@ from bifidelity.numerics import (
     pivoted_cholesky,
     slice_gramian,
     solve_regularized,
-    spectral_norm,
     stable_rank,
 )
-from bifidelity.kernels import Gramian, KernelFamily, KernelSpec
+from bifidelity.data import SnapshotEnsemble
+from bifidelity.hyperopt import default_bounds
+from bifidelity.kernels import Gramian, KernelFamily, KernelSpec, gramian_entries
 
 import oracles
 
@@ -98,20 +99,7 @@ def test_accepts_gramian_objects():
     assert pivoted_cholesky(G, max_steps=2).z == (1, 0)
 
 
-# === spectral norm and stable rank ===
-
-
-def test_spectral_norm_matches_svd():
-    for seed in range(10):
-        rng = np.random.default_rng(seed)
-        A = rng.normal(size=(6, 4))
-        assert spectral_norm(A) == pytest.approx(np.linalg.norm(A, 2), rel=1e-6)
-
-
-def test_spectral_norm_ones_vector_in_null_space():
-    # A annihilates the all-ones start vector; the ramp fallback must kick in
-    A = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    assert spectral_norm(A) == pytest.approx(2.0, rel=1e-6)
+# === stable rank ===
 
 
 def test_stable_rank_identity():
@@ -120,6 +108,11 @@ def test_stable_rank_identity():
 
 def test_stable_rank_diag_2_1():
     assert stable_rank(np.diag([2.0, 1.0])) == pytest.approx(1.25, rel=1e-8)
+
+
+def test_stable_rank_indefinite_uses_largest_magnitude_eigenvalue():
+    # ||A||_2 = 3 from the negative eigenvalue, not the largest eigenvalue 1
+    assert stable_rank(np.diag([-3.0, 1.0])) == pytest.approx(10.0 / 9.0, rel=1e-15)
 
 
 def test_stable_rank_rank_one():
@@ -132,21 +125,51 @@ def test_stable_rank_zero_matrix_errors():
         stable_rank(np.zeros((3, 3)))
 
 
+def test_stable_rank_rejects_non_symmetric_input():
+    # the eigensolver reads one triangle; this matrix's upper one is diag(1, 1)
+    with pytest.raises(ValueError, match="symmetric"):
+        stable_rank(np.array([[1.0, 0.0], [5.0, 1.0]]))
+
+
+def test_stable_rank_rejects_non_finite_input():
+    with pytest.raises(ValueError, match="finite"):
+        stable_rank(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
+
 @given(st.integers(0, 10**6))
 def test_stable_rank_between_one_and_rank(seed):
     rng = np.random.default_rng(seed)
-    A = rng.normal(size=(5, 5))
+    B = rng.normal(size=(5, 5))
+    A = B + B.T
     sr = stable_rank(A)
     w = np.linalg.svd(A, compute_uv=False)
     rank = int(np.sum(w > 1e-10 * w[0]))
-    # power iteration tolerance 1e-8 allows a sliver above the bound
-    assert 1.0 - 1e-8 <= sr <= rank * (1.0 + 1e-6)
+    assert 1.0 - 1e-12 <= sr <= rank * (1.0 + 1e-12)
 
 
 def test_stable_rank_matches_svd_oracle():
     for seed in range(10):
         A = oracles.random_psd(6, seed)
-        assert stable_rank(A) == pytest.approx(oracles.srank_svd(A), rel=1e-6)
+        assert stable_rank(A) == pytest.approx(oracles.srank_svd(A), rel=1e-12)
+
+
+def test_stable_rank_of_indefinite_compact_gramian_matches_svd_oracle():
+    # the default compact form is indefinite here (smallest eigenvalue ~ -0.38)
+    cols = np.array([[0.0, 1.2, 2.4, 3.6, 30.0]])
+    G = gramian_entries(KernelSpec(family=KernelFamily.COMPACT_RBF, h=(1.0, 2.0)), cols)
+    assert np.linalg.eigvalsh(G)[0] < -0.1
+    assert stable_rank(G) == pytest.approx(oracles.srank_svd(G), rel=1e-12)
+
+
+def test_stable_rank_of_near_identity_matern_gramian_matches_svd_oracle():
+    # h at the lower edge of the tuning box gives a Gramian within ~1e-12 of I
+    cols = np.random.default_rng(0).normal(size=(2, 40))
+    ens = SnapshotEnsemble(outputs=cols, params=np.arange(40.0)[:, None],
+                           per_sample_cost=np.ones(40))
+    h_lo = default_bounds(KernelFamily.MATERN32, ens)[0][0]
+    G = gramian_entries(KernelSpec(family=KernelFamily.MATERN32, h=(h_lo,)), cols)
+    assert np.max(np.abs(G - np.eye(40))) < 1e-9
+    assert stable_rank(G) == pytest.approx(oracles.srank_svd(G), rel=1e-12)
 
 
 # === slicing and the regularized solve ===

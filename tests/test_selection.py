@@ -120,6 +120,19 @@ def test_additive_weights_form_a_simplex_vector():
     ]
 
 
+def test_additive_scores_overflowing_library_as_infinity():
+    # (2 h1^2 h2)^h2 overflows, so every mixture holds non-finite entries
+    ens = ensemble_from(np.random.default_rng(1).normal(size=(2, 6)))
+    spec = KernelSpec(family=KernelFamily.RATIONAL_QUADRATIC, h=(1e3, 1e3), rq_literal=True)
+    overflowing = OptimizedKernel(spec=spec, objective_value=math.inf, evaluations_used=0,
+                                  wall_time=0.0)
+    with np.errstate(invalid="ignore"):
+        _, report = additive_select([tuned(KernelFamily.LINEAR), overflowing], ens, 0.1,
+                                    pso_cfg=PsoConfig(max_iters=5, seed=0))
+    assert report.objective_value == math.inf
+    assert abs(sum(report.weights) - 1.0) <= 1e-10
+
+
 def test_additive_empty_library_rejected():
     ens = ensemble_from([[1.0, 2.0]])
     with pytest.raises(ValueError, match="at least one"):
