@@ -406,6 +406,7 @@ def run_experiment(cfg: ExperimentConfig, parallel: bool = False, header: bool =
             "h": list(ok.spec.h),
             "objective_value": ok.objective_value,
             "evaluations_used": ok.evaluations_used,
+            "distinct_evaluations": ok.distinct_evaluations,
         }
         for ok in optimized
     ]}

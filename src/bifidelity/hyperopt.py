@@ -92,12 +92,18 @@ class PsoConfig:
 
 @dataclass(frozen=True)
 class OptimizedKernel:
-    """A tuned kernel spec with optimization bookkeeping."""
+    """A tuned kernel spec with optimization bookkeeping.
+
+    ``evaluations_used`` counts the optimizers' objective requests, repeats
+    included; ``distinct_evaluations`` counts the objective computations,
+    one per distinct point.
+    """
 
     spec: KernelSpec
     objective_value: float
     evaluations_used: int
     wall_time: float
+    distinct_evaluations: int = 0
 
 
 def _spec_for(cfg: ObjectiveConfig, h) -> KernelSpec:
@@ -108,6 +114,28 @@ def _spec_for(cfg: ObjectiveConfig, h) -> KernelSpec:
         rq_literal=cfg.rq_literal,
         compact_wendland=cfg.compact_wendland,
     )
+
+
+class _Memoized:
+    """A scalar objective computed once per distinct point.
+
+    Points are keyed by their exact float64 bytes, so a repeated request
+    returns the very value a fresh computation would. ``requests`` counts
+    every call, repeats included; ``values`` holds one entry per
+    computation.
+    """
+
+    def __init__(self, f):
+        self.f = f
+        self.values: dict[bytes, float] = {}
+        self.requests = 0
+
+    def __call__(self, x) -> float:
+        self.requests += 1
+        key = np.asarray(x, dtype=float).tobytes()
+        if key not in self.values:
+            self.values[key] = self.f(x)
+        return self.values[key]
 
 
 def _objective_value(ref: np.ndarray, candidate: np.ndarray, lam: float) -> float:
@@ -323,6 +351,9 @@ def optimize_hyperparams(
 ) -> OptimizedKernel:
     """Tune one family's hyperparameters: log-scale PSO plus local polish.
 
+    The swarm and the polish share one memo, so each distinct point is
+    scored once; ``evaluations_used`` still counts every request.
+
     The linear family has nothing to tune and returns immediately with the
     objective reduced to its stable-rank term and zero evaluations.
     """
@@ -342,12 +373,8 @@ def optimize_hyperparams(
         )
 
     dists = pairwise_distances(lf_ensemble.outputs)
-    evals = 0
-
-    def f_log(theta: np.ndarray) -> float:
-        nonlocal evals
-        evals += 1
-        return objective(obj_cfg, np.exp(theta), lf_ensemble, dists)
+    # clipped swarm particles revisit box edges, so many requests repeat
+    f_log = _Memoized(lambda theta: objective(obj_cfg, np.exp(theta), lf_ensemble, dists))
 
     log_bounds = np.log(np.asarray(obj_cfg.bounds, dtype=float))
     theta_pso, _, _ = pso_minimize(f_log, pso_cfg, log_bounds)
@@ -363,6 +390,7 @@ def optimize_hyperparams(
     return OptimizedKernel(
         spec=spec,
         objective_value=float(f_star),
-        evaluations_used=evals,
+        evaluations_used=f_log.requests,
         wall_time=time.perf_counter() - started,
+        distinct_evaluations=len(f_log.values),
     )

@@ -17,7 +17,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import SnapshotEnsemble
-from .hyperopt import OptimizedKernel, PsoConfig, _objective_value, pso_minimize
+from .hyperopt import (
+    OptimizedKernel,
+    PsoConfig,
+    _Memoized,
+    _objective_value,
+    pso_minimize,
+)
 from .kernels import KernelFamily, KernelSpec, MixtureKernel, build_gramian, gramian_entries
 from .numerics import (
     MatrixNotPSDError,
@@ -138,7 +144,8 @@ def additive_select(
     A particle swarm searches the simplex through a softmax
     reparameterization and seeds a projected gradient descent; every
     simplex vertex is also evaluated, so the returned weights never lose
-    to a single family.
+    to a single family. All three share one memo, so each distinct weight
+    vector is scored once.
     """
     optimized = list(optimized)
     if not optimized:
@@ -152,15 +159,20 @@ def additive_select(
     grams = [gramian_entries(ok.spec, lf_ensemble.outputs) for ok in optimized]
     L = len(grams)
 
-    def F(w: np.ndarray) -> float:
+    def mixture_score(w: np.ndarray) -> float:
         mix = np.zeros_like(ref)
         for wi, gi in zip(w, grams):
-            mix += wi * gi
+            # a zero weight adds nothing, and skipping it keeps one member's
+            # overflow from turning every mixture into NaN (0 * inf)
+            if wi > 0:
+                mix += wi * gi
         try:
             value = _objective_value(ref, mix, lam)
         except (ZeroGramianError, ValueError):
             return math.inf
         return value if np.isfinite(value) else math.inf
+
+    F = _Memoized(mixture_score)
 
     if L == 1:
         w_best = np.array([1.0])

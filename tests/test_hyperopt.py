@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from bifidelity import hyperopt
 from bifidelity.data import SnapshotEnsemble
 from bifidelity.hyperopt import (
     ObjectiveConfig,
@@ -270,6 +271,26 @@ def test_optimize_objective_value_is_reproducible():
     assert result.wall_time >= 0.0
     recomputed = objective(cfg, result.spec.h, ens)
     assert result.objective_value == pytest.approx(recomputed, abs=1e-10)
+
+
+def test_optimize_scores_each_point_once(monkeypatch):
+    # the optimum here sits on the box's upper edge, where clipped particles
+    # ask for the same point again
+    ens = ensemble_from(np.array([[0.0, 1.0, 2.0, 3.0, 4.0, 5.0]]) ** 2)
+    cfg = config_for(ens, KernelFamily.MATERN32)
+    scored = []
+
+    def counting(cfg, h, lf_ensemble, dists=None):
+        scored.append(np.asarray(h, dtype=float).tobytes())
+        return objective(cfg, h, lf_ensemble, dists)
+
+    monkeypatch.setattr(hyperopt, "objective", counting)
+    result = optimize_hyperparams(KernelFamily.MATERN32, ens, cfg, PsoConfig(seed=3))
+    monkeypatch.undo()
+    assert len(scored) == len(set(scored))
+    assert result.distinct_evaluations == len(scored)
+    assert result.evaluations_used > len(scored)
+    assert result.objective_value == objective(cfg, result.spec.h, ens)
 
 
 def test_optimize_squared_exponential_tracks_log_grid_oracle():

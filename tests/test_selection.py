@@ -6,9 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from bifidelity import selection
 from bifidelity.data import SnapshotEnsemble
-from bifidelity.hyperopt import OptimizedKernel, PsoConfig
-from bifidelity.kernels import KernelFamily, KernelSpec, build_gramian
+from bifidelity.hyperopt import OptimizedKernel, PsoConfig, _objective_value
+from bifidelity.kernels import KernelFamily, KernelSpec, build_gramian, gramian_entries
 from bifidelity.selection import (
     SelectionReport,
     adaptive_select,
@@ -121,7 +122,8 @@ def test_additive_weights_form_a_simplex_vector():
 
 
 def test_additive_scores_overflowing_library_as_infinity():
-    # (2 h1^2 h2)^h2 overflows, so every mixture holds non-finite entries
+    # (2 h1^2 h2)^h2 overflows, so every mixture that weights it is non-finite;
+    # the linear vertex leaves it out and wins
     ens = ensemble_from(np.random.default_rng(1).normal(size=(2, 6)))
     spec = KernelSpec(family=KernelFamily.RATIONAL_QUADRATIC, h=(1e3, 1e3), rq_literal=True)
     overflowing = OptimizedKernel(spec=spec, objective_value=math.inf, evaluations_used=0,
@@ -129,8 +131,40 @@ def test_additive_scores_overflowing_library_as_infinity():
     with np.errstate(invalid="ignore"):
         _, report = additive_select([tuned(KernelFamily.LINEAR), overflowing], ens, 0.1,
                                     pso_cfg=PsoConfig(max_iters=5, seed=0))
-    assert report.objective_value == math.inf
-    assert abs(sum(report.weights) - 1.0) <= 1e-10
+    _, linear_only = additive_select([tuned(KernelFamily.LINEAR)], ens, 0.1)
+    assert report.weights == (1.0, 0.0)
+    assert math.isfinite(report.objective_value)
+    assert report.objective_value == linear_only.objective_value
+    linear_vertex = mixture_objective(ens, [tuned(KernelFamily.LINEAR)], 0.1)(np.array([1.0]))
+    assert report.objective_value == pytest.approx(linear_vertex, rel=1e-9)
+
+
+def test_additive_scores_each_mixture_once(monkeypatch):
+    ens = ensemble_from(np.random.default_rng(3).normal(size=(2, 7)))
+    optimized = [
+        tuned(KernelFamily.LINEAR),
+        tuned(KernelFamily.EXPONENTIAL, (0.7,)),
+        tuned(KernelFamily.MATERN32, (1.1,)),
+    ]
+    scored = []
+
+    def recording(ref, candidate, lam):
+        scored.append(candidate.tobytes())
+        return _objective_value(ref, candidate, lam)
+
+    monkeypatch.setattr(selection, "_objective_value", recording)
+    _, report = additive_select(optimized, ens, 0.1, pso_cfg=PsoConfig(max_iters=30, seed=1))
+    monkeypatch.undo()
+    # distinct weight vectors give distinct mixtures here, so a repeated
+    # mixture is a repeated weight vector
+    assert len(scored) == len(set(scored))
+    grams = [gramian_entries(ok.spec, ens.outputs) for ok in optimized]
+    mix = np.zeros_like(grams[0])
+    for wi, gi in zip(report.weights, grams):
+        if wi > 0:
+            mix += wi * gi
+    ref = gramian_entries(KernelSpec(family=KernelFamily.LINEAR), ens.outputs)
+    assert report.objective_value == _objective_value(ref, mix, 0.1)
 
 
 def test_additive_empty_library_rejected():
