@@ -18,10 +18,9 @@ __all__ = [
     "MatrixNotPSDError",
     "ZeroGramianError",
     "PivotDecomposition",
-    "SlicedGramian",
+    "lower_median",
     "pivoted_cholesky",
     "stable_rank",
-    "slice_gramian",
     "solve_regularized",
 ]
 
@@ -43,8 +42,9 @@ class PivotDecomposition:
     """Result of a greedy pivoted Cholesky pass.
 
     ``z`` is a permutation of {0, ..., N-1}: greedy pivots first, then the
-    untouched indices in ascending order. Row k of ``factor`` corresponds
-    to sample z[k]; rows past ``effective_rank`` are zero.
+    untouched indices in ascending order. ``factor`` is N x max_steps:
+    row k corresponds to sample z[k], and rows past ``effective_rank``
+    are zero.
     """
 
     z: tuple[int, ...]
@@ -53,33 +53,18 @@ class PivotDecomposition:
     tolerance_used: float
 
 
-@dataclass(frozen=True)
-class SlicedGramian:
-    """A Gramian restricted to a subset of sample indices."""
-
-    entries: np.ndarray
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        entries = np.array(self.entries, dtype=float)
-        idx = tuple(int(i) for i in self.indices)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise ValueError("sliced Gramian must be square")
-        if entries.shape[0] != len(idx):
-            raise ValueError("index count must match the sliced dimension")
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "indices", idx)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-
 def _as_matrix(G) -> np.ndarray:
     if isinstance(G, Gramian):
         return np.asarray(G.entries, dtype=float)
     return np.asarray(G, dtype=float)
+
+
+def lower_median(values) -> float:
+    """Median that returns the lower of the two middle values when even."""
+    ordered = sorted(float(v) for v in values)
+    if not ordered:
+        raise ValueError("median of an empty sequence")
+    return ordered[(len(ordered) - 1) // 2]
 
 
 def pivoted_cholesky(G, max_steps: int, drop_tolerance: float = 1e-12) -> PivotDecomposition:
@@ -101,15 +86,17 @@ def pivoted_cholesky(G, max_steps: int, drop_tolerance: float = 1e-12) -> PivotD
     if drop_tolerance < 0:
         raise ValueError("drop_tolerance must be non-negative")
 
-    d = np.diag(A).astype(float).copy()
-    perm = np.arange(n)
-    L = np.zeros((n, n))
-    dmax0 = float(np.max(d)) if n else 0.0
+    d = np.diag(A).astype(float)
+    # row s holds sample s's factor entries, one column per step
+    L = np.zeros((n, max_steps))
+    free = np.ones(n, dtype=bool)
+    chosen: list[int] = []
+    dmax0 = float(np.max(d))
     neg_floor = -1e-8 * max(dmax0, 0.0)
-    rank = 0
 
     for k in range(max_steps):
-        seg = d[perm[k:]]
+        rows = np.flatnonzero(free)
+        seg = d[rows]
         if np.any(seg < neg_floor):
             worst = float(np.min(seg))
             raise MatrixNotPSDError(
@@ -117,32 +104,30 @@ def pivoted_cholesky(G, max_steps: int, drop_tolerance: float = 1e-12) -> PivotD
                 f"(floor {neg_floor})"
             )
         np.maximum(seg, 0.0, out=seg)
-        d[perm[k:]] = seg
-        top = float(np.max(seg))
-        if top <= drop_tolerance * dmax0:
+        d[rows] = seg
+        # rows ascend, so argmax resolves ties to the lowest sample index
+        at = int(np.argmax(seg))
+        if not np.isfinite(seg[at]):
+            raise ValueError("matrix has non-finite entries")
+        if seg[at] <= drop_tolerance * dmax0:
             break
-        # ties resolve to the lowest sample index
-        tied = perm[k:][seg == top]
-        chosen = int(np.min(tied))
-        j = k + int(np.where(perm[k:] == chosen)[0][0])
-        if j != k:
-            perm[[k, j]] = perm[[j, k]]
-            L[[k, j], :] = L[[j, k], :]
-        pivot = d[perm[k]]
-        L[k, k] = np.sqrt(pivot)
-        if k + 1 < n:
-            rows = perm[k + 1 :]
-            col = A[rows, perm[k]] - L[k + 1 :, :k] @ L[k, :k]
-            col /= L[k, k]
-            L[k + 1 :, k] = col
-            d[rows] -= col**2
-        rank += 1
+        p = int(rows[at])
+        free[p] = False
+        chosen.append(p)
+        L[p, k] = np.sqrt(d[p])
+        rows = np.delete(rows, at)
+        col = A[rows, p] - L[rows, :k] @ L[p, :k]
+        col /= L[p, k]
+        L[rows, k] = col
+        d[rows] -= col**2
 
-    z = np.concatenate([perm[:rank], np.sort(perm[rank:])])
-    L[rank:, :] = 0.0
+    rank = len(chosen)
+    z = np.concatenate([chosen, np.flatnonzero(free)]).astype(int)
+    factor = L[z]
+    factor[rank:] = 0.0
     return PivotDecomposition(
         z=tuple(int(i) for i in z),
-        factor=L,
+        factor=factor,
         effective_rank=rank,
         tolerance_used=float(drop_tolerance),
     )
@@ -168,21 +153,14 @@ def stable_rank(A) -> float:
     return fro2 / sigma**2
 
 
-def slice_gramian(G: Gramian, indices) -> SlicedGramian:
-    """Restrict a Gramian to the given sample indices (exact copies)."""
-    idx = np.asarray(list(indices), dtype=int)
-    entries = _as_matrix(G)[np.ix_(idx, idx)]
-    return SlicedGramian(entries=entries, indices=tuple(int(i) for i in idx))
-
-
-def solve_regularized(sliced, rhs, rcond: float = 1e-12) -> np.ndarray:
-    """Solve G c = rhs through a truncated symmetric eigendecomposition.
+def solve_regularized(H, rhs, rcond: float = 1e-12) -> np.ndarray:
+    """Solve H c = rhs through a truncated symmetric eigendecomposition.
 
     Eigenvalues at or below ``rcond`` times the largest eigenvalue are
     treated as zero. ``rhs`` may be a vector or a matrix of stacked
     right-hand-side columns.
     """
-    H = sliced.entries if isinstance(sliced, SlicedGramian) else _as_matrix(sliced)
+    H = _as_matrix(H)
     rhs = np.asarray(rhs, dtype=float)
     if rcond < 0:
         raise ValueError("rcond must be non-negative")
@@ -194,9 +172,5 @@ def solve_regularized(sliced, rhs, rcond: float = 1e-12) -> np.ndarray:
     if not np.any(keep):
         raise ZeroGramianError("Gramian numerically zero: all eigenvalues truncated")
     Vk = V[:, keep]
-    coeffs = Vk.T @ rhs
-    if coeffs.ndim == 1:
-        coeffs = coeffs / w[keep]
-    else:
-        coeffs = coeffs / w[keep][:, None]
-    return Vk @ coeffs
+    scale = w[keep] if rhs.ndim == 1 else w[keep][:, None]
+    return Vk @ ((Vk.T @ rhs) / scale)

@@ -24,20 +24,14 @@ from .hyperopt import (
     _objective_value,
     pso_minimize,
 )
-from .kernels import KernelFamily, KernelSpec, MixtureKernel, build_gramian, gramian_entries
-from .numerics import (
-    MatrixNotPSDError,
-    ZeroGramianError,
-    pivoted_cholesky,
-    slice_gramian,
-    solve_regularized,
-)
+from .kernels import KernelFamily, KernelSpec, MixtureKernel, gramian_entries
+from .numerics import MatrixNotPSDError, ZeroGramianError, lower_median
+from .surrogate import build_surrogate, evaluate
 
 __all__ = [
     "SelectionReport",
     "additive_select",
     "adaptive_select",
-    "lower_median",
 ]
 
 
@@ -76,14 +70,6 @@ class SelectionReport:
             best = min(self.per_kernel_epsilon.values())
             if self.per_kernel_epsilon[self.chosen_family] > best:
                 raise ValueError("chosen family does not attain the minimal score")
-
-
-def lower_median(values) -> float:
-    """Median that returns the lower of the two middle values when even."""
-    ordered = sorted(float(v) for v in values)
-    if not ordered:
-        raise ValueError("median of an empty sequence")
-    return ordered[(len(ordered) - 1) // 2]
 
 
 def _softmax(theta: np.ndarray) -> np.ndarray:
@@ -213,10 +199,11 @@ def adaptive_select(
 ) -> SelectionReport:
     """Score each family by low-fidelity self-emulation at budget ``n``.
 
-    For every family: rank samples by pivoted Cholesky on that family's
-    Gramian, emulate each non-pivot column from the n pivot columns, and
-    record the lower median of the residual norms. The family with the
-    smallest score wins; ties go to the lowest family index.
+    For every family: build a budget-n surrogate of the low-fidelity model
+    itself (the same pivoting and solve as the high-fidelity surrogates),
+    emulate every non-pivot column in one block, and record the lower
+    median of the residual norms. The family with the smallest score
+    wins; ties go to the lowest family index.
 
     A family whose sliced Gramian is degenerate, meaning its numerical
     rank under ``rcond`` falls short of ``n``, scores +inf. This is what
@@ -232,36 +219,10 @@ def adaptive_select(
     if not 1 <= n < N:
         raise ValueError(f"budget n must satisfy 1 <= n < {N}, got {n}")
 
-    scores: dict[KernelFamily, float] = {}
-    for ok in optimized:
-        gram = build_gramian(ok.spec, lf_ensemble)
-        try:
-            # a family whose Gramian is not PSD cannot rank pivots
-            piv = pivoted_cholesky(gram, max_steps=n)
-        except MatrixNotPSDError:
-            scores[ok.spec.family] = math.inf
-            continue
-        pivots = list(piv.z[:n])
-        others = np.setdiff1d(np.arange(N), pivots)
-        sliced = slice_gramian(gram, pivots)
-        # rank test mirrors the truncation rule inside solve_regularized
-        eigvals = np.linalg.eigvalsh(sliced.entries)
-        wmax = float(eigvals[-1])
-        if wmax <= 0.0 or int(np.count_nonzero(eigvals > rcond * wmax)) < n:
-            scores[ok.spec.family] = math.inf
-            continue
-        rhs = np.asarray(gram.entries)[np.ix_(pivots, others)]
-        try:
-            coeffs = solve_regularized(sliced, rhs, rcond)
-        except ZeroGramianError:
-            scores[ok.spec.family] = math.inf
-            continue
-        preds = lf_ensemble.outputs[:, pivots] @ coeffs
-        resid = np.linalg.norm(lf_ensemble.outputs[:, others] - preds, axis=0)
-        if not np.all(np.isfinite(resid)):
-            scores[ok.spec.family] = math.inf
-            continue
-        scores[ok.spec.family] = lower_median(resid)
+    scores = {
+        ok.spec.family: _self_emulation_score(ok.spec, lf_ensemble, n, rcond)
+        for ok in optimized
+    }
 
     chosen = min(scores, key=lambda fam: (scores[fam], int(fam)))
     return SelectionReport(
@@ -271,3 +232,25 @@ def adaptive_select(
         per_kernel_epsilon=scores,
         n_used=n,
     )
+
+
+def _self_emulation_score(spec: KernelSpec, lf: SnapshotEnsemble, n: int, rcond: float) -> float:
+    """Lower-median residual of a budget-n emulator of ``lf`` on its own
+    held-out columns; +inf when the family cannot support n pivots."""
+    try:
+        # the low-fidelity model is its own high-fidelity provider
+        surr, _ = build_surrogate(lf, spec, n, lf.column, rcond)
+    except MatrixNotPSDError:
+        return math.inf
+    # the same truncation rule as the solve inside evaluate
+    eigvals = np.linalg.eigvalsh(surr.sliced)
+    wmax = float(eigvals[-1])
+    if wmax <= 0.0 or int(np.count_nonzero(eigvals > rcond * wmax)) < n:
+        return math.inf
+    others = np.setdiff1d(np.arange(lf.n_samples), surr.pivots)
+    try:
+        preds = evaluate(surr, lf.outputs[:, others])
+    except ZeroGramianError:
+        return math.inf
+    resid = np.linalg.norm(lf.outputs[:, others] - preds, axis=0)
+    return lower_median(resid) if np.all(np.isfinite(resid)) else math.inf

@@ -24,8 +24,7 @@ from .kernels import (
     build_gramian,
     cross_kernel_vector,
 )
-from .numerics import SlicedGramian, pivoted_cholesky, slice_gramian, solve_regularized
-from .selection import lower_median
+from .numerics import lower_median, pivoted_cholesky, solve_regularized
 
 __all__ = [
     "Surrogate",
@@ -61,31 +60,35 @@ class HfProviderError(RuntimeError):
 
 @dataclass(frozen=True)
 class Surrogate:
-    """Trained emulator state; everything evaluation needs is embedded."""
+    """Trained emulator state; everything evaluation needs is embedded.
+
+    ``sliced`` is the n x n Gramian block over the pivots, in pivot order.
+    """
 
     kernel: KernelSpec | MixtureKernel
     pivots: tuple[int, ...]
     hf_snapshots: np.ndarray
-    sliced: SlicedGramian
+    sliced: np.ndarray
     pivot_lf_columns: np.ndarray
     rcond: float
-    lf_reference: SnapshotEnsemble | None = None
 
     def __post_init__(self):
         hf = np.array(self.hf_snapshots, dtype=float)
         lf = np.array(self.pivot_lf_columns, dtype=float)
+        sliced = np.array(self.sliced, dtype=float)
         pivots = tuple(int(i) for i in self.pivots)
         n = len(pivots)
         if hf.ndim != 2 or hf.shape[1] != n:
             raise ValueError("hf_snapshots must hold one column per pivot")
         if lf.ndim != 2 or lf.shape[1] != n:
             raise ValueError("pivot_lf_columns must hold one column per pivot")
-        if self.sliced.n != n:
-            raise ValueError("sliced Gramian dimension must equal the pivot count")
-        hf.setflags(write=False)
-        lf.setflags(write=False)
+        if sliced.shape != (n, n):
+            raise ValueError("sliced Gramian must be n x n for n pivots")
+        for arr in (hf, lf, sliced):
+            arr.setflags(write=False)
         object.__setattr__(self, "hf_snapshots", hf)
         object.__setattr__(self, "pivot_lf_columns", lf)
+        object.__setattr__(self, "sliced", sliced)
         object.__setattr__(self, "pivots", pivots)
 
     @property
@@ -211,8 +214,7 @@ def build_surrogate(
         raise ValueError(f"budget n must be in [1, {N}], got {n}")
     gram = build_gramian(kernel, lf)
     piv = pivoted_cholesky(gram, max_steps=n, drop_tolerance=drop_tolerance)
-    pivots = piv.z[:n]
-    sliced = slice_gramian(gram, pivots)
+    pivots = list(piv.z[:n])
 
     columns = []
     drawn = 0
@@ -238,10 +240,9 @@ def build_surrogate(
         kernel=kernel,
         pivots=pivots,
         hf_snapshots=np.column_stack(columns),
-        sliced=sliced,
-        pivot_lf_columns=lf.outputs[:, list(pivots)],
+        sliced=gram.entries[np.ix_(pivots, pivots)],
+        pivot_lf_columns=lf.outputs[:, pivots],
         rcond=float(rcond),
-        lf_reference=lf,
     )
     ledger = effective_cost(n, kernel_opt_cost, one_hf_cost)
     return surrogate, ledger
@@ -250,14 +251,16 @@ def build_surrogate(
 def evaluate(surrogate: Surrogate, query) -> np.ndarray:
     """Emulate the high-fidelity output for one query or a block of queries.
 
-    ``query`` is a sample index into the training ensemble, a fresh
-    low-fidelity output column, or a 2-d block of such columns; a block
-    is emulated with one solve and returns one output column per query.
+    ``query`` is a low-fidelity output column or a 2-d block of such
+    columns; a block is emulated with one solve and returns one output
+    column per query.
     """
-    if isinstance(query, (int, np.integer)):
-        if surrogate.lf_reference is None:
-            raise ValueError("index queries need the training ensemble attached")
-        query = surrogate.lf_reference.column(int(query))
+    query = np.asarray(query, dtype=float)
+    if query.ndim not in (1, 2):
+        raise ValueError(
+            "query must be low-fidelity output columns, not a sample index; "
+            "pass the training ensemble's column instead"
+        )
     rhs = cross_kernel_vector(surrogate.kernel, surrogate.pivot_lf_columns, query)
     coeffs = solve_regularized(surrogate.sliced, rhs, surrogate.rcond)
     return surrogate.hf_snapshots @ coeffs
@@ -274,38 +277,27 @@ def median_relative_error(
     """
     if hf_truth.n_samples != lf.n_samples:
         raise ValueError("high- and low-fidelity ensembles disagree on sample count")
-    pivots = set(surrogate.pivots)
-    test_indices = tuple(j for j in range(lf.n_samples) if j not in pivots)
-    preds = evaluate(surrogate, lf.outputs[:, list(test_indices)])
+    test = np.setdiff1d(np.arange(lf.n_samples), surrogate.pivots)
+    truth = hf_truth.outputs[:, test]
+    diff = truth - evaluate(surrogate, lf.outputs[:, test])
 
-    groups = hf_truth.label_groups()
-    rel_errors: list[float] = []
-    zero_norm: dict[int, float] = {}
-    group_rel: dict[str, list[float]] = {name: [] for name in groups}
-    for k, j in enumerate(test_indices):
-        truth = hf_truth.column(j)
-        diff = truth - preds[:, k]
-        den = float(np.linalg.norm(truth))
-        num = float(np.linalg.norm(diff))
-        if den == 0.0:
-            zero_norm[j] = num
-        else:
-            rel_errors.append(num / den)
-        for name, rows in groups.items():
-            gden = float(np.linalg.norm(truth[rows]))
-            if gden > 0.0:
-                group_rel[name].append(float(np.linalg.norm(diff[rows])) / gden)
+    def median_ratio(num: np.ndarray, den: np.ndarray) -> float:
+        keep = den > 0.0
+        return lower_median(num[keep] / den[keep]) if keep.any() else math.nan
 
-    aggregate = lower_median(rel_errors) if rel_errors else math.nan
-    per_qoi = {
-        name: (lower_median(vals) if vals else math.nan)
-        for name, vals in group_rel.items()
-    }
+    num = np.linalg.norm(diff, axis=0)
+    den = np.linalg.norm(truth, axis=0)
+    zero = den == 0.0
     return ErrorReport(
-        aggregate_median_rel_error=aggregate,
-        per_qoi_median_rel_error=per_qoi,
-        test_indices=test_indices,
-        zero_norm_absolute=zero_norm,
+        aggregate_median_rel_error=median_ratio(num, den),
+        per_qoi_median_rel_error={
+            name: median_ratio(
+                np.linalg.norm(diff[rows], axis=0), np.linalg.norm(truth[rows], axis=0)
+            )
+            for name, rows in hf_truth.label_groups().items()
+        },
+        test_indices=tuple(int(j) for j in test),
+        zero_norm_absolute={int(j): float(v) for j, v in zip(test[zero], num[zero])},
     )
 
 
@@ -367,7 +359,7 @@ def surrogate_to_dict(surrogate: Surrogate) -> dict:
         "pivots": list(surrogate.pivots),
         "rcond": surrogate.rcond,
         "matrices": {
-            "sliced_gramian": _encode_matrix(surrogate.sliced.entries),
+            "sliced_gramian": _encode_matrix(surrogate.sliced),
             "hf_snapshots": _encode_matrix(surrogate.hf_snapshots),
             "pivot_lf_columns": _encode_matrix(surrogate.pivot_lf_columns),
         },
@@ -377,17 +369,13 @@ def surrogate_to_dict(surrogate: Surrogate) -> dict:
 def surrogate_from_dict(doc: dict) -> Surrogate:
     if doc.get("version") != ARCHIVE_VERSION:
         raise ValueError(f"unsupported archive version {doc.get('version')!r}")
-    pivots = tuple(int(i) for i in doc["pivots"])
     return Surrogate(
         kernel=_kernel_from_dict(doc["kernel"]),
-        pivots=pivots,
+        pivots=tuple(doc["pivots"]),
         hf_snapshots=_decode_matrix(doc["matrices"]["hf_snapshots"]),
-        sliced=SlicedGramian(
-            entries=_decode_matrix(doc["matrices"]["sliced_gramian"]), indices=pivots
-        ),
+        sliced=_decode_matrix(doc["matrices"]["sliced_gramian"]),
         pivot_lf_columns=_decode_matrix(doc["matrices"]["pivot_lf_columns"]),
         rcond=float(doc["rcond"]),
-        lf_reference=None,
     )
 
 

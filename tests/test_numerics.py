@@ -8,13 +8,13 @@ from bifidelity.numerics import (
     MatrixNotPSDError,
     ZeroGramianError,
     pivoted_cholesky,
-    slice_gramian,
     solve_regularized,
     stable_rank,
 )
 from bifidelity.data import SnapshotEnsemble
 from bifidelity.hyperopt import default_bounds
-from bifidelity.kernels import Gramian, KernelFamily, KernelSpec, gramian_entries
+from bifidelity.kernels import Gramian, KernelFamily, KernelSpec, build_gramian, gramian_entries
+from bifidelity.surrogate import build_surrogate
 
 import oracles
 
@@ -62,6 +62,18 @@ def test_reconstruction_on_full_rank_matrices():
         assert err <= 1e-10
 
 
+def test_low_rank_factor_is_n_by_steps_with_zero_rows_past_rank():
+    B = np.random.default_rng(4).normal(size=(8, 3))
+    A = B @ B.T
+    piv = pivoted_cholesky(A, max_steps=6)
+    assert piv.effective_rank == 3
+    assert piv.factor.shape == (8, 6)
+    assert np.all(piv.factor[3:, :] == 0.0)
+    P = A[np.ix_(piv.z[:3], piv.z[:3])]
+    L = piv.factor[:3]
+    assert np.linalg.norm(P - L @ L.T) <= 1e-12 * np.linalg.norm(A)
+
+
 @given(st.integers(0, 10**6))
 def test_ordering_invariant_under_relabeling(seed):
     """Pivot identities survive any permutation of the sample order."""
@@ -77,6 +89,14 @@ def test_ordering_invariant_under_relabeling(seed):
 def test_not_psd_raises():
     with pytest.raises(MatrixNotPSDError, match="not PSD"):
         pivoted_cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]), max_steps=2)
+
+
+def test_non_finite_input_raises():
+    with pytest.raises(ValueError, match="non-finite"):
+        pivoted_cholesky(np.array([[1.0, np.nan], [np.nan, 1.0]]), max_steps=2)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            pivoted_cholesky(np.diag([1.0, bad]), max_steps=1)
 
 
 def test_shallow_negative_clamps_instead_of_raising():
@@ -176,23 +196,20 @@ def test_stable_rank_of_near_identity_matern_gramian_matches_svd_oracle():
 
 
 def test_slice_gramian_entries_exact():
-    spec = KernelSpec(family=KernelFamily.LINEAR)
-    entries = oracles.random_psd(5, 3)
-    G = Gramian(entries=(entries + entries.T) / 2, kernel=spec, source_ensemble_id="t")
-    sliced = slice_gramian(G, [4, 0, 2])
-    for a, i in enumerate((4, 0, 2)):
-        for b, j in enumerate((4, 0, 2)):
-            assert sliced.entries[a, b] == G.entries[i, j]
-    assert sliced.indices == (4, 0, 2)
+    """A surrogate keeps the exact Gramian entries over its pivots, in pivot order."""
+    rng = np.random.default_rng(3)
+    lf = SnapshotEnsemble(
+        outputs=rng.normal(size=(3, 9)), params=np.zeros((9, 1)), per_sample_cost=np.ones(9)
+    )
+    spec = KernelSpec(family=KernelFamily.MATERN52, h=(1.1,))
+    surr, _ = build_surrogate(lf, spec, 4, lambda j: np.ones(2))
+    G = build_gramian(spec, lf)
+    assert np.array_equal(surr.sliced, G.entries[np.ix_(surr.pivots, surr.pivots)])
+    assert not surr.sliced.flags.writeable
 
 
 def test_solve_identity():
-    sliced = slice_gramian(
-        Gramian(entries=np.eye(3), kernel=KernelSpec(family=KernelFamily.LINEAR),
-                source_ensemble_id="t"),
-        [0, 1, 2],
-    )
-    np.testing.assert_allclose(solve_regularized(sliced, [1.0, 2.0, 3.0]), [1, 2, 3])
+    np.testing.assert_allclose(solve_regularized(np.eye(3), [1.0, 2.0, 3.0]), [1, 2, 3])
 
 
 def test_solve_truncates_tiny_eigenvalue():

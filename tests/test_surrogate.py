@@ -14,7 +14,6 @@ from bifidelity.kernels import (
     build_gramian,
     cross_kernel_vector,
 )
-from bifidelity.numerics import SlicedGramian
 from bifidelity.surrogate import (
     CostLedger,
     HfProviderError,
@@ -183,9 +182,9 @@ def test_interpolation_at_training_pivots():
     hf_cols = rng.normal(size=(4, 8))
     lf = ensemble_from(lf_cols)
     surr, _ = build_surrogate(lf, SQEXP, 4, provider_for(hf_cols))
-    assert np.linalg.cond(surr.sliced.entries) <= 1e8
+    assert np.linalg.cond(surr.sliced) <= 1e8
     for pos, j in enumerate(surr.pivots):
-        pred = evaluate(surr, int(j))
+        pred = evaluate(surr, lf_cols[:, j])
         truth = hf_cols[:, j]
         assert np.linalg.norm(pred - truth) <= 1e-8 * np.linalg.norm(truth)
 
@@ -224,7 +223,7 @@ def test_coefficients_match_dense_solve_oracle():
         [oracles.kernel_value("squared_exponential", query, lf_cols[:, j], (1.0,))
          for j in surr.pivots]
     )
-    expected = np.linalg.solve(np.asarray(surr.sliced.entries), rhs)
+    expected = np.linalg.solve(surr.sliced, rhs)
     assert np.linalg.norm(coeffs - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
@@ -245,7 +244,7 @@ def test_linear_kernel_matches_classical_inverse_form():
     query = rng.normal(size=4)
     coeffs = evaluate(surr, query)
     rhs = lf_cols[:, list(surr.pivots)].T @ query
-    expected = np.linalg.inv(np.asarray(surr.sliced.entries)) @ rhs
+    expected = np.linalg.inv(surr.sliced) @ rhs
     assert np.linalg.norm(coeffs - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
@@ -261,7 +260,7 @@ def test_evaluate_block_matches_columnwise():
     rng = np.random.default_rng(5)
     lf = ensemble_from(rng.normal(size=(3, 8)))
     surr, _ = build_surrogate(lf, SQEXP, 4, provider_for(rng.normal(size=(4, 8))))
-    assert np.linalg.cond(surr.sliced.entries) <= 1e8
+    assert np.linalg.cond(surr.sliced) <= 1e8
     queries = rng.normal(size=(3, 6))
     block = evaluate(surr, queries)
     assert block.shape == (4, 6)
@@ -277,11 +276,22 @@ def crafted_surrogate(lf_queries, hf=2.0):
         kernel=LINEAR,
         pivots=(0,),
         hf_snapshots=np.array([[hf]]),
-        sliced=SlicedGramian(entries=np.array([[1.0]]), indices=(0,)),
+        sliced=np.array([[1.0]]),
         pivot_lf_columns=np.array([[1.0]]),
         rcond=1e-12,
-        lf_reference=None,
     )
+
+
+def test_sliced_gramian_must_match_pivot_count():
+    with pytest.raises(ValueError, match="n x n"):
+        Surrogate(
+            kernel=LINEAR,
+            pivots=(0,),
+            hf_snapshots=np.array([[2.0]]),
+            sliced=np.eye(2),
+            pivot_lf_columns=np.array([[1.0]]),
+            rcond=1e-12,
+        )
 
 
 def test_error_metric_known_relative_errors():
@@ -328,6 +338,65 @@ def test_error_metric_excludes_pivots_and_groups_by_label():
     assert set(report.test_indices) & set(surr.pivots) == set()
     assert len(report.test_indices) == 4
     assert set(report.per_qoi_median_rel_error) == {"a", "b"}
+
+
+def test_error_metric_matches_columnwise_loop():
+    """The block scorer equals a per-column loop, zero-norm columns and
+    zero-norm label groups included."""
+    rng = np.random.default_rng(13)
+    lf_cols = rng.normal(size=(3, 12))
+    lf = ensemble_from(lf_cols)
+    surr, _ = build_surrogate(lf, SQEXP, 4, provider_for(rng.normal(size=(4, 12))))
+    held_out = [j for j in range(12) if j not in surr.pivots]
+    truth = rng.normal(size=(4, 12))
+    truth[:, held_out[0]] = 0.0
+    truth[:, held_out[3]] = 0.0
+    truth[2:, held_out[1]] = 0.0
+    truth[:2, held_out[5]] = 0.0
+    hf = ensemble_from(truth, labels=("a", "a", "b", "b"))
+    report = median_relative_error(surr, hf, lf)
+
+    rel, zero, groups = [], {}, {"a": [], "b": []}
+    for j in held_out:
+        diff = truth[:, j] - evaluate(surr, lf_cols[:, j])
+        den = np.linalg.norm(truth[:, j])
+        if den == 0.0:
+            zero[j] = np.linalg.norm(diff)
+        else:
+            rel.append(np.linalg.norm(diff) / den)
+        for name, rows in (("a", [0, 1]), ("b", [2, 3])):
+            if np.linalg.norm(truth[rows, j]) > 0.0:
+                groups[name].append(
+                    np.linalg.norm(diff[rows]) / np.linalg.norm(truth[rows, j])
+                )
+
+    def lower_median(vals):
+        return sorted(vals)[(len(vals) - 1) // 2]
+
+    assert report.test_indices == tuple(held_out)
+    assert report.aggregate_median_rel_error == pytest.approx(lower_median(rel), rel=1e-14)
+    assert set(report.per_qoi_median_rel_error) == {"a", "b"}
+    for name, vals in groups.items():
+        assert report.per_qoi_median_rel_error[name] == pytest.approx(
+            lower_median(vals), rel=1e-14
+        )
+    assert set(report.zero_norm_absolute) == set(zero)
+    for j, value in zero.items():
+        assert report.zero_norm_absolute[j] == pytest.approx(value, rel=1e-14)
+
+
+def test_error_metric_full_budget_has_no_test_samples():
+    rng = np.random.default_rng(14)
+    lf = ensemble_from(rng.normal(size=(3, 5)))
+    hf_cols = rng.normal(size=(4, 5))
+    hf = ensemble_from(hf_cols, labels=("a", "a", "b", "b"))
+    surr, _ = build_surrogate(lf, SQEXP, 5, provider_for(hf_cols))
+    report = median_relative_error(surr, hf, lf)
+    assert report.test_indices == ()
+    assert math.isnan(report.aggregate_median_rel_error)
+    assert set(report.per_qoi_median_rel_error) == {"a", "b"}
+    assert all(math.isnan(v) for v in report.per_qoi_median_rel_error.values())
+    assert report.zero_norm_absolute == {}
 
 
 def test_error_metric_sample_count_mismatch():
@@ -378,7 +447,7 @@ def test_archive_round_trip_bitwise():
     assert clone.rcond == surr.rcond
     assert clone.kernel == surr.kernel
     assert np.array_equal(clone.hf_snapshots, surr.hf_snapshots)
-    assert np.array_equal(clone.sliced.entries, surr.sliced.entries)
+    assert np.array_equal(clone.sliced, surr.sliced)
     assert np.array_equal(clone.pivot_lf_columns, surr.pivot_lf_columns)
     query = rng.normal(size=3)
     np.testing.assert_array_equal(evaluate(clone, query), evaluate(surr, query))
@@ -410,6 +479,8 @@ def test_archive_version_gate():
 
 
 def test_index_query_requires_training_reference():
+    # one LF row, so a scalar could pass for a column; indices are refused
     surr = crafted_surrogate(None)
-    with pytest.raises(ValueError, match="training ensemble"):
-        evaluate(surr, 0)
+    for index in (0, -1, 5):
+        with pytest.raises(ValueError, match="training ensemble"):
+            evaluate(surr, index)
