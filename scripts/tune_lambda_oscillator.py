@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Sweep the objective's lambda on the oscillator and report the best value.
 
-Scores each lambda by the mean of the finite per-cell median relative
-errors; the sweep table lands in <out>/tune_lambda.csv.
+Runs adaptive mode only, since the linear baseline does not depend on
+lambda, and scores each lambda by the mean of the finite per-cell median
+relative errors; the sweep table lands in <out>/tune_lambda.csv.
 """
 import argparse
 import json
@@ -37,7 +38,7 @@ def main():
                 "grid": [["omega", 1.0, 1.2, 2], ["gamma", 0.05, 0.5, 57]],
             }
         },
-        "modes": ["additive", "adaptive"],
+        "modes": ["adaptive"],
         "seed": args.seed,
         "budgets": args.budgets,
         "out_dir": args.out,

@@ -28,9 +28,9 @@ import numpy as np
 from .bench import BenchmarkSpec, default_spec, generate
 from .data import SnapshotEnsemble
 from .hyperopt import ObjectiveConfig, PsoConfig, default_bounds, optimize_hyperparams
-from .kernels import KernelFamily, KernelSpec, MixtureKernel, build_gramian
+from .kernels import KernelFamily, KernelSpec, build_gramian
 from .numerics import NumericsError
-from .selection import SelectionReport, adaptive_select, additive_select
+from .selection import SelectionReport, adaptive_select
 from .surrogate import (
     build_surrogate,
     load_surrogate,
@@ -52,7 +52,7 @@ __all__ = [
     "main",
 ]
 
-MODES = ("linear-baseline", "additive", "adaptive")
+MODES = ("linear-baseline", "adaptive")
 FAMILY_BY_NAME = {fam.name.lower(): fam for fam in KernelFamily}
 
 
@@ -340,32 +340,22 @@ def _child_seed(seed: int, tag: int) -> int:
     return int(np.random.SeedSequence([seed & 0x7FFFFFFFFFFFFFFF, tag]).generate_state(1, np.uint64)[0])
 
 
-def _kernel_label(kernel) -> str:
-    if isinstance(kernel, MixtureKernel):
-        parts = "|".join(
-            f"{spec.family.name.lower()}={_fmt(w)}" for spec, w in kernel.components
-        )
-        return f"mixture({parts})"
+def _kernel_label(kernel: KernelSpec) -> str:
     if kernel.h:
         return f"{kernel.family.name.lower()}(h={'|'.join(_fmt(v) for v in kernel.h)})"
     return kernel.family.name.lower()
 
 
 def _report_doc(report: SelectionReport) -> dict:
-    doc = {
+    return {
         "mode": report.mode,
         "families": [f.name.lower() for f in report.families],
         "n_used": report.n_used,
-    }
-    if report.mode == "additive":
-        doc["weights"] = list(report.weights)
-        doc["objective_value"] = report.objective_value
-    else:
-        doc["chosen_family"] = report.chosen_family.name.lower()
-        doc["per_kernel_epsilon"] = {
+        "chosen_family": report.chosen_family.name.lower(),
+        "per_kernel_epsilon": {
             fam.name.lower(): eps for fam, eps in sorted(report.per_kernel_epsilon.items())
-        }
-    return doc
+        },
+    }
 
 
 def run_experiment(cfg: ExperimentConfig, parallel: bool = False, header: bool = False) -> RunResult:
@@ -384,8 +374,8 @@ def run_experiment(cfg: ExperimentConfig, parallel: bool = False, header: bool =
     trace: list = []
     optimized = []
     hyper_evals = 0
-    needs_tuning = any(m in cfg.modes for m in ("additive", "adaptive"))
-    if needs_tuning:
+    adaptive_reports: dict[int, SelectionReport] = {}
+    if "adaptive" in cfg.modes:
         ref = build_gramian(KernelSpec(family=KernelFamily.LINEAR), lf)
         for fam in cfg.kernels:
             obj_cfg = ObjectiveConfig(
@@ -399,6 +389,8 @@ def run_experiment(cfg: ExperimentConfig, parallel: bool = False, header: bool =
             pso_cfg = PsoConfig(**cfg.pso, seed=_child_seed(cfg.seed, int(fam)))
             optimized.append(optimize_hyperparams(fam, lf, obj_cfg, pso_cfg))
         hyper_evals = sum(ok.evaluations_used for ok in optimized)
+        for n in cfg.budgets:
+            adaptive_reports[n] = adaptive_select(optimized, lf, n, cfg.rcond)
 
     selection_doc: dict = {"hyperparameters": [
         {
@@ -410,31 +402,19 @@ def run_experiment(cfg: ExperimentConfig, parallel: bool = False, header: bool =
         }
         for ok in optimized
     ]}
-    mixture = None
-    adaptive_reports: dict[int, SelectionReport] = {}
-    if "additive" in cfg.modes:
-        mixture, add_report = additive_select(
-            optimized, lf, cfg.lam,
-            pso_cfg=PsoConfig(**cfg.pso, seed=_child_seed(cfg.seed, 10_001)),
-        )
-        selection_doc["additive"] = _report_doc(add_report)
-    if "adaptive" in cfg.modes:
-        for n in cfg.budgets:
-            adaptive_reports[n] = adaptive_select(optimized, lf, n, cfg.rcond)
+    if adaptive_reports:
         selection_doc["adaptive"] = {
             str(n): _report_doc(rep) for n, rep in adaptive_reports.items()
         }
     trace.append(("phase", "selection_complete"))
 
     opt_cost = hyper_evals * cfg.objective_eval_cost
-    mode_cost = {"linear-baseline": 0.0, "additive": opt_cost, "adaptive": opt_cost}
+    mode_cost = {"linear-baseline": 0.0, "adaptive": opt_cost}
     specs_by_family = {ok.spec.family: ok.spec for ok in optimized}
 
     def cell_kernel(mode: str, n: int):
         if mode == "linear-baseline":
             return KernelSpec(family=KernelFamily.LINEAR)
-        if mode == "additive":
-            return mixture
         return specs_by_family[adaptive_reports[n].chosen_family]
 
     def run_cell(mode: str, n: int):

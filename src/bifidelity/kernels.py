@@ -18,7 +18,6 @@ from .data import SnapshotEnsemble
 __all__ = [
     "KernelFamily",
     "KernelSpec",
-    "MixtureKernel",
     "Gramian",
     "HYPER_DIMS",
     "kernel_eval",
@@ -84,41 +83,11 @@ class KernelSpec:
 
 
 @dataclass(frozen=True)
-class MixtureKernel:
-    """Convex combination of kernel specs, at most one per family."""
-
-    components: tuple[tuple[KernelSpec, float], ...]
-
-    def __post_init__(self):
-        comps = tuple((spec, float(w)) for spec, w in self.components)
-        if not comps:
-            raise ValueError("mixture must have at least one component")
-        seen = set()
-        total = 0.0
-        for spec, w in comps:
-            if not isinstance(spec, KernelSpec):
-                raise ValueError("mixture components must be KernelSpec instances")
-            if spec.family in seen:
-                raise ValueError(f"duplicate family {spec.family.name} in mixture")
-            seen.add(spec.family)
-            if not np.isfinite(w) or w < 0.0 or w > 1.0:
-                raise ValueError(f"mixture weight {w} outside [0, 1]")
-            total += w
-        if abs(total - 1.0) > 1e-10:
-            raise ValueError(f"mixture weights sum to {total}, expected 1")
-        object.__setattr__(self, "components", comps)
-
-    @property
-    def weights(self) -> tuple[float, ...]:
-        return tuple(w for _, w in self.components)
-
-
-@dataclass(frozen=True)
 class Gramian:
     """Pairwise kernel values over the columns of one ensemble."""
 
     entries: np.ndarray
-    kernel: KernelSpec | MixtureKernel
+    kernel: KernelSpec
     source_ensemble_id: str
 
     def __post_init__(self):
@@ -192,7 +161,7 @@ def _radial_zero_value(spec: KernelSpec) -> float:
     return 1.0
 
 
-def kernel_eval(kernel: KernelSpec | MixtureKernel, u, v) -> float:
+def kernel_eval(kernel: KernelSpec, u, v) -> float:
     """Evaluate a kernel on a pair of output vectors."""
     u = np.asarray(u, dtype=float).ravel()
     v = np.asarray(v, dtype=float).ravel()
@@ -206,7 +175,7 @@ def pairwise_distances(columns: np.ndarray) -> np.ndarray:
     return cdist(columns.T, columns.T)
 
 
-def _kernel_block(kernel: KernelSpec | MixtureKernel, a, b, dists=None) -> np.ndarray:
+def _kernel_block(kernel: KernelSpec, a, b, dists=None) -> np.ndarray:
     """K[i, j] = k(a[:, i], b[:, j]), reusing ``dists`` = cdist(a.T, b.T) when supplied.
 
     A linear block of columns against themselves (``b is a``) is the
@@ -214,10 +183,6 @@ def _kernel_block(kernel: KernelSpec | MixtureKernel, a, b, dists=None) -> np.nd
     linear block sums each entry in one fixed order (einsum, not BLAS),
     so a query's values do not depend on the block it is evaluated in.
     """
-    if isinstance(kernel, MixtureKernel):
-        if dists is None:
-            dists = cdist(a.T, b.T)
-        return sum(w * _kernel_block(spec, a, b, dists) for spec, w in kernel.components)
     if kernel.family == KernelFamily.LINEAR:
         if b is not a:
             return np.einsum("ki,kj->ij", a, b)
@@ -229,7 +194,7 @@ def _kernel_block(kernel: KernelSpec | MixtureKernel, a, b, dists=None) -> np.nd
 
 
 def gramian_entries(
-    kernel: KernelSpec | MixtureKernel,
+    kernel: KernelSpec,
     columns: np.ndarray,
     dists: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -237,9 +202,7 @@ def gramian_entries(
     return _kernel_block(kernel, columns, columns, dists)
 
 
-def build_gramian(
-    kernel: KernelSpec | MixtureKernel, ensemble: SnapshotEnsemble
-) -> Gramian:
+def build_gramian(kernel: KernelSpec, ensemble: SnapshotEnsemble) -> Gramian:
     """Assemble the pairwise kernel matrix over an ensemble's columns."""
     if ensemble.n_samples < 1:
         raise ValueError("cannot build a Gramian from an empty ensemble")
@@ -249,9 +212,7 @@ def build_gramian(
     return Gramian(entries=entries, kernel=kernel, source_ensemble_id=ensemble.content_id)
 
 
-def cross_kernel_vector(
-    kernel: KernelSpec | MixtureKernel, ensemble_columns, query
-) -> np.ndarray:
+def cross_kernel_vector(kernel: KernelSpec, ensemble_columns, query) -> np.ndarray:
     """Kernel values of query output vectors against a set of columns.
 
     ``ensemble_columns`` is a (dim x n) array, one vector per column, or a

@@ -20,7 +20,6 @@ from .data import SnapshotEnsemble
 from .kernels import (
     KernelFamily,
     KernelSpec,
-    MixtureKernel,
     build_gramian,
     cross_kernel_vector,
 )
@@ -65,7 +64,7 @@ class Surrogate:
     ``sliced`` is the n x n Gramian block over the pivots, in pivot order.
     """
 
-    kernel: KernelSpec | MixtureKernel
+    kernel: KernelSpec
     pivots: tuple[int, ...]
     hf_snapshots: np.ndarray
     sliced: np.ndarray
@@ -182,7 +181,7 @@ def normalize_ensemble(
 
 def build_surrogate(
     lf: SnapshotEnsemble,
-    kernel: KernelSpec | MixtureKernel,
+    kernel: KernelSpec,
     n: int,
     hf_provider,
     rcond: float = 1e-12,
@@ -200,7 +199,7 @@ def build_surrogate(
     ----------
     lf : SnapshotEnsemble
         Low-fidelity ensemble used for pivoting and evaluation.
-    kernel : KernelSpec or MixtureKernel
+    kernel : KernelSpec
         Kernel defining the Gramian geometry.
     n : int
         High-fidelity sample budget; 1 <= n <= number of samples.
@@ -320,14 +319,7 @@ def _decode_matrix(blob: dict) -> np.ndarray:
     return arr.reshape((int(blob["rows"]), int(blob["cols"])))
 
 
-def _kernel_to_dict(kernel: KernelSpec | MixtureKernel) -> dict:
-    if isinstance(kernel, MixtureKernel):
-        return {
-            "kind": "mixture",
-            "components": [
-                {**_kernel_to_dict(spec), "weight": w} for spec, w in kernel.components
-            ],
-        }
+def _kernel_to_dict(kernel: KernelSpec) -> dict:
     return {
         "kind": "single",
         "family": kernel.family.name.lower(),
@@ -337,13 +329,9 @@ def _kernel_to_dict(kernel: KernelSpec | MixtureKernel) -> dict:
     }
 
 
-def _kernel_from_dict(doc: dict) -> KernelSpec | MixtureKernel:
-    if doc["kind"] == "mixture":
-        comps = []
-        for item in doc["components"]:
-            spec = _kernel_from_dict({**item, "kind": "single"})
-            comps.append((spec, float(item["weight"])))
-        return MixtureKernel(components=tuple(comps))
+def _kernel_from_dict(doc: dict) -> KernelSpec:
+    if doc.get("kind") != "single":
+        raise ValueError(f"unsupported kernel kind {doc.get('kind')!r}; expected 'single'")
     return KernelSpec(
         family=KernelFamily[doc["family"].upper()],
         h=tuple(float(v) for v in doc["h"]),

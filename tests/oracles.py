@@ -142,15 +142,6 @@ def log_grid_minimum_1d(f, lo: float, hi: float, n_points: int) -> float:
     return min(f(np.array([x])) for x in xs)
 
 
-def random_simplex_minimum(F, dim: int, n_points: int, seed: int) -> float:
-    rng = np.random.default_rng(seed)
-    best = math.inf
-    for _ in range(n_points):
-        w = rng.dirichlet(np.ones(dim))
-        best = min(best, F(w))
-    return best
-
-
 # === adaptive-selection epsilon by explicit dense least squares ===
 
 

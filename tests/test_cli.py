@@ -43,7 +43,7 @@ def toy_doc(toy, **overrides):
         },
         "kernels": ["linear", "squared_exponential"],
         "budgets": [2, 3],
-        "modes": ["linear-baseline", "additive", "adaptive"],
+        "modes": ["linear-baseline", "adaptive"],
         "pso": {"swarm_size": 6, "max_iters": 8, "stall_iters": 3},
         "objective_eval_cost": 0.4,
         "seed": 7,
@@ -64,7 +64,7 @@ def test_parse_config_defaults():
     cfg = parse_config({"data": {"benchmark": {"name": "oscillator"}}})
     assert cfg.lam == 0.1
     assert cfg.budgets == (4, 6, 8, 10, 12)
-    assert cfg.modes == ("linear-baseline", "additive", "adaptive")
+    assert cfg.modes == ("linear-baseline", "adaptive")
     assert len(cfg.kernels) == 7
 
 
@@ -147,7 +147,7 @@ def test_run_emits_full_mode_budget_matrix(toy, tmp_path):
     rows = [line.split(",") for line in lines[1:]]
     assert [(r[0], r[1]) for r in rows] == [
         (mode, n)
-        for mode in ("linear-baseline", "additive", "adaptive")
+        for mode in ("linear-baseline", "adaptive")
         for n in ("2", "3")
     ]
     for r in rows:
@@ -155,13 +155,12 @@ def test_run_emits_full_mode_budget_matrix(toy, tmp_path):
         if r[0] == "linear-baseline":
             assert float(r[3]) == 0.0 and r[-1] == "linear"
     assert (out / "selection.json").exists()
-    for mode in ("linear-baseline", "additive", "adaptive"):
+    for mode in ("linear-baseline", "adaptive"):
         for n in (2, 3):
             assert (out / "surrogates" / f"{mode}_{n}.json").exists()
     doc = json.loads((out / "selection.json").read_text())
     assert set(doc["adaptive"]) == {"2", "3"}
-    weights = doc["additive"]["weights"]
-    assert sum(weights) == pytest.approx(1.0, abs=1e-10)
+    assert set(doc) == {"hyperparameters", "adaptive", "surrogates"}
 
 
 def test_every_row_satisfies_cost_identity(toy, tmp_path):
@@ -228,7 +227,7 @@ def test_hf_columns_stay_sealed_until_selection_ends(toy):
         counts[event[1]] = counts.get(event[1], 0) + 1
     assert counts == {
         f"{mode}:{n}": n
-        for mode in ("linear-baseline", "additive", "adaptive")
+        for mode in ("linear-baseline", "adaptive")
         for n in (2, 3)
     }
 
@@ -246,6 +245,16 @@ def test_exit_code_2_on_config_errors(toy, tmp_path):
     # budgets must stay below the 8-sample count
     big = write_config(tmp_path / "big.json", toy_doc(toy, budgets=[8]))
     assert main(["run", "--config", big]) == 2
+
+
+def test_additive_mode_is_rejected(toy, tmp_path, capsys):
+    doc = toy_doc(toy, modes=["additive"], out_dir=str(tmp_path / "out"))
+    with pytest.raises(ConfigError, match=r"\['linear-baseline', 'adaptive'\]"):
+        parse_config(doc)
+    capsys.readouterr()
+    assert main(["run", "--config", write_config(tmp_path / "cfg.json", doc)]) == 2
+    assert "unknown mode 'additive'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_exit_code_3_on_data_errors(toy, tmp_path):

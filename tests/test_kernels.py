@@ -12,7 +12,6 @@ from bifidelity.kernels import (
     Gramian,
     KernelFamily,
     KernelSpec,
-    MixtureKernel,
     build_gramian,
     cross_kernel_vector,
     kernel_eval,
@@ -122,16 +121,8 @@ def test_cross_kernel_columns_are_vectors():
 
 @pytest.mark.parametrize(
     "kernel",
-    [make_spec(f) for f in KernelFamily]
-    + [
-        MixtureKernel(
-            components=(
-                (make_spec(KernelFamily.LINEAR), 0.25),
-                (make_spec(KernelFamily.MATERN52), 0.75),
-            )
-        )
-    ],
-    ids=[f.name.lower() for f in KernelFamily] + ["mixture"],
+    [make_spec(f) for f in KernelFamily],
+    ids=[f.name.lower() for f in KernelFamily],
 )
 def test_cross_kernel_block_equals_columnwise(kernel):
     rng = np.random.default_rng(5)
@@ -220,21 +211,6 @@ def test_linear_and_squared_exponential_gramians_psd():
             assert w[0] >= -1e-10 * max(w[-1], 0.0)
 
 
-@given(st.integers(0, 10**6), st.floats(0.05, 0.95))
-def test_mixture_gramian_is_weighted_sum(seed, w0):
-    rng = np.random.default_rng(seed)
-    ens = ensemble_from(rng.normal(size=(2, 5)))
-    spec_a = KernelSpec(family=KernelFamily.EXPONENTIAL, h=(1.2,))
-    spec_b = KernelSpec(family=KernelFamily.MATERN52, h=(0.6,))
-    mix = MixtureKernel(components=((spec_a, w0), (spec_b, 1.0 - w0)))
-    combined = build_gramian(mix, ens).entries
-    parts = (
-        w0 * build_gramian(spec_a, ens).entries
-        + (1.0 - w0) * build_gramian(spec_b, ens).entries
-    )
-    assert np.max(np.abs(combined - parts)) <= 1e-12
-
-
 def test_radial_profile_vectorized_matches_pointwise():
     spec = KernelSpec(family=KernelFamily.MATERN32, h=(0.8,))
     r = np.array([0.0, 0.3, 1.5, 9.0])
@@ -258,17 +234,6 @@ def test_hyperparameter_count_enforced():
 def test_hyperparameters_must_be_positive_finite(bad):
     with pytest.raises(ValueError):
         KernelSpec(family=KernelFamily.EXPONENTIAL, h=(bad,))
-
-
-def test_mixture_weight_validation():
-    spec = KernelSpec(family=KernelFamily.EXPONENTIAL, h=(1.0,))
-    other = KernelSpec(family=KernelFamily.MATERN32, h=(1.0,))
-    with pytest.raises(ValueError, match="sum"):
-        MixtureKernel(components=((spec, 0.5), (other, 0.4)))
-    with pytest.raises(ValueError, match="duplicate"):
-        MixtureKernel(components=((spec, 0.5), (spec, 0.5)))
-    with pytest.raises(ValueError, match="at least one"):
-        MixtureKernel(components=())
 
 
 def test_kernel_eval_dimension_mismatch():

@@ -1,33 +1,17 @@
-"""Kernel selection: mixture weights against a random-simplex oracle,
-adaptive scores against dense least squares, and the degeneracy rules."""
+"""Kernel selection: adaptive scores against dense least squares, and
+the degeneracy rules."""
 import inspect
 import math
 
 import numpy as np
 import pytest
 
-from bifidelity import selection
 from bifidelity.data import SnapshotEnsemble
-from bifidelity.hyperopt import OptimizedKernel, PsoConfig, _objective_value
-from bifidelity.kernels import KernelFamily, KernelSpec, build_gramian, gramian_entries
-from bifidelity.selection import (
-    SelectionReport,
-    adaptive_select,
-    additive_select,
-    lower_median,
-)
+from bifidelity.hyperopt import OptimizedKernel
+from bifidelity.kernels import KernelFamily, KernelSpec
+from bifidelity.selection import SelectionReport, adaptive_select, lower_median
 
 import oracles
-
-FAMILY_NAMES = {
-    KernelFamily.LINEAR: "linear",
-    KernelFamily.EXPONENTIAL: "exponential",
-    KernelFamily.SQUARED_EXPONENTIAL: "squared_exponential",
-    KernelFamily.RATIONAL_QUADRATIC: "rational_quadratic",
-    KernelFamily.MATERN32: "matern32",
-    KernelFamily.MATERN52: "matern52",
-    KernelFamily.COMPACT_RBF: "compact_rbf",
-}
 
 
 def ensemble_from(columns):
@@ -43,136 +27,6 @@ def ensemble_from(columns):
 def tuned(family, h=()):
     spec = KernelSpec(family=family, h=h)
     return OptimizedKernel(spec=spec, objective_value=0.0, evaluations_used=0, wall_time=0.0)
-
-
-def mixture_objective(ens, optimized, lam):
-    """Rebuild F(w) from dense oracle Gramians."""
-    ref = oracles.gramian_dense("linear", ens.outputs)
-    grams = [
-        oracles.gramian_dense(FAMILY_NAMES[ok.spec.family], ens.outputs, h=ok.spec.h)
-        for ok in optimized
-    ]
-
-    def F(w):
-        mix = sum(wi * gi for wi, gi in zip(w, grams))
-        return oracles.objective_svd(ref, mix, lam)
-
-    return F
-
-
-# === additive ===
-
-
-def test_single_family_library_returns_unit_weight():
-    ens = ensemble_from(np.random.default_rng(0).normal(size=(2, 5)))
-    mix, report = additive_select([tuned(KernelFamily.EXPONENTIAL, (1.0,))], ens, 0.1)
-    assert report.weights == (1.0,)
-    assert mix.weights == (1.0,)
-
-
-def test_lambda_zero_puts_all_weight_on_linear():
-    # F(e_linear) = 0 is the global minimum of a non-negative functional
-    ens = ensemble_from(np.random.default_rng(1).normal(size=(2, 6)))
-    optimized = [tuned(KernelFamily.LINEAR), tuned(KernelFamily.SQUARED_EXPONENTIAL, (1.0,))]
-    mix, report = additive_select(optimized, ens, 0.0, pso_cfg=PsoConfig(max_iters=20, seed=0))
-    assert report.weights[0] == pytest.approx(1.0, abs=1e-10)
-    assert report.objective_value == pytest.approx(0.0, abs=1e-10)
-
-
-def test_additive_beats_random_simplex_oracle():
-    rng = np.random.default_rng(8)
-    ens = ensemble_from(rng.normal(size=(3, 8)))
-    optimized = [
-        tuned(KernelFamily.LINEAR),
-        tuned(KernelFamily.EXPONENTIAL, (1.5,)),
-        tuned(KernelFamily.MATERN52, (0.9,)),
-    ]
-    _, report = additive_select(optimized, ens, 0.1, pso_cfg=PsoConfig(seed=5))
-    F = mixture_objective(ens, optimized, 0.1)
-    oracle_best = oracles.random_simplex_minimum(F, 3, 10_000, seed=5)
-    assert report.objective_value <= oracle_best + 1e-9
-
-
-def test_additive_never_loses_to_a_vertex():
-    rng = np.random.default_rng(3)
-    ens = ensemble_from(rng.normal(size=(2, 7)))
-    optimized = [
-        tuned(KernelFamily.LINEAR),
-        tuned(KernelFamily.EXPONENTIAL, (0.7,)),
-        tuned(KernelFamily.MATERN32, (1.1,)),
-    ]
-    _, report = additive_select(optimized, ens, 0.1, pso_cfg=PsoConfig(max_iters=30, seed=1))
-    F = mixture_objective(ens, optimized, 0.1)
-    for i in range(3):
-        vertex = np.zeros(3)
-        vertex[i] = 1.0
-        assert report.objective_value <= F(vertex) + 1e-9
-
-
-def test_additive_weights_form_a_simplex_vector():
-    ens = ensemble_from(np.random.default_rng(4).normal(size=(2, 6)))
-    optimized = [tuned(KernelFamily.EXPONENTIAL, (1.0,)), tuned(KernelFamily.MATERN52, (1.0,))]
-    mix, report = additive_select(optimized, ens, 0.1, pso_cfg=PsoConfig(max_iters=20, seed=2))
-    assert abs(sum(report.weights) - 1.0) <= 1e-10
-    assert all(0.0 <= w <= 1.0 for w in report.weights)
-    assert [spec.family for spec, _ in mix.components] == [
-        KernelFamily.EXPONENTIAL,
-        KernelFamily.MATERN52,
-    ]
-
-
-def test_additive_scores_overflowing_library_as_infinity():
-    # (2 h1^2 h2)^h2 overflows, so every mixture that weights it is non-finite;
-    # the linear vertex leaves it out and wins
-    ens = ensemble_from(np.random.default_rng(1).normal(size=(2, 6)))
-    spec = KernelSpec(family=KernelFamily.RATIONAL_QUADRATIC, h=(1e3, 1e3), rq_literal=True)
-    overflowing = OptimizedKernel(spec=spec, objective_value=math.inf, evaluations_used=0,
-                                  wall_time=0.0)
-    with np.errstate(invalid="ignore"):
-        _, report = additive_select([tuned(KernelFamily.LINEAR), overflowing], ens, 0.1,
-                                    pso_cfg=PsoConfig(max_iters=5, seed=0))
-    _, linear_only = additive_select([tuned(KernelFamily.LINEAR)], ens, 0.1)
-    assert report.weights == (1.0, 0.0)
-    assert math.isfinite(report.objective_value)
-    assert report.objective_value == linear_only.objective_value
-    linear_vertex = mixture_objective(ens, [tuned(KernelFamily.LINEAR)], 0.1)(np.array([1.0]))
-    assert report.objective_value == pytest.approx(linear_vertex, rel=1e-9)
-
-
-def test_additive_scores_each_mixture_once(monkeypatch):
-    ens = ensemble_from(np.random.default_rng(3).normal(size=(2, 7)))
-    optimized = [
-        tuned(KernelFamily.LINEAR),
-        tuned(KernelFamily.EXPONENTIAL, (0.7,)),
-        tuned(KernelFamily.MATERN32, (1.1,)),
-    ]
-    scored = []
-
-    def recording(ref, candidate, lam):
-        scored.append(candidate.tobytes())
-        return _objective_value(ref, candidate, lam)
-
-    monkeypatch.setattr(selection, "_objective_value", recording)
-    _, report = additive_select(optimized, ens, 0.1, pso_cfg=PsoConfig(max_iters=30, seed=1))
-    monkeypatch.undo()
-    # distinct weight vectors give distinct mixtures here, so a repeated
-    # mixture is a repeated weight vector
-    assert len(scored) == len(set(scored))
-    grams = [gramian_entries(ok.spec, ens.outputs) for ok in optimized]
-    mix = np.zeros_like(grams[0])
-    for wi, gi in zip(report.weights, grams):
-        if wi > 0:
-            mix += wi * gi
-    ref = gramian_entries(KernelSpec(family=KernelFamily.LINEAR), ens.outputs)
-    assert report.objective_value == _objective_value(ref, mix, 0.1)
-
-
-def test_additive_empty_library_rejected():
-    ens = ensemble_from([[1.0, 2.0]])
-    with pytest.raises(ValueError, match="at least one"):
-        additive_select([], ens, 0.1)
-    with pytest.raises(ValueError, match="duplicate"):
-        additive_select([tuned(KernelFamily.LINEAR), tuned(KernelFamily.LINEAR)], ens, 0.1)
 
 
 # === adaptive ===
@@ -302,10 +156,9 @@ def test_budget_bounds_enforced():
 
 def test_selectors_accept_no_high_fidelity_data():
     # API-level guarantee: kernel choice sees low-fidelity inputs only
-    for fn in (additive_select, adaptive_select):
-        names = set(inspect.signature(fn).parameters)
-        assert not any("hf" in name for name in names)
-        assert "lf_ensemble" in names
+    names = set(inspect.signature(adaptive_select).parameters)
+    assert not any("hf" in name for name in names)
+    assert "lf_ensemble" in names
 
 
 # === report and median helpers ===
@@ -321,12 +174,6 @@ def test_lower_median_even_count():
 def test_report_validation():
     with pytest.raises(ValueError, match="unknown selection mode"):
         SelectionReport(mode="other", families=(KernelFamily.LINEAR,))
-    with pytest.raises(ValueError, match="one weight per family"):
-        SelectionReport(mode="additive", families=(KernelFamily.LINEAR,), weights=())
-    with pytest.raises(ValueError, match="sum"):
-        SelectionReport(
-            mode="additive", families=(KernelFamily.LINEAR,), weights=(0.5,)
-        )
     with pytest.raises(ValueError, match="minimal score"):
         SelectionReport(
             mode="adaptive",

@@ -1,16 +1,17 @@
 """Surrogate construction, interpolation, error reporting, the cost
 ledger, and archive round-trips."""
+import json
 import math
 
 import numpy as np
 import pytest
 
 from bifidelity.bench import oscillator_default_spec, gen_oscillator
+from bifidelity.cli import main
 from bifidelity.data import SnapshotEnsemble
 from bifidelity.kernels import (
     KernelFamily,
     KernelSpec,
-    MixtureKernel,
     build_gramian,
     cross_kernel_vector,
 )
@@ -456,19 +457,36 @@ def test_archive_round_trip_bitwise():
 def test_archive_file_round_trip(tmp_path):
     rng = np.random.default_rng(12)
     lf = ensemble_from(rng.normal(size=(2, 5)))
-    mixture = MixtureKernel(
-        components=(
-            (KernelSpec(family=KernelFamily.EXPONENTIAL, h=(0.9,)), 0.25),
-            (KernelSpec(family=KernelFamily.MATERN32, h=(1.3,)), 0.75),
-        )
-    )
-    surr, _ = build_surrogate(lf, mixture, 3, provider_for(rng.normal(size=(4, 5))))
+    spec = KernelSpec(family=KernelFamily.RATIONAL_QUADRATIC, h=(0.9, 1.3), rq_literal=True)
+    surr, _ = build_surrogate(lf, spec, 3, provider_for(rng.normal(size=(4, 5))))
     path = tmp_path / "surrogate.json"
     save_surrogate(surr, path)
     clone = load_surrogate(path)
-    assert clone.kernel == mixture
+    assert clone.kernel == spec
     query = rng.normal(size=2)
     np.testing.assert_array_equal(evaluate(clone, query), evaluate(surr, query))
+
+
+def test_eval_rejects_mixture_archive(tmp_path, capsys):
+    # the archive layout older builds wrote for a convex kernel mixture
+    doc = surrogate_to_dict(crafted_surrogate(None))
+    single = {"kind": "single", "h": [0.9], "rq_literal": False, "compact_wendland": False}
+    doc["kernel"] = {
+        "kind": "mixture",
+        "components": [
+            {**single, "family": "exponential", "weight": 0.25},
+            {**single, "family": "matern32", "weight": 0.75},
+        ],
+    }
+    archive = tmp_path / "mixture.json"
+    archive.write_text(json.dumps(doc), encoding="ascii")
+    query = tmp_path / "query.csv"
+    query.write_text("1.0\n", encoding="ascii")
+    with pytest.raises(ValueError, match="unsupported kernel kind 'mixture'"):
+        load_surrogate(archive)
+    capsys.readouterr()
+    assert main(["eval", str(archive), str(query)]) == 3
+    assert "unsupported kernel kind 'mixture'" in capsys.readouterr().err
 
 
 def test_archive_version_gate():
