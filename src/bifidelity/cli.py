@@ -348,7 +348,7 @@ def _kernel_label(kernel: KernelSpec) -> str:
 
 def _report_doc(report: SelectionReport) -> dict:
     return {
-        "mode": report.mode,
+        "mode": "adaptive",
         "families": [f.name.lower() for f in report.families],
         "n_used": report.n_used,
         "chosen_family": report.chosen_family.name.lower(),

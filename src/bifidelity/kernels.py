@@ -193,6 +193,13 @@ def _kernel_block(kernel: KernelSpec, a, b, dists=None) -> np.ndarray:
     return radial_profile(kernel, dists)
 
 
+def _kernel_diagonal(kernel: KernelSpec, a) -> np.ndarray:
+    """k(a[:, i], a[:, i]) for every column, without any off-diagonal value."""
+    if kernel.family == KernelFamily.LINEAR:
+        return np.einsum("ki,ki->i", a, a)
+    return radial_profile(kernel, np.zeros(a.shape[1]))
+
+
 def gramian_entries(
     kernel: KernelSpec,
     columns: np.ndarray,

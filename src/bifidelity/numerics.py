@@ -20,6 +20,7 @@ __all__ = [
     "PivotDecomposition",
     "lower_median",
     "pivoted_cholesky",
+    "pivoted_cholesky_columns",
     "stable_rank",
     "solve_regularized",
 ]
@@ -68,8 +69,24 @@ def lower_median(values) -> float:
 
 
 def pivoted_cholesky(G, max_steps: int, drop_tolerance: float = 1e-12) -> PivotDecomposition:
-    """Greedy diagonally pivoted Cholesky with early stopping.
+    """Greedy diagonally pivoted Cholesky of a dense matrix.
 
+    Runs ``pivoted_cholesky_columns`` on the diagonal and the columns of
+    ``G``; see there for the pivot rule, early stop and PSD floor.
+    """
+    A = _as_matrix(G)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError("matrix must be square")
+    return pivoted_cholesky_columns(np.diag(A), lambda p: A[:, p], max_steps, drop_tolerance)
+
+
+def pivoted_cholesky_columns(
+    diagonal, column, max_steps: int, drop_tolerance: float = 1e-12
+) -> PivotDecomposition:
+    """Greedy diagonally pivoted Cholesky from the diagonal and on-demand columns.
+
+    ``column(p)`` returns column p of the matrix (length N) and is called
+    once per pivot, so the matrix is never formed: memory is O(N * max_steps).
     Each step selects the largest remaining Schur-complement diagonal
     (ties broken by lowest sample index) and stops after ``max_steps``
     steps or once the largest remaining diagonal falls to
@@ -77,16 +94,15 @@ def pivoted_cholesky(G, max_steps: int, drop_tolerance: float = 1e-12) -> PivotD
     diagonal below -1e-8 times the initial maximum raises
     MatrixNotPSDError; shallower negatives are clamped to zero.
     """
-    A = _as_matrix(G)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("matrix must be square")
-    n = A.shape[0]
+    d = np.array(diagonal, dtype=float)
+    if d.ndim != 1:
+        raise ValueError("diagonal must be one-dimensional")
+    n = d.shape[0]
     if not 1 <= max_steps <= n:
         raise ValueError(f"max_steps must be in [1, {n}], got {max_steps}")
     if drop_tolerance < 0:
         raise ValueError("drop_tolerance must be non-negative")
 
-    d = np.diag(A).astype(float)
     # row s holds sample s's factor entries, one column per step
     L = np.zeros((n, max_steps))
     free = np.ones(n, dtype=bool)
@@ -116,7 +132,7 @@ def pivoted_cholesky(G, max_steps: int, drop_tolerance: float = 1e-12) -> PivotD
         chosen.append(p)
         L[p, k] = np.sqrt(d[p])
         rows = np.delete(rows, at)
-        col = A[rows, p] - L[rows, :k] @ L[p, :k]
+        col = np.asarray(column(p), dtype=float)[rows] - L[rows, :k] @ L[p, :k]
         col /= L[p, k]
         L[rows, k] = col
         d[rows] -= col**2

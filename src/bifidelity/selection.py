@@ -8,7 +8,7 @@ smallest median residual is kept.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,17 +32,14 @@ class SelectionReport:
     budget ``n_used`` the scores were taken at.
     """
 
-    mode: str
     families: tuple[KernelFamily, ...]
-    chosen_family: KernelFamily | None = None
-    per_kernel_epsilon: dict[KernelFamily, float] = field(default_factory=dict)
+    chosen_family: KernelFamily
+    per_kernel_epsilon: dict[KernelFamily, float]
     n_used: int = 0
 
     def __post_init__(self):
-        if self.mode != "adaptive":
-            raise ValueError(f"unknown selection mode {self.mode!r}")
-        if self.chosen_family is None or not self.per_kernel_epsilon:
-            raise ValueError("adaptive report needs scores and a chosen family")
+        if self.chosen_family not in self.per_kernel_epsilon:
+            raise ValueError("chosen family has no score")
         best = min(self.per_kernel_epsilon.values())
         if self.per_kernel_epsilon[self.chosen_family] > best:
             raise ValueError("chosen family does not attain the minimal score")
@@ -83,7 +80,6 @@ def adaptive_select(
 
     chosen = min(scores, key=lambda fam: (scores[fam], int(fam)))
     return SelectionReport(
-        mode="adaptive",
         families=tuple(ok.spec.family for ok in optimized),
         chosen_family=chosen,
         per_kernel_epsilon=scores,

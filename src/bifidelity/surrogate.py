@@ -20,10 +20,11 @@ from .data import SnapshotEnsemble
 from .kernels import (
     KernelFamily,
     KernelSpec,
-    build_gramian,
+    _kernel_block,
+    _kernel_diagonal,
     cross_kernel_vector,
 )
-from .numerics import lower_median, pivoted_cholesky, solve_regularized
+from .numerics import lower_median, pivoted_cholesky_columns, solve_regularized
 
 __all__ = [
     "Surrogate",
@@ -195,6 +196,10 @@ def build_surrogate(
     ``hf_provider`` maps a sample index to its high-fidelity output
     column and is called exactly n times, once per pivot in pivot order.
 
+    Pivoting reads the kernel diagonal and one kernel column per pivot,
+    so no N x N Gramian is formed. A non-finite value among those raises
+    ArithmeticError.
+
     Parameters
     ----------
     lf : SnapshotEnsemble
@@ -211,9 +216,24 @@ def build_surrogate(
     N = lf.n_samples
     if not 1 <= n <= N:
         raise ValueError(f"budget n must be in [1, {N}], got {n}")
-    gram = build_gramian(kernel, lf)
-    piv = pivoted_cholesky(gram, max_steps=n, drop_tolerance=drop_tolerance)
+    X = lf.outputs
+    diagonal = _kernel_diagonal(kernel, X)
+    if not np.all(np.isfinite(diagonal)):
+        raise ArithmeticError(f"kernel diagonal is non-finite for {kernel}")
+    kernel_columns: dict[int, np.ndarray] = {}
+
+    def column(p: int) -> np.ndarray:
+        if p not in kernel_columns:
+            col = _kernel_block(kernel, X, X[:, [p]])[:, 0]
+            if not np.all(np.isfinite(col)):
+                raise ArithmeticError(f"kernel column {p} is non-finite for {kernel}")
+            kernel_columns[p] = col
+        return kernel_columns[p]
+
+    piv = pivoted_cholesky_columns(diagonal, column, n, drop_tolerance)
     pivots = list(piv.z[:n])
+    # pivots appended after an early stop fetch their columns here
+    sliced = np.column_stack([column(p)[pivots] for p in pivots])
 
     columns = []
     drawn = 0
@@ -239,7 +259,7 @@ def build_surrogate(
         kernel=kernel,
         pivots=pivots,
         hf_snapshots=np.column_stack(columns),
-        sliced=gram.entries[np.ix_(pivots, pivots)],
+        sliced=sliced,
         pivot_lf_columns=lf.outputs[:, pivots],
         rcond=float(rcond),
     )

@@ -8,12 +8,21 @@ from bifidelity.numerics import (
     MatrixNotPSDError,
     ZeroGramianError,
     pivoted_cholesky,
+    pivoted_cholesky_columns,
     solve_regularized,
     stable_rank,
 )
 from bifidelity.data import SnapshotEnsemble
 from bifidelity.hyperopt import default_bounds
-from bifidelity.kernels import Gramian, KernelFamily, KernelSpec, build_gramian, gramian_entries
+from bifidelity.kernels import (
+    Gramian,
+    KernelFamily,
+    KernelSpec,
+    _kernel_block,
+    _kernel_diagonal,
+    build_gramian,
+    gramian_entries,
+)
 from bifidelity.surrogate import build_surrogate
 
 import oracles
@@ -117,6 +126,79 @@ def test_accepts_gramian_objects():
     spec = KernelSpec(family=KernelFamily.LINEAR)
     G = Gramian(entries=np.diag([2.0, 5.0]), kernel=spec, source_ensemble_id="t")
     assert pivoted_cholesky(G, max_steps=2).z == (1, 0)
+
+
+# === column-driven core ===
+
+
+def core_on_dense(A, max_steps, drop_tolerance=1e-12):
+    return pivoted_cholesky_columns(np.diag(A), lambda p: A[:, p], max_steps, drop_tolerance)
+
+
+def assert_same_decomposition(got, want):
+    assert got.z == want.z
+    assert got.effective_rank == want.effective_rank
+    assert np.array_equal(got.factor, want.factor)
+
+
+def test_column_core_matches_dense_factorization():
+    for seed in range(30):
+        A = oracles.random_psd(10, seed, distinct_diag=seed % 2 == 0)
+        for steps in (1, 4, 10):
+            assert_same_decomposition(core_on_dense(A, steps), pivoted_cholesky(A, steps))
+
+
+def test_column_core_reads_one_column_per_pivot():
+    A = oracles.random_psd(12, 3, distinct_diag=True)
+    fetched = []
+
+    def column(p):
+        fetched.append(p)
+        return A[:, p]
+
+    piv = pivoted_cholesky_columns(np.diag(A), column, 5)
+    assert tuple(fetched) == piv.z[:5]
+
+
+def test_column_core_early_stop_appends_lowest_free_indices():
+    # linear kernel on LF dimension 2: the Schur diagonal drops below the
+    # tolerance after two pivots, so the lowest free indices fill the budget
+    cols = np.random.default_rng(8).normal(size=(2, 9))
+    spec = KernelSpec(family=KernelFamily.LINEAR)
+    piv = pivoted_cholesky_columns(
+        _kernel_diagonal(spec, cols), lambda p: _kernel_block(spec, cols, cols[:, [p]])[:, 0], 5
+    )
+    ordering, rank = oracles.greedy_pivots(oracles.gramian_dense("linear", cols), max_steps=5)
+    assert piv.effective_rank == rank == 2
+    assert piv.z == ordering
+    assert list(piv.z[2:]) == sorted(set(range(9)) - set(piv.z[:2]))
+    A = gramian_entries(spec, cols)
+    assert_same_decomposition(core_on_dense(A, 5), pivoted_cholesky(A, 5))
+
+
+def test_column_core_not_psd_at_third_step():
+    # the default compact form is indefinite here; two steps pass, the third fails
+    cols = np.array([[0.0, 1.2, 2.4, 3.6, 30.0]])
+    A = gramian_entries(KernelSpec(family=KernelFamily.COMPACT_RBF, h=(1.0, 2.0)), cols)
+    assert_same_decomposition(core_on_dense(A, 2), pivoted_cholesky(A, 2))
+    for factorize in (core_on_dense, pivoted_cholesky):
+        with pytest.raises(MatrixNotPSDError, match="not PSD"):
+            factorize(A, 3)
+
+
+def test_column_core_non_finite_column_raises():
+    A = oracles.random_psd(5, 1, distinct_diag=True)
+    A[0, 3] = A[3, 0] = np.nan
+    for factorize in (core_on_dense, pivoted_cholesky):
+        with pytest.raises(ValueError, match="non-finite"):
+            factorize(A, 5)
+
+
+def test_column_core_validates_inputs():
+    with pytest.raises(ValueError, match="one-dimensional"):
+        pivoted_cholesky_columns(np.eye(2), lambda p: None, 1)
+    with pytest.raises(ValueError, match="max_steps"):
+        pivoted_cholesky_columns(np.ones(3), lambda p: None, 4)
 
 
 # === stable rank ===

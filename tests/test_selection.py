@@ -172,11 +172,14 @@ def test_lower_median_even_count():
 
 
 def test_report_validation():
-    with pytest.raises(ValueError, match="unknown selection mode"):
-        SelectionReport(mode="other", families=(KernelFamily.LINEAR,))
+    with pytest.raises(ValueError, match="no score"):
+        SelectionReport(
+            families=(KernelFamily.LINEAR,),
+            chosen_family=KernelFamily.LINEAR,
+            per_kernel_epsilon={},
+        )
     with pytest.raises(ValueError, match="minimal score"):
         SelectionReport(
-            mode="adaptive",
             families=(KernelFamily.LINEAR, KernelFamily.EXPONENTIAL),
             chosen_family=KernelFamily.EXPONENTIAL,
             per_kernel_epsilon={KernelFamily.LINEAR: 0.1, KernelFamily.EXPONENTIAL: 0.2},

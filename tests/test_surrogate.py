@@ -2,6 +2,8 @@
 ledger, and archive round-trips."""
 import json
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +11,10 @@ import pytest
 from bifidelity.bench import oscillator_default_spec, gen_oscillator
 from bifidelity.cli import main
 from bifidelity.data import SnapshotEnsemble
+from bifidelity.hyperopt import OptimizedKernel
+from bifidelity.numerics import MatrixNotPSDError
+from bifidelity.selection import adaptive_select
+from bifidelity import surrogate as surrogate_module
 from bifidelity.kernels import (
     KernelFamily,
     KernelSpec,
@@ -172,6 +178,124 @@ def test_oscillator_pivots_match_greedy_oracle():
         gram = build_gramian(kernel, lf).entries
         ordering, _ = oracles.greedy_pivots(np.asarray(gram), max_steps=4)
         assert set(surr.pivots) == set(ordering[:4])
+
+
+ORACLE_KERNELS = [
+    (KernelSpec(family=KernelFamily.LINEAR), "linear", {}),
+    (KernelSpec(family=KernelFamily.EXPONENTIAL, h=(1.3,)), "exponential", {}),
+    (KernelSpec(family=KernelFamily.SQUARED_EXPONENTIAL, h=(0.9,)), "squared_exponential", {}),
+    (KernelSpec(family=KernelFamily.RATIONAL_QUADRATIC, h=(0.8, 1.5)), "rational_quadratic", {}),
+    (KernelSpec(family=KernelFamily.MATERN32, h=(0.9,)), "matern32", {}),
+    (KernelSpec(family=KernelFamily.MATERN52, h=(1.1,)), "matern52", {}),
+    # the truncated-power form is positive definite in 3 dimensions for h2 >= 2
+    (
+        KernelSpec(family=KernelFamily.COMPACT_RBF, h=(4.0, 3.0), compact_wendland=True),
+        "compact_rbf",
+        {"compact_wendland": True},
+    ),
+]
+
+
+def test_build_pivots_match_dense_oracle_for_every_family():
+    cols = np.random.default_rng(12).normal(size=(3, 14))
+    lf = ensemble_from(cols)
+    for spec, name, flags in ORACLE_KERNELS:
+        gram = oracles.gramian_dense(name, cols, spec.h, **flags)
+        for n in (2, 5, 9):
+            surr, _ = build_surrogate(lf, spec, n, lambda j: np.ones(2))
+            ordering, _ = oracles.greedy_pivots(gram, max_steps=n)
+            assert surr.pivots == ordering[:n], f"{name} n={n}"
+            np.testing.assert_allclose(
+                surr.sliced, gram[np.ix_(surr.pivots, surr.pivots)], rtol=1e-12, atol=1e-14
+            )
+
+
+def test_build_early_stop_appends_lowest_free_indices():
+    # linear kernel on LF dimension 2 supports two pivots; the rest of the
+    # budget is the lowest free indices, with their kernel columns fetched
+    cols = np.random.default_rng(13).normal(size=(2, 9))
+    surr, _ = build_surrogate(ensemble_from(cols), LINEAR, 5, lambda j: np.ones(2))
+    ordering, rank = oracles.greedy_pivots(oracles.gramian_dense("linear", cols), max_steps=5)
+    assert rank == 2
+    assert surr.pivots == ordering[:5]
+    assert list(surr.pivots[2:]) == sorted(set(range(9)) - set(surr.pivots[:2]))[:3]
+    np.testing.assert_allclose(surr.sliced, cols[:, surr.pivots].T @ cols[:, surr.pivots],
+                               rtol=1e-14, atol=1e-14)
+
+
+def test_build_not_psd_fails_only_past_the_failing_step():
+    lf = ensemble_from(np.array([[0.0, 1.2, 2.4, 3.6, 30.0]]))
+    spec = KernelSpec(family=KernelFamily.COMPACT_RBF, h=(1.0, 2.0))
+    surr, _ = build_surrogate(lf, spec, 2, lambda j: np.ones(2))
+    assert surr.pivots == (0, 1)
+    with pytest.raises(MatrixNotPSDError):
+        build_surrogate(lf, spec, 3, lambda j: np.ones(2))
+
+
+def never_called(idx):
+    raise AssertionError("high-fidelity provider called before the kernel checks")
+
+
+def test_literal_rational_quadratic_overflowing_diagonal_raises():
+    # K(u, u) = (2 h1^2 h2)^h2 overflows; nothing is drawn from the HF model
+    spec = KernelSpec(
+        family=KernelFamily.RATIONAL_QUADRATIC, h=(100.0, 10000.0), rq_literal=True
+    )
+    lf = ensemble_from(np.random.default_rng(14).normal(size=(2, 6)))
+    with pytest.raises(ArithmeticError, match="diagonal is non-finite"):
+        build_surrogate(lf, spec, 2, never_called)
+    tuned = OptimizedKernel(spec=spec, objective_value=0.0, evaluations_used=0, wall_time=0.0)
+    with pytest.raises(ArithmeticError, match="diagonal is non-finite"):
+        adaptive_select([tuned], lf, 2)
+
+
+def test_non_finite_pivot_column_raises(monkeypatch):
+    real_block = surrogate_module._kernel_block
+
+    def overflowing_block(kernel, a, b):
+        block = real_block(kernel, a, b)
+        block[-1] = np.inf
+        return block
+
+    monkeypatch.setattr(surrogate_module, "_kernel_block", overflowing_block)
+    lf = ensemble_from(np.random.default_rng(15).normal(size=(2, 6)))
+    with pytest.raises(ArithmeticError, match="column .* is non-finite"):
+        build_surrogate(lf, SQEXP, 2, never_called)
+
+
+def test_build_and_selection_never_form_the_gramian(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an N x N Gramian was assembled")
+
+    for name, module in list(sys.modules.items()):
+        if name == "bifidelity" or name.startswith("bifidelity."):
+            for attr in ("build_gramian", "gramian_entries"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, forbidden)
+    rng = np.random.default_rng(16)
+    lf = ensemble_from(rng.normal(size=(3, 12)))
+    hf_cols = rng.normal(size=(4, 12))
+    for spec in (LINEAR, SQEXP):
+        build_surrogate(lf, spec, 4, provider_for(hf_cols))
+    tuned = [
+        OptimizedKernel(spec=spec, objective_value=0.0, evaluations_used=0, wall_time=0.0)
+        for spec in (LINEAR, SQEXP, KernelSpec(family=KernelFamily.MATERN32, h=(1.0,)))
+    ]
+    assert adaptive_select(tuned, lf, 4).n_used == 4
+
+
+def test_build_memory_stays_far_below_one_gramian():
+    N, n = 3000, 16
+    lf = ensemble_from(np.random.default_rng(17).normal(size=(2, N)))
+    gramian_bytes = N * N * 8
+    for spec in (LINEAR, SQEXP):
+        tracemalloc.start()
+        try:
+            build_surrogate(lf, spec, n, lambda j: np.ones(3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < gramian_bytes / 4, f"{spec.family.name}: peak {peak} bytes"
 
 
 # === evaluation ===
