@@ -62,6 +62,10 @@ class BenchmarkSpec:
                 raise ValueError(f"axis {name} needs at least one point")
             if count > 1 and not lo < hi:
                 raise ValueError(f"axis {name} needs lo < hi, got ({lo}, {hi})")
+        for fidelity, settings in (("lf", self.lf_settings), ("hf", self.hf_settings)):
+            for key in ("dt", "horizon"):
+                if key in settings and not float(settings[key]) > 0.0:
+                    raise ValueError(f"{fidelity} {key} must be positive, got {settings[key]}")
         object.__setattr__(self, "grid", grid)
 
     @property

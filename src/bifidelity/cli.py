@@ -80,8 +80,6 @@ class ExperimentConfig:
     out_dir: str = "results"
     one_hf_cost: float | None = None
     objective_eval_cost: float = 0.0
-    rq_literal: bool = False
-    compact_wendland: bool = False
     lambda_grid: tuple[float, ...] | None = None
 
 
@@ -97,8 +95,6 @@ _TOP_KEYS = {
     "out_dir",
     "one_hf_cost",
     "objective_eval_cost",
-    "rq_literal",
-    "compact_wendland",
     "lambda_grid",
 }
 _PSO_KEYS = {"swarm_size", "k1", "k2", "v_max_fraction", "max_iters", "stall_iters"}
@@ -110,6 +106,13 @@ def _reject_unknown(doc: dict, allowed: set, where: str) -> None:
     unknown = sorted(set(doc) - allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) {unknown} in {where}")
+
+
+def _list_value(doc: dict, key: str, default: list) -> list:
+    value = doc.get(key, default)
+    if not isinstance(value, list):
+        raise ConfigError(f"{key} must be a list, got {value!r}")
+    return value
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
@@ -127,6 +130,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         _reject_unknown(bench, _BENCH_KEYS, "data.benchmark")
         if bench.get("name") not in ("oscillator", "nbody"):
             raise ConfigError("data.benchmark.name must be 'oscillator' or 'nbody'")
+        _bench_spec_from_config(bench)
     else:
         files = data["files"]
         _reject_unknown(files, _FILE_KEYS, "data.files")
@@ -134,9 +138,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
             if key not in files:
                 raise ConfigError(f"data.files needs '{key}'")
 
-    kernel_names = doc.get("kernels", sorted(FAMILY_BY_NAME, key=lambda s: FAMILY_BY_NAME[s]))
     kernels = []
-    for name in kernel_names:
+    for name in _list_value(doc, "kernels", list(FAMILY_BY_NAME)):
         if name not in FAMILY_BY_NAME:
             raise ConfigError(f"unknown kernel family {name!r}")
         kernels.append(FAMILY_BY_NAME[name])
@@ -145,14 +148,14 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if not kernels:
         raise ConfigError("kernel library must not be empty")
 
-    modes = tuple(doc.get("modes", list(MODES)))
+    modes = tuple(_list_value(doc, "modes", list(MODES)))
     for mode in modes:
         if mode not in MODES:
             raise ConfigError(f"unknown mode {mode!r}; choose from {list(MODES)}")
     if not modes or len(set(modes)) != len(modes):
         raise ConfigError("modes must be a non-empty list without duplicates")
 
-    budgets = tuple(int(n) for n in doc.get("budgets", [4, 6, 8, 10, 12]))
+    budgets = tuple(int(n) for n in _list_value(doc, "budgets", [4, 6, 8, 10, 12]))
     if not budgets or any(b < 1 for b in budgets):
         raise ConfigError("budgets must be positive integers")
     if list(budgets) != sorted(set(budgets)):
@@ -160,6 +163,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
     pso = dict(doc.get("pso", {}))
     _reject_unknown(pso, _PSO_KEYS, "pso")
+    try:
+        PsoConfig(**pso)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid pso settings: {exc}") from exc
 
     lam = float(doc.get("lambda", 0.1))
     if not math.isfinite(lam) or lam < 0:
@@ -177,7 +184,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         raise ConfigError("objective_eval_cost must be non-negative")
     grid = doc.get("lambda_grid")
     if grid is not None:
-        grid = tuple(float(v) for v in grid)
+        grid = tuple(float(v) for v in _list_value(doc, "lambda_grid", []))
         if not grid or any(v < 0 or not math.isfinite(v) for v in grid):
             raise ConfigError("lambda_grid must be non-empty, finite, non-negative")
 
@@ -193,8 +200,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
         out_dir=str(doc.get("out_dir", "results")),
         one_hf_cost=one_hf,
         objective_eval_cost=opt_cost,
-        rq_literal=bool(doc.get("rq_literal", False)),
-        compact_wendland=bool(doc.get("compact_wendland", False)),
         lambda_grid=grid,
     )
 
@@ -254,19 +259,20 @@ def read_matrix_csv(path, header: bool = False) -> np.ndarray:
 
 
 def _bench_spec_from_config(bench: dict) -> BenchmarkSpec:
-    spec = default_spec(bench["name"], seed=int(bench.get("seed", 0)))
-    grid = spec.grid
-    if "grid" in bench:
-        try:
-            grid = tuple((str(g[0]), float(g[1]), float(g[2]), int(g[3])) for g in bench["grid"])
-        except (TypeError, ValueError, IndexError) as exc:
-            raise ConfigError(f"grid axes must be [name, lo, hi, count] lists: {exc}") from exc
-    lf = {**spec.lf_settings, **bench.get("lf", {})}
-    hf = {**spec.hf_settings, **bench.get("hf", {})}
+    """The spec a benchmark section describes; a bad value is a ConfigError."""
     try:
+        spec = default_spec(bench["name"], seed=int(bench.get("seed", 0)))
+        grid = spec.grid
+        if "grid" in bench:
+            try:
+                grid = tuple((str(g[0]), float(g[1]), float(g[2]), int(g[3])) for g in bench["grid"])
+            except (TypeError, ValueError, IndexError) as exc:
+                raise ConfigError(f"grid axes must be [name, lo, hi, count] lists: {exc}") from exc
+        lf = {**spec.lf_settings, **bench.get("lf", {})}
+        hf = {**spec.hf_settings, **bench.get("hf", {})}
         return BenchmarkSpec(name=spec.name, grid=grid, lf_settings=lf, hf_settings=hf, seed=spec.seed)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"data.benchmark: {exc}") from exc
 
 
 def load_data(cfg: ExperimentConfig, header: bool = False) -> tuple[SnapshotEnsemble, SnapshotEnsemble]:
@@ -383,8 +389,6 @@ def run_experiment(cfg: ExperimentConfig, parallel: bool = False, header: bool =
                 reference_gramian=ref,
                 family=fam,
                 bounds=default_bounds(fam, lf),
-                rq_literal=cfg.rq_literal,
-                compact_wendland=cfg.compact_wendland,
             )
             pso_cfg = PsoConfig(**cfg.pso, seed=_child_seed(cfg.seed, int(fam)))
             optimized.append(optimize_hyperparams(fam, lf, obj_cfg, pso_cfg))
@@ -580,12 +584,14 @@ def cmd_tune_lambda(args) -> int:
         score = float(np.mean(errs)) if errs else math.inf
         scores.append((lam, score))
     best_lam, best_score = min(scores, key=lambda t: t[1])
+    ties = sum(score == best_score for _, score in scores)
     out_dir = Path(args.out if args.out is not None else cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["lambda,mean_median_rel_error"]
     lines += [f"{_fmt(lam)},{_fmt(score)}" for lam, score in scores]
     (out_dir / "tune_lambda.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
-    print(f"best lambda: {_fmt(best_lam)} (mean median relative error {_fmt(best_score)})")
+    note = f"; {ties} of {len(scores)} lambdas tie, first kept" if ties > 1 else ""
+    print(f"best lambda: {_fmt(best_lam)} (mean median relative error {_fmt(best_score)}{note})")
     return 0
 
 

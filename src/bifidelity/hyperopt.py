@@ -48,8 +48,6 @@ class ObjectiveConfig:
     reference_gramian: Gramian
     family: KernelFamily
     bounds: tuple[tuple[float, float], ...]
-    rq_literal: bool = False
-    compact_wendland: bool = False
 
     def __post_init__(self):
         if not np.isfinite(self.lam) or self.lam < 0:
@@ -108,12 +106,7 @@ class OptimizedKernel:
 
 def _spec_for(cfg: ObjectiveConfig, h) -> KernelSpec:
     arr = np.atleast_1d(np.asarray(h, dtype=float))
-    return KernelSpec(
-        family=cfg.family,
-        h=tuple(float(v) for v in arr),
-        rq_literal=cfg.rq_literal,
-        compact_wendland=cfg.compact_wendland,
-    )
+    return KernelSpec(family=cfg.family, h=tuple(float(v) for v in arr))
 
 
 class _Memoized:

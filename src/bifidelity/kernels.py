@@ -1,6 +1,6 @@
 """Kernel library and Gramian assembly over snapshot ensembles.
 
-Seven kernel families act on pairs of model output vectors. All except
+Six kernel families act on pairs of model output vectors. All except
 the linear kernel are radial: they depend only on r = ||u - v||. Gramians
 collect pairwise kernel values over the columns of an ensemble and feed
 pivot selection, hyperparameter tuning, and surrogate construction.
@@ -36,7 +36,6 @@ class KernelFamily(IntEnum):
     RATIONAL_QUADRATIC = 4
     MATERN32 = 5
     MATERN52 = 6
-    COMPACT_RBF = 7
 
 
 #: Number of hyperparameters per family.
@@ -47,25 +46,15 @@ HYPER_DIMS: dict[KernelFamily, int] = {
     KernelFamily.RATIONAL_QUADRATIC: 2,
     KernelFamily.MATERN32: 1,
     KernelFamily.MATERN52: 1,
-    KernelFamily.COMPACT_RBF: 2,
 }
 
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """A kernel family plus its hyperparameter vector.
-
-    ``rq_literal`` switches the rational quadratic to the non-normalized
-    form ((1 + r^2) / (2 h1^2 h2))^(-h2); the default form is normalized
-    so K(u, u) = 1. ``compact_wendland`` switches the compactly supported
-    kernel to max(0, 1 - r/h1)^h2 instead of the default
-    max(0, 1 - (r/h1)^h2 * exp(-r^2 / (2 h1^2))).
-    """
+    """A kernel family plus its hyperparameter vector."""
 
     family: KernelFamily
     h: tuple[float, ...] = ()
-    rq_literal: bool = False
-    compact_wendland: bool = False
 
     def __post_init__(self):
         family = KernelFamily(self.family)
@@ -111,8 +100,10 @@ class Gramian:
 def radial_profile(spec: KernelSpec, r) -> np.ndarray:
     """Kernel value as a function of distance, vectorized over ``r``.
 
-    Undefined for the linear family, which is not radial. Exactly-zero
-    distances short-circuit to the analytic limit of the active form.
+    Undefined for the linear family, which is not radial. Every radial
+    family is 1 at r = 0, and exactly-zero distances return that 1 directly,
+    which also guards against 0/0 where the rational quadratic's
+    h1^2 * h2 underflows.
     """
     r = np.asarray(r, dtype=float)
     fam = spec.family
@@ -124,41 +115,16 @@ def radial_profile(spec: KernelSpec, r) -> np.ndarray:
             out = np.exp(-(r**2) / (2.0 * h[0]))
         elif fam == KernelFamily.RATIONAL_QUADRATIC:
             h1, h2 = h
-            if spec.rq_literal:
-                base = (1.0 + r**2) / (2.0 * h1**2 * h2)
-            else:
-                base = 1.0 + r**2 / (2.0 * h1**2 * h2)
-            out = base ** (-h2)
+            out = (1.0 + r**2 / (2.0 * h1**2 * h2)) ** (-h2)
         elif fam == KernelFamily.MATERN32:
             s = np.sqrt(3.0) * r / h[0]
             out = (1.0 + s) * np.exp(-s)
         elif fam == KernelFamily.MATERN52:
             s = np.sqrt(5.0) * r / h[0]
             out = (1.0 + s + 5.0 * r**2 / (3.0 * h[0] ** 2)) * np.exp(-s)
-        elif fam == KernelFamily.COMPACT_RBF:
-            h1, h2 = h
-            if spec.compact_wendland:
-                out = np.maximum(0.0, 1.0 - r / h1) ** h2
-            else:
-                # log-space product avoids inf * 0 for extreme exponents
-                safe_r = np.where(r > 0.0, r, 1.0)
-                bump = np.exp(h2 * np.log(safe_r / h1) - r**2 / (2.0 * h1**2))
-                out = np.maximum(0.0, 1.0 - np.where(r > 0.0, bump, 0.0))
         else:
             raise ValueError(f"{fam.name} is not a radial family")
-        zero_value = _radial_zero_value(spec)
-    return np.where(r == 0.0, zero_value, out)
-
-
-def _radial_zero_value(spec: KernelSpec) -> float:
-    if spec.family == KernelFamily.RATIONAL_QUADRATIC and spec.rq_literal:
-        h1, h2 = spec.h
-        try:
-            return float((2.0 * h1**2 * h2) ** h2)
-        except OverflowError:
-            # reported as non-finite by the caller, not a bare pow error
-            return np.inf
-    return 1.0
+    return np.where(r == 0.0, 1.0, out)
 
 
 def kernel_eval(kernel: KernelSpec, u, v) -> float:

@@ -340,24 +340,20 @@ def _decode_matrix(blob: dict) -> np.ndarray:
 
 
 def _kernel_to_dict(kernel: KernelSpec) -> dict:
-    return {
-        "kind": "single",
-        "family": kernel.family.name.lower(),
-        "h": list(kernel.h),
-        "rq_literal": kernel.rq_literal,
-        "compact_wendland": kernel.compact_wendland,
-    }
+    return {"kind": "single", "family": kernel.family.name.lower(), "h": list(kernel.h)}
 
 
 def _kernel_from_dict(doc: dict) -> KernelSpec:
     if doc.get("kind") != "single":
         raise ValueError(f"unsupported kernel kind {doc.get('kind')!r}; expected 'single'")
-    return KernelSpec(
-        family=KernelFamily[doc["family"].upper()],
-        h=tuple(float(v) for v in doc["h"]),
-        rq_literal=bool(doc.get("rq_literal", False)),
-        compact_wendland=bool(doc.get("compact_wendland", False)),
-    )
+    # older archives carry switches for deleted formulas; only "off" is today's
+    switched_on = sorted(k for k, v in doc.items() if k not in ("kind", "family", "h") and v)
+    if switched_on:
+        raise ValueError(f"unsupported kernel form {', '.join(map(repr, switched_on))}")
+    name = doc["family"]
+    if name.upper() not in KernelFamily.__members__:
+        raise ValueError(f"unsupported kernel family {name!r}")
+    return KernelSpec(family=KernelFamily[name.upper()], h=tuple(float(v) for v in doc["h"]))
 
 
 def surrogate_to_dict(surrogate: Surrogate) -> dict:

@@ -20,3 +20,27 @@ settings.load_profile("ci")
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def indefinite_kernel(monkeypatch):
+    """Make surrogate builds read the oracles' indefinite test kernel,
+    with h = (1, 2), wherever they would evaluate the given family."""
+    import oracles
+    from bifidelity import surrogate
+
+    real_block, real_diagonal = surrogate._kernel_block, surrogate._kernel_diagonal
+
+    def install(family):
+        def block(kernel, a, b):
+            if kernel.family != family:
+                return real_block(kernel, a, b)
+            return oracles.kernel_block_dense("compact_rbf", a, b, (1.0, 2.0))
+
+        def diagonal(kernel, a):
+            return np.ones(a.shape[1]) if kernel.family == family else real_diagonal(kernel, a)
+
+        monkeypatch.setattr(surrogate, "_kernel_block", block)
+        monkeypatch.setattr(surrogate, "_kernel_diagonal", diagonal)
+
+    return install

@@ -18,7 +18,10 @@ import numpy as np
 # === scalar kernel formulas (rewritten from the definitions) ===
 
 
-def kernel_value(family: str, u, v, h=(), rq_literal=False, compact_wendland=False):
+def kernel_value(family: str, u, v, h=()):
+    """Scalar kernel value. ``"compact_rbf"`` is a test-only indefinite
+    kernel, max(0, 1 - (r/h1)^h2 exp(-r^2 / (2 h1^2))), kept to feed the
+    not-PSD paths a Gramian no package family produces."""
     u = np.asarray(u, dtype=float).ravel()
     v = np.asarray(v, dtype=float).ravel()
     if family == "linear":
@@ -30,10 +33,6 @@ def kernel_value(family: str, u, v, h=(), rq_literal=False, compact_wendland=Fal
         return math.exp(-(r * r) / (2.0 * h[0]))
     if family == "rational_quadratic":
         h1, h2 = h
-        if rq_literal:
-            if r == 0.0:
-                return (2.0 * h1 * h1 * h2) ** h2
-            return ((1.0 + r * r) / (2.0 * h1 * h1 * h2)) ** (-h2)
         return (1.0 + r * r / (2.0 * h1 * h1 * h2)) ** (-h2)
     if family == "matern32":
         s = math.sqrt(3.0) * r / h[0]
@@ -43,23 +42,26 @@ def kernel_value(family: str, u, v, h=(), rq_literal=False, compact_wendland=Fal
         return (1.0 + s + 5.0 * r * r / (3.0 * h[0] * h[0])) * math.exp(-s)
     if family == "compact_rbf":
         h1, h2 = h
-        if compact_wendland:
-            return max(0.0, 1.0 - r / h1) ** h2
         if r == 0.0:
             return 1.0
         return max(0.0, 1.0 - (r / h1) ** h2 * math.exp(-(r * r) / (2.0 * h1 * h1)))
     raise ValueError(f"unknown family {family!r}")
 
 
-def gramian_dense(family: str, columns, h=(), **flags) -> np.ndarray:
+def kernel_block_dense(family: str, a, b, h=()) -> np.ndarray:
+    """Entrywise double-loop block K[i, j] = k(a[:, i], b[:, j])."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    K = np.empty((a.shape[1], b.shape[1]))
+    for i in range(a.shape[1]):
+        for j in range(b.shape[1]):
+            K[i, j] = kernel_value(family, a[:, i], b[:, j], h)
+    return K
+
+
+def gramian_dense(family: str, columns, h=()) -> np.ndarray:
     """Entrywise double-loop Gramian over ensemble columns."""
-    columns = np.asarray(columns, dtype=float)
-    n = columns.shape[1]
-    G = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            G[i, j] = kernel_value(family, columns[:, i], columns[:, j], h, **flags)
-    return G
+    return kernel_block_dense(family, columns, columns, h)
 
 
 # === spectral quantities by dense SVD ===

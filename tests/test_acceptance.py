@@ -44,7 +44,6 @@ FAMILY_NAMES = {
     KernelFamily.RATIONAL_QUADRATIC: "rational_quadratic",
     KernelFamily.MATERN32: "matern32",
     KernelFamily.MATERN52: "matern52",
-    KernelFamily.COMPACT_RBF: "compact_rbf",
 }
 ALL_FAMILIES = list(FAMILY_NAMES.values())
 
@@ -155,7 +154,7 @@ def test_objective_matches_svd_oracle():
         cols = rng.normal(size=(m, N))
         ens = ensemble_from(cols)
         fam = families[case % len(families)]
-        dims = {1: 0, 2: 1, 3: 1, 4: 2, 5: 1, 6: 1, 7: 2}[int(fam)]
+        dims = {1: 0, 2: 1, 3: 1, 4: 2, 5: 1, 6: 1}[int(fam)]
         h = tuple(float(v) for v in rng.uniform(0.3, 3.0, size=dims))
         cfg = ObjectiveConfig(
             lam=0.1,

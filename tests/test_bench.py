@@ -58,6 +58,11 @@ def test_spec_validation():
         BenchmarkSpec(name="oscillator", grid=(("a", 0.0, 1.0, 0),))
     with pytest.raises(ValueError, match="lo < hi"):
         BenchmarkSpec(name="oscillator", grid=(("a", 1.0, 0.0, 2),))
+    grid = (("a", 0.0, 1.0, 2),)
+    with pytest.raises(ValueError, match="lf dt must be positive"):
+        BenchmarkSpec(name="oscillator", grid=grid, lf_settings={"dt": -1.0})
+    with pytest.raises(ValueError, match="hf horizon must be positive"):
+        BenchmarkSpec(name="oscillator", grid=grid, hf_settings={"horizon": 0.0})
     # single-point axes may sit anywhere
     BenchmarkSpec(name="oscillator", grid=(("a", 5.0, 5.0, 1),))
 

@@ -2,12 +2,15 @@
 the selection-before-draw access discipline."""
 import json
 import math
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bifidelity.cli import (
+    _TOP_KEYS,
     ConfigError,
     DataError,
     main,
@@ -65,7 +68,7 @@ def test_parse_config_defaults():
     assert cfg.lam == 0.1
     assert cfg.budgets == (4, 6, 8, 10, 12)
     assert cfg.modes == ("linear-baseline", "adaptive")
-    assert len(cfg.kernels) == 7
+    assert len(cfg.kernels) == 6
 
 
 def test_parse_config_rejects_bad_documents(toy):
@@ -89,10 +92,33 @@ def test_parse_config_rejects_bad_documents(toy):
         {**good, "objective_eval_cost": -0.5},
         {**good, "lambda_grid": []},
         {**good, "pso": {"swarm": 4}},
+        {**good, "pso": {"swarm_size": 1}},
+        {**good, "pso": {"max_iters": "ten"}},
+        {**good, "data": {"benchmark": {"name": "oscillator", "seed": "x"}}},
+        {**good, "data": {"benchmark": {"name": "oscillator", "lf": {"dt": -1}}}},
+        {**good, "kernels": "linear"},
+        {**good, "modes": "adaptive"},
     ]
     for doc in cases:
         with pytest.raises(ConfigError):
             parse_config(doc)
+    # the deleted compact family and kernel-form switches are named
+    named = {
+        "compact_rbf": {**good, "kernels": ["linear", "compact_rbf"]},
+        "rq_literal": {**good, "rq_literal": False},
+        "compact_wendland": {**good, "compact_wendland": True},
+    }
+    for name, doc in named.items():
+        with pytest.raises(ConfigError, match=name):
+            parse_config(doc)
+
+
+def test_readme_config_block_lists_every_key():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    doc = json.loads(re.sub(r"//.*", "", block))
+    parse_config(doc)
+    assert set(doc) == _TOP_KEYS
 
 
 # === CSV matrices ===
@@ -245,6 +271,10 @@ def test_exit_code_2_on_config_errors(toy, tmp_path):
     # budgets must stay below the 8-sample count
     big = write_config(tmp_path / "big.json", toy_doc(toy, budgets=[8]))
     assert main(["run", "--config", big]) == 2
+    # a negative LF step is refused before any data is generated
+    bench = {"benchmark": {"name": "oscillator", "lf": {"dt": -1}}}
+    negative = write_config(tmp_path / "negative.json", toy_doc(toy, data=bench))
+    assert main(["run", "--config", negative]) == 2
 
 
 def test_additive_mode_is_rejected(toy, tmp_path, capsys):
@@ -368,7 +398,10 @@ def test_tune_lambda_sweeps_grid(toy, tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", doc)
     capsys.readouterr()
     assert main(["tune-lambda", "--config", cfg]) == 0
-    assert "best lambda:" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "best lambda: 0.05" in printed
+    # the baseline ignores lambda, so the two grid values tie
+    assert "2 of 2 lambdas tie" in printed
     lines = (out / "tune_lambda.csv").read_text().splitlines()
     assert lines[0] == "lambda,mean_median_rel_error"
     rows = [line.split(",") for line in lines[1:]]

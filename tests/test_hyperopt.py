@@ -92,15 +92,15 @@ def test_objective_rejects_foreign_reference():
 
 
 def test_objective_overflow_maps_to_inf():
+    # 5 r^2 / (3 h^2) is inf at h = 1e-170, so off-diagonal values are NaN
     ens = ensemble_from(np.random.default_rng(2).normal(size=(2, 4)))
     cfg = ObjectiveConfig(
         lam=0.1,
         reference_gramian=linear_reference(ens),
-        family=KernelFamily.RATIONAL_QUADRATIC,
-        bounds=((1e-3, 1e6), (1e-3, 1e6)),
-        rq_literal=True,
+        family=KernelFamily.MATERN52,
+        bounds=((1e-200, 1.0),),
     )
-    assert objective(cfg, (100.0, 10000.0), ens) == math.inf
+    assert objective(cfg, (1e-170,), ens) == math.inf
 
 
 def test_objective_config_validation():

@@ -23,10 +23,10 @@ import oracles
 RADIAL_FAMILIES = [f for f in KernelFamily if f != KernelFamily.LINEAR]
 
 
-def make_spec(family, h1=0.7, h2=1.5, **flags):
+def make_spec(family, h1=0.7, h2=1.5):
     dim = HYPER_DIMS[family]
     h = ()[:0] if dim == 0 else ((h1,) if dim == 1 else (h1, h2))
-    return KernelSpec(family=family, h=h, **flags)
+    return KernelSpec(family=family, h=h)
 
 
 def ensemble_from(columns):
@@ -148,32 +148,6 @@ def test_kernel_matches_scalar_formulas(family):
         assert kernel_eval(spec, u, v) == pytest.approx(expected, rel=1e-13, abs=1e-15)
 
 
-def test_rational_quadratic_literal_form():
-    spec = KernelSpec(
-        family=KernelFamily.RATIONAL_QUADRATIC, h=(0.8, 2.0), rq_literal=True
-    )
-    u, v = np.array([0.1, 0.2]), np.array([0.4, -0.3])
-    expected = oracles.kernel_value(
-        "rational_quadratic", u, v, (0.8, 2.0), rq_literal=True
-    )
-    assert kernel_eval(spec, u, v) == pytest.approx(expected, rel=1e-13)
-    # literal form breaks the K(u,u)=1 identity; it equals (2 h1^2 h2)^{h2}
-    assert kernel_eval(spec, u, u) == pytest.approx((2 * 0.8**2 * 2.0) ** 2.0, rel=1e-13)
-
-
-def test_compact_rbf_wendland_flag():
-    spec = KernelSpec(family=KernelFamily.COMPACT_RBF, h=(2.0, 3.0), compact_wendland=True)
-    assert kernel_eval(spec, [0.0], [1.0]) == pytest.approx((1 - 0.5) ** 3, rel=1e-13)
-    # compact support: zero beyond r = h1
-    assert kernel_eval(spec, [0.0], [5.0]) == 0.0
-
-
-def test_compact_rbf_literal_not_compactly_supported():
-    # the default form tends back to 1 at large r because the bump decays
-    spec = KernelSpec(family=KernelFamily.COMPACT_RBF, h=(1.0, 2.0))
-    assert kernel_eval(spec, [0.0], [50.0]) == pytest.approx(1.0, abs=1e-12)
-
-
 # === algebraic properties ===
 
 
@@ -249,12 +223,12 @@ def test_kernel_eval_rejects_non_finite():
 
 
 def test_rational_quadratic_literal_overflow_raises():
-    # tiny base with a huge negative exponent overflows to inf
-    spec = KernelSpec(
-        family=KernelFamily.RATIONAL_QUADRATIC, h=(100.0, 10000.0), rq_literal=True
-    )
+    # named for the deleted literal rational-quadratic form; any kernel
+    # value that leaves the floats must raise instead
     with pytest.raises(ArithmeticError, match="overflow"):
-        kernel_eval(spec, [0.0], [1e-4])
+        kernel_eval(KernelSpec(family=KernelFamily.LINEAR), [1e200], [1e200])
+    # 5 r^2 / (3 h^2) is inf at h = 1e-170, and inf * exp(-s) is NaN
+    spec = KernelSpec(family=KernelFamily.MATERN52, h=(1e-170,))
     with pytest.raises(ArithmeticError, match="overflow"):
         cross_kernel_vector(spec, [[0.0, 1.0]], [[1e-4, 2.0]])
 

@@ -177,9 +177,8 @@ def test_column_core_early_stop_appends_lowest_free_indices():
 
 
 def test_column_core_not_psd_at_third_step():
-    # the default compact form is indefinite here; two steps pass, the third fails
-    cols = np.array([[0.0, 1.2, 2.4, 3.6, 30.0]])
-    A = gramian_entries(KernelSpec(family=KernelFamily.COMPACT_RBF, h=(1.0, 2.0)), cols)
+    # the oracles' test-only kernel is indefinite here; two steps pass, the third fails
+    A = oracles.gramian_dense("compact_rbf", [[0.0, 1.2, 2.4, 3.6, 30.0]], (1.0, 2.0))
     assert_same_decomposition(core_on_dense(A, 2), pivoted_cholesky(A, 2))
     for factorize in (core_on_dense, pivoted_cholesky):
         with pytest.raises(MatrixNotPSDError, match="not PSD"):
@@ -256,9 +255,8 @@ def test_stable_rank_matches_svd_oracle():
 
 
 def test_stable_rank_of_indefinite_compact_gramian_matches_svd_oracle():
-    # the default compact form is indefinite here (smallest eigenvalue ~ -0.38)
-    cols = np.array([[0.0, 1.2, 2.4, 3.6, 30.0]])
-    G = gramian_entries(KernelSpec(family=KernelFamily.COMPACT_RBF, h=(1.0, 2.0)), cols)
+    # the oracles' test-only kernel is indefinite here (smallest eigenvalue ~ -0.38)
+    G = oracles.gramian_dense("compact_rbf", [[0.0, 1.2, 2.4, 3.6, 30.0]], (1.0, 2.0))
     assert np.linalg.eigvalsh(G)[0] < -0.1
     assert stable_rank(G) == pytest.approx(oracles.srank_svd(G), rel=1e-12)
 

@@ -132,17 +132,18 @@ def test_winner_invariant_under_sample_relabeling():
         assert shuffled.chosen_family == base.chosen_family
 
 
-def test_non_psd_family_scores_infinity():
-    # the literal compact form is indefinite on mixed-distance data
-    # (its pivoted factorization hits a Schur diagonal of about -0.38)
+def test_non_psd_family_scores_infinity(indefinite_kernel):
+    # Matern-5/2 builds read the oracles' indefinite kernel, whose pivoted
+    # factorization hits a Schur diagonal of about -0.38 on this data
     cols = np.array([[0.0, 1.2, 2.4, 3.6, 30.0]])
     ens = ensemble_from(cols)
+    indefinite_kernel(KernelFamily.MATERN52)
     optimized = [
         tuned(KernelFamily.EXPONENTIAL, (10.0,)),
-        tuned(KernelFamily.COMPACT_RBF, (1.0, 2.0)),
+        tuned(KernelFamily.MATERN52, (1.0,)),
     ]
     report = adaptive_select(optimized, ens, n=3)
-    assert report.per_kernel_epsilon[KernelFamily.COMPACT_RBF] == math.inf
+    assert report.per_kernel_epsilon[KernelFamily.MATERN52] == math.inf
     assert report.chosen_family == KernelFamily.EXPONENTIAL
 
 

@@ -181,26 +181,20 @@ def test_oscillator_pivots_match_greedy_oracle():
 
 
 ORACLE_KERNELS = [
-    (KernelSpec(family=KernelFamily.LINEAR), "linear", {}),
-    (KernelSpec(family=KernelFamily.EXPONENTIAL, h=(1.3,)), "exponential", {}),
-    (KernelSpec(family=KernelFamily.SQUARED_EXPONENTIAL, h=(0.9,)), "squared_exponential", {}),
-    (KernelSpec(family=KernelFamily.RATIONAL_QUADRATIC, h=(0.8, 1.5)), "rational_quadratic", {}),
-    (KernelSpec(family=KernelFamily.MATERN32, h=(0.9,)), "matern32", {}),
-    (KernelSpec(family=KernelFamily.MATERN52, h=(1.1,)), "matern52", {}),
-    # the truncated-power form is positive definite in 3 dimensions for h2 >= 2
-    (
-        KernelSpec(family=KernelFamily.COMPACT_RBF, h=(4.0, 3.0), compact_wendland=True),
-        "compact_rbf",
-        {"compact_wendland": True},
-    ),
+    (KernelSpec(family=KernelFamily.LINEAR), "linear"),
+    (KernelSpec(family=KernelFamily.EXPONENTIAL, h=(1.3,)), "exponential"),
+    (KernelSpec(family=KernelFamily.SQUARED_EXPONENTIAL, h=(0.9,)), "squared_exponential"),
+    (KernelSpec(family=KernelFamily.RATIONAL_QUADRATIC, h=(0.8, 1.5)), "rational_quadratic"),
+    (KernelSpec(family=KernelFamily.MATERN32, h=(0.9,)), "matern32"),
+    (KernelSpec(family=KernelFamily.MATERN52, h=(1.1,)), "matern52"),
 ]
 
 
 def test_build_pivots_match_dense_oracle_for_every_family():
     cols = np.random.default_rng(12).normal(size=(3, 14))
     lf = ensemble_from(cols)
-    for spec, name, flags in ORACLE_KERNELS:
-        gram = oracles.gramian_dense(name, cols, spec.h, **flags)
+    for spec, name in ORACLE_KERNELS:
+        gram = oracles.gramian_dense(name, cols, spec.h)
         for n in (2, 5, 9):
             surr, _ = build_surrogate(lf, spec, n, lambda j: np.ones(2))
             ordering, _ = oracles.greedy_pivots(gram, max_steps=n)
@@ -223,9 +217,10 @@ def test_build_early_stop_appends_lowest_free_indices():
                                rtol=1e-14, atol=1e-14)
 
 
-def test_build_not_psd_fails_only_past_the_failing_step():
+def test_build_not_psd_fails_only_past_the_failing_step(indefinite_kernel):
     lf = ensemble_from(np.array([[0.0, 1.2, 2.4, 3.6, 30.0]]))
-    spec = KernelSpec(family=KernelFamily.COMPACT_RBF, h=(1.0, 2.0))
+    spec = KernelSpec(family=KernelFamily.MATERN52, h=(1.0,))
+    indefinite_kernel(spec.family)
     surr, _ = build_surrogate(lf, spec, 2, lambda j: np.ones(2))
     assert surr.pivots == (0, 1)
     with pytest.raises(MatrixNotPSDError):
@@ -237,16 +232,22 @@ def never_called(idx):
 
 
 def test_literal_rational_quadratic_overflowing_diagonal_raises():
-    # K(u, u) = (2 h1^2 h2)^h2 overflows; nothing is drawn from the HF model
-    spec = KernelSpec(
-        family=KernelFamily.RATIONAL_QUADRATIC, h=(100.0, 10000.0), rq_literal=True
-    )
-    lf = ensemble_from(np.random.default_rng(14).normal(size=(2, 6)))
-    with pytest.raises(ArithmeticError, match="diagonal is non-finite"):
-        build_surrogate(lf, spec, 2, never_called)
-    tuned = OptimizedKernel(spec=spec, objective_value=0.0, evaluations_used=0, wall_time=0.0)
-    with pytest.raises(ArithmeticError, match="diagonal is non-finite"):
-        adaptive_select([tuned], lf, 2)
+    # named for the deleted literal rational-quadratic form, whose K(u, u)
+    # overflowed; nothing is drawn from the HF model on either path
+    cols = np.random.default_rng(14).normal(size=(2, 6))
+    cases = [
+        # |u|^2 of outputs near 1e200 overflows the linear diagonal
+        (LINEAR, cols * 1e200, "diagonal is non-finite"),
+        # 5 r^2 / (3 h^2) is inf at h = 1e-170, so the first column is NaN
+        (KernelSpec(family=KernelFamily.MATERN52, h=(1e-170,)), cols, "column 0 is non-finite"),
+    ]
+    for spec, outputs, message in cases:
+        lf = ensemble_from(outputs)
+        with pytest.raises(ArithmeticError, match=message):
+            build_surrogate(lf, spec, 2, never_called)
+        tuned = OptimizedKernel(spec=spec, objective_value=0.0, evaluations_used=0, wall_time=0.0)
+        with pytest.raises(ArithmeticError, match=message):
+            adaptive_select([tuned], lf, 2)
 
 
 def test_non_finite_pivot_column_raises(monkeypatch):
@@ -581,7 +582,7 @@ def test_archive_round_trip_bitwise():
 def test_archive_file_round_trip(tmp_path):
     rng = np.random.default_rng(12)
     lf = ensemble_from(rng.normal(size=(2, 5)))
-    spec = KernelSpec(family=KernelFamily.RATIONAL_QUADRATIC, h=(0.9, 1.3), rq_literal=True)
+    spec = KernelSpec(family=KernelFamily.RATIONAL_QUADRATIC, h=(0.9, 1.3))
     surr, _ = build_surrogate(lf, spec, 3, provider_for(rng.normal(size=(4, 5))))
     path = tmp_path / "surrogate.json"
     save_surrogate(surr, path)
@@ -592,25 +593,52 @@ def test_archive_file_round_trip(tmp_path):
 
 
 def test_eval_rejects_mixture_archive(tmp_path, capsys):
-    # the archive layout older builds wrote for a convex kernel mixture
-    doc = surrogate_to_dict(crafted_surrogate(None))
-    single = {"kind": "single", "h": [0.9], "rq_literal": False, "compact_wendland": False}
-    doc["kernel"] = {
-        "kind": "mixture",
-        "components": [
-            {**single, "family": "exponential", "weight": 0.25},
-            {**single, "family": "matern32", "weight": 0.75},
-        ],
+    # archive layouts older builds wrote: a convex kernel mixture, and the
+    # switches and family of the deleted literal and compact kernel forms
+    switches = {"rq_literal": False, "compact_wendland": False}
+    single = {"kind": "single", "h": [0.9], **switches}
+    rejected = {
+        "unsupported kernel kind 'mixture'": {
+            "kind": "mixture",
+            "components": [
+                {**single, "family": "exponential", "weight": 0.25},
+                {**single, "family": "matern32", "weight": 0.75},
+            ],
+        },
+        "unsupported kernel form 'rq_literal'": {
+            **single, "family": "rational_quadratic", "h": [0.9, 1.3], "rq_literal": True
+        },
+        "unsupported kernel form 'compact_wendland'": {
+            **single, "family": "compact_rbf", "h": [4.0, 3.0], "compact_wendland": True
+        },
+        "unsupported kernel family 'compact_rbf'": {
+            **single, "family": "compact_rbf", "h": [1.0, 2.0]
+        },
     }
-    archive = tmp_path / "mixture.json"
-    archive.write_text(json.dumps(doc), encoding="ascii")
     query = tmp_path / "query.csv"
     query.write_text("1.0\n", encoding="ascii")
-    with pytest.raises(ValueError, match="unsupported kernel kind 'mixture'"):
-        load_surrogate(archive)
-    capsys.readouterr()
-    assert main(["eval", str(archive), str(query)]) == 3
-    assert "unsupported kernel kind 'mixture'" in capsys.readouterr().err
+    for k, (message, kernel) in enumerate(rejected.items()):
+        doc = surrogate_to_dict(crafted_surrogate(None))
+        doc["kernel"] = kernel
+        archive = tmp_path / f"old{k}.json"
+        archive.write_text(json.dumps(doc), encoding="ascii")
+        with pytest.raises(ValueError, match=message):
+            load_surrogate(archive)
+        capsys.readouterr()
+        assert main(["eval", str(archive), str(query)]) == 3
+        assert message in capsys.readouterr().err
+
+    # with both switches false an old archive is today's formula
+    rng = np.random.default_rng(18)
+    spec = KernelSpec(family=KernelFamily.RATIONAL_QUADRATIC, h=(0.9, 1.3))
+    surr, _ = build_surrogate(ensemble_from(rng.normal(size=(2, 7))), spec, 3,
+                              provider_for(rng.normal(size=(4, 7))))
+    doc = surrogate_to_dict(surr)
+    doc["kernel"].update(switches)
+    clone = surrogate_from_dict(doc)
+    assert clone.kernel == spec
+    queries = rng.normal(size=(2, 5))
+    np.testing.assert_array_equal(evaluate(clone, queries), evaluate(surr, queries))
 
 
 def test_archive_version_gate():
