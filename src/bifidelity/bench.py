@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import SnapshotEnsemble
-from .surrogate import normalize_ensemble
+from .data import SnapshotEnsemble, normalize_ensemble
 
 __all__ = [
     "BenchmarkSpec",

@@ -28,7 +28,7 @@ import numpy as np
 from .bench import BenchmarkSpec, default_spec, generate
 from .data import SnapshotEnsemble
 from .hyperopt import ObjectiveConfig, PsoConfig, default_bounds, optimize_hyperparams
-from .kernels import KernelFamily, KernelSpec, build_gramian
+from .kernels import KernelFamily, KernelSpec
 from .numerics import NumericsError
 from .selection import SelectionReport, adaptive_select
 from .surrogate import (
@@ -268,6 +268,8 @@ def _bench_spec_from_config(bench: dict) -> BenchmarkSpec:
                 grid = tuple((str(g[0]), float(g[1]), float(g[2]), int(g[3])) for g in bench["grid"])
             except (TypeError, ValueError, IndexError) as exc:
                 raise ConfigError(f"grid axes must be [name, lo, hi, count] lists: {exc}") from exc
+        for fidelity, defaults in (("lf", spec.lf_settings), ("hf", spec.hf_settings)):
+            _reject_unknown(bench.get(fidelity, {}), set(defaults), f"data.benchmark.{fidelity}")
         lf = {**spec.lf_settings, **bench.get("lf", {})}
         hf = {**spec.hf_settings, **bench.get("hf", {})}
         return BenchmarkSpec(name=spec.name, grid=grid, lf_settings=lf, hf_settings=hf, seed=spec.seed)
@@ -382,14 +384,8 @@ def run_experiment(cfg: ExperimentConfig, parallel: bool = False, header: bool =
     hyper_evals = 0
     adaptive_reports: dict[int, SelectionReport] = {}
     if "adaptive" in cfg.modes:
-        ref = build_gramian(KernelSpec(family=KernelFamily.LINEAR), lf)
         for fam in cfg.kernels:
-            obj_cfg = ObjectiveConfig(
-                lam=cfg.lam,
-                reference_gramian=ref,
-                family=fam,
-                bounds=default_bounds(fam, lf),
-            )
+            obj_cfg = ObjectiveConfig(lam=cfg.lam, family=fam, bounds=default_bounds(fam, lf))
             pso_cfg = PsoConfig(**cfg.pso, seed=_child_seed(cfg.seed, int(fam)))
             optimized.append(optimize_hyperparams(fam, lf, obj_cfg, pso_cfg))
         hyper_evals = sum(ok.evaluations_used for ok in optimized)

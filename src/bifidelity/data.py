@@ -1,9 +1,9 @@
-"""Snapshot ensembles: model outputs, parameter tables, and per-sample costs."""
+"""Snapshot ensembles (model outputs, parameter tables, per-sample costs)
+and their per-group output normalization."""
 from __future__ import annotations
 
-import hashlib
+import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -75,13 +75,6 @@ class SnapshotEnsemble:
     def column(self, j: int) -> np.ndarray:
         return self.outputs[:, j]
 
-    @cached_property
-    def content_id(self) -> str:
-        digest = hashlib.sha1()
-        digest.update(repr(self.outputs.shape).encode())
-        digest.update(self.outputs.tobytes())
-        return digest.hexdigest()[:16]
-
     def label_groups(self) -> dict[str, list[int]]:
         """Row indices grouped by label, in first-appearance order."""
         if self.labels is None:
@@ -90,3 +83,42 @@ class SnapshotEnsemble:
         for row, name in enumerate(self.labels):
             groups.setdefault(name, []).append(row)
         return groups
+
+
+def normalize_ensemble(
+    ensemble: SnapshotEnsemble, groups
+) -> tuple[SnapshotEnsemble, tuple[float, ...]]:
+    """Scale each output-row group to unit root-mean-square column energy.
+
+    ``groups`` partitions the output rows; each group is divided by
+    sqrt(mean over columns of the squared group-restricted column norm).
+    Returns the scaled ensemble and the scale factors for inversion.
+    """
+    rows_seen: set[int] = set()
+    group_list = [list(int(r) for r in g) for g in groups]
+    for g in group_list:
+        if not g:
+            raise ValueError("normalization groups must be non-empty")
+        for r in g:
+            if r in rows_seen:
+                raise ValueError(f"row {r} appears in more than one group")
+            rows_seen.add(r)
+    if rows_seen != set(range(ensemble.output_dim)):
+        raise ValueError("groups must partition all output rows")
+
+    outputs = np.array(ensemble.outputs, dtype=float)
+    factors = []
+    for g in group_list:
+        energy = float(np.mean(np.sum(outputs[g, :] ** 2, axis=0)))
+        if energy == 0.0:
+            raise ValueError(f"group {g} has zero energy and cannot be normalized")
+        scale = math.sqrt(energy)
+        outputs[g, :] /= scale
+        factors.append(scale)
+    scaled = SnapshotEnsemble(
+        outputs=outputs,
+        params=ensemble.params,
+        per_sample_cost=ensemble.per_sample_cost,
+        labels=ensemble.labels,
+    )
+    return scaled, tuple(factors)

@@ -17,7 +17,6 @@ import numpy as np
 from .data import SnapshotEnsemble
 from .kernels import (
     HYPER_DIMS,
-    Gramian,
     KernelFamily,
     KernelSpec,
     gramian_entries,
@@ -45,7 +44,6 @@ class ObjectiveConfig:
     """Inputs for the hyperparameter objective of one kernel family."""
 
     lam: float
-    reference_gramian: Gramian
     family: KernelFamily
     bounds: tuple[tuple[float, float], ...]
 
@@ -78,6 +76,10 @@ class PsoConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("swarm_size", "max_iters", "stall_iters"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.swarm_size < 2:
             raise ValueError("swarm_size must be at least 2")
         if self.k1 <= 0 or self.k2 <= 0:
@@ -131,31 +133,37 @@ class _Memoized:
         return self.values[key]
 
 
-def _objective_value(ref: np.ndarray, candidate: np.ndarray, lam: float) -> float:
-    fro = float(np.linalg.norm(ref - candidate))
-    if lam == 0.0:
-        return fro
-    return fro + lam / math.sqrt(stable_rank(candidate))
+def _linear_reference(X: np.ndarray) -> np.ndarray:
+    """The linear-kernel Gramian of the columns ``X`` that tuning aims at."""
+    ref = gramian_entries(KernelSpec(family=KernelFamily.LINEAR), X)
+    if not np.all(np.isfinite(ref)):
+        raise ArithmeticError("linear reference Gramian has non-finite entries")
+    return ref
 
 
-def objective(cfg: ObjectiveConfig, h, lf_ensemble: SnapshotEnsemble, dists=None) -> float:
-    """Frobenius distance to the reference Gramian plus the srank penalty.
-
-    Any numerical failure (overflow, degenerate Gramian) maps to +inf so
-    optimizers can treat the objective as total on the box. ``dists``
-    are the ensemble's cached pairwise column distances, if any.
-    """
-    if cfg.reference_gramian.source_ensemble_id != lf_ensemble.content_id:
-        raise ValueError("reference Gramian was built from a different ensemble")
+def _objective(cfg: ObjectiveConfig, h, X: np.ndarray, ref: np.ndarray, dists) -> float:
+    """The objective at ``h`` against a formed reference; see ``objective``."""
     try:
-        spec = _spec_for(cfg, h)
-        cand = gramian_entries(spec, lf_ensemble.outputs, dists)
+        cand = gramian_entries(_spec_for(cfg, h), X, dists)
         if not np.all(np.isfinite(cand)):
             return math.inf
-        value = _objective_value(np.asarray(cfg.reference_gramian.entries), cand, cfg.lam)
+        value = float(np.linalg.norm(ref - cand))
+        if cfg.lam != 0.0:
+            value += cfg.lam / math.sqrt(stable_rank(cand))
     except (NumericsError, ValueError, ArithmeticError):
         return math.inf
     return value if np.isfinite(value) else math.inf
+
+
+def objective(cfg: ObjectiveConfig, h, lf_ensemble: SnapshotEnsemble) -> float:
+    """Frobenius distance to the ensemble's linear Gramian plus the srank penalty.
+
+    Any numerical failure of the candidate (overflow, degenerate Gramian)
+    maps to +inf so optimizers can treat the objective as total on the
+    box. A non-finite linear reference raises ArithmeticError.
+    """
+    X = lf_ensemble.outputs
+    return _objective(cfg, h, X, _linear_reference(X), None)
 
 
 def _stream(seed: int, iteration: int, particle: int) -> np.random.Generator:
@@ -318,11 +326,16 @@ def refine_local(
 
 
 def median_pairwise_distance(columns: np.ndarray) -> float:
-    """Median distance between distinct columns; 1.0 when degenerate."""
+    """Median distance between distinct columns; 1.0 when degenerate.
+
+    Raises ArithmeticError when a distance overflows.
+    """
     n = columns.shape[1]
     if n < 2:
         return 1.0
     dists = pairwise_distances(columns)
+    if not np.all(np.isfinite(dists)):
+        raise ArithmeticError("pairwise column distances are non-finite")
     upper = dists[np.triu_indices(n, k=1)]
     med = float(np.median(upper))
     return med if med > 0 else 1.0
@@ -356,8 +369,10 @@ def optimize_hyperparams(
             f"family {family.name} does not match objective config ({obj_cfg.family.name})"
         )
     started = time.perf_counter()
+    X = lf_ensemble.outputs
+    ref = _linear_reference(X)
     if family == KernelFamily.LINEAR:
-        value = objective(obj_cfg, (), lf_ensemble)
+        value = _objective(obj_cfg, (), X, ref, None)
         return OptimizedKernel(
             spec=KernelSpec(family=KernelFamily.LINEAR),
             objective_value=value,
@@ -365,9 +380,9 @@ def optimize_hyperparams(
             wall_time=time.perf_counter() - started,
         )
 
-    dists = pairwise_distances(lf_ensemble.outputs)
+    dists = pairwise_distances(X)
     # clipped swarm particles revisit box edges, so many requests repeat
-    f_log = _Memoized(lambda theta: objective(obj_cfg, np.exp(theta), lf_ensemble, dists))
+    f_log = _Memoized(lambda theta: _objective(obj_cfg, np.exp(theta), X, ref, dists))
 
     log_bounds = np.log(np.asarray(obj_cfg.bounds, dtype=float))
     theta_pso, _, _ = pso_minimize(f_log, pso_cfg, log_bounds)

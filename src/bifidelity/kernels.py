@@ -1,9 +1,9 @@
-"""Kernel library and Gramian assembly over snapshot ensembles.
+"""Kernel library over model output vectors.
 
 Six kernel families act on pairs of model output vectors. All except
-the linear kernel are radial: they depend only on r = ||u - v||. Gramians
-collect pairwise kernel values over the columns of an ensemble and feed
-pivot selection, hyperparameter tuning, and surrogate construction.
+the linear kernel are radial: they depend only on r = ||u - v||. Kernel
+blocks over columns of output vectors feed pivot selection,
+hyperparameter tuning, and surrogate construction.
 """
 from __future__ import annotations
 
@@ -13,16 +13,13 @@ from enum import IntEnum
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .data import SnapshotEnsemble
-
 __all__ = [
     "KernelFamily",
     "KernelSpec",
-    "Gramian",
     "HYPER_DIMS",
     "kernel_eval",
     "radial_profile",
-    "build_gramian",
+    "gramian_entries",
     "cross_kernel_vector",
 ]
 
@@ -69,32 +66,6 @@ class KernelSpec:
                 raise ValueError(f"hyperparameters must be positive and finite, got {v}")
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "h", h)
-
-
-@dataclass(frozen=True)
-class Gramian:
-    """Pairwise kernel values over the columns of one ensemble."""
-
-    entries: np.ndarray
-    kernel: KernelSpec
-    source_ensemble_id: str
-
-    def __post_init__(self):
-        entries = np.array(self.entries, dtype=float)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise ValueError("Gramian entries must be square")
-        if not np.all(np.isfinite(entries)):
-            raise ValueError("Gramian contains non-finite entries")
-        scale = max(entries.max(), -entries.min())
-        asym = entries - entries.T
-        if scale > 0 and np.abs(asym, out=asym).max() > 1e-12 * scale:
-            raise ValueError("Gramian entries are not symmetric")
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
 
 
 def radial_profile(spec: KernelSpec, r) -> np.ndarray:
@@ -173,16 +144,6 @@ def gramian_entries(
 ) -> np.ndarray:
     """Raw Gramian matrix for columns, reusing ``dists`` when supplied."""
     return _kernel_block(kernel, columns, columns, dists)
-
-
-def build_gramian(kernel: KernelSpec, ensemble: SnapshotEnsemble) -> Gramian:
-    """Assemble the pairwise kernel matrix over an ensemble's columns."""
-    if ensemble.n_samples < 1:
-        raise ValueError("cannot build a Gramian from an empty ensemble")
-    entries = gramian_entries(kernel, ensemble.outputs)
-    if not np.all(np.isfinite(entries)):
-        raise ArithmeticError("Gramian assembly produced non-finite entries")
-    return Gramian(entries=entries, kernel=kernel, source_ensemble_id=ensemble.content_id)
 
 
 def cross_kernel_vector(kernel: KernelSpec, ensemble_columns, query) -> np.ndarray:

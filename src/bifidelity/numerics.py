@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import Gramian
-
 __all__ = [
     "NumericsError",
     "MatrixNotPSDError",
@@ -22,6 +20,7 @@ __all__ = [
     "pivoted_cholesky",
     "pivoted_cholesky_columns",
     "stable_rank",
+    "kept_eigenvalues",
     "solve_regularized",
 ]
 
@@ -54,12 +53,6 @@ class PivotDecomposition:
     tolerance_used: float
 
 
-def _as_matrix(G) -> np.ndarray:
-    if isinstance(G, Gramian):
-        return np.asarray(G.entries, dtype=float)
-    return np.asarray(G, dtype=float)
-
-
 def lower_median(values) -> float:
     """Median that returns the lower of the two middle values when even."""
     ordered = sorted(float(v) for v in values)
@@ -74,7 +67,7 @@ def pivoted_cholesky(G, max_steps: int, drop_tolerance: float = 1e-12) -> PivotD
     Runs ``pivoted_cholesky_columns`` on the diagonal and the columns of
     ``G``; see there for the pivot rule, early stop and PSD floor.
     """
-    A = _as_matrix(G)
+    A = np.asarray(G, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
     return pivoted_cholesky_columns(np.diag(A), lambda p: A[:, p], max_steps, drop_tolerance)
@@ -156,7 +149,7 @@ def stable_rank(A) -> float:
     indefinite matrices are handled. The solver reads only one triangle,
     so a matrix that is not exactly symmetric raises ValueError.
     """
-    A = _as_matrix(A)
+    A = np.asarray(A, dtype=float)
     fro2 = float(np.sum(A * A))
     if not (np.isfinite(fro2) and np.array_equal(A, A.T)):
         raise ValueError("stable rank needs a finite, exactly symmetric matrix")
@@ -169,22 +162,31 @@ def stable_rank(A) -> float:
     return fro2 / sigma**2
 
 
+def kept_eigenvalues(w, rcond: float) -> np.ndarray:
+    """Mask of the eigenvalues ``w`` above ``rcond`` times the largest.
+
+    None is kept when the largest eigenvalue is not positive.
+    """
+    w = np.asarray(w, dtype=float)
+    wmax = float(np.max(w))
+    return w > rcond * wmax if wmax > 0 else np.zeros_like(w, dtype=bool)
+
+
 def solve_regularized(H, rhs, rcond: float = 1e-12) -> np.ndarray:
     """Solve H c = rhs through a truncated symmetric eigendecomposition.
 
-    Eigenvalues at or below ``rcond`` times the largest eigenvalue are
-    treated as zero. ``rhs`` may be a vector or a matrix of stacked
+    Only the eigenvalues that ``kept_eigenvalues`` keeps at ``rcond``
+    enter the solve. ``rhs`` may be a vector or a matrix of stacked
     right-hand-side columns.
     """
-    H = _as_matrix(H)
+    H = np.asarray(H, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     if rcond < 0:
         raise ValueError("rcond must be non-negative")
     if H.shape[0] != rhs.shape[0]:
         raise ValueError("rhs length does not match the Gramian dimension")
     w, V = np.linalg.eigh(H)
-    wmax = float(np.max(w))
-    keep = w > rcond * wmax if wmax > 0 else np.zeros_like(w, dtype=bool)
+    keep = kept_eigenvalues(w, rcond)
     if not np.any(keep):
         raise ZeroGramianError("Gramian numerically zero: all eigenvalues truncated")
     Vk = V[:, keep]

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import SnapshotEnsemble
-from .hyperopt import OptimizedKernel
 from .kernels import KernelFamily, KernelSpec
-from .numerics import MatrixNotPSDError, ZeroGramianError, lower_median
+from .numerics import MatrixNotPSDError, ZeroGramianError, kept_eigenvalues, lower_median
 from .surrogate import build_surrogate, evaluate
 
 __all__ = [
@@ -96,9 +95,7 @@ def _self_emulation_score(spec: KernelSpec, lf: SnapshotEnsemble, n: int, rcond:
     except MatrixNotPSDError:
         return math.inf
     # the same truncation rule as the solve inside evaluate
-    eigvals = np.linalg.eigvalsh(surr.sliced)
-    wmax = float(eigvals[-1])
-    if wmax <= 0.0 or int(np.count_nonzero(eigvals > rcond * wmax)) < n:
+    if np.count_nonzero(kept_eigenvalues(np.linalg.eigvalsh(surr.sliced), rcond)) < n:
         return math.inf
     others = np.setdiff1d(np.arange(lf.n_samples), surr.pivots)
     try:

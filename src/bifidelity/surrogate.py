@@ -31,7 +31,6 @@ __all__ = [
     "CostLedger",
     "ErrorReport",
     "HfProviderError",
-    "normalize_ensemble",
     "build_surrogate",
     "evaluate",
     "median_relative_error",
@@ -139,45 +138,6 @@ def effective_cost(
         one_hf_cost=float(one_hf_cost),
         effective_hf=effective,
     )
-
-
-def normalize_ensemble(
-    ensemble: SnapshotEnsemble, groups
-) -> tuple[SnapshotEnsemble, tuple[float, ...]]:
-    """Scale each output-row group to unit root-mean-square column energy.
-
-    ``groups`` partitions the output rows; each group is divided by
-    sqrt(mean over columns of the squared group-restricted column norm).
-    Returns the scaled ensemble and the scale factors for inversion.
-    """
-    rows_seen: set[int] = set()
-    group_list = [list(int(r) for r in g) for g in groups]
-    for g in group_list:
-        if not g:
-            raise ValueError("normalization groups must be non-empty")
-        for r in g:
-            if r in rows_seen:
-                raise ValueError(f"row {r} appears in more than one group")
-            rows_seen.add(r)
-    if rows_seen != set(range(ensemble.output_dim)):
-        raise ValueError("groups must partition all output rows")
-
-    outputs = np.array(ensemble.outputs, dtype=float)
-    factors = []
-    for g in group_list:
-        energy = float(np.mean(np.sum(outputs[g, :] ** 2, axis=0)))
-        if energy == 0.0:
-            raise ValueError(f"group {g} has zero energy and cannot be normalized")
-        scale = math.sqrt(energy)
-        outputs[g, :] /= scale
-        factors.append(scale)
-    scaled = SnapshotEnsemble(
-        outputs=outputs,
-        params=ensemble.params,
-        per_sample_cost=ensemble.per_sample_cost,
-        labels=ensemble.labels,
-    )
-    return scaled, tuple(factors)
 
 
 def build_surrogate(

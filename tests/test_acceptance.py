@@ -19,15 +19,14 @@ from bifidelity.cli import (
     write_matrix_csv,
 )
 from bifidelity.data import SnapshotEnsemble
-from bifidelity.hyperopt import ObjectiveConfig, PsoConfig, objective, pso_minimize
+from bifidelity.hyperopt import ObjectiveConfig, OptimizedKernel, PsoConfig, objective, pso_minimize
 from bifidelity.kernels import (
     KernelFamily,
     KernelSpec,
-    build_gramian,
     kernel_eval,
 )
 from bifidelity.numerics import pivoted_cholesky
-from bifidelity.selection import OptimizedKernel, adaptive_select
+from bifidelity.selection import adaptive_select
 from bifidelity.surrogate import (
     build_surrogate,
     effective_cost,
@@ -158,7 +157,6 @@ def test_objective_matches_svd_oracle():
         h = tuple(float(v) for v in rng.uniform(0.3, 3.0, size=dims))
         cfg = ObjectiveConfig(
             lam=0.1,
-            reference_gramian=build_gramian(KernelSpec(family=KernelFamily.LINEAR), ens),
             family=fam,
             bounds=tuple((1e-3, 1e3) for _ in range(dims)),
         )

@@ -94,8 +94,14 @@ def test_parse_config_rejects_bad_documents(toy):
         {**good, "pso": {"swarm": 4}},
         {**good, "pso": {"swarm_size": 1}},
         {**good, "pso": {"max_iters": "ten"}},
+        {**good, "pso": {"swarm_size": 3.5}},
+        {**good, "pso": {"max_iters": 10.0}},
+        {**good, "pso": {"stall_iters": True}},
         {**good, "data": {"benchmark": {"name": "oscillator", "seed": "x"}}},
         {**good, "data": {"benchmark": {"name": "oscillator", "lf": {"dt": -1}}}},
+        {**good, "data": {"benchmark": {"name": "oscillator", "lf": {"dtt": 0.01}}}},
+        {**good, "data": {"benchmark": {"name": "oscillator", "lf": {"trajectory_points": 9}}}},
+        {**good, "data": {"benchmark": {"name": "nbody", "hf": {"bodys": 9}}}},
         {**good, "kernels": "linear"},
         {**good, "modes": "adaptive"},
     ]
@@ -277,6 +283,18 @@ def test_exit_code_2_on_config_errors(toy, tmp_path):
     assert main(["run", "--config", negative]) == 2
 
 
+def test_unknown_fidelity_setting_is_named(toy, tmp_path, capsys):
+    bench = {"benchmark": {"name": "oscillator", "lf": {"dtt": 0.01}}}
+    cfg = write_config(tmp_path / "typo.json", toy_doc(toy, data=bench))
+    capsys.readouterr()
+    assert main(["run", "--config", cfg]) == 2
+    assert "'dtt'" in capsys.readouterr().err
+    gen_cfg = write_config(tmp_path / "gen.json", {"hf": {"dtt": 0.01}})
+    assert main(["gen", "oscillator", "--config", gen_cfg, "--out", str(tmp_path / "x")]) == 2
+    assert "'dtt'" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_additive_mode_is_rejected(toy, tmp_path, capsys):
     doc = toy_doc(toy, modes=["additive"], out_dir=str(tmp_path / "out"))
     with pytest.raises(ConfigError, match=r"\['linear-baseline', 'adaptive'\]"):
@@ -315,6 +333,17 @@ def test_exit_code_4_on_numerical_failure(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         assert main(["run", "--config", cfg]) == 4
+
+
+def test_overflowing_lf_outputs_exit_4_before_tuning(toy, tmp_path, capsys):
+    huge = tmp_path / "huge_lf.csv"
+    write_matrix_csv(huge, 1e200 * np.random.default_rng(3).normal(size=(2, 8)))
+    doc = toy_doc(toy, modes=["adaptive"], out_dir=str(tmp_path / "out"))
+    doc["data"]["files"]["lf_outputs"] = str(huge)
+    capsys.readouterr()
+    assert main(["run", "--config", write_config(tmp_path / "cfg.json", doc)]) == 4
+    assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # === gen ===

@@ -31,15 +31,6 @@ def test_arrays_are_frozen():
         ens.params[0, 0] = 5.0
 
 
-def test_content_id_tracks_output_values():
-    a = make([[1.0, 2.0]])
-    b = make([[1.0, 2.0]])
-    c = make([[1.0, 2.0000001]])
-    assert a.content_id == b.content_id
-    assert a.content_id != c.content_id
-    assert len(a.content_id) == 16
-
-
 def test_label_groups_first_appearance_order():
     ens = make(np.ones((4, 2)), labels=("traj", "traj", "energy", "traj"))
     assert ens.label_groups() == {"traj": [0, 1, 3], "energy": [2]}

@@ -18,7 +18,7 @@ from bifidelity.hyperopt import (
     pso_minimize,
     refine_local,
 )
-from bifidelity.kernels import KernelFamily, KernelSpec, build_gramian, gramian_entries
+from bifidelity.kernels import KernelFamily, KernelSpec, gramian_entries
 
 import oracles
 
@@ -34,13 +34,12 @@ def ensemble_from(columns):
 
 
 def linear_reference(ens):
-    return build_gramian(KernelSpec(family=KernelFamily.LINEAR), ens)
+    return gramian_entries(KernelSpec(family=KernelFamily.LINEAR), ens.outputs)
 
 
 def config_for(ens, family, lam=0.1, **flags):
     return ObjectiveConfig(
         lam=lam,
-        reference_gramian=linear_reference(ens),
         family=family,
         bounds=default_bounds(family, ens),
         **flags,
@@ -63,7 +62,7 @@ def test_objective_lambda_zero_is_pure_frobenius():
     cfg = config_for(ens, KernelFamily.EXPONENTIAL, lam=0.0)
     h = (0.8,)
     cand = gramian_entries(KernelSpec(family=KernelFamily.EXPONENTIAL, h=h), ens.outputs)
-    expected = np.linalg.norm(np.asarray(cfg.reference_gramian.entries) - cand)
+    expected = np.linalg.norm(linear_reference(ens) - cand)
     assert objective(cfg, h, ens) == pytest.approx(expected, rel=1e-13)
 
 
@@ -77,18 +76,14 @@ def test_objective_matches_dense_svd_oracle():
     rng = np.random.default_rng(11)
     ens = ensemble_from(rng.normal(size=(3, 5)))
     cfg = config_for(ens, KernelFamily.EXPONENTIAL)
-    ref = oracles.gramian_dense("linear", ens.outputs)
-    cand = oracles.gramian_dense("exponential", ens.outputs, h=(1.0,))
-    expected = oracles.objective_svd(ref, cand, 0.1)
-    assert objective(cfg, (1.0,), ens) == pytest.approx(expected, rel=1e-9)
-
-
-def test_objective_rejects_foreign_reference():
-    ens_a = ensemble_from(np.random.default_rng(0).normal(size=(2, 4)))
-    ens_b = ensemble_from(np.random.default_rng(1).normal(size=(2, 4)))
-    cfg = config_for(ens_a, KernelFamily.EXPONENTIAL)
-    with pytest.raises(ValueError, match="different ensemble"):
-        objective(cfg, (1.0,), ens_b)
+    # a second ensemble, scored with the same config, is scored against
+    # its own linear reference
+    other = ensemble_from(np.random.default_rng(1).normal(size=(2, 4)))
+    for scored in (ens, other):
+        ref = oracles.gramian_dense("linear", scored.outputs)
+        cand = oracles.gramian_dense("exponential", scored.outputs, h=(1.0,))
+        expected = oracles.objective_svd(ref, cand, 0.1)
+        assert objective(cfg, (1.0,), scored) == pytest.approx(expected, rel=1e-9)
 
 
 def test_objective_overflow_maps_to_inf():
@@ -96,7 +91,6 @@ def test_objective_overflow_maps_to_inf():
     ens = ensemble_from(np.random.default_rng(2).normal(size=(2, 4)))
     cfg = ObjectiveConfig(
         lam=0.1,
-        reference_gramian=linear_reference(ens),
         family=KernelFamily.MATERN52,
         bounds=((1e-200, 1.0),),
     )
@@ -104,25 +98,21 @@ def test_objective_overflow_maps_to_inf():
 
 
 def test_objective_config_validation():
-    ens = ensemble_from([[1.0, 2.0]])
     with pytest.raises(ValueError, match="lambda"):
         ObjectiveConfig(
             lam=-1.0,
-            reference_gramian=linear_reference(ens),
             family=KernelFamily.EXPONENTIAL,
             bounds=((0.1, 1.0),),
         )
     with pytest.raises(ValueError, match="bound pairs"):
         ObjectiveConfig(
             lam=0.1,
-            reference_gramian=linear_reference(ens),
             family=KernelFamily.EXPONENTIAL,
             bounds=(),
         )
     with pytest.raises(ValueError, match="lo < hi"):
         ObjectiveConfig(
             lam=0.1,
-            reference_gramian=linear_reference(ens),
             family=KernelFamily.EXPONENTIAL,
             bounds=((1.0, 0.5),),
         )
@@ -246,7 +236,7 @@ def test_optimize_linear_family_is_a_no_op():
     assert result.spec == KernelSpec(family=KernelFamily.LINEAR)
     assert result.evaluations_used == 0
     assert result.objective_value == pytest.approx(
-        0.1 / math.sqrt(oracles.srank_svd(cfg.reference_gramian.entries)), rel=1e-6
+        0.1 / math.sqrt(oracles.srank_svd(linear_reference(ens))), rel=1e-6
     )
 
 
@@ -280,11 +270,13 @@ def test_optimize_scores_each_point_once(monkeypatch):
     cfg = config_for(ens, KernelFamily.MATERN32)
     scored = []
 
-    def counting(cfg, h, lf_ensemble, dists=None):
-        scored.append(np.asarray(h, dtype=float).tobytes())
-        return objective(cfg, h, lf_ensemble, dists)
+    scorer = hyperopt._objective
 
-    monkeypatch.setattr(hyperopt, "objective", counting)
+    def counting(cfg, h, X, ref, dists):
+        scored.append(np.asarray(h, dtype=float).tobytes())
+        return scorer(cfg, h, X, ref, dists)
+
+    monkeypatch.setattr(hyperopt, "_objective", counting)
     result = optimize_hyperparams(KernelFamily.MATERN32, ens, cfg, PsoConfig(seed=3))
     monkeypatch.undo()
     assert len(scored) == len(set(scored))
@@ -312,6 +304,22 @@ def test_optimize_squared_exponential_tracks_log_grid_oracle():
     lo, hi = cfg.bounds[0]
     grid_best = oracles.log_grid_minimum_1d(fro_at, lo, hi, 100)
     assert fro_at(result.spec.h) <= 1.1 * grid_best
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_optimize_rejects_non_finite_reference_before_scoring(monkeypatch):
+    # distances stay finite, but each column's squared norm overflows
+    ens = ensemble_from(1e160 * np.array([[1.0, 1.0 + 1e-9, 1.0 + 2e-9]]))
+    assert np.isfinite(median_pairwise_distance(ens.outputs))
+
+    def never_scored(*args):
+        raise AssertionError("an objective was scored")
+
+    monkeypatch.setattr(hyperopt, "_objective", never_scored)
+    for family in (KernelFamily.LINEAR, KernelFamily.EXPONENTIAL):
+        cfg = config_for(ens, family)
+        with pytest.raises(ArithmeticError, match="non-finite"):
+            optimize_hyperparams(family, ens, cfg, PsoConfig())
 
 
 def test_optimize_family_mismatch_rejected():
@@ -342,3 +350,5 @@ def test_median_pairwise_distance_degenerate_cases():
     assert median_pairwise_distance(same) == 1.0
     two = np.array([[0.0, 3.0]])
     assert median_pairwise_distance(two) == 3.0
+    with pytest.raises(ArithmeticError, match="non-finite"):
+        median_pairwise_distance(np.array([[-1e200, 1e200]]))

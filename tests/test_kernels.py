@@ -9,11 +9,10 @@ from hypothesis import given, strategies as st
 from bifidelity.data import SnapshotEnsemble
 from bifidelity.kernels import (
     HYPER_DIMS,
-    Gramian,
     KernelFamily,
     KernelSpec,
-    build_gramian,
     cross_kernel_vector,
+    gramian_entries,
     kernel_eval,
     radial_profile,
 )
@@ -63,9 +62,9 @@ def test_matern32_zero_distance_is_one():
 
 
 def test_gramian_single_column_linear():
-    G = build_gramian(KernelSpec(family=KernelFamily.LINEAR), ensemble_from([[2.0]]))
-    assert G.entries.shape == (1, 1)
-    assert G.entries[0, 0] == 4.0
+    G = gramian_entries(KernelSpec(family=KernelFamily.LINEAR), ensemble_from([[2.0]]).outputs)
+    assert G.shape == (1, 1)
+    assert G[0, 0] == 4.0
 
 
 @pytest.mark.parametrize(
@@ -79,16 +78,16 @@ def test_gramian_single_column_linear():
 )
 def test_gramian_identical_columns_all_ones(family):
     ens = ensemble_from(np.column_stack([[1.0, -2.0], [1.0, -2.0]]))
-    G = build_gramian(make_spec(family), ens)
-    assert np.array_equal(G.entries, np.ones((2, 2)))
+    G = gramian_entries(make_spec(family), ens.outputs)
+    assert np.array_equal(G, np.ones((2, 2)))
 
 
 def test_gramian_squared_exponential_two_points():
     # columns at distance 1, h1 = 0.5: off-diagonal exp(-1/(2*0.5)) = e^{-1}
     ens = ensemble_from([[0.0, 1.0]])
-    G = build_gramian(KernelSpec(family=KernelFamily.SQUARED_EXPONENTIAL, h=(0.5,)), ens)
+    G = gramian_entries(KernelSpec(family=KernelFamily.SQUARED_EXPONENTIAL, h=(0.5,)), ens.outputs)
     expected = np.array([[1.0, math.exp(-1)], [math.exp(-1), 1.0]])
-    np.testing.assert_allclose(G.entries, expected, rtol=1e-15)
+    np.testing.assert_allclose(G, expected, rtol=1e-15)
 
 
 def test_cross_kernel_query_equals_column():
@@ -181,7 +180,7 @@ def test_linear_and_squared_exponential_gramians_psd():
             KernelSpec(family=KernelFamily.LINEAR),
             KernelSpec(family=KernelFamily.SQUARED_EXPONENTIAL, h=(1.0,)),
         ):
-            w = np.linalg.eigvalsh(build_gramian(spec, ens).entries)
+            w = np.linalg.eigvalsh(gramian_entries(spec, ens.outputs))
             assert w[0] >= -1e-10 * max(w[-1], 0.0)
 
 
@@ -231,20 +230,6 @@ def test_rational_quadratic_literal_overflow_raises():
     spec = KernelSpec(family=KernelFamily.MATERN52, h=(1e-170,))
     with pytest.raises(ArithmeticError, match="overflow"):
         cross_kernel_vector(spec, [[0.0, 1.0]], [[1e-4, 2.0]])
-
-
-def test_gramian_requires_symmetry_and_finiteness():
-    spec = KernelSpec(family=KernelFamily.LINEAR)
-    with pytest.raises(ValueError, match="symmetric"):
-        Gramian(entries=[[1.0, 2.0], [0.0, 1.0]], kernel=spec, source_ensemble_id="x")
-    with pytest.raises(ValueError, match="finite"):
-        Gramian(entries=[[np.inf]], kernel=spec, source_ensemble_id="x")
-
-
-def test_build_gramian_rejects_empty_ensemble():
-    ens = ensemble_from(np.empty((2, 0)))
-    with pytest.raises(ValueError, match="empty"):
-        build_gramian(KernelSpec(family=KernelFamily.LINEAR), ens)
 
 
 def test_cross_kernel_dimension_mismatch():

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from bifidelity.numerics import (
     MatrixNotPSDError,
     ZeroGramianError,
+    kept_eigenvalues,
     pivoted_cholesky,
     pivoted_cholesky_columns,
     solve_regularized,
@@ -15,12 +16,10 @@ from bifidelity.numerics import (
 from bifidelity.data import SnapshotEnsemble
 from bifidelity.hyperopt import default_bounds
 from bifidelity.kernels import (
-    Gramian,
     KernelFamily,
     KernelSpec,
     _kernel_block,
     _kernel_diagonal,
-    build_gramian,
     gramian_entries,
 )
 from bifidelity.surrogate import build_surrogate
@@ -120,12 +119,6 @@ def test_max_steps_validation():
         pivoted_cholesky(np.eye(3), max_steps=0)
     with pytest.raises(ValueError, match="max_steps"):
         pivoted_cholesky(np.eye(3), max_steps=4)
-
-
-def test_accepts_gramian_objects():
-    spec = KernelSpec(family=KernelFamily.LINEAR)
-    G = Gramian(entries=np.diag([2.0, 5.0]), kernel=spec, source_ensemble_id="t")
-    assert pivoted_cholesky(G, max_steps=2).z == (1, 0)
 
 
 # === column-driven core ===
@@ -283,8 +276,8 @@ def test_slice_gramian_entries_exact():
     )
     spec = KernelSpec(family=KernelFamily.MATERN52, h=(1.1,))
     surr, _ = build_surrogate(lf, spec, 4, lambda j: np.ones(2))
-    G = build_gramian(spec, lf)
-    assert np.array_equal(surr.sliced, G.entries[np.ix_(surr.pivots, surr.pivots)])
+    G = gramian_entries(spec, lf.outputs)
+    assert np.array_equal(surr.sliced, G[np.ix_(surr.pivots, surr.pivots)])
     assert not surr.sliced.flags.writeable
 
 
@@ -296,6 +289,8 @@ def test_solve_truncates_tiny_eigenvalue():
     H = np.array([[4.0, 0.0], [0.0, 1e-20]])
     c = solve_regularized(H, np.array([4.0, 1.0]), rcond=1e-12)
     np.testing.assert_allclose(c, [1.0, 0.0], atol=1e-14)
+    assert kept_eigenvalues([1e-20, 4.0], 1e-12).tolist() == [False, True]
+    assert not kept_eigenvalues([-1.0, 0.0], 1e-12).any()
 
 
 def test_solve_symmetric_two_by_two():
