@@ -55,6 +55,11 @@ class BenchmarkSpec:
     def __post_init__(self):
         if self.name not in ("oscillator", "nbody"):
             raise ValueError(f"unknown benchmark {self.name!r}")
+        # floats, bools and strings are refused, not truncated
+        counts = [(f"axis {n} count", c) for n, _, _, c in self.grid]
+        for what, value in [("seed", self.seed), *counts]:
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{what} must be an integer, got {value!r}")
         grid = tuple((str(n), float(lo), float(hi), int(c)) for n, lo, hi, c in self.grid)
         for name, lo, hi, count in grid:
             if count < 1:

@@ -103,6 +103,8 @@ _FILE_KEYS = {"lf_outputs", "lf_params", "hf_outputs", "costs"}
 
 
 def _reject_unknown(doc: dict, allowed: set, where: str) -> None:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {type(doc).__name__}")
     unknown = sorted(set(doc) - allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) {unknown} in {where}")
@@ -112,6 +114,13 @@ def _list_value(doc: dict, key: str, default: list) -> list:
     value = doc.get(key, default)
     if not isinstance(value, list):
         raise ConfigError(f"{key} must be a list, got {value!r}")
+    return value
+
+
+def _integer(value, key: str) -> int:
+    """A JSON integer; floats, bools and strings are refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
     return value
 
 
@@ -155,13 +164,14 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if not modes or len(set(modes)) != len(modes):
         raise ConfigError("modes must be a non-empty list without duplicates")
 
-    budgets = tuple(int(n) for n in _list_value(doc, "budgets", [4, 6, 8, 10, 12]))
+    budgets = _list_value(doc, "budgets", [4, 6, 8, 10, 12])
+    budgets = tuple(_integer(n, "budgets") for n in budgets)
     if not budgets or any(b < 1 for b in budgets):
         raise ConfigError("budgets must be positive integers")
     if list(budgets) != sorted(set(budgets)):
         raise ConfigError("budgets must be strictly ascending")
 
-    pso = dict(doc.get("pso", {}))
+    pso = doc.get("pso", {})
     _reject_unknown(pso, _PSO_KEYS, "pso")
     try:
         PsoConfig(**pso)
@@ -193,10 +203,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
         kernels=tuple(kernels),
         lam=lam,
         rcond=rcond,
-        pso=pso,
+        pso=dict(pso),
         modes=modes,
         budgets=budgets,
-        seed=int(doc.get("seed", 0)),
+        seed=_integer(doc.get("seed", 0), "seed"),
         out_dir=str(doc.get("out_dir", "results")),
         one_hf_cost=one_hf,
         objective_eval_cost=opt_cost,
@@ -261,12 +271,12 @@ def read_matrix_csv(path, header: bool = False) -> np.ndarray:
 def _bench_spec_from_config(bench: dict) -> BenchmarkSpec:
     """The spec a benchmark section describes; a bad value is a ConfigError."""
     try:
-        spec = default_spec(bench["name"], seed=int(bench.get("seed", 0)))
+        spec = default_spec(bench["name"], seed=bench.get("seed", 0))
         grid = spec.grid
         if "grid" in bench:
             try:
-                grid = tuple((str(g[0]), float(g[1]), float(g[2]), int(g[3])) for g in bench["grid"])
-            except (TypeError, ValueError, IndexError) as exc:
+                grid = tuple((str(g[0]), float(g[1]), float(g[2]), g[3]) for g in bench["grid"])
+            except (TypeError, ValueError, IndexError, KeyError) as exc:
                 raise ConfigError(f"grid axes must be [name, lo, hi, count] lists: {exc}") from exc
         for fidelity, defaults in (("lf", spec.lf_settings), ("hf", spec.hf_settings)):
             _reject_unknown(bench.get(fidelity, {}), set(defaults), f"data.benchmark.{fidelity}")
@@ -596,7 +606,7 @@ def cmd_eval(args) -> int:
         surr = load_surrogate(args.archive)
     except FileNotFoundError as exc:
         raise DataError(f"archive not found: {args.archive}") from exc
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"unreadable archive {args.archive}: {exc}") from exc
     col = read_matrix_csv(args.lf_column, header=args.header)
     if col.ndim == 2 and 1 in col.shape:

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 __all__ = [
     "KernelFamily",
@@ -107,13 +106,28 @@ def kernel_eval(kernel: KernelSpec, u, v) -> float:
     return float(cross_kernel_vector(kernel, v, u)[0])
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _distances(a, b) -> np.ndarray:
+    """D[i, j] = ||a[:, i] - b[:, j]||; squares are added in row order, and overflow is inf."""
+    if a.shape[0] != b.shape[0]:
+        raise ValueError(f"row counts differ: {a.shape[0]} vs {b.shape[0]}")
+    out = np.empty((a.shape[1], b.shape[1]))
+    step = max(1, 2**14 // max(1, a.size))  # b's columns per temporary of <= 2**14 doubles
+    for j in range(0, b.shape[1], step):
+        sq = a[:, :, None] - b[:, None, j : j + step]
+        sq *= sq
+        # numpy sums a lone entry pairwise; accumulate keeps the row order
+        out[:, j : j + step] = sq.sum(axis=0) if sq.size > len(sq) else np.add.accumulate(sq)[-1]
+    return np.sqrt(out, out=out)
+
+
 def pairwise_distances(columns: np.ndarray) -> np.ndarray:
     """Euclidean distances between columns; exactly symmetric, zero diagonal."""
-    return cdist(columns.T, columns.T)
+    return _distances(columns, columns)
 
 
 def _kernel_block(kernel: KernelSpec, a, b, dists=None) -> np.ndarray:
-    """K[i, j] = k(a[:, i], b[:, j]), reusing ``dists`` = cdist(a.T, b.T) when supplied.
+    """K[i, j] = k(a[:, i], b[:, j]), reusing ``dists`` = _distances(a, b) when supplied.
 
     A linear block of columns against themselves (``b is a``) is the
     symmetrised a.T @ a, so Gramians come out exactly symmetric. Any other
@@ -125,9 +139,7 @@ def _kernel_block(kernel: KernelSpec, a, b, dists=None) -> np.ndarray:
             return np.einsum("ki,kj->ij", a, b)
         g = a.T @ a
         return (g + g.T) / 2.0
-    if dists is None:
-        dists = cdist(a.T, b.T)
-    return radial_profile(kernel, dists)
+    return radial_profile(kernel, _distances(a, b) if dists is None else dists)
 
 
 def _kernel_diagonal(kernel: KernelSpec, a) -> np.ndarray:

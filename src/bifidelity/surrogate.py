@@ -293,6 +293,16 @@ def _encode_matrix(arr: np.ndarray) -> dict:
     }
 
 
+def _field(doc: dict, key: str, kind: type):
+    """``doc[key]``, refused with a ValueError naming the field unless it is a ``kind``."""
+    value = doc.get(key)
+    if not isinstance(value, kind):
+        raise ValueError(
+            f"archive field {key!r} must be a {kind.__name__}, got {type(value).__name__}"
+        )
+    return value
+
+
 def _decode_matrix(blob: dict) -> np.ndarray:
     raw = base64.b64decode(blob["data"])
     arr = np.frombuffer(raw, dtype=blob.get("dtype", "<f8")).astype(float)
@@ -310,10 +320,11 @@ def _kernel_from_dict(doc: dict) -> KernelSpec:
     switched_on = sorted(k for k, v in doc.items() if k not in ("kind", "family", "h") and v)
     if switched_on:
         raise ValueError(f"unsupported kernel form {', '.join(map(repr, switched_on))}")
-    name = doc["family"]
+    name = _field(doc, "family", str)
     if name.upper() not in KernelFamily.__members__:
         raise ValueError(f"unsupported kernel family {name!r}")
-    return KernelSpec(family=KernelFamily[name.upper()], h=tuple(float(v) for v in doc["h"]))
+    h = tuple(float(v) for v in _field(doc, "h", list))
+    return KernelSpec(family=KernelFamily[name.upper()], h=h)
 
 
 def surrogate_to_dict(surrogate: Surrogate) -> dict:
@@ -331,14 +342,21 @@ def surrogate_to_dict(surrogate: Surrogate) -> dict:
 
 
 def surrogate_from_dict(doc: dict) -> Surrogate:
+    """Inverse of ``surrogate_to_dict``; a malformed document is a ValueError naming the field."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"archive root must be a JSON object, got {type(doc).__name__}")
     if doc.get("version") != ARCHIVE_VERSION:
         raise ValueError(f"unsupported archive version {doc.get('version')!r}")
+    matrices = _field(doc, "matrices", dict)
+    pivots = _field(doc, "pivots", list)
+    if not all(type(p) is int for p in pivots):
+        raise ValueError(f"archive field 'pivots' must hold integers, got {pivots!r}")
     return Surrogate(
-        kernel=_kernel_from_dict(doc["kernel"]),
-        pivots=tuple(doc["pivots"]),
-        hf_snapshots=_decode_matrix(doc["matrices"]["hf_snapshots"]),
-        sliced=_decode_matrix(doc["matrices"]["sliced_gramian"]),
-        pivot_lf_columns=_decode_matrix(doc["matrices"]["pivot_lf_columns"]),
+        kernel=_kernel_from_dict(_field(doc, "kernel", dict)),
+        pivots=tuple(pivots),
+        hf_snapshots=_decode_matrix(_field(matrices, "hf_snapshots", dict)),
+        sliced=_decode_matrix(_field(matrices, "sliced_gramian", dict)),
+        pivot_lf_columns=_decode_matrix(_field(matrices, "pivot_lf_columns", dict)),
         rcond=float(doc["rcond"]),
     )
 

@@ -64,6 +64,30 @@ def gramian_dense(family: str, columns, h=()) -> np.ndarray:
     return kernel_block_dense(family, columns, columns, h)
 
 
+def distance_loop(u, v) -> float:
+    """||u - v||, adding (u_k - v_k)^2 in row order with a plain loop.
+
+    Not ``sum()``: from Python 3.12 it compensates float sums, so its
+    rounding would not be the row-order rounding under test.
+    """
+    total = 0.0
+    for x, y in zip(np.asarray(u, dtype=float).ravel(), np.asarray(v, dtype=float).ravel()):
+        diff = float(x) - float(y)
+        total += diff * diff
+    return math.sqrt(total)
+
+
+def distance_block_dense(a, b) -> np.ndarray:
+    """Entrywise double-loop distances D[i, j] = ||a[:, i] - b[:, j]||."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    D = np.empty((a.shape[1], b.shape[1]))
+    for i in range(a.shape[1]):
+        for j in range(b.shape[1]):
+            D[i, j] = distance_loop(a[:, i], b[:, j])
+    return D
+
+
 # === spectral quantities by dense SVD ===
 
 

@@ -65,6 +65,14 @@ def test_spec_validation():
         BenchmarkSpec(name="oscillator", grid=grid, hf_settings={"horizon": 0.0})
     # single-point axes may sit anywhere
     BenchmarkSpec(name="oscillator", grid=(("a", 5.0, 5.0, 1),))
+    # counts and seeds are integers; nothing is truncated
+    for count in (6.5, 2.0, True, "6"):
+        with pytest.raises(ValueError, match="axis a count must be an integer"):
+            BenchmarkSpec(name="oscillator", grid=(("a", 0.0, 1.0, count),))
+    for seed in (1.5, True, "1"):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            BenchmarkSpec(name="oscillator", grid=grid, seed=seed)
+    assert BenchmarkSpec(name="oscillator", grid=(("a", 0.0, 1.0, np.int64(3)),)).grid[0][3] == 3
 
 
 def test_generators_reject_foreign_specs():

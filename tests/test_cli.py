@@ -104,10 +104,28 @@ def test_parse_config_rejects_bad_documents(toy):
         {**good, "data": {"benchmark": {"name": "nbody", "hf": {"bodys": 9}}}},
         {**good, "kernels": "linear"},
         {**good, "modes": "adaptive"},
+        {**good, "data": {"benchmark": []}},
+        {**good, "data": {"files": ["lf_outputs", "lf_params", "hf_outputs"]}},
+        {**good, "pso": []},
+        {**good, "data": {"benchmark": {"name": "oscillator", "hf": [["dt", 0.01]]}}},
+        {**good, "data": {"benchmark": {"name": "oscillator", "grid": [{"0": "omega"}]}}},
     ]
     for doc in cases:
         with pytest.raises(ConfigError):
             parse_config(doc)
+    # integers are refused, not truncated, when given as floats, bools or strings
+    grid = [["omega", 1.0, 5.0, 6.5], ["gamma", 0.05, 0.5, 3]]
+    not_integers = {
+        "budgets": [{**good, "budgets": [4.7, 6]}, {**good, "budgets": [True, 6]},
+                    {**good, "budgets": ["2", 3]}],
+        "seed": [{**good, "seed": 2.9}, {**good, "seed": False}, {**good, "seed": "7"},
+                 {**good, "data": {"benchmark": {"name": "oscillator", "seed": 1.5}}}],
+        "omega count": [{**good, "data": {"benchmark": {"name": "oscillator", "grid": grid}}}],
+    }
+    for key, docs in not_integers.items():
+        for doc in docs:
+            with pytest.raises(ConfigError, match=f"{key} must be an integer"):
+                parse_config(doc)
     # the deleted compact family and kernel-form switches are named
     named = {
         "compact_rbf": {**good, "kernels": ["linear", "compact_rbf"]},
@@ -281,6 +299,11 @@ def test_exit_code_2_on_config_errors(toy, tmp_path):
     bench = {"benchmark": {"name": "oscillator", "lf": {"dt": -1}}}
     negative = write_config(tmp_path / "negative.json", toy_doc(toy, data=bench))
     assert main(["run", "--config", negative]) == 2
+    # a section that is not a JSON object, and a budget that is not an integer
+    listed = write_config(tmp_path / "listed.json", toy_doc(toy, data={"benchmark": []}))
+    assert main(["run", "--config", listed]) == 2
+    fractional = write_config(tmp_path / "fractional.json", toy_doc(toy, budgets=[2.5, 3]))
+    assert main(["run", "--config", fractional]) == 2
 
 
 def test_unknown_fidelity_setting_is_named(toy, tmp_path, capsys):
@@ -377,9 +400,22 @@ def test_gen_nbody_override_and_regeneration(tmp_path):
         ).read_bytes()
 
 
-def test_gen_config_rejects_name_key(tmp_path):
+def test_gen_config_rejects_name_key(tmp_path, capsys):
     cfg = write_config(tmp_path / "gen.json", {"name": "nbody"})
     assert main(["gen", "oscillator", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    # a root that is not an object, and a grid count that is not an integer
+    rejected = {
+        "gen config must be a JSON object": [{"grid": []}],
+        "axis omega count must be an integer": {
+            "grid": [["omega", 1.0, 5.0, 2.5], ["gamma", 0.05, 0.5, 3]]
+        },
+    }
+    for k, (message, doc) in enumerate(rejected.items()):
+        cfg = write_config(tmp_path / f"gen{k}.json", doc)
+        capsys.readouterr()
+        assert main(["gen", "oscillator", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 # === eval ===
@@ -410,6 +446,24 @@ def test_eval_round_trip(toy, tmp_path, capsys):
     capsys.readouterr()
     assert main(["eval", str(archive), str(tmp_path / "nan.csv")]) == 3
     assert "finite" in capsys.readouterr().err
+
+    # a malformed archive is a data error that names the bad field
+    good = json.loads(archive.read_text())
+    malformed = [
+        ("'pivots'", {**good, "pivots": 5}),
+        ("'pivots' must hold integers", {**good, "pivots": [p + 0.5 for p in good["pivots"]]}),
+        ("'h'", {**good, "kernel": {**good["kernel"], "h": 3}}),
+        ("'matrices'", {**good, "matrices": []}),
+        ("'kernel'", {**good, "kernel": "single"}),
+        ("archive root", [good]),
+        ("unreadable archive", {**good, "rcond": None}),
+        ("unreadable archive", {**good, "kernel": {**good["kernel"], "h": [[1.0]]}}),
+    ]
+    for k, (field, doc) in enumerate(malformed):
+        bad_archive = write_config(tmp_path / f"malformed{k}.json", doc)
+        capsys.readouterr()
+        assert main(["eval", bad_archive, str(col_path)]) == 3
+        assert field in capsys.readouterr().err
 
 
 # === tune-lambda ===

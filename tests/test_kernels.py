@@ -1,6 +1,7 @@
 """Kernel library: formula checks against independent recomputation,
 algebraic invariants, and validation behavior."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,9 +12,12 @@ from bifidelity.kernels import (
     HYPER_DIMS,
     KernelFamily,
     KernelSpec,
+    _distances,
+    _kernel_block,
     cross_kernel_vector,
     gramian_entries,
     kernel_eval,
+    pairwise_distances,
     radial_profile,
 )
 
@@ -191,6 +195,49 @@ def test_radial_profile_vectorized_matches_pointwise():
     for k, rv in enumerate(r):
         u, v = np.array([0.0]), np.array([rv])
         assert prof[k] == pytest.approx(kernel_eval(spec, u, v), rel=1e-15)
+
+
+# === distances ===
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 9, 202])
+def test_distances_match_row_order_loop_bit_for_bit(d):
+    rng = np.random.default_rng(d)
+    spec = KernelSpec(family=KernelFamily.MATERN52, h=(0.7,))
+    for scale in (1e-3, 1.0, 1e3):
+        a = scale * rng.normal(size=(d, 7))
+        b = scale * rng.normal(size=(d, 90))
+        D = pairwise_distances(a)
+        np.testing.assert_array_equal(D, oracles.distance_block_dense(a, a))
+        assert np.array_equal(D, D.T)
+        assert not D.diagonal().any()
+        # at d = 202 b's columns go in several blocks; one LF column against
+        # one query is a lone entry, which numpy would sum pairwise
+        for left, right in ((a, b), (a[:, :1], b), (a[:, :1], b[:, :1])):
+            expected = oracles.distance_block_dense(left, right)
+            np.testing.assert_array_equal(_distances(left, right), expected)
+            np.testing.assert_array_equal(
+                _kernel_block(spec, left, right), radial_profile(spec, expected)
+            )
+
+
+def test_distances_refuse_a_row_count_mismatch():
+    # plain broadcasting would stretch the one-row input
+    with pytest.raises(ValueError, match="row counts differ"):
+        _distances(np.ones((1, 3)), np.ones((2, 4)))
+    with pytest.raises(ValueError, match="row counts differ"):
+        _kernel_block(make_spec(KernelFamily.EXPONENTIAL), np.ones((2, 3)), np.ones((1, 4)))
+
+
+def test_overflowing_distances_are_inf_without_a_warning():
+    a = np.array([[1e200, -1e200, 0.0], [1e200, 1e200, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        D = pairwise_distances(a)
+        block = _distances(a, a[:, ::-1])
+    assert D[0, 1] == math.inf and D[0, 2] == math.inf and D[1, 2] == math.inf
+    assert not D.diagonal().any()
+    np.testing.assert_array_equal(block, D[:, ::-1])
 
 
 # === validation ===

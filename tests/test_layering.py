@@ -1,6 +1,10 @@
-"""Module layering: data, kernels and numerics stand alone, and the
-benchmark generators need only the data layer."""
+"""Module layering: data, kernels and numerics stand alone, the
+benchmark generators need only the data layer, and the command line
+loads no scipy."""
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,3 +43,19 @@ LOWER_LAYERS = {"data": set(), "kernels": set(), "numerics": set(), "bench": {"d
 @pytest.mark.parametrize("module", sorted(LOWER_LAYERS))
 def test_module_imports_only_its_lower_layers(module):
     assert package_imports(module) == LOWER_LAYERS[module]
+
+
+def test_cli_loads_no_scipy():
+    # a fresh interpreter, so modules other tests imported do not count
+    code = (
+        "import json, sys; import bifidelity.cli; "
+        "print(json.dumps(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=PACKAGE.parent,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert json.loads(out) == []
