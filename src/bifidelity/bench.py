@@ -37,13 +37,32 @@ __all__ = [
 ]
 
 
+_NBODY_SHARED = {"dt": 0.005, "horizon": 2.0, "softening_fraction": 0.05, "g_const": 1.0}
+
+# Each benchmark's default grid and LF/HF settings. A spec fills every
+# setting it is not given from here.
+_DEFAULTS = {
+    "oscillator": (
+        (("omega", 1.0, 5.0, 6), ("gamma", 0.05, 0.5, 19)),
+        {"dt": 0.05, "horizon": 10.0},
+        {"dt": 0.001, "horizon": 10.0, "trajectory_points": 200},
+    ),
+    "nbody": (
+        (("m_total", 50.0, 500.0, 6), ("rotation", 0.0, 0.9, 6)),
+        {"bodies": 8, **_NBODY_SHARED},
+        {"bodies": 64, **_NBODY_SHARED},
+    ),
+}
+
+
 @dataclass(frozen=True)
 class BenchmarkSpec:
     """Grid and fidelity settings for one benchmark.
 
     ``grid`` lists (name, lo, hi, count) axes; samples enumerate the grid
     with the first axis slowest. Settings dictionaries hold the fidelity
-    knobs (time steps, body counts, horizons).
+    knobs (time steps, body counts, horizons); a setting left out takes
+    the benchmark's default.
     """
 
     name: str
@@ -53,7 +72,7 @@ class BenchmarkSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.name not in ("oscillator", "nbody"):
+        if self.name not in _DEFAULTS:
             raise ValueError(f"unknown benchmark {self.name!r}")
         # floats, bools and strings are refused, not truncated
         counts = [(f"axis {n} count", c) for n, _, _, c in self.grid]
@@ -66,11 +85,24 @@ class BenchmarkSpec:
                 raise ValueError(f"axis {name} needs at least one point")
             if count > 1 and not lo < hi:
                 raise ValueError(f"axis {name} needs lo < hi, got ({lo}, {hi})")
-        for fidelity, settings in (("lf", self.lf_settings), ("hf", self.hf_settings)):
+        _, lf_defaults, hf_defaults = _DEFAULTS[self.name]
+        lf = {**lf_defaults, **self.lf_settings}
+        hf = {**hf_defaults, **self.hf_settings}
+        for fidelity, settings in (("lf", lf), ("hf", hf)):
             for key in ("dt", "horizon"):
-                if key in settings and not float(settings[key]) > 0.0:
+                if not float(settings[key]) > 0.0:
                     raise ValueError(f"{fidelity} {key} must be positive, got {settings[key]}")
+            if float(settings["dt"]) > float(settings["horizon"]):
+                raise ValueError(f"{fidelity} dt must not exceed its horizon, got {settings}")
+            if self.name == "nbody" and not settings["bodies"] >= 2:
+                raise ValueError(f"{fidelity} bodies must be at least 2, got {settings['bodies']}")
+        # the trajectory stride, HF steps // points, must be at least one step
+        steps = int(round(float(hf["horizon"]) / float(hf["dt"])))
+        if self.name == "oscillator" and not 1 <= hf["trajectory_points"] <= steps:
+            raise ValueError(f"hf trajectory_points must lie in [1, {steps}], got {hf['trajectory_points']}")
         object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "lf_settings", lf)
+        object.__setattr__(self, "hf_settings", hf)
 
     @property
     def n_samples(self) -> int:
@@ -81,37 +113,16 @@ class BenchmarkSpec:
 
 
 def oscillator_default_spec(seed: int = 0) -> BenchmarkSpec:
-    return BenchmarkSpec(
-        name="oscillator",
-        grid=(("omega", 1.0, 5.0, 6), ("gamma", 0.05, 0.5, 19)),
-        lf_settings={"dt": 0.05, "horizon": 10.0},
-        hf_settings={"dt": 0.001, "horizon": 10.0, "trajectory_points": 200},
-        seed=seed,
-    )
+    return default_spec("oscillator", seed)
 
 
 def nbody_default_spec(seed: int = 0) -> BenchmarkSpec:
-    shared = {
-        "dt": 0.005,
-        "horizon": 2.0,
-        "softening_fraction": 0.05,
-        "g_const": 1.0,
-    }
-    return BenchmarkSpec(
-        name="nbody",
-        grid=(("m_total", 50.0, 500.0, 6), ("rotation", 0.0, 0.9, 6)),
-        lf_settings={"bodies": 8, **shared},
-        hf_settings={"bodies": 64, **shared},
-        seed=seed,
-    )
+    return default_spec("nbody", seed)
 
 
 def default_spec(name: str, seed: int = 0) -> BenchmarkSpec:
-    if name == "oscillator":
-        return oscillator_default_spec(seed)
-    if name == "nbody":
-        return nbody_default_spec(seed)
-    raise ValueError(f"unknown benchmark {name!r}")
+    grid = _DEFAULTS[name][0] if name in _DEFAULTS else ()  # an unknown name fails in the spec
+    return BenchmarkSpec(name=name, grid=grid, seed=seed)
 
 
 def parameter_table(spec: BenchmarkSpec) -> np.ndarray:
@@ -190,8 +201,8 @@ def gen_oscillator(spec: BenchmarkSpec) -> tuple[SnapshotEnsemble, SnapshotEnsem
     params = parameter_table(spec)
     omega, gamma = params[:, 0], params[:, 1]
 
-    lf_dt = float(spec.lf_settings.get("dt", 0.05))
-    lf_T = float(spec.lf_settings.get("horizon", 10.0))
+    lf_dt = float(spec.lf_settings["dt"])
+    lf_T = float(spec.lf_settings["horizon"])
     _, xs, vs = _integrate_many(omega, gamma, lf_dt, lf_T, "euler")
     if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(vs))):
         bad = np.nonzero(~np.isfinite(xs[-1]))[0]
@@ -208,9 +219,9 @@ def gen_oscillator(spec: BenchmarkSpec) -> tuple[SnapshotEnsemble, SnapshotEnsem
     )
     lf, _ = normalize_ensemble(lf_raw, [[0], [1]])
 
-    hf_dt = float(spec.hf_settings.get("dt", 0.001))
-    hf_T = float(spec.hf_settings.get("horizon", 10.0))
-    traj_points = int(spec.hf_settings.get("trajectory_points", 200))
+    hf_dt = float(spec.hf_settings["dt"])
+    hf_T = float(spec.hf_settings["horizon"])
+    traj_points = int(spec.hf_settings["trajectory_points"])
     _, xs_h, vs_h = _integrate_many(omega, gamma, hf_dt, hf_T, "rk4")
     hf_steps = int(round(hf_T / hf_dt))
     stride = hf_steps // traj_points
@@ -285,11 +296,11 @@ def simulate_nbody(pos, vel, masses, dt, horizon, eps, g_const):
 
 
 def _nbody_fidelity(params, settings, seed, fidelity_tag):
-    bodies = int(settings.get("bodies", 8))
-    dt = float(settings.get("dt", 0.005))
-    horizon = float(settings.get("horizon", 2.0))
-    soft_frac = float(settings.get("softening_fraction", 0.05))
-    g_const = float(settings.get("g_const", 1.0))
+    bodies = int(settings["bodies"])
+    dt = float(settings["dt"])
+    horizon = float(settings["horizon"])
+    soft_frac = float(settings["softening_fraction"])
+    g_const = float(settings["g_const"])
     steps = int(round(horizon / dt))
 
     pos0, vel_unit, _, cluster_radius = nbody_initial_state(

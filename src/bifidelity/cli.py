@@ -20,7 +20,7 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -69,163 +69,160 @@ class DataError(Exception):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A checked config; ``parse_config`` sets every field, defaults included."""
+
     data: dict
     kernels: tuple[KernelFamily, ...]
-    lam: float = 0.1
-    rcond: float = 1e-12
-    pso: dict = field(default_factory=dict)
-    modes: tuple[str, ...] = MODES
-    budgets: tuple[int, ...] = (4, 6, 8, 10, 12)
-    seed: int = 0
-    out_dir: str = "results"
-    one_hf_cost: float | None = None
-    objective_eval_cost: float = 0.0
-    lambda_grid: tuple[float, ...] | None = None
+    lam: float
+    rcond: float
+    pso: dict
+    modes: tuple[str, ...]
+    budgets: tuple[int, ...]
+    seed: int
+    out_dir: str
+    one_hf_cost: float | None
+    objective_eval_cost: float
+    lambda_grid: tuple[float, ...]
 
 
-_TOP_KEYS = {
-    "data",
-    "kernels",
-    "lambda",
-    "rcond",
-    "pso",
-    "modes",
-    "budgets",
-    "seed",
-    "out_dir",
-    "one_hf_cost",
-    "objective_eval_cost",
-    "lambda_grid",
+_REQUIRED = object()
+
+# One declaration per key: (kind, default, range). A "number" is a finite
+# JSON number, read as a float; a bool or a string is neither a number nor
+# an integer. A list may not be empty, and its kind and range are those of
+# its items. null is accepted only where the default is null.
+_CONFIG = {
+    "data": ("section", _REQUIRED, None),
+    "kernels": ("string list", list(FAMILY_BY_NAME), None),
+    "lambda": ("number", 0.1, "non-negative"),
+    "rcond": ("number", 1e-12, "non-negative"),
+    "pso": ("section", {}, None),
+    "modes": ("string list", list(MODES), None),
+    "budgets": ("integer list", [4, 6, 8, 10, 12], "positive"),
+    "seed": ("integer", 0, None),
+    "out_dir": ("string", "results", None),
+    "one_hf_cost": ("number", None, "positive"),  # null: the mean HF per-sample cost
+    "objective_eval_cost": ("number", 0.0, "non-negative"),
+    "lambda_grid": ("number list", [0.01, 10**-1.5, 0.1, 10**-0.5, 1.0], "non-negative"),
 }
-_PSO_KEYS = {"swarm_size", "k1", "k2", "v_max_fraction", "max_iters", "stall_iters"}
-_BENCH_KEYS = {"name", "seed", "grid", "lf", "hf"}
-_FILE_KEYS = {"lf_outputs", "lf_params", "hf_outputs", "costs"}
+_BENCHMARK = {
+    "name": ("string", _REQUIRED, None),
+    "seed": ("integer", 0, "non-negative"),
+    "grid": ("axis list", None, None),  # null: the benchmark's own grid
+    "lf": ("section", {}, None),
+    "hf": ("section", {}, None),
+}
+_FILES = {
+    "lf_outputs": ("string", _REQUIRED, None),
+    "lf_params": ("string", _REQUIRED, None),
+    "hf_outputs": ("string", _REQUIRED, None),
+    "costs": ("string", None, None),  # null: unit costs
+}
+# kind -> (what it must be, test); a bool is never a number or an integer
+_KINDS = {
+    "integer": ("an integer", lambda v: isinstance(v, int)),
+    "number": ("a finite number",
+               lambda v: isinstance(v, (int, float)) and abs(v) <= sys.float_info.max),
+    "string": ("a string", lambda v: isinstance(v, str)),
+    "section": ("a JSON object", lambda v: isinstance(v, dict)),
+}
+_RANGES = {"positive": lambda v: v > 0, "non-negative": lambda v: v >= 0}
 
 
-def _reject_unknown(doc: dict, allowed: set, where: str) -> None:
+def _like(default) -> tuple:
+    """The declaration of a key that takes the kind of its default."""
+    return ("integer" if isinstance(default, int) else "number", default, None)
+
+
+_PSO = {f.name: _like(f.default) for f in fields(PsoConfig) if f.name != "seed"}
+
+
+def _value(value, kind: str, rng, where: str):
+    """``value`` if it is of ``kind`` and in ``rng``; else a ConfigError naming ``where``."""
+    if kind.endswith(" list"):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{where} must be a non-empty list, got {value!r}")
+        return tuple(_value(item, kind[: -len(" list")], rng, where) for item in value)
+    if kind == "axis":
+        if not isinstance(value, list) or len(value) != 4 or not isinstance(value[0], str):
+            raise ConfigError(f"{where} axes must be [name, lo, hi, count] lists, got {value!r}")
+        name, lo, hi, count = value
+        where = f"{where} axis {name}"
+        return (name, _value(lo, "number", None, f"{where} lo"),
+                _value(hi, "number", None, f"{where} hi"), _value(count, "integer", None, f"{where} count"))
+    what, test = _KINDS[kind]
+    if isinstance(value, bool) or not test(value):
+        raise ConfigError(f"{where} must be {what}, got {value!r}")
+    if kind == "number":
+        value = float(value)
+    if rng is not None and not _RANGES[rng](value):
+        raise ConfigError(f"{where} must be {rng}, got {value!r}")
+    return value
+
+
+def _section(doc, table: dict, where: str) -> dict:
+    """Every declared value of section ``doc``, defaults filled in."""
+    name = where or "config"
     if not isinstance(doc, dict):
-        raise ConfigError(f"{where} must be a JSON object, got {type(doc).__name__}")
-    unknown = sorted(set(doc) - allowed)
+        raise ConfigError(f"{name} must be a JSON object, got {type(doc).__name__}")
+    unknown = sorted(set(doc) - set(table))
     if unknown:
-        raise ConfigError(f"unknown key(s) {unknown} in {where}")
-
-
-def _list_value(doc: dict, key: str, default: list) -> list:
-    value = doc.get(key, default)
-    if not isinstance(value, list):
-        raise ConfigError(f"{key} must be a list, got {value!r}")
-    return value
-
-
-def _integer(value, key: str) -> int:
-    """A JSON integer; floats, bools and strings are refused, not truncated."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return value
+        raise ConfigError(f"unknown key(s) {unknown} in {name}")
+    out = {}
+    for key, (kind, default, rng) in table.items():
+        if default is _REQUIRED and key not in doc:
+            raise ConfigError(f"{name} needs '{key}'")
+        value = doc.get(key, default)
+        null = value is None and default is None
+        out[key] = None if null else _value(value, kind, rng, f"{where}.{key}".lstrip("."))
+    return out
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
-    """Validate a raw JSON document; unknown keys anywhere are rejected."""
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
-    _reject_unknown(doc, _TOP_KEYS, "config")
-    if "data" not in doc:
-        raise ConfigError("config needs a 'data' section")
-    data = doc["data"]
-    if not isinstance(data, dict) or set(data) not in ({"benchmark"}, {"files"}):
+    """Check a raw JSON document against the declarations; unknown keys anywhere are rejected."""
+    top = _section(doc, _CONFIG, "")
+    data = top["data"]
+    if set(data) not in ({"benchmark"}, {"files"}):
         raise ConfigError("data section must hold exactly one of 'benchmark' or 'files'")
     if "benchmark" in data:
-        bench = data["benchmark"]
-        _reject_unknown(bench, _BENCH_KEYS, "data.benchmark")
-        if bench.get("name") not in ("oscillator", "nbody"):
-            raise ConfigError("data.benchmark.name must be 'oscillator' or 'nbody'")
-        _bench_spec_from_config(bench)
+        _bench_spec_from_config(data["benchmark"], "data.benchmark")
     else:
-        files = data["files"]
-        _reject_unknown(files, _FILE_KEYS, "data.files")
-        for key in ("lf_outputs", "lf_params", "hf_outputs"):
-            if key not in files:
-                raise ConfigError(f"data.files needs '{key}'")
-
-    kernels = []
-    for name in _list_value(doc, "kernels", list(FAMILY_BY_NAME)):
+        _section(data["files"], _FILES, "data.files")
+    for name in top["kernels"]:
         if name not in FAMILY_BY_NAME:
             raise ConfigError(f"unknown kernel family {name!r}")
-        kernels.append(FAMILY_BY_NAME[name])
-    if len(set(kernels)) != len(kernels):
-        raise ConfigError("duplicate kernel families in library")
-    if not kernels:
-        raise ConfigError("kernel library must not be empty")
-
-    modes = tuple(_list_value(doc, "modes", list(MODES)))
-    for mode in modes:
+    for mode in top["modes"]:
         if mode not in MODES:
             raise ConfigError(f"unknown mode {mode!r}; choose from {list(MODES)}")
-    if not modes or len(set(modes)) != len(modes):
-        raise ConfigError("modes must be a non-empty list without duplicates")
-
-    budgets = _list_value(doc, "budgets", [4, 6, 8, 10, 12])
-    budgets = tuple(_integer(n, "budgets") for n in budgets)
-    if not budgets or any(b < 1 for b in budgets):
-        raise ConfigError("budgets must be positive integers")
-    if list(budgets) != sorted(set(budgets)):
+    for key in ("kernels", "modes"):
+        if len(set(top[key])) != len(top[key]):
+            raise ConfigError(f"{key} must not repeat an entry, got {list(top[key])}")
+    if list(top["budgets"]) != sorted(set(top["budgets"])):
         raise ConfigError("budgets must be strictly ascending")
-
-    pso = doc.get("pso", {})
-    _reject_unknown(pso, _PSO_KEYS, "pso")
+    pso = _section(top["pso"], _PSO, "pso")
     try:
         PsoConfig(**pso)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"invalid pso settings: {exc}") from exc
-
-    lam = float(doc.get("lambda", 0.1))
-    if not math.isfinite(lam) or lam < 0:
-        raise ConfigError("lambda must be finite and non-negative")
-    rcond = float(doc.get("rcond", 1e-12))
-    if not math.isfinite(rcond) or rcond < 0:
-        raise ConfigError("rcond must be finite and non-negative")
-    one_hf = doc.get("one_hf_cost")
-    if one_hf is not None:
-        one_hf = float(one_hf)
-        if one_hf <= 0:
-            raise ConfigError("one_hf_cost must be positive")
-    opt_cost = float(doc.get("objective_eval_cost", 0.0))
-    if opt_cost < 0:
-        raise ConfigError("objective_eval_cost must be non-negative")
-    grid = doc.get("lambda_grid")
-    if grid is not None:
-        grid = tuple(float(v) for v in _list_value(doc, "lambda_grid", []))
-        if not grid or any(v < 0 or not math.isfinite(v) for v in grid):
-            raise ConfigError("lambda_grid must be non-empty, finite, non-negative")
-
-    return ExperimentConfig(
-        data=data,
-        kernels=tuple(kernels),
-        lam=lam,
-        rcond=rcond,
-        pso=dict(pso),
-        modes=modes,
-        budgets=budgets,
-        seed=_integer(doc.get("seed", 0), "seed"),
-        out_dir=str(doc.get("out_dir", "results")),
-        one_hf_cost=one_hf,
-        objective_eval_cost=opt_cost,
-        lambda_grid=grid,
-    )
+    # the fields are the keys, with lambda as lam; pso keeps the keys given
+    top["kernels"] = tuple(FAMILY_BY_NAME[name] for name in top["kernels"])
+    top["pso"] = {key: pso[key] for key in top["pso"]}
+    top["lam"] = top.pop("lambda")
+    return ExperimentConfig(**top)
 
 
-def load_config(path) -> ExperimentConfig:
+def _read_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    try:
-        return parse_config(doc)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid config value: {exc}") from exc
+
+
+def load_config(path) -> ExperimentConfig:
+    return parse_config(_read_json(path))
 
 
 # === CSV matrices ===
@@ -268,29 +265,28 @@ def read_matrix_csv(path, header: bool = False) -> np.ndarray:
 # === data loading ===
 
 
-def _bench_spec_from_config(bench: dict) -> BenchmarkSpec:
-    """The spec a benchmark section describes; a bad value is a ConfigError."""
+def _bench_spec_from_config(doc, where: str) -> BenchmarkSpec:
+    """The spec a benchmark section describes; a bad value is a ConfigError.
+
+    Each LF/HF setting takes the kind of the benchmark's default for it.
+    """
+    bench = _section(doc, _BENCHMARK, where)
     try:
-        spec = default_spec(bench["name"], seed=bench.get("seed", 0))
-        grid = spec.grid
-        if "grid" in bench:
-            try:
-                grid = tuple((str(g[0]), float(g[1]), float(g[2]), g[3]) for g in bench["grid"])
-            except (TypeError, ValueError, IndexError, KeyError) as exc:
-                raise ConfigError(f"grid axes must be [name, lo, hi, count] lists: {exc}") from exc
-        for fidelity, defaults in (("lf", spec.lf_settings), ("hf", spec.hf_settings)):
-            _reject_unknown(bench.get(fidelity, {}), set(defaults), f"data.benchmark.{fidelity}")
-        lf = {**spec.lf_settings, **bench.get("lf", {})}
-        hf = {**spec.hf_settings, **bench.get("hf", {})}
-        return BenchmarkSpec(name=spec.name, grid=grid, lf_settings=lf, hf_settings=hf, seed=spec.seed)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"data.benchmark: {exc}") from exc
+        spec = default_spec(bench["name"], seed=bench["seed"])
+        settings = [
+            _section(bench[fid], {k: _like(v) for k, v in defaults.items()}, f"{where}.{fid}".lstrip("."))
+            for fid, defaults in (("lf", spec.lf_settings), ("hf", spec.hf_settings))
+        ]
+        return replace(spec, grid=bench["grid"] or spec.grid, lf_settings=settings[0],
+                       hf_settings=settings[1])
+    except ValueError as exc:
+        raise ConfigError(f"{where or 'benchmark'}: {exc}") from exc
 
 
 def load_data(cfg: ExperimentConfig, header: bool = False) -> tuple[SnapshotEnsemble, SnapshotEnsemble]:
     if "benchmark" in cfg.data:
         try:
-            return generate(_bench_spec_from_config(cfg.data["benchmark"]))
+            return generate(_bench_spec_from_config(cfg.data["benchmark"], "data.benchmark"))
         except ArithmeticError as exc:
             raise NumericsError(str(exc)) from exc
     files = cfg.data["files"]
@@ -306,7 +302,7 @@ def load_data(cfg: ExperimentConfig, header: bool = False) -> tuple[SnapshotEnse
         raise DataError(
             f"hf_outputs has {hf_out.shape[1]} columns but lf_outputs has {N}"
         )
-    if "costs" in files:
+    if files.get("costs") is not None:
         costs = read_matrix_csv(files["costs"], header)
         if costs.shape != (2, N):
             raise DataError(f"costs must be a 2x{N} matrix (LF row, HF row)")
@@ -515,7 +511,7 @@ def write_results_csv(path, result: RunResult) -> None:
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
-        cfg = ExperimentConfig(**{**cfg.__dict__, "seed": args.seed})
+        cfg = replace(cfg, seed=args.seed)
     out_dir = Path(args.out if args.out is not None else cfg.out_dir)
     result = run_experiment(cfg, parallel=args.parallel, header=args.header)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -537,19 +533,14 @@ def cmd_run(args) -> int:
 def cmd_gen(args) -> int:
     overrides = {}
     if args.config is not None:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                overrides = json.load(fh)
-        except FileNotFoundError as exc:
-            raise ConfigError(f"config file not found: {args.config}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON in {args.config}: {exc}") from exc
-        _reject_unknown(overrides, _BENCH_KEYS - {"name"}, "gen config")
+        overrides = _read_json(args.config)
+        if not isinstance(overrides, dict) or "name" in overrides:
+            raise ConfigError("gen config must be a JSON object without a 'name' key")
     bench = {"name": args.benchmark, **overrides}
     if args.seed is not None:
         bench["seed"] = args.seed
     try:
-        spec = _bench_spec_from_config(bench)
+        spec = _bench_spec_from_config(bench, "")
         lf, hf = generate(spec)
     except ArithmeticError as exc:
         raise NumericsError(str(exc)) from exc
@@ -578,14 +569,10 @@ def cmd_gen(args) -> int:
 def cmd_tune_lambda(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
-        cfg = ExperimentConfig(**{**cfg.__dict__, "seed": args.seed})
-    grid = cfg.lambda_grid
-    if grid is None:
-        grid = tuple(float(v) for v in np.logspace(-2, 0, 5))
+        cfg = replace(cfg, seed=args.seed)
     scores = []
-    for lam in grid:
-        sub = ExperimentConfig(**{**cfg.__dict__, "lam": lam})
-        result = run_experiment(sub, parallel=args.parallel, header=args.header)
+    for lam in cfg.lambda_grid:
+        result = run_experiment(replace(cfg, lam=lam), parallel=args.parallel, header=args.header)
         errs = [r["median_rel_error"] for r in result.rows if math.isfinite(r["median_rel_error"])]
         score = float(np.mean(errs)) if errs else math.inf
         scores.append((lam, score))

@@ -82,8 +82,9 @@ class PsoConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.swarm_size < 2:
             raise ValueError("swarm_size must be at least 2")
-        if self.k1 <= 0 or self.k2 <= 0:
-            raise ValueError("k1 and k2 must be positive")
+        # written so that NaN fails each test
+        if not (0 < self.k1 < math.inf and 0 < self.k2 < math.inf):
+            raise ValueError(f"k1 and k2 must be positive and finite, got {self.k1}, {self.k2}")
         if not 0 < self.v_max_fraction <= 1:
             raise ValueError("v_max_fraction must be in (0, 1]")
         if self.max_iters < 1 or self.stall_iters < 1:

@@ -63,6 +63,27 @@ def test_spec_validation():
         BenchmarkSpec(name="oscillator", grid=grid, lf_settings={"dt": -1.0})
     with pytest.raises(ValueError, match="hf horizon must be positive"):
         BenchmarkSpec(name="oscillator", grid=grid, hf_settings={"horizon": 0.0})
+    # trajectory rows need a stride of at least one HF step (10,000 by default)
+    for points in (0, -3, 10_001, 1_500):
+        settings = {"dt": 0.01, "horizon": 10.0} if points == 1_500 else {}
+        with pytest.raises(ValueError, match="trajectory_points must lie in"):
+            BenchmarkSpec(name="oscillator", grid=grid,
+                          hf_settings={**settings, "trajectory_points": points})
+    BenchmarkSpec(name="oscillator", grid=grid, hf_settings={"trajectory_points": 10_000})
+    # a step longer than the horizon leaves no step to take
+    for fidelity in ("lf", "hf"):
+        with pytest.raises(ValueError, match=f"{fidelity} dt must not exceed its horizon"):
+            BenchmarkSpec(name="oscillator", grid=grid,
+                          **{f"{fidelity}_settings": {"dt": 2.0, "horizon": 1.0}})
+    # a cluster needs two bodies
+    for bodies in (1, 0, -2):
+        for fidelity in ("lf", "hf"):
+            with pytest.raises(ValueError, match=f"{fidelity} bodies must be at least 2"):
+                BenchmarkSpec(name="nbody", grid=grid, **{f"{fidelity}_settings": {"bodies": bodies}})
+    # settings left out take the benchmark's defaults, HF bodies included
+    spec = BenchmarkSpec(name="nbody", grid=grid, hf_settings={"dt": 0.01})
+    assert spec.hf_settings == {**nbody_default_spec().hf_settings, "dt": 0.01}
+    assert spec.hf_settings["bodies"] == 64
     # single-point axes may sit anywhere
     BenchmarkSpec(name="oscillator", grid=(("a", 5.0, 5.0, 1),))
     # counts and seeds are integers; nothing is truncated

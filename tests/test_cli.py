@@ -4,13 +4,15 @@ import json
 import math
 import re
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bifidelity.bench import default_spec
 from bifidelity.cli import (
-    _TOP_KEYS,
+    _CONFIG,
     ConfigError,
     DataError,
     main,
@@ -19,6 +21,7 @@ from bifidelity.cli import (
     run_experiment,
     write_matrix_csv,
 )
+from bifidelity.hyperopt import PsoConfig
 from bifidelity.surrogate import evaluate, load_surrogate
 
 
@@ -126,6 +129,36 @@ def test_parse_config_rejects_bad_documents(toy):
         for doc in docs:
             with pytest.raises(ConfigError, match=f"{key} must be an integer"):
                 parse_config(doc)
+    # a value of the wrong kind is refused, not coerced, and its key is named
+    def bench(name="oscillator", **section):
+        return {**good, "data": {"benchmark": {"name": name, **section}}}
+
+    wrong_kinds = [
+        ("lambda", {**good, "lambda": True}),
+        ("lambda", {**good, "lambda": "0.1"}),
+        ("rcond", {**good, "rcond": "1e-12"}),
+        ("one_hf_cost", {**good, "one_hf_cost": "2"}),
+        ("one_hf_cost", {**good, "one_hf_cost": math.inf}),
+        ("objective_eval_cost", {**good, "objective_eval_cost": False}),
+        ("objective_eval_cost", {**good, "objective_eval_cost": math.nan}),
+        ("out_dir", {**good, "out_dir": 5}),
+        ("out_dir", {**good, "out_dir": None}),
+        ("lambda_grid", {**good, "lambda_grid": ["0.1"]}),
+        ("lambda_grid", {**good, "lambda_grid": [True]}),
+        ("pso.k1", {**good, "pso": {"k1": math.nan}}),
+        ("pso.k1", {**good, "pso": {"k1": True}}),
+        ("pso.k1", {**good, "pso": {"k1": "1.5"}}),
+        ("data.benchmark.lf.dt", bench(lf={"dt": "0.05"})),
+        ("data.benchmark.hf.trajectory_points", bench(hf={"trajectory_points": 20.5})),
+        ("data.benchmark.lf.bodies", bench("nbody", lf={"bodies": True})),
+        ("data.benchmark.seed", bench("nbody", seed=-1)),
+        ("data.benchmark.grid", bench(grid=[["omega", "1", 5.0, 6], ["gamma", 0.05, 0.5, 3]])),
+        ("data.benchmark.grid", bench(grid=[["omega", True, 5.0, 6], ["gamma", 0.05, 0.5, 3]])),
+        ("data.files.lf_outputs", {**good, "data": {"files": {**good["data"]["files"], "lf_outputs": 1}}}),
+    ]
+    for key, doc in wrong_kinds:
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            parse_config(doc)
     # the deleted compact family and kernel-form switches are named
     named = {
         "compact_rbf": {**good, "kernels": ["linear", "compact_rbf"]},
@@ -142,7 +175,30 @@ def test_readme_config_block_lists_every_key():
     block = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
     doc = json.loads(re.sub(r"//.*", "", block))
     parse_config(doc)
-    assert set(doc) == _TOP_KEYS
+    assert set(doc) == set(_CONFIG)
+    # every value the block shows is the declared default
+    for key, (_, default, _) in _CONFIG.items():
+        if key not in ("data", "pso"):
+            assert doc[key] == default, key
+    assert doc["pso"] == {f.name: f.default for f in fields(PsoConfig) if f.name != "seed"}
+    bench = doc["data"]["benchmark"]
+    spec = default_spec(bench["name"])
+    assert bench["seed"] == spec.seed
+    assert [tuple(axis) for axis in bench["grid"]] == list(spec.grid)
+    for fidelity, defaults in (("lf", spec.lf_settings), ("hf", spec.hf_settings)):
+        for key, value in bench[fidelity].items():
+            assert value == defaults[key], f"{fidelity}.{key}"
+
+
+def test_benchmark_workloads_still_parse():
+    """perfbench/child.py reads the raw benchmark section, the modes and the budgets."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.json"
+    for name, workload in json.loads(path.read_text(encoding="utf-8"))["workloads"].items():
+        doc = workload["config"]
+        cfg = parse_config({**doc, "seed": 1000})
+        assert cfg.data["benchmark"] == doc["data"]["benchmark"], name
+        assert cfg.modes == tuple(doc.get("modes", ["linear-baseline", "adaptive"])), name
+        assert cfg.budgets == tuple(doc.get("budgets", [4, 6, 8, 10, 12])), name
 
 
 # === CSV matrices ===
@@ -304,6 +360,10 @@ def test_exit_code_2_on_config_errors(toy, tmp_path):
     assert main(["run", "--config", listed]) == 2
     fractional = write_config(tmp_path / "fractional.json", toy_doc(toy, budgets=[2.5, 3]))
     assert main(["run", "--config", fractional]) == 2
+    # a NaN cost is refused before any tuning, and nothing is written
+    doc = toy_doc(toy, objective_eval_cost=math.nan, out_dir=str(tmp_path / "nan"))
+    assert main(["run", "--config", write_config(tmp_path / "nan.json", doc)]) == 2
+    assert not (tmp_path / "nan").exists()
 
 
 def test_unknown_fidelity_setting_is_named(toy, tmp_path, capsys):

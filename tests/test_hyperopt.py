@@ -180,6 +180,13 @@ def test_pso_config_validation():
         PsoConfig(swarm_size=1)
     with pytest.raises(ValueError, match="v_max_fraction"):
         PsoConfig(v_max_fraction=0.0)
+    # non-finite weights and velocity limits are refused; NaN fails no `<= 0` test
+    for bad in (math.nan, math.inf):
+        for name in ("k1", "k2"):
+            with pytest.raises(ValueError, match="k1 and k2 must be positive and finite"):
+                PsoConfig(**{name: bad})
+        with pytest.raises(ValueError, match="v_max_fraction"):
+            PsoConfig(v_max_fraction=bad)
     with pytest.raises(ValueError):
         pso_minimize(lambda h: 0.0, PsoConfig(), [(1.0, 1.0)])
 
