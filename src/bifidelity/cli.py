@@ -33,6 +33,7 @@ from .numerics import NumericsError
 from .selection import SelectionReport, adaptive_select
 from .surrogate import (
     build_surrogate,
+    effective_cost,
     load_surrogate,
     median_relative_error,
     surrogate_to_dict,
@@ -307,6 +308,8 @@ def load_data(cfg: ExperimentConfig, header: bool = False) -> tuple[SnapshotEnse
         if costs.shape != (2, N):
             raise DataError(f"costs must be a 2x{N} matrix (LF row, HF row)")
         lf_cost, hf_cost = costs[0], costs[1]
+        if np.any(hf_cost <= 0):
+            raise DataError(f"{files['costs']}: every HF cost (second row) must be positive")
     else:
         lf_cost = np.ones(N)
         hf_cost = np.ones(N)
@@ -426,18 +429,11 @@ def run_experiment(cfg: ExperimentConfig, parallel: bool = False, header: bool =
     def run_cell(mode: str, n: int):
         local: list = []
         provider = _TracingProvider(hf, cell=f"{mode}:{n}", sink=local)
-        surr, ledger = build_surrogate(
-            lf,
-            cell_kernel(mode, n),
-            n,
-            provider,
-            cfg.rcond,
-            kernel_opt_cost=mode_cost[mode],
-            one_hf_cost=one_hf,
-        )
+        surr = build_surrogate(lf, cell_kernel(mode, n), n, provider, cfg.rcond)
         if provider.count != n:
             raise RuntimeError(f"provider drew {provider.count} columns, expected {n}")
         err = median_relative_error(surr, hf, lf)
+        ledger = effective_cost(n, mode_cost[mode], one_hf)
         row = {
             "mode": mode,
             "n": n,

@@ -1,13 +1,10 @@
-"""Pivoted Cholesky ordering, stable rank, and regularized linear solves.
+"""Pivoted Cholesky pivots, stable rank, and regularized linear solves.
 
-Sample indices are 0-based throughout. The pivot ordering ranks samples
-by greedy Schur-complement diagonal magnitude; indices past the stopping
-rank are appended in ascending order so the ordering always covers every
-sample.
+Sample indices are 0-based throughout. Pivots rank samples by greedy
+Schur-complement diagonal magnitude and stop at the effective rank, so
+there may be fewer pivots than steps asked for.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,9 +12,7 @@ __all__ = [
     "NumericsError",
     "MatrixNotPSDError",
     "ZeroGramianError",
-    "PivotDecomposition",
     "lower_median",
-    "pivoted_cholesky",
     "pivoted_cholesky_columns",
     "stable_rank",
     "kept_eigenvalues",
@@ -37,55 +32,36 @@ class ZeroGramianError(NumericsError):
     pass
 
 
-@dataclass(frozen=True)
-class PivotDecomposition:
-    """Result of a greedy pivoted Cholesky pass.
-
-    ``z`` is a permutation of {0, ..., N-1}: greedy pivots first, then the
-    untouched indices in ascending order. ``factor`` is N x max_steps:
-    row k corresponds to sample z[k], and rows past ``effective_rank``
-    are zero.
-    """
-
-    z: tuple[int, ...]
-    factor: np.ndarray
-    effective_rank: int
-    tolerance_used: float
+# pivoting stops once the largest Schur diagonal falls to this fraction
+# of the largest initial diagonal
+DROP_TOLERANCE = 1e-12
 
 
 def lower_median(values) -> float:
-    """Median that returns the lower of the two middle values when even."""
-    ordered = sorted(float(v) for v in values)
-    if not ordered:
-        raise ValueError("median of an empty sequence")
-    return ordered[(len(ordered) - 1) // 2]
+    """Median that returns the lower of the two middle values when even.
 
-
-def pivoted_cholesky(G, max_steps: int, drop_tolerance: float = 1e-12) -> PivotDecomposition:
-    """Greedy diagonally pivoted Cholesky of a dense matrix.
-
-    Runs ``pivoted_cholesky_columns`` on the diagonal and the columns of
-    ``G``; see there for the pivot rule, early stop and PSD floor.
+    NaN has no place in an ordering, so it raises ValueError.
     """
-    A = np.asarray(G, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("matrix must be square")
-    return pivoted_cholesky_columns(np.diag(A), lambda p: A[:, p], max_steps, drop_tolerance)
+    ordered = np.sort(np.asarray(values, dtype=float))
+    if ordered.size == 0:
+        raise ValueError("median of an empty sequence")
+    if np.isnan(ordered[-1]):
+        raise ValueError("median of a sequence holding NaN")
+    return float(ordered[(ordered.size - 1) // 2])
 
 
-def pivoted_cholesky_columns(
-    diagonal, column, max_steps: int, drop_tolerance: float = 1e-12
-) -> PivotDecomposition:
-    """Greedy diagonally pivoted Cholesky from the diagonal and on-demand columns.
+def pivoted_cholesky_columns(diagonal, column, max_steps: int) -> tuple[int, ...]:
+    """Greedy diagonally pivoted Cholesky pivots from the diagonal and on-demand columns.
 
     ``column(p)`` returns column p of the matrix (length N) and is called
     once per pivot, so the matrix is never formed: memory is O(N * max_steps).
     Each step selects the largest remaining Schur-complement diagonal
     (ties broken by lowest sample index) and stops after ``max_steps``
     steps or once the largest remaining diagonal falls to
-    ``drop_tolerance`` times the largest initial diagonal. A remaining
-    diagonal below -1e-8 times the initial maximum raises
-    MatrixNotPSDError; shallower negatives are clamped to zero.
+    ``DROP_TOLERANCE`` times the largest initial diagonal, so the number
+    of pivots returned is the effective rank. A remaining diagonal below
+    -1e-8 times the initial maximum raises MatrixNotPSDError; shallower
+    negatives are clamped to zero.
     """
     d = np.array(diagonal, dtype=float)
     if d.ndim != 1:
@@ -93,8 +69,6 @@ def pivoted_cholesky_columns(
     n = d.shape[0]
     if not 1 <= max_steps <= n:
         raise ValueError(f"max_steps must be in [1, {n}], got {max_steps}")
-    if drop_tolerance < 0:
-        raise ValueError("drop_tolerance must be non-negative")
 
     # row s holds sample s's factor entries, one column per step
     L = np.zeros((n, max_steps))
@@ -118,7 +92,7 @@ def pivoted_cholesky_columns(
         at = int(np.argmax(seg))
         if not np.isfinite(seg[at]):
             raise ValueError("matrix has non-finite entries")
-        if seg[at] <= drop_tolerance * dmax0:
+        if seg[at] <= DROP_TOLERANCE * dmax0:
             break
         p = int(rows[at])
         free[p] = False
@@ -130,16 +104,7 @@ def pivoted_cholesky_columns(
         L[rows, k] = col
         d[rows] -= col**2
 
-    rank = len(chosen)
-    z = np.concatenate([chosen, np.flatnonzero(free)]).astype(int)
-    factor = L[z]
-    factor[rank:] = 0.0
-    return PivotDecomposition(
-        z=tuple(int(i) for i in z),
-        factor=factor,
-        effective_rank=rank,
-        tolerance_used=float(drop_tolerance),
-    )
+    return tuple(chosen)
 
 
 def stable_rank(A) -> float:

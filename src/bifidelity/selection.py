@@ -91,7 +91,7 @@ def _self_emulation_score(spec: KernelSpec, lf: SnapshotEnsemble, n: int, rcond:
     held-out columns; +inf when the family cannot support n pivots."""
     try:
         # the low-fidelity model is its own high-fidelity provider
-        surr, _ = build_surrogate(lf, spec, n, lf.column, rcond)
+        surr = build_surrogate(lf, spec, n, lf.column, rcond)
     except MatrixNotPSDError:
         return math.inf
     # the same truncation rule as the solve inside evaluate

@@ -45,16 +45,15 @@ ARCHIVE_VERSION = 1
 
 
 class HfProviderError(RuntimeError):
-    """High-fidelity callback failure, with partial-cost accounting."""
+    """High-fidelity callback failure, with the number of draws completed."""
 
-    def __init__(self, sample_index: int, completed: int, partial_cost: float):
+    def __init__(self, sample_index: int, completed: int):
         super().__init__(
             f"high-fidelity provider failed at sample {sample_index} "
-            f"after {completed} completed draws (partial cost {partial_cost})"
+            f"after {completed} completed draws"
         )
         self.sample_index = sample_index
         self.completed = completed
-        self.partial_cost = partial_cost
 
 
 @dataclass(frozen=True)
@@ -89,10 +88,6 @@ class Surrogate:
         object.__setattr__(self, "pivot_lf_columns", lf)
         object.__setattr__(self, "sliced", sliced)
         object.__setattr__(self, "pivots", pivots)
-
-    @property
-    def n_pivots(self) -> int:
-        return len(self.pivots)
 
 
 @dataclass(frozen=True)
@@ -146,11 +141,7 @@ def build_surrogate(
     n: int,
     hf_provider,
     rcond: float = 1e-12,
-    *,
-    kernel_opt_cost: float = 0.0,
-    one_hf_cost: float = 1.0,
-    drop_tolerance: float = 1e-12,
-) -> tuple[Surrogate, CostLedger]:
+) -> Surrogate:
     """Select n pivots from low-fidelity data and draw their HF columns.
 
     ``hf_provider`` maps a sample index to its high-fidelity output
@@ -158,7 +149,9 @@ def build_surrogate(
 
     Pivoting reads the kernel diagonal and one kernel column per pivot,
     so no N x N Gramian is formed. A non-finite value among those raises
-    ArithmeticError.
+    ArithmeticError. When pivoting stops early, at an effective rank
+    below n, the lowest unused sample indices fill the budget in
+    ascending order.
 
     Parameters
     ----------
@@ -190,20 +183,18 @@ def build_surrogate(
             kernel_columns[p] = col
         return kernel_columns[p]
 
-    piv = pivoted_cholesky_columns(diagonal, column, n, drop_tolerance)
-    pivots = list(piv.z[:n])
+    pivots = list(pivoted_cholesky_columns(diagonal, column, n))
+    unused = np.setdiff1d(np.arange(N), pivots)
+    pivots += [int(i) for i in unused[: n - len(pivots)]]
     # pivots appended after an early stop fetch their columns here
     sliced = np.column_stack([column(p)[pivots] for p in pivots])
 
     columns = []
-    drawn = 0
     for idx in pivots:
         try:
             col = np.asarray(hf_provider(int(idx)), dtype=float).ravel()
         except Exception as exc:
-            raise HfProviderError(
-                sample_index=int(idx), completed=drawn, partial_cost=drawn * one_hf_cost
-            ) from exc
+            raise HfProviderError(sample_index=int(idx), completed=len(columns)) from exc
         if columns and col.shape[0] != columns[0].shape[0]:
             raise ValueError(
                 f"high-fidelity column {idx} has length {col.shape[0]}, "
@@ -212,10 +203,8 @@ def build_surrogate(
         if not np.all(np.isfinite(col)):
             raise ValueError(f"high-fidelity column {idx} contains non-finite values")
         columns.append(col)
-        drawn += 1
-    assert drawn == n
 
-    surrogate = Surrogate(
+    return Surrogate(
         kernel=kernel,
         pivots=pivots,
         hf_snapshots=np.column_stack(columns),
@@ -223,8 +212,6 @@ def build_surrogate(
         pivot_lf_columns=lf.outputs[:, pivots],
         rcond=float(rcond),
     )
-    ledger = effective_cost(n, kernel_opt_cost, one_hf_cost)
-    return surrogate, ledger
 
 
 def evaluate(surrogate: Surrogate, query) -> np.ndarray:

@@ -3,6 +3,8 @@ the selection-before-draw access discipline."""
 import json
 import math
 import re
+import subprocess
+import sys
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -10,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bifidelity import cli
 from bifidelity.bench import default_spec
 from bifidelity.cli import (
     _CONFIG,
@@ -201,6 +204,24 @@ def test_benchmark_workloads_still_parse():
         assert cfg.budgets == tuple(doc.get("budgets", [4, 6, 8, 10, 12])), name
 
 
+def test_benchmark_child_runs_the_smoke_workload(tmp_path):
+    """perfbench/child.py patches package functions by name and passes keywords
+    to run_experiment; it must run clean on src, untraced and traced."""
+    root = Path(__file__).resolve().parent.parent
+    workloads = json.loads((root / "perfbench" / "workloads.json").read_text(encoding="utf-8"))
+    doc = {**workloads["workloads"]["smoke"]["config"], "seed": 0}
+    spans = tmp_path / "spans.json"
+    for request in ({"config": doc}, {"config": doc, "trace": True, "spans_path": str(spans)}):
+        proc = subprocess.run(
+            [sys.executable, str(root / "perfbench" / "child.py"), str(root / "src"),
+             json.dumps(request)],
+            capture_output=True, text=True, cwd=tmp_path, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["problems"] == []
+    assert spans.exists()
+
+
 # === CSV matrices ===
 
 
@@ -273,10 +294,16 @@ def test_every_row_satisfies_cost_identity(toy, tmp_path):
     out = tmp_path / "out"
     cfg = write_config(tmp_path / "cfg.json", toy_doc(toy, out_dir=str(out)))
     assert main(["run", "--config", cfg]) == 0
+    hyper = json.loads((out / "selection.json").read_text())["hyperparameters"]
+    evaluations = sum(h["evaluations_used"] for h in hyper)
+    assert evaluations > 0
     for line in (out / "results.csv").read_text().splitlines()[1:]:
         cells = line.split(",")
         used, opt, one, eff = int(cells[2]), float(cells[3]), float(cells[4]), int(cells[5])
         assert eff == used + math.ceil(opt / one)
+        # adaptive rows are charged every tuning request at objective_eval_cost
+        assert opt == (evaluations * 0.4 if cells[0] == "adaptive" else 0.0)
+        assert one == 2.0
 
 
 def test_reruns_are_byte_identical_with_and_without_parallel(toy, tmp_path):
@@ -388,7 +415,7 @@ def test_additive_mode_is_rejected(toy, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_exit_code_3_on_data_errors(toy, tmp_path):
+def test_exit_code_3_on_data_errors(toy, tmp_path, capsys, monkeypatch):
     doc = toy_doc(toy)
     doc["data"]["files"]["lf_outputs"] = str(tmp_path / "absent.csv")
     missing = write_config(tmp_path / "missing.json", doc)
@@ -398,6 +425,21 @@ def test_exit_code_3_on_data_errors(toy, tmp_path):
     doc = toy_doc(toy)
     doc["data"]["files"]["lf_outputs"] = str(ragged)
     assert main(["run", "--config", write_config(tmp_path / "r.json", doc)]) == 3
+
+    def never_tuned(*args, **kwargs):
+        raise AssertionError("tuning ran before the costs were checked")
+
+    # a zero or negative HF cost is refused at load, naming the file
+    monkeypatch.setattr(cli, "optimize_hyperparams", never_tuned)
+    for hf_cost in (0.0, -1.0):
+        costs = tmp_path / f"costs{hf_cost}.csv"
+        write_matrix_csv(costs, np.vstack([np.ones(8), np.full(8, hf_cost)]))
+        doc = toy_doc(toy, out_dir=str(tmp_path / "out"))
+        doc["data"]["files"]["costs"] = str(costs)
+        capsys.readouterr()
+        assert main(["run", "--config", write_config(tmp_path / "c.json", doc)]) == 3
+        assert str(costs) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_exit_code_4_on_numerical_failure(tmp_path):

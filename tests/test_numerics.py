@@ -8,7 +8,6 @@ from bifidelity.numerics import (
     MatrixNotPSDError,
     ZeroGramianError,
     kept_eigenvalues,
-    pivoted_cholesky,
     pivoted_cholesky_columns,
     solve_regularized,
     stable_rank,
@@ -30,115 +29,75 @@ import oracles
 # === pivoted Cholesky ===
 
 
+def core_on_dense(A, max_steps):
+    return pivoted_cholesky_columns(np.diag(A), lambda p: A[:, p], max_steps)
+
+
 def test_diagonal_matrix_greedy_order():
-    piv = pivoted_cholesky(np.diag([1.0, 4.0, 9.0]), max_steps=3)
-    assert piv.z[:3] == (2, 1, 0)
-    assert piv.effective_rank == 3
+    assert core_on_dense(np.diag([1.0, 4.0, 9.0]), 3) == (2, 1, 0)
 
 
 def test_rank_one_tie_breaks_low_index():
-    piv = pivoted_cholesky(np.array([[1.0, 1.0], [1.0, 1.0]]), max_steps=2)
-    assert piv.effective_rank == 1
-    assert piv.z == (0, 1)
+    assert core_on_dense(np.array([[1.0, 1.0], [1.0, 1.0]]), 2) == (0,)
 
 
 def test_pivots_match_bruteforce_oracle_100_matrices():
     for seed in range(100):
         A = oracles.random_psd(10, seed, distinct_diag=True)
-        piv = pivoted_cholesky(A, max_steps=10)
+        pivots = core_on_dense(A, 10)
         ordering, rank = oracles.greedy_pivots(A, max_steps=10)
-        assert piv.z == ordering
-        assert piv.effective_rank == rank
+        assert pivots == ordering[: len(pivots)]
+        assert len(pivots) == rank
 
 
 def test_early_stop_appends_remaining_ascending():
-    A = np.diag([1.0, 1e-20, 1e-22, 2.0])
-    piv = pivoted_cholesky(A, max_steps=4, drop_tolerance=1e-12)
-    assert piv.effective_rank == 2
-    assert piv.z == (3, 0, 1, 2)
-    # rows past the effective rank stay zero
-    assert np.all(piv.factor[2:, :] == 0.0)
-
-
-def test_reconstruction_on_full_rank_matrices():
-    for seed in range(20):
-        A = oracles.random_psd(8, seed)
-        piv = pivoted_cholesky(A, max_steps=8)
-        P = A[np.ix_(piv.z, piv.z)]
-        L = piv.factor
-        err = np.linalg.norm(P - L @ L.T) / np.linalg.norm(A)
-        assert err <= 1e-10
-
-
-def test_low_rank_factor_is_n_by_steps_with_zero_rows_past_rank():
-    B = np.random.default_rng(4).normal(size=(8, 3))
-    A = B @ B.T
-    piv = pivoted_cholesky(A, max_steps=6)
-    assert piv.effective_rank == 3
-    assert piv.factor.shape == (8, 6)
-    assert np.all(piv.factor[3:, :] == 0.0)
-    P = A[np.ix_(piv.z[:3], piv.z[:3])]
-    L = piv.factor[:3]
-    assert np.linalg.norm(P - L @ L.T) <= 1e-12 * np.linalg.norm(A)
+    # the linear Gramian of these columns is diag(1, 1e-20, 1e-22, 2):
+    # pivoting stops after two steps and the build appends the rest
+    cols = np.diag([1.0, 1e-10, 1e-11, np.sqrt(2.0)])
+    assert core_on_dense(np.diag([1.0, 1e-20, 1e-22, 2.0]), 4) == (3, 0)
+    lf = SnapshotEnsemble(outputs=cols, params=np.zeros((4, 1)), per_sample_cost=np.ones(4))
+    surr = build_surrogate(lf, KernelSpec(family=KernelFamily.LINEAR), 4, lambda j: np.ones(2))
+    assert surr.pivots == (3, 0, 1, 2)
 
 
 @given(st.integers(0, 10**6))
 def test_ordering_invariant_under_relabeling(seed):
     """Pivot identities survive any permutation of the sample order."""
     A = oracles.random_psd(7, seed, distinct_diag=True)
-    piv = pivoted_cholesky(A, max_steps=7)
+    pivots = core_on_dense(A, 7)
     rng = np.random.default_rng(seed + 1)
     perm = rng.permutation(7)
-    piv_p = pivoted_cholesky(A[np.ix_(perm, perm)], max_steps=7)
-    relabeled = tuple(int(perm[i]) for i in piv_p.z[: piv_p.effective_rank])
-    assert relabeled == piv.z[: piv.effective_rank]
+    relabeled = tuple(int(perm[i]) for i in core_on_dense(A[np.ix_(perm, perm)], 7))
+    assert relabeled == pivots
 
 
 def test_not_psd_raises():
     with pytest.raises(MatrixNotPSDError, match="not PSD"):
-        pivoted_cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]), max_steps=2)
+        core_on_dense(np.array([[1.0, 2.0], [2.0, 1.0]]), 2)
 
 
 def test_non_finite_input_raises():
     with pytest.raises(ValueError, match="non-finite"):
-        pivoted_cholesky(np.array([[1.0, np.nan], [np.nan, 1.0]]), max_steps=2)
+        core_on_dense(np.array([[1.0, np.nan], [np.nan, 1.0]]), 2)
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="non-finite"):
-            pivoted_cholesky(np.diag([1.0, bad]), max_steps=1)
+            core_on_dense(np.diag([1.0, bad]), 1)
 
 
 def test_shallow_negative_clamps_instead_of_raising():
     # Schur diagonal -1e-12 sits above the -1e-8 floor and clamps to zero
     A = np.array([[1.0, 1.0], [1.0, 1.0 - 1e-12]])
-    piv = pivoted_cholesky(A, max_steps=2)
-    assert piv.effective_rank == 1
+    assert core_on_dense(A, 2) == (0,)
 
 
 def test_max_steps_validation():
     with pytest.raises(ValueError, match="max_steps"):
-        pivoted_cholesky(np.eye(3), max_steps=0)
+        core_on_dense(np.eye(3), 0)
     with pytest.raises(ValueError, match="max_steps"):
-        pivoted_cholesky(np.eye(3), max_steps=4)
+        core_on_dense(np.eye(3), 4)
 
 
 # === column-driven core ===
-
-
-def core_on_dense(A, max_steps, drop_tolerance=1e-12):
-    return pivoted_cholesky_columns(np.diag(A), lambda p: A[:, p], max_steps, drop_tolerance)
-
-
-def assert_same_decomposition(got, want):
-    assert got.z == want.z
-    assert got.effective_rank == want.effective_rank
-    assert np.array_equal(got.factor, want.factor)
-
-
-def test_column_core_matches_dense_factorization():
-    for seed in range(30):
-        A = oracles.random_psd(10, seed, distinct_diag=seed % 2 == 0)
-        for steps in (1, 4, 10):
-            assert_same_decomposition(core_on_dense(A, steps), pivoted_cholesky(A, steps))
 
 
 def test_column_core_reads_one_column_per_pivot():
@@ -149,41 +108,41 @@ def test_column_core_reads_one_column_per_pivot():
         fetched.append(p)
         return A[:, p]
 
-    piv = pivoted_cholesky_columns(np.diag(A), column, 5)
-    assert tuple(fetched) == piv.z[:5]
+    pivots = pivoted_cholesky_columns(np.diag(A), column, 5)
+    assert tuple(fetched) == pivots
+    assert len(pivots) == 5
 
 
 def test_column_core_early_stop_appends_lowest_free_indices():
     # linear kernel on LF dimension 2: the Schur diagonal drops below the
-    # tolerance after two pivots, so the lowest free indices fill the budget
+    # tolerance after two pivots, so the build fills the budget with the
+    # lowest free indices
     cols = np.random.default_rng(8).normal(size=(2, 9))
     spec = KernelSpec(family=KernelFamily.LINEAR)
-    piv = pivoted_cholesky_columns(
+    pivots = pivoted_cholesky_columns(
         _kernel_diagonal(spec, cols), lambda p: _kernel_block(spec, cols, cols[:, [p]])[:, 0], 5
     )
     ordering, rank = oracles.greedy_pivots(oracles.gramian_dense("linear", cols), max_steps=5)
-    assert piv.effective_rank == rank == 2
-    assert piv.z == ordering
-    assert list(piv.z[2:]) == sorted(set(range(9)) - set(piv.z[:2]))
-    A = gramian_entries(spec, cols)
-    assert_same_decomposition(core_on_dense(A, 5), pivoted_cholesky(A, 5))
+    assert len(pivots) == rank == 2
+    assert pivots == ordering[:2]
+    lf = SnapshotEnsemble(outputs=cols, params=np.zeros((9, 1)), per_sample_cost=np.ones(9))
+    surr = build_surrogate(lf, spec, 5, lambda j: np.ones(2))
+    assert surr.pivots == pivots + tuple(sorted(set(range(9)) - set(pivots))[:3])
 
 
 def test_column_core_not_psd_at_third_step():
     # the oracles' test-only kernel is indefinite here; two steps pass, the third fails
     A = oracles.gramian_dense("compact_rbf", [[0.0, 1.2, 2.4, 3.6, 30.0]], (1.0, 2.0))
-    assert_same_decomposition(core_on_dense(A, 2), pivoted_cholesky(A, 2))
-    for factorize in (core_on_dense, pivoted_cholesky):
-        with pytest.raises(MatrixNotPSDError, match="not PSD"):
-            factorize(A, 3)
+    assert core_on_dense(A, 2) == oracles.greedy_pivots(A, max_steps=2)[0][:2]
+    with pytest.raises(MatrixNotPSDError, match="not PSD"):
+        core_on_dense(A, 3)
 
 
 def test_column_core_non_finite_column_raises():
     A = oracles.random_psd(5, 1, distinct_diag=True)
     A[0, 3] = A[3, 0] = np.nan
-    for factorize in (core_on_dense, pivoted_cholesky):
-        with pytest.raises(ValueError, match="non-finite"):
-            factorize(A, 5)
+    with pytest.raises(ValueError, match="non-finite"):
+        core_on_dense(A, 5)
 
 
 def test_column_core_validates_inputs():
@@ -275,7 +234,7 @@ def test_slice_gramian_entries_exact():
         outputs=rng.normal(size=(3, 9)), params=np.zeros((9, 1)), per_sample_cost=np.ones(9)
     )
     spec = KernelSpec(family=KernelFamily.MATERN52, h=(1.1,))
-    surr, _ = build_surrogate(lf, spec, 4, lambda j: np.ones(2))
+    surr = build_surrogate(lf, spec, 4, lambda j: np.ones(2))
     G = gramian_entries(spec, lf.outputs)
     assert np.array_equal(surr.sliced, G[np.ix_(surr.pivots, surr.pivots)])
     assert not surr.sliced.flags.writeable

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from bifidelity.data import SnapshotEnsemble
 from bifidelity.hyperopt import OptimizedKernel
@@ -170,6 +171,15 @@ def test_lower_median_even_count():
     assert lower_median([5.0]) == 5.0
     with pytest.raises(ValueError):
         lower_median([])
+    # NaN has no rank, wherever it sits
+    for values in ([np.nan, 1.0, 2.0], [1.0, np.nan, 2.0], [1.0, 2.0, np.nan]):
+        with pytest.raises(ValueError, match="NaN"):
+            lower_median(np.array(values))
+
+
+@given(st.lists(st.floats(min_value=0.0, allow_infinity=True), min_size=1, max_size=40))
+def test_lower_median_picks_the_lower_middle_of_the_sorted_values(values):
+    assert lower_median(np.array(values)) == sorted(values)[(len(values) - 1) // 2]
 
 
 def test_report_validation():

@@ -106,8 +106,7 @@ def test_full_budget_reproduces_every_sample():
     lf_cols = rng.normal(size=(3, 5))
     hf_cols = rng.normal(size=(6, 5))
     lf = ensemble_from(lf_cols)
-    surr, ledger = build_surrogate(lf, SQEXP, 5, provider_for(hf_cols))
-    assert ledger.hf_samples_used == 5
+    surr = build_surrogate(lf, SQEXP, 5, provider_for(hf_cols))
     for j in range(5):
         pred = evaluate(surr, lf_cols[:, j])
         err = np.linalg.norm(pred - hf_cols[:, j]) / np.linalg.norm(hf_cols[:, j])
@@ -116,7 +115,7 @@ def test_full_budget_reproduces_every_sample():
 
 def test_single_pivot_takes_largest_diagonal():
     lf = ensemble_from(np.array([[3.0, 0.0], [0.0, 2.0]]))
-    surr, _ = build_surrogate(lf, LINEAR, 1, provider_for(np.eye(2)))
+    surr = build_surrogate(lf, LINEAR, 1, provider_for(np.eye(2)))
     assert surr.pivots == (0,)
 
 
@@ -132,12 +131,12 @@ def test_budget_exactly_n_provider_calls():
 
     for n in (1, 3, 6, 9):
         calls.clear()
-        surr, _ = build_surrogate(lf, SQEXP, n, provider)
+        surr = build_surrogate(lf, SQEXP, n, provider)
         assert len(calls) == n
         assert tuple(calls) == surr.pivots
 
 
-def test_provider_failure_reports_partial_cost():
+def test_provider_failure_reports_completed_draws():
     lf = ensemble_from(np.random.default_rng(3).normal(size=(2, 6)))
 
     def flaky(idx):
@@ -148,9 +147,11 @@ def test_provider_failure_reports_partial_cost():
 
     seen = []
     with pytest.raises(HfProviderError) as exc_info:
-        build_surrogate(lf, SQEXP, 4, flaky, one_hf_cost=2.0)
+        build_surrogate(lf, SQEXP, 4, flaky)
+    pivots = build_surrogate(lf, SQEXP, 4, lambda idx: np.ones(3)).pivots
     assert exc_info.value.completed == 2
-    assert exc_info.value.partial_cost == 4.0
+    assert exc_info.value.sample_index == pivots[2]
+    assert tuple(seen) == pivots[:2]
 
 
 def test_misshapen_hf_column_rejected():
@@ -173,7 +174,7 @@ def test_budget_out_of_range():
 def test_oscillator_pivots_match_greedy_oracle():
     lf, hf = gen_oscillator(oscillator_default_spec())
     for kernel in (LINEAR, SQEXP):
-        surr, _ = build_surrogate(lf, kernel, 4, provider_for(hf.outputs))
+        surr = build_surrogate(lf, kernel, 4, provider_for(hf.outputs))
         gram = gramian_entries(kernel, lf.outputs)
         ordering, _ = oracles.greedy_pivots(gram, max_steps=4)
         assert set(surr.pivots) == set(ordering[:4])
@@ -195,7 +196,7 @@ def test_build_pivots_match_dense_oracle_for_every_family():
     for spec, name in ORACLE_KERNELS:
         gram = oracles.gramian_dense(name, cols, spec.h)
         for n in (2, 5, 9):
-            surr, _ = build_surrogate(lf, spec, n, lambda j: np.ones(2))
+            surr = build_surrogate(lf, spec, n, lambda j: np.ones(2))
             ordering, _ = oracles.greedy_pivots(gram, max_steps=n)
             assert surr.pivots == ordering[:n], f"{name} n={n}"
             np.testing.assert_allclose(
@@ -207,7 +208,7 @@ def test_build_early_stop_appends_lowest_free_indices():
     # linear kernel on LF dimension 2 supports two pivots; the rest of the
     # budget is the lowest free indices, with their kernel columns fetched
     cols = np.random.default_rng(13).normal(size=(2, 9))
-    surr, _ = build_surrogate(ensemble_from(cols), LINEAR, 5, lambda j: np.ones(2))
+    surr = build_surrogate(ensemble_from(cols), LINEAR, 5, lambda j: np.ones(2))
     ordering, rank = oracles.greedy_pivots(oracles.gramian_dense("linear", cols), max_steps=5)
     assert rank == 2
     assert surr.pivots == ordering[:5]
@@ -220,7 +221,7 @@ def test_build_not_psd_fails_only_past_the_failing_step(indefinite_kernel):
     lf = ensemble_from(np.array([[0.0, 1.2, 2.4, 3.6, 30.0]]))
     spec = KernelSpec(family=KernelFamily.MATERN52, h=(1.0,))
     indefinite_kernel(spec.family)
-    surr, _ = build_surrogate(lf, spec, 2, lambda j: np.ones(2))
+    surr = build_surrogate(lf, spec, 2, lambda j: np.ones(2))
     assert surr.pivots == (0, 1)
     with pytest.raises(MatrixNotPSDError):
         build_surrogate(lf, spec, 3, lambda j: np.ones(2))
@@ -305,7 +306,7 @@ def test_interpolation_at_training_pivots():
     lf_cols = rng.normal(size=(3, 8))
     hf_cols = rng.normal(size=(4, 8))
     lf = ensemble_from(lf_cols)
-    surr, _ = build_surrogate(lf, SQEXP, 4, provider_for(hf_cols))
+    surr = build_surrogate(lf, SQEXP, 4, provider_for(hf_cols))
     assert np.linalg.cond(surr.sliced) <= 1e8
     for pos, j in enumerate(surr.pivots):
         pred = evaluate(surr, lf_cols[:, j])
@@ -317,7 +318,7 @@ def test_single_pivot_closed_form():
     lf_cols = np.array([[0.0, 0.7, 1.4]])
     hf_cols = np.array([[2.0, 5.0, 9.0], [1.0, 0.0, 3.0]])
     lf = ensemble_from(lf_cols)
-    surr, _ = build_surrogate(lf, SQEXP, 1, provider_for(hf_cols))
+    surr = build_surrogate(lf, SQEXP, 1, provider_for(hf_cols))
     z1 = surr.pivots[0]
     query = np.array([0.3])
     k_ratio = (
@@ -340,7 +341,7 @@ def test_coefficients_match_dense_solve_oracle():
         drawn.append(idx)
         return col
 
-    surr, _ = build_surrogate(lf, SQEXP, 5, identity_provider)
+    surr = build_surrogate(lf, SQEXP, 5, identity_provider)
     query = rng.normal(size=3)
     coeffs = evaluate(surr, query)
     rhs = np.array(
@@ -364,7 +365,7 @@ def test_linear_kernel_matches_classical_inverse_form():
         drawn.append(idx)
         return col
 
-    surr, _ = build_surrogate(lf, LINEAR, 3, identity_provider)
+    surr = build_surrogate(lf, LINEAR, 3, identity_provider)
     query = rng.normal(size=4)
     coeffs = evaluate(surr, query)
     rhs = lf_cols[:, list(surr.pivots)].T @ query
@@ -374,7 +375,7 @@ def test_linear_kernel_matches_classical_inverse_form():
 
 def test_evaluate_validates_queries():
     lf = ensemble_from(np.random.default_rng(8).normal(size=(2, 4)))
-    surr, _ = build_surrogate(lf, SQEXP, 2, provider_for(np.eye(4)))
+    surr = build_surrogate(lf, SQEXP, 2, provider_for(np.eye(4)))
     with pytest.raises(ValueError, match="dimension"):
         evaluate(surr, np.ones(5))
 
@@ -383,7 +384,7 @@ def test_evaluate_validates_queries():
 def test_evaluate_block_matches_columnwise():
     rng = np.random.default_rng(5)
     lf = ensemble_from(rng.normal(size=(3, 8)))
-    surr, _ = build_surrogate(lf, SQEXP, 4, provider_for(rng.normal(size=(4, 8))))
+    surr = build_surrogate(lf, SQEXP, 4, provider_for(rng.normal(size=(4, 8))))
     assert np.linalg.cond(surr.sliced) <= 1e8
     queries = rng.normal(size=(3, 6))
     block = evaluate(surr, queries)
@@ -457,7 +458,7 @@ def test_error_metric_excludes_pivots_and_groups_by_label():
     hf_cols = rng.normal(size=(4, 7))
     lf = ensemble_from(lf_cols)
     hf = ensemble_from(hf_cols, labels=("a", "a", "b", "b"))
-    surr, _ = build_surrogate(lf, SQEXP, 3, provider_for(hf_cols))
+    surr = build_surrogate(lf, SQEXP, 3, provider_for(hf_cols))
     report = median_relative_error(surr, hf, lf)
     assert set(report.test_indices) & set(surr.pivots) == set()
     assert len(report.test_indices) == 4
@@ -470,7 +471,7 @@ def test_error_metric_matches_columnwise_loop():
     rng = np.random.default_rng(13)
     lf_cols = rng.normal(size=(3, 12))
     lf = ensemble_from(lf_cols)
-    surr, _ = build_surrogate(lf, SQEXP, 4, provider_for(rng.normal(size=(4, 12))))
+    surr = build_surrogate(lf, SQEXP, 4, provider_for(rng.normal(size=(4, 12))))
     held_out = [j for j in range(12) if j not in surr.pivots]
     truth = rng.normal(size=(4, 12))
     truth[:, held_out[0]] = 0.0
@@ -514,7 +515,7 @@ def test_error_metric_full_budget_has_no_test_samples():
     lf = ensemble_from(rng.normal(size=(3, 5)))
     hf_cols = rng.normal(size=(4, 5))
     hf = ensemble_from(hf_cols, labels=("a", "a", "b", "b"))
-    surr, _ = build_surrogate(lf, SQEXP, 5, provider_for(hf_cols))
+    surr = build_surrogate(lf, SQEXP, 5, provider_for(hf_cols))
     report = median_relative_error(surr, hf, lf)
     assert report.test_indices == ()
     assert math.isnan(report.aggregate_median_rel_error)
@@ -549,14 +550,6 @@ def test_ledger_identity_enforced():
         CostLedger(hf_samples_used=4, kernel_opt_cost=-1.0, one_hf_cost=1.0, effective_hf=3)
 
 
-def test_build_threads_opt_cost_into_ledger():
-    lf = ensemble_from(np.random.default_rng(10).normal(size=(2, 5)))
-    _, ledger = build_surrogate(
-        lf, SQEXP, 2, provider_for(np.eye(5)), kernel_opt_cost=2.5, one_hf_cost=1.0
-    )
-    assert ledger.effective_hf == 5
-
-
 # === archives ===
 
 
@@ -565,7 +558,7 @@ def test_archive_round_trip_bitwise():
     lf_cols = rng.normal(size=(3, 6))
     hf_cols = rng.normal(size=(5, 6))
     lf = ensemble_from(lf_cols)
-    surr, _ = build_surrogate(lf, SQEXP, 3, provider_for(hf_cols))
+    surr = build_surrogate(lf, SQEXP, 3, provider_for(hf_cols))
     clone = surrogate_from_dict(surrogate_to_dict(surr))
     assert clone.pivots == surr.pivots
     assert clone.rcond == surr.rcond
@@ -581,7 +574,7 @@ def test_archive_file_round_trip(tmp_path):
     rng = np.random.default_rng(12)
     lf = ensemble_from(rng.normal(size=(2, 5)))
     spec = KernelSpec(family=KernelFamily.RATIONAL_QUADRATIC, h=(0.9, 1.3))
-    surr, _ = build_surrogate(lf, spec, 3, provider_for(rng.normal(size=(4, 5))))
+    surr = build_surrogate(lf, spec, 3, provider_for(rng.normal(size=(4, 5))))
     path = tmp_path / "surrogate.json"
     save_surrogate(surr, path)
     clone = load_surrogate(path)
@@ -629,7 +622,7 @@ def test_eval_rejects_mixture_archive(tmp_path, capsys):
     # with both switches false an old archive is today's formula
     rng = np.random.default_rng(18)
     spec = KernelSpec(family=KernelFamily.RATIONAL_QUADRATIC, h=(0.9, 1.3))
-    surr, _ = build_surrogate(ensemble_from(rng.normal(size=(2, 7))), spec, 3,
+    surr = build_surrogate(ensemble_from(rng.normal(size=(2, 7))), spec, 3,
                               provider_for(rng.normal(size=(4, 7))))
     doc = surrogate_to_dict(surr)
     doc["kernel"].update(switches)
