@@ -550,6 +550,15 @@ def test_ledger_identity_enforced():
         CostLedger(hf_samples_used=4, kernel_opt_cost=-1.0, one_hf_cost=1.0, effective_hf=3)
 
 
+def test_build_threads_opt_cost_into_ledger():
+    # the build draws n columns; the ledger adds the optimizer cost on top
+    lf = ensemble_from(np.random.default_rng(10).normal(size=(2, 5)))
+    surr = build_surrogate(lf, SQEXP, 2, provider_for(np.eye(5)))
+    ledger = effective_cost(len(surr.pivots), kernel_opt_cost=2.5, one_hf_cost=1.0)
+    assert ledger.hf_samples_used == 2
+    assert ledger.effective_hf == 5
+
+
 # === archives ===
 
 
