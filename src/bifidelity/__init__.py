@@ -1,112 +1,1 @@
 """Bi-fidelity low-rank surrogates with kernel-based column selection."""
-
-from .data import SnapshotEnsemble, normalize_ensemble
-from .kernels import (
-    KernelFamily,
-    KernelSpec,
-    cross_kernel_vector,
-    gramian_entries,
-    kernel_eval,
-    pairwise_distances,
-    radial_profile,
-)
-from .numerics import (
-    MatrixNotPSDError,
-    NumericsError,
-    ZeroGramianError,
-    lower_median,
-    pivoted_cholesky_columns,
-    solve_regularized,
-    stable_rank,
-)
-from .hyperopt import (
-    ObjectiveConfig,
-    OptimizedKernel,
-    PsoConfig,
-    default_bounds,
-    median_pairwise_distance,
-    objective,
-    optimize_hyperparams,
-    pso_minimize,
-    refine_local,
-)
-from .selection import SelectionReport, adaptive_select
-from .surrogate import (
-    CostLedger,
-    ErrorReport,
-    HfProviderError,
-    Surrogate,
-    build_surrogate,
-    effective_cost,
-    evaluate,
-    load_surrogate,
-    median_relative_error,
-    save_surrogate,
-    surrogate_from_dict,
-    surrogate_to_dict,
-)
-from .bench import (
-    BenchmarkSpec,
-    default_spec,
-    generate,
-    integrate_oscillator,
-    nbody_default_spec,
-    nbody_initial_state,
-    oscillator_default_spec,
-    parameter_table,
-    simulate_nbody,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "SnapshotEnsemble",
-    "normalize_ensemble",
-    "KernelFamily",
-    "KernelSpec",
-    "cross_kernel_vector",
-    "gramian_entries",
-    "kernel_eval",
-    "pairwise_distances",
-    "radial_profile",
-    "MatrixNotPSDError",
-    "NumericsError",
-    "ZeroGramianError",
-    "lower_median",
-    "pivoted_cholesky_columns",
-    "solve_regularized",
-    "stable_rank",
-    "ObjectiveConfig",
-    "OptimizedKernel",
-    "PsoConfig",
-    "default_bounds",
-    "median_pairwise_distance",
-    "objective",
-    "optimize_hyperparams",
-    "pso_minimize",
-    "refine_local",
-    "SelectionReport",
-    "adaptive_select",
-    "CostLedger",
-    "ErrorReport",
-    "HfProviderError",
-    "Surrogate",
-    "build_surrogate",
-    "effective_cost",
-    "evaluate",
-    "load_surrogate",
-    "median_relative_error",
-    "save_surrogate",
-    "surrogate_from_dict",
-    "surrogate_to_dict",
-    "BenchmarkSpec",
-    "default_spec",
-    "generate",
-    "integrate_oscillator",
-    "nbody_default_spec",
-    "nbody_initial_state",
-    "oscillator_default_spec",
-    "parameter_table",
-    "simulate_nbody",
-    "__version__",
-]

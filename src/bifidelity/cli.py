@@ -27,7 +27,13 @@ import numpy as np
 
 from .bench import BenchmarkSpec, default_spec, generate
 from .data import SnapshotEnsemble
-from .hyperopt import ObjectiveConfig, PsoConfig, default_bounds, optimize_hyperparams
+from .hyperopt import (
+    ObjectiveConfig,
+    PsoConfig,
+    default_bounds,
+    median_pairwise_distance,
+    optimize_hyperparams,
+)
 from .kernels import KernelFamily, KernelSpec
 from .numerics import NumericsError
 from .selection import SelectionReport, adaptive_select
@@ -393,8 +399,9 @@ def run_experiment(cfg: ExperimentConfig, parallel: bool = False, header: bool =
     hyper_evals = 0
     adaptive_reports: dict[int, SelectionReport] = {}
     if "adaptive" in cfg.modes:
+        dbar = median_pairwise_distance(lf.outputs)
         for fam in cfg.kernels:
-            obj_cfg = ObjectiveConfig(lam=cfg.lam, family=fam, bounds=default_bounds(fam, lf))
+            obj_cfg = ObjectiveConfig(lam=cfg.lam, family=fam, bounds=default_bounds(fam, dbar))
             pso_cfg = PsoConfig(**cfg.pso, seed=_child_seed(cfg.seed, int(fam)))
             optimized.append(optimize_hyperparams(fam, lf, obj_cfg, pso_cfg))
         hyper_evals = sum(ok.evaluations_used for ok in optimized)
@@ -504,6 +511,13 @@ def write_results_csv(path, result: RunResult) -> None:
 # === commands ===
 
 
+def _write_json(path, doc) -> None:
+    """Write ``doc`` as ASCII JSON with sorted keys, the format reruns reproduce byte for byte."""
+    with open(path, "w", encoding="ascii") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
@@ -512,16 +526,11 @@ def cmd_run(args) -> int:
     result = run_experiment(cfg, parallel=args.parallel, header=args.header)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_results_csv(out_dir / "results.csv", result)
-    with open(out_dir / "selection.json", "w", encoding="ascii") as fh:
-        json.dump(result.selection_doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "selection.json", result.selection_doc)
     surr_dir = out_dir / "surrogates"
     surr_dir.mkdir(exist_ok=True)
     for cell, archive in result.archives.items():
-        name = cell.replace(":", "_") + ".json"
-        with open(surr_dir / name, "w", encoding="ascii") as fh:
-            json.dump(archive, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        _write_json(surr_dir / (cell.replace(":", "_") + ".json"), archive)
     print(f"wrote {out_dir / 'results.csv'} ({len(result.rows)} rows)")
     return 0
 
@@ -555,9 +564,7 @@ def cmd_gen(args) -> int:
         "lf_labels": list(lf.labels) if lf.labels else None,
         "hf_labels": list(hf.labels) if hf.labels else None,
     }
-    with open(out_dir / "meta.json", "w", encoding="ascii") as fh:
-        json.dump(meta, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "meta.json", meta)
     print(f"wrote {spec.n_samples} samples to {out_dir}")
     return 0
 

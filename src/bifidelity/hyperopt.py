@@ -342,11 +342,8 @@ def median_pairwise_distance(columns: np.ndarray) -> float:
     return med if med > 0 else 1.0
 
 
-def default_bounds(
-    family: KernelFamily, lf_ensemble: SnapshotEnsemble
-) -> tuple[tuple[float, float], ...]:
-    """Search box [1e-3, 1e3] times the median pairwise column distance."""
-    dbar = median_pairwise_distance(lf_ensemble.outputs)
+def default_bounds(family: KernelFamily, dbar: float) -> tuple[tuple[float, float], ...]:
+    """Search box [1e-3, 1e3] times ``dbar``, the median pairwise column distance."""
     return tuple((1e-3 * dbar, 1e3 * dbar) for _ in range(HYPER_DIMS[family]))
 
 

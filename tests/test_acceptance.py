@@ -7,11 +7,13 @@ import functools
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bifidelity.cli import (
+    load_config,
     main,
     parse_config,
     read_matrix_csv,
@@ -44,7 +46,7 @@ FAMILY_NAMES = {
     KernelFamily.MATERN32: "matern32",
     KernelFamily.MATERN52: "matern52",
 }
-ALL_FAMILIES = list(FAMILY_NAMES.values())
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def acceptance(num, label, limit_seconds):
@@ -201,22 +203,8 @@ def test_swarm_hits_sphere_minimum():
 
 @acceptance(6, "adaptive budget sweep beats the baseline and decays 10x", 300)
 def test_budget_sweep_error_decay():
-    cfg = parse_config(
-        {
-            "data": {
-                "benchmark": {
-                    "name": "oscillator",
-                    "grid": [["omega", 1.0, 1.2, 2], ["gamma", 0.05, 0.5, 57]],
-                }
-            },
-            "kernels": ALL_FAMILIES,
-            "lambda": 0.1,
-            "seed": 0,
-            "budgets": [4, 6, 8, 10, 12],
-            "modes": ["linear-baseline", "adaptive"],
-        }
-    )
-    result = run_experiment(cfg)
+    # the committed config the README's narrow-band claim names
+    result = run_experiment(load_config(CONFIG_DIR / "oscillator-narrow.json"))
     med = {(r["mode"], r["n"]): r["median_rel_error"] for r in result.rows}
     for n in (4, 6, 8, 10, 12):
         base = med[("linear-baseline", n)]

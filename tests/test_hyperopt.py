@@ -41,7 +41,7 @@ def config_for(ens, family, lam=0.1, **flags):
     return ObjectiveConfig(
         lam=lam,
         family=family,
-        bounds=default_bounds(family, ens),
+        bounds=default_bounds(family, median_pairwise_distance(ens.outputs)),
         **flags,
     )
 
@@ -341,10 +341,9 @@ def test_optimize_family_mismatch_rejected():
 
 def test_default_bounds_scale_with_median_distance():
     cols = np.array([[0.0, 3.0, 0.0], [0.0, 0.0, 4.0]])
-    ens = ensemble_from(cols)
     dbar = np.median([3.0, 4.0, 5.0])
     for family in (KernelFamily.EXPONENTIAL, KernelFamily.RATIONAL_QUADRATIC):
-        bounds = default_bounds(family, ens)
+        bounds = default_bounds(family, median_pairwise_distance(cols))
         assert len(bounds) == {KernelFamily.EXPONENTIAL: 1, KernelFamily.RATIONAL_QUADRATIC: 2}[family]
         for lo, hi in bounds:
             assert lo == pytest.approx(1e-3 * dbar, rel=1e-12)

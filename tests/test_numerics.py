@@ -13,7 +13,7 @@ from bifidelity.numerics import (
     stable_rank,
 )
 from bifidelity.data import SnapshotEnsemble
-from bifidelity.hyperopt import default_bounds
+from bifidelity.hyperopt import default_bounds, median_pairwise_distance
 from bifidelity.kernels import (
     KernelFamily,
     KernelSpec,
@@ -216,9 +216,7 @@ def test_stable_rank_of_indefinite_compact_gramian_matches_svd_oracle():
 def test_stable_rank_of_near_identity_matern_gramian_matches_svd_oracle():
     # h at the lower edge of the tuning box gives a Gramian within ~1e-12 of I
     cols = np.random.default_rng(0).normal(size=(2, 40))
-    ens = SnapshotEnsemble(outputs=cols, params=np.arange(40.0)[:, None],
-                           per_sample_cost=np.ones(40))
-    h_lo = default_bounds(KernelFamily.MATERN32, ens)[0][0]
+    h_lo = default_bounds(KernelFamily.MATERN32, median_pairwise_distance(cols))[0][0]
     G = gramian_entries(KernelSpec(family=KernelFamily.MATERN32, h=(h_lo,)), cols)
     assert np.max(np.abs(G - np.eye(40))) < 1e-9
     assert stable_rank(G) == pytest.approx(oracles.srank_svd(G), rel=1e-12)
