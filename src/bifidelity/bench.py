@@ -85,6 +85,10 @@ class BenchmarkSpec:
                 raise ValueError(f"axis {name} needs at least one point")
             if count > 1 and not lo < hi:
                 raise ValueError(f"axis {name} needs lo < hi, got ({lo}, {hi})")
+        # the oscillator's first axis is omega; the amplitude divides by it
+        if self.name == "oscillator" and grid and not grid[0][1] > 0.0:
+            name, lo = grid[0][:2]
+            raise ValueError(f"axis {name} needs lo > 0 (the first oscillator axis is omega), got {lo}")
         _, lf_defaults, hf_defaults = _DEFAULTS[self.name]
         lf = {**lf_defaults, **self.lf_settings}
         hf = {**hf_defaults, **self.hf_settings}
@@ -145,53 +149,114 @@ def integrate_oscillator(
     omega: float, gamma: float, dt: float, horizon: float, method: str = "rk4"
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Integrate x'' = -omega^2 x - gamma x' from (1, 0); returns (t, x, v)."""
-    ts, xs, vs = _integrate_many(
-        np.array([omega]), np.array([gamma]), dt, horizon, method
-    )
-    return ts, xs[:, 0], vs[:, 0]
-
-
-def _integrate_many(omega, gamma, dt, horizon, method):
-    """Vectorized over samples: states shaped (steps + 1, n_samples)."""
-    omega = np.asarray(omega, dtype=float)
-    gamma = np.asarray(gamma, dtype=float)
     steps = int(round(horizon / dt))
-    xs = np.empty((steps + 1, omega.size))
-    vs = np.empty((steps + 1, omega.size))
+    [(xs, vs)] = _integrate_blocks(
+        np.array([omega], dtype=float), np.array([gamma], dtype=float), dt, steps, method, steps
+    )
+    return dt * np.arange(steps + 1), xs[:, 0], vs[:, 0]
+
+
+# Rows of states integrated between reads: memory is O(_BLOCK * n_samples)
+# whatever the step count.
+_BLOCK = 256
+
+
+def _integrate_blocks(omega, gamma, dt, steps, method, block=_BLOCK):
+    """Yield (x, v) blocks shaped (rows + 1, n_samples), vectorized over samples.
+
+    Row 0 of a block is the last state of the one before (the initial
+    state (1, 0) in the first); rows 1.. are the next steps. x and v are
+    views of reused buffers, valid until the next block is asked for.
+    """
+    if method not in ("euler", "rk4"):
+        raise ValueError(f"unknown integrator {method!r}")
+    rows = min(block, steps)
+    xs = np.empty((rows + 1, omega.size))
+    vs = np.empty((rows + 1, omega.size))
     xs[0] = 1.0
     vs[0] = 0.0
-    w2 = omega**2
+    neg_w2 = -(omega**2)
+    half = 0.5 * dt
 
     def accel(x, v):
-        return -w2 * x - gamma * v
+        return neg_w2 * x - gamma * v
 
-    if method == "euler":
-        for k in range(steps):
-            a = accel(xs[k], vs[k])
-            xs[k + 1] = xs[k] + dt * vs[k]
-            vs[k + 1] = vs[k] + dt * a
-    elif method == "rk4":
-        for k in range(steps):
-            x0, v0 = xs[k], vs[k]
-            k1x, k1v = v0, accel(x0, v0)
-            k2x, k2v = v0 + 0.5 * dt * k1v, accel(x0 + 0.5 * dt * k1x, v0 + 0.5 * dt * k1v)
-            k3x, k3v = v0 + 0.5 * dt * k2v, accel(x0 + 0.5 * dt * k2x, v0 + 0.5 * dt * k2v)
-            k4x, k4v = v0 + dt * k3v, accel(x0 + dt * k3x, v0 + dt * k3v)
-            xs[k + 1] = x0 + dt * (k1x + 2 * k2x + 2 * k3x + k4x) / 6.0
-            vs[k + 1] = v0 + dt * (k1v + 2 * k2v + 2 * k3v + k4v) / 6.0
-    else:
-        raise ValueError(f"unknown integrator {method!r}")
-    ts = dt * np.arange(steps + 1)
-    return ts, xs, vs
+    def euler(k):
+        a = accel(xs[k], vs[k])
+        xs[k + 1] = xs[k] + dt * vs[k]
+        vs[k + 1] = vs[k] + dt * a
+
+    def rk4(k):
+        # the velocity argument of each later stage equals that stage's
+        # x-slope, so it is reused rather than formed again
+        x0, v0 = xs[k], vs[k]
+        k1v = accel(x0, v0)
+        k2x = v0 + half * k1v
+        k2v = accel(x0 + half * v0, k2x)
+        k3x = v0 + half * k2v
+        k3v = accel(x0 + half * k2x, k3x)
+        k4x = v0 + dt * k3v
+        k4v = accel(x0 + dt * k3x, k4x)
+        xs[k + 1] = x0 + dt * (v0 + 2 * k2x + 2 * k3x + k4x) / 6.0
+        vs[k + 1] = v0 + dt * (k1v + 2 * k2v + 2 * k3v + k4v) / 6.0
+
+    step = euler if method == "euler" else rk4
+    done = 0
+    while True:
+        count = min(rows, steps - done)
+        for k in range(count):
+            step(k)
+        yield xs[: count + 1], vs[: count + 1]
+        done += count
+        if done == steps:
+            return
+        xs[0] = xs[count]
+        vs[0] = vs[count]
 
 
-def _oscillator_qois(omega, xs, vs) -> tuple[np.ndarray, np.ndarray]:
-    """Time-averaged energy and final oscillation amplitude per sample."""
-    w2 = np.asarray(omega, dtype=float) ** 2
-    energy = 0.5 * (vs**2 + w2 * xs**2)
-    avg_energy = energy.mean(axis=0)
-    amplitude = np.sqrt(xs[-1] ** 2 + (vs[-1] / np.asarray(omega)) ** 2)
-    return avg_energy, amplitude
+def _oscillator_qois(omega, gamma, dt, steps, method, points=0):
+    """Sampled x rows, time-averaged energy and final amplitude per sample.
+
+    Integrates in blocks and keeps rows ``stride * (1..points)`` of x,
+    ``stride = steps // points``, so memory is O((_BLOCK + points) * N).
+    Forward Euler trajectories must stay finite.
+    """
+    energy = np.empty((min(_BLOCK, steps) + 1, omega.size))
+    scratch = np.empty_like(energy)
+    samples = np.empty((points, omega.size))
+    stride = steps // max(points, 1)  # the LF run keeps no rows
+    w2 = omega**2
+    total = None
+    finite = True
+    done = 0
+    for x, v in _integrate_blocks(omega, gamma, dt, steps, method):
+        if method == "euler":
+            finite = finite and bool(np.all(np.isfinite(x)) and np.all(np.isfinite(v)))
+        if not finite:
+            continue  # integrate on: the error names samples by their final x
+        count = len(x) - 1
+        first = done // stride + 1
+        last = min((done + count) // stride, points)
+        if first <= last:
+            samples[first - 1 : last] = x[first * stride - done : last * stride - done + 1 : stride]
+        # 0.5 * (v**2 + w2 * x**2); row 0 then carries the sum so far, and
+        # sum(axis=0) adds rows in order, as a mean over the whole
+        # trajectory does (one sample sums pairwise, but normalizes to 1)
+        e, t = energy[: count + 1], scratch[: count + 1]
+        np.square(v, out=e)
+        np.square(x, out=t)
+        np.multiply(w2, t, out=t)
+        np.add(e, t, out=e)
+        np.multiply(0.5, e, out=e)
+        if total is not None:
+            e[0] = total
+        total = e.sum(axis=0)
+        done += count
+    if not finite:
+        bad = np.nonzero(~np.isfinite(x[-1]))[0]
+        raise ArithmeticError(f"low-fidelity integration unstable for samples {bad.tolist()}")
+    amplitude = np.sqrt(x[-1] ** 2 + (v[-1] / omega) ** 2)
+    return samples, total / (steps + 1), amplitude
 
 
 def gen_oscillator(spec: BenchmarkSpec) -> tuple[SnapshotEnsemble, SnapshotEnsemble]:
@@ -202,15 +267,8 @@ def gen_oscillator(spec: BenchmarkSpec) -> tuple[SnapshotEnsemble, SnapshotEnsem
     omega, gamma = params[:, 0], params[:, 1]
 
     lf_dt = float(spec.lf_settings["dt"])
-    lf_T = float(spec.lf_settings["horizon"])
-    _, xs, vs = _integrate_many(omega, gamma, lf_dt, lf_T, "euler")
-    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(vs))):
-        bad = np.nonzero(~np.isfinite(xs[-1]))[0]
-        raise ArithmeticError(
-            f"low-fidelity integration unstable for samples {bad.tolist()}"
-        )
-    lf_energy, lf_amp = _oscillator_qois(omega, xs, vs)
-    lf_steps = int(round(lf_T / lf_dt))
+    lf_steps = int(round(float(spec.lf_settings["horizon"]) / lf_dt))
+    _, lf_energy, lf_amp = _oscillator_qois(omega, gamma, lf_dt, lf_steps, "euler")
     lf_raw = SnapshotEnsemble(
         outputs=np.vstack([lf_energy, lf_amp]),
         params=params,
@@ -220,13 +278,11 @@ def gen_oscillator(spec: BenchmarkSpec) -> tuple[SnapshotEnsemble, SnapshotEnsem
     lf, _ = normalize_ensemble(lf_raw, [[0], [1]])
 
     hf_dt = float(spec.hf_settings["dt"])
-    hf_T = float(spec.hf_settings["horizon"])
+    hf_steps = int(round(float(spec.hf_settings["horizon"]) / hf_dt))
     traj_points = int(spec.hf_settings["trajectory_points"])
-    _, xs_h, vs_h = _integrate_many(omega, gamma, hf_dt, hf_T, "rk4")
-    hf_steps = int(round(hf_T / hf_dt))
-    stride = hf_steps // traj_points
-    sample_rows = xs_h[stride * np.arange(1, traj_points + 1)]
-    hf_energy, hf_amp = _oscillator_qois(omega, xs_h, vs_h)
+    sample_rows, hf_energy, hf_amp = _oscillator_qois(
+        omega, gamma, hf_dt, hf_steps, "rk4", traj_points
+    )
     hf_raw = SnapshotEnsemble(
         outputs=np.vstack([sample_rows, hf_energy, hf_amp]),
         params=params,
@@ -265,11 +321,19 @@ def nbody_initial_state(
 
 
 def _nbody_accel(pos, masses, eps, g_const):
-    diff = pos[:, None, :] - pos[None, :, :]
-    dist2 = np.sum(diff**2, axis=2) + eps**2
-    inv3 = dist2 ** (-1.5)
+    """Softened gravitational acceleration of every body, shaped like pos.
+
+    Coordinate-major: d[k][j, i] = pos[i, k] - pos[j, k], and every sum
+    runs over the outer axis j, adding bodies in order. A sum along the
+    contiguous axis would be pairwise, and round differently.
+    """
+    d = [pos[:, k][None, :] - pos[:, k][:, None] for k in range(3)]
+    inv3 = (d[0] ** 2 + d[1] ** 2 + d[2] ** 2 + eps**2) ** (-1.5)
     np.fill_diagonal(inv3, 0.0)
-    return -g_const * np.einsum("j,ijk,ij->ik", masses, diff, inv3)
+    acc = np.empty_like(pos)
+    for k in range(3):
+        acc[:, k] = ((masses[:, None] * d[k]) * inv3).sum(axis=0)
+    return -g_const * acc
 
 
 def _nbody_energy(pos, vel, masses, eps, g_const):

@@ -5,8 +5,10 @@ kernel values are recomputed from scalar formulas, spectral quantities
 come from dense SVD instead of power iteration, pivot orderings rebuild
 the full Schur complement at every step instead of rank-1 updates, and
 least-squares solves go through numpy's SVD-based lstsq instead of the
-eigendecomposition route. Agreement between these and the package is
-therefore evidence, not tautology.
+eigendecomposition route. The benchmark generators keep their first
+form: whole oscillator trajectories in memory, and nbody forces from a
+(B, B, 3) difference tensor. Agreement between these and the package
+is therefore evidence, not tautology.
 """
 from __future__ import annotations
 
@@ -143,6 +145,79 @@ def greedy_pivots(A, max_steps: int, drop_tolerance: float = 1e-12):
     rank = len(chosen)
     ordering = chosen + sorted(set(range(n)) - set(chosen))
     return tuple(ordering), rank
+
+
+# === benchmark generators, as first written ===
+
+
+def integrate_oscillator_dense(omega, gamma, dt, horizon, method):
+    """Whole (steps + 1, n_samples) trajectories x and v, stage by stage."""
+    omega = np.asarray(omega, dtype=float)
+    gamma = np.asarray(gamma, dtype=float)
+    steps = int(round(horizon / dt))
+    xs = np.empty((steps + 1, omega.size))
+    vs = np.empty((steps + 1, omega.size))
+    xs[0] = 1.0
+    vs[0] = 0.0
+    w2 = omega**2
+
+    def accel(x, v):
+        return -w2 * x - gamma * v
+
+    if method == "euler":
+        for k in range(steps):
+            a = accel(xs[k], vs[k])
+            xs[k + 1] = xs[k] + dt * vs[k]
+            vs[k + 1] = vs[k] + dt * a
+    elif method == "rk4":
+        for k in range(steps):
+            x0, v0 = xs[k], vs[k]
+            k1x, k1v = v0, accel(x0, v0)
+            k2x, k2v = v0 + 0.5 * dt * k1v, accel(x0 + 0.5 * dt * k1x, v0 + 0.5 * dt * k1v)
+            k3x, k3v = v0 + 0.5 * dt * k2v, accel(x0 + 0.5 * dt * k2x, v0 + 0.5 * dt * k2v)
+            k4x, k4v = v0 + dt * k3v, accel(x0 + dt * k3x, v0 + dt * k3v)
+            xs[k + 1] = x0 + dt * (k1x + 2 * k2x + 2 * k3x + k4x) / 6.0
+            vs[k + 1] = v0 + dt * (k1v + 2 * k2v + 2 * k3v + k4v) / 6.0
+    else:
+        raise ValueError(f"unknown integrator {method!r}")
+    return xs, vs
+
+
+def oscillator_qois_dense(omega, xs, vs):
+    """Time-averaged energy and final oscillation amplitude per sample."""
+    w2 = np.asarray(omega, dtype=float) ** 2
+    energy = 0.5 * (vs**2 + w2 * xs**2)
+    avg_energy = energy.mean(axis=0)
+    amplitude = np.sqrt(xs[-1] ** 2 + (vs[-1] / np.asarray(omega)) ** 2)
+    return avg_energy, amplitude
+
+
+def oscillator_outputs_dense(omega, gamma, lf_settings, hf_settings):
+    """Raw LF (energy, amplitude) and HF (trajectory rows, energy, amplitude)
+    outputs from whole trajectories, before normalization.
+
+    An Euler trajectory that leaves the finite numbers raises
+    ArithmeticError naming the samples whose final x is not finite.
+    """
+    xs, vs = integrate_oscillator_dense(omega, gamma, lf_settings["dt"], lf_settings["horizon"], "euler")
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(vs))):
+        bad = np.nonzero(~np.isfinite(xs[-1]))[0]
+        raise ArithmeticError(f"low-fidelity integration unstable for samples {bad.tolist()}")
+    lf = np.vstack(oscillator_qois_dense(omega, xs, vs))
+    xs, vs = integrate_oscillator_dense(omega, gamma, hf_settings["dt"], hf_settings["horizon"], "rk4")
+    points = hf_settings["trajectory_points"]
+    stride = (xs.shape[0] - 1) // points
+    rows = xs[stride * np.arange(1, points + 1)]
+    return lf, np.vstack([rows, *oscillator_qois_dense(omega, xs, vs)])
+
+
+def nbody_accel_einsum(pos, masses, eps, g_const):
+    """Softened gravitational acceleration from a (B, B, 3) difference tensor."""
+    diff = pos[:, None, :] - pos[None, :, :]
+    dist2 = np.sum(diff**2, axis=2) + eps**2
+    inv3 = dist2 ** (-1.5)
+    np.fill_diagonal(inv3, 0.0)
+    return -g_const * np.einsum("j,ijk,ij->ik", masses, diff, inv3)
 
 
 # === search oracles ===

@@ -1,11 +1,14 @@
 """Benchmark generators: determinism, physics sanity, fidelity gaps."""
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from bifidelity.bench import (
+    _BLOCK,
     BenchmarkSpec,
+    _nbody_accel,
     default_spec,
     gen_nbody,
     gen_oscillator,
@@ -17,6 +20,9 @@ from bifidelity.bench import (
     parameter_table,
     simulate_nbody,
 )
+from bifidelity.data import SnapshotEnsemble, normalize_ensemble
+
+import oracles
 
 
 def small_nbody_spec(seed=0):
@@ -34,7 +40,7 @@ def small_nbody_spec(seed=0):
 
 def test_parameter_table_first_axis_slowest():
     spec = BenchmarkSpec(
-        name="oscillator", grid=(("a", 0.0, 1.0, 3), ("b", 10.0, 20.0, 2))
+        name="nbody", grid=(("a", 0.0, 1.0, 3), ("b", 10.0, 20.0, 2))
     )
     expected = np.array(
         [[0.0, 10.0], [0.0, 20.0], [0.5, 10.0], [0.5, 20.0], [1.0, 10.0], [1.0, 20.0]]
@@ -58,7 +64,7 @@ def test_spec_validation():
         BenchmarkSpec(name="oscillator", grid=(("a", 0.0, 1.0, 0),))
     with pytest.raises(ValueError, match="lo < hi"):
         BenchmarkSpec(name="oscillator", grid=(("a", 1.0, 0.0, 2),))
-    grid = (("a", 0.0, 1.0, 2),)
+    grid = (("a", 0.5, 1.0, 2),)
     with pytest.raises(ValueError, match="lf dt must be positive"):
         BenchmarkSpec(name="oscillator", grid=grid, lf_settings={"dt": -1.0})
     with pytest.raises(ValueError, match="hf horizon must be positive"):
@@ -93,7 +99,14 @@ def test_spec_validation():
     for seed in (1.5, True, "1"):
         with pytest.raises(ValueError, match="seed must be an integer"):
             BenchmarkSpec(name="oscillator", grid=grid, seed=seed)
-    assert BenchmarkSpec(name="oscillator", grid=(("a", 0.0, 1.0, np.int64(3)),)).grid[0][3] == 3
+    assert BenchmarkSpec(name="oscillator", grid=(("a", 0.5, 1.0, np.int64(3)),)).grid[0][3] == 3
+    # the oscillator's first axis is omega, which the amplitude divides by
+    for omega in (("omega", 0.0, 2.0, 3), ("omega", -1.0, 2.0, 3), ("omega", 0.0, 0.0, 1),
+                  ("omega", np.nan, np.nan, 1)):
+        with pytest.raises(ValueError, match="axis omega needs lo > 0"):
+            BenchmarkSpec(name="oscillator", grid=(omega, ("gamma", 0.1, 0.2, 2)))
+    BenchmarkSpec(name="oscillator", grid=(("omega", 1e-3, 2.0, 3), ("gamma", -1.0, 0.2, 2)))
+    BenchmarkSpec(name="nbody", grid=(("m_total", 0.0, 2.0, 3), ("rotation", 0.0, 0.9, 2)))
 
 
 def test_generators_reject_foreign_specs():
@@ -140,6 +153,18 @@ def test_undamped_rk4_conserves_energy():
     assert np.max(np.abs(energy - energy[0])) / energy[0] <= 1e-6
 
 
+def test_integrate_oscillator_matches_dense_loop_bit_for_bit():
+    # one block of every step, so the full trajectory comes back
+    for omega, gamma, dt, horizon, method in [(2.0, 0.0, 0.001, 10.0, "rk4"),
+                                              (3.3, 0.2, 0.01, 7.77, "rk4"),
+                                              (5.0, 0.05, 0.05, 10.0, "euler")]:
+        t, x, v = integrate_oscillator(omega, gamma, dt, horizon, method=method)
+        xs, vs = oracles.integrate_oscillator_dense([omega], [gamma], dt, horizon, method)
+        np.testing.assert_array_equal(t, dt * np.arange(len(xs)))
+        np.testing.assert_array_equal(x, xs[:, 0])
+        np.testing.assert_array_equal(v, vs[:, 0])
+
+
 def test_integrator_rejects_unknown_method():
     with pytest.raises(ValueError, match="integrator"):
         integrate_oscillator(1.0, 0.1, 0.05, 1.0, method="verlet")
@@ -156,17 +181,85 @@ def test_fidelities_disagree_at_stiff_corner():
     assert abs(coarse - fine) / fine >= 0.01
 
 
-def test_unstable_low_fidelity_raises():
-    spec = BenchmarkSpec(
-        name="oscillator",
-        grid=(("omega", 1000.0, 1000.0, 1), ("gamma", 0.05, 0.5, 3)),
-        lf_settings={"dt": 0.05, "horizon": 10.0},
-        hf_settings={"dt": 0.001, "horizon": 10.0, "trajectory_points": 200},
+def oscillator_spec(grid=(("omega", 1.0, 5.0, 3), ("gamma", 0.05, 0.5, 4)), **hf):
+    return BenchmarkSpec(
+        name="oscillator", grid=grid, hf_settings={"dt": 0.01, "horizon": 10.0, **hf}
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        with pytest.raises(ArithmeticError, match="unstable"):
-            gen_oscillator(spec)
+
+
+def dense_generation(spec):
+    """gen_oscillator's ensembles, made from whole trajectories by the oracle."""
+    params = parameter_table(spec)
+    lf_raw, hf_raw = oracles.oscillator_outputs_dense(
+        params[:, 0], params[:, 1], spec.lf_settings, spec.hf_settings
+    )
+    points = spec.hf_settings["trajectory_points"]
+    pairs = [(lf_raw, [[0], [1]]), (hf_raw, [list(range(points)), [points], [points + 1]])]
+    cost = np.ones(len(params))
+    return tuple(
+        normalize_ensemble(SnapshotEnsemble(outputs=raw, params=params, per_sample_cost=cost), groups)[0]
+        for raw, groups in pairs
+    )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        oscillator_default_spec(),
+        # HF steps not a multiple of the block, and a multi-block LF run
+        BenchmarkSpec(name="oscillator", grid=(("omega", 1.0, 5.0, 6), ("gamma", 0.05, 0.5, 19)),
+                      lf_settings={"dt": 0.02},
+                      hf_settings={"dt": 0.003, "horizon": 7.0, "trajectory_points": 37}),
+        # every step a trajectory point (stride 1)
+        oscillator_spec(trajectory_points=1000),
+        # every sampled row is the last row of a block
+        oscillator_spec(horizon=0.01 * 4 * _BLOCK, trajectory_points=4),
+        # one sample: numpy sums its energy pairwise, not row by row, but
+        # its normalized energy is 1.0 either way
+        BenchmarkSpec(name="oscillator", grid=(("omega", 2.0, 2.0, 1), ("gamma", 0.1, 0.1, 1))),
+    ],
+    ids=["default", "odd-steps", "stride-1", "block-boundary", "one-sample"],
+)
+def test_streamed_oscillator_matches_dense_trajectories_bit_for_bit(spec):
+    lf, hf = gen_oscillator(spec)
+    dense_lf, dense_hf = dense_generation(spec)
+    np.testing.assert_array_equal(lf.outputs, dense_lf.outputs)
+    np.testing.assert_array_equal(hf.outputs, dense_hf.outputs)
+
+
+def test_oscillator_generation_streams_its_trajectory():
+    # whole trajectories of the default spec take 2 x 10,001 x 114 doubles
+    # (18 MB) and peaked above 40 MB; the blocks and 200 rows need ~1.2 MB
+    tracemalloc.start()
+    try:
+        gen_oscillator(oscillator_default_spec())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
+
+
+def test_unstable_low_fidelity_raises():
+    cases = [
+        ((("omega", 1000.0, 1000.0, 1), ("gamma", 0.05, 0.5, 3)), {"dt": 0.05, "horizon": 10.0}),
+        # only omega = 100 overflows, and only in the second block
+        ((("omega", 1.0, 100.0, 2), ("gamma", 0.05, 0.5, 3)), {"dt": 0.05, "horizon": 50.0}),
+    ]
+    for grid, lf_settings in cases:
+        spec = BenchmarkSpec(
+            name="oscillator",
+            grid=grid,
+            lf_settings=lf_settings,
+            hf_settings={"dt": 0.001, "horizon": 10.0, "trajectory_points": 200},
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(ArithmeticError) as expected:
+                dense_generation(spec)
+            with pytest.raises(ArithmeticError, match="unstable") as raised:
+                gen_oscillator(spec)
+        # the same samples are named: those whose final x is not finite
+        assert str(raised.value) == str(expected.value)
 
 
 # === nbody ===
@@ -228,3 +321,16 @@ def test_body_count_changes_collapse_profile():
     coarse = mean_distance(8, 0)
     fine = mean_distance(64, 1)
     assert abs(coarse - fine) / fine >= 0.05
+
+
+@pytest.mark.parametrize("bodies", [2, 8, 64])
+def test_nbody_forces_match_einsum_oracle_bit_for_bit(bodies):
+    rng = np.random.default_rng(bodies)
+    for _ in range(5):
+        pos = rng.normal(size=(bodies, 3)) * rng.uniform(0.1, 10.0)
+        masses = rng.uniform(0.5, 2.0, size=bodies)
+        eps, g_const = rng.uniform(0.01, 0.5), rng.uniform(0.5, 2.0)
+        np.testing.assert_array_equal(
+            _nbody_accel(pos, masses, eps, g_const),
+            oracles.nbody_accel_einsum(pos, masses, eps, g_const),
+        )

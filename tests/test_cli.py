@@ -391,6 +391,15 @@ def test_exit_code_2_on_config_errors(toy, tmp_path):
     doc = toy_doc(toy, objective_eval_cost=math.nan, out_dir=str(tmp_path / "nan"))
     assert main(["run", "--config", write_config(tmp_path / "nan.json", doc)]) == 2
     assert not (tmp_path / "nan").exists()
+    # omega = 0 is refused before generation divides by it, in run and in gen
+    grid = [["omega", 0.0, 2.0, 3], ["gamma", 0.05, 0.5, 3]]
+    bench = {"benchmark": {"name": "oscillator", "grid": grid}}
+    doc = toy_doc(toy, data=bench, out_dir=str(tmp_path / "zero"))
+    assert main(["run", "--config", write_config(tmp_path / "zero.json", doc)]) == 2
+    assert not (tmp_path / "zero").exists()
+    gen_cfg = write_config(tmp_path / "gen-zero.json", {"grid": grid})
+    assert main(["gen", "oscillator", "--config", gen_cfg, "--out", str(tmp_path / "gen-zero")]) == 2
+    assert not (tmp_path / "gen-zero").exists()
 
 
 def test_unknown_fidelity_setting_is_named(toy, tmp_path, capsys):

@@ -175,6 +175,23 @@ def test_pso_determinism():
     assert first[2] == second[2]
 
 
+def test_rekeyed_stream_draws_what_a_fresh_philox_draws():
+    # one generator re-keyed per stream, whatever the last stream left in
+    # its buffers: float64 draws use whole words, float32 draws half words
+    rng = np.random.Generator(np.random.Philox(key=0))
+    for seed in (0, 7, 2**40):
+        for iteration in range(20):
+            for particle in range(30):
+                key = np.array([seed, (iteration << 32) | particle], dtype=np.uint64)
+                fresh = np.random.Generator(np.random.Philox(key=key))
+                stream = hyperopt._stream(rng, seed, iteration, particle)
+                size = 1 + (iteration + particle) % 3
+                np.testing.assert_array_equal(stream.uniform(size=size), fresh.uniform(size=size))
+                np.testing.assert_array_equal(
+                    stream.random(size, dtype=np.float32), fresh.random(size, dtype=np.float32)
+                )
+
+
 def test_pso_config_validation():
     with pytest.raises(ValueError, match="swarm_size"):
         PsoConfig(swarm_size=1)
