@@ -24,8 +24,6 @@ from .data import SnapshotEnsemble, normalize_ensemble
 
 __all__ = [
     "BenchmarkSpec",
-    "oscillator_default_spec",
-    "nbody_default_spec",
     "default_spec",
     "parameter_table",
     "generate",
@@ -74,6 +72,10 @@ class BenchmarkSpec:
     def __post_init__(self):
         if self.name not in _DEFAULTS:
             raise ValueError(f"unknown benchmark {self.name!r}")
+        # generation reads the axes by position, as its default grid orders them
+        default_grid, lf_defaults, hf_defaults = _DEFAULTS[self.name]
+        if len(self.grid) != len(default_grid):
+            raise ValueError(f"{self.name} grid needs {len(default_grid)} axes, got {len(self.grid)}")
         # floats, bools and strings are refused, not truncated
         counts = [(f"axis {n} count", c) for n, _, _, c in self.grid]
         for what, value in [("seed", self.seed), *counts]:
@@ -86,10 +88,9 @@ class BenchmarkSpec:
             if count > 1 and not lo < hi:
                 raise ValueError(f"axis {name} needs lo < hi, got ({lo}, {hi})")
         # the oscillator's first axis is omega; the amplitude divides by it
-        if self.name == "oscillator" and grid and not grid[0][1] > 0.0:
+        if self.name == "oscillator" and not grid[0][1] > 0.0:
             name, lo = grid[0][:2]
             raise ValueError(f"axis {name} needs lo > 0 (the first oscillator axis is omega), got {lo}")
-        _, lf_defaults, hf_defaults = _DEFAULTS[self.name]
         lf = {**lf_defaults, **self.lf_settings}
         hf = {**hf_defaults, **self.hf_settings}
         for fidelity, settings in (("lf", lf), ("hf", hf)):
@@ -114,14 +115,6 @@ class BenchmarkSpec:
         for _, _, _, count in self.grid:
             out *= count
         return out
-
-
-def oscillator_default_spec(seed: int = 0) -> BenchmarkSpec:
-    return default_spec("oscillator", seed)
-
-
-def nbody_default_spec(seed: int = 0) -> BenchmarkSpec:
-    return default_spec("nbody", seed)
 
 
 def default_spec(name: str, seed: int = 0) -> BenchmarkSpec:
@@ -275,7 +268,7 @@ def gen_oscillator(spec: BenchmarkSpec) -> tuple[SnapshotEnsemble, SnapshotEnsem
         per_sample_cost=np.full(params.shape[0], float(lf_steps)),
         labels=("energy", "amplitude"),
     )
-    lf, _ = normalize_ensemble(lf_raw, [[0], [1]])
+    lf = normalize_ensemble(lf_raw, [[0], [1]])
 
     hf_dt = float(spec.hf_settings["dt"])
     hf_steps = int(round(float(spec.hf_settings["horizon"]) / hf_dt))
@@ -289,9 +282,7 @@ def gen_oscillator(spec: BenchmarkSpec) -> tuple[SnapshotEnsemble, SnapshotEnsem
         per_sample_cost=np.full(params.shape[0], float(hf_steps)),
         labels=("trajectory",) * traj_points + ("energy", "amplitude"),
     )
-    hf, _ = normalize_ensemble(
-        hf_raw, [list(range(traj_points)), [traj_points], [traj_points + 1]]
-    )
+    hf = normalize_ensemble(hf_raw, [list(range(traj_points)), [traj_points], [traj_points + 1]])
     return lf, hf
 
 
@@ -397,6 +388,4 @@ def gen_nbody(spec: BenchmarkSpec) -> tuple[SnapshotEnsemble, SnapshotEnsemble]:
     lf_raw = _nbody_fidelity(params, spec.lf_settings, spec.seed, 0)
     hf_raw = _nbody_fidelity(params, spec.hf_settings, spec.seed, 1)
     groups = [[0], [1], [2]]
-    lf, _ = normalize_ensemble(lf_raw, groups)
-    hf, _ = normalize_ensemble(hf_raw, groups)
-    return lf, hf
+    return normalize_ensemble(lf_raw, groups), normalize_ensemble(hf_raw, groups)

@@ -40,10 +40,10 @@ from .selection import SelectionReport, adaptive_select
 from .surrogate import (
     build_surrogate,
     effective_cost,
-    load_surrogate,
-    median_relative_error,
-    surrogate_to_dict,
     evaluate,
+    median_relative_error,
+    surrogate_from_dict,
+    surrogate_to_dict,
 )
 
 __all__ = [
@@ -292,10 +292,7 @@ def _bench_spec_from_config(doc, where: str) -> BenchmarkSpec:
 
 def load_data(cfg: ExperimentConfig, header: bool = False) -> tuple[SnapshotEnsemble, SnapshotEnsemble]:
     if "benchmark" in cfg.data:
-        try:
-            return generate(_bench_spec_from_config(cfg.data["benchmark"], "data.benchmark"))
-        except ArithmeticError as exc:
-            raise NumericsError(str(exc)) from exc
+        return generate(_bench_spec_from_config(cfg.data["benchmark"], "data.benchmark"))
     files = cfg.data["files"]
     lf_out = read_matrix_csv(files["lf_outputs"], header)
     params = read_matrix_csv(files["lf_params"], header)
@@ -328,26 +325,6 @@ def load_data(cfg: ExperimentConfig, header: bool = False) -> tuple[SnapshotEnse
 
 
 # === experiment orchestration ===
-
-
-class _TracingProvider:
-    """Index -> HF column callback that logs and counts every access."""
-
-    def __init__(self, hf: SnapshotEnsemble, cell: str, sink: list):
-        self._hf = hf
-        self._cell = cell
-        self._sink = sink
-        self.count = 0
-
-    def __call__(self, index: int) -> np.ndarray:
-        if not 0 <= index < self._hf.n_samples:
-            raise DataError(
-                f"high-fidelity column missing for sample index {index} "
-                f"(have {self._hf.n_samples})"
-            )
-        self._sink.append(("hf_access", self._cell, int(index)))
-        self.count += 1
-        return self._hf.column(index)
 
 
 @dataclass
@@ -384,7 +361,7 @@ def _report_doc(report: SelectionReport) -> dict:
 def run_experiment(cfg: ExperimentConfig, parallel: bool = False, header: bool = False) -> RunResult:
     """Selection first, then surrogate builds over the (mode, n) matrix.
 
-    High-fidelity data is only reached through tracing providers during
+    High-fidelity data is only reached through each cell's provider during
     the build phase, after every selection decision is already made; the
     returned trace records the phase marker and each draw.
     """
@@ -435,10 +412,14 @@ def run_experiment(cfg: ExperimentConfig, parallel: bool = False, header: bool =
 
     def run_cell(mode: str, n: int):
         local: list = []
-        provider = _TracingProvider(hf, cell=f"{mode}:{n}", sink=local)
+
+        def provider(index: int) -> np.ndarray:
+            local.append(("hf_access", f"{mode}:{n}", int(index)))
+            return hf.column(index)
+
         surr = build_surrogate(lf, cell_kernel(mode, n), n, provider, cfg.rcond)
-        if provider.count != n:
-            raise RuntimeError(f"provider drew {provider.count} columns, expected {n}")
+        if len(local) != n:
+            raise RuntimeError(f"provider drew {len(local)} columns, expected {n}")
         err = median_relative_error(surr, hf, lf)
         ledger = effective_cost(n, mode_cost[mode], one_hf)
         row = {
@@ -544,11 +525,8 @@ def cmd_gen(args) -> int:
     bench = {"name": args.benchmark, **overrides}
     if args.seed is not None:
         bench["seed"] = args.seed
-    try:
-        spec = _bench_spec_from_config(bench, "")
-        lf, hf = generate(spec)
-    except ArithmeticError as exc:
-        raise NumericsError(str(exc)) from exc
+    spec = _bench_spec_from_config(bench, "")
+    lf, hf = generate(spec)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_matrix_csv(out_dir / "lf_outputs.csv", lf.outputs)
@@ -593,10 +571,10 @@ def cmd_tune_lambda(args) -> int:
 
 def cmd_eval(args) -> int:
     try:
-        surr = load_surrogate(args.archive)
+        surr = surrogate_from_dict(json.loads(Path(args.archive).read_text(encoding="ascii")))
     except FileNotFoundError as exc:
         raise DataError(f"archive not found: {args.archive}") from exc
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:  # bad JSON and non-ASCII bytes too
         raise DataError(f"unreadable archive {args.archive}: {exc}") from exc
     col = read_matrix_csv(args.lf_column, header=args.header)
     if col.ndim == 2 and 1 in col.shape:

@@ -85,14 +85,11 @@ class SnapshotEnsemble:
         return groups
 
 
-def normalize_ensemble(
-    ensemble: SnapshotEnsemble, groups
-) -> tuple[SnapshotEnsemble, tuple[float, ...]]:
+def normalize_ensemble(ensemble: SnapshotEnsemble, groups) -> SnapshotEnsemble:
     """Scale each output-row group to unit root-mean-square column energy.
 
     ``groups`` partitions the output rows; each group is divided by
     sqrt(mean over columns of the squared group-restricted column norm).
-    Returns the scaled ensemble and the scale factors for inversion.
     """
     rows_seen: set[int] = set()
     group_list = [list(int(r) for r in g) for g in groups]
@@ -107,18 +104,14 @@ def normalize_ensemble(
         raise ValueError("groups must partition all output rows")
 
     outputs = np.array(ensemble.outputs, dtype=float)
-    factors = []
     for g in group_list:
         energy = float(np.mean(np.sum(outputs[g, :] ** 2, axis=0)))
         if energy == 0.0:
             raise ValueError(f"group {g} has zero energy and cannot be normalized")
-        scale = math.sqrt(energy)
-        outputs[g, :] /= scale
-        factors.append(scale)
-    scaled = SnapshotEnsemble(
+        outputs[g, :] /= math.sqrt(energy)
+    return SnapshotEnsemble(
         outputs=outputs,
         params=ensemble.params,
         per_sample_cost=ensemble.per_sample_cost,
         labels=ensemble.labels,
     )
-    return scaled, tuple(factors)

@@ -10,7 +10,6 @@ snapshots wherever that system is well conditioned.
 from __future__ import annotations
 
 import base64
-import json
 import math
 from dataclasses import dataclass
 
@@ -37,8 +36,6 @@ __all__ = [
     "effective_cost",
     "surrogate_to_dict",
     "surrogate_from_dict",
-    "save_surrogate",
-    "load_surrogate",
 ]
 
 ARCHIVE_VERSION = 1
@@ -118,8 +115,6 @@ class ErrorReport:
 
     aggregate_median_rel_error: float
     per_qoi_median_rel_error: dict[str, float]
-    test_indices: tuple[int, ...]
-    zero_norm_absolute: dict[int, float]
 
 
 def effective_cost(
@@ -237,9 +232,9 @@ def median_relative_error(
 ) -> ErrorReport:
     """Lower-median relative emulation error over non-pivot samples.
 
-    Samples whose true column has zero norm are excluded from the
-    relative medians and reported with absolute errors instead. Per-QoI
-    medians follow the label groups of ``hf_truth``.
+    Samples whose true column (or label group) has zero norm are
+    excluded from the relative medians. Per-QoI medians follow the label
+    groups of ``hf_truth``.
     """
     if hf_truth.n_samples != lf.n_samples:
         raise ValueError("high- and low-fidelity ensembles disagree on sample count")
@@ -247,23 +242,16 @@ def median_relative_error(
     truth = hf_truth.outputs[:, test]
     diff = truth - evaluate(surrogate, lf.outputs[:, test])
 
-    def median_ratio(num: np.ndarray, den: np.ndarray) -> float:
+    def median_ratio(rows) -> float:
+        num = np.linalg.norm(diff[rows], axis=0)
+        den = np.linalg.norm(truth[rows], axis=0)
         keep = den > 0.0
         return lower_median(num[keep] / den[keep]) if keep.any() else math.nan
 
-    num = np.linalg.norm(diff, axis=0)
-    den = np.linalg.norm(truth, axis=0)
-    zero = den == 0.0
+    groups = hf_truth.label_groups().items()
     return ErrorReport(
-        aggregate_median_rel_error=median_ratio(num, den),
-        per_qoi_median_rel_error={
-            name: median_ratio(
-                np.linalg.norm(diff[rows], axis=0), np.linalg.norm(truth[rows], axis=0)
-            )
-            for name, rows in hf_truth.label_groups().items()
-        },
-        test_indices=tuple(int(j) for j in test),
-        zero_norm_absolute={int(j): float(v) for j, v in zip(test[zero], num[zero])},
+        aggregate_median_rel_error=median_ratio(slice(None)),
+        per_qoi_median_rel_error={name: median_ratio(rows) for name, rows in groups},
     )
 
 
@@ -291,8 +279,9 @@ def _field(doc: dict, key: str, kind: type):
 
 
 def _decode_matrix(blob: dict) -> np.ndarray:
-    raw = base64.b64decode(blob["data"])
-    arr = np.frombuffer(raw, dtype=blob.get("dtype", "<f8")).astype(float)
+    if blob.get("dtype") != "<f8":
+        raise ValueError(f"archive field 'dtype' must be '<f8', got {blob.get('dtype')!r}")
+    arr = np.frombuffer(base64.b64decode(blob["data"]), dtype="<f8").astype(float)
     return arr.reshape((int(blob["rows"]), int(blob["cols"])))
 
 
@@ -346,14 +335,3 @@ def surrogate_from_dict(doc: dict) -> Surrogate:
         pivot_lf_columns=_decode_matrix(_field(matrices, "pivot_lf_columns", dict)),
         rcond=float(doc["rcond"]),
     )
-
-
-def save_surrogate(surrogate: Surrogate, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(surrogate_to_dict(surrogate), fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
-def load_surrogate(path) -> Surrogate:
-    with open(path, "r", encoding="ascii") as fh:
-        return surrogate_from_dict(json.load(fh))

@@ -14,9 +14,7 @@ from bifidelity.bench import (
     gen_oscillator,
     generate,
     integrate_oscillator,
-    nbody_default_spec,
     nbody_initial_state,
-    oscillator_default_spec,
     parameter_table,
     simulate_nbody,
 )
@@ -50,8 +48,8 @@ def test_parameter_table_first_axis_slowest():
 
 
 def test_default_grid_sizes():
-    assert oscillator_default_spec().n_samples == 114
-    assert nbody_default_spec().n_samples == 36
+    assert default_spec("oscillator").n_samples == 114
+    assert default_spec("nbody").n_samples == 36
     assert default_spec("oscillator").name == "oscillator"
     with pytest.raises(ValueError):
         default_spec("pendulum")
@@ -60,11 +58,17 @@ def test_default_grid_sizes():
 def test_spec_validation():
     with pytest.raises(ValueError, match="unknown benchmark"):
         BenchmarkSpec(name="pendulum", grid=(("a", 0.0, 1.0, 2),))
+    b = ("b", 0.1, 0.2, 2)
     with pytest.raises(ValueError, match="at least one point"):
-        BenchmarkSpec(name="oscillator", grid=(("a", 0.0, 1.0, 0),))
+        BenchmarkSpec(name="oscillator", grid=(("a", 0.0, 1.0, 0), b))
     with pytest.raises(ValueError, match="lo < hi"):
-        BenchmarkSpec(name="oscillator", grid=(("a", 1.0, 0.0, 2),))
-    grid = (("a", 0.5, 1.0, 2),)
+        BenchmarkSpec(name="oscillator", grid=(("a", 1.0, 0.0, 2), b))
+    # both benchmarks read their two axes by position; another count is refused
+    for name in ("oscillator", "nbody"):
+        for axes in ((("a", 0.5, 1.0, 2),), (("a", 0.5, 1.0, 2), b, ("c", 0.0, 1.0, 2))):
+            with pytest.raises(ValueError, match=f"{name} grid needs 2 axes, got {len(axes)}"):
+                BenchmarkSpec(name=name, grid=axes)
+    grid = (("a", 0.5, 1.0, 2), b)
     with pytest.raises(ValueError, match="lf dt must be positive"):
         BenchmarkSpec(name="oscillator", grid=grid, lf_settings={"dt": -1.0})
     with pytest.raises(ValueError, match="hf horizon must be positive"):
@@ -88,18 +92,18 @@ def test_spec_validation():
                 BenchmarkSpec(name="nbody", grid=grid, **{f"{fidelity}_settings": {"bodies": bodies}})
     # settings left out take the benchmark's defaults, HF bodies included
     spec = BenchmarkSpec(name="nbody", grid=grid, hf_settings={"dt": 0.01})
-    assert spec.hf_settings == {**nbody_default_spec().hf_settings, "dt": 0.01}
+    assert spec.hf_settings == {**default_spec("nbody").hf_settings, "dt": 0.01}
     assert spec.hf_settings["bodies"] == 64
     # single-point axes may sit anywhere
-    BenchmarkSpec(name="oscillator", grid=(("a", 5.0, 5.0, 1),))
+    BenchmarkSpec(name="oscillator", grid=(("a", 5.0, 5.0, 1), ("b", 0.1, 0.1, 1)))
     # counts and seeds are integers; nothing is truncated
     for count in (6.5, 2.0, True, "6"):
         with pytest.raises(ValueError, match="axis a count must be an integer"):
-            BenchmarkSpec(name="oscillator", grid=(("a", 0.0, 1.0, count),))
+            BenchmarkSpec(name="oscillator", grid=(("a", 0.0, 1.0, count), b))
     for seed in (1.5, True, "1"):
         with pytest.raises(ValueError, match="seed must be an integer"):
             BenchmarkSpec(name="oscillator", grid=grid, seed=seed)
-    assert BenchmarkSpec(name="oscillator", grid=(("a", 0.5, 1.0, np.int64(3)),)).grid[0][3] == 3
+    assert BenchmarkSpec(name="oscillator", grid=(("a", 0.5, 1.0, np.int64(3)), b)).grid[0][3] == 3
     # the oscillator's first axis is omega, which the amplitude divides by
     for omega in (("omega", 0.0, 2.0, 3), ("omega", -1.0, 2.0, 3), ("omega", 0.0, 0.0, 1),
                   ("omega", np.nan, np.nan, 1)):
@@ -113,14 +117,14 @@ def test_generators_reject_foreign_specs():
     with pytest.raises(ValueError):
         gen_oscillator(small_nbody_spec())
     with pytest.raises(ValueError):
-        gen_nbody(oscillator_default_spec())
+        gen_nbody(default_spec("oscillator"))
 
 
 # === oscillator ===
 
 
 def test_oscillator_shapes_and_labels():
-    lf, hf = gen_oscillator(oscillator_default_spec())
+    lf, hf = gen_oscillator(default_spec("oscillator"))
     assert lf.outputs.shape == (2, 114)
     assert hf.outputs.shape == (202, 114)
     assert lf.labels == ("energy", "amplitude")
@@ -133,7 +137,7 @@ def test_oscillator_shapes_and_labels():
 
 
 def test_oscillator_outputs_are_energy_normalized():
-    lf, hf = gen_oscillator(oscillator_default_spec())
+    lf, hf = gen_oscillator(default_spec("oscillator"))
     for row in lf.outputs:
         assert np.mean(row**2) == pytest.approx(1.0, rel=1e-12)
     traj_energy = np.mean(np.sum(hf.outputs[:200] ** 2, axis=0))
@@ -141,8 +145,8 @@ def test_oscillator_outputs_are_energy_normalized():
 
 
 def test_oscillator_generation_is_deterministic():
-    a_lf, a_hf = gen_oscillator(oscillator_default_spec())
-    b_lf, b_hf = generate(oscillator_default_spec())
+    a_lf, a_hf = gen_oscillator(default_spec("oscillator"))
+    b_lf, b_hf = generate(default_spec("oscillator"))
     np.testing.assert_array_equal(a_lf.outputs, b_lf.outputs)
     np.testing.assert_array_equal(a_hf.outputs, b_hf.outputs)
 
@@ -197,7 +201,7 @@ def dense_generation(spec):
     pairs = [(lf_raw, [[0], [1]]), (hf_raw, [list(range(points)), [points], [points + 1]])]
     cost = np.ones(len(params))
     return tuple(
-        normalize_ensemble(SnapshotEnsemble(outputs=raw, params=params, per_sample_cost=cost), groups)[0]
+        normalize_ensemble(SnapshotEnsemble(outputs=raw, params=params, per_sample_cost=cost), groups)
         for raw, groups in pairs
     )
 
@@ -205,7 +209,7 @@ def dense_generation(spec):
 @pytest.mark.parametrize(
     "spec",
     [
-        oscillator_default_spec(),
+        default_spec("oscillator"),
         # HF steps not a multiple of the block, and a multi-block LF run
         BenchmarkSpec(name="oscillator", grid=(("omega", 1.0, 5.0, 6), ("gamma", 0.05, 0.5, 19)),
                       lf_settings={"dt": 0.02},
@@ -232,7 +236,7 @@ def test_oscillator_generation_streams_its_trajectory():
     # (18 MB) and peaked above 40 MB; the blocks and 200 rows need ~1.2 MB
     tracemalloc.start()
     try:
-        gen_oscillator(oscillator_default_spec())
+        gen_oscillator(default_spec("oscillator"))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -25,7 +25,7 @@ from bifidelity.cli import (
     write_matrix_csv,
 )
 from bifidelity.hyperopt import PsoConfig
-from bifidelity.surrogate import evaluate, load_surrogate
+from bifidelity.surrogate import evaluate, surrogate_from_dict
 
 
 @pytest.fixture(scope="module")
@@ -368,7 +368,7 @@ def test_hf_columns_stay_sealed_until_selection_ends(toy):
 # === exit codes ===
 
 
-def test_exit_code_2_on_config_errors(toy, tmp_path):
+def test_exit_code_2_on_config_errors(toy, tmp_path, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text("{nope")
     assert main(["run", "--config", str(broken)]) == 2
@@ -400,6 +400,23 @@ def test_exit_code_2_on_config_errors(toy, tmp_path):
     gen_cfg = write_config(tmp_path / "gen-zero.json", {"grid": grid})
     assert main(["gen", "oscillator", "--config", gen_cfg, "--out", str(tmp_path / "gen-zero")]) == 2
     assert not (tmp_path / "gen-zero").exists()
+    # a grid of one or three axes, where the benchmark reads two by position
+    axes = {
+        "oscillator": [["omega", 1.0, 2.0, 3], ["gamma", 0.05, 0.5, 3], ["zeta", 0.0, 1.0, 2]],
+        "nbody": [["m_total", 50.0, 500.0, 2], ["rotation", 0.0, 0.9, 2], ["zeta", 0.0, 1.0, 2]],
+    }
+    for name, grid in axes.items():
+        for count in (1, 3):
+            tag = f"{name}-{count}"
+            bench = {"benchmark": {"name": name, "grid": grid[:count]}}
+            doc = toy_doc(toy, data=bench, out_dir=str(tmp_path / tag))
+            capsys.readouterr()
+            assert main(["run", "--config", write_config(tmp_path / f"{tag}.json", doc)]) == 2
+            assert f"grid needs 2 axes, got {count}" in capsys.readouterr().err
+            gen_cfg = write_config(tmp_path / f"gen-{tag}.json", {"grid": grid[:count]})
+            assert main(["gen", name, "--config", gen_cfg, "--out", str(tmp_path / f"gen-{tag}")]) == 2
+            assert f"grid needs 2 axes, got {count}" in capsys.readouterr().err
+            assert not (tmp_path / tag).exists() and not (tmp_path / f"gen-{tag}").exists()
 
 
 def test_unknown_fidelity_setting_is_named(toy, tmp_path, capsys):
@@ -451,22 +468,27 @@ def test_exit_code_3_on_data_errors(toy, tmp_path, capsys, monkeypatch):
         assert not (tmp_path / "out").exists()
 
 
-def test_exit_code_4_on_numerical_failure(tmp_path):
+def test_exit_code_4_on_numerical_failure(tmp_path, capsys):
+    # forward Euler at omega 1000 overflows, in run and in gen
+    grid = [["omega", 1000.0, 1000.0, 1], ["gamma", 0.05, 0.5, 5]]
     doc = {
-        "data": {
-            "benchmark": {
-                "name": "oscillator",
-                "grid": [["omega", 1000.0, 1000.0, 1], ["gamma", 0.05, 0.5, 5]],
-            }
-        },
+        "data": {"benchmark": {"name": "oscillator", "grid": grid}},
         "kernels": ["linear"],
         "modes": ["linear-baseline"],
         "budgets": [2],
+        "out_dir": str(tmp_path / "out"),
     }
     cfg = write_config(tmp_path / "cfg.json", doc)
+    gen_cfg = write_config(tmp_path / "gen.json", {"grid": grid})
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
+        capsys.readouterr()
         assert main(["run", "--config", cfg]) == 4
+        assert "unstable" in capsys.readouterr().err
+        assert main(["gen", "oscillator", "--config", gen_cfg, "--out", str(tmp_path / "gen")]) == 4
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "unstable for samples [0, 1, 2, 3, 4]" in err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "gen").exists()
 
 
 def test_overflowing_lf_outputs_exit_4_before_tuning(toy, tmp_path, capsys):
@@ -543,7 +565,7 @@ def test_eval_round_trip(toy, tmp_path, capsys):
     capsys.readouterr()
     assert main(["eval", str(archive), str(col_path)]) == 0
     printed = np.array([float(s) for s in capsys.readouterr().out.split()])
-    expected = evaluate(load_surrogate(archive), column)
+    expected = evaluate(surrogate_from_dict(json.loads(archive.read_text())), column)
     np.testing.assert_array_equal(printed, expected)
 
     # wrong query dimension is a data error
@@ -560,7 +582,12 @@ def test_eval_round_trip(toy, tmp_path, capsys):
 
     # a malformed archive is a data error that names the bad field
     good = json.loads(archive.read_text())
+    matrices = good["matrices"]
+    hf_blob = matrices["hf_snapshots"]
+    no_dtype = {k: v for k, v in hf_blob.items() if k != "dtype"}
     malformed = [
+        ("'dtype'", {**good, "matrices": {**matrices, "hf_snapshots": {**hf_blob, "dtype": "<f4"}}}),
+        ("'dtype'", {**good, "matrices": {**matrices, "hf_snapshots": no_dtype}}),
         ("'pivots'", {**good, "pivots": 5}),
         ("'pivots' must hold integers", {**good, "pivots": [p + 0.5 for p in good["pivots"]]}),
         ("'h'", {**good, "kernel": {**good["kernel"], "h": 3}}),
@@ -575,6 +602,12 @@ def test_eval_round_trip(toy, tmp_path, capsys):
         capsys.readouterr()
         assert main(["eval", bad_archive, str(col_path)]) == 3
         assert field in capsys.readouterr().err
+    # archives are ASCII; other bytes are a data error too
+    accented = tmp_path / "accented.json"
+    accented.write_text(json.dumps(good, ensure_ascii=False).replace("single", "singl\u00e9"),
+                        encoding="utf-8")
+    assert main(["eval", str(accented), str(col_path)]) == 3
+    assert "unreadable archive" in capsys.readouterr().err
 
 
 # === tune-lambda ===
