@@ -143,10 +143,10 @@ def integrate_oscillator(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Integrate x'' = -omega^2 x - gamma x' from (1, 0); returns (t, x, v)."""
     steps = int(round(horizon / dt))
-    [(xs, vs)] = _integrate_blocks(
+    [y] = _integrate_blocks(
         np.array([omega], dtype=float), np.array([gamma], dtype=float), dt, steps, method, steps
     )
-    return dt * np.arange(steps + 1), xs[:, 0], vs[:, 0]
+    return dt * np.arange(steps + 1), y[:, 0, 0], y[:, 1, 0]
 
 
 # Rows of states integrated between reads: memory is O(_BLOCK * n_samples)
@@ -155,56 +155,65 @@ _BLOCK = 256
 
 
 def _integrate_blocks(omega, gamma, dt, steps, method, block=_BLOCK):
-    """Yield (x, v) blocks shaped (rows + 1, n_samples), vectorized over samples.
+    """Yield state blocks shaped (rows + 1, 2, n_samples), vectorized over samples.
 
-    Row 0 of a block is the last state of the one before (the initial
-    state (1, 0) in the first); rows 1.. are the next steps. x and v are
-    views of reused buffers, valid until the next block is asked for.
+    ``y[:, 0]`` and ``y[:, 1]`` of a block are x and v. Row 0 is the last
+    state of the block before (the initial state (1, 0) in the first);
+    rows 1.. are the next steps. A block is a view of a reused buffer,
+    valid until the next block is asked for.
     """
     if method not in ("euler", "rk4"):
         raise ValueError(f"unknown integrator {method!r}")
+    n = omega.size
     rows = min(block, steps)
-    xs = np.empty((rows + 1, omega.size))
-    vs = np.empty((rows + 1, omega.size))
-    xs[0] = 1.0
-    vs[0] = 0.0
-    neg_w2 = -(omega**2)
-    half = 0.5 * dt
+    ys = np.empty((rows + 1, 2, n))
+    # Stage s keeps (x_s, v_s, a_s) in z[s]. Since x' = v, its state
+    # y_s = (x_s, v_s) and its slope K_s = (v_s, a_s) are the overlapping
+    # contiguous views z[s, 0:2] and z[s, 1:3]: v_s is stored once and
+    # read as both, as the stage-by-stage integrator reuses k_sx as the
+    # velocity argument of stage s. Stage 1 is the current state.
+    z = np.empty((4, 3, n))
+    y, K = z[:, 0:2], z[:, 1:3]
+    y0 = y[0]
+    y0[0] = 1.0
+    y0[1] = 0.0
+    coef = np.stack([-(omega**2), gamma])
+    P, S, T = np.empty((3, 2, n))
+    mul, add = np.multiply, np.add
 
-    def accel(x, v):
-        return neg_w2 * x - gamma * v
+    def accel(s):  # a_s = -w2 * x_s - gamma * v_s
+        return [(mul, coef, y[s], P), (np.subtract, P[0], P[1], z[s, 2])]
 
-    def euler(k):
-        a = accel(xs[k], vs[k])
-        xs[k + 1] = xs[k] + dt * vs[k]
-        vs[k + 1] = vs[k] + dt * a
-
-    def rk4(k):
-        # the velocity argument of each later stage equals that stage's
-        # x-slope, so it is reused rather than formed again
-        x0, v0 = xs[k], vs[k]
-        k1v = accel(x0, v0)
-        k2x = v0 + half * k1v
-        k2v = accel(x0 + half * v0, k2x)
-        k3x = v0 + half * k2v
-        k3v = accel(x0 + half * k2x, k3x)
-        k4x = v0 + dt * k3v
-        k4v = accel(x0 + dt * k3x, k4x)
-        xs[k + 1] = x0 + dt * (v0 + 2 * k2x + 2 * k3x + k4x) / 6.0
-        vs[k + 1] = v0 + dt * (k1v + 2 * k2v + 2 * k3v + k4v) / 6.0
-
-    step = euler if method == "euler" else rk4
+    # One step as (ufunc, a, b, out) calls. Each performs one operation of
+    # tests/oracles.integrate_oscillator_dense, on the same operands in the
+    # same order and grouped as it groups them (its sums left to right), so
+    # every state rounds as there, bit for bit. Regrouping a sum, or
+    # folding dt / 6 into one factor, would move the trajectories by ulps.
+    program = accel(0)
+    if method == "euler":
+        program += [(mul, dt, K[0], S)]  # y0 + dt * K1
+    else:
+        half = 0.5 * dt
+        for s, c in ((1, half), (2, half), (3, dt)):  # y_s = y0 + c * K_{s-1}
+            program += [(mul, c, K[s - 1], y[s]), (add, y0, y[s], y[s]), *accel(s)]
+        program += [  # y0 + dt * (K1 + 2 * K2 + 2 * K3 + K4) / 6
+            (mul, 2.0, K[1], S), (add, K[0], S, S), (mul, 2.0, K[2], T), (add, S, T, S),
+            (add, S, K[3], S), (mul, dt, S, S), (np.divide, S, 6.0, S),
+        ]
+    program += [(add, y0, S, y0)]
+    after = list(ys[1:])
     done = 0
     while True:
         count = min(rows, steps - done)
-        for k in range(count):
-            step(k)
-        yield xs[: count + 1], vs[: count + 1]
+        ys[0] = y0
+        for row in after[:count]:
+            for f, a, b, out in program:
+                f(a, b, out)
+            np.copyto(row, y0)
+        yield ys[: count + 1]
         done += count
         if done == steps:
             return
-        xs[0] = xs[count]
-        vs[0] = vs[count]
 
 
 def _oscillator_qois(omega, gamma, dt, steps, method, points=0):
@@ -222,9 +231,10 @@ def _oscillator_qois(omega, gamma, dt, steps, method, points=0):
     total = None
     finite = True
     done = 0
-    for x, v in _integrate_blocks(omega, gamma, dt, steps, method):
+    for y in _integrate_blocks(omega, gamma, dt, steps, method):
+        x, v = y[:, 0], y[:, 1]
         if method == "euler":
-            finite = finite and bool(np.all(np.isfinite(x)) and np.all(np.isfinite(v)))
+            finite = finite and bool(np.isfinite(y).all())
         if not finite:
             continue  # integrate on: the error names samples by their final x
         count = len(x) - 1

@@ -38,6 +38,7 @@ from .kernels import KernelFamily, KernelSpec
 from .numerics import NumericsError
 from .selection import SelectionReport, adaptive_select
 from .surrogate import (
+    HfProviderError,
     build_surrogate,
     effective_cost,
     evaluate,
@@ -224,6 +225,8 @@ def _read_json(path):
             return json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, no permission, not UTF-8
+        raise ConfigError(f"unreadable config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
 
@@ -250,6 +253,8 @@ def read_matrix_csv(path, header: bool = False) -> np.ndarray:
         text = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError as exc:
         raise DataError(f"matrix file not found: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, no permission, not UTF-8
+        raise DataError(f"unreadable matrix file {path}: {exc}") from exc
     rows = []
     lines = text.splitlines()
     if header and lines:
@@ -574,7 +579,7 @@ def cmd_eval(args) -> int:
         surr = surrogate_from_dict(json.loads(Path(args.archive).read_text(encoding="ascii")))
     except FileNotFoundError as exc:
         raise DataError(f"archive not found: {args.archive}") from exc
-    except (KeyError, TypeError, ValueError) as exc:  # bad JSON and non-ASCII bytes too
+    except (OSError, KeyError, TypeError, ValueError) as exc:  # a directory, bad JSON, non-ASCII bytes
         raise DataError(f"unreadable archive {args.archive}: {exc}") from exc
     col = read_matrix_csv(args.lf_column, header=args.header)
     if col.ndim == 2 and 1 in col.shape:
@@ -638,7 +643,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except DataError as exc:
+    except (DataError, HfProviderError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except (NumericsError, ArithmeticError) as exc:

@@ -221,8 +221,11 @@ def dense_generation(spec):
         # one sample: numpy sums its energy pairwise, not row by row, but
         # its normalized energy is 1.0 either way
         BenchmarkSpec(name="oscillator", grid=(("omega", 2.0, 2.0, 1), ("gamma", 0.1, 0.1, 1))),
+        # the osc-wide-baseline benchmark workload: N=2000, HF dt 0.01
+        BenchmarkSpec(name="oscillator", grid=(("omega", 1.0, 5.0, 40), ("gamma", 0.05, 0.5, 50)),
+                      hf_settings={"dt": 0.01}),
     ],
-    ids=["default", "odd-steps", "stride-1", "block-boundary", "one-sample"],
+    ids=["default", "odd-steps", "stride-1", "block-boundary", "one-sample", "wide"],
 )
 def test_streamed_oscillator_matches_dense_trajectories_bit_for_bit(spec):
     lf, hf = gen_oscillator(spec)

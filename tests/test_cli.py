@@ -24,6 +24,7 @@ from bifidelity.cli import (
     run_experiment,
     write_matrix_csv,
 )
+from bifidelity.data import SnapshotEnsemble
 from bifidelity.hyperopt import PsoConfig
 from bifidelity.surrogate import evaluate, surrogate_from_dict
 
@@ -373,6 +374,15 @@ def test_exit_code_2_on_config_errors(toy, tmp_path, capsys):
     broken.write_text("{nope")
     assert main(["run", "--config", str(broken)]) == 2
     assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
+    # a directory, and bytes that are not UTF-8 (a UTF-16 byte-order mark)
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(b"\xff\xfe{\x00}\x00")
+    for unreadable in (tmp_path, utf16):
+        capsys.readouterr()
+        assert main(["run", "--config", str(unreadable)]) == 2
+        assert f"unreadable config file {unreadable}" in capsys.readouterr().err
+        assert main(["gen", "oscillator", "--config", str(unreadable), "--out", str(tmp_path / "g")]) == 2
+        assert not (tmp_path / "g").exists()
     unknown = write_config(tmp_path / "unknown.json", toy_doc(toy, bogus=1))
     assert main(["run", "--config", unknown]) == 2
     # budgets must stay below the 8-sample count
@@ -451,6 +461,19 @@ def test_exit_code_3_on_data_errors(toy, tmp_path, capsys, monkeypatch):
     doc = toy_doc(toy)
     doc["data"]["files"]["lf_outputs"] = str(ragged)
     assert main(["run", "--config", write_config(tmp_path / "r.json", doc)]) == 3
+    # a matrix that is a directory or not UTF-8, and an archive that is a directory
+    not_utf8 = tmp_path / "not_utf8.csv"
+    not_utf8.write_bytes(b"\xff\xfe1.0,2.0\n")
+    query = tmp_path / "query.csv"
+    write_matrix_csv(query, np.ones(2))
+    for unreadable in (tmp_path, not_utf8):
+        doc = toy_doc(toy)
+        doc["data"]["files"]["lf_outputs"] = str(unreadable)
+        capsys.readouterr()
+        assert main(["run", "--config", write_config(tmp_path / "u.json", doc)]) == 3
+        assert f"unreadable matrix file {unreadable}" in capsys.readouterr().err
+    assert main(["eval", str(tmp_path), str(query)]) == 3
+    assert f"unreadable archive {tmp_path}" in capsys.readouterr().err
 
     def never_tuned(*args, **kwargs):
         raise AssertionError("tuning ran before the costs were checked")
@@ -466,6 +489,26 @@ def test_exit_code_3_on_data_errors(toy, tmp_path, capsys, monkeypatch):
         assert main(["run", "--config", write_config(tmp_path / "c.json", doc)]) == 3
         assert str(costs) in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+def test_hf_provider_failure_exits_3(toy, tmp_path, capsys, monkeypatch):
+    # the second HF draw fails; the error names its sample and the draw before it
+    real = SnapshotEnsemble.column
+    drawn = []
+
+    def fails_after_one(self, j):
+        if drawn:
+            raise OSError("simulation crashed")
+        drawn.append(j)
+        return real(self, j)
+
+    monkeypatch.setattr(SnapshotEnsemble, "column", fails_after_one)
+    doc = toy_doc(toy, modes=["linear-baseline"], budgets=[3], out_dir=str(tmp_path / "out"))
+    capsys.readouterr()
+    assert main(["run", "--config", write_config(tmp_path / "cfg.json", doc)]) == 3
+    err = capsys.readouterr().err
+    assert re.search(r"data error: high-fidelity provider failed at sample \d+ after 1 completed draws", err)
+    assert not (tmp_path / "out").exists()
 
 
 def test_exit_code_4_on_numerical_failure(tmp_path, capsys):
@@ -572,6 +615,7 @@ def test_eval_round_trip(toy, tmp_path, capsys):
     write_matrix_csv(tmp_path / "bad.csv", np.ones(5))
     assert main(["eval", str(archive), str(tmp_path / "bad.csv")]) == 3
     assert main(["eval", str(tmp_path / "no.json"), str(col_path)]) == 3
+    assert main(["eval", str(archive), str(tmp_path)]) == 3  # a directory for the column
 
     # a NaN in the query is a data error
     column[0] = np.nan
