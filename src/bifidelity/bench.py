@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import SnapshotEnsemble, normalize_ensemble
+from .data import SnapshotEnsemble, normalize_ensemble, normalize_in_place
 
 __all__ = [
     "BenchmarkSpec",
@@ -149,23 +149,25 @@ def integrate_oscillator(
     return dt * np.arange(steps + 1), y[:, 0, 0], y[:, 1, 0]
 
 
-# Rows of states integrated between reads: memory is O(_BLOCK * n_samples)
-# whatever the step count.
-_BLOCK = 256
+# Doubles a block of integration holds: 4 per sample and step (x and v,
+# and two energy rows), so a block is _BLOCK_DOUBLES // (4 * n_samples)
+# steps and memory stays O(_BLOCK_DOUBLES) whatever the step and sample
+# counts.
+_BLOCK_DOUBLES = 2**16
 
 
-def _integrate_blocks(omega, gamma, dt, steps, method, block=_BLOCK):
+def _integrate_blocks(omega, gamma, dt, steps, method, rows):
     """Yield state blocks shaped (rows + 1, 2, n_samples), vectorized over samples.
 
     ``y[:, 0]`` and ``y[:, 1]`` of a block are x and v. Row 0 is the last
     state of the block before (the initial state (1, 0) in the first);
-    rows 1.. are the next steps. A block is a view of a reused buffer,
-    valid until the next block is asked for.
+    rows 1.. are the next ``rows`` steps (fewer in the last block),
+    ``rows <= steps``. A block is a view of a reused buffer, valid until
+    the next block is asked for.
     """
     if method not in ("euler", "rk4"):
         raise ValueError(f"unknown integrator {method!r}")
     n = omega.size
-    rows = min(block, steps)
     ys = np.empty((rows + 1, 2, n))
     # Stage s keeps (x_s, v_s, a_s) in z[s]. Since x' = v, its state
     # y_s = (x_s, v_s) and its slope K_s = (v_s, a_s) are the overlapping
@@ -217,21 +219,26 @@ def _integrate_blocks(omega, gamma, dt, steps, method, block=_BLOCK):
 
 
 def _oscillator_qois(omega, gamma, dt, steps, method, points=0):
-    """Sampled x rows, time-averaged energy and final amplitude per sample.
+    """One (points + 2, n_samples) array: rows ``stride * (1..points)`` of
+    x, ``stride = steps // points``, then the time-averaged energy and the
+    final amplitude of each sample.
 
-    Integrates in blocks and keeps rows ``stride * (1..points)`` of x,
-    ``stride = steps // points``, so memory is O((_BLOCK + points) * N).
-    Forward Euler trajectories must stay finite.
+    Integrates in blocks of at most _BLOCK_DOUBLES doubles, so memory is
+    O(_BLOCK_DOUBLES + points * N) whatever the step count. Forward Euler
+    trajectories must stay finite.
     """
-    energy = np.empty((min(_BLOCK, steps) + 1, omega.size))
+    n = omega.size
+    rows = min(steps, max(1, _BLOCK_DOUBLES // (4 * n)))
+    out = np.empty((points + 2, n))
+    samples = out[:points]
+    energy = np.empty((rows + 1, n))
     scratch = np.empty_like(energy)
-    samples = np.empty((points, omega.size))
     stride = steps // max(points, 1)  # the LF run keeps no rows
     w2 = omega**2
     total = None
     finite = True
     done = 0
-    for y in _integrate_blocks(omega, gamma, dt, steps, method):
+    for y in _integrate_blocks(omega, gamma, dt, steps, method, rows):
         x, v = y[:, 0], y[:, 1]
         if method == "euler":
             finite = finite and bool(np.isfinite(y).all())
@@ -258,8 +265,9 @@ def _oscillator_qois(omega, gamma, dt, steps, method, points=0):
     if not finite:
         bad = np.nonzero(~np.isfinite(x[-1]))[0]
         raise ArithmeticError(f"low-fidelity integration unstable for samples {bad.tolist()}")
-    amplitude = np.sqrt(x[-1] ** 2 + (v[-1] / omega) ** 2)
-    return samples, total / (steps + 1), amplitude
+    np.divide(total, steps + 1, out=out[points])
+    out[points + 1] = np.sqrt(x[-1] ** 2 + (v[-1] / omega) ** 2)
+    return out
 
 
 def gen_oscillator(spec: BenchmarkSpec) -> tuple[SnapshotEnsemble, SnapshotEnsemble]:
@@ -271,28 +279,28 @@ def gen_oscillator(spec: BenchmarkSpec) -> tuple[SnapshotEnsemble, SnapshotEnsem
 
     lf_dt = float(spec.lf_settings["dt"])
     lf_steps = int(round(float(spec.lf_settings["horizon"]) / lf_dt))
-    _, lf_energy, lf_amp = _oscillator_qois(omega, gamma, lf_dt, lf_steps, "euler")
-    lf_raw = SnapshotEnsemble(
-        outputs=np.vstack([lf_energy, lf_amp]),
+    lf_out = _oscillator_qois(omega, gamma, lf_dt, lf_steps, "euler")
+    normalize_in_place(lf_out, [[0], [1]])
+    lf = SnapshotEnsemble(
+        outputs=lf_out,
         params=params,
         per_sample_cost=np.full(params.shape[0], float(lf_steps)),
         labels=("energy", "amplitude"),
     )
-    lf = normalize_ensemble(lf_raw, [[0], [1]])
 
     hf_dt = float(spec.hf_settings["dt"])
     hf_steps = int(round(float(spec.hf_settings["horizon"]) / hf_dt))
     traj_points = int(spec.hf_settings["trajectory_points"])
-    sample_rows, hf_energy, hf_amp = _oscillator_qois(
-        omega, gamma, hf_dt, hf_steps, "rk4", traj_points
-    )
-    hf_raw = SnapshotEnsemble(
-        outputs=np.vstack([sample_rows, hf_energy, hf_amp]),
+    # the HF rows are written and normalized in one (points + 2, N) array,
+    # which the ensemble copies once
+    hf_out = _oscillator_qois(omega, gamma, hf_dt, hf_steps, "rk4", traj_points)
+    normalize_in_place(hf_out, [list(range(traj_points)), [traj_points], [traj_points + 1]])
+    hf = SnapshotEnsemble(
+        outputs=hf_out,
         params=params,
         per_sample_cost=np.full(params.shape[0], float(hf_steps)),
         labels=("trajectory",) * traj_points + ("energy", "amplitude"),
     )
-    hf = normalize_ensemble(hf_raw, [list(range(traj_points)), [traj_points], [traj_points + 1]])
     return lf, hf
 
 

@@ -85,11 +85,22 @@ class SnapshotEnsemble:
         return groups
 
 
-def normalize_ensemble(ensemble: SnapshotEnsemble, groups) -> SnapshotEnsemble:
-    """Scale each output-row group to unit root-mean-square column energy.
+def row_selector(rows: list[int]) -> slice | list[int]:
+    """An index for ``rows``: a slice when they run consecutively upward,
+    so that indexing reads a view, else the list itself, which copies."""
+    lo = rows[0]
+    return slice(lo, lo + len(rows)) if rows == list(range(lo, lo + len(rows))) else rows
 
-    ``groups`` partitions the output rows; each group is divided by
-    sqrt(mean over columns of the squared group-restricted column norm).
+
+def normalize_in_place(outputs: np.ndarray, groups) -> None:
+    """Scale each output-row group of ``outputs`` to unit root-mean-square
+    column energy, overwriting it.
+
+    ``groups`` partitions the rows; each group is divided by sqrt(mean
+    over columns of the squared group-restricted column norm). Each group
+    is read through ``row_selector``; either way its squares are summed
+    row-major, rows in order, so the scale does not depend on the layout
+    of ``outputs``.
     """
     rows_seen: set[int] = set()
     group_list = [list(int(r) for r in g) for g in groups]
@@ -100,15 +111,22 @@ def normalize_ensemble(ensemble: SnapshotEnsemble, groups) -> SnapshotEnsemble:
             if r in rows_seen:
                 raise ValueError(f"row {r} appears in more than one group")
             rows_seen.add(r)
-    if rows_seen != set(range(ensemble.output_dim)):
+    if rows_seen != set(range(outputs.shape[0])):
         raise ValueError("groups must partition all output rows")
 
-    outputs = np.array(ensemble.outputs, dtype=float)
     for g in group_list:
-        energy = float(np.mean(np.sum(outputs[g, :] ** 2, axis=0)))
+        rows = row_selector(g)
+        energy = float(np.mean(np.square(outputs[rows], order="C").sum(axis=0)))
         if energy == 0.0:
             raise ValueError(f"group {g} has zero energy and cannot be normalized")
-        outputs[g, :] /= math.sqrt(energy)
+        outputs[rows] /= math.sqrt(energy)
+
+
+def normalize_ensemble(ensemble: SnapshotEnsemble, groups) -> SnapshotEnsemble:
+    """A copy of ``ensemble`` with its output rows normalized by
+    ``normalize_in_place``."""
+    outputs = np.array(ensemble.outputs, dtype=float)
+    normalize_in_place(outputs, groups)
     return SnapshotEnsemble(
         outputs=outputs,
         params=ensemble.params,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SnapshotEnsemble
+from .data import SnapshotEnsemble, row_selector
 from .kernels import (
     KernelFamily,
     KernelSpec,
@@ -227,6 +227,19 @@ def evaluate(surrogate: Surrogate, query) -> np.ndarray:
     return surrogate.hf_snapshots @ coeffs
 
 
+def _group_sums(squares: np.ndarray, rows: list[int]) -> np.ndarray:
+    """Column sums of ``squares[rows]``, added in the order numpy adds a
+    row-major copy of those rows: row by row, or pairwise down a single
+    column. Consecutive ascending rows are read in place."""
+    block = squares[row_selector(rows)]
+    if block.flags.c_contiguous:  # a row copy, a row-major view or one column
+        return block.sum(axis=0)
+    total = block[0].copy()
+    for row in block[1:]:
+        total += row
+    return total
+
+
 def median_relative_error(
     surrogate: Surrogate, hf_truth: SnapshotEnsemble, lf: SnapshotEnsemble
 ) -> ErrorReport:
@@ -235,23 +248,36 @@ def median_relative_error(
     Samples whose true column (or label group) has zero norm are
     excluded from the relative medians. Per-QoI medians follow the label
     groups of ``hf_truth``.
+
+    Holds two held-out blocks, the prediction and a copy of the truth,
+    each squared in place. Every norm keeps the summation order of
+    ``np.linalg.norm`` on the whole blocks (aggregate) and on row copies
+    of them (label groups), so the errors do not depend on how the
+    blocks are read.
     """
     if hf_truth.n_samples != lf.n_samples:
         raise ValueError("high- and low-fidelity ensembles disagree on sample count")
     test = np.setdiff1d(np.arange(lf.n_samples), surrogate.pivots)
+    # evaluate first, so its temporaries are gone before the truth is copied
+    err = evaluate(surrogate, lf.outputs[:, test])
+    # column-major when the ensemble is row-major, so its column sums are pairwise
     truth = hf_truth.outputs[:, test]
-    diff = truth - evaluate(surrogate, lf.outputs[:, test])
+    np.subtract(truth, err, out=err)
+    np.square(err, out=err)
+    np.square(truth, out=truth)
 
-    def median_ratio(rows) -> float:
-        num = np.linalg.norm(diff[rows], axis=0)
-        den = np.linalg.norm(truth[rows], axis=0)
+    def median_ratio(num, den) -> float:
+        num, den = np.sqrt(num), np.sqrt(den)
         keep = den > 0.0
         return lower_median(num[keep] / den[keep]) if keep.any() else math.nan
 
     groups = hf_truth.label_groups().items()
     return ErrorReport(
-        aggregate_median_rel_error=median_ratio(slice(None)),
-        per_qoi_median_rel_error={name: median_ratio(rows) for name, rows in groups},
+        aggregate_median_rel_error=median_ratio(err.sum(axis=0), truth.sum(axis=0)),
+        per_qoi_median_rel_error={
+            name: median_ratio(_group_sums(err, rows), _group_sums(truth, rows))
+            for name, rows in groups
+        },
     )
 
 

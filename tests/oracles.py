@@ -7,8 +7,9 @@ the full Schur complement at every step instead of rank-1 updates, and
 least-squares solves go through numpy's SVD-based lstsq instead of the
 eigendecomposition route. The benchmark generators keep their first
 form: whole oscillator trajectories in memory, and nbody forces from a
-(B, B, 3) difference tensor. Agreement between these and the package
-is therefore evidence, not tautology.
+(B, B, 3) difference tensor; so do normalization and the error metric,
+on row copies and whole held-out blocks. Agreement between these and the
+package is therefore evidence, not tautology.
 """
 from __future__ import annotations
 
@@ -218,6 +219,43 @@ def nbody_accel_einsum(pos, masses, eps, g_const):
     inv3 = dist2 ** (-1.5)
     np.fill_diagonal(inv3, 0.0)
     return -g_const * np.einsum("j,ijk,ij->ik", masses, diff, inv3)
+
+
+# === normalization and scoring, as first written ===
+
+
+def normalize_dense(outputs, groups) -> np.ndarray:
+    """A normalized copy of ``outputs``: each row group divided by the root
+    of the mean squared group norm, from a squared row copy of the group."""
+    outputs = np.array(outputs, dtype=float)
+    for g in groups:
+        energy = float(np.mean(np.sum(outputs[g, :] ** 2, axis=0)))
+        outputs[g, :] /= math.sqrt(energy)
+    return outputs
+
+
+def median_relative_error_dense(surrogate, hf_truth, lf):
+    """(aggregate, {label: median}) from the whole held-out truth, prediction
+    and difference blocks, with a norm of a row copy per label group.
+
+    The prediction comes from the package's ``evaluate``: what this pins
+    is the scoring around it, whose norms sum each column pairwise or row
+    by row as the layout of the block they are taken on decides.
+    """
+    from bifidelity.surrogate import evaluate
+
+    test = np.setdiff1d(np.arange(lf.n_samples), surrogate.pivots)
+    truth = hf_truth.outputs[:, test]
+    diff = truth - evaluate(surrogate, lf.outputs[:, test])
+
+    def median_ratio(rows) -> float:
+        num = np.linalg.norm(diff[rows], axis=0)
+        den = np.linalg.norm(truth[rows], axis=0)
+        keep = den > 0.0
+        return median_lower((num[keep] / den[keep]).tolist()) if keep.any() else math.nan
+
+    groups = hf_truth.label_groups().items()
+    return median_ratio(slice(None)), {name: median_ratio(rows) for name, rows in groups}
 
 
 # === search oracles ===

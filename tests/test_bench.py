@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bifidelity.bench import (
-    _BLOCK,
+    _BLOCK_DOUBLES,
     BenchmarkSpec,
     _nbody_accel,
     default_spec,
@@ -191,6 +191,11 @@ def oscillator_spec(grid=(("omega", 1.0, 5.0, 3), ("gamma", 0.05, 0.5, 4)), **hf
     )
 
 
+# the osc-wide-baseline benchmark workload: N=2000, HF dt 0.01
+WIDE_SPEC = BenchmarkSpec(name="oscillator", grid=(("omega", 1.0, 5.0, 40), ("gamma", 0.05, 0.5, 50)),
+                          hf_settings={"dt": 0.01})
+
+
 def dense_generation(spec):
     """gen_oscillator's ensembles, made from whole trajectories by the oracle."""
     params = parameter_table(spec)
@@ -216,14 +221,13 @@ def dense_generation(spec):
                       hf_settings={"dt": 0.003, "horizon": 7.0, "trajectory_points": 37}),
         # every step a trajectory point (stride 1)
         oscillator_spec(trajectory_points=1000),
-        # every sampled row is the last row of a block
-        oscillator_spec(horizon=0.01 * 4 * _BLOCK, trajectory_points=4),
+        # every sampled row is the last row of a block: 12 samples take
+        # blocks of _BLOCK_DOUBLES // (4 * 12) steps
+        oscillator_spec(horizon=0.01 * 4 * (_BLOCK_DOUBLES // (4 * 12)), trajectory_points=4),
         # one sample: numpy sums its energy pairwise, not row by row, but
         # its normalized energy is 1.0 either way
         BenchmarkSpec(name="oscillator", grid=(("omega", 2.0, 2.0, 1), ("gamma", 0.1, 0.1, 1))),
-        # the osc-wide-baseline benchmark workload: N=2000, HF dt 0.01
-        BenchmarkSpec(name="oscillator", grid=(("omega", 1.0, 5.0, 40), ("gamma", 0.05, 0.5, 50)),
-                      hf_settings={"dt": 0.01}),
+        WIDE_SPEC,
     ],
     ids=["default", "odd-steps", "stride-1", "block-boundary", "one-sample", "wide"],
 )
@@ -234,22 +238,32 @@ def test_streamed_oscillator_matches_dense_trajectories_bit_for_bit(spec):
     np.testing.assert_array_equal(hf.outputs, dense_hf.outputs)
 
 
-def test_oscillator_generation_streams_its_trajectory():
-    # whole trajectories of the default spec take 2 x 10,001 x 114 doubles
-    # (18 MB) and peaked above 40 MB; the blocks and 200 rows need ~1.2 MB
+def traced_generation(spec):
     tracemalloc.start()
     try:
-        gen_oscillator(default_spec("oscillator"))
+        _, hf = gen_oscillator(spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return peak, hf
+
+
+def test_oscillator_generation_streams_its_trajectory():
+    # whole trajectories of the default spec take 2 x 10,001 x 114 doubles
+    # (18 MB) and peaked above 40 MB; the blocks and 200 rows need ~0.8 MB
+    peak, _ = traced_generation(default_spec("oscillator"))
     assert peak <= 8e6
+    # at N=2000 the HF output (3.2 MB) sets the peak: it is written once,
+    # normalized in place and copied once into its ensemble. Fixed blocks
+    # of 256 steps and six copies of it peaked at 6.3x its bytes.
+    peak, hf = traced_generation(WIDE_SPEC)
+    assert peak <= 2.5 * hf.outputs.nbytes, peak / hf.outputs.nbytes
 
 
 def test_unstable_low_fidelity_raises():
     cases = [
         ((("omega", 1000.0, 1000.0, 1), ("gamma", 0.05, 0.5, 3)), {"dt": 0.05, "horizon": 10.0}),
-        # only omega = 100 overflows, and only in the second block
+        # only omega = 100 overflows
         ((("omega", 1.0, 100.0, 2), ("gamma", 0.05, 0.5, 3)), {"dt": 0.05, "horizon": 50.0}),
     ]
     for grid, lf_settings in cases:
@@ -267,6 +281,25 @@ def test_unstable_low_fidelity_raises():
                 gen_oscillator(spec)
         # the same samples are named: those whose final x is not finite
         assert str(raised.value) == str(expected.value)
+
+
+def test_unstable_sample_is_named_when_it_overflows_after_the_first_block():
+    # 40 samples take blocks of _BLOCK_DOUBLES // 160 of the 6,500 LF
+    # steps; only the largest omega overflows, in a later block
+    spec = BenchmarkSpec(name="oscillator", grid=(("omega", 1.0, 10.0, 40), ("gamma", 0.0, 0.0, 1)),
+                         lf_settings={"dt": 0.05, "horizon": 325.0})
+    params = parameter_table(spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        xs, vs = oracles.integrate_oscillator_dense(params[:, 0], params[:, 1], 0.05, 325.0, "euler")
+        with pytest.raises(ArithmeticError) as raised:
+            gen_oscillator(spec)
+    finite = np.isfinite(xs) & np.isfinite(vs)
+    first_overflow = int(np.argmin(finite.all(axis=1)))
+    rows = _BLOCK_DOUBLES // (4 * spec.n_samples)
+    assert rows < first_overflow < len(xs) - 1
+    assert np.nonzero(~finite.all(axis=0))[0].tolist() == [39]
+    assert str(raised.value) == "low-fidelity integration unstable for samples [39]"
 
 
 # === nbody ===

@@ -8,9 +8,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bifidelity.bench import default_spec, gen_oscillator
+from bifidelity.bench import BenchmarkSpec, default_spec, gen_oscillator
 from bifidelity.cli import _write_json, main
-from bifidelity.data import SnapshotEnsemble, normalize_ensemble
+from bifidelity.data import SnapshotEnsemble, normalize_ensemble, normalize_in_place
 from bifidelity.hyperopt import OptimizedKernel
 from bifidelity.numerics import MatrixNotPSDError
 from bifidelity.selection import adaptive_select
@@ -81,16 +81,46 @@ def test_normalize_two_row_group():
 
 
 def test_normalize_validates_partition():
+    def in_place(ens, groups):
+        normalize_in_place(np.array(ens.outputs), groups)
+
     ens = ensemble_from(np.ones((2, 3)))
-    with pytest.raises(ValueError, match="partition"):
-        normalize_ensemble(ens, [[0]])
-    with pytest.raises(ValueError, match="more than one group"):
-        normalize_ensemble(ens, [[0, 1], [1]])
-    with pytest.raises(ValueError, match="non-empty"):
-        normalize_ensemble(ens, [[], [0, 1]])
     zero = ensemble_from(np.vstack([np.zeros((1, 3)), np.ones((1, 3))]))
-    with pytest.raises(ValueError, match="zero energy"):
-        normalize_ensemble(zero, [[0], [1]])
+    for normalize in (normalize_ensemble, in_place):
+        with pytest.raises(ValueError, match="partition"):
+            normalize(ens, [[0]])
+        with pytest.raises(ValueError, match="more than one group"):
+            normalize(ens, [[0, 1], [1]])
+        with pytest.raises(ValueError, match="non-empty"):
+            normalize(ens, [[], [0, 1]])
+        with pytest.raises(ValueError, match="zero energy"):
+            normalize(zero, [[0], [1]])
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize(
+    "groups",
+    [
+        [[0, 2], [1]],
+        [list(range(a, b)) for a, b in ((0, 12), (12, 13), (13, 22), (22, 40), (40, 49), (49, 60))],
+        [list(range(r, 60, 6)) for r in range(6)],
+        [list(range(a + 9, a - 1, -1)) for a in range(0, 60, 10)],
+    ],
+    ids=["three-rows", "contiguous", "interleaved", "descending"],
+)
+def test_normalize_matches_dense_bit_for_bit(groups, order):
+    # groups of 8+ rows sum differently pairwise and row by row, so a
+    # slice of a column-major array must still add its rows in order (a
+    # scale that moves by an ulp often rounds back, hence many groups)
+    rows = 1 + max(max(g) for g in groups)
+    rng = np.random.default_rng(rows)
+    raw = rng.normal(size=(rows, 50)) * 10.0 ** rng.uniform(-3, 3, size=(rows, 50))
+    raw = np.asarray(raw, order=order)
+    expected = oracles.normalize_dense(raw, groups)
+    np.testing.assert_array_equal(normalize_ensemble(ensemble_from(raw), groups).outputs, expected)
+    outputs = raw.copy(order=order)
+    normalize_in_place(outputs, groups)
+    np.testing.assert_array_equal(outputs, expected)
 
 
 # === construction ===
@@ -512,6 +542,65 @@ def test_error_metric_full_budget_has_no_test_samples():
     assert math.isnan(report.aggregate_median_rel_error)
     assert set(report.per_qoi_median_rel_error) == {"a", "b"}
     assert all(math.isnan(v) for v in report.per_qoi_median_rel_error.values())
+
+
+WIDE_SPEC = BenchmarkSpec(name="oscillator", grid=(("omega", 1.0, 5.0, 40), ("gamma", 0.05, 0.5, 50)),
+                          hf_settings={"dt": 0.01})
+
+
+def scoring_case(case):
+    """(surrogate, hf, lf) for the bit-for-bit scorer cases."""
+    if case in ("one-column", "two-column", "wide"):
+        lf, hf = gen_oscillator(WIDE_SPEC if case == "wide" else default_spec("oscillator"))
+        n = {"one-column": lf.n_samples - 1, "two-column": lf.n_samples - 2, "wide": 8}[case]
+        return build_surrogate(lf, LINEAR, n, hf.column), hf, lf
+    # 24 rows over three labels, with magnitudes that spread over six decades
+    rng = np.random.default_rng(31)
+    lf = ensemble_from(rng.normal(size=(3, 60)))
+    surr = build_surrogate(lf, SQEXP, 6, provider_for(rng.normal(size=(24, 60))))
+    truth = rng.normal(size=(24, 60)) * 10.0 ** rng.uniform(-3, 3, size=(24, 60))
+    if case == "interleaved":  # no group is a run of rows
+        return surr, ensemble_from(truth, labels=("a", "b", "c") * 8), lf
+    held_out = [j for j in range(60) if j not in surr.pivots]
+    truth[:, held_out[:20:3]] = 0.0  # zero-norm columns
+    truth[:12, held_out[1:20:3]] = 0.0  # zero-norm groups
+    truth[12:, held_out[2:20:3]] = 0.0
+    return surr, ensemble_from(truth, labels=("a",) * 12 + ("b",) * 10 + ("c",) * 2), lf
+
+
+@pytest.mark.parametrize("case", ["one-column", "two-column", "wide", "interleaved", "zero-norm"])
+def test_error_metric_matches_dense_scorer_bit_for_bit(case):
+    """Norms sum as np.linalg.norm sums them on the whole blocks and on row
+    copies: pairwise down the column-major truth and down a single column,
+    row by row otherwise."""
+    surr, hf, lf = scoring_case(case)
+    report = median_relative_error(surr, hf, lf)
+    aggregate, per_qoi = oracles.median_relative_error_dense(surr, hf, lf)
+    assert list(report.per_qoi_median_rel_error) == list(per_qoi)
+    np.testing.assert_array_equal(
+        [report.aggregate_median_rel_error, *report.per_qoi_median_rel_error.values()],
+        [aggregate, *per_qoi.values()],
+    )
+
+
+def test_error_metric_holds_two_held_out_blocks():
+    # the prediction and one truth copy, each squared in place; whole
+    # truth, prediction and difference blocks and their norms' temporaries
+    # took 4x the held-out truth bytes
+    N, D, n = 2000, 202, 8
+    rng = np.random.default_rng(32)
+    lf = ensemble_from(rng.normal(size=(2, N)))
+    hf = ensemble_from(rng.normal(size=(D, N)), labels=("trajectory",) * 200 + ("energy", "amplitude"))
+    surr = build_surrogate(lf, LINEAR, n, hf.column)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        median_relative_error(surr, hf, lf)
+        transient = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    truth_bytes = D * (N - n) * 8
+    assert transient <= 2.5 * truth_bytes, transient / truth_bytes
 
 
 def test_error_metric_sample_count_mismatch():
