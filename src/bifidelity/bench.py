@@ -294,6 +294,10 @@ def gen_oscillator(spec: BenchmarkSpec) -> tuple[SnapshotEnsemble, SnapshotEnsem
     # the HF rows are written and normalized in one (points + 2, N) array,
     # which the ensemble copies once
     hf_out = _oscillator_qois(omega, gamma, hf_dt, hf_steps, "rk4", traj_points)
+    # an RK4 step beyond its stability limit overflows; name those samples
+    bad = np.flatnonzero(~np.isfinite(hf_out).all(axis=0))
+    if bad.size:
+        raise ArithmeticError(f"high-fidelity integration unstable for samples {bad.tolist()}")
     normalize_in_place(hf_out, [list(range(traj_points)), [traj_points], [traj_points + 1]])
     hf = SnapshotEnsemble(
         outputs=hf_out,

@@ -4,6 +4,16 @@ The objective scores a candidate kernel Gramian by its Frobenius distance
 to the linear-kernel reference Gramian plus a stable-rank penalty
 lambda / sqrt(srank). A particle swarm explores a (log-scaled) box, and a
 projected quasi-Newton pass polishes the swarm's best particle.
+
+The swarm only compares scores, so each point is first scored as a
+bracket: for a nonnegative, exactly symmetric Gramian K the row sums
+r = K 1 give mean(r) <= ||K||_2 <= max(r) (Horn & Johnson, Matrix
+Analysis, 8.1), which bounds the penalty without an eigensolve. The exact
+objective runs only when two brackets overlap, and for every value the
+optimizers return or the polish sees. The tuned h are then the ones exact
+scores give, with one case a bracket cannot see: an eigensolve that fails
+to converge on a finite symmetric Gramian, which the exact objective maps
+to inf, while the bracket holds finite bounds.
 """
 from __future__ import annotations
 
@@ -112,26 +122,70 @@ def _spec_for(cfg: ObjectiveConfig, h) -> KernelSpec:
     return KernelSpec(family=cfg.family, h=tuple(float(v) for v in arr))
 
 
-class _Memoized:
-    """A scalar objective computed once per distinct point.
+class _Bracket:
+    """An objective value known to lie in [lo, hi] until ``float()`` asks for it.
 
-    Points are keyed by their exact float64 bytes, so a repeated request
-    returns the very value a fresh computation would. ``requests`` counts
-    every call, repeats included; ``values`` holds one entry per
-    computation.
+    ``exact(arg)`` computes the value; it runs at most once, and the
+    bracket then narrows to that value.
     """
 
-    def __init__(self, f):
-        self.f = f
-        self.values: dict[bytes, float] = {}
-        self.requests = 0
+    __slots__ = ("lo", "hi", "exact", "arg")
 
-    def __call__(self, x) -> float:
+    def __init__(self, lo: float, hi: float, exact, arg):
+        self.lo, self.hi, self.exact, self.arg = lo, hi, exact, arg
+
+    def __float__(self) -> float:
+        if self.exact is not None:
+            self.lo = self.hi = float(self.exact(self.arg))
+            self.exact = self.arg = None
+        return self.lo
+
+
+def _less(a, b) -> bool:
+    """``a < b`` for scores that may be brackets; a float is its own bracket.
+
+    While the two brackets overlap, a pending one is resolved, ``a`` first
+    (the challenger, in the swarm), so the answer is the one the exact
+    values give.
+    """
+    while True:
+        a_lo, a_hi = (a.lo, a.hi) if isinstance(a, _Bracket) else (a, a)
+        b_lo, b_hi = (b.lo, b.hi) if isinstance(b, _Bracket) else (b, b)
+        if a_hi < b_lo or a_lo >= b_hi:
+            return a_hi < b_lo
+        pending = [v for v in (a, b) if isinstance(v, _Bracket) and v.exact is not None]
+        float(pending[0])
+
+
+class _Memoized:
+    """A scalar objective ``f`` scored once per distinct point.
+
+    Points are keyed by their exact float64 bytes, so a repeated request
+    returns the very value a fresh computation would. ``score`` returns a
+    pending _Bracket where ``bounds`` gives (lo, hi) on ``f``, and ``f``'s
+    value otherwise; calling the memo returns the exact value. A pending
+    point holds only its key and bounds. ``requests`` counts every request
+    of either kind, repeats included; ``values`` holds one entry per
+    distinct point.
+    """
+
+    def __init__(self, f, bounds):
+        self.f = f
+        self.bounds = bounds
+        self.values: dict[bytes, float | _Bracket] = {}
+        self.requests = 0
+        self._f_at = lambda key: f(np.frombuffer(key))
+
+    def score(self, x):
         self.requests += 1
         key = np.asarray(x, dtype=float).tobytes()
         if key not in self.values:
-            self.values[key] = self.f(x)
+            b = self.bounds(x)
+            self.values[key] = self.f(x) if b is None else _Bracket(*b, self._f_at, key)
         return self.values[key]
+
+    def __call__(self, x) -> float:
+        return float(self.score(x))
 
 
 def _linear_reference(X: np.ndarray) -> np.ndarray:
@@ -154,6 +208,42 @@ def _objective(cfg: ObjectiveConfig, h, X: np.ndarray, ref: np.ndarray, dists) -
     except (NumericsError, ValueError, ArithmeticError):
         return math.inf
     return value if np.isfinite(value) else math.inf
+
+
+# The row-sum bounds hold in exact arithmetic. The computed ||K||_2, row
+# sums and norms each round at the N * eps level; this pad covers that.
+_BRACKET_PAD = 1e-9
+
+
+def _bracket(cfg: ObjectiveConfig, h, X: np.ndarray, ref: np.ndarray, dists):
+    """Bounds (lo, hi) on ``_objective`` at ``h``, or None where none are known.
+
+    For a finite, exactly symmetric, nonnegative candidate K, the row sums
+    r = K 1 give mean(r) <= ||K||_2 <= max(r) (Rayleigh quotient at the
+    ones vector; Collatz-Wielandt), so the stability term
+    lam * ||K||_2 / ||K||_F lies between the two, padded by _BRACKET_PAD.
+    The fit term is computed as ``_objective`` computes it. Every other
+    case (lam = 0, a negative or non-finite entry, an asymmetric or zero
+    Gramian) gives None, and the caller scores it exactly.
+    """
+    if cfg.lam == 0.0:
+        return None
+    try:
+        cand = gramian_entries(_spec_for(cfg, h), X, dists)
+    except (ValueError, ArithmeticError):
+        return None
+    # written so that NaN fails each test
+    if not (cand.min() >= 0.0 and cand.max() < math.inf and np.array_equal(cand, cand.T)):
+        return None
+    fit = float(np.linalg.norm(ref - cand))
+    fro2 = float(np.sum(cand * cand))
+    if not (fit < math.inf and 0.0 < fro2 < math.inf):
+        return None
+    rows = cand.sum(axis=1)
+    scale = cfg.lam / math.sqrt(fro2)
+    lo = fit + scale * float(np.mean(rows)) * (1.0 - _BRACKET_PAD)
+    hi = fit + scale * float(np.max(rows)) * (1.0 + _BRACKET_PAD)
+    return lo, hi
 
 
 def objective(cfg: ObjectiveConfig, h, lf_ensemble: SnapshotEnsemble) -> float:
@@ -188,6 +278,17 @@ def _stream(
     return generator
 
 
+def _score(f, p):
+    """``f(p)``: a _Bracket as it is, any other score as a float; NaN raises ValueError."""
+    value = f(p)
+    if isinstance(value, _Bracket):
+        return value
+    value = float(value)
+    if math.isnan(value):
+        raise ValueError(f"objective is NaN at {p.tolist()}")
+    return value
+
+
 def pso_minimize(f, cfg: PsoConfig, bounds) -> tuple[np.ndarray, float, list[float]]:
     """Particle swarm minimization over a box.
 
@@ -195,6 +296,11 @@ def pso_minimize(f, cfg: PsoConfig, bounds) -> tuple[np.ndarray, float, list[flo
     with rho, gamma drawn fresh per particle per iteration; velocities are
     clamped componentwise and positions clipped to the box. Returns the
     best-ever position, its value, and the best-value trace per iteration.
+
+    ``f`` returns a float or a _Bracket. Scores are only compared, through
+    ``_less``, so a bracket is resolved only when a comparison needs it (and
+    for the returned value and trace, which are exact). A NaN score raises
+    ValueError naming the point.
     """
     bounds = np.asarray(bounds, dtype=float)
     if bounds.ndim != 2 or bounds.shape[1] != 2 or np.any(bounds[:, 0] >= bounds[:, 1]):
@@ -212,12 +318,15 @@ def pso_minimize(f, cfg: PsoConfig, bounds) -> tuple[np.ndarray, float, list[flo
         pos[i] = lo + g.uniform(size=dim) * span
         vel[i] = (2.0 * g.uniform(size=dim) - 1.0) * vmax
 
-    values = np.array([f(p) for p in pos], dtype=float)
+    best_val = [_score(f, p) for p in pos]
     best_pos = pos.copy()
-    best_val = values.copy()
-    g_idx = int(np.argmin(best_val))
+    # the first particle holding the least value, as np.argmin picks it
+    g_idx = 0
+    for i in range(1, cfg.swarm_size):
+        if _less(best_val[i], best_val[g_idx]):
+            g_idx = i
     g_pos = best_pos[g_idx].copy()
-    g_val = float(best_val[g_idx])
+    g_val = best_val[g_idx]
     trace = [g_val]
 
     stall = 0
@@ -229,21 +338,21 @@ def pso_minimize(f, cfg: PsoConfig, bounds) -> tuple[np.ndarray, float, list[flo
         np.clip(vel, -vmax, vmax, out=vel)
         pos += vel
         np.clip(pos, lo, hi, out=pos)
-        values = np.array([f(p) for p in pos], dtype=float)
-        improved_mask = values < best_val
-        best_val[improved_mask] = values[improved_mask]
-        best_pos[improved_mask] = pos[improved_mask]
-        new_idx = int(np.argmin(best_val))
-        if best_val[new_idx] < g_val:
-            g_val = float(best_val[new_idx])
-            g_pos = best_pos[new_idx].copy()
-            stall = 0
-        else:
-            stall += 1
+        values = [_score(f, p) for p in pos]
+        # g_val is the least personal best, so only an improved particle can
+        # beat it; taking them in order keeps the first of any tie
+        improved = False
+        for i, value in enumerate(values):
+            if _less(value, best_val[i]):
+                best_val[i] = value
+                best_pos[i] = pos[i]
+                if _less(value, g_val):
+                    g_val, g_pos, improved = value, pos[i].copy(), True
+        stall = 0 if improved else stall + 1
         trace.append(g_val)
         if stall >= cfg.stall_iters:
             break
-    return g_pos.copy(), g_val, trace
+    return g_pos.copy(), float(g_val), [float(v) for v in trace]
 
 
 def _fd_gradient(f, x: np.ndarray, fx: float) -> np.ndarray:
@@ -366,7 +475,8 @@ def optimize_hyperparams(
     """Tune one family's hyperparameters: log-scale PSO plus local polish.
 
     The swarm and the polish share one memo, so each distinct point is
-    scored once; ``evaluations_used`` still counts every request.
+    bracketed once and computed exactly at most once; ``evaluations_used``
+    still counts every request.
 
     The linear family has nothing to tune and returns immediately with the
     objective reduced to its stable-rank term and zero evaluations.
@@ -390,10 +500,13 @@ def optimize_hyperparams(
 
     dists = pairwise_distances(X)
     # clipped swarm particles revisit box edges, so many requests repeat
-    f_log = _Memoized(lambda theta: _objective(obj_cfg, np.exp(theta), X, ref, dists))
+    f_log = _Memoized(
+        lambda theta: _objective(obj_cfg, np.exp(theta), X, ref, dists),
+        lambda theta: _bracket(obj_cfg, np.exp(theta), X, ref, dists),
+    )
 
     log_bounds = np.log(np.asarray(obj_cfg.bounds, dtype=float))
-    theta_pso, _, _ = pso_minimize(f_log, pso_cfg, log_bounds)
+    theta_pso, _, _ = pso_minimize(f_log.score, pso_cfg, log_bounds)
     theta_star, f_star = refine_local(f_log, theta_pso, log_bounds)
     h_star = np.exp(theta_star)
     spec = _spec_for(obj_cfg, h_star)

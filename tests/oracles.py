@@ -8,7 +8,8 @@ least-squares solves go through numpy's SVD-based lstsq instead of the
 eigendecomposition route. The benchmark generators keep their first
 form: whole oscillator trajectories in memory, and nbody forces from a
 (B, B, 3) difference tensor; so do normalization and the error metric,
-on row copies and whole held-out blocks. Agreement between these and the
+on row copies and whole held-out blocks, and the particle swarm scores
+every point exactly as it goes. Agreement between these and the
 package is therefore evidence, not tautology.
 """
 from __future__ import annotations
@@ -279,6 +280,65 @@ def grid_minimum_1d(f, lo: float, hi: float, n_points: int) -> float:
 def log_grid_minimum_1d(f, lo: float, hi: float, n_points: int) -> float:
     xs = np.exp(np.linspace(math.log(lo), math.log(hi), n_points))
     return min(f(np.array([x])) for x in xs)
+
+
+def pso_minimize_eager(f, cfg, bounds):
+    """The particle swarm as it scored every point before brackets existed.
+
+    Each value is a float the moment it is asked for, and the swarm keeps
+    them in arrays and picks the best with np.argmin. Draws come from a
+    fresh Philox generator per (seed, iteration, particle) stream. Same
+    update rule and return contract as ``hyperopt.pso_minimize``.
+    """
+    bounds = np.asarray(bounds, dtype=float)
+    lo, hi = bounds[:, 0], bounds[:, 1]
+    dim = bounds.shape[0]
+    span = hi - lo
+    vmax = cfg.v_max_fraction * span
+
+    def stream(iteration, particle):
+        key = np.array([cfg.seed, (iteration << 32) | particle], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key))
+
+    pos = np.empty((cfg.swarm_size, dim))
+    vel = np.empty((cfg.swarm_size, dim))
+    for i in range(cfg.swarm_size):
+        g = stream(0, i)
+        pos[i] = lo + g.uniform(size=dim) * span
+        vel[i] = (2.0 * g.uniform(size=dim) - 1.0) * vmax
+
+    values = np.array([f(p) for p in pos], dtype=float)
+    best_pos = pos.copy()
+    best_val = values.copy()
+    g_idx = int(np.argmin(best_val))
+    g_pos = best_pos[g_idx].copy()
+    g_val = float(best_val[g_idx])
+    trace = [g_val]
+
+    stall = 0
+    for it in range(1, cfg.max_iters + 1):
+        for i in range(cfg.swarm_size):
+            rho, gamma = stream(it, i).uniform(size=2)
+            vel[i] += cfg.k1 * rho * (best_pos[i] - pos[i])
+            vel[i] += cfg.k2 * gamma * (g_pos - pos[i])
+        np.clip(vel, -vmax, vmax, out=vel)
+        pos += vel
+        np.clip(pos, lo, hi, out=pos)
+        values = np.array([f(p) for p in pos], dtype=float)
+        improved_mask = values < best_val
+        best_val[improved_mask] = values[improved_mask]
+        best_pos[improved_mask] = pos[improved_mask]
+        new_idx = int(np.argmin(best_val))
+        if best_val[new_idx] < g_val:
+            g_val = float(best_val[new_idx])
+            g_pos = best_pos[new_idx].copy()
+            stall = 0
+        else:
+            stall += 1
+        trace.append(g_val)
+        if stall >= cfg.stall_iters:
+            break
+    return g_pos.copy(), g_val, trace
 
 
 # === adaptive-selection epsilon by explicit dense least squares ===

@@ -302,6 +302,26 @@ def test_unstable_sample_is_named_when_it_overflows_after_the_first_block():
     assert str(raised.value) == "low-fidelity integration unstable for samples [39]"
 
 
+def test_unstable_high_fidelity_raises():
+    # RK4 is unstable beyond omega * dt ~ 2.8: at dt 0.5 omega 1 stays
+    # stable and omega 12 (samples 3-5) overflows; forward Euler at dt
+    # 0.01 stays finite for both
+    spec = BenchmarkSpec(
+        name="oscillator",
+        grid=(("omega", 1.0, 12.0, 2), ("gamma", 0.05, 0.5, 3)),
+        lf_settings={"dt": 0.01},
+        hf_settings={"dt": 0.5, "horizon": 500.0, "trajectory_points": 10},
+    )
+    params = parameter_table(spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        finite = [np.all(np.isfinite(integrate_oscillator(w, g, 0.5, 500.0)[1])) for w, g in params]
+        with pytest.raises(ArithmeticError) as raised:
+            gen_oscillator(spec)
+    assert np.flatnonzero(np.logical_not(finite)).tolist() == [3, 4, 5]
+    assert str(raised.value) == "high-fidelity integration unstable for samples [3, 4, 5]"
+
+
 # === nbody ===
 
 

@@ -534,6 +534,33 @@ def test_exit_code_4_on_numerical_failure(tmp_path, capsys):
     assert not (tmp_path / "out").exists() and not (tmp_path / "gen").exists()
 
 
+def test_exit_code_4_on_unstable_high_fidelity(tmp_path, capsys):
+    # RK4 at omega * dt 5-6 overflows, in run and in gen; Euler stays finite
+    bench = {
+        "grid": [["omega", 10.0, 12.0, 2], ["gamma", 0.05, 0.5, 3]],
+        "hf": {"dt": 0.5, "horizon": 500.0, "trajectory_points": 10},
+        "lf": {"dt": 0.01},
+    }
+    doc = {
+        "data": {"benchmark": {"name": "oscillator", **bench}},
+        "kernels": ["linear"],
+        "modes": ["linear-baseline"],
+        "budgets": [2],
+        "out_dir": str(tmp_path / "out"),
+    }
+    cfg = write_config(tmp_path / "cfg.json", doc)
+    gen_cfg = write_config(tmp_path / "gen.json", bench)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        capsys.readouterr()
+        assert main(["run", "--config", cfg]) == 4
+        assert "high-fidelity integration unstable" in capsys.readouterr().err
+        assert main(["gen", "oscillator", "--config", gen_cfg, "--out", str(tmp_path / "gen")]) == 4
+    err = capsys.readouterr().err
+    assert "numerical failure: high-fidelity integration unstable for samples [0, 1, 2, 3, 4, 5]" in err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "gen").exists()
+
+
 def test_overflowing_lf_outputs_exit_4_before_tuning(toy, tmp_path, capsys):
     huge = tmp_path / "huge_lf.csv"
     write_matrix_csv(huge, 1e200 * np.random.default_rng(3).normal(size=(2, 8)))

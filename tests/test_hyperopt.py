@@ -1,5 +1,6 @@
 """Objective values against a dense-SVD oracle, swarm behavior against
 random search, and the local refinement contract."""
+import functools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bifidelity import hyperopt
+from bifidelity.bench import BenchmarkSpec, gen_oscillator
 from bifidelity.data import SnapshotEnsemble
 from bifidelity.hyperopt import (
     ObjectiveConfig,
@@ -18,7 +20,7 @@ from bifidelity.hyperopt import (
     pso_minimize,
     refine_local,
 )
-from bifidelity.kernels import KernelFamily, KernelSpec, gramian_entries
+from bifidelity.kernels import KernelFamily, KernelSpec, gramian_entries, pairwise_distances
 
 import oracles
 
@@ -44,6 +46,18 @@ def config_for(ens, family, lam=0.1, **flags):
         bounds=default_bounds(family, median_pairwise_distance(ens.outputs)),
         **flags,
     )
+
+
+def oscillator_lf(omega_count, gamma_count):
+    spec = BenchmarkSpec(
+        name="oscillator",
+        grid=(("omega", 1.0, 5.0, omega_count), ("gamma", 0.05, 0.5, gamma_count)),
+        hf_settings={"dt": 0.01, "horizon": 10.0, "trajectory_points": 20},
+    )
+    return gen_oscillator(spec)[0]
+
+
+RADIAL_FAMILIES = [f for f in KernelFamily if f != KernelFamily.LINEAR]
 
 
 # === objective ===
@@ -118,6 +132,84 @@ def test_objective_config_validation():
         )
 
 
+# === objective brackets ===
+
+
+@functools.lru_cache(maxsize=None)
+def bracket_data(kind, n, seed):
+    """LF columns and what tuning forms from them once: (X, ref, dists, dbar)."""
+    rng = np.random.default_rng(seed)
+    if kind == "oscillator":
+        X = oscillator_lf(*{2: (1, 2), 36: (2, 18), 114: (6, 19)}[n]).outputs
+    elif kind == "normal":
+        X = rng.normal(size=(3, n))
+    else:
+        # tight clusters far apart: at short length scales the entries
+        # between clusters underflow to 0, and the Gramian is reducible
+        centers = 1e4 * rng.normal(size=(2, 3))
+        X = centers[:, np.arange(n) % 3] + rng.normal(size=(2, n))
+    return X, hyperopt._linear_reference(X), pairwise_distances(X), median_pairwise_distance(X)
+
+
+@given(
+    st.sampled_from(RADIAL_FAMILIES),
+    st.sampled_from(["oscillator", "normal", "clusters"]),
+    st.sampled_from([2, 36, 114]),
+    st.integers(0, 3),
+    st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2),
+    st.sampled_from([0.0, 0.1, 100.0]),
+)
+def test_bracket_holds_the_exact_objective(family, kind, n, seed, where, lam):
+    # where spans the whole log box: near-identity Gramians at 0,
+    # near-rank-1 ones at 1, intermediate ones between
+    X, ref, dists, dbar = bracket_data(kind, n, seed)
+    cfg = ObjectiveConfig(lam=lam, family=family, bounds=default_bounds(family, dbar))
+    h = [lo * (hi / lo) ** t for (lo, hi), t in zip(cfg.bounds, where)]
+    bounds = hyperopt._bracket(cfg, h, X, ref, dists)
+    want = hyperopt._objective(cfg, h, X, ref, dists)
+    if lam == 0.0:
+        # no stability term to bound: the caller scores the fit exactly
+        assert bounds is None
+        return
+    lo, hi = bounds
+    assert lo <= want <= hi
+
+
+def test_clustered_gramians_underflow_between_clusters():
+    # the reducible case test_bracket_holds_the_exact_objective draws
+    X, _, _, dbar = bracket_data("clusters", 36, 0)
+    cand = gramian_entries(KernelSpec(family=KernelFamily.EXPONENTIAL, h=(1e-3 * dbar,)), X)
+    assert np.count_nonzero(cand[0, 1::3]) == 0 and np.all(cand[0, ::3] > 0)
+
+
+@pytest.mark.parametrize(
+    "cand",
+    [
+        # symmetric but negative: ||K||_2 = 1.9 lies above every row sum (0.1)
+        np.array([[1.0, -0.9], [-0.9, 1.0]]),
+        # nonnegative but not symmetric: stable_rank refuses it, so inf
+        np.array([[1.0, 0.5], [0.2, 1.0]]),
+        np.array([[1.0, math.nan], [math.nan, 1.0]]),
+        np.zeros((2, 2)),
+    ],
+    ids=["negative", "asymmetric", "nan", "zero"],
+)
+def test_gramians_without_a_bracket_are_scored_exactly(monkeypatch, cand):
+    X = np.array([[0.0, 1.0]])
+    ref = hyperopt._linear_reference(X)
+    cfg = ObjectiveConfig(lam=0.1, family=KernelFamily.EXPONENTIAL, bounds=((0.1, 10.0),))
+    monkeypatch.setattr(hyperopt, "gramian_entries", lambda spec, X, dists=None: cand.copy())
+    memo = hyperopt._Memoized(
+        lambda theta: hyperopt._objective(cfg, np.exp(theta), X, ref, None),
+        lambda theta: hyperopt._bracket(cfg, np.exp(theta), X, ref, None),
+    )
+    assert hyperopt._bracket(cfg, (1.0,), X, ref, None) is None
+    got = memo.score(np.zeros(1))
+    assert type(got) is float and got == hyperopt._objective(cfg, (1.0,), X, ref, None)
+    if np.all(np.isfinite(cand)) and np.array_equal(cand, cand.T) and cand.any():
+        assert np.linalg.norm(cand, 2) > cand.sum(axis=1).max()
+
+
 # === particle swarm ===
 
 
@@ -173,6 +265,44 @@ def test_pso_determinism():
     assert np.array_equal(first[0], second[0])
     assert first[1] == second[1]
     assert first[2] == second[2]
+
+
+def test_pso_refuses_a_nan_score():
+    # np.argmin would pick the NaN as the minimum
+    f = lambda h: math.nan if h[0] > 5.0 else (h[0] - 3.0) ** 2
+    with pytest.raises(ValueError, match=r"objective is NaN at \[8\.13"):
+        pso_minimize(f, PsoConfig(seed=0, max_iters=20), [(0.0, 10.0)])
+
+
+@given(st.integers(0, 10**6), st.floats(0.0, 4.0))
+def test_pso_on_brackets_matches_the_eager_swarm(seed, spread):
+    # the exact value sits anywhere inside a bracket of random width;
+    # comparisons must give what the exact values give, ties included
+    resolved = []
+
+    def resolve(value):
+        resolved.append(value)
+        return value
+
+    def exact(h):
+        return float(np.floor(4.0 * np.sum((h - 0.3) ** 2)))
+
+    def bracketed(h):
+        value = exact(h)
+        u, w = np.random.default_rng(h.view(np.uint64).tolist()).uniform(size=2) * spread
+        return hyperopt._Bracket(value - u, value + w, resolve, value)
+
+    cfg = PsoConfig(swarm_size=8, max_iters=30, seed=seed)
+    bounds = [(-1.0, 1.0), (0.0, 2.0)]
+    got = pso_minimize(bracketed, cfg, bounds)
+    want = oracles.pso_minimize_eager(exact, cfg, bounds)
+    assert np.array_equal(got[0], want[0])
+    assert got[1] == want[1] and got[2] == want[2]
+    assert all(type(v) is float for v in got[2])
+    if spread == 0.0:
+        # point brackets decide every comparison; only the trace resolves
+        assert len(resolved) == len(set(got[2]))
+    assert len(resolved) <= cfg.swarm_size * len(want[2])
 
 
 def test_rekeyed_stream_draws_what_a_fresh_philox_draws():
@@ -292,21 +422,48 @@ def test_optimize_scores_each_point_once(monkeypatch):
     # ask for the same point again
     ens = ensemble_from(np.array([[0.0, 1.0, 2.0, 3.0, 4.0, 5.0]]) ** 2)
     cfg = config_for(ens, KernelFamily.MATERN32)
-    scored = []
+    bracketed, scored = [], []
 
-    scorer = hyperopt._objective
+    def counting(into, scorer):
+        def score(cfg, h, X, ref, dists):
+            into.append(np.asarray(h, dtype=float).tobytes())
+            return scorer(cfg, h, X, ref, dists)
 
-    def counting(cfg, h, X, ref, dists):
-        scored.append(np.asarray(h, dtype=float).tobytes())
-        return scorer(cfg, h, X, ref, dists)
+        return score
 
-    monkeypatch.setattr(hyperopt, "_objective", counting)
+    monkeypatch.setattr(hyperopt, "_bracket", counting(bracketed, hyperopt._bracket))
+    monkeypatch.setattr(hyperopt, "_objective", counting(scored, hyperopt._objective))
     result = optimize_hyperparams(KernelFamily.MATERN32, ens, cfg, PsoConfig(seed=3))
     monkeypatch.undo()
+    # each distinct point is bracketed once, and only some need the exact value
+    assert len(bracketed) == len(set(bracketed))
     assert len(scored) == len(set(scored))
-    assert result.distinct_evaluations == len(scored)
-    assert result.evaluations_used > len(scored)
+    assert set(scored) <= set(bracketed)
+    assert len(scored) < len(bracketed)
+    assert result.distinct_evaluations == len(bracketed)
+    assert result.evaluations_used > len(bracketed)
     assert result.objective_value == objective(cfg, result.spec.h, ens)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.1, 100.0])
+@pytest.mark.parametrize("family", RADIAL_FAMILIES, ids=lambda f: f.name.lower())
+def test_optimize_matches_tuning_by_the_eager_swarm(monkeypatch, family, lam):
+    ens = oscillator_lf(4, 9)
+    cfg = config_for(ens, family, lam=lam)
+
+    def eager(f, pso_cfg, bounds):
+        return oracles.pso_minimize_eager(lambda x: float(f(x)), pso_cfg, bounds)
+
+    for seed in (0, 1, 2):
+        pso = PsoConfig(seed=seed)
+        got = optimize_hyperparams(family, ens, cfg, pso)
+        with monkeypatch.context() as patched:
+            patched.setattr(hyperopt, "pso_minimize", eager)
+            want = optimize_hyperparams(family, ens, cfg, pso)
+        assert got.spec.h == want.spec.h
+        assert got.objective_value == want.objective_value
+        assert got.evaluations_used == want.evaluations_used
+        assert got.distinct_evaluations == want.distinct_evaluations
 
 
 def test_optimize_squared_exponential_tracks_log_grid_oracle():
