@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import SnapshotEnsemble, normalize_ensemble, normalize_in_place
+from .data import _BLOCK_DOUBLES, SnapshotEnsemble, normalize_ensemble, normalize_in_place
 
 __all__ = [
     "BenchmarkSpec",
@@ -149,13 +149,6 @@ def integrate_oscillator(
     return dt * np.arange(steps + 1), y[:, 0, 0], y[:, 1, 0]
 
 
-# Doubles a block of integration holds: 4 per sample and step (x and v,
-# and two energy rows), so a block is _BLOCK_DOUBLES // (4 * n_samples)
-# steps and memory stays O(_BLOCK_DOUBLES) whatever the step and sample
-# counts.
-_BLOCK_DOUBLES = 2**16
-
-
 def _integrate_blocks(omega, gamma, dt, steps, method, rows):
     """Yield state blocks shaped (rows + 1, 2, n_samples), vectorized over samples.
 
@@ -163,7 +156,8 @@ def _integrate_blocks(omega, gamma, dt, steps, method, rows):
     state of the block before (the initial state (1, 0) in the first);
     rows 1.. are the next ``rows`` steps (fewer in the last block),
     ``rows <= steps``. A block is a view of a reused buffer, valid until
-    the next block is asked for.
+    the next block is asked for. An unstable step overflows without a
+    numpy warning: the callers check the states they keep.
     """
     if method not in ("euler", "rk4"):
         raise ValueError(f"unknown integrator {method!r}")
@@ -208,16 +202,18 @@ def _integrate_blocks(omega, gamma, dt, steps, method, rows):
     while True:
         count = min(rows, steps - done)
         ys[0] = y0
-        for row in after[:count]:
-            for f, a, b, out in program:
-                f(a, b, out)
-            np.copyto(row, y0)
+        with np.errstate(over="ignore", invalid="ignore"):  # not held across the yield
+            for row in after[:count]:
+                for f, a, b, out in program:
+                    f(a, b, out)
+                np.copyto(row, y0)
         yield ys[: count + 1]
         done += count
         if done == steps:
             return
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _oscillator_qois(omega, gamma, dt, steps, method, points=0):
     """One (points + 2, n_samples) array: rows ``stride * (1..points)`` of
     x, ``stride = steps // points``, then the time-averaged energy and the
@@ -225,9 +221,11 @@ def _oscillator_qois(omega, gamma, dt, steps, method, points=0):
 
     Integrates in blocks of at most _BLOCK_DOUBLES doubles, so memory is
     O(_BLOCK_DOUBLES + points * N) whatever the step count. Forward Euler
-    trajectories must stay finite.
+    trajectories must stay finite. Overflow raises no numpy warning: the
+    finiteness checks name every unstable sample.
     """
     n = omega.size
+    # 4 doubles per sample and step: x and v, and two energy rows
     rows = min(steps, max(1, _BLOCK_DOUBLES // (4 * n)))
     out = np.empty((points + 2, n))
     samples = out[:points]
@@ -281,6 +279,7 @@ def gen_oscillator(spec: BenchmarkSpec) -> tuple[SnapshotEnsemble, SnapshotEnsem
     lf_steps = int(round(float(spec.lf_settings["horizon"]) / lf_dt))
     lf_out = _oscillator_qois(omega, gamma, lf_dt, lf_steps, "euler")
     normalize_in_place(lf_out, [[0], [1]])
+    lf_out.setflags(write=False)  # handed over: the ensemble keeps it uncopied
     lf = SnapshotEnsemble(
         outputs=lf_out,
         params=params,
@@ -292,13 +291,14 @@ def gen_oscillator(spec: BenchmarkSpec) -> tuple[SnapshotEnsemble, SnapshotEnsem
     hf_steps = int(round(float(spec.hf_settings["horizon"]) / hf_dt))
     traj_points = int(spec.hf_settings["trajectory_points"])
     # the HF rows are written and normalized in one (points + 2, N) array,
-    # which the ensemble copies once
+    # which the ensemble keeps without a copy
     hf_out = _oscillator_qois(omega, gamma, hf_dt, hf_steps, "rk4", traj_points)
     # an RK4 step beyond its stability limit overflows; name those samples
     bad = np.flatnonzero(~np.isfinite(hf_out).all(axis=0))
     if bad.size:
         raise ArithmeticError(f"high-fidelity integration unstable for samples {bad.tolist()}")
     normalize_in_place(hf_out, [list(range(traj_points)), [traj_points], [traj_points + 1]])
+    hf_out.setflags(write=False)
     hf = SnapshotEnsemble(
         outputs=hf_out,
         params=params,

@@ -8,7 +8,39 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# Doubles in one column block of an output array: code that reads every
+# column of a (rows x N) array in blocks of ``column_blocks`` holds
+# O(_BLOCK_DOUBLES) doubles per temporary whatever N is.
+_BLOCK_DOUBLES = 2**16
+
+
+def column_blocks(rows: int, columns: int) -> list[slice]:
+    """Slices covering ``range(columns)`` in blocks of max(2, _BLOCK_DOUBLES // rows).
+
+    A one-column remainder joins the block before it, so a block has one
+    column only when there is one column in all: numpy sums a (rows, 1)
+    block pairwise, as a contiguous vector, where it adds the rows of a
+    wider block in order, and BLAS takes another path for it. Every
+    column is then read as a whole-array read would read it.
+    """
+    width = max(2, _BLOCK_DOUBLES // max(rows, 1))
+    starts = list(range(0, columns, width))
+    if len(starts) > 1 and columns - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, [*starts[1:], columns])]
+
+
 def _frozen_array(values, dtype=float) -> np.ndarray:
+    """``values`` itself when it is a read-only array of ``dtype`` that owns
+    its data, as an array handed over by the code that built it; else a
+    frozen copy, so a caller's writable array is never frozen under it."""
+    if (
+        isinstance(values, np.ndarray)
+        and values.dtype == dtype
+        and values.flags.owndata
+        and not values.flags.writeable
+    ):
+        return values
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
@@ -98,9 +130,10 @@ def normalize_in_place(outputs: np.ndarray, groups) -> None:
 
     ``groups`` partitions the rows; each group is divided by sqrt(mean
     over columns of the squared group-restricted column norm). Each group
-    is read through ``row_selector``; either way its squares are summed
-    row-major, rows in order, so the scale does not depend on the layout
-    of ``outputs``.
+    is read through ``row_selector`` in the column blocks of
+    ``column_blocks``, so a temporary holds one block, not the group;
+    either way its squares are summed row-major, rows in order, so the
+    scale does not depend on the layout of ``outputs`` or on the blocks.
     """
     rows_seen: set[int] = set()
     group_list = [list(int(r) for r in g) for g in groups]
@@ -114,9 +147,13 @@ def normalize_in_place(outputs: np.ndarray, groups) -> None:
     if rows_seen != set(range(outputs.shape[0])):
         raise ValueError("groups must partition all output rows")
 
+    sums = np.empty(outputs.shape[1])
+    blocks = column_blocks(*outputs.shape)
     for g in group_list:
         rows = row_selector(g)
-        energy = float(np.mean(np.square(outputs[rows], order="C").sum(axis=0)))
+        for cols in blocks:
+            sums[cols] = np.square(outputs[rows, cols], order="C").sum(axis=0)
+        energy = float(np.mean(sums))
         if energy == 0.0:
             raise ValueError(f"group {g} has zero energy and cannot be normalized")
         outputs[rows] /= math.sqrt(energy)
@@ -127,6 +164,7 @@ def normalize_ensemble(ensemble: SnapshotEnsemble, groups) -> SnapshotEnsemble:
     ``normalize_in_place``."""
     outputs = np.array(ensemble.outputs, dtype=float)
     normalize_in_place(outputs, groups)
+    outputs.setflags(write=False)  # handed over, not copied again
     return SnapshotEnsemble(
         outputs=outputs,
         params=ensemble.params,

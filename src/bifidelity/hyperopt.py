@@ -24,11 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SnapshotEnsemble
+from .data import _BLOCK_DOUBLES, SnapshotEnsemble
 from .kernels import (
     HYPER_DIMS,
     KernelFamily,
     KernelSpec,
+    _distances,
     gramian_entries,
     pairwise_distances,
 )
@@ -453,11 +454,21 @@ def median_pairwise_distance(columns: np.ndarray) -> float:
     n = columns.shape[1]
     if n < 2:
         return 1.0
-    dists = pairwise_distances(columns)
-    if not np.all(np.isfinite(dists)):
-        raise ArithmeticError("pairwise column distances are non-finite")
-    upper = dists[np.triu_indices(n, k=1)]
-    med = float(np.median(upper))
+    # the strict upper triangle, row-major, one block of rows at a time:
+    # each distance sums its squares in row order whatever block it is in,
+    # so only the n (n - 1) / 2 values and one block are ever held
+    upper = np.empty(n * (n - 1) // 2)
+    width = max(1, _BLOCK_DOUBLES // n)
+    at = 0
+    for lo in range(0, n - 1, width):
+        block = _distances(columns[:, lo : lo + width], columns[:, lo + 1 :])
+        if not np.all(np.isfinite(block)):
+            raise ArithmeticError("pairwise column distances are non-finite")
+        for r, row in enumerate(block):
+            tail = row[r:]  # the columns right of the diagonal
+            upper[at : at + tail.size] = tail
+            at += tail.size
+    med = float(np.median(upper, overwrite_input=True))
     return med if med > 0 else 1.0
 
 

@@ -16,6 +16,8 @@ __all__ = [
     "pivoted_cholesky_columns",
     "stable_rank",
     "kept_eigenvalues",
+    "regularized_factor",
+    "apply_regularized",
     "solve_regularized",
 ]
 
@@ -137,23 +139,42 @@ def kept_eigenvalues(w, rcond: float) -> np.ndarray:
     return w > rcond * wmax if wmax > 0 else np.zeros_like(w, dtype=bool)
 
 
+def regularized_factor(H, rcond: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+    """(Vk, wk): the eigenvectors and eigenvalues of symmetric H that
+    ``kept_eigenvalues`` keeps at ``rcond``, from one eigendecomposition.
+
+    ``apply_regularized`` solves with them, as often as needed.
+    """
+    H = np.asarray(H, dtype=float)
+    if rcond < 0:
+        raise ValueError("rcond must be non-negative")
+    w, V = np.linalg.eigh(H)
+    keep = kept_eigenvalues(w, rcond)
+    if not np.any(keep):
+        raise ZeroGramianError("Gramian numerically zero: all eigenvalues truncated")
+    return V[:, keep], w[keep]
+
+
+def apply_regularized(factor: tuple[np.ndarray, np.ndarray], rhs) -> np.ndarray:
+    """Vk (Vk^T rhs / wk) for ``factor`` = (Vk, wk) from ``regularized_factor``.
+
+    ``rhs`` may be a vector or a matrix of stacked right-hand-side columns.
+    """
+    Vk, wk = factor
+    rhs = np.asarray(rhs, dtype=float)
+    if Vk.shape[0] != rhs.shape[0]:
+        raise ValueError("rhs length does not match the Gramian dimension")
+    scale = wk if rhs.ndim == 1 else wk[:, None]
+    return Vk @ ((Vk.T @ rhs) / scale)
+
+
 def solve_regularized(H, rhs, rcond: float = 1e-12) -> np.ndarray:
     """Solve H c = rhs through a truncated symmetric eigendecomposition.
 
     Only the eigenvalues that ``kept_eigenvalues`` keeps at ``rcond``
     enter the solve. ``rhs`` may be a vector or a matrix of stacked
-    right-hand-side columns.
+    right-hand-side columns. This is ``regularized_factor`` then
+    ``apply_regularized``; a caller that solves against the same H many
+    times factors it once and applies the factor.
     """
-    H = np.asarray(H, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    if rcond < 0:
-        raise ValueError("rcond must be non-negative")
-    if H.shape[0] != rhs.shape[0]:
-        raise ValueError("rhs length does not match the Gramian dimension")
-    w, V = np.linalg.eigh(H)
-    keep = kept_eigenvalues(w, rcond)
-    if not np.any(keep):
-        raise ZeroGramianError("Gramian numerically zero: all eigenvalues truncated")
-    Vk = V[:, keep]
-    scale = w[keep] if rhs.ndim == 1 else w[keep][:, None]
-    return Vk @ ((Vk.T @ rhs) / scale)
+    return apply_regularized(regularized_factor(H, rcond), rhs)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SnapshotEnsemble, row_selector
+from .data import SnapshotEnsemble, column_blocks, row_selector
 from .kernels import (
     KernelFamily,
     KernelSpec,
@@ -23,7 +23,12 @@ from .kernels import (
     _kernel_diagonal,
     cross_kernel_vector,
 )
-from .numerics import lower_median, pivoted_cholesky_columns, solve_regularized
+from .numerics import (
+    apply_regularized,
+    lower_median,
+    pivoted_cholesky_columns,
+    regularized_factor,
+)
 
 __all__ = [
     "Surrogate",
@@ -222,9 +227,13 @@ def evaluate(surrogate: Surrogate, query) -> np.ndarray:
             "query must be low-fidelity output columns, not a sample index; "
             "pass the training ensemble's column instead"
         )
+    return _emulate(surrogate, regularized_factor(surrogate.sliced, surrogate.rcond), query)
+
+
+def _emulate(surrogate: Surrogate, factor, query: np.ndarray) -> np.ndarray:
+    """``evaluate`` with ``factor``, the surrogate's ``regularized_factor``, given."""
     rhs = cross_kernel_vector(surrogate.kernel, surrogate.pivot_lf_columns, query)
-    coeffs = solve_regularized(surrogate.sliced, rhs, surrogate.rcond)
-    return surrogate.hf_snapshots @ coeffs
+    return surrogate.hf_snapshots @ apply_regularized(factor, rhs)
 
 
 def _group_sums(squares: np.ndarray, rows: list[int]) -> np.ndarray:
@@ -249,35 +258,45 @@ def median_relative_error(
     excluded from the relative medians. Per-QoI medians follow the label
     groups of ``hf_truth``.
 
-    Holds two held-out blocks, the prediction and a copy of the truth,
-    each squared in place. Every norm keeps the summation order of
-    ``np.linalg.norm`` on the whole blocks (aggregate) and on row copies
-    of them (label groups), so the errors do not depend on how the
-    blocks are read.
+    The held-out samples are emulated and scored in the column blocks of
+    ``column_blocks``, with one factorization of the sliced Gramian: a
+    block's prediction and one copy of its truth, each squared in place,
+    and O(N) column sums, whatever N is. Every norm keeps the summation
+    order of ``np.linalg.norm`` on the whole held-out blocks (aggregate)
+    and on row copies of them (label groups), so the errors do not depend
+    on how the blocks are read.
     """
     if hf_truth.n_samples != lf.n_samples:
         raise ValueError("high- and low-fidelity ensembles disagree on sample count")
     test = np.setdiff1d(np.arange(lf.n_samples), surrogate.pivots)
-    # evaluate first, so its temporaries are gone before the truth is copied
-    err = evaluate(surrogate, lf.outputs[:, test])
-    # column-major when the ensemble is row-major, so its column sums are pairwise
-    truth = hf_truth.outputs[:, test]
-    np.subtract(truth, err, out=err)
-    np.square(err, out=err)
-    np.square(truth, out=truth)
+    factor = regularized_factor(surrogate.sliced, surrogate.rcond)
+    groups = list(hf_truth.label_groups().items())
+    # squared norms per held-out column: the aggregate in row 0, then one
+    # row per label group
+    err_sq = np.empty((1 + len(groups), test.size))
+    truth_sq = np.empty_like(err_sq)
+    for cols in column_blocks(hf_truth.output_dim, test.size):
+        block = test[cols]
+        # emulate first, so its temporaries are gone before the truth is copied
+        err = _emulate(surrogate, factor, lf.outputs[:, block])
+        # column-major when the ensemble is row-major, so its column sums are pairwise
+        truth = hf_truth.outputs[:, block]
+        np.subtract(truth, err, out=err)
+        np.square(err, out=err)
+        np.square(truth, out=truth)
+        err_sq[0, cols], truth_sq[0, cols] = err.sum(axis=0), truth.sum(axis=0)
+        for k, (_, rows) in enumerate(groups, 1):
+            err_sq[k, cols], truth_sq[k, cols] = _group_sums(err, rows), _group_sums(truth, rows)
+        del err, truth  # before the next block is emulated
 
-    def median_ratio(num, den) -> float:
-        num, den = np.sqrt(num), np.sqrt(den)
+    def median_ratio(k) -> float:
+        num, den = np.sqrt(err_sq[k]), np.sqrt(truth_sq[k])
         keep = den > 0.0
         return lower_median(num[keep] / den[keep]) if keep.any() else math.nan
 
-    groups = hf_truth.label_groups().items()
     return ErrorReport(
-        aggregate_median_rel_error=median_ratio(err.sum(axis=0), truth.sum(axis=0)),
-        per_qoi_median_rel_error={
-            name: median_ratio(_group_sums(err, rows), _group_sums(truth, rows))
-            for name, rows in groups
-        },
+        aggregate_median_rel_error=median_ratio(0),
+        per_qoi_median_rel_error={name: median_ratio(k) for k, (name, _) in enumerate(groups, 1)},
     )
 
 

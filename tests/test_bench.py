@@ -254,10 +254,12 @@ def test_oscillator_generation_streams_its_trajectory():
     peak, _ = traced_generation(default_spec("oscillator"))
     assert peak <= 8e6
     # at N=2000 the HF output (3.2 MB) sets the peak: it is written once,
-    # normalized in place and copied once into its ensemble. Fixed blocks
-    # of 256 steps and six copies of it peaked at 6.3x its bytes.
+    # normalized in place over column blocks and kept by its ensemble
+    # without a copy. Fixed blocks of 256 steps and six copies of it
+    # peaked at 6.3x its bytes; a squared copy of the trajectory group and
+    # the ensemble's copy at 2.2x.
     peak, hf = traced_generation(WIDE_SPEC)
-    assert peak <= 2.5 * hf.outputs.nbytes, peak / hf.outputs.nbytes
+    assert peak <= 1.5 * hf.outputs.nbytes, peak / hf.outputs.nbytes
 
 
 def test_unstable_low_fidelity_raises():
@@ -320,6 +322,24 @@ def test_unstable_high_fidelity_raises():
             gen_oscillator(spec)
     assert np.flatnonzero(np.logical_not(finite)).tolist() == [3, 4, 5]
     assert str(raised.value) == "high-fidelity integration unstable for samples [3, 4, 5]"
+
+
+def test_unstable_integration_raises_without_numpy_warnings():
+    # warnings are errors here: the overflow itself must stay silent, and
+    # the finiteness checks name the unstable samples
+    lf_unstable = BenchmarkSpec(name="oscillator", grid=(("omega", 1000.0, 1000.0, 1), ("gamma", 0.05, 0.5, 3)))
+    with pytest.raises(ArithmeticError, match=r"low-fidelity integration unstable for samples \[0, 1, 2\]"):
+        gen_oscillator(lf_unstable)
+    hf_unstable = BenchmarkSpec(
+        name="oscillator",
+        grid=(("omega", 10.0, 12.0, 2), ("gamma", 0.05, 0.5, 3)),
+        lf_settings={"dt": 0.01},
+        hf_settings={"dt": 0.5, "horizon": 500.0, "trajectory_points": 10},
+    )
+    with pytest.raises(
+        ArithmeticError, match=r"high-fidelity integration unstable for samples \[0, 1, 2, 3, 4, 5\]"
+    ):
+        gen_oscillator(hf_unstable)
 
 
 # === nbody ===

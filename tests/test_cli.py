@@ -2,6 +2,7 @@
 the selection-before-draw access discipline."""
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -559,6 +560,29 @@ def test_exit_code_4_on_unstable_high_fidelity(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "numerical failure: high-fidelity integration unstable for samples [0, 1, 2, 3, 4, 5]" in err
     assert not (tmp_path / "out").exists() and not (tmp_path / "gen").exists()
+
+
+def test_gen_names_unstable_samples_without_numpy_warnings(tmp_path):
+    # run with the interpreter's default warning filters, which print a
+    # RuntimeWarning, not raise it; an unstable LF grid, then an unstable HF one
+    root = Path(__file__).resolve().parent.parent
+    benches = [
+        ({"grid": [["omega", 1000.0, 1000.0, 1], ["gamma", 0.05, 0.5, 5]]}, "low", "[0, 1, 2, 3, 4]"),
+        ({"grid": [["omega", 10.0, 12.0, 2], ["gamma", 0.05, 0.5, 3]],
+          "hf": {"dt": 0.5, "horizon": 500.0}}, "high", "[0, 1, 2, 3, 4, 5]"),
+    ]
+    for k, (bench, fidelity, samples) in enumerate(benches):
+        gen_cfg = write_config(tmp_path / f"gen{k}.json", bench)
+        proc = subprocess.run(
+            [sys.executable, "-m", "bifidelity", "gen", "oscillator", "--config", gen_cfg,
+             "--out", str(tmp_path / "gen")],
+            capture_output=True, text=True, cwd=tmp_path, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+        )
+        assert proc.returncode == 4, proc.stderr
+        assert f"numerical failure: {fidelity}-fidelity integration unstable for samples {samples}" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr, proc.stderr
+    assert not (tmp_path / "gen").exists()
 
 
 def test_overflowing_lf_outputs_exit_4_before_tuning(toy, tmp_path, capsys):

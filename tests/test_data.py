@@ -31,6 +31,22 @@ def test_arrays_are_frozen():
         ens.params[0, 0] = 5.0
 
 
+def test_read_only_arrays_are_kept_and_writable_ones_copied():
+    handed = np.ones((2, 3))
+    handed.setflags(write=False)
+    ens = make(handed)
+    assert ens.outputs is handed
+    own = np.ones((2, 3))
+    ens = make(own)
+    assert ens.outputs is not own and not ens.outputs.flags.writeable
+    own[0, 0] = 5.0  # the caller's array stays writable and apart
+    assert ens.outputs[0, 0] == 1.0
+    # a read-only view does not own its data, so it is copied
+    view = np.ones((2, 4))[:, :3]
+    view.setflags(write=False)
+    assert make(view).outputs is not view
+
+
 def test_label_groups_first_appearance_order():
     ens = make(np.ones((4, 2)), labels=("traj", "traj", "energy", "traj"))
     assert ens.label_groups() == {"traj": [0, 1, 3], "energy": [2]}

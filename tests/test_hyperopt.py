@@ -2,13 +2,14 @@
 random search, and the local refinement contract."""
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from bifidelity import hyperopt
-from bifidelity.bench import BenchmarkSpec, gen_oscillator
+from bifidelity.bench import BenchmarkSpec, default_spec, gen_oscillator, generate
 from bifidelity.data import SnapshotEnsemble
 from bifidelity.hyperopt import (
     ObjectiveConfig,
@@ -532,3 +533,50 @@ def test_median_pairwise_distance_degenerate_cases():
     assert median_pairwise_distance(two) == 3.0
     with pytest.raises(ArithmeticError, match="non-finite"):
         median_pairwise_distance(np.array([[-1e200, 1e200]]))
+
+
+def whole_matrix_median(columns):
+    """The median over the upper triangle of the whole distance matrix."""
+    n = columns.shape[1]
+    return float(np.median(pairwise_distances(columns)[np.triu_indices(n, k=1)]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 40])
+@pytest.mark.parametrize("dim", [1, 2, 5])
+def test_median_pairwise_distance_in_row_blocks_matches_whole_matrix(monkeypatch, n, dim):
+    # blocks of max(1, 12 // n) rows: one row per block from n = 7 up
+    monkeypatch.setattr(hyperopt, "_BLOCK_DOUBLES", 12)
+    rng = np.random.default_rng(n * 10 + dim)
+    cols = rng.normal(size=(dim, n)) * 10.0 ** rng.uniform(-3, 3, size=(dim, n))
+    assert median_pairwise_distance(cols) == whole_matrix_median(cols)
+
+
+def test_median_pairwise_distance_pins_the_canonical_configs():
+    specs = {
+        "0x1.3297940497dafp-3": default_spec("oscillator"),
+        "0x1.4aa13658d8baap-1": BenchmarkSpec(name="oscillator", grid=(("omega", 1.0, 1.2, 2), ("gamma", 0.05, 0.5, 57))),
+        "0x1.b7078d5a263ccp-1": default_spec("nbody"),
+        "0x1.6e4172ed67440p-3": BenchmarkSpec(
+            name="oscillator", grid=(("omega", 1.0, 5.0, 40), ("gamma", 0.05, 0.5, 50)), hf_settings={"dt": 0.01}
+        ),
+    }
+    for pinned, spec in specs.items():
+        lf, _ = generate(spec)
+        assert median_pairwise_distance(lf.outputs).hex() == pinned, spec
+
+
+def test_median_pairwise_distance_holds_the_upper_triangle_once():
+    # the N x N matrix, its triu_indices and a copy of the upper values
+    # peaked at 5x the 16 MB of upper values at N = 2000
+    n = 2000
+    cols = np.random.default_rng(35).normal(size=(2, n))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        dbar = median_pairwise_distance(cols)
+        transient = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    upper_bytes = n * (n - 1) // 2 * 8
+    assert transient <= 1.3 * upper_bytes, transient / upper_bytes
+    assert dbar == whole_matrix_median(cols)

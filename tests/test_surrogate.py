@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from bifidelity.bench import BenchmarkSpec, default_spec, gen_oscillator
+from bifidelity import data as data_module
 from bifidelity.cli import _write_json, main
-from bifidelity.data import SnapshotEnsemble, normalize_ensemble, normalize_in_place
+from bifidelity.data import SnapshotEnsemble, column_blocks, normalize_ensemble, normalize_in_place
 from bifidelity.hyperopt import OptimizedKernel
 from bifidelity.numerics import MatrixNotPSDError
 from bifidelity.selection import adaptive_select
@@ -121,6 +122,41 @@ def test_normalize_matches_dense_bit_for_bit(groups, order):
     outputs = raw.copy(order=order)
     normalize_in_place(outputs, groups)
     np.testing.assert_array_equal(outputs, expected)
+
+
+def test_column_blocks_merge_a_one_column_remainder():
+    width = max(2, data_module._BLOCK_DOUBLES // 202)
+    assert width == 324
+    assert column_blocks(202, 0) == []
+    assert column_blocks(202, 1) == [slice(0, 1)]
+    assert column_blocks(202, 325) == [slice(0, 325)]
+    assert column_blocks(202, 326) == [slice(0, 324), slice(324, 326)]
+    assert column_blocks(202, 649) == [slice(0, 324), slice(324, 649)]
+    # a budget below one row still takes two columns per block
+    assert column_blocks(2 * data_module._BLOCK_DOUBLES, 5) == [slice(0, 2), slice(2, 5)]
+
+
+@pytest.mark.parametrize("columns", [6, 11], ids=["B+1", "2B+1"])
+@pytest.mark.parametrize(
+    "groups",
+    [
+        [list(range(a, b)) for a, b in ((0, 12), (12, 13), (13, 22), (22, 40), (40, 49), (49, 60))],
+        [list(range(r, 60, 6)) for r in range(6)],
+        [list(range(a + 9, a - 1, -1)) for a in range(0, 60, 10)],
+    ],
+    ids=["contiguous", "interleaved", "descending"],
+)
+def test_normalize_in_column_blocks_matches_dense_bit_for_bit(monkeypatch, groups, columns):
+    # blocks of B = 5 columns: a sixth or eleventh column joins the last
+    # block, where alone it would sum its squares pairwise; it carries most
+    # of the energy, so an ulp of its sum shows in the scale
+    monkeypatch.setattr(data_module, "_BLOCK_DOUBLES", 5 * 60)
+    rng = np.random.default_rng(columns)
+    raw = rng.normal(size=(60, columns)) * 10.0 ** rng.uniform(-3, 3, size=(60, columns))
+    raw[:, -1] *= 1e3
+    outputs = raw.copy()
+    normalize_in_place(outputs, groups)
+    np.testing.assert_array_equal(outputs, oracles.normalize_dense(raw, groups))
 
 
 # === construction ===
@@ -601,6 +637,70 @@ def test_error_metric_holds_two_held_out_blocks():
         tracemalloc.stop()
     truth_bytes = D * (N - n) * 8
     assert transient <= 2.5 * truth_bytes, transient / truth_bytes
+
+
+@pytest.mark.parametrize("kernel", [LINEAR, SQEXP], ids=["linear", "squared-exponential"])
+@pytest.mark.parametrize("held_out", [0, 1, 2, 4, 5, 6, 11], ids=lambda m: f"m{m}")
+def test_error_metric_in_column_blocks_matches_dense_scorer_bit_for_bit(monkeypatch, kernel, held_out):
+    """Blocks of B = 5 columns, held-out counts 0, 1, 2, B-1, B, B+1 and
+    2B+1: each column's norms and prediction are those of the whole block."""
+    D, n = 24, 4
+    monkeypatch.setattr(data_module, "_BLOCK_DOUBLES", 5 * D)
+    N = n + held_out
+    rng = np.random.default_rng(100 + held_out)
+    lf = ensemble_from(rng.normal(size=(3, N)))
+    surr = build_surrogate(lf, kernel, n, provider_for(rng.normal(size=(D, N))))
+    assert len(surr.pivots) == n
+    truth = rng.normal(size=(D, N)) * 10.0 ** rng.uniform(-3, 3, size=(D, N))
+    # "a" and "b" interleave; "c" is a run of eight rows
+    hf = ensemble_from(truth, labels=("a", "b") * 8 + ("c",) * 8)
+    report = median_relative_error(surr, hf, lf)
+    aggregate, per_qoi = oracles.median_relative_error_dense(surr, hf, lf)
+    assert list(report.per_qoi_median_rel_error) == list(per_qoi)
+    np.testing.assert_array_equal(
+        [report.aggregate_median_rel_error, *report.per_qoi_median_rel_error.values()],
+        [aggregate, *per_qoi.values()],
+    )
+
+
+def test_error_metric_factors_the_gramian_once(monkeypatch):
+    factors = []
+    real = surrogate_module.regularized_factor
+
+    def counted(*args):
+        factors.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(surrogate_module, "regularized_factor", counted)
+    monkeypatch.setattr(data_module, "_BLOCK_DOUBLES", 2 * 4)
+    rng = np.random.default_rng(33)
+    lf = ensemble_from(rng.normal(size=(3, 20)))
+    hf_cols = rng.normal(size=(4, 20))
+    surr = build_surrogate(lf, SQEXP, 4, provider_for(hf_cols))
+    assert len(column_blocks(4, 16)) == 8
+    median_relative_error(surr, ensemble_from(hf_cols), lf)
+    assert len(factors) == 1
+
+
+def test_error_metric_memory_does_not_grow_with_the_sample_count():
+    # one block's prediction and truth copy, plus a few N-vectors of
+    # column sums; the whole-block scorer held 2x the held-out truth,
+    # 6.5 MB at N = 2000 and 26 MB at N = 8000
+    D, n = 202, 8
+    block_bytes = D * max(2, data_module._BLOCK_DOUBLES // D) * 8
+    for N in (2000, 8000):
+        rng = np.random.default_rng(34)
+        lf = ensemble_from(rng.normal(size=(2, N)))
+        hf = ensemble_from(rng.normal(size=(D, N)), labels=("trajectory",) * 200 + ("energy", "amplitude"))
+        surr = build_surrogate(lf, LINEAR, n, hf.column)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            median_relative_error(surr, hf, lf)
+            transient = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert transient <= 3 * block_bytes + 12 * 8 * N, (N, transient)
 
 
 def test_error_metric_sample_count_mismatch():
