@@ -321,6 +321,8 @@ def load_data(cfg: ExperimentConfig, header: bool = False) -> tuple[SnapshotEnse
     else:
         lf_cost = np.ones(N)
         hf_cost = np.ones(N)
+    for parsed in (lf_out, params, hf_out, lf_cost, hf_cost):
+        parsed.setflags(write=False)  # handed over: the ensembles keep them uncopied
     try:
         lf = SnapshotEnsemble(outputs=lf_out, params=params, per_sample_cost=lf_cost)
         hf = SnapshotEnsemble(outputs=hf_out, params=params, per_sample_cost=hf_cost)

@@ -6,14 +6,27 @@ lambda / sqrt(srank). A particle swarm explores a (log-scaled) box, and a
 projected quasi-Newton pass polishes the swarm's best particle.
 
 The swarm only compares scores, so each point is first scored as a
-bracket: for a nonnegative, exactly symmetric Gramian K the row sums
-r = K 1 give mean(r) <= ||K||_2 <= max(r) (Horn & Johnson, Matrix
-Analysis, 8.1), which bounds the penalty without an eigensolve. The exact
-objective runs only when two brackets overlap, and for every value the
-optimizers return or the polish sees. The tuned h are then the ones exact
-scores give, with one case a bracket cannot see: an eigensolve that fails
-to converge on a finite symmetric Gramian, which the exact objective maps
-to inf, while the bracket holds finite bounds.
+bracket. Each family packs the strict upper triangle of its LF distances
+and of the reference once, and a point evaluates the kernel on that half
+of the entries; every radial family is 1 on the diagonal. For the
+nonnegative, exactly symmetric Gramian K this gives, the row sums
+r = K 1 and the largest off-diagonal entry bound
+max(mean(r), 1 + max_{i<j} K_ij) <= ||K||_2 <= min(max(r), ||K||_F)
+(Rayleigh quotients at the ones vector and at e_i + e_j; Horn & Johnson,
+Matrix Analysis, 8.1), which bounds the penalty without an eigensolve.
+mean(r) is the triangle's sum; the full row sums take the unpacked
+Gramian, so a point is bracketed first with 1 + (N - 1) max_{i<j} K_ij
+in place of max(r), and refined with the row sums only when a comparison
+needs it. Two pads keep the bracket rigorous: 1e-9 relative on the
+stability term, and a summation bound of (N^2 + 8) * 2^-53 relative on
+the fit term, which the triangle sums in another order than the exact
+objective. The exact objective runs only when two refined brackets
+overlap, and for every value the optimizers return or the polish sees;
+it unpacks the full Gramian from one profile call on the triangle, bit
+for bit the one the full distance matrix gives. The tuned h are then the
+ones exact scores give, with one case a bracket cannot see: an eigensolve
+that fails to converge on a finite symmetric Gramian, which the exact
+objective maps to inf, while the bracket holds finite bounds.
 """
 from __future__ import annotations
 
@@ -32,6 +45,7 @@ from .kernels import (
     _distances,
     gramian_entries,
     pairwise_distances,
+    radial_profile,
 )
 from .numerics import NumericsError, stable_rank
 
@@ -127,27 +141,37 @@ class _Bracket:
     """An objective value known to lie in [lo, hi] until ``float()`` asks for it.
 
     ``exact(arg)`` computes the value; it runs at most once, and the
-    bracket then narrows to that value.
+    bracket then narrows to that value. ``refine(arg)``, where given,
+    returns tighter bounds for less than the exact value costs;
+    ``narrow()`` applies it once, and resolves exactly after that.
     """
 
-    __slots__ = ("lo", "hi", "exact", "arg")
+    __slots__ = ("lo", "hi", "exact", "arg", "refine")
 
-    def __init__(self, lo: float, hi: float, exact, arg):
-        self.lo, self.hi, self.exact, self.arg = lo, hi, exact, arg
+    def __init__(self, lo: float, hi: float, exact, arg, refine=None):
+        self.lo, self.hi, self.exact, self.arg, self.refine = lo, hi, exact, arg, refine
+
+    def narrow(self) -> None:
+        if self.refine is None:
+            float(self)
+            return
+        lo, hi = self.refine(self.arg)
+        self.lo, self.hi, self.refine = max(self.lo, lo), min(self.hi, hi), None
 
     def __float__(self) -> float:
         if self.exact is not None:
             self.lo = self.hi = float(self.exact(self.arg))
-            self.exact = self.arg = None
+            self.exact = self.arg = self.refine = None
         return self.lo
 
 
 def _less(a, b) -> bool:
     """``a < b`` for scores that may be brackets; a float is its own bracket.
 
-    While the two brackets overlap, a pending one is resolved, ``a`` first
-    (the challenger, in the swarm), so the answer is the one the exact
-    values give.
+    While the two brackets overlap, a pending one is narrowed: refined
+    while either can be, then resolved, ``a`` first each time (the
+    challenger, in the swarm). So the answer is the one the exact values
+    give, and a value is resolved only where the refined brackets overlap.
     """
     while True:
         a_lo, a_hi = (a.lo, a.hi) if isinstance(a, _Bracket) else (a, a)
@@ -155,7 +179,7 @@ def _less(a, b) -> bool:
         if a_hi < b_lo or a_lo >= b_hi:
             return a_hi < b_lo
         pending = [v for v in (a, b) if isinstance(v, _Bracket) and v.exact is not None]
-        float(pending[0])
+        min(pending, key=lambda v: v.refine is None).narrow()
 
 
 class _Memoized:
@@ -164,25 +188,27 @@ class _Memoized:
     Points are keyed by their exact float64 bytes, so a repeated request
     returns the very value a fresh computation would. ``score`` returns a
     pending _Bracket where ``bounds`` gives (lo, hi) on ``f``, and ``f``'s
-    value otherwise; calling the memo returns the exact value. A pending
-    point holds only its key and bounds. ``requests`` counts every request
-    of either kind, repeats included; ``values`` holds one entry per
-    distinct point.
+    value otherwise; ``refine``, where given, gives the bracket's tighter
+    bounds. Calling the memo returns the exact value. A pending point
+    holds only its key and bounds. ``requests`` counts every request of
+    either kind, repeats included; ``values`` holds one entry per distinct
+    point.
     """
 
-    def __init__(self, f, bounds):
+    def __init__(self, f, bounds, refine=None):
         self.f = f
         self.bounds = bounds
         self.values: dict[bytes, float | _Bracket] = {}
         self.requests = 0
         self._f_at = lambda key: f(np.frombuffer(key))
+        self._refine_at = None if refine is None else lambda key: refine(np.frombuffer(key))
 
     def score(self, x):
         self.requests += 1
         key = np.asarray(x, dtype=float).tobytes()
         if key not in self.values:
             b = self.bounds(x)
-            self.values[key] = self.f(x) if b is None else _Bracket(*b, self._f_at, key)
+            self.values[key] = self.f(x) if b is None else _Bracket(*b, self._f_at, key, self._refine_at)
         return self.values[key]
 
     def __call__(self, x) -> float:
@@ -197,10 +223,9 @@ def _linear_reference(X: np.ndarray) -> np.ndarray:
     return ref
 
 
-def _objective(cfg: ObjectiveConfig, h, X: np.ndarray, ref: np.ndarray, dists) -> float:
-    """The objective at ``h`` against a formed reference; see ``objective``."""
+def _gramian_objective(cfg: ObjectiveConfig, cand: np.ndarray, ref: np.ndarray) -> float:
+    """The objective of a formed candidate Gramian; any numerical failure is inf."""
     try:
-        cand = gramian_entries(_spec_for(cfg, h), X, dists)
         if not np.all(np.isfinite(cand)):
             return math.inf
         value = float(np.linalg.norm(ref - cand))
@@ -211,40 +236,155 @@ def _objective(cfg: ObjectiveConfig, h, X: np.ndarray, ref: np.ndarray, dists) -
     return value if np.isfinite(value) else math.inf
 
 
-# The row-sum bounds hold in exact arithmetic. The computed ||K||_2, row
-# sums and norms each round at the N * eps level; this pad covers that.
-_BRACKET_PAD = 1e-9
-
-
-def _bracket(cfg: ObjectiveConfig, h, X: np.ndarray, ref: np.ndarray, dists):
-    """Bounds (lo, hi) on ``_objective`` at ``h``, or None where none are known.
-
-    For a finite, exactly symmetric, nonnegative candidate K, the row sums
-    r = K 1 give mean(r) <= ||K||_2 <= max(r) (Rayleigh quotient at the
-    ones vector; Collatz-Wielandt), so the stability term
-    lam * ||K||_2 / ||K||_F lies between the two, padded by _BRACKET_PAD.
-    The fit term is computed as ``_objective`` computes it. Every other
-    case (lam = 0, a negative or non-finite entry, an asymmetric or zero
-    Gramian) gives None, and the caller scores it exactly.
-    """
-    if cfg.lam == 0.0:
-        return None
+def _objective(cfg: ObjectiveConfig, h, X: np.ndarray, ref: np.ndarray, dists) -> float:
+    """The objective at ``h`` against a formed reference; see ``objective``."""
     try:
         cand = gramian_entries(_spec_for(cfg, h), X, dists)
     except (ValueError, ArithmeticError):
+        return math.inf
+    return _gramian_objective(cfg, cand, ref)
+
+
+class _Triangle:
+    """One family's tuning inputs, packed once: the strict upper triangle.
+
+    ``dists`` holds a 0 (the diagonal's distance) and then the strict upper
+    triangle of the distance matrix, row by row, so one ``radial_profile``
+    call on it gives the diagonal value first and each off-diagonal entry
+    once. ``ref_upper`` and ``ref_diag`` pack the linear reference alike;
+    ``ref`` is the whole reference, which the exact objective subtracts
+    from. No N x N mask or index array is held between calls.
+    """
+
+    __slots__ = ("n", "dists", "ref", "ref_upper", "ref_diag")
+
+    def __init__(self, ref: np.ndarray, dists: np.ndarray):
+        self.n = n = dists.shape[0]
+        upper = ~np.tri(n, dtype=bool)
+        self.dists = np.empty(n * (n - 1) // 2 + 1)
+        self.dists[0] = 0.0
+        self.dists[1:] = dists[upper]
+        self.ref = ref
+        self.ref_upper = ref[upper]
+        self.ref_diag = np.diagonal(ref).copy()
+
+    def gramian(self, values: np.ndarray) -> np.ndarray:
+        """The symmetric matrix with diagonal ``values[0]`` and strict upper triangle ``values[1:]``."""
+        upper = ~np.tri(self.n, dtype=bool)
+        K = np.empty((self.n, self.n))
+        K[upper] = values[1:]
+        K.T[upper] = values[1:]
+        K.flat[:: self.n + 1] = values[0]
+        return K
+
+
+def _pack(ref: np.ndarray, dists: np.ndarray) -> _Triangle | None:
+    """The packed triangle of ``dists``, or None unless they are exactly
+    symmetric with a zero diagonal, where a radial Gramian is symmetric
+    with every diagonal entry the profile's value at 0."""
+    if not (np.array_equal(dists, dists.T) and np.all(np.diagonal(dists) == 0.0)):
         return None
+    return _Triangle(ref, dists)
+
+
+def _profile(cfg: ObjectiveConfig, h, tri: _Triangle) -> np.ndarray | None:
+    """The kernel at ``h`` on the packed distances; None where h names no kernel."""
+    try:
+        return radial_profile(_spec_for(cfg, h), tri.dists)
+    except ValueError:
+        return None
+
+
+def _packed_objective(cfg: ObjectiveConfig, h, tri: _Triangle) -> float:
+    """``_objective`` at ``h``, bit for bit, with the Gramian unpacked from one profile call.
+
+    A radial profile acts entry by entry, so the packed values are the
+    very ones the full distance matrix gives.
+    """
+    values = _profile(cfg, h, tri)
+    if values is None:
+        return math.inf
+    cand = tri.gramian(values)
+    del values  # only the Gramian is held while it is scored
+    return _gramian_objective(cfg, cand, tri.ref)
+
+
+# The bounds on ||K||_2 hold in exact arithmetic. The computed ||K||_2,
+# row sums and ||K||_F each round at the N^2 * 2^-53 level at most
+# (4.4e-10 at N = 2000), below this relative pad on the stability term.
+_BRACKET_PAD = 1e-9
+
+
+def _bracket(cfg: ObjectiveConfig, h, tri: _Triangle, rows: bool = False):
+    """Bounds (lo, hi) on ``_objective`` at ``h``, or None where none are known.
+
+    One profile call on the packed triangle gives the diagonal value k0
+    and each off-diagonal entry once. For a finite, nonnegative K (every
+    radial family; the triangle is exactly symmetric) with row sums
+    r = K 1, the Rayleigh quotients at the ones vector and at e_i + e_j
+    give ||K||_2 >= max(mean(r), k0 + max_{i<j} K_ij), and
+    ||K||_2 <= min(max(r), ||K||_F) (Collatz-Wielandt). The stability term
+    lam * ||K||_2 / ||K||_F lies between the two, padded by _BRACKET_PAD.
+    mean(r) comes from the sum of the triangle; the full row sums, which
+    take the unpacked Gramian, are formed only with ``rows``, and without
+    them max(r) <= k0 + (N - 1) max_{i<j} K_ij stands in.
+
+    The fit term ||ref - K||_F and ||K||_F^2 are summed from the triangle
+    (twice each off-diagonal term, plus the diagonal's), not in
+    ``_objective``'s order. Every term is nonnegative, so to first order
+    ``_objective``'s fit is within (N^2 / 2 + 2) * 2^-53 of the exact
+    value, relative, and this one within (N^2 / 4 + 3) * 2^-53 (Higham,
+    Accuracy and Stability of Numerical Algorithms, 3.1 and 4.2). The fit
+    is padded by (N^2 + 8) * 2^-53, which covers their distance, and its
+    own rounding, for every N. Every other case (lam = 0, a negative or
+    non-finite entry, a zero Gramian) gives None, and the caller scores it
+    exactly.
+    """
+    if cfg.lam == 0.0:
+        return None
+    values = _profile(cfg, h, tri)
+    if values is None:
+        return None
+    n, k0, off = tri.n, float(values[0]), values[1:]
+    top = float(off.max(initial=-math.inf))
     # written so that NaN fails each test
-    if not (cand.min() >= 0.0 and cand.max() < math.inf and np.array_equal(cand, cand.T)):
+    if not (k0 >= 0.0 and off.min(initial=k0) >= 0.0 and max(k0, top) < math.inf):
         return None
-    fit = float(np.linalg.norm(ref - cand))
-    fro2 = float(np.sum(cand * cand))
+    if rows:
+        r = tri.gramian(values) @ np.ones(n)
+        mean, most = float(r.sum()) / n, float(r.max())
+    else:
+        mean, most = k0 + 2.0 * float(off.sum()) / n, k0 + (n - 1) * max(top, 0.0)
+    diff = tri.ref_upper - off
+    diag = tri.ref_diag - k0
+    fit = math.sqrt(2.0 * float(diff @ diff) + float(diag @ diag))
+    fro2 = 2.0 * float(off @ off) + n * k0 * k0
     if not (fit < math.inf and 0.0 < fro2 < math.inf):
         return None
-    rows = cand.sum(axis=1)
+    fit_pad = (n * n + 8) * 2.0**-53
     scale = cfg.lam / math.sqrt(fro2)
-    lo = fit + scale * float(np.mean(rows)) * (1.0 - _BRACKET_PAD)
-    hi = fit + scale * float(np.max(rows)) * (1.0 + _BRACKET_PAD)
+    lo = fit * (1.0 - fit_pad) + scale * max(mean, k0 + top) * (1.0 - _BRACKET_PAD)
+    hi = fit * (1.0 + fit_pad) + scale * min(most, math.sqrt(fro2)) * (1.0 + _BRACKET_PAD)
     return lo, hi
+
+
+def _scores(cfg: ObjectiveConfig, X: np.ndarray, ref: np.ndarray, dists: np.ndarray) -> _Memoized:
+    """One family's objective over log h, memoized and bracketed from the packed triangle.
+
+    Each point is bracketed without row sums; a bracket is refined with
+    them only when a comparison needs it. Distances that are not exactly
+    symmetric with a zero diagonal give no triangle, and every point is
+    then scored exactly by ``_objective``. Otherwise only the triangle is
+    kept, not ``dists``.
+    """
+    tri = _pack(ref, dists)
+    if tri is None:
+        return _Memoized(lambda theta: _objective(cfg, np.exp(theta), X, ref, dists), lambda theta: None)
+    return _Memoized(
+        lambda theta: _packed_objective(cfg, np.exp(theta), tri),
+        lambda theta: _bracket(cfg, np.exp(theta), tri),
+        lambda theta: _bracket(cfg, np.exp(theta), tri, rows=True),
+    )
 
 
 def objective(cfg: ObjectiveConfig, h, lf_ensemble: SnapshotEnsemble) -> float:
@@ -331,11 +471,12 @@ def pso_minimize(f, cfg: PsoConfig, bounds) -> tuple[np.ndarray, float, list[flo
     trace = [g_val]
 
     stall = 0
+    draws = np.empty((cfg.swarm_size, 2))  # (rho, gamma) per particle
     for it in range(1, cfg.max_iters + 1):
         for i in range(cfg.swarm_size):
-            rho, gamma = _stream(rng, cfg.seed, it, i).uniform(size=2)
-            vel[i] += cfg.k1 * rho * (best_pos[i] - pos[i])
-            vel[i] += cfg.k2 * gamma * (g_pos - pos[i])
+            draws[i] = _stream(rng, cfg.seed, it, i).uniform(size=2)
+        vel += cfg.k1 * draws[:, :1] * (best_pos - pos)
+        vel += cfg.k2 * draws[:, 1:] * (g_pos - pos)
         np.clip(vel, -vmax, vmax, out=vel)
         pos += vel
         np.clip(pos, lo, hi, out=pos)
@@ -509,12 +650,8 @@ def optimize_hyperparams(
             wall_time=time.perf_counter() - started,
         )
 
-    dists = pairwise_distances(X)
     # clipped swarm particles revisit box edges, so many requests repeat
-    f_log = _Memoized(
-        lambda theta: _objective(obj_cfg, np.exp(theta), X, ref, dists),
-        lambda theta: _bracket(obj_cfg, np.exp(theta), X, ref, dists),
-    )
+    f_log = _scores(obj_cfg, X, ref, pairwise_distances(X))
 
     log_bounds = np.log(np.asarray(obj_cfg.bounds, dtype=float))
     theta_pso, _, _ = pso_minimize(f_log.score, pso_cfg, log_bounds)

@@ -255,6 +255,28 @@ def test_matrix_csv_failure_modes(tmp_path):
     np.testing.assert_array_equal(read_matrix_csv(headered, header=True), [[1.0, 2.0]])
 
 
+@pytest.mark.parametrize("costs", [True, False], ids=["costs-file", "unit-costs"])
+def test_loaded_ensembles_hold_the_parsed_arrays(monkeypatch, toy, costs):
+    parsed = []
+
+    def reading(path, header=False):
+        parsed.append(read_matrix_csv(path, header))
+        return parsed[-1]
+
+    monkeypatch.setattr(cli, "read_matrix_csv", reading)
+    doc = toy_doc(toy)
+    if not costs:
+        del doc["data"]["files"]["costs"]
+    lf, hf = cli.load_data(parse_config(doc))
+    lf_out, params, hf_out = parsed[:3]
+    assert lf.outputs is lf_out and hf.outputs is hf_out
+    assert lf.params is params and hf.params is params
+    assert not any(arr.flags.writeable for arr in (lf_out, params, hf_out))
+    if not costs:
+        assert not (lf.per_sample_cost.flags.writeable or hf.per_sample_cost.flags.writeable)
+    np.testing.assert_array_equal(hf.per_sample_cost, np.full(8, 2.0) if costs else np.ones(8))
+
+
 # === run pipeline ===
 
 

@@ -6,9 +6,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from bifidelity import hyperopt
+from bifidelity import hyperopt, kernels
 from bifidelity.bench import BenchmarkSpec, default_spec, gen_oscillator, generate
 from bifidelity.data import SnapshotEnsemble
 from bifidelity.hyperopt import (
@@ -144,6 +144,9 @@ def bracket_data(kind, n, seed):
         X = oscillator_lf(*{2: (1, 2), 36: (2, 18), 114: (6, 19)}[n]).outputs
     elif kind == "normal":
         X = rng.normal(size=(3, n))
+    elif kind == "duplicates":
+        # each sample twice: zero distances, and unit entries, off the diagonal
+        X = np.repeat(rng.normal(size=(3, n // 2)), 2, axis=1)
     else:
         # tight clusters far apart: at short length scales the entries
         # between clusters underflow to 0, and the Gramian is reducible
@@ -154,26 +157,34 @@ def bracket_data(kind, n, seed):
 
 @given(
     st.sampled_from(RADIAL_FAMILIES),
-    st.sampled_from(["oscillator", "normal", "clusters"]),
+    st.sampled_from(["oscillator", "normal", "clusters", "duplicates"]),
     st.sampled_from([2, 36, 114]),
     st.integers(0, 3),
     st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2),
     st.sampled_from([0.0, 0.1, 100.0]),
 )
+@example(KernelFamily.SQUARED_EXPONENTIAL, "duplicates", 2, 0, [0.5, 0.5], 0.1)
+@example(KernelFamily.RATIONAL_QUADRATIC, "duplicates", 36, 1, [1.0, 0.0], 100.0)
+@example(KernelFamily.MATERN32, "normal", 2, 2, [0.0, 0.0], 100.0)
+@example(KernelFamily.EXPONENTIAL, "oscillator", 2, 0, [1.0, 1.0], 0.1)
 def test_bracket_holds_the_exact_objective(family, kind, n, seed, where, lam):
     # where spans the whole log box: near-identity Gramians at 0,
     # near-rank-1 ones at 1, intermediate ones between
     X, ref, dists, dbar = bracket_data(kind, n, seed)
     cfg = ObjectiveConfig(lam=lam, family=family, bounds=default_bounds(family, dbar))
     h = [lo * (hi / lo) ** t for (lo, hi), t in zip(cfg.bounds, where)]
-    bounds = hyperopt._bracket(cfg, h, X, ref, dists)
+    tri = hyperopt._pack(ref, dists)
     want = hyperopt._objective(cfg, h, X, ref, dists)
-    if lam == 0.0:
-        # no stability term to bound: the caller scores the fit exactly
-        assert bounds is None
-        return
-    lo, hi = bounds
-    assert lo <= want <= hi
+    # the exact value from the triangle is the full Gramian's, bit for bit
+    assert hyperopt._packed_objective(cfg, h, tri) == want
+    for rows in (False, True):
+        bounds = hyperopt._bracket(cfg, h, tri, rows=rows)
+        if lam == 0.0:
+            # no stability term to bound: the caller scores the fit exactly
+            assert bounds is None
+            continue
+        lo, hi = bounds
+        assert lo <= want <= hi
 
 
 def test_clustered_gramians_underflow_between_clusters():
@@ -181,6 +192,48 @@ def test_clustered_gramians_underflow_between_clusters():
     X, _, _, dbar = bracket_data("clusters", 36, 0)
     cand = gramian_entries(KernelSpec(family=KernelFamily.EXPONENTIAL, h=(1e-3 * dbar,)), X)
     assert np.count_nonzero(cand[0, 1::3]) == 0 and np.all(cand[0, ::3] > 0)
+
+
+def test_pair_bound_lifts_the_bracket_above_the_row_sums():
+    # K = I + a (e_1 e_3' + e_3 e_1'): ||K||_2 = 1 + a = max(r), while the
+    # mean row sum is only 1 + 2a/N; the Rayleigh quotient at e_1 + e_3
+    # gives 1 + a, so the bracket closes to its pads around the exact value
+    n, a = 5, 0.5
+    dists = np.full((n, n), math.inf)
+    np.fill_diagonal(dists, 0.0)
+    dists[1, 3] = dists[3, 1] = -math.log(a)
+    X = np.random.default_rng(0).normal(size=(2, n))
+    ref = hyperopt._linear_reference(X)
+    cfg = ObjectiveConfig(lam=100.0, family=KernelFamily.EXPONENTIAL, bounds=((0.1, 10.0),))
+    K = gramian_entries(KernelSpec(family=KernelFamily.EXPONENTIAL, h=(1.0,)), X, dists)
+    assert np.count_nonzero(K - np.eye(n)) == 2 and K[1, 3] == pytest.approx(a)
+    tri = hyperopt._pack(ref, dists)
+    want = hyperopt._objective(cfg, (1.0,), X, ref, dists)
+    fit, fro = np.linalg.norm(ref - K), np.linalg.norm(K)
+    for rows in (False, True):
+        lo, hi = hyperopt._bracket(cfg, (1.0,), tri, rows=rows)
+        assert lo >= fit + cfg.lam * (1.0 + K[1, 3]) / fro * (1.0 - 1e-8)
+        assert lo <= want <= hi
+    # without row sums the upper bound is min(1 + (N - 1) a, ||K||_F)
+    assert hi - lo <= 1e-8 * want
+
+
+def test_asymmetric_distances_get_no_bracket(monkeypatch):
+    X = oscillator_lf(2, 3).outputs
+    ref = hyperopt._linear_reference(X)
+    dists = pairwise_distances(X)
+    dists[0, 1] = np.nextafter(dists[0, 1], math.inf)
+    assert hyperopt._pack(ref, dists) is None
+    bracketed = []
+    monkeypatch.setattr(hyperopt, "_bracket", lambda *args, **kwargs: bracketed.append(args))
+    monkeypatch.setattr(hyperopt, "pairwise_distances", lambda X: dists)
+    cfg = config_for(ensemble_from(X), KernelFamily.EXPONENTIAL)
+    memo = hyperopt._scores(cfg, X, ref, dists)
+    got = memo.score(np.log([cfg.bounds[0][0]]))
+    assert type(got) is float
+    assert got == hyperopt._objective(cfg, (cfg.bounds[0][0],), X, ref, dists)
+    result = optimize_hyperparams(KernelFamily.EXPONENTIAL, ensemble_from(X), cfg, PsoConfig())
+    assert bracketed == [] and result.distinct_evaluations > 0
 
 
 @pytest.mark.parametrize(
@@ -199,16 +252,47 @@ def test_gramians_without_a_bracket_are_scored_exactly(monkeypatch, cand):
     X = np.array([[0.0, 1.0]])
     ref = hyperopt._linear_reference(X)
     cfg = ObjectiveConfig(lam=0.1, family=KernelFamily.EXPONENTIAL, bounds=((0.1, 10.0),))
-    monkeypatch.setattr(hyperopt, "gramian_entries", lambda spec, X, dists=None: cand.copy())
-    memo = hyperopt._Memoized(
-        lambda theta: hyperopt._objective(cfg, np.exp(theta), X, ref, None),
-        lambda theta: hyperopt._bracket(cfg, np.exp(theta), X, ref, None),
-    )
-    assert hyperopt._bracket(cfg, (1.0,), X, ref, None) is None
-    got = memo.score(np.zeros(1))
-    assert type(got) is float and got == hyperopt._objective(cfg, (1.0,), X, ref, None)
-    if np.all(np.isfinite(cand)) and np.array_equal(cand, cand.T) and cand.any():
+    # distances that code cand's entries: 0 on the diagonal, 1 above it and
+    # 2 below; a radial kernel gives an asymmetric Gramian only from
+    # asymmetric distances
+    symmetric = np.array_equal(cand, cand.T, equal_nan=True)
+    dists = np.array([[0.0, 1.0], [1.0 if symmetric else 2.0, 0.0]])
+    table = np.array([cand[0, 0], cand[0, 1], cand[1, 0]])
+    profile = lambda spec, r: table[np.asarray(r).astype(int)]
+    monkeypatch.setattr(hyperopt, "radial_profile", profile)
+    monkeypatch.setattr(kernels, "radial_profile", profile)
+    spec = KernelSpec(family=KernelFamily.EXPONENTIAL, h=(1.0,))
+    assert np.array_equal(gramian_entries(spec, X, dists), cand, equal_nan=True)
+    tri = hyperopt._pack(ref, dists)
+    assert (tri is None) != symmetric
+    for rows in (False, True):
+        assert tri is None or hyperopt._bracket(cfg, (1.0,), tri, rows=rows) is None
+    got = hyperopt._scores(cfg, X, ref, dists).score(np.zeros(1))
+    assert type(got) is float and got == hyperopt._objective(cfg, (1.0,), X, ref, dists)
+    if np.all(np.isfinite(cand)) and symmetric and cand.any():
         assert np.linalg.norm(cand, 2) > cand.sum(axis=1).max()
+
+
+def test_tuning_holds_four_gramians_at_most():
+    # held throughout: the reference and the packed triangle (half a matrix
+    # of distances, half of reference); a bracket adds half a matrix of
+    # values and one unpacked Gramian, an exact score the Gramian and one
+    # temporary. The full-matrix bracket reached 6 matrices on Matern.
+    ens = oscillator_lf(12, 25)
+    n = ens.n_samples
+    pso = PsoConfig(swarm_size=4, max_iters=1, seed=0)
+    warm = config_for(ens, KernelFamily.EXPONENTIAL)
+    optimize_hyperparams(KernelFamily.EXPONENTIAL, ens, warm, pso)  # first-call allocations
+    for family in RADIAL_FAMILIES:
+        cfg = config_for(ens, family)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            optimize_hyperparams(family, ens, cfg, pso)
+            transient = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert transient <= 4 * 8 * n * n + 2**16, (family.name, transient / (8 * n * n))
 
 
 # === particle swarm ===
@@ -275,11 +359,12 @@ def test_pso_refuses_a_nan_score():
         pso_minimize(f, PsoConfig(seed=0, max_iters=20), [(0.0, 10.0)])
 
 
-@given(st.integers(0, 10**6), st.floats(0.0, 4.0))
-def test_pso_on_brackets_matches_the_eager_swarm(seed, spread):
-    # the exact value sits anywhere inside a bracket of random width;
-    # comparisons must give what the exact values give, ties included
-    resolved = []
+@given(st.integers(0, 10**6), st.floats(0.0, 4.0), st.booleans())
+def test_pso_on_brackets_matches_the_eager_swarm(seed, spread, staged):
+    # the exact value sits anywhere inside a bracket of random width, and
+    # a staged bracket first refines to a random narrower one; comparisons
+    # must give what the exact values give, ties included
+    resolved, refined = [], []
 
     def resolve(value):
         resolved.append(value)
@@ -290,8 +375,13 @@ def test_pso_on_brackets_matches_the_eager_swarm(seed, spread):
 
     def bracketed(h):
         value = exact(h)
-        u, w = np.random.default_rng(h.view(np.uint64).tolist()).uniform(size=2) * spread
-        return hyperopt._Bracket(value - u, value + w, resolve, value)
+        u, w, t = np.random.default_rng(h.view(np.uint64).tolist()).uniform(size=3) * spread
+
+        def refine(value):
+            refined.append(value)
+            return value - u * t / 4.0, value + w * t / 4.0
+
+        return hyperopt._Bracket(value - u, value + w, resolve, value, refine if staged else None)
 
     cfg = PsoConfig(swarm_size=8, max_iters=30, seed=seed)
     bounds = [(-1.0, 1.0), (0.0, 2.0)]
@@ -302,8 +392,9 @@ def test_pso_on_brackets_matches_the_eager_swarm(seed, spread):
     assert all(type(v) is float for v in got[2])
     if spread == 0.0:
         # point brackets decide every comparison; only the trace resolves
-        assert len(resolved) == len(set(got[2]))
+        assert len(resolved) == len(set(got[2])) and not refined
     assert len(resolved) <= cfg.swarm_size * len(want[2])
+    assert len(refined) <= cfg.swarm_size * len(want[2])
 
 
 def test_rekeyed_stream_draws_what_a_fresh_philox_draws():
@@ -423,21 +514,26 @@ def test_optimize_scores_each_point_once(monkeypatch):
     # ask for the same point again
     ens = ensemble_from(np.array([[0.0, 1.0, 2.0, 3.0, 4.0, 5.0]]) ** 2)
     cfg = config_for(ens, KernelFamily.MATERN32)
-    bracketed, scored = [], []
+    bracketed, refined, scored = [], [], []
 
-    def counting(into, scorer):
-        def score(cfg, h, X, ref, dists):
-            into.append(np.asarray(h, dtype=float).tobytes())
-            return scorer(cfg, h, X, ref, dists)
+    bracket, exact = hyperopt._bracket, hyperopt._packed_objective
 
-        return score
+    def bracketing(cfg, h, tri, rows=False):
+        (refined if rows else bracketed).append(np.asarray(h, dtype=float).tobytes())
+        return bracket(cfg, h, tri, rows=rows)
 
-    monkeypatch.setattr(hyperopt, "_bracket", counting(bracketed, hyperopt._bracket))
-    monkeypatch.setattr(hyperopt, "_objective", counting(scored, hyperopt._objective))
+    def scoring(cfg, h, tri):
+        scored.append(np.asarray(h, dtype=float).tobytes())
+        return exact(cfg, h, tri)
+
+    monkeypatch.setattr(hyperopt, "_bracket", bracketing)
+    monkeypatch.setattr(hyperopt, "_packed_objective", scoring)
     result = optimize_hyperparams(KernelFamily.MATERN32, ens, cfg, PsoConfig(seed=3))
     monkeypatch.undo()
-    # each distinct point is bracketed once, and only some need the exact value
+    # each distinct point is bracketed once, and only some need the row
+    # sums or the exact value
     assert len(bracketed) == len(set(bracketed))
+    assert len(refined) == len(set(refined)) and set(refined) <= set(bracketed)
     assert len(scored) == len(set(scored))
     assert set(scored) <= set(bracketed)
     assert len(scored) < len(bracketed)
