@@ -29,7 +29,6 @@ __all__ = [
     "generate",
     "gen_oscillator",
     "gen_nbody",
-    "integrate_oscillator",
     "nbody_initial_state",
     "simulate_nbody",
 ]
@@ -136,17 +135,6 @@ def generate(spec: BenchmarkSpec) -> tuple[SnapshotEnsemble, SnapshotEnsemble]:
 
 
 # === damped oscillator ===
-
-
-def integrate_oscillator(
-    omega: float, gamma: float, dt: float, horizon: float, method: str = "rk4"
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Integrate x'' = -omega^2 x - gamma x' from (1, 0); returns (t, x, v)."""
-    steps = int(round(horizon / dt))
-    [y] = _integrate_blocks(
-        np.array([omega], dtype=float), np.array([gamma], dtype=float), dt, steps, method, steps
-    )
-    return dt * np.arange(steps + 1), y[:, 0, 0], y[:, 1, 0]
 
 
 def _integrate_blocks(omega, gamma, dt, steps, method, rows):

@@ -2,10 +2,9 @@
 
 Commands
 --------
-run         kernel selection + surrogate builds over a mode/budget matrix
-gen         dump a benchmark ensemble pair to CSV files
-tune-lambda sweep the objective's lambda over a grid and report the best
-eval        load a surrogate archive, emulate one low-fidelity column
+run   kernel selection + surrogate builds over a mode/budget matrix
+gen   dump a benchmark ensemble pair to CSV files
+eval  load a surrogate archive, emulate one low-fidelity column
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
 failure. Matrix CSV files are headerless (pass --header to skip one
@@ -17,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -90,7 +88,6 @@ class ExperimentConfig:
     out_dir: str
     one_hf_cost: float | None
     objective_eval_cost: float
-    lambda_grid: tuple[float, ...]
 
 
 _REQUIRED = object()
@@ -111,7 +108,6 @@ _CONFIG = {
     "out_dir": ("string", "results", None),
     "one_hf_cost": ("number", None, "positive"),  # null: the mean HF per-sample cost
     "objective_eval_cost": ("number", 0.0, "non-negative"),
-    "lambda_grid": ("number list", [0.01, 10**-1.5, 0.1, 10**-0.5, 1.0], "non-negative"),
 }
 _BENCHMARK = {
     "name": ("string", _REQUIRED, None),
@@ -554,28 +550,6 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def cmd_tune_lambda(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    scores = []
-    for lam in cfg.lambda_grid:
-        result = run_experiment(replace(cfg, lam=lam), parallel=args.parallel, header=args.header)
-        errs = [r["median_rel_error"] for r in result.rows if math.isfinite(r["median_rel_error"])]
-        score = float(np.mean(errs)) if errs else math.inf
-        scores.append((lam, score))
-    best_lam, best_score = min(scores, key=lambda t: t[1])
-    ties = sum(score == best_score for _, score in scores)
-    out_dir = Path(args.out if args.out is not None else cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    lines = ["lambda,mean_median_rel_error"]
-    lines += [f"{_fmt(lam)},{_fmt(score)}" for lam, score in scores]
-    (out_dir / "tune_lambda.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
-    note = f"; {ties} of {len(scores)} lambdas tie, first kept" if ties > 1 else ""
-    print(f"best lambda: {_fmt(best_lam)} (mean median relative error {_fmt(best_score)}{note})")
-    return 0
-
-
 def cmd_eval(args) -> int:
     try:
         surr = surrogate_from_dict(json.loads(Path(args.archive).read_text(encoding="ascii")))
@@ -617,14 +591,6 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", default="bench_data")
     gen.add_argument("--seed", type=int, default=None)
     gen.set_defaults(func=cmd_gen)
-
-    tune = sub.add_parser("tune-lambda", help="sweep lambda over a grid")
-    tune.add_argument("--config", required=True)
-    tune.add_argument("--out", default=None)
-    tune.add_argument("--seed", type=int, default=None)
-    tune.add_argument("--parallel", action="store_true")
-    tune.add_argument("--header", action="store_true")
-    tune.set_defaults(func=cmd_tune_lambda)
 
     ev = sub.add_parser("eval", help="emulate one low-fidelity column")
     ev.add_argument("archive")

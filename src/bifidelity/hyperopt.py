@@ -3,12 +3,16 @@
 The objective scores a candidate kernel Gramian by its Frobenius distance
 to the linear-kernel reference Gramian plus a stable-rank penalty
 lambda / sqrt(srank). A particle swarm explores a (log-scaled) box, and a
-projected quasi-Newton pass polishes the swarm's best particle.
+projected quasi-Newton pass polishes the swarm's best particle. The
+linear family has nothing to tune: its Gramian is the reference, so it
+scores the stability term alone.
 
-The swarm only compares scores, so each point is first scored as a
-bracket. Each family packs the strict upper triangle of its LF distances
-and of the reference once, and a point evaluates the kernel on that half
-of the entries; every radial family is 1 on the diagonal. For the
+The objective has one implementation, on one packed triangle per radial
+family: the strict upper triangle of the LF distances, collected one row
+block at a time (no N x N distance matrix is formed), and of the
+reference. The swarm only compares scores, so each point is first scored
+as a bracket, and a point evaluates the kernel on that half of the
+entries; every radial family is 1 on the diagonal. For the
 nonnegative, exactly symmetric Gramian K this gives, the row sums
 r = K 1 and the largest off-diagonal entry bound
 max(mean(r), 1 + max_{i<j} K_ij) <= ||K||_2 <= min(max(r), ||K||_F)
@@ -44,7 +48,6 @@ from .kernels import (
     KernelSpec,
     _distances,
     gramian_entries,
-    pairwise_distances,
     radial_profile,
 )
 from .numerics import NumericsError, stable_rank
@@ -53,7 +56,6 @@ __all__ = [
     "ObjectiveConfig",
     "PsoConfig",
     "OptimizedKernel",
-    "objective",
     "pso_minimize",
     "refine_local",
     "optimize_hyperparams",
@@ -236,36 +238,25 @@ def _gramian_objective(cfg: ObjectiveConfig, cand: np.ndarray, ref: np.ndarray) 
     return value if np.isfinite(value) else math.inf
 
 
-def _objective(cfg: ObjectiveConfig, h, X: np.ndarray, ref: np.ndarray, dists) -> float:
-    """The objective at ``h`` against a formed reference; see ``objective``."""
-    try:
-        cand = gramian_entries(_spec_for(cfg, h), X, dists)
-    except (ValueError, ArithmeticError):
-        return math.inf
-    return _gramian_objective(cfg, cand, ref)
-
-
 class _Triangle:
-    """One family's tuning inputs, packed once: the strict upper triangle.
+    """One family's tuning inputs, formed once from the LF columns ``X``.
 
-    ``dists`` holds a 0 (the diagonal's distance) and then the strict upper
-    triangle of the distance matrix, row by row, so one ``radial_profile``
+    ``ref`` is the linear reference, which the exact objective subtracts
+    from. ``dists`` holds a 0 (the diagonal's distance) and then the strict
+    upper triangle of the distances, row by row, so one ``radial_profile``
     call on it gives the diagonal value first and each off-diagonal entry
-    once. ``ref_upper`` and ``ref_diag`` pack the linear reference alike;
-    ``ref`` is the whole reference, which the exact objective subtracts
-    from. No N x N mask or index array is held between calls.
+    once. ``ref_upper`` and ``ref_diag`` pack the reference alike. No
+    N x N distance matrix is formed, and no N x N mask or index array is
+    held between calls.
     """
 
     __slots__ = ("n", "dists", "ref", "ref_upper", "ref_diag")
 
-    def __init__(self, ref: np.ndarray, dists: np.ndarray):
-        self.n = n = dists.shape[0]
-        upper = ~np.tri(n, dtype=bool)
-        self.dists = np.empty(n * (n - 1) // 2 + 1)
-        self.dists[0] = 0.0
-        self.dists[1:] = dists[upper]
-        self.ref = ref
-        self.ref_upper = ref[upper]
+    def __init__(self, X: np.ndarray):
+        self.ref = ref = _linear_reference(X)
+        self.n = n = X.shape[1]
+        self.dists = _upper_distances(X)
+        self.ref_upper = ref[~np.tri(n, dtype=bool)]
         self.ref_diag = np.diagonal(ref).copy()
 
     def gramian(self, values: np.ndarray) -> np.ndarray:
@@ -278,15 +269,6 @@ class _Triangle:
         return K
 
 
-def _pack(ref: np.ndarray, dists: np.ndarray) -> _Triangle | None:
-    """The packed triangle of ``dists``, or None unless they are exactly
-    symmetric with a zero diagonal, where a radial Gramian is symmetric
-    with every diagonal entry the profile's value at 0."""
-    if not (np.array_equal(dists, dists.T) and np.all(np.diagonal(dists) == 0.0)):
-        return None
-    return _Triangle(ref, dists)
-
-
 def _profile(cfg: ObjectiveConfig, h, tri: _Triangle) -> np.ndarray | None:
     """The kernel at ``h`` on the packed distances; None where h names no kernel."""
     try:
@@ -296,10 +278,12 @@ def _profile(cfg: ObjectiveConfig, h, tri: _Triangle) -> np.ndarray | None:
 
 
 def _packed_objective(cfg: ObjectiveConfig, h, tri: _Triangle) -> float:
-    """``_objective`` at ``h``, bit for bit, with the Gramian unpacked from one profile call.
+    """The objective at ``h``, with the Gramian unpacked from one profile call.
 
-    A radial profile acts entry by entry, so the packed values are the
-    very ones the full distance matrix gives.
+    A radial profile acts entry by entry, so the Gramian is bit for bit
+    the one ``gramian_entries`` forms on the whole distance matrix. Any
+    numerical failure of the candidate (overflow, degenerate Gramian) is
+    inf, so the optimizers can treat the objective as total on the box.
     """
     values = _profile(cfg, h, tri)
     if values is None:
@@ -316,7 +300,7 @@ _BRACKET_PAD = 1e-9
 
 
 def _bracket(cfg: ObjectiveConfig, h, tri: _Triangle, rows: bool = False):
-    """Bounds (lo, hi) on ``_objective`` at ``h``, or None where none are known.
+    """Bounds (lo, hi) on ``_packed_objective`` at ``h``, or None where none are known.
 
     One profile call on the packed triangle gives the diagonal value k0
     and each off-diagonal entry once. For a finite, nonnegative K (every
@@ -330,9 +314,9 @@ def _bracket(cfg: ObjectiveConfig, h, tri: _Triangle, rows: bool = False):
     them max(r) <= k0 + (N - 1) max_{i<j} K_ij stands in.
 
     The fit term ||ref - K||_F and ||K||_F^2 are summed from the triangle
-    (twice each off-diagonal term, plus the diagonal's), not in
-    ``_objective``'s order. Every term is nonnegative, so to first order
-    ``_objective``'s fit is within (N^2 / 2 + 2) * 2^-53 of the exact
+    (twice each off-diagonal term, plus the diagonal's), not in the exact
+    objective's order. Every term is nonnegative, so to first order the
+    exact objective's fit is within (N^2 / 2 + 2) * 2^-53 of the exact
     value, relative, and this one within (N^2 / 4 + 3) * 2^-53 (Higham,
     Accuracy and Stability of Numerical Algorithms, 3.1 and 4.2). The fit
     is padded by (N^2 + 8) * 2^-53, which covers their distance, and its
@@ -368,34 +352,17 @@ def _bracket(cfg: ObjectiveConfig, h, tri: _Triangle, rows: bool = False):
     return lo, hi
 
 
-def _scores(cfg: ObjectiveConfig, X: np.ndarray, ref: np.ndarray, dists: np.ndarray) -> _Memoized:
+def _scores(cfg: ObjectiveConfig, tri: _Triangle) -> _Memoized:
     """One family's objective over log h, memoized and bracketed from the packed triangle.
 
     Each point is bracketed without row sums; a bracket is refined with
-    them only when a comparison needs it. Distances that are not exactly
-    symmetric with a zero diagonal give no triangle, and every point is
-    then scored exactly by ``_objective``. Otherwise only the triangle is
-    kept, not ``dists``.
+    them only when a comparison needs it.
     """
-    tri = _pack(ref, dists)
-    if tri is None:
-        return _Memoized(lambda theta: _objective(cfg, np.exp(theta), X, ref, dists), lambda theta: None)
     return _Memoized(
         lambda theta: _packed_objective(cfg, np.exp(theta), tri),
         lambda theta: _bracket(cfg, np.exp(theta), tri),
         lambda theta: _bracket(cfg, np.exp(theta), tri, rows=True),
     )
-
-
-def objective(cfg: ObjectiveConfig, h, lf_ensemble: SnapshotEnsemble) -> float:
-    """Frobenius distance to the ensemble's linear Gramian plus the srank penalty.
-
-    Any numerical failure of the candidate (overflow, degenerate Gramian)
-    maps to +inf so optimizers can treat the objective as total on the
-    box. A non-finite linear reference raises ArithmeticError.
-    """
-    X = lf_ensemble.outputs
-    return _objective(cfg, h, X, _linear_reference(X), None)
 
 
 def _stream(
@@ -587,28 +554,38 @@ def refine_local(
     return best_x, best_f
 
 
+def _upper_distances(columns: np.ndarray) -> np.ndarray:
+    """A 0, then the strict upper triangle of the column distances, row-major.
+
+    Collected one block of rows at a time: each distance sums its squares
+    in row order whatever block it is in, so the values are bit for bit
+    those of the whole distance matrix, and only the n (n - 1) / 2 + 1
+    values and one block are ever held. Overflow is inf.
+    """
+    n = columns.shape[1]
+    upper = np.empty(n * (n - 1) // 2 + 1)
+    upper[0] = 0.0
+    width = max(1, _BLOCK_DOUBLES // n)
+    at = 1
+    for lo in range(0, n - 1, width):
+        block = _distances(columns[:, lo : lo + width], columns[:, lo + 1 :])
+        for r, row in enumerate(block):
+            tail = row[r:]  # the columns right of the diagonal
+            upper[at : at + tail.size] = tail
+            at += tail.size
+    return upper
+
+
 def median_pairwise_distance(columns: np.ndarray) -> float:
     """Median distance between distinct columns; 1.0 when degenerate.
 
     Raises ArithmeticError when a distance overflows.
     """
-    n = columns.shape[1]
-    if n < 2:
+    if columns.shape[1] < 2:
         return 1.0
-    # the strict upper triangle, row-major, one block of rows at a time:
-    # each distance sums its squares in row order whatever block it is in,
-    # so only the n (n - 1) / 2 values and one block are ever held
-    upper = np.empty(n * (n - 1) // 2)
-    width = max(1, _BLOCK_DOUBLES // n)
-    at = 0
-    for lo in range(0, n - 1, width):
-        block = _distances(columns[:, lo : lo + width], columns[:, lo + 1 :])
-        if not np.all(np.isfinite(block)):
-            raise ArithmeticError("pairwise column distances are non-finite")
-        for r, row in enumerate(block):
-            tail = row[r:]  # the columns right of the diagonal
-            upper[at : at + tail.size] = tail
-            at += tail.size
+    upper = _upper_distances(columns)[1:]
+    if not np.all(np.isfinite(upper)):
+        raise ArithmeticError("pairwise column distances are non-finite")
     med = float(np.median(upper, overwrite_input=True))
     return med if med > 0 else 1.0
 
@@ -639,10 +616,9 @@ def optimize_hyperparams(
             f"family {family.name} does not match objective config ({obj_cfg.family.name})"
         )
     started = time.perf_counter()
-    X = lf_ensemble.outputs
-    ref = _linear_reference(X)
     if family == KernelFamily.LINEAR:
-        value = _objective(obj_cfg, (), X, ref, None)
+        ref = _linear_reference(lf_ensemble.outputs)
+        value = _gramian_objective(obj_cfg, ref, ref)
         return OptimizedKernel(
             spec=KernelSpec(family=KernelFamily.LINEAR),
             objective_value=value,
@@ -651,7 +627,7 @@ def optimize_hyperparams(
         )
 
     # clipped swarm particles revisit box edges, so many requests repeat
-    f_log = _scores(obj_cfg, X, ref, pairwise_distances(X))
+    f_log = _scores(obj_cfg, _Triangle(lf_ensemble.outputs))
 
     log_bounds = np.log(np.asarray(obj_cfg.bounds, dtype=float))
     theta_pso, _, _ = pso_minimize(f_log.score, pso_cfg, log_bounds)

@@ -16,7 +16,6 @@ __all__ = [
     "KernelFamily",
     "KernelSpec",
     "HYPER_DIMS",
-    "kernel_eval",
     "radial_profile",
     "gramian_entries",
     "cross_kernel_vector",
@@ -97,15 +96,6 @@ def radial_profile(spec: KernelSpec, r) -> np.ndarray:
     return np.where(r == 0.0, 1.0, out)
 
 
-def kernel_eval(kernel: KernelSpec, u, v) -> float:
-    """Evaluate a kernel on a pair of output vectors."""
-    u = np.asarray(u, dtype=float).ravel()
-    v = np.asarray(v, dtype=float).ravel()
-    if u.shape != v.shape:
-        raise ValueError(f"vector dimensions differ: {u.shape[0]} vs {v.shape[0]}")
-    return float(cross_kernel_vector(kernel, v, u)[0])
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _distances(a, b) -> np.ndarray:
     """D[i, j] = ||a[:, i] - b[:, j]||; squares are added in row order, and overflow is inf."""
@@ -121,13 +111,8 @@ def _distances(a, b) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
-def pairwise_distances(columns: np.ndarray) -> np.ndarray:
-    """Euclidean distances between columns; exactly symmetric, zero diagonal."""
-    return _distances(columns, columns)
-
-
-def _kernel_block(kernel: KernelSpec, a, b, dists=None) -> np.ndarray:
-    """K[i, j] = k(a[:, i], b[:, j]), reusing ``dists`` = _distances(a, b) when supplied.
+def _kernel_block(kernel: KernelSpec, a, b) -> np.ndarray:
+    """K[i, j] = k(a[:, i], b[:, j]).
 
     A linear block of columns against themselves (``b is a``) is the
     symmetrised a.T @ a, so Gramians come out exactly symmetric. Any other
@@ -139,7 +124,7 @@ def _kernel_block(kernel: KernelSpec, a, b, dists=None) -> np.ndarray:
             return np.einsum("ki,kj->ij", a, b)
         g = a.T @ a
         return (g + g.T) / 2.0
-    return radial_profile(kernel, _distances(a, b) if dists is None else dists)
+    return radial_profile(kernel, _distances(a, b))
 
 
 def _kernel_diagonal(kernel: KernelSpec, a) -> np.ndarray:
@@ -149,13 +134,9 @@ def _kernel_diagonal(kernel: KernelSpec, a) -> np.ndarray:
     return radial_profile(kernel, np.zeros(a.shape[1]))
 
 
-def gramian_entries(
-    kernel: KernelSpec,
-    columns: np.ndarray,
-    dists: np.ndarray | None = None,
-) -> np.ndarray:
-    """Raw Gramian matrix for columns, reusing ``dists`` when supplied."""
-    return _kernel_block(kernel, columns, columns, dists)
+def gramian_entries(kernel: KernelSpec, columns: np.ndarray) -> np.ndarray:
+    """Raw Gramian matrix for columns."""
+    return _kernel_block(kernel, columns, columns)
 
 
 def cross_kernel_vector(kernel: KernelSpec, ensemble_columns, query) -> np.ndarray:

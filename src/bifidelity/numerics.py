@@ -18,7 +18,6 @@ __all__ = [
     "kept_eigenvalues",
     "regularized_factor",
     "apply_regularized",
-    "solve_regularized",
 ]
 
 
@@ -166,15 +165,3 @@ def apply_regularized(factor: tuple[np.ndarray, np.ndarray], rhs) -> np.ndarray:
         raise ValueError("rhs length does not match the Gramian dimension")
     scale = wk if rhs.ndim == 1 else wk[:, None]
     return Vk @ ((Vk.T @ rhs) / scale)
-
-
-def solve_regularized(H, rhs, rcond: float = 1e-12) -> np.ndarray:
-    """Solve H c = rhs through a truncated symmetric eigendecomposition.
-
-    Only the eigenvalues that ``kept_eigenvalues`` keeps at ``rcond``
-    enter the solve. ``rhs`` may be a vector or a matrix of stacked
-    right-hand-side columns. This is ``regularized_factor`` then
-    ``apply_regularized``; a caller that solves against the same H many
-    times factors it once and applies the factor.
-    """
-    return apply_regularized(regularized_factor(H, rcond), rhs)

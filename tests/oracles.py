@@ -8,9 +8,10 @@ least-squares solves go through numpy's SVD-based lstsq instead of the
 eigendecomposition route. The benchmark generators keep their first
 form: whole oscillator trajectories in memory, and nbody forces from a
 (B, B, 3) difference tensor; so do normalization and the error metric,
-on row copies and whole held-out blocks, and the particle swarm scores
-every point exactly as it goes. Agreement between these and the
-package is therefore evidence, not tautology.
+on row copies and whole held-out blocks, the tuning objective, on whole
+N x N Gramians, and the particle swarm, which scores every point
+exactly as it goes. Agreement between these and the package is
+therefore evidence, not tautology.
 """
 from __future__ import annotations
 
@@ -98,6 +99,27 @@ def distance_block_dense(a, b) -> np.ndarray:
 def srank_svd(A) -> float:
     s = np.linalg.svd(np.asarray(A, dtype=float), compute_uv=False)
     return float(np.sum(s**2) / s[0] ** 2)
+
+
+def objective_full(cfg, h, columns) -> float:
+    """The tuning objective at ``h`` from whole N x N Gramians.
+
+    The candidate and the linear reference come from ``gramian_entries``
+    on the full distance matrix, and the package's ``_gramian_objective``
+    scores them; a kernel that cannot be formed is inf. What this pins is
+    the packed path around it: the triangle, its unpacking and the
+    bracket.
+    """
+    from bifidelity.hyperopt import _gramian_objective
+    from bifidelity.kernels import KernelFamily, KernelSpec, gramian_entries
+
+    columns = np.asarray(columns, dtype=float)
+    ref = gramian_entries(KernelSpec(family=KernelFamily.LINEAR), columns)
+    try:
+        cand = gramian_entries(KernelSpec(family=cfg.family, h=tuple(np.atleast_1d(h))), columns)
+    except (ValueError, ArithmeticError):
+        return math.inf
+    return _gramian_objective(cfg, cand, ref)
 
 
 def objective_svd(ref, cand, lam: float) -> float:
@@ -220,6 +242,21 @@ def nbody_accel_einsum(pos, masses, eps, g_const):
     inv3 = dist2 ** (-1.5)
     np.fill_diagonal(inv3, 0.0)
     return -g_const * np.einsum("j,ijk,ij->ik", masses, diff, inv3)
+
+
+def integrate_oscillator(omega: float, gamma: float, dt: float, horizon: float, method: str = "rk4"):
+    """(t, x, v) of one sample of x'' = -omega^2 x - gamma x' from (1, 0),
+    by the package's integrator: not an oracle, the one-sample driver the
+    trajectory tests compare with ``integrate_oscillator_dense``.
+
+    Drives ``bench._integrate_blocks`` with one block of every step, so
+    the whole trajectory comes back.
+    """
+    from bifidelity.bench import _integrate_blocks
+
+    steps = int(round(horizon / dt))
+    [y] = _integrate_blocks(np.array([omega], dtype=float), np.array([gamma], dtype=float), dt, steps, method, steps)
+    return dt * np.arange(steps + 1), y[:, 0, 0], y[:, 1, 0]
 
 
 # === normalization and scoring, as first written ===

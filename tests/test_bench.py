@@ -13,7 +13,6 @@ from bifidelity.bench import (
     gen_nbody,
     gen_oscillator,
     generate,
-    integrate_oscillator,
     nbody_initial_state,
     parameter_table,
     simulate_nbody,
@@ -152,7 +151,7 @@ def test_oscillator_generation_is_deterministic():
 
 
 def test_undamped_rk4_conserves_energy():
-    _, x, v = integrate_oscillator(2.0, 0.0, 0.001, 10.0, method="rk4")
+    _, x, v = oracles.integrate_oscillator(2.0, 0.0, 0.001, 10.0, method="rk4")
     energy = 0.5 * (v**2 + 4.0 * x**2)
     assert np.max(np.abs(energy - energy[0])) / energy[0] <= 1e-6
 
@@ -162,7 +161,7 @@ def test_integrate_oscillator_matches_dense_loop_bit_for_bit():
     for omega, gamma, dt, horizon, method in [(2.0, 0.0, 0.001, 10.0, "rk4"),
                                               (3.3, 0.2, 0.01, 7.77, "rk4"),
                                               (5.0, 0.05, 0.05, 10.0, "euler")]:
-        t, x, v = integrate_oscillator(omega, gamma, dt, horizon, method=method)
+        t, x, v = oracles.integrate_oscillator(omega, gamma, dt, horizon, method=method)
         xs, vs = oracles.integrate_oscillator_dense([omega], [gamma], dt, horizon, method)
         np.testing.assert_array_equal(t, dt * np.arange(len(xs)))
         np.testing.assert_array_equal(x, xs[:, 0])
@@ -171,13 +170,13 @@ def test_integrate_oscillator_matches_dense_loop_bit_for_bit():
 
 def test_integrator_rejects_unknown_method():
     with pytest.raises(ValueError, match="integrator"):
-        integrate_oscillator(1.0, 0.1, 0.05, 1.0, method="verlet")
+        oracles.integrate_oscillator(1.0, 0.1, 0.05, 1.0, method="verlet")
 
 
 def test_fidelities_disagree_at_stiff_corner():
     # coarse Euler inflates the amplitude badly at high frequency
     def amplitude(method, dt):
-        _, x, v = integrate_oscillator(5.0, 0.05, dt, 10.0, method=method)
+        _, x, v = oracles.integrate_oscillator(5.0, 0.05, dt, 10.0, method=method)
         return np.sqrt(x[-1] ** 2 + (v[-1] / 5.0) ** 2)
 
     coarse = amplitude("euler", 0.05)
@@ -317,7 +316,7 @@ def test_unstable_high_fidelity_raises():
     params = parameter_table(spec)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        finite = [np.all(np.isfinite(integrate_oscillator(w, g, 0.5, 500.0)[1])) for w, g in params]
+        finite = [np.all(np.isfinite(oracles.integrate_oscillator(w, g, 0.5, 500.0)[1])) for w, g in params]
         with pytest.raises(ArithmeticError) as raised:
             gen_oscillator(spec)
     assert np.flatnonzero(np.logical_not(finite)).tolist() == [3, 4, 5]

@@ -98,7 +98,6 @@ def test_parse_config_rejects_bad_documents(toy):
         {**good, "rcond": -1e-9},
         {**good, "one_hf_cost": 0.0},
         {**good, "objective_eval_cost": -0.5},
-        {**good, "lambda_grid": []},
         {**good, "pso": {"swarm": 4}},
         {**good, "pso": {"swarm_size": 1}},
         {**good, "pso": {"max_iters": "ten"}},
@@ -148,8 +147,6 @@ def test_parse_config_rejects_bad_documents(toy):
         ("objective_eval_cost", {**good, "objective_eval_cost": math.nan}),
         ("out_dir", {**good, "out_dir": 5}),
         ("out_dir", {**good, "out_dir": None}),
-        ("lambda_grid", {**good, "lambda_grid": ["0.1"]}),
-        ("lambda_grid", {**good, "lambda_grid": [True]}),
         ("pso.k1", {**good, "pso": {"k1": math.nan}}),
         ("pso.k1", {**good, "pso": {"k1": True}}),
         ("pso.k1", {**good, "pso": {"k1": "1.5"}}),
@@ -474,6 +471,18 @@ def test_additive_mode_is_rejected(toy, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_lambda_sweep_is_gone(toy, tmp_path, capsys):
+    # the sweep scored lambda by HF error before a kernel was chosen
+    doc = toy_doc(toy, lambda_grid=[0.1], out_dir=str(tmp_path / "out"))
+    cfg = write_config(tmp_path / "cfg.json", doc)
+    capsys.readouterr()
+    assert main(["run", "--config", cfg]) == 2
+    assert "'lambda_grid'" in capsys.readouterr().err
+    assert main(["tune-lambda", "--config", cfg]) == 2
+    assert "invalid choice: 'tune-lambda'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_exit_code_3_on_data_errors(toy, tmp_path, capsys, monkeypatch):
     doc = toy_doc(toy)
     doc["data"]["files"]["lf_outputs"] = str(tmp_path / "absent.csv")
@@ -725,35 +734,3 @@ def test_eval_round_trip(toy, tmp_path, capsys):
                         encoding="utf-8")
     assert main(["eval", str(accented), str(col_path)]) == 3
     assert "unreadable archive" in capsys.readouterr().err
-
-
-# === tune-lambda ===
-
-
-def test_tune_lambda_sweeps_grid(toy, tmp_path, capsys):
-    out = tmp_path / "out"
-    doc = toy_doc(
-        toy,
-        modes=["linear-baseline"],
-        budgets=[2],
-        lambda_grid=[0.05, 0.1],
-        out_dir=str(out),
-    )
-    cfg = write_config(tmp_path / "cfg.json", doc)
-    capsys.readouterr()
-    assert main(["tune-lambda", "--config", cfg]) == 0
-    printed = capsys.readouterr().out
-    assert "best lambda: 0.05" in printed
-    # the baseline ignores lambda, so the two grid values tie
-    assert "2 of 2 lambdas tie" in printed
-    lines = (out / "tune_lambda.csv").read_text().splitlines()
-    assert lines[0] == "lambda,mean_median_rel_error"
-    rows = [line.split(",") for line in lines[1:]]
-    assert [float(r[0]) for r in rows] == [0.05, 0.1]
-    # the baseline ignores lambda, so both scores agree
-    assert float(rows[0][1]) == float(rows[1][1])
-
-
-def test_default_lambda_grid_contains_published_value():
-    grid = np.logspace(-2, 0, 5)
-    assert any(abs(v - 0.1) < 1e-12 for v in grid)

@@ -3,12 +3,14 @@ random search, and the local refinement contract."""
 import functools
 import math
 import tracemalloc
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from bifidelity import hyperopt, kernels
+from bifidelity import cli, hyperopt, kernels
 from bifidelity.bench import BenchmarkSpec, default_spec, gen_oscillator, generate
 from bifidelity.data import SnapshotEnsemble
 from bifidelity.hyperopt import (
@@ -16,12 +18,11 @@ from bifidelity.hyperopt import (
     PsoConfig,
     default_bounds,
     median_pairwise_distance,
-    objective,
     optimize_hyperparams,
     pso_minimize,
     refine_local,
 )
-from bifidelity.kernels import KernelFamily, KernelSpec, gramian_entries, pairwise_distances
+from bifidelity.kernels import KernelFamily, KernelSpec, _distances, gramian_entries, radial_profile
 
 import oracles
 
@@ -47,6 +48,11 @@ def config_for(ens, family, lam=0.1, **flags):
         bounds=default_bounds(family, median_pairwise_distance(ens.outputs)),
         **flags,
     )
+
+
+def objective(cfg, h, ens):
+    """The exact objective at ``h``, as tuning scores it from the packed triangle."""
+    return hyperopt._packed_objective(cfg, h, hyperopt._Triangle(ens.outputs))
 
 
 def oscillator_lf(omega_count, gamma_count):
@@ -84,7 +90,7 @@ def test_objective_lambda_zero_is_pure_frobenius():
 def test_objective_linear_lambda_zero_is_exactly_zero():
     ens = ensemble_from(np.random.default_rng(1).normal(size=(2, 5)))
     cfg = config_for(ens, KernelFamily.LINEAR, lam=0.0)
-    assert objective(cfg, (), ens) == 0.0
+    assert optimize_hyperparams(KernelFamily.LINEAR, ens, cfg, PsoConfig()).objective_value == 0.0
 
 
 def test_objective_matches_dense_svd_oracle():
@@ -138,7 +144,7 @@ def test_objective_config_validation():
 
 @functools.lru_cache(maxsize=None)
 def bracket_data(kind, n, seed):
-    """LF columns and what tuning forms from them once: (X, ref, dists, dbar)."""
+    """LF columns and what tuning forms from them once: (X, triangle, dbar)."""
     rng = np.random.default_rng(seed)
     if kind == "oscillator":
         X = oscillator_lf(*{2: (1, 2), 36: (2, 18), 114: (6, 19)}[n]).outputs
@@ -152,7 +158,7 @@ def bracket_data(kind, n, seed):
         # between clusters underflow to 0, and the Gramian is reducible
         centers = 1e4 * rng.normal(size=(2, 3))
         X = centers[:, np.arange(n) % 3] + rng.normal(size=(2, n))
-    return X, hyperopt._linear_reference(X), pairwise_distances(X), median_pairwise_distance(X)
+    return X, hyperopt._Triangle(X), median_pairwise_distance(X)
 
 
 @given(
@@ -170,11 +176,10 @@ def bracket_data(kind, n, seed):
 def test_bracket_holds_the_exact_objective(family, kind, n, seed, where, lam):
     # where spans the whole log box: near-identity Gramians at 0,
     # near-rank-1 ones at 1, intermediate ones between
-    X, ref, dists, dbar = bracket_data(kind, n, seed)
+    X, tri, dbar = bracket_data(kind, n, seed)
     cfg = ObjectiveConfig(lam=lam, family=family, bounds=default_bounds(family, dbar))
     h = [lo * (hi / lo) ** t for (lo, hi), t in zip(cfg.bounds, where)]
-    tri = hyperopt._pack(ref, dists)
-    want = hyperopt._objective(cfg, h, X, ref, dists)
+    want = oracles.objective_full(cfg, h, X)
     # the exact value from the triangle is the full Gramian's, bit for bit
     assert hyperopt._packed_objective(cfg, h, tri) == want
     for rows in (False, True):
@@ -189,7 +194,7 @@ def test_bracket_holds_the_exact_objective(family, kind, n, seed, where, lam):
 
 def test_clustered_gramians_underflow_between_clusters():
     # the reducible case test_bracket_holds_the_exact_objective draws
-    X, _, _, dbar = bracket_data("clusters", 36, 0)
+    X, _, dbar = bracket_data("clusters", 36, 0)
     cand = gramian_entries(KernelSpec(family=KernelFamily.EXPONENTIAL, h=(1e-3 * dbar,)), X)
     assert np.count_nonzero(cand[0, 1::3]) == 0 and np.all(cand[0, ::3] > 0)
 
@@ -203,12 +208,14 @@ def test_pair_bound_lifts_the_bracket_above_the_row_sums():
     np.fill_diagonal(dists, 0.0)
     dists[1, 3] = dists[3, 1] = -math.log(a)
     X = np.random.default_rng(0).normal(size=(2, n))
-    ref = hyperopt._linear_reference(X)
+    tri = hyperopt._Triangle(X)
+    tri.dists[1:] = dists[np.triu_indices(n, k=1)]  # the crafted distances, packed
+    ref = tri.ref
     cfg = ObjectiveConfig(lam=100.0, family=KernelFamily.EXPONENTIAL, bounds=((0.1, 10.0),))
-    K = gramian_entries(KernelSpec(family=KernelFamily.EXPONENTIAL, h=(1.0,)), X, dists)
+    K = radial_profile(KernelSpec(family=KernelFamily.EXPONENTIAL, h=(1.0,)), dists)
     assert np.count_nonzero(K - np.eye(n)) == 2 and K[1, 3] == pytest.approx(a)
-    tri = hyperopt._pack(ref, dists)
-    want = hyperopt._objective(cfg, (1.0,), X, ref, dists)
+    want = hyperopt._gramian_objective(cfg, K, ref)
+    assert hyperopt._packed_objective(cfg, (1.0,), tri) == want
     fit, fro = np.linalg.norm(ref - K), np.linalg.norm(K)
     for rows in (False, True):
         lo, hi = hyperopt._bracket(cfg, (1.0,), tri, rows=rows)
@@ -218,58 +225,33 @@ def test_pair_bound_lifts_the_bracket_above_the_row_sums():
     assert hi - lo <= 1e-8 * want
 
 
-def test_asymmetric_distances_get_no_bracket(monkeypatch):
-    X = oscillator_lf(2, 3).outputs
-    ref = hyperopt._linear_reference(X)
-    dists = pairwise_distances(X)
-    dists[0, 1] = np.nextafter(dists[0, 1], math.inf)
-    assert hyperopt._pack(ref, dists) is None
-    bracketed = []
-    monkeypatch.setattr(hyperopt, "_bracket", lambda *args, **kwargs: bracketed.append(args))
-    monkeypatch.setattr(hyperopt, "pairwise_distances", lambda X: dists)
-    cfg = config_for(ensemble_from(X), KernelFamily.EXPONENTIAL)
-    memo = hyperopt._scores(cfg, X, ref, dists)
-    got = memo.score(np.log([cfg.bounds[0][0]]))
-    assert type(got) is float
-    assert got == hyperopt._objective(cfg, (cfg.bounds[0][0],), X, ref, dists)
-    result = optimize_hyperparams(KernelFamily.EXPONENTIAL, ensemble_from(X), cfg, PsoConfig())
-    assert bracketed == [] and result.distinct_evaluations > 0
-
-
 @pytest.mark.parametrize(
     "cand",
     [
         # symmetric but negative: ||K||_2 = 1.9 lies above every row sum (0.1)
         np.array([[1.0, -0.9], [-0.9, 1.0]]),
-        # nonnegative but not symmetric: stable_rank refuses it, so inf
-        np.array([[1.0, 0.5], [0.2, 1.0]]),
         np.array([[1.0, math.nan], [math.nan, 1.0]]),
         np.zeros((2, 2)),
     ],
-    ids=["negative", "asymmetric", "nan", "zero"],
+    ids=["negative", "nan", "zero"],
 )
 def test_gramians_without_a_bracket_are_scored_exactly(monkeypatch, cand):
     X = np.array([[0.0, 1.0]])
-    ref = hyperopt._linear_reference(X)
     cfg = ObjectiveConfig(lam=0.1, family=KernelFamily.EXPONENTIAL, bounds=((0.1, 10.0),))
-    # distances that code cand's entries: 0 on the diagonal, 1 above it and
-    # 2 below; a radial kernel gives an asymmetric Gramian only from
-    # asymmetric distances
-    symmetric = np.array_equal(cand, cand.T, equal_nan=True)
-    dists = np.array([[0.0, 1.0], [1.0 if symmetric else 2.0, 0.0]])
-    table = np.array([cand[0, 0], cand[0, 1], cand[1, 0]])
+    # a profile that maps the distances (0 on the diagonal, 1 off it) to
+    # cand's entries
+    table = np.array([cand[0, 0], cand[0, 1]])
     profile = lambda spec, r: table[np.asarray(r).astype(int)]
     monkeypatch.setattr(hyperopt, "radial_profile", profile)
     monkeypatch.setattr(kernels, "radial_profile", profile)
     spec = KernelSpec(family=KernelFamily.EXPONENTIAL, h=(1.0,))
-    assert np.array_equal(gramian_entries(spec, X, dists), cand, equal_nan=True)
-    tri = hyperopt._pack(ref, dists)
-    assert (tri is None) != symmetric
+    assert np.array_equal(gramian_entries(spec, X), cand, equal_nan=True)
+    tri = hyperopt._Triangle(X)
     for rows in (False, True):
-        assert tri is None or hyperopt._bracket(cfg, (1.0,), tri, rows=rows) is None
-    got = hyperopt._scores(cfg, X, ref, dists).score(np.zeros(1))
-    assert type(got) is float and got == hyperopt._objective(cfg, (1.0,), X, ref, dists)
-    if np.all(np.isfinite(cand)) and symmetric and cand.any():
+        assert hyperopt._bracket(cfg, (1.0,), tri, rows=rows) is None
+    got = hyperopt._scores(cfg, tri).score(np.zeros(1))
+    assert type(got) is float and got == oracles.objective_full(cfg, (1.0,), X)
+    if np.all(np.isfinite(cand)) and cand.any():
         assert np.linalg.norm(cand, 2) > cand.sum(axis=1).max()
 
 
@@ -584,6 +566,40 @@ def test_optimize_squared_exponential_tracks_log_grid_oracle():
     assert fro_at(result.spec.h) <= 1.1 * grid_best
 
 
+# Tuning eigensolves per family at seed 0: linear, exponential, squared
+# exponential, rational quadratic, Matern 3/2, Matern 5/2. Each is an
+# upper bound; a change that lowers one lowers its bound too.
+EIGENSOLVES = {
+    "oscillator.json": (1, 5, 4, 23, 5, 4),
+    "oscillator-narrow.json": (1, 6, 6, 19, 5, 4),
+    "nbody.json": (1, 4, 6, 18, 6, 4),
+}
+
+
+@pytest.mark.parametrize("config", sorted(EIGENSOLVES))
+def test_tuning_eigensolves_stay_within_their_counts(monkeypatch, config):
+    counts = dict.fromkeys(KernelFamily, 0)
+    tuning = []
+    solve, optimize = hyperopt.stable_rank, cli.optimize_hyperparams
+
+    def counted_solve(A):
+        counts[tuning[-1]] += 1
+        return solve(A)
+
+    def optimize_one(family, *args):
+        tuning.append(KernelFamily(family))
+        return optimize(family, *args)
+
+    monkeypatch.setattr(hyperopt, "stable_rank", counted_solve)
+    monkeypatch.setattr(cli, "optimize_hyperparams", optimize_one)
+    path = Path(__file__).resolve().parent.parent / "configs" / config
+    cfg = replace(cli.load_config(path), modes=("adaptive",), budgets=(4,))
+    cli.run_experiment(cfg)
+    assert tuning == list(KernelFamily)
+    got = tuple(counts[family] for family in KernelFamily)
+    assert all(g <= bound for g, bound in zip(got, EIGENSOLVES[config])), got
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_optimize_rejects_non_finite_reference_before_scoring(monkeypatch):
     # distances stay finite, but each column's squared norm overflows
@@ -593,7 +609,7 @@ def test_optimize_rejects_non_finite_reference_before_scoring(monkeypatch):
     def never_scored(*args):
         raise AssertionError("an objective was scored")
 
-    monkeypatch.setattr(hyperopt, "_objective", never_scored)
+    monkeypatch.setattr(hyperopt, "_gramian_objective", never_scored)
     for family in (KernelFamily.LINEAR, KernelFamily.EXPONENTIAL):
         cfg = config_for(ens, family)
         with pytest.raises(ArithmeticError, match="non-finite"):
@@ -634,7 +650,7 @@ def test_median_pairwise_distance_degenerate_cases():
 def whole_matrix_median(columns):
     """The median over the upper triangle of the whole distance matrix."""
     n = columns.shape[1]
-    return float(np.median(pairwise_distances(columns)[np.triu_indices(n, k=1)]))
+    return float(np.median(_distances(columns, columns)[np.triu_indices(n, k=1)]))
 
 
 @pytest.mark.parametrize("n", [2, 3, 7, 40])
@@ -645,6 +661,21 @@ def test_median_pairwise_distance_in_row_blocks_matches_whole_matrix(monkeypatch
     rng = np.random.default_rng(n * 10 + dim)
     cols = rng.normal(size=(dim, n)) * 10.0 ** rng.uniform(-3, 3, size=(dim, n))
     assert median_pairwise_distance(cols) == whole_matrix_median(cols)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 9, 202])
+def test_upper_distances_match_the_dense_loop_bit_for_bit(monkeypatch, d):
+    # (n, doubles per row block): one block at n = 2, 3 and 40; rows of
+    # one at n = 3, whose last block is a lone entry; at n = 11 rows of 3,
+    # whose last block meets one column, and at n = 12 rows of 3 again
+    rng = np.random.default_rng(d)
+    for n, block in [(2, 2**16), (3, 2**16), (3, 3), (11, 33), (12, 36), (40, 2**16)]:
+        monkeypatch.setattr(hyperopt, "_BLOCK_DOUBLES", block)
+        cols = rng.normal(size=(d, n)) * 10.0 ** rng.uniform(-3, 3, size=(d, n))
+        upper = hyperopt._upper_distances(cols)
+        assert upper[0] == 0.0 and upper.shape == (n * (n - 1) // 2 + 1,)
+        want = oracles.distance_block_dense(cols, cols)[np.triu_indices(n, k=1)]
+        np.testing.assert_array_equal(upper[1:], want)
 
 
 def test_median_pairwise_distance_pins_the_canonical_configs():
