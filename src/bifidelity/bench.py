@@ -141,64 +141,64 @@ def _integrate_blocks(omega, gamma, dt, steps, method, rows):
     """Yield state blocks shaped (rows + 1, 2, n_samples), vectorized over samples.
 
     ``y[:, 0]`` and ``y[:, 1]`` of a block are x and v. Row 0 is the last
-    state of the block before (the initial state (1, 0) in the first);
-    rows 1.. are the next ``rows`` steps (fewer in the last block),
-    ``rows <= steps``. A block is a view of a reused buffer, valid until
-    the next block is asked for. An unstable step overflows without a
-    numpy warning: the callers check the states they keep.
+    state of the block before ((1, 0) in the first); rows 1.. are the next
+    ``1 <= rows <= steps`` steps (fewer in the last), in a reused buffer
+    valid until the next block is asked for. An unstable step overflows
+    without a numpy warning: the callers check the states they keep. A step
+    is straight-line ufunc calls on views bound once, then a slice copy into
+    the block: the byte-identical form of the stage-by-stage integrator. At
+    small N a call costs its dispatch (a slice copy half an ``np.copyto``),
+    so scalars are 0-d float64 arrays: a Python float is converted per call.
     """
     if method not in ("euler", "rk4"):
         raise ValueError(f"unknown integrator {method!r}")
-    n = omega.size
-    ys = np.empty((rows + 1, 2, n))
-    # Stage s keeps (x_s, v_s, a_s) in z[s]. Since x' = v, its state
-    # y_s = (x_s, v_s) and its slope K_s = (v_s, a_s) are the overlapping
-    # contiguous views z[s, 0:2] and z[s, 1:3]: v_s is stored once and
-    # read as both, as the stage-by-stage integrator reuses k_sx as the
-    # velocity argument of stage s. Stage 1 is the current state.
-    z = np.empty((4, 3, n))
-    y, K = z[:, 0:2], z[:, 1:3]
-    y0 = y[0]
-    y0[0] = 1.0
-    y0[1] = 0.0
-    coef = np.stack([-(omega**2), gamma])
-    P, S, T = np.empty((3, 2, n))
-    mul, add = np.multiply, np.add
-
-    def accel(s):  # a_s = -w2 * x_s - gamma * v_s
-        return [(mul, coef, y[s], P), (np.subtract, P[0], P[1], z[s, 2])]
-
-    # One step as (ufunc, a, b, out) calls. Each performs one operation of
-    # tests/oracles.integrate_oscillator_dense, on the same operands in the
-    # same order and grouped as it groups them (its sums left to right), so
-    # every state rounds as there, bit for bit. Regrouping a sum, or
-    # folding dt / 6 into one factor, would move the trajectories by ulps.
-    program = accel(0)
-    if method == "euler":
-        program += [(mul, dt, K[0], S)]  # y0 + dt * K1
-    else:
-        half = 0.5 * dt
-        for s, c in ((1, half), (2, half), (3, dt)):  # y_s = y0 + c * K_{s-1}
-            program += [(mul, c, K[s - 1], y[s]), (add, y0, y[s], y[s]), *accel(s)]
-        program += [  # y0 + dt * (K1 + 2 * K2 + 2 * K3 + K4) / 6
-            (mul, 2.0, K[1], S), (add, K[0], S, S), (mul, 2.0, K[2], T), (add, S, T, S),
-            (add, S, K[3], S), (mul, dt, S, S), (np.divide, S, 6.0, S),
-        ]
-    program += [(add, y0, S, y0)]
+    ys = np.empty((rows + 1, 2, omega.size))
+    # Stage s = 0..3 (0 is the current state) keeps (x_s, v_s, a_s) in z[s].
+    # As x' = v, its state y_s = (x_s, v_s) and slope K_s = (v_s, a_s) are the
+    # overlapping views z[s, 0:2] and z[s, 1:3] (the stage-by-stage k_sx is v_s).
+    z = np.empty((4, 3, omega.size))
+    (y0, y1, y2, y3), (K0, K1, K2, K3), (a0, a1, a2, a3) = z[:, 0:2], z[:, 1:3], z[:, 2]
+    y0[0], y0[1] = 1.0, 0.0
+    coef = np.stack([-(omega**2), gamma])  # a_s = -w2 * x_s - gamma * v_s is P0 - P1, P = coef * y_s
+    P, S, T = np.empty((3, 2, omega.size))
+    P0, P1 = P
+    half, dt, two, six = map(np.array, (0.5 * dt, dt, 2.0, 6.0))
+    mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
+    # Each call performs one operation of tests/oracles.integrate_oscillator_dense,
+    # on the same operands in the same order and grouped as it groups them (its
+    # sums left to right), so every state rounds as there, bit for bit. Regrouping
+    # a sum, or folding dt / 6 into one factor, would move the trajectories by ulps.
     after = list(ys[1:])
-    done = 0
-    while True:
+    for done in range(0, steps, rows):
         count = min(rows, steps - done)
         ys[0] = y0
         with np.errstate(over="ignore", invalid="ignore"):  # not held across the yield
-            for row in after[:count]:
-                for f, a, b, out in program:
-                    f(a, b, out)
-                np.copyto(row, y0)
+            if method == "euler":
+                for row in after[:count]:
+                    mul(coef, y0, P)
+                    sub(P0, P1, a0)
+                    add(y0, mul(dt, K0, S), y0)  # y0 + dt * K0
+                    row[...] = y0
+            else:
+                for row in after[:count]:
+                    mul(coef, y0, P)
+                    sub(P0, P1, a0)
+                    add(y0, mul(half, K0, y1), y1)  # y_s = y0 + c * K_{s-1}
+                    mul(coef, y1, P)
+                    sub(P0, P1, a1)
+                    add(y0, mul(half, K1, y2), y2)
+                    mul(coef, y2, P)
+                    sub(P0, P1, a2)
+                    add(y0, mul(dt, K2, y3), y3)
+                    mul(coef, y3, P)
+                    sub(P0, P1, a3)
+                    add(K0, mul(two, K1, S), S)  # y0 + dt * (K0 + 2 * K1 + 2 * K2 + K3) / 6
+                    add(S, mul(two, K2, T), S)
+                    add(S, K3, S)
+                    div(mul(dt, S, S), six, S)
+                    add(y0, S, y0)
+                    row[...] = y0
         yield ys[: count + 1]
-        done += count
-        if done == steps:
-            return
 
 
 @np.errstate(over="ignore", invalid="ignore")

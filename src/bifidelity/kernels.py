@@ -7,6 +7,7 @@ hyperparameter tuning, and surrogate construction.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -72,7 +73,11 @@ def radial_profile(spec: KernelSpec, r) -> np.ndarray:
     Undefined for the linear family, which is not radial. Every radial
     family is 1 at r = 0, and exactly-zero distances return that 1 directly,
     which also guards against 0/0 where the rational quadratic's
-    h1^2 * h2 underflows.
+    h1^2 * h2 underflows. The rational quadratic writes 0 without calling
+    pow where its base exceeds exp(746.5 / h2) (with a 1e-9 margin): the
+    true value there is below 2^-1076.9, which pow rounds to 0 anyway, and
+    an underflowing pow is the slow one. The skip applies while
+    746.5 / h2 < 709, so that the threshold stays finite.
     """
     r = np.asarray(r, dtype=float)
     fam = spec.family
@@ -84,7 +89,12 @@ def radial_profile(spec: KernelSpec, r) -> np.ndarray:
             out = np.exp(-(r**2) / (2.0 * h[0]))
         elif fam == KernelFamily.RATIONAL_QUADRATIC:
             h1, h2 = h
-            out = (1.0 + r**2 / (2.0 * h1**2 * h2)) ** (-h2)
+            base = 1.0 + r**2 / (2.0 * h1**2 * h2)
+            if 746.5 / h2 < 709.0:
+                keep = ~(base > math.exp(746.5 / h2) * (1.0 + 1e-9))  # a NaN base is kept
+                out = np.power(base, -h2, out=np.zeros_like(base), where=keep)
+            else:
+                out = base ** (-h2)
         elif fam == KernelFamily.MATERN32:
             s = np.sqrt(3.0) * r / h[0]
             out = (1.0 + s) * np.exp(-s)

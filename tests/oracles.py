@@ -93,6 +93,33 @@ def distance_block_dense(a, b) -> np.ndarray:
     return D
 
 
+def radial_profile_dense(spec, r) -> np.ndarray:
+    """``kernels.radial_profile`` as first written: one whole-array formula
+    per family, the rational quadratic's pow over every entry."""
+    from bifidelity.kernels import KernelFamily
+
+    r = np.asarray(r, dtype=float)
+    fam = spec.family
+    h = spec.h
+    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+        if fam == KernelFamily.EXPONENTIAL:
+            out = np.exp(-r / h[0])
+        elif fam == KernelFamily.SQUARED_EXPONENTIAL:
+            out = np.exp(-(r**2) / (2.0 * h[0]))
+        elif fam == KernelFamily.RATIONAL_QUADRATIC:
+            h1, h2 = h
+            out = (1.0 + r**2 / (2.0 * h1**2 * h2)) ** (-h2)
+        elif fam == KernelFamily.MATERN32:
+            s = np.sqrt(3.0) * r / h[0]
+            out = (1.0 + s) * np.exp(-s)
+        elif fam == KernelFamily.MATERN52:
+            s = np.sqrt(5.0) * r / h[0]
+            out = (1.0 + s + 5.0 * r**2 / (3.0 * h[0] ** 2)) * np.exp(-s)
+        else:
+            raise ValueError(f"{fam.name} is not a radial family")
+    return np.where(r == 0.0, 1.0, out)
+
+
 # === spectral quantities by dense SVD ===
 
 

@@ -8,6 +8,7 @@ import pytest
 from bifidelity.bench import (
     _BLOCK_DOUBLES,
     BenchmarkSpec,
+    _integrate_blocks,
     _nbody_accel,
     default_spec,
     gen_nbody,
@@ -166,6 +167,19 @@ def test_integrate_oscillator_matches_dense_loop_bit_for_bit():
         np.testing.assert_array_equal(t, dt * np.arange(len(xs)))
         np.testing.assert_array_equal(x, xs[:, 0])
         np.testing.assert_array_equal(v, vs[:, 0])
+    # a 3 x 4 grid in blocks of 7 rows, which divide neither step count:
+    # every state of every block, the carried row 0 included
+    params = parameter_table(oscillator_spec())
+    omega, gamma = params[:, 0], params[:, 1]
+    for dt, horizon, method in [(0.01, 1.0, "rk4"), (0.05, 10.0, "euler")]:
+        steps = int(round(horizon / dt))
+        xs, vs = oracles.integrate_oscillator_dense(omega, gamma, dt, horizon, method)
+        done = 0
+        for y in _integrate_blocks(omega, gamma, dt, steps, method, 7):
+            np.testing.assert_array_equal(y[:, 0], xs[done : done + len(y)])
+            np.testing.assert_array_equal(y[:, 1], vs[done : done + len(y)])
+            done += len(y) - 1
+        assert done == steps and steps % 7
 
 
 def test_integrator_rejects_unknown_method():

@@ -200,6 +200,53 @@ def test_radial_profile_vectorized_matches_pointwise():
         assert prof[k] == pytest.approx(kernel_at(spec, u, v), rel=1e-15)
 
 
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def test_radial_profile_matches_the_dense_formulas_bit_for_bit():
+    # h over the whole tuning box [1e-3, 1e3] * dbar, on distances spread
+    # over six decades, with zeros on the diagonal and between duplicates
+    rng = np.random.default_rng(0)
+    cols = rng.normal(size=(2, 60)) * 10.0 ** rng.uniform(-3, 3, 60)
+    cols[:, 50:] = cols[:, :10]
+    r = _distances(cols, cols)[np.triu_indices(60)]
+    dbar = float(np.median(r[r > 0]))
+    skipped = 0
+    for family in RADIAL_FAMILIES:
+        for _ in range(200):
+            h = tuple(dbar * 10.0 ** rng.uniform(-3, 3, HYPER_DIMS[family]))
+            spec = KernelSpec(family=family, h=h)
+            expected = oracles.radial_profile_dense(spec, r)
+            np.testing.assert_array_equal(bits(radial_profile(spec, r)), bits(expected))
+            if family == KernelFamily.RATIONAL_QUADRATIC:
+                with np.errstate(over="ignore"):
+                    skipped += h[1] * np.log1p(r**2 / (2.0 * h[0] ** 2 * h[1])).max() > 746.5
+    assert 0 < skipped < 200  # the draws reach the rational quadratic's skip, and its other side
+
+
+@pytest.mark.parametrize("h2", [1.0, 746.5 / 709 * (1 - 1e-12), 746.5 / 709 * (1 + 1e-12), 2.0, 37.0, 1e3])
+def test_rational_quadratic_matches_the_dense_formula_at_its_underflow_threshold(h2):
+    # pow is skipped where h2 * ln(base) > 746.5, while 746.5 / h2 < 709;
+    # below ~745.13 the power is a nonzero subnormal and must be kept
+    h1 = 0.3
+    scale = 2.0 * h1**2 * h2
+    spec = KernelSpec(family=KernelFamily.RATIONAL_QUADRATIC, h=(h1, h2))
+    with np.errstate(over="ignore"):  # exp overflows where 740 / h2 > 709.78
+        sweep = np.sqrt((np.exp(np.linspace(740.0, 750.0, 4001) / h2) - 1.0) * scale)
+    profile = radial_profile(spec, sweep)
+    np.testing.assert_array_equal(bits(profile), bits(oracles.radial_profile_dense(spec, sweep)))
+    if 746.5 / h2 < 709.0:
+        assert profile[0] > 0.0 and profile[-1] == 0.0
+        # ulp steps of r around the threshold put the computed base on both sides
+        threshold = math.exp(746.5 / h2) * (1.0 + 1e-9)
+        near = math.sqrt((threshold - 1.0) * scale) * (1.0 + np.arange(-64, 65) * 2.0**-52)
+        base = 1.0 + near**2 / scale
+        assert (base > threshold).any() and (base <= threshold).any()
+        expected = oracles.radial_profile_dense(spec, near)
+        np.testing.assert_array_equal(bits(radial_profile(spec, near)), bits(expected))
+
+
 # === distances ===
 
 
