@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import _BLOCK_DOUBLES, SnapshotEnsemble, normalize_ensemble, normalize_in_place
+from .data import _BLOCK_DOUBLES, SnapshotEnsemble, normalize_in_place
 
 __all__ = [
     "BenchmarkSpec",
@@ -360,7 +360,9 @@ def simulate_nbody(pos, vel, masses, dt, horizon, eps, g_const):
     return pos, vel
 
 
-def _nbody_fidelity(params, settings, seed, fidelity_tag):
+def _nbody_fidelity(params, settings, seed, fidelity_tag) -> SnapshotEnsemble:
+    """One fidelity's normalized QoIs over ``params``; an overflowing run
+    raises ArithmeticError naming the unstable samples, and no numpy warning."""
     bodies = int(settings["bodies"])
     dt = float(settings["dt"])
     horizon = float(settings["horizon"])
@@ -373,14 +375,20 @@ def _nbody_fidelity(params, settings, seed, fidelity_tag):
     )
     eps = soft_frac * cluster_radius
     qois = np.empty((3, params.shape[0]))
-    for j, (m_total, rotation) in enumerate(params):
-        masses = np.full(bodies, m_total / bodies)
-        pos, vel = simulate_nbody(
-            pos0, rotation * vel_unit, masses, dt, horizon, eps, g_const
-        )
-        qois[0, j] = _nbody_energy(pos, vel, masses, eps, g_const)
-        qois[1, j] = float(np.mean(np.linalg.norm(pos, axis=1)))
-        qois[2, j] = float(np.mean(np.linalg.norm(vel, axis=1)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, (m_total, rotation) in enumerate(params):
+            masses = np.full(bodies, m_total / bodies)
+            pos, vel = simulate_nbody(
+                pos0, rotation * vel_unit, masses, dt, horizon, eps, g_const
+            )
+            qois[0, j] = _nbody_energy(pos, vel, masses, eps, g_const)
+            qois[1, j] = float(np.mean(np.linalg.norm(pos, axis=1)))
+            qois[2, j] = float(np.mean(np.linalg.norm(vel, axis=1)))
+    bad = np.flatnonzero(~np.isfinite(qois).all(axis=0))
+    if bad.size:
+        raise ArithmeticError(f"{bodies}-body integration unstable for samples {bad.tolist()}")
+    normalize_in_place(qois, [[0], [1], [2]])
+    qois.setflags(write=False)  # handed over: the ensemble keeps it uncopied
     cost = float(bodies**2 * steps)
     return SnapshotEnsemble(
         outputs=qois,
@@ -395,7 +403,7 @@ def gen_nbody(spec: BenchmarkSpec) -> tuple[SnapshotEnsemble, SnapshotEnsemble]:
     if spec.name != "nbody":
         raise ValueError("spec is not an nbody spec")
     params = parameter_table(spec)
-    lf_raw = _nbody_fidelity(params, spec.lf_settings, spec.seed, 0)
-    hf_raw = _nbody_fidelity(params, spec.hf_settings, spec.seed, 1)
-    groups = [[0], [1], [2]]
-    return normalize_ensemble(lf_raw, groups), normalize_ensemble(hf_raw, groups)
+    return (
+        _nbody_fidelity(params, spec.lf_settings, spec.seed, 0),
+        _nbody_fidelity(params, spec.hf_settings, spec.seed, 1),
+    )

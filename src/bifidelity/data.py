@@ -158,16 +158,3 @@ def normalize_in_place(outputs: np.ndarray, groups) -> None:
             raise ValueError(f"group {g} has zero energy and cannot be normalized")
         outputs[rows] /= math.sqrt(energy)
 
-
-def normalize_ensemble(ensemble: SnapshotEnsemble, groups) -> SnapshotEnsemble:
-    """A copy of ``ensemble`` with its output rows normalized by
-    ``normalize_in_place``."""
-    outputs = np.array(ensemble.outputs, dtype=float)
-    normalize_in_place(outputs, groups)
-    outputs.setflags(write=False)  # handed over, not copied again
-    return SnapshotEnsemble(
-        outputs=outputs,
-        params=ensemble.params,
-        per_sample_cost=ensemble.per_sample_cost,
-        labels=ensemble.labels,
-    )

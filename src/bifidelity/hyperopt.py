@@ -7,14 +7,14 @@ projected quasi-Newton pass polishes the swarm's best particle. The
 linear family has nothing to tune: its Gramian is the reference, so it
 scores the stability term alone.
 
-The objective has one implementation, on one packed triangle per radial
-family: the strict upper triangle of the LF distances, collected one row
-block at a time (no N x N distance matrix is formed), and of the
-reference. The swarm only compares scores, so each point is first scored
-as a bracket, and a point evaluates the kernel on that half of the
-entries; every radial family is 1 on the diagonal. For the
-nonnegative, exactly symmetric Gramian K this gives, the row sums
-r = K 1 and the largest off-diagonal entry bound
+The objective has one implementation, on one ``TuningTable`` per run,
+which every family reads: the linear reference, and the strict upper
+triangles of the LF distances, collected one row block at a time (no
+N x N distance matrix is formed), and of the reference. The swarm only
+compares scores, so each point is first scored as a bracket, and a point
+evaluates the kernel on that half of the entries; every radial family is
+1 on the diagonal. For the nonnegative, exactly symmetric Gramian K this
+gives, the row sums r = K 1 and the largest off-diagonal entry bound
 max(mean(r), 1 + max_{i<j} K_ij) <= ||K||_2 <= min(max(r), ||K||_F)
 (Rayleigh quotients at the ones vector and at e_i + e_j; Horn & Johnson,
 Matrix Analysis, 8.1), which bounds the penalty without an eigensolve.
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _BLOCK_DOUBLES, SnapshotEnsemble
+from .data import _BLOCK_DOUBLES
 from .kernels import (
     HYPER_DIMS,
     KernelFamily,
@@ -58,6 +58,7 @@ __all__ = [
     "OptimizedKernel",
     "pso_minimize",
     "refine_local",
+    "TuningTable",
     "optimize_hyperparams",
     "default_bounds",
     "median_pairwise_distance",
@@ -217,14 +218,6 @@ class _Memoized:
         return float(self.score(x))
 
 
-def _linear_reference(X: np.ndarray) -> np.ndarray:
-    """The linear-kernel Gramian of the columns ``X`` that tuning aims at."""
-    ref = gramian_entries(KernelSpec(family=KernelFamily.LINEAR), X)
-    if not np.all(np.isfinite(ref)):
-        raise ArithmeticError("linear reference Gramian has non-finite entries")
-    return ref
-
-
 def _gramian_objective(cfg: ObjectiveConfig, cand: np.ndarray, ref: np.ndarray) -> float:
     """The objective of a formed candidate Gramian; any numerical failure is inf."""
     try:
@@ -238,22 +231,25 @@ def _gramian_objective(cfg: ObjectiveConfig, cand: np.ndarray, ref: np.ndarray) 
     return value if np.isfinite(value) else math.inf
 
 
-class _Triangle:
-    """One family's tuning inputs, formed once from the LF columns ``X``.
+class TuningTable:
+    """Tuning's inputs, formed once from the LF columns ``X`` and shared by every family.
 
-    ``ref`` is the linear reference, which the exact objective subtracts
-    from. ``dists`` holds a 0 (the diagonal's distance) and then the strict
-    upper triangle of the distances, row by row, so one ``radial_profile``
-    call on it gives the diagonal value first and each off-diagonal entry
-    once. ``ref_upper`` and ``ref_diag`` pack the reference alike. No
-    N x N distance matrix is formed, and no N x N mask or index array is
-    held between calls.
+    ``ref`` is the linear reference Gramian, which tuning aims at and the
+    exact objective subtracts from; a non-finite entry raises
+    ArithmeticError before any distance is formed. ``dists`` holds a 0
+    (the diagonal's distance) and then the strict upper triangle of the
+    distances, row by row, so one ``radial_profile`` call on it gives the
+    diagonal value first and each off-diagonal entry once. ``ref_upper``
+    and ``ref_diag`` pack the reference alike. No N x N distance matrix is
+    formed, and no N x N mask or index array is held between calls.
     """
 
     __slots__ = ("n", "dists", "ref", "ref_upper", "ref_diag")
 
     def __init__(self, X: np.ndarray):
-        self.ref = ref = _linear_reference(X)
+        self.ref = ref = gramian_entries(KernelSpec(family=KernelFamily.LINEAR), X)
+        if not np.all(np.isfinite(ref)):
+            raise ArithmeticError("linear reference Gramian has non-finite entries")
         self.n = n = X.shape[1]
         self.dists = _upper_distances(X)
         self.ref_upper = ref[~np.tri(n, dtype=bool)]
@@ -269,7 +265,7 @@ class _Triangle:
         return K
 
 
-def _profile(cfg: ObjectiveConfig, h, tri: _Triangle) -> np.ndarray | None:
+def _profile(cfg: ObjectiveConfig, h, tri: TuningTable) -> np.ndarray | None:
     """The kernel at ``h`` on the packed distances; None where h names no kernel."""
     try:
         return radial_profile(_spec_for(cfg, h), tri.dists)
@@ -277,7 +273,7 @@ def _profile(cfg: ObjectiveConfig, h, tri: _Triangle) -> np.ndarray | None:
         return None
 
 
-def _packed_objective(cfg: ObjectiveConfig, h, tri: _Triangle) -> float:
+def _packed_objective(cfg: ObjectiveConfig, h, tri: TuningTable) -> float:
     """The objective at ``h``, with the Gramian unpacked from one profile call.
 
     A radial profile acts entry by entry, so the Gramian is bit for bit
@@ -299,7 +295,7 @@ def _packed_objective(cfg: ObjectiveConfig, h, tri: _Triangle) -> float:
 _BRACKET_PAD = 1e-9
 
 
-def _bracket(cfg: ObjectiveConfig, h, tri: _Triangle, rows: bool = False):
+def _bracket(cfg: ObjectiveConfig, h, tri: TuningTable, rows: bool = False):
     """Bounds (lo, hi) on ``_packed_objective`` at ``h``, or None where none are known.
 
     One profile call on the packed triangle gives the diagonal value k0
@@ -352,7 +348,7 @@ def _bracket(cfg: ObjectiveConfig, h, tri: _Triangle, rows: bool = False):
     return lo, hi
 
 
-def _scores(cfg: ObjectiveConfig, tri: _Triangle) -> _Memoized:
+def _scores(cfg: ObjectiveConfig, tri: TuningTable) -> _Memoized:
     """One family's objective over log h, memoized and bracketed from the packed triangle.
 
     Each point is bracketed without row sums; a bracket is refined with
@@ -597,15 +593,16 @@ def default_bounds(family: KernelFamily, dbar: float) -> tuple[tuple[float, floa
 
 def optimize_hyperparams(
     family: KernelFamily,
-    lf_ensemble: SnapshotEnsemble,
+    table: TuningTable,
     obj_cfg: ObjectiveConfig,
     pso_cfg: PsoConfig,
 ) -> OptimizedKernel:
-    """Tune one family's hyperparameters: log-scale PSO plus local polish.
+    """Tune one family's hyperparameters on ``table``: log-scale PSO plus local polish.
 
-    The swarm and the polish share one memo, so each distinct point is
-    bracketed once and computed exactly at most once; ``evaluations_used``
-    still counts every request.
+    Every family of a run is tuned on the one ``TuningTable`` of its LF
+    columns. The swarm and the polish share one memo, so each distinct
+    point is bracketed once and computed exactly at most once;
+    ``evaluations_used`` still counts every request.
 
     The linear family has nothing to tune and returns immediately with the
     objective reduced to its stable-rank term and zero evaluations.
@@ -617,8 +614,7 @@ def optimize_hyperparams(
         )
     started = time.perf_counter()
     if family == KernelFamily.LINEAR:
-        ref = _linear_reference(lf_ensemble.outputs)
-        value = _gramian_objective(obj_cfg, ref, ref)
+        value = _gramian_objective(obj_cfg, table.ref, table.ref)
         return OptimizedKernel(
             spec=KernelSpec(family=KernelFamily.LINEAR),
             objective_value=value,
@@ -627,7 +623,7 @@ def optimize_hyperparams(
         )
 
     # clipped swarm particles revisit box edges, so many requests repeat
-    f_log = _scores(obj_cfg, _Triangle(lf_ensemble.outputs))
+    f_log = _scores(obj_cfg, table)
 
     log_bounds = np.log(np.asarray(obj_cfg.bounds, dtype=float))
     theta_pso, _, _ = pso_minimize(f_log.score, pso_cfg, log_bounds)
@@ -638,7 +634,7 @@ def optimize_hyperparams(
         "%s tuned: h*=%s, heuristic lam/sqrt(N)=%.3e",
         family.name,
         spec.h,
-        obj_cfg.lam / math.sqrt(lf_ensemble.n_samples),
+        obj_cfg.lam / math.sqrt(table.n),
     )
     return OptimizedKernel(
         spec=spec,

@@ -14,8 +14,8 @@ import numpy as np
 
 from .data import SnapshotEnsemble
 from .kernels import KernelFamily, KernelSpec
-from .numerics import MatrixNotPSDError, ZeroGramianError, kept_eigenvalues, lower_median
-from .surrogate import build_surrogate, evaluate
+from .numerics import MatrixNotPSDError, ZeroGramianError, lower_median, regularized_factor
+from .surrogate import _emulate, build_surrogate
 
 __all__ = [
     "SelectionReport",
@@ -88,19 +88,20 @@ def adaptive_select(
 
 def _self_emulation_score(spec: KernelSpec, lf: SnapshotEnsemble, n: int, rcond: float) -> float:
     """Lower-median residual of a budget-n emulator of ``lf`` on its own
-    held-out columns; +inf when the family cannot support n pivots."""
+    held-out columns; +inf when the family cannot support n pivots.
+
+    One eigendecomposition of the sliced Gramian gives both the numerical
+    rank under ``rcond`` and the solve, the one ``evaluate`` makes.
+    """
     try:
         # the low-fidelity model is its own high-fidelity provider
         surr = build_surrogate(lf, spec, n, lf.column, rcond)
-    except MatrixNotPSDError:
+        factor = regularized_factor(surr.sliced, rcond)
+    except (MatrixNotPSDError, ZeroGramianError):
         return math.inf
-    # the same truncation rule as the solve inside evaluate
-    if np.count_nonzero(kept_eigenvalues(np.linalg.eigvalsh(surr.sliced), rcond)) < n:
+    if factor[1].size < n:
         return math.inf
     others = np.setdiff1d(np.arange(lf.n_samples), surr.pivots)
-    try:
-        preds = evaluate(surr, lf.outputs[:, others])
-    except ZeroGramianError:
-        return math.inf
+    preds = _emulate(surr, factor, lf.outputs[:, others])
     resid = np.linalg.norm(lf.outputs[:, others] - preds, axis=0)
     return lower_median(resid) if np.all(np.isfinite(resid)) else math.inf

@@ -22,7 +22,7 @@ from bifidelity.cli import (
 )
 from bifidelity.data import SnapshotEnsemble
 from bifidelity import hyperopt
-from bifidelity.hyperopt import ObjectiveConfig, OptimizedKernel, PsoConfig, optimize_hyperparams, pso_minimize
+from bifidelity.hyperopt import ObjectiveConfig, OptimizedKernel, PsoConfig, TuningTable, optimize_hyperparams, pso_minimize
 from bifidelity.kernels import (
     KernelFamily,
     KernelSpec,
@@ -154,7 +154,7 @@ def test_objective_matches_svd_oracle():
         m = int(rng.integers(2, 5))
         N = int(rng.integers(6, 13))
         cols = rng.normal(size=(m, N))
-        ens = ensemble_from(cols)
+        table = TuningTable(cols)
         fam = families[case % len(families)]
         dims = {1: 0, 2: 1, 3: 1, 4: 2, 5: 1, 6: 1}[int(fam)]
         h = tuple(float(v) for v in rng.uniform(0.3, 3.0, size=dims))
@@ -164,9 +164,9 @@ def test_objective_matches_svd_oracle():
             bounds=tuple((1e-3, 1e3) for _ in range(dims)),
         )
         if fam == KernelFamily.LINEAR:
-            got = optimize_hyperparams(fam, ens, cfg, PsoConfig()).objective_value
+            got = optimize_hyperparams(fam, table, cfg, PsoConfig()).objective_value
         else:
-            got = hyperopt._packed_objective(cfg, h, hyperopt._Triangle(cols))
+            got = hyperopt._packed_objective(cfg, h, table)
         ref = oracles.gramian_dense("linear", cols)
         cand = oracles.gramian_dense(FAMILY_NAMES[fam], cols, h=h)
         want = oracles.objective_svd(ref, cand, 0.1)

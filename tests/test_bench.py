@@ -1,6 +1,7 @@
 """Benchmark generators: determinism, physics sanity, fidelity gaps."""
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from bifidelity.bench import (
     parameter_table,
     simulate_nbody,
 )
-from bifidelity.data import SnapshotEnsemble, normalize_ensemble
+from bifidelity.data import SnapshotEnsemble, normalize_in_place
 
 import oracles
 
@@ -218,10 +219,9 @@ def dense_generation(spec):
     points = spec.hf_settings["trajectory_points"]
     pairs = [(lf_raw, [[0], [1]]), (hf_raw, [list(range(points)), [points], [points + 1]])]
     cost = np.ones(len(params))
-    return tuple(
-        normalize_ensemble(SnapshotEnsemble(outputs=raw, params=params, per_sample_cost=cost), groups)
-        for raw, groups in pairs
-    )
+    for raw, groups in pairs:
+        normalize_in_place(raw, groups)  # the oracle's own arrays, held nowhere else
+    return tuple(SnapshotEnsemble(outputs=raw, params=params, per_sample_cost=cost) for raw, _ in pairs)
 
 
 @pytest.mark.parametrize(
@@ -353,6 +353,20 @@ def test_unstable_integration_raises_without_numpy_warnings():
         ArithmeticError, match=r"high-fidelity integration unstable for samples \[0, 1, 2, 3, 4, 5\]"
     ):
         gen_oscillator(hf_unstable)
+
+
+def test_unstable_nbody_raises_without_numpy_warnings():
+    # warnings are errors here: the leapfrog's overflow stays silent, and
+    # the error names the fidelity by its body count and each sample with
+    # a non-finite QoI. At G = 10^153.5 only the heavier 4-body clusters
+    # (m_total 500, samples 2 and 3) overflow; at G = 1e300 every 8-body one
+    spec = small_nbody_spec()
+    lf_unstable = replace(spec, lf_settings={**spec.lf_settings, "g_const": 10.0**153.5})
+    with pytest.raises(ArithmeticError, match=r"^4-body integration unstable for samples \[2, 3\]$"):
+        gen_nbody(lf_unstable)
+    hf_unstable = replace(spec, hf_settings={**spec.hf_settings, "g_const": 1e300})
+    with pytest.raises(ArithmeticError, match=r"^8-body integration unstable for samples \[0, 1, 2, 3\]$"):
+        gen_nbody(hf_unstable)
 
 
 # === nbody ===

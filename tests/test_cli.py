@@ -593,6 +593,27 @@ def test_exit_code_4_on_unstable_high_fidelity(tmp_path, capsys):
     assert not (tmp_path / "out").exists() and not (tmp_path / "gen").exists()
 
 
+def test_exit_code_4_on_unstable_nbody(tmp_path, capsys):
+    # a huge G overflows every 8-body leapfrog, in run and in gen; warnings
+    # are errors here, so the overflow itself must raise none
+    bench = {
+        "grid": [["m_total", 50.0, 500.0, 2], ["rotation", 0.0, 0.9, 2]],
+        "lf": {"bodies": 4, "dt": 0.01, "horizon": 0.5},
+        "hf": {"bodies": 8, "dt": 0.01, "horizon": 0.5, "g_const": 1e300},
+    }
+    doc = {"data": {"benchmark": {"name": "nbody", **bench}}, "budgets": [2],
+           "out_dir": str(tmp_path / "out")}
+    cfg = write_config(tmp_path / "cfg.json", doc)
+    gen_cfg = write_config(tmp_path / "gen.json", bench)
+    message = "numerical failure: 8-body integration unstable for samples [0, 1, 2, 3]\n"
+    capsys.readouterr()
+    assert main(["run", "--config", cfg]) == 4
+    assert capsys.readouterr().err == message
+    assert main(["gen", "nbody", "--config", gen_cfg, "--out", str(tmp_path / "gen")]) == 4
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "out").exists() and not (tmp_path / "gen").exists()
+
+
 def test_gen_names_unstable_samples_without_numpy_warnings(tmp_path):
     # run with the interpreter's default warning filters, which print a
     # RuntimeWarning, not raise it; an unstable LF grid, then an unstable HF one

@@ -16,6 +16,7 @@ from bifidelity.data import SnapshotEnsemble
 from bifidelity.hyperopt import (
     ObjectiveConfig,
     PsoConfig,
+    TuningTable,
     default_bounds,
     median_pairwise_distance,
     optimize_hyperparams,
@@ -52,7 +53,7 @@ def config_for(ens, family, lam=0.1, **flags):
 
 def objective(cfg, h, ens):
     """The exact objective at ``h``, as tuning scores it from the packed triangle."""
-    return hyperopt._packed_objective(cfg, h, hyperopt._Triangle(ens.outputs))
+    return hyperopt._packed_objective(cfg, h, TuningTable(ens.outputs))
 
 
 def oscillator_lf(omega_count, gamma_count):
@@ -90,7 +91,7 @@ def test_objective_lambda_zero_is_pure_frobenius():
 def test_objective_linear_lambda_zero_is_exactly_zero():
     ens = ensemble_from(np.random.default_rng(1).normal(size=(2, 5)))
     cfg = config_for(ens, KernelFamily.LINEAR, lam=0.0)
-    assert optimize_hyperparams(KernelFamily.LINEAR, ens, cfg, PsoConfig()).objective_value == 0.0
+    assert optimize_hyperparams(KernelFamily.LINEAR, TuningTable(ens.outputs), cfg, PsoConfig()).objective_value == 0.0
 
 
 def test_objective_matches_dense_svd_oracle():
@@ -158,7 +159,7 @@ def bracket_data(kind, n, seed):
         # between clusters underflow to 0, and the Gramian is reducible
         centers = 1e4 * rng.normal(size=(2, 3))
         X = centers[:, np.arange(n) % 3] + rng.normal(size=(2, n))
-    return X, hyperopt._Triangle(X), median_pairwise_distance(X)
+    return X, TuningTable(X), median_pairwise_distance(X)
 
 
 @given(
@@ -208,7 +209,7 @@ def test_pair_bound_lifts_the_bracket_above_the_row_sums():
     np.fill_diagonal(dists, 0.0)
     dists[1, 3] = dists[3, 1] = -math.log(a)
     X = np.random.default_rng(0).normal(size=(2, n))
-    tri = hyperopt._Triangle(X)
+    tri = TuningTable(X)
     tri.dists[1:] = dists[np.triu_indices(n, k=1)]  # the crafted distances, packed
     ref = tri.ref
     cfg = ObjectiveConfig(lam=100.0, family=KernelFamily.EXPONENTIAL, bounds=((0.1, 10.0),))
@@ -246,7 +247,7 @@ def test_gramians_without_a_bracket_are_scored_exactly(monkeypatch, cand):
     monkeypatch.setattr(kernels, "radial_profile", profile)
     spec = KernelSpec(family=KernelFamily.EXPONENTIAL, h=(1.0,))
     assert np.array_equal(gramian_entries(spec, X), cand, equal_nan=True)
-    tri = hyperopt._Triangle(X)
+    tri = TuningTable(X)
     for rows in (False, True):
         assert hyperopt._bracket(cfg, (1.0,), tri, rows=rows) is None
     got = hyperopt._scores(cfg, tri).score(np.zeros(1))
@@ -264,13 +265,14 @@ def test_tuning_holds_four_gramians_at_most():
     n = ens.n_samples
     pso = PsoConfig(swarm_size=4, max_iters=1, seed=0)
     warm = config_for(ens, KernelFamily.EXPONENTIAL)
-    optimize_hyperparams(KernelFamily.EXPONENTIAL, ens, warm, pso)  # first-call allocations
+    optimize_hyperparams(KernelFamily.EXPONENTIAL, TuningTable(ens.outputs), warm, pso)  # first-call allocations
     for family in RADIAL_FAMILIES:
         cfg = config_for(ens, family)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            optimize_hyperparams(family, ens, cfg, pso)
+            # the table is built inside the window: it is held throughout
+            optimize_hyperparams(family, TuningTable(ens.outputs), cfg, pso)
             transient = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
@@ -460,7 +462,7 @@ def test_refine_survives_non_finite_regions():
 def test_optimize_linear_family_is_a_no_op():
     ens = ensemble_from(np.random.default_rng(5).normal(size=(2, 6)))
     cfg = config_for(ens, KernelFamily.LINEAR)
-    result = optimize_hyperparams(KernelFamily.LINEAR, ens, cfg, PsoConfig())
+    result = optimize_hyperparams(KernelFamily.LINEAR, TuningTable(ens.outputs), cfg, PsoConfig())
     assert result.spec == KernelSpec(family=KernelFamily.LINEAR)
     assert result.evaluations_used == 0
     assert result.objective_value == pytest.approx(
@@ -472,8 +474,8 @@ def test_optimize_is_deterministic():
     ens = ensemble_from(np.random.default_rng(6).normal(size=(2, 8)))
     cfg = config_for(ens, KernelFamily.MATERN32)
     pso = PsoConfig(max_iters=30, seed=123)
-    a = optimize_hyperparams(KernelFamily.MATERN32, ens, cfg, pso)
-    b = optimize_hyperparams(KernelFamily.MATERN32, ens, cfg, pso)
+    a = optimize_hyperparams(KernelFamily.MATERN32, TuningTable(ens.outputs), cfg, pso)
+    b = optimize_hyperparams(KernelFamily.MATERN32, TuningTable(ens.outputs), cfg, pso)
     assert a.spec.h == b.spec.h
     assert a.objective_value == b.objective_value
     assert a.evaluations_used == b.evaluations_used
@@ -483,7 +485,7 @@ def test_optimize_objective_value_is_reproducible():
     ens = ensemble_from(np.random.default_rng(7).normal(size=(3, 7)))
     cfg = config_for(ens, KernelFamily.EXPONENTIAL)
     result = optimize_hyperparams(
-        KernelFamily.EXPONENTIAL, ens, cfg, PsoConfig(max_iters=40, seed=1)
+        KernelFamily.EXPONENTIAL, TuningTable(ens.outputs), cfg, PsoConfig(max_iters=40, seed=1)
     )
     assert result.evaluations_used > 0
     assert result.wall_time >= 0.0
@@ -510,7 +512,7 @@ def test_optimize_scores_each_point_once(monkeypatch):
 
     monkeypatch.setattr(hyperopt, "_bracket", bracketing)
     monkeypatch.setattr(hyperopt, "_packed_objective", scoring)
-    result = optimize_hyperparams(KernelFamily.MATERN32, ens, cfg, PsoConfig(seed=3))
+    result = optimize_hyperparams(KernelFamily.MATERN32, TuningTable(ens.outputs), cfg, PsoConfig(seed=3))
     monkeypatch.undo()
     # each distinct point is bracketed once, and only some need the row
     # sums or the exact value
@@ -535,10 +537,10 @@ def test_optimize_matches_tuning_by_the_eager_swarm(monkeypatch, family, lam):
 
     for seed in (0, 1, 2):
         pso = PsoConfig(seed=seed)
-        got = optimize_hyperparams(family, ens, cfg, pso)
+        got = optimize_hyperparams(family, TuningTable(ens.outputs), cfg, pso)
         with monkeypatch.context() as patched:
             patched.setattr(hyperopt, "pso_minimize", eager)
-            want = optimize_hyperparams(family, ens, cfg, pso)
+            want = optimize_hyperparams(family, TuningTable(ens.outputs), cfg, pso)
         assert got.spec.h == want.spec.h
         assert got.objective_value == want.objective_value
         assert got.evaluations_used == want.evaluations_used
@@ -553,7 +555,7 @@ def test_optimize_squared_exponential_tracks_log_grid_oracle():
     ens = ensemble_from(cols)
     cfg = config_for(ens, KernelFamily.SQUARED_EXPONENTIAL)
     result = optimize_hyperparams(
-        KernelFamily.SQUARED_EXPONENTIAL, ens, cfg, PsoConfig(seed=2)
+        KernelFamily.SQUARED_EXPONENTIAL, TuningTable(ens.outputs), cfg, PsoConfig(seed=2)
     )
     ref = oracles.gramian_dense("linear", cols)
 
@@ -600,6 +602,43 @@ def test_tuning_eigensolves_stay_within_their_counts(monkeypatch, config):
     assert all(g <= bound for g, bound in zip(got, EIGENSOLVES[config])), got
 
 
+def test_one_run_forms_tuning_inputs_once_and_scores_from_one_eigendecomposition(monkeypatch):
+    # osc-default at seed 0: the median distance and the shared table each
+    # collect the packed triangle once, and the table forms the one linear
+    # reference; each selection score factors its sliced Gramian once.
+    # A table per family would make 6 triangles and 6 references, and a
+    # separate rank check 30 eigvalsh beside the solves' eigh.
+    counts = {"distances": 0, "reference": 0, "eigvalsh": 0, "eigh": 0}
+    selecting = []
+
+    def counted(key, f, only_selecting=False):
+        def call(*args, **kwargs):
+            if selecting or not only_selecting:
+                counts[key] += 1
+            return f(*args, **kwargs)
+        return call
+
+    def select(*args, **kwargs):
+        selecting.append(True)
+        try:
+            return adaptive(*args, **kwargs)
+        finally:
+            selecting.pop()
+
+    adaptive = cli.adaptive_select
+    monkeypatch.setattr(hyperopt, "_upper_distances", counted("distances", hyperopt._upper_distances))
+    monkeypatch.setattr(hyperopt, "gramian_entries", counted("reference", hyperopt.gramian_entries))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh, True))
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh, True))
+    monkeypatch.setattr(cli, "adaptive_select", select)
+    path = Path(__file__).resolve().parent.parent / "configs" / "oscillator.json"
+    cfg = cli.load_config(path)
+    assert cfg.seed == 0 and "adaptive" in cfg.modes
+    cli.run_experiment(cfg)
+    scores = len(cfg.kernels) * len(cfg.budgets)
+    assert counts == {"distances": 2, "reference": 1, "eigvalsh": 0, "eigh": scores}, counts
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_optimize_rejects_non_finite_reference_before_scoring(monkeypatch):
     # distances stay finite, but each column's squared norm overflows
@@ -613,14 +652,14 @@ def test_optimize_rejects_non_finite_reference_before_scoring(monkeypatch):
     for family in (KernelFamily.LINEAR, KernelFamily.EXPONENTIAL):
         cfg = config_for(ens, family)
         with pytest.raises(ArithmeticError, match="non-finite"):
-            optimize_hyperparams(family, ens, cfg, PsoConfig())
+            optimize_hyperparams(family, TuningTable(ens.outputs), cfg, PsoConfig())
 
 
 def test_optimize_family_mismatch_rejected():
     ens = ensemble_from([[1.0, 2.0]])
     cfg = config_for(ens, KernelFamily.EXPONENTIAL)
     with pytest.raises(ValueError, match="does not match"):
-        optimize_hyperparams(KernelFamily.MATERN32, ens, cfg, PsoConfig())
+        optimize_hyperparams(KernelFamily.MATERN32, TuningTable(ens.outputs), cfg, PsoConfig())
 
 
 # === search boxes ===
