@@ -12,6 +12,10 @@ proportional to the work each fidelity performs.
 * nbody: a softened-gravity cluster with a rotation parameter. Both
   fidelities report the same three scalar quantities and differ only in
   body count.
+
+Every fidelity ends in one finish step, ``_ensemble``: a sample with a
+non-finite output raises ArithmeticError naming it, and the outputs are
+normalized per QoI label, frozen and handed to the ensemble uncopied.
 """
 from __future__ import annotations
 
@@ -208,9 +212,9 @@ def _oscillator_qois(omega, gamma, dt, steps, method, points=0):
     final amplitude of each sample.
 
     Integrates in blocks of at most _BLOCK_DOUBLES doubles, so memory is
-    O(_BLOCK_DOUBLES + points * N) whatever the step count. Forward Euler
-    trajectories must stay finite. Overflow raises no numpy warning: the
-    finiteness checks name every unstable sample.
+    O(_BLOCK_DOUBLES + points * N) whatever the step count. An unstable
+    sample overflows to a non-finite output without a numpy warning; the
+    caller's output check names it.
     """
     n = omega.size
     # 4 doubles per sample and step: x and v, and two energy rows
@@ -222,14 +226,9 @@ def _oscillator_qois(omega, gamma, dt, steps, method, points=0):
     stride = steps // max(points, 1)  # the LF run keeps no rows
     w2 = omega**2
     total = None
-    finite = True
     done = 0
     for y in _integrate_blocks(omega, gamma, dt, steps, method, rows):
         x, v = y[:, 0], y[:, 1]
-        if method == "euler":
-            finite = finite and bool(np.isfinite(y).all())
-        if not finite:
-            continue  # integrate on: the error names samples by their final x
         count = len(x) - 1
         first = done // stride + 1
         last = min((done + count) // stride, points)
@@ -248,12 +247,30 @@ def _oscillator_qois(omega, gamma, dt, steps, method, points=0):
             e[0] = total
         total = e.sum(axis=0)
         done += count
-    if not finite:
-        bad = np.nonzero(~np.isfinite(x[-1]))[0]
-        raise ArithmeticError(f"low-fidelity integration unstable for samples {bad.tolist()}")
     np.divide(total, steps + 1, out=out[points])
     out[points + 1] = np.sqrt(x[-1] ** 2 + (v[-1] / omega) ** 2)
     return out
+
+
+def _ensemble(outputs, params, cost, labels, what) -> SnapshotEnsemble:
+    """Finish one fidelity's (len(labels), N) ``outputs``, which no one else holds.
+
+    A sample with any non-finite output (an overflowing state, energy or
+    amplitude) raises ArithmeticError naming every such sample; then the
+    outputs are normalized per label in place, frozen and handed to the
+    ensemble, which keeps them uncopied. Every sample costs ``cost``.
+    """
+    bad = np.flatnonzero(~np.isfinite(outputs).all(axis=0))
+    if bad.size:
+        raise ArithmeticError(f"{what} integration unstable for samples {bad.tolist()}")
+    normalize_in_place(outputs, labels)
+    outputs.setflags(write=False)
+    return SnapshotEnsemble(
+        outputs=outputs,
+        params=params,
+        per_sample_cost=np.full(params.shape[0], cost),
+        labels=labels,
+    )
 
 
 def gen_oscillator(spec: BenchmarkSpec) -> tuple[SnapshotEnsemble, SnapshotEnsemble]:
@@ -266,47 +283,27 @@ def gen_oscillator(spec: BenchmarkSpec) -> tuple[SnapshotEnsemble, SnapshotEnsem
     lf_dt = float(spec.lf_settings["dt"])
     lf_steps = int(round(float(spec.lf_settings["horizon"]) / lf_dt))
     lf_out = _oscillator_qois(omega, gamma, lf_dt, lf_steps, "euler")
-    normalize_in_place(lf_out, [[0], [1]])
-    lf_out.setflags(write=False)  # handed over: the ensemble keeps it uncopied
-    lf = SnapshotEnsemble(
-        outputs=lf_out,
-        params=params,
-        per_sample_cost=np.full(params.shape[0], float(lf_steps)),
-        labels=("energy", "amplitude"),
-    )
+    lf = _ensemble(lf_out, params, float(lf_steps), ("energy", "amplitude"), "low-fidelity")
 
     hf_dt = float(spec.hf_settings["dt"])
     hf_steps = int(round(float(spec.hf_settings["horizon"]) / hf_dt))
     traj_points = int(spec.hf_settings["trajectory_points"])
-    # the HF rows are written and normalized in one (points + 2, N) array,
-    # which the ensemble keeps without a copy
     hf_out = _oscillator_qois(omega, gamma, hf_dt, hf_steps, "rk4", traj_points)
-    # an RK4 step beyond its stability limit overflows; name those samples
-    bad = np.flatnonzero(~np.isfinite(hf_out).all(axis=0))
-    if bad.size:
-        raise ArithmeticError(f"high-fidelity integration unstable for samples {bad.tolist()}")
-    normalize_in_place(hf_out, [list(range(traj_points)), [traj_points], [traj_points + 1]])
-    hf_out.setflags(write=False)
-    hf = SnapshotEnsemble(
-        outputs=hf_out,
-        params=params,
-        per_sample_cost=np.full(params.shape[0], float(hf_steps)),
-        labels=("trajectory",) * traj_points + ("energy", "amplitude"),
-    )
+    hf_labels = ("trajectory",) * traj_points + ("energy", "amplitude")
+    hf = _ensemble(hf_out, params, float(hf_steps), hf_labels, "high-fidelity")
     return lf, hf
 
 
 # === softened-gravity cluster ===
 
 
-def nbody_initial_state(
-    bodies: int, m_total: float, rotation: float, seed: int, fidelity_tag: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Deterministic cluster: positions in the unit ball, solid rotation.
+def nbody_initial_state(bodies: int, seed: int, fidelity_tag: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Deterministic cluster: positions in the unit ball, unit solid rotation.
 
     Positions are centered so the total momentum of the rotation field
-    vanishes. Returns positions, velocities, masses, and the softening
-    length (a fraction of the initial cluster radius).
+    vanishes. Returns positions, the velocities of a rotation at unit
+    angular speed about z, and the initial cluster radius (the softening
+    length is a fraction of it).
     """
     rng = np.random.default_rng([seed, fidelity_tag])
     direction = rng.normal(size=(bodies, 3))
@@ -314,11 +311,9 @@ def nbody_initial_state(
     radius = rng.uniform(size=bodies) ** (1.0 / 3.0)
     pos = direction * radius[:, None]
     pos -= pos.mean(axis=0)
-    axis = np.array([0.0, 0.0, 1.0])
-    vel = rotation * np.cross(axis, pos)
-    masses = np.full(bodies, m_total / bodies)
+    vel_unit = np.cross(np.array([0.0, 0.0, 1.0]), pos)
     cluster_radius = float(np.max(np.linalg.norm(pos, axis=1)))
-    return pos, vel, masses, cluster_radius
+    return pos, vel_unit, cluster_radius
 
 
 def _nbody_accel(pos, masses, eps, g_const):
@@ -370,9 +365,7 @@ def _nbody_fidelity(params, settings, seed, fidelity_tag) -> SnapshotEnsemble:
     g_const = float(settings["g_const"])
     steps = int(round(horizon / dt))
 
-    pos0, vel_unit, _, cluster_radius = nbody_initial_state(
-        bodies, 1.0, 1.0, seed, fidelity_tag
-    )
+    pos0, vel_unit, cluster_radius = nbody_initial_state(bodies, seed, fidelity_tag)
     eps = soft_frac * cluster_radius
     qois = np.empty((3, params.shape[0]))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -384,18 +377,8 @@ def _nbody_fidelity(params, settings, seed, fidelity_tag) -> SnapshotEnsemble:
             qois[0, j] = _nbody_energy(pos, vel, masses, eps, g_const)
             qois[1, j] = float(np.mean(np.linalg.norm(pos, axis=1)))
             qois[2, j] = float(np.mean(np.linalg.norm(vel, axis=1)))
-    bad = np.flatnonzero(~np.isfinite(qois).all(axis=0))
-    if bad.size:
-        raise ArithmeticError(f"{bodies}-body integration unstable for samples {bad.tolist()}")
-    normalize_in_place(qois, [[0], [1], [2]])
-    qois.setflags(write=False)  # handed over: the ensemble keeps it uncopied
-    cost = float(bodies**2 * steps)
-    return SnapshotEnsemble(
-        outputs=qois,
-        params=params,
-        per_sample_cost=np.full(params.shape[0], cost),
-        labels=("energy", "mean_distance", "mean_speed"),
-    )
+    labels = ("energy", "mean_distance", "mean_speed")
+    return _ensemble(qois, params, float(bodies**2 * steps), labels, f"{bodies}-body")
 
 
 def gen_nbody(spec: BenchmarkSpec) -> tuple[SnapshotEnsemble, SnapshotEnsemble]:

@@ -1,5 +1,5 @@
 """Snapshot ensembles (model outputs, parameter tables, per-sample costs)
-and their per-group output normalization."""
+and their output normalization, one group per QoI label."""
 from __future__ import annotations
 
 import math
@@ -109,12 +109,16 @@ class SnapshotEnsemble:
 
     def label_groups(self) -> dict[str, list[int]]:
         """Row indices grouped by label, in first-appearance order."""
-        if self.labels is None:
-            return {}
-        groups: dict[str, list[int]] = {}
-        for row, name in enumerate(self.labels):
-            groups.setdefault(name, []).append(row)
-        return groups
+        return {} if self.labels is None else label_groups(self.labels)
+
+
+def label_groups(labels) -> dict[str, list[int]]:
+    """Row indices grouped by label, in first-appearance order: the QoI
+    groups that normalization scales and the error metric scores."""
+    groups: dict[str, list[int]] = {}
+    for row, name in enumerate(labels):
+        groups.setdefault(name, []).append(row)
+    return groups
 
 
 def row_selector(rows: list[int]) -> slice | list[int]:
@@ -124,37 +128,29 @@ def row_selector(rows: list[int]) -> slice | list[int]:
     return slice(lo, lo + len(rows)) if rows == list(range(lo, lo + len(rows))) else rows
 
 
-def normalize_in_place(outputs: np.ndarray, groups) -> None:
-    """Scale each output-row group of ``outputs`` to unit root-mean-square
-    column energy, overwriting it.
+def normalize_in_place(outputs: np.ndarray, labels) -> None:
+    """Scale each QoI group of ``outputs`` to unit root-mean-square column
+    energy, overwriting it.
 
-    ``groups`` partitions the rows; each group is divided by sqrt(mean
-    over columns of the squared group-restricted column norm). Each group
-    is read through ``row_selector`` in the column blocks of
-    ``column_blocks``, so a temporary holds one block, not the group;
-    either way its squares are summed row-major, rows in order, so the
-    scale does not depend on the layout of ``outputs`` or on the blocks.
+    ``labels`` names each row, and the rows of one label form a group (see
+    ``label_groups``); each group is divided by sqrt(mean over columns of
+    the squared group-restricted column norm). A group whose energy is 0 or
+    overflows raises ArithmeticError naming its label. Each group is read
+    through ``row_selector`` in the column blocks of ``column_blocks``, so a
+    temporary holds one block, not the group; either way its squares are
+    summed row-major, rows in order, so the scale does not depend on the
+    layout of ``outputs`` or on the blocks.
     """
-    rows_seen: set[int] = set()
-    group_list = [list(int(r) for r in g) for g in groups]
-    for g in group_list:
-        if not g:
-            raise ValueError("normalization groups must be non-empty")
-        for r in g:
-            if r in rows_seen:
-                raise ValueError(f"row {r} appears in more than one group")
-            rows_seen.add(r)
-    if rows_seen != set(range(outputs.shape[0])):
-        raise ValueError("groups must partition all output rows")
-
+    if len(labels) != outputs.shape[0]:
+        raise ValueError(f"labels must supply one name per output row, got {len(labels)}")
     sums = np.empty(outputs.shape[1])
     blocks = column_blocks(*outputs.shape)
-    for g in group_list:
-        rows = row_selector(g)
-        for cols in blocks:
-            sums[cols] = np.square(outputs[rows, cols], order="C").sum(axis=0)
-        energy = float(np.mean(sums))
-        if energy == 0.0:
-            raise ValueError(f"group {g} has zero energy and cannot be normalized")
+    for label, group in label_groups(labels).items():
+        rows = row_selector(group)
+        with np.errstate(over="ignore"):  # an overflowing energy is named below
+            for cols in blocks:
+                sums[cols] = np.square(outputs[rows, cols], order="C").sum(axis=0)
+            energy = float(np.mean(sums))
+        if not 0.0 < energy < math.inf:
+            raise ArithmeticError(f"QoI {label!r} has energy {energy} and cannot be normalized")
         outputs[rows] /= math.sqrt(energy)
-

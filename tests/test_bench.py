@@ -217,10 +217,10 @@ def dense_generation(spec):
         params[:, 0], params[:, 1], spec.lf_settings, spec.hf_settings
     )
     points = spec.hf_settings["trajectory_points"]
-    pairs = [(lf_raw, [[0], [1]]), (hf_raw, [list(range(points)), [points], [points + 1]])]
+    pairs = [(lf_raw, ("energy", "amplitude")), (hf_raw, ("trajectory",) * points + ("energy", "amplitude"))]
     cost = np.ones(len(params))
-    for raw, groups in pairs:
-        normalize_in_place(raw, groups)  # the oracle's own arrays, held nowhere else
+    for raw, labels in pairs:
+        normalize_in_place(raw, labels)  # the oracle's own arrays, held nowhere else
     return tuple(SnapshotEnsemble(outputs=raw, params=params, per_sample_cost=cost) for raw, _ in pairs)
 
 
@@ -300,13 +300,16 @@ def test_unstable_low_fidelity_raises():
 
 def test_unstable_sample_is_named_when_it_overflows_after_the_first_block():
     # 40 samples take blocks of _BLOCK_DOUBLES // 160 of the 6,500 LF
-    # steps; only the largest omega overflows, in a later block
+    # steps; only the largest omega's states overflow, in a later block,
+    # but from sample 25 on the energy or amplitude overflows, and every
+    # sample with a non-finite output is named
     spec = BenchmarkSpec(name="oscillator", grid=(("omega", 1.0, 10.0, 40), ("gamma", 0.0, 0.0, 1)),
                          lf_settings={"dt": 0.05, "horizon": 325.0})
     params = parameter_table(spec)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         xs, vs = oracles.integrate_oscillator_dense(params[:, 0], params[:, 1], 0.05, 325.0, "euler")
+        qois = np.vstack(oracles.oscillator_qois_dense(params[:, 0], xs, vs))
         with pytest.raises(ArithmeticError) as raised:
             gen_oscillator(spec)
     finite = np.isfinite(xs) & np.isfinite(vs)
@@ -314,7 +317,8 @@ def test_unstable_sample_is_named_when_it_overflows_after_the_first_block():
     rows = _BLOCK_DOUBLES // (4 * spec.n_samples)
     assert rows < first_overflow < len(xs) - 1
     assert np.nonzero(~finite.all(axis=0))[0].tolist() == [39]
-    assert str(raised.value) == "low-fidelity integration unstable for samples [39]"
+    assert np.nonzero(~np.isfinite(qois).all(axis=0))[0].tolist() == list(range(25, 40))
+    assert str(raised.value) == f"low-fidelity integration unstable for samples {list(range(25, 40))}"
 
 
 def test_unstable_high_fidelity_raises():
@@ -387,9 +391,8 @@ def test_nbody_shapes_costs_and_determinism():
 
 
 def test_initial_state_momentum_free():
-    pos, vel, masses, radius = nbody_initial_state(16, 80.0, 0.7, seed=3, fidelity_tag=0)
+    pos, vel, radius = nbody_initial_state(16, seed=3, fidelity_tag=0)
     assert pos.shape == (16, 3) and vel.shape == (16, 3)
-    assert np.all(masses == 5.0)
     assert np.abs(pos.mean(axis=0)).max() <= 1e-12
     # solid rotation about z of centered positions carries no net momentum
     assert np.abs(vel.mean(axis=0)).max() <= 1e-12
@@ -418,7 +421,7 @@ def test_gravity_off_means_ballistic_motion():
 def test_body_count_changes_collapse_profile():
     # the two fidelities must actually disagree for the surrogate to matter
     def mean_distance(bodies, tag):
-        pos0, vel_unit, _, radius = nbody_initial_state(bodies, 1.0, 1.0, 0, tag)
+        pos0, vel_unit, radius = nbody_initial_state(bodies, 0, tag)
         masses = np.full(bodies, 50.0 / bodies)
         pos, _ = simulate_nbody(
             pos0, 0.0 * vel_unit, masses, 0.005, 2.0, 0.05 * radius, 1.0

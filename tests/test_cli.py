@@ -616,25 +616,42 @@ def test_exit_code_4_on_unstable_nbody(tmp_path, capsys):
 
 def test_gen_names_unstable_samples_without_numpy_warnings(tmp_path):
     # run with the interpreter's default warning filters, which print a
-    # RuntimeWarning, not raise it; an unstable LF grid, then an unstable HF one
+    # RuntimeWarning, not raise it. An unstable LF grid, an unstable HF one,
+    # an LF whose Euler states stay finite while its energy overflows, and
+    # two nbody LF energies that cannot be normalized: zero (no gravity, no
+    # rotation) and overflowing (a finite energy whose square is not)
     root = Path(__file__).resolve().parent.parent
+    nbody_grid = [["m_total", 50.0, 500.0, 2], ["rotation", 0.0, 0.9, 2]]
+    nbody_hf = {"bodies": 8, "dt": 0.01, "horizon": 0.5}
+    unstable = "integration unstable for samples"
     benches = [
-        ({"grid": [["omega", 1000.0, 1000.0, 1], ["gamma", 0.05, 0.5, 5]]}, "low", "[0, 1, 2, 3, 4]"),
-        ({"grid": [["omega", 10.0, 12.0, 2], ["gamma", 0.05, 0.5, 3]],
-          "hf": {"dt": 0.5, "horizon": 500.0}}, "high", "[0, 1, 2, 3, 4, 5]"),
+        ("oscillator", {"grid": [["omega", 1000.0, 1000.0, 1], ["gamma", 0.05, 0.5, 5]]},
+         f"low-fidelity {unstable} [0, 1, 2, 3, 4]"),
+        ("oscillator", {"grid": [["omega", 10.0, 12.0, 2], ["gamma", 0.05, 0.5, 3]],
+                        "hf": {"dt": 0.5, "horizon": 500.0}}, f"high-fidelity {unstable} [0, 1, 2, 3, 4, 5]"),
+        ("oscillator", {"grid": [["omega", 150.0, 150.0, 1], ["gamma", 0.05, 0.5, 3]]},
+         f"low-fidelity {unstable} [0, 1, 2]"),
+        ("nbody", {"grid": [["m_total", 50.0, 500.0, 2], ["rotation", 0.0, 0.0, 1]],
+                   "lf": {"bodies": 4, "dt": 0.01, "horizon": 0.5, "g_const": 0.0}, "hf": nbody_hf},
+         "QoI 'energy' has energy 0.0 and cannot be normalized"),
+        ("nbody", {"grid": nbody_grid, "lf": {"bodies": 4, "dt": 0.01, "horizon": 0.5, "g_const": 1e152},
+                   "hf": nbody_hf}, "QoI 'energy' has energy inf and cannot be normalized"),
     ]
-    for k, (bench, fidelity, samples) in enumerate(benches):
+    for k, (name, bench, message) in enumerate(benches):
         gen_cfg = write_config(tmp_path / f"gen{k}.json", bench)
-        proc = subprocess.run(
-            [sys.executable, "-m", "bifidelity", "gen", "oscillator", "--config", gen_cfg,
-             "--out", str(tmp_path / "gen")],
-            capture_output=True, text=True, cwd=tmp_path, timeout=120,
-            env={**os.environ, "PYTHONPATH": str(root / "src")},
-        )
-        assert proc.returncode == 4, proc.stderr
-        assert f"numerical failure: {fidelity}-fidelity integration unstable for samples {samples}" in proc.stderr
-        assert "RuntimeWarning" not in proc.stderr, proc.stderr
-    assert not (tmp_path / "gen").exists()
+        run_doc = {"data": {"benchmark": {"name": name, **bench}}, "out_dir": str(tmp_path / "out")}
+        run_cfg = write_config(tmp_path / f"run{k}.json", run_doc)
+        gen_args = ["gen", name, "--config", gen_cfg, "--out", str(tmp_path / "gen")]
+        for args in (gen_args, ["run", "--config", run_cfg]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "bifidelity", *args],
+                capture_output=True, text=True, cwd=tmp_path, timeout=120,
+                env={**os.environ, "PYTHONPATH": str(root / "src")},
+            )
+            assert proc.returncode == 4, proc.stderr
+            assert f"numerical failure: {message}" in proc.stderr
+            assert "RuntimeWarning" not in proc.stderr, proc.stderr
+            assert not (tmp_path / "gen").exists() and not (tmp_path / "out").exists()
 
 
 def test_overflowing_lf_outputs_exit_4_before_tuning(toy, tmp_path, capsys):

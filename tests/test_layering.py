@@ -1,6 +1,7 @@
 """Module layering: the package root imports nothing, data, kernels and
 numerics stand alone, the benchmark generators need only the data layer,
-and the command line loads no scipy."""
+tuning and the surrogate sit on those three, selection on them and the
+surrogate, and the command line loads no scipy."""
 import ast
 import json
 import subprocess
@@ -43,6 +44,9 @@ LOWER_LAYERS = {
     "kernels": set(),
     "numerics": set(),
     "bench": {"data"},
+    "hyperopt": {"data", "kernels", "numerics"},
+    "surrogate": {"data", "kernels", "numerics"},
+    "selection": {"data", "kernels", "numerics", "surrogate"},
 }
 
 

@@ -11,7 +11,7 @@ import pytest
 from bifidelity.bench import BenchmarkSpec, default_spec, gen_oscillator
 from bifidelity import data as data_module
 from bifidelity.cli import _write_json, main
-from bifidelity.data import SnapshotEnsemble, column_blocks, normalize_in_place
+from bifidelity.data import SnapshotEnsemble, column_blocks, label_groups, normalize_in_place
 from bifidelity.hyperopt import OptimizedKernel
 from bifidelity.numerics import MatrixNotPSDError
 from bifidelity.selection import adaptive_select
@@ -60,69 +60,75 @@ LINEAR = KernelSpec(family=KernelFamily.LINEAR)
 # === normalization ===
 
 
-def normalized(outputs, groups):
+def normalized(outputs, labels):
     """A copy of ``outputs`` normalized by ``normalize_in_place``."""
     outputs = np.array(outputs, dtype=float)
-    normalize_in_place(outputs, groups)
+    normalize_in_place(outputs, labels)
     return outputs
 
 
 def test_normalize_constant_row():
     ens = ensemble_from(np.full((1, 4), 2.0))
-    scaled = normalized(ens.outputs, [[0]])
+    scaled = normalized(ens.outputs, ("a",))
     np.testing.assert_array_equal(scaled, np.ones((1, 4)))
 
 
 def test_normalize_is_idempotent_at_unit_energy():
     rng = np.random.default_rng(0)
     ens = ensemble_from(rng.normal(size=(2, 6)))
-    once = normalized(ens.outputs, [[0, 1]])
-    twice = normalized(once, [[0, 1]])
+    once = normalized(ens.outputs, ("a", "a"))
+    twice = normalized(once, ("a", "a"))
     assert np.max(np.abs(twice - once)) <= 1e-12
 
 
 def test_normalize_two_row_group():
     # every column is [3, 4]: mean squared column norm 25, scale 5
     ens = ensemble_from(np.tile([[3.0], [4.0]], (1, 3)))
-    scaled = normalized(ens.outputs, [[0, 1]])
+    scaled = normalized(ens.outputs, ("a", "a"))
     np.testing.assert_allclose(scaled, np.tile([[0.6], [0.8]], (1, 3)))
 
 
 def test_normalize_validates_partition():
     ens = ensemble_from(np.ones((2, 3)))
     zero = ensemble_from(np.vstack([np.zeros((1, 3)), np.ones((1, 3))]))
-    with pytest.raises(ValueError, match="partition"):
-        normalized(ens.outputs, [[0]])
-    with pytest.raises(ValueError, match="more than one group"):
-        normalized(ens.outputs, [[0, 1], [1]])
-    with pytest.raises(ValueError, match="non-empty"):
-        normalized(ens.outputs, [[], [0, 1]])
-    with pytest.raises(ValueError, match="zero energy"):
-        normalized(zero.outputs, [[0], [1]])
+    with pytest.raises(ValueError, match="one name per output row"):
+        normalized(ens.outputs, ("a",))
+    with pytest.raises(ArithmeticError, match="'z' has energy 0.0"):
+        normalized(zero.outputs, ("z", "a"))
+    # finite values whose squares overflow, summed without a numpy warning
+    with pytest.raises(ArithmeticError, match="'big' has energy inf"):
+        normalized(np.full((1, 3), 1e200), ("big",))
+
+
+# 60 rows each: six contiguous runs; six groups of every sixth row; and
+# one run of 12 rows before six interleaved groups of 8
+CONTIGUOUS = ("a",) * 12 + ("b",) + ("c",) * 9 + ("d",) * 18 + ("e",) * 9 + ("f",) * 11
+INTERLEAVED = tuple(f"row-{r}" for r in range(6)) * 10
+MIXED = ("block",) * 12 + tuple(f"every-6th-{r}" for r in range(6)) * 8
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
 @pytest.mark.parametrize(
-    "groups",
+    "labels",
     [
-        [[0, 2], [1]],
-        [list(range(a, b)) for a, b in ((0, 12), (12, 13), (13, 22), (22, 40), (40, 49), (49, 60))],
-        [list(range(r, 60, 6)) for r in range(6)],
-        [list(range(a + 9, a - 1, -1)) for a in range(0, 60, 10)],
+        ("a", "b", "a"),
+        CONTIGUOUS,
+        INTERLEAVED,
+        MIXED,
     ],
-    ids=["three-rows", "contiguous", "interleaved", "descending"],
+    ids=["three-rows", "contiguous", "interleaved", "mixed"],
 )
-def test_normalize_matches_dense_bit_for_bit(groups, order):
+def test_normalize_matches_dense_bit_for_bit(labels, order):
     # groups of 8+ rows sum differently pairwise and row by row, so a
     # slice of a column-major array must still add its rows in order (a
     # scale that moves by an ulp often rounds back, hence many groups)
-    rows = 1 + max(max(g) for g in groups)
+    rows = len(labels)
     rng = np.random.default_rng(rows)
     raw = rng.normal(size=(rows, 50)) * 10.0 ** rng.uniform(-3, 3, size=(rows, 50))
     raw = np.asarray(raw, order=order)
-    expected = oracles.normalize_dense(raw, groups)
+    expected = oracles.normalize_dense(raw, label_groups(labels).values())
     outputs = raw.copy(order=order)
-    normalize_in_place(outputs, groups)
+    normalize_in_place(outputs, labels)
     np.testing.assert_array_equal(outputs, expected)
 
 
@@ -140,15 +146,15 @@ def test_column_blocks_merge_a_one_column_remainder():
 
 @pytest.mark.parametrize("columns", [6, 11], ids=["B+1", "2B+1"])
 @pytest.mark.parametrize(
-    "groups",
+    "labels",
     [
-        [list(range(a, b)) for a, b in ((0, 12), (12, 13), (13, 22), (22, 40), (40, 49), (49, 60))],
-        [list(range(r, 60, 6)) for r in range(6)],
-        [list(range(a + 9, a - 1, -1)) for a in range(0, 60, 10)],
+        CONTIGUOUS,
+        INTERLEAVED,
+        MIXED,
     ],
-    ids=["contiguous", "interleaved", "descending"],
+    ids=["contiguous", "interleaved", "mixed"],
 )
-def test_normalize_in_column_blocks_matches_dense_bit_for_bit(monkeypatch, groups, columns):
+def test_normalize_in_column_blocks_matches_dense_bit_for_bit(monkeypatch, labels, columns):
     # blocks of B = 5 columns: a sixth or eleventh column joins the last
     # block, where alone it would sum its squares pairwise; it carries most
     # of the energy, so an ulp of its sum shows in the scale
@@ -157,8 +163,8 @@ def test_normalize_in_column_blocks_matches_dense_bit_for_bit(monkeypatch, group
     raw = rng.normal(size=(60, columns)) * 10.0 ** rng.uniform(-3, 3, size=(60, columns))
     raw[:, -1] *= 1e3
     outputs = raw.copy()
-    normalize_in_place(outputs, groups)
-    np.testing.assert_array_equal(outputs, oracles.normalize_dense(raw, groups))
+    normalize_in_place(outputs, labels)
+    np.testing.assert_array_equal(outputs, oracles.normalize_dense(raw, label_groups(labels).values()))
 
 
 # === construction ===
