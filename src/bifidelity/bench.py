@@ -257,13 +257,17 @@ def _ensemble(outputs, params, cost, labels, what) -> SnapshotEnsemble:
 
     A sample with any non-finite output (an overflowing state, energy or
     amplitude) raises ArithmeticError naming every such sample; then the
-    outputs are normalized per label in place, frozen and handed to the
+    outputs are normalized per label in place (ArithmeticError, prefixed
+    with ``what``, where a label cannot be), frozen and handed to the
     ensemble, which keeps them uncopied. Every sample costs ``cost``.
     """
     bad = np.flatnonzero(~np.isfinite(outputs).all(axis=0))
     if bad.size:
         raise ArithmeticError(f"{what} integration unstable for samples {bad.tolist()}")
-    normalize_in_place(outputs, labels)
+    try:
+        normalize_in_place(outputs, labels)
+    except ArithmeticError as err:
+        raise ArithmeticError(f"{what}: {err}") from None
     outputs.setflags(write=False)
     return SnapshotEnsemble(
         outputs=outputs,

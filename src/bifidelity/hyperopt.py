@@ -1,33 +1,20 @@
 """Kernel hyperparameter tuning.
 
-The objective scores a candidate kernel Gramian by its Frobenius distance
+The objective scores a candidate kernel Gramian K by its Frobenius distance
 to the linear-kernel reference Gramian plus a stable-rank penalty
-lambda / sqrt(srank). A particle swarm explores a (log-scaled) box, and a
-projected quasi-Newton pass polishes the swarm's best particle. The
-linear family has nothing to tune: its Gramian is the reference, so it
-scores the stability term alone.
+lambda / sqrt(srank), srank = ||K||_F^2 / ||K||_2^2. A particle swarm
+explores a (log-scaled) box, and a projected quasi-Newton pass polishes
+the swarm's best particle. The linear family has nothing to tune: its
+Gramian is the reference, so it scores the stability term alone.
 
-The objective has one implementation, on one ``TuningTable`` per run,
-which every family reads: the linear reference, and the strict upper
-triangles of the LF distances, collected one row block at a time (no
-N x N distance matrix is formed), and of the reference. The swarm only
-compares scores, so each point is first scored as a bracket, and a point
-evaluates the kernel on that half of the entries; every radial family is
-1 on the diagonal. For the nonnegative, exactly symmetric Gramian K this
-gives, the row sums r = K 1 and the largest off-diagonal entry bound
-max(mean(r), 1 + max_{i<j} K_ij) <= ||K||_2 <= min(max(r), ||K||_F)
-(Rayleigh quotients at the ones vector and at e_i + e_j; Horn & Johnson,
-Matrix Analysis, 8.1), which bounds the penalty without an eigensolve.
-mean(r) is the triangle's sum; the full row sums take the unpacked
-Gramian, so a point is bracketed first with 1 + (N - 1) max_{i<j} K_ij
-in place of max(r), and refined with the row sums only when a comparison
-needs it. Two pads keep the bracket rigorous: 1e-9 relative on the
-stability term, and a summation bound of (N^2 + 8) * 2^-53 relative on
-the fit term, which the triangle sums in another order than the exact
-objective. The exact objective runs only when two refined brackets
-overlap, and for every value the optimizers return or the polish sees;
-it unpacks the full Gramian from one profile call on the triangle, bit
-for bit the one the full distance matrix gives. The tuned h are then the
+Every family of a run reads one ``TuningTable``, the packed strict upper
+triangles of the LF distances and of the reference; no N x N distance
+matrix is formed. One formula, ``TuningTable.terms``, gives the fit and
+||K||_F in one fixed summation order, and ``_objective`` adds the penalty,
+with ||K||_2 from one eigensolve. The swarm only compares scores, so each
+point is first bracketed from the same terms and cheap bounds on ||K||_2
+(``_bracket``), and scored exactly only when two brackets overlap, or for
+a value the optimizers return or the polish sees. The tuned h are then the
 ones exact scores give, with one case a bracket cannot see: an eigensolve
 that fails to converge on a finite symmetric Gramian, which the exact
 objective maps to inf, while the bracket holds finite bounds.
@@ -36,7 +23,6 @@ from __future__ import annotations
 
 import logging
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +36,7 @@ from .kernels import (
     gramian_entries,
     radial_profile,
 )
-from .numerics import NumericsError, stable_rank
+from .numerics import NumericsError, spectral_norm
 
 __all__ = [
     "ObjectiveConfig",
@@ -131,7 +117,6 @@ class OptimizedKernel:
     spec: KernelSpec
     objective_value: float
     evaluations_used: int
-    wall_time: float
     distinct_evaluations: int = 0
 
 
@@ -218,51 +203,62 @@ class _Memoized:
         return float(self.score(x))
 
 
-def _gramian_objective(cfg: ObjectiveConfig, cand: np.ndarray, ref: np.ndarray) -> float:
-    """The objective of a formed candidate Gramian; any numerical failure is inf."""
-    try:
-        if not np.all(np.isfinite(cand)):
-            return math.inf
-        value = float(np.linalg.norm(ref - cand))
-        if cfg.lam != 0.0:
-            value += cfg.lam / math.sqrt(stable_rank(cand))
-    except (NumericsError, ValueError, ArithmeticError):
-        return math.inf
-    return value if np.isfinite(value) else math.inf
-
-
 class TuningTable:
     """Tuning's inputs, formed once from the LF columns ``X`` and shared by every family.
 
-    ``ref`` is the linear reference Gramian, which tuning aims at and the
-    exact objective subtracts from; a non-finite entry raises
-    ArithmeticError before any distance is formed. ``dists`` holds a 0
-    (the diagonal's distance) and then the strict upper triangle of the
-    distances, row by row, so one ``radial_profile`` call on it gives the
-    diagonal value first and each off-diagonal entry once. ``ref_upper``
-    and ``ref_diag`` pack the reference alike. No N x N distance matrix is
-    formed, and no N x N mask or index array is held between calls.
+    The linear reference Gramian raises ArithmeticError on a non-finite
+    entry, before any distance is formed, and is kept packed: its diagonal
+    ``ref_diag`` and strict upper triangle ``ref_upper``, row by row.
+    ``dists`` holds a 0 (the diagonal's distance), then the distances'
+    strict upper triangle alike, so one ``radial_profile`` call on it gives
+    the diagonal value first and each off-diagonal entry once. No N x N
+    array is held between calls.
     """
 
-    __slots__ = ("n", "dists", "ref", "ref_upper", "ref_diag")
+    __slots__ = ("n", "dists", "ref_upper", "ref_diag")
 
     def __init__(self, X: np.ndarray):
-        self.ref = ref = gramian_entries(KernelSpec(family=KernelFamily.LINEAR), X)
-        if not np.all(np.isfinite(ref)):
+        ref = gramian_entries(KernelSpec(family=KernelFamily.LINEAR), X)
+        if not np.isfinite(ref).all():
             raise ArithmeticError("linear reference Gramian has non-finite entries")
         self.n = n = X.shape[1]
-        self.dists = _upper_distances(X)
         self.ref_upper = ref[~np.tri(n, dtype=bool)]
         self.ref_diag = np.diagonal(ref).copy()
+        del ref
+        self.dists = _upper_distances(X)
 
-    def gramian(self, values: np.ndarray) -> np.ndarray:
-        """The symmetric matrix with diagonal ``values[0]`` and strict upper triangle ``values[1:]``."""
+    def gramian(self, diag, off: np.ndarray) -> np.ndarray:
+        """The symmetric matrix with diagonal ``diag`` (one value or N) and strict upper triangle ``off``."""
         upper = ~np.tri(self.n, dtype=bool)
         K = np.empty((self.n, self.n))
-        K[upper] = values[1:]
-        K.T[upper] = values[1:]
-        K.flat[:: self.n + 1] = values[0]
+        K[upper] = off
+        K.T[upper] = off
+        K.flat[:: self.n + 1] = diag
         return K
+
+    def terms(self, diag, off: np.ndarray) -> tuple[float, float]:
+        """(||ref - K||_F, ||K||_F^2) for K = ``gramian(diag, off)``: each strict
+        upper square counts twice and each diagonal one once, summed by
+        ``np.einsum`` in one fixed order that no BLAS thread count changes."""
+        squares = lambda v: float(np.einsum("i,i->", v, v))
+        diag = np.full(self.n, diag)
+        fit = math.sqrt(2.0 * squares(self.ref_upper - off) + squares(self.ref_diag - diag))
+        return fit, 2.0 * squares(off) + squares(diag)
+
+
+def _objective(cfg: ObjectiveConfig, tri: TuningTable, diag, off: np.ndarray) -> float:
+    """The objective of ``tri.gramian(diag, off)``, unpacked only for the
+    penalty's ||K||_2 where lam > 0; any numerical failure is inf."""
+    fit, fro2 = tri.terms(diag, off)
+    if not fro2 < math.inf:  # a non-finite entry, or squares that overflow
+        return math.inf
+    if cfg.lam == 0.0:
+        return fit
+    try:
+        sigma = spectral_norm(tri.gramian(diag, off))
+        return fit + cfg.lam / math.sqrt(fro2 / sigma**2)
+    except (NumericsError, ValueError, ArithmeticError):
+        return math.inf
 
 
 def _profile(cfg: ObjectiveConfig, h, tri: TuningTable) -> np.ndarray | None:
@@ -274,25 +270,29 @@ def _profile(cfg: ObjectiveConfig, h, tri: TuningTable) -> np.ndarray | None:
 
 
 def _packed_objective(cfg: ObjectiveConfig, h, tri: TuningTable) -> float:
-    """The objective at ``h``, with the Gramian unpacked from one profile call.
+    """The objective at ``h``, from one profile call on the packed distances.
 
-    A radial profile acts entry by entry, so the Gramian is bit for bit
-    the one ``gramian_entries`` forms on the whole distance matrix. Any
-    numerical failure of the candidate (overflow, degenerate Gramian) is
-    inf, so the optimizers can treat the objective as total on the box.
+    A radial profile acts entry by entry, so the entries are bit for bit
+    those ``gramian_entries`` forms on the whole distance matrix. Any
+    failure is inf, so the optimizers can treat the objective as total.
     """
     values = _profile(cfg, h, tri)
     if values is None:
         return math.inf
-    cand = tri.gramian(values)
-    del values  # only the Gramian is held while it is scored
-    return _gramian_objective(cfg, cand, tri.ref)
+    return _objective(cfg, tri, values[0], values[1:])
 
 
-# The bounds on ||K||_2 hold in exact arithmetic. The computed ||K||_2,
-# row sums and ||K||_F each round at the N^2 * 2^-53 level at most
-# (4.4e-10 at N = 2000), below this relative pad on the stability term.
-_BRACKET_PAD = 1e-9
+# The bracket adds its bounds to the exact objective's own fit and
+# F = ||K||_F^2, so (rounding being monotone) it holds the exact value when
+# lam b / sqrt(F), for the computed bounds b on ||K||_2, holds the exact
+# lam / sqrt(F / s^2). With u = 2^-53, the eigensolve's s is within N u of
+# ||K||_2 (backward stable; LAPACK's modest p(N) taken as N), mean(r) sums
+# N^2 / 2 nonnegative terms, sqrt(F) halves F's error, and each side rounds
+# 8 more times: (N^2 / 2 + N + 8) u in all, which N^2 u covers for N >= 5,
+# and the floor 1e-9 up to N = 3,000.
+def _bracket_pad(n: int) -> float:
+    """The relative pad on the bracket's stability term at N = ``n``."""
+    return max(1e-9, n * n * 2.0**-53)
 
 
 def _bracket(cfg: ObjectiveConfig, h, tri: TuningTable, rows: bool = False):
@@ -303,22 +303,13 @@ def _bracket(cfg: ObjectiveConfig, h, tri: TuningTable, rows: bool = False):
     radial family; the triangle is exactly symmetric) with row sums
     r = K 1, the Rayleigh quotients at the ones vector and at e_i + e_j
     give ||K||_2 >= max(mean(r), k0 + max_{i<j} K_ij), and
-    ||K||_2 <= min(max(r), ||K||_F) (Collatz-Wielandt). The stability term
-    lam * ||K||_2 / ||K||_F lies between the two, padded by _BRACKET_PAD.
-    mean(r) comes from the sum of the triangle; the full row sums, which
-    take the unpacked Gramian, are formed only with ``rows``, and without
-    them max(r) <= k0 + (N - 1) max_{i<j} K_ij stands in.
-
-    The fit term ||ref - K||_F and ||K||_F^2 are summed from the triangle
-    (twice each off-diagonal term, plus the diagonal's), not in the exact
-    objective's order. Every term is nonnegative, so to first order the
-    exact objective's fit is within (N^2 / 2 + 2) * 2^-53 of the exact
-    value, relative, and this one within (N^2 / 4 + 3) * 2^-53 (Higham,
-    Accuracy and Stability of Numerical Algorithms, 3.1 and 4.2). The fit
-    is padded by (N^2 + 8) * 2^-53, which covers their distance, and its
-    own rounding, for every N. Every other case (lam = 0, a negative or
-    non-finite entry, a zero Gramian) gives None, and the caller scores it
-    exactly.
+    ||K||_2 <= min(max(r), ||K||_F) (Horn & Johnson, Matrix Analysis, 8.1).
+    mean(r) is the triangle's sum; the full row sums take the unpacked
+    Gramian, so they are formed only with ``rows``, and without them
+    max(r) <= k0 + (N - 1) max_{i<j} K_ij stands in. The penalty lies
+    between the two, padded by ``_bracket_pad``, on the exact objective's
+    own fit and ||K||_F (``tri.terms``). Every other case (lam = 0, a
+    negative or non-finite entry, a zero Gramian) gives None.
     """
     if cfg.lam == 0.0:
         return None
@@ -331,20 +322,16 @@ def _bracket(cfg: ObjectiveConfig, h, tri: TuningTable, rows: bool = False):
     if not (k0 >= 0.0 and off.min(initial=k0) >= 0.0 and max(k0, top) < math.inf):
         return None
     if rows:
-        r = tri.gramian(values) @ np.ones(n)
+        r = tri.gramian(k0, off) @ np.ones(n)
         mean, most = float(r.sum()) / n, float(r.max())
     else:
         mean, most = k0 + 2.0 * float(off.sum()) / n, k0 + (n - 1) * max(top, 0.0)
-    diff = tri.ref_upper - off
-    diag = tri.ref_diag - k0
-    fit = math.sqrt(2.0 * float(diff @ diff) + float(diag @ diag))
-    fro2 = 2.0 * float(off @ off) + n * k0 * k0
+    fit, fro2 = tri.terms(k0, off)
     if not (fit < math.inf and 0.0 < fro2 < math.inf):
         return None
-    fit_pad = (n * n + 8) * 2.0**-53
-    scale = cfg.lam / math.sqrt(fro2)
-    lo = fit * (1.0 - fit_pad) + scale * max(mean, k0 + top) * (1.0 - _BRACKET_PAD)
-    hi = fit * (1.0 + fit_pad) + scale * min(most, math.sqrt(fro2)) * (1.0 + _BRACKET_PAD)
+    scale, pad = cfg.lam / math.sqrt(fro2), _bracket_pad(n)
+    lo = fit + scale * max(mean, k0 + top) * (1.0 - pad)
+    hi = fit + scale * min(most, math.sqrt(fro2)) * (1.0 + pad)
     return lo, hi
 
 
@@ -612,14 +599,11 @@ def optimize_hyperparams(
         raise ValueError(
             f"family {family.name} does not match objective config ({obj_cfg.family.name})"
         )
-    started = time.perf_counter()
     if family == KernelFamily.LINEAR:
-        value = _gramian_objective(obj_cfg, table.ref, table.ref)
         return OptimizedKernel(
             spec=KernelSpec(family=KernelFamily.LINEAR),
-            objective_value=value,
+            objective_value=_objective(obj_cfg, table, table.ref_diag, table.ref_upper),
             evaluations_used=0,
-            wall_time=time.perf_counter() - started,
         )
 
     # clipped swarm particles revisit box edges, so many requests repeat
@@ -640,6 +624,5 @@ def optimize_hyperparams(
         spec=spec,
         objective_value=float(f_star),
         evaluations_used=f_log.requests,
-        wall_time=time.perf_counter() - started,
         distinct_evaluations=len(f_log.values),
     )

@@ -1,4 +1,4 @@
-"""Pivoted Cholesky pivots, stable rank, and regularized linear solves.
+"""Pivoted Cholesky pivots, the spectral norm, and regularized linear solves.
 
 Sample indices are 0-based throughout. Pivots rank samples by greedy
 Schur-complement diagonal magnitude and stop at the effective rank, so
@@ -14,7 +14,7 @@ __all__ = [
     "ZeroGramianError",
     "lower_median",
     "pivoted_cholesky_columns",
-    "stable_rank",
+    "spectral_norm",
     "kept_eigenvalues",
     "regularized_factor",
     "apply_regularized",
@@ -108,24 +108,21 @@ def pivoted_cholesky_columns(diagonal, column, max_steps: int) -> tuple[int, ...
     return tuple(chosen)
 
 
-def stable_rank(A) -> float:
-    """||A||_F^2 / ||A||_2^2 of a symmetric matrix; always between 1 and rank(A).
+def spectral_norm(A) -> float:
+    """||A||_2 of a symmetric, maybe indefinite, matrix: its largest |eigenvalue|.
 
-    ||A||_2 is the largest |eigenvalue|, from one symmetric eigensolve, so
-    indefinite matrices are handled. The solver reads only one triangle,
-    so a matrix that is not exactly symmetric raises ValueError.
+    The eigensolver reads one triangle, so a matrix that is not finite and
+    exactly symmetric raises ValueError. A zero norm, which a stable rank
+    cannot divide by, raises ZeroGramianError.
     """
     A = np.asarray(A, dtype=float)
-    fro2 = float(np.sum(A * A))
-    if not (np.isfinite(fro2) and np.array_equal(A, A.T)):
-        raise ValueError("stable rank needs a finite, exactly symmetric matrix")
-    if fro2 == 0.0:
-        raise ZeroGramianError("stable rank undefined for the zero matrix")
+    if not (np.isfinite(A).all() and np.array_equal(A, A.T)):
+        raise ValueError("spectral norm needs a finite, exactly symmetric matrix")
     w = np.linalg.eigvalsh(A)
     sigma = max(abs(float(w[0])), abs(float(w[-1])))
     if sigma == 0.0:
-        raise ZeroGramianError("stable rank undefined: spectral norm vanished")
-    return fro2 / sigma**2
+        raise ZeroGramianError("spectral norm vanished")
+    return sigma
 
 
 def kept_eigenvalues(w, rcond: float) -> np.ndarray:

@@ -132,12 +132,10 @@ def objective_full(cfg, h, columns) -> float:
     """The tuning objective at ``h`` from whole N x N Gramians.
 
     The candidate and the linear reference come from ``gramian_entries``
-    on the full distance matrix, and the package's ``_gramian_objective``
-    scores them; a kernel that cannot be formed is inf. What this pins is
-    the packed path around it: the triangle, its unpacking and the
-    bracket.
+    on the full distance matrix, and ``objective_dense`` scores them; a
+    kernel that cannot be formed is inf. What this pins is the packed
+    path around it: the triangle, its unpacking and the bracket.
     """
-    from bifidelity.hyperopt import _gramian_objective
     from bifidelity.kernels import KernelFamily, KernelSpec, gramian_entries
 
     columns = np.asarray(columns, dtype=float)
@@ -146,7 +144,39 @@ def objective_full(cfg, h, columns) -> float:
         cand = gramian_entries(KernelSpec(family=cfg.family, h=tuple(np.atleast_1d(h))), columns)
     except (ValueError, ArithmeticError):
         return math.inf
-    return _gramian_objective(cfg, cand, ref)
+    return objective_dense(cfg, cand, ref)
+
+
+def objective_dense(cfg, cand, ref) -> float:
+    """The tuning objective of the N x N Gramian ``cand`` against ``ref``.
+
+    The fit and ||cand||_F^2 are summed as the package sums them: the
+    strict upper triangle (``np.triu_indices``, row by row) twice and the
+    diagonal once, each an ``np.einsum`` over a contiguous vector. ||cand||_2
+    is the largest |eigenvalue| from ``eigvalsh``. A non-finite candidate,
+    and any other numerical failure, is inf.
+    """
+    cand = np.asarray(cand, dtype=float)
+    ref = np.asarray(ref, dtype=float)
+    upper = np.triu_indices(cand.shape[0], k=1)
+    squares = lambda v: float(np.einsum("i,i->", v, v))
+    diag = np.diagonal(cand).copy()
+    fit = math.sqrt(2.0 * squares(ref[upper] - cand[upper]) + squares(np.diagonal(ref) - diag))
+    fro2 = 2.0 * squares(cand[upper]) + squares(diag)
+    if not fro2 < math.inf:
+        return math.inf
+    if cfg.lam == 0.0:
+        return fit
+    try:
+        w = np.linalg.eigvalsh(cand)
+        return fit + cfg.lam / math.sqrt(fro2 / max(abs(float(w[0])), abs(float(w[-1]))) ** 2)
+    except (np.linalg.LinAlgError, ArithmeticError):
+        return math.inf
+
+
+def spectral_norm_svd(A) -> float:
+    """s[0], the largest singular value of ``A``."""
+    return float(np.linalg.svd(np.asarray(A, dtype=float), compute_uv=False)[0])
 
 
 def objective_svd(ref, cand, lam: float) -> float:

@@ -87,7 +87,7 @@ def ensemble_from(columns):
 
 def tuned(family, h=()):
     spec = KernelSpec(family=family, h=h)
-    return OptimizedKernel(spec=spec, objective_value=0.0, evaluations_used=0, wall_time=0.0)
+    return OptimizedKernel(spec=spec, objective_value=0.0, evaluations_used=0)
 
 
 def write_toy_dataset(root, seed=0):

@@ -633,9 +633,9 @@ def test_gen_names_unstable_samples_without_numpy_warnings(tmp_path):
          f"low-fidelity {unstable} [0, 1, 2]"),
         ("nbody", {"grid": [["m_total", 50.0, 500.0, 2], ["rotation", 0.0, 0.0, 1]],
                    "lf": {"bodies": 4, "dt": 0.01, "horizon": 0.5, "g_const": 0.0}, "hf": nbody_hf},
-         "QoI 'energy' has energy 0.0 and cannot be normalized"),
+         "4-body: QoI 'energy' has energy 0.0 and cannot be normalized"),
         ("nbody", {"grid": nbody_grid, "lf": {"bodies": 4, "dt": 0.01, "horizon": 0.5, "g_const": 1e152},
-                   "hf": nbody_hf}, "QoI 'energy' has energy inf and cannot be normalized"),
+                   "hf": nbody_hf}, "4-body: QoI 'energy' has energy inf and cannot be normalized"),
     ]
     for k, (name, bench, message) in enumerate(benches):
         gen_cfg = write_config(tmp_path / f"gen{k}.json", bench)

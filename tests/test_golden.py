@@ -1,0 +1,109 @@
+"""Golden output digests: results.csv, selection.json and every archive of
+four configs, byte for byte, against the SHA-256 digests in
+``golden/digests.json``.
+
+Each run is ``bifidelity run`` in a subprocess with a fixed BLAS thread
+count. A change that moves output bytes on purpose records the digests
+again in the same commit, and lists the moved values:
+
+    python tests/test_golden.py
+"""
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden" / "digests.json"
+
+# name -> config: a path under configs/, or the document itself
+CONFIGS = {
+    "osc-default": "oscillator.json",
+    "osc-narrow": "oscillator-narrow.json",
+    "nbody-default": "nbody.json",
+    # N = 2000, the linear baseline only: no tuning or selection
+    "osc-wide-baseline": {
+        "data": {"benchmark": {"name": "oscillator",
+                               "grid": [["omega", 1.0, 5.0, 40], ["gamma", 0.05, 0.5, 50]],
+                               "hf": {"dt": 0.01}}},
+        "modes": ["linear-baseline"],
+        "budgets": [8, 16, 32, 64],
+    },
+}
+# the configs of N <= 114, where no BLAS call sets an output value
+SMALL = ("osc-default", "osc-narrow", "nbody-default")
+
+
+def build() -> dict:
+    """The numpy version and BLAS build the digests hold under."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')} ({blas.get('openblas configuration')})",
+    }
+
+
+def run_digests(names, threads: int, work: Path) -> dict:
+    """{name: {file: sha256}} for each config, run at ``threads`` BLAS threads.
+
+    The runs start together, each in its own interpreter, and every file
+    under a run's output directory is hashed, keyed by its relative path.
+    """
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": str(threads),
+           "OMP_NUM_THREADS": str(threads)}
+    procs = {}
+    for name in names:
+        config = CONFIGS[name]
+        if isinstance(config, dict):
+            path = work / f"{name}.json"
+            path.write_text(json.dumps(config), encoding="utf-8")
+        else:
+            path = ROOT / "configs" / config
+        args = ["run", "--config", str(path), "--out", str(work / name)]
+        procs[name] = subprocess.Popen([sys.executable, "-m", "bifidelity", *args], cwd=work, env=env,
+                                       stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    out = {}
+    for name, proc in procs.items():
+        _, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, f"{name}: {err}"
+        out[name] = {
+            path.relative_to(work / name).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted((work / name).rglob("*")) if path.is_file()
+        }
+    return out
+
+
+def check(names, threads: int, work: Path) -> None:
+    """Fails naming each file, as config/file, whose bytes differ from the golden digests."""
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    got = run_digests(names, threads, work)
+    files = [
+        f"{name}/{file}"
+        for name in names
+        for file in sorted(set(golden["digests"][name]) | set(got[name]))
+        if golden["digests"][name].get(file) != got[name].get(file)
+    ]
+    recorded = {key: golden[key] for key in build()}
+    note = "" if recorded == build() else f"; recorded under {recorded}, running {build()}"
+    assert files == [], f"outputs moved at {threads} BLAS thread(s): {files}{note}"
+
+
+def test_outputs_match_the_golden_digests_at_one_blas_thread(tmp_path):
+    check(list(CONFIGS), 1, tmp_path)
+
+
+def test_small_outputs_match_the_golden_digests_at_two_blas_threads(tmp_path):
+    check(SMALL, 2, tmp_path)
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as work:
+        doc = {**build(), "threads": 1, "digests": run_digests(list(CONFIGS), 1, Path(work))}
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")

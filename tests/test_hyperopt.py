@@ -211,11 +211,11 @@ def test_pair_bound_lifts_the_bracket_above_the_row_sums():
     X = np.random.default_rng(0).normal(size=(2, n))
     tri = TuningTable(X)
     tri.dists[1:] = dists[np.triu_indices(n, k=1)]  # the crafted distances, packed
-    ref = tri.ref
+    ref = gramian_entries(KernelSpec(family=KernelFamily.LINEAR), X)
     cfg = ObjectiveConfig(lam=100.0, family=KernelFamily.EXPONENTIAL, bounds=((0.1, 10.0),))
     K = radial_profile(KernelSpec(family=KernelFamily.EXPONENTIAL, h=(1.0,)), dists)
     assert np.count_nonzero(K - np.eye(n)) == 2 and K[1, 3] == pytest.approx(a)
-    want = hyperopt._gramian_objective(cfg, K, ref)
+    want = oracles.objective_dense(cfg, K, ref)
     assert hyperopt._packed_objective(cfg, (1.0,), tri) == want
     fit, fro = np.linalg.norm(ref - K), np.linalg.norm(K)
     for rows in (False, True):
@@ -224,6 +224,15 @@ def test_pair_bound_lifts_the_bracket_above_the_row_sums():
         assert lo <= want <= hi
     # without row sums the upper bound is min(1 + (N - 1) a, ||K||_F)
     assert hi - lo <= 1e-8 * want
+
+
+@pytest.mark.parametrize("n", [114, 2000, 3000, 10**4])
+def test_bracket_pad_covers_its_rounding_bound_at_every_n(n):
+    # the bound the pad's comment derives: (N^2 / 2 + N + 8) 2^-53 relative
+    # on the stability term; the 1e-9 floor holds up to N = 3,000
+    pad = hyperopt._bracket_pad(n)
+    assert pad >= (n * n / 2 + n + 8) * 2.0**-53
+    assert pad == 1e-9 if n <= 3000 else pad > 1e-9
 
 
 @pytest.mark.parametrize(
@@ -256,11 +265,13 @@ def test_gramians_without_a_bracket_are_scored_exactly(monkeypatch, cand):
         assert np.linalg.norm(cand, 2) > cand.sum(axis=1).max()
 
 
-def test_tuning_holds_four_gramians_at_most():
-    # held throughout: the reference and the packed triangle (half a matrix
-    # of distances, half of reference); a bracket adds half a matrix of
-    # values and one unpacked Gramian, an exact score the Gramian and one
-    # temporary. The full-matrix bracket reached 6 matrices on Matern.
+def test_tuning_holds_three_gramians_at_most():
+    # held throughout: the packed triangles (half a matrix of distances,
+    # half of reference). A profile adds half a matrix of values, and the
+    # Matern profiles' temporaries reach 3 matrices in all; a bracket adds
+    # a half-matrix fit temporary, and with row sums one unpacked Gramian,
+    # as an exact score does. Holding the N x N reference reached 4
+    # matrices, the full-matrix bracket 6 on Matern.
     ens = oscillator_lf(12, 25)
     n = ens.n_samples
     pso = PsoConfig(swarm_size=4, max_iters=1, seed=0)
@@ -276,7 +287,7 @@ def test_tuning_holds_four_gramians_at_most():
             transient = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        assert transient <= 4 * 8 * n * n + 2**16, (family.name, transient / (8 * n * n))
+        assert transient <= 3 * 8 * n * n + 2**16, (family.name, transient / (8 * n * n))
 
 
 # === particle swarm ===
@@ -488,7 +499,6 @@ def test_optimize_objective_value_is_reproducible():
         KernelFamily.EXPONENTIAL, TuningTable(ens.outputs), cfg, PsoConfig(max_iters=40, seed=1)
     )
     assert result.evaluations_used > 0
-    assert result.wall_time >= 0.0
     recomputed = objective(cfg, result.spec.h, ens)
     assert result.objective_value == pytest.approx(recomputed, abs=1e-10)
 
@@ -573,7 +583,7 @@ def test_optimize_squared_exponential_tracks_log_grid_oracle():
 # upper bound; a change that lowers one lowers its bound too.
 EIGENSOLVES = {
     "oscillator.json": (1, 5, 4, 23, 5, 4),
-    "oscillator-narrow.json": (1, 6, 6, 19, 5, 4),
+    "oscillator-narrow.json": (1, 6, 6, 18, 5, 4),
     "nbody.json": (1, 4, 6, 18, 6, 4),
 }
 
@@ -582,7 +592,7 @@ EIGENSOLVES = {
 def test_tuning_eigensolves_stay_within_their_counts(monkeypatch, config):
     counts = dict.fromkeys(KernelFamily, 0)
     tuning = []
-    solve, optimize = hyperopt.stable_rank, cli.optimize_hyperparams
+    solve, optimize = hyperopt.spectral_norm, cli.optimize_hyperparams
 
     def counted_solve(A):
         counts[tuning[-1]] += 1
@@ -592,7 +602,7 @@ def test_tuning_eigensolves_stay_within_their_counts(monkeypatch, config):
         tuning.append(KernelFamily(family))
         return optimize(family, *args)
 
-    monkeypatch.setattr(hyperopt, "stable_rank", counted_solve)
+    monkeypatch.setattr(hyperopt, "spectral_norm", counted_solve)
     monkeypatch.setattr(cli, "optimize_hyperparams", optimize_one)
     path = Path(__file__).resolve().parent.parent / "configs" / config
     cfg = replace(cli.load_config(path), modes=("adaptive",), budgets=(4,))
@@ -648,7 +658,7 @@ def test_optimize_rejects_non_finite_reference_before_scoring(monkeypatch):
     def never_scored(*args):
         raise AssertionError("an objective was scored")
 
-    monkeypatch.setattr(hyperopt, "_gramian_objective", never_scored)
+    monkeypatch.setattr(hyperopt, "_objective", never_scored)
     for family in (KernelFamily.LINEAR, KernelFamily.EXPONENTIAL):
         cfg = config_for(ens, family)
         with pytest.raises(ArithmeticError, match="non-finite"):

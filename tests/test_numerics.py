@@ -1,5 +1,5 @@
-"""Pivoted Cholesky against the full-Schur brute-force oracle, stable
-rank against dense SVD, and the truncated regularized solver."""
+"""Pivoted Cholesky against the full-Schur brute-force oracle, the
+spectral norm against dense SVD, and the truncated regularized solver."""
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -11,7 +11,7 @@ from bifidelity.numerics import (
     kept_eigenvalues,
     pivoted_cholesky_columns,
     regularized_factor,
-    stable_rank,
+    spectral_norm,
 )
 from bifidelity.data import SnapshotEnsemble
 from bifidelity.hyperopt import default_bounds, median_pairwise_distance
@@ -153,41 +153,46 @@ def test_column_core_validates_inputs():
         pivoted_cholesky_columns(np.ones(3), lambda p: None, 4)
 
 
-# === stable rank ===
+# === stable rank's spectral norm ===
+# the stable rank ||A||_F^2 / ||A||_2^2 takes ||A||_2 from spectral_norm
 
 
 def test_stable_rank_identity():
-    assert stable_rank(np.eye(5)) == pytest.approx(5.0, rel=1e-8)
+    A = np.eye(5)
+    assert spectral_norm(A) == pytest.approx(oracles.spectral_norm_svd(A), rel=1e-8)
 
 
 def test_stable_rank_diag_2_1():
-    assert stable_rank(np.diag([2.0, 1.0])) == pytest.approx(1.25, rel=1e-8)
+    A = np.diag([2.0, 1.0])
+    assert spectral_norm(A) == pytest.approx(oracles.spectral_norm_svd(A), rel=1e-8)
 
 
 def test_stable_rank_indefinite_uses_largest_magnitude_eigenvalue():
     # ||A||_2 = 3 from the negative eigenvalue, not the largest eigenvalue 1
-    assert stable_rank(np.diag([-3.0, 1.0])) == pytest.approx(10.0 / 9.0, rel=1e-15)
+    A = np.diag([-3.0, 1.0])
+    assert spectral_norm(A) == pytest.approx(oracles.spectral_norm_svd(A), rel=1e-15)
 
 
 def test_stable_rank_rank_one():
     u = np.array([1.0, 2.0, 3.0])
-    assert stable_rank(np.outer(u, u)) == pytest.approx(1.0, abs=1e-6)
+    A = np.outer(u, u)
+    assert spectral_norm(A) == pytest.approx(oracles.spectral_norm_svd(A), abs=1e-6)
 
 
 def test_stable_rank_zero_matrix_errors():
     with pytest.raises(ZeroGramianError):
-        stable_rank(np.zeros((3, 3)))
+        spectral_norm(np.zeros((3, 3)))
 
 
 def test_stable_rank_rejects_non_symmetric_input():
     # the eigensolver reads one triangle; this matrix's upper one is diag(1, 1)
     with pytest.raises(ValueError, match="symmetric"):
-        stable_rank(np.array([[1.0, 0.0], [5.0, 1.0]]))
+        spectral_norm(np.array([[1.0, 0.0], [5.0, 1.0]]))
 
 
 def test_stable_rank_rejects_non_finite_input():
     with pytest.raises(ValueError, match="finite"):
-        stable_rank(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+        spectral_norm(np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
 
 @given(st.integers(0, 10**6))
@@ -195,7 +200,7 @@ def test_stable_rank_between_one_and_rank(seed):
     rng = np.random.default_rng(seed)
     B = rng.normal(size=(5, 5))
     A = B + B.T
-    sr = stable_rank(A)
+    sr = float(np.sum(A * A)) / spectral_norm(A) ** 2
     w = np.linalg.svd(A, compute_uv=False)
     rank = int(np.sum(w > 1e-10 * w[0]))
     assert 1.0 - 1e-12 <= sr <= rank * (1.0 + 1e-12)
@@ -204,14 +209,14 @@ def test_stable_rank_between_one_and_rank(seed):
 def test_stable_rank_matches_svd_oracle():
     for seed in range(10):
         A = oracles.random_psd(6, seed)
-        assert stable_rank(A) == pytest.approx(oracles.srank_svd(A), rel=1e-12)
+        assert spectral_norm(A) == pytest.approx(oracles.spectral_norm_svd(A), rel=1e-12)
 
 
 def test_stable_rank_of_indefinite_compact_gramian_matches_svd_oracle():
     # the oracles' test-only kernel is indefinite here (smallest eigenvalue ~ -0.38)
     G = oracles.gramian_dense("compact_rbf", [[0.0, 1.2, 2.4, 3.6, 30.0]], (1.0, 2.0))
     assert np.linalg.eigvalsh(G)[0] < -0.1
-    assert stable_rank(G) == pytest.approx(oracles.srank_svd(G), rel=1e-12)
+    assert spectral_norm(G) == pytest.approx(oracles.spectral_norm_svd(G), rel=1e-12)
 
 
 def test_stable_rank_of_near_identity_matern_gramian_matches_svd_oracle():
@@ -220,7 +225,7 @@ def test_stable_rank_of_near_identity_matern_gramian_matches_svd_oracle():
     h_lo = default_bounds(KernelFamily.MATERN32, median_pairwise_distance(cols))[0][0]
     G = gramian_entries(KernelSpec(family=KernelFamily.MATERN32, h=(h_lo,)), cols)
     assert np.max(np.abs(G - np.eye(40))) < 1e-9
-    assert stable_rank(G) == pytest.approx(oracles.srank_svd(G), rel=1e-12)
+    assert spectral_norm(G) == pytest.approx(oracles.spectral_norm_svd(G), rel=1e-12)
 
 
 # === slicing and the regularized solve ===

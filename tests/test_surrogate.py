@@ -314,7 +314,7 @@ def test_literal_rational_quadratic_overflowing_diagonal_raises():
         lf = ensemble_from(outputs)
         with pytest.raises(ArithmeticError, match=message):
             build_surrogate(lf, spec, 2, never_called)
-        tuned = OptimizedKernel(spec=spec, objective_value=0.0, evaluations_used=0, wall_time=0.0)
+        tuned = OptimizedKernel(spec=spec, objective_value=0.0, evaluations_used=0)
         with pytest.raises(ArithmeticError, match=message):
             adaptive_select([tuned], lf, 2)
 
@@ -347,7 +347,7 @@ def test_build_and_selection_never_form_the_gramian(monkeypatch):
     for spec in (LINEAR, SQEXP):
         build_surrogate(lf, spec, 4, provider_for(hf_cols))
     tuned = [
-        OptimizedKernel(spec=spec, objective_value=0.0, evaluations_used=0, wall_time=0.0)
+        OptimizedKernel(spec=spec, objective_value=0.0, evaluations_used=0)
         for spec in (LINEAR, SQEXP, KernelSpec(family=KernelFamily.MATERN32, h=(1.0,)))
     ]
     assert adaptive_select(tuned, lf, 4).n_used == 4
