@@ -21,7 +21,6 @@ objective maps to inf, while the bracket holds finite bounds.
 """
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -49,8 +48,6 @@ __all__ = [
     "default_bounds",
     "median_pairwise_distance",
 ]
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -614,12 +611,6 @@ def optimize_hyperparams(
     theta_star, f_star = refine_local(f_log, theta_pso, log_bounds)
     h_star = np.exp(theta_star)
     spec = _spec_for(obj_cfg, h_star)
-    log.debug(
-        "%s tuned: h*=%s, heuristic lam/sqrt(N)=%.3e",
-        family.name,
-        spec.h,
-        obj_cfg.lam / math.sqrt(table.n),
-    )
     return OptimizedKernel(
         spec=spec,
         objective_value=float(f_star),

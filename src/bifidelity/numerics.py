@@ -139,11 +139,12 @@ def regularized_factor(H, rcond: float = 1e-12) -> tuple[np.ndarray, np.ndarray]
     """(Vk, wk): the eigenvectors and eigenvalues of symmetric H that
     ``kept_eigenvalues`` keeps at ``rcond``, from one eigendecomposition.
 
-    ``apply_regularized`` solves with them, as often as needed.
+    ``apply_regularized`` solves with them, as often as needed. An
+    ``rcond`` that is not finite and non-negative is a ValueError.
     """
     H = np.asarray(H, dtype=float)
-    if rcond < 0:
-        raise ValueError("rcond must be non-negative")
+    if not 0 <= rcond < np.inf:  # NaN fails both comparisons
+        raise ValueError(f"rcond must be finite and non-negative, got {rcond!r}")
     w, V = np.linalg.eigh(H)
     keep = kept_eigenvalues(w, rcond)
     if not np.any(keep):

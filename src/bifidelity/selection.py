@@ -14,8 +14,8 @@ import numpy as np
 
 from .data import SnapshotEnsemble
 from .kernels import KernelFamily, KernelSpec
-from .numerics import MatrixNotPSDError, ZeroGramianError, lower_median, regularized_factor
-from .surrogate import _emulate, build_surrogate
+from .numerics import MatrixNotPSDError, ZeroGramianError, lower_median
+from .surrogate import build_surrogate, evaluate
 
 __all__ = [
     "SelectionReport",
@@ -27,21 +27,28 @@ __all__ = [
 class SelectionReport:
     """Outcome of one adaptive selection pass.
 
-    Records the per-family residual scores, the winner and the pivot
-    budget ``n_used`` the scores were taken at.
+    Records the per-family residual scores and the pivot budget ``n_used``
+    they were taken at. The winner is derived: the least score, with ties
+    going to the lowest family index.
     """
 
-    families: tuple[KernelFamily, ...]
-    chosen_family: KernelFamily
     per_kernel_epsilon: dict[KernelFamily, float]
-    n_used: int = 0
+    n_used: int
 
-    def __post_init__(self):
-        if self.chosen_family not in self.per_kernel_epsilon:
-            raise ValueError("chosen family has no score")
-        best = min(self.per_kernel_epsilon.values())
-        if self.per_kernel_epsilon[self.chosen_family] > best:
-            raise ValueError("chosen family does not attain the minimal score")
+    def __post_init__(self) -> None:
+        if not self.per_kernel_epsilon:
+            raise ValueError("a selection report needs at least one family with a score")
+        if self.n_used < 1:
+            raise ValueError(f"pivot budget n_used must be at least 1, got {self.n_used}")
+
+    @property
+    def families(self) -> tuple[KernelFamily, ...]:
+        return tuple(sorted(self.per_kernel_epsilon))
+
+    @property
+    def chosen_family(self) -> KernelFamily:
+        # min keeps the first of equal scores, and families ascend
+        return min(self.families, key=self.per_kernel_epsilon.__getitem__)
 
 
 def adaptive_select(
@@ -76,32 +83,24 @@ def adaptive_select(
         ok.spec.family: _self_emulation_score(ok.spec, lf_ensemble, n, rcond)
         for ok in optimized
     }
-
-    chosen = min(scores, key=lambda fam: (scores[fam], int(fam)))
-    return SelectionReport(
-        families=tuple(ok.spec.family for ok in optimized),
-        chosen_family=chosen,
-        per_kernel_epsilon=scores,
-        n_used=n,
-    )
+    return SelectionReport(per_kernel_epsilon=scores, n_used=n)
 
 
 def _self_emulation_score(spec: KernelSpec, lf: SnapshotEnsemble, n: int, rcond: float) -> float:
     """Lower-median residual of a budget-n emulator of ``lf`` on its own
     held-out columns; +inf when the family cannot support n pivots.
 
-    One eigendecomposition of the sliced Gramian gives both the numerical
-    rank under ``rcond`` and the solve, the one ``evaluate`` makes.
+    The surrogate's one factorization of the sliced Gramian gives both the
+    numerical rank under ``rcond`` and the solve ``evaluate`` makes.
     """
     try:
         # the low-fidelity model is its own high-fidelity provider
         surr = build_surrogate(lf, spec, n, lf.column, rcond)
-        factor = regularized_factor(surr.sliced, rcond)
     except (MatrixNotPSDError, ZeroGramianError):
         return math.inf
-    if factor[1].size < n:
+    if surr.factor[1].size < n:
         return math.inf
     others = np.setdiff1d(np.arange(lf.n_samples), surr.pivots)
-    preds = _emulate(surr, factor, lf.outputs[:, others])
+    preds = evaluate(surr, lf.outputs[:, others])
     resid = np.linalg.norm(lf.outputs[:, others] - preds, axis=0)
     return lower_median(resid) if np.all(np.isfinite(resid)) else math.inf

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import base64
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,6 +63,9 @@ class Surrogate:
     """Trained emulator state; everything evaluation needs is embedded.
 
     ``sliced`` is the n x n Gramian block over the pivots, in pivot order.
+    ``factor`` is its ``regularized_factor`` at ``rcond``, formed once here
+    and reused by every evaluation; it is neither an argument nor archived.
+    A non-finite matrix or ``rcond`` is a ValueError naming it.
     """
 
     kernel: KernelSpec
@@ -71,6 +74,7 @@ class Surrogate:
     sliced: np.ndarray
     pivot_lf_columns: np.ndarray
     rcond: float
+    factor: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         hf = np.array(self.hf_snapshots, dtype=float)
@@ -84,12 +88,13 @@ class Surrogate:
             raise ValueError("pivot_lf_columns must hold one column per pivot")
         if sliced.shape != (n, n):
             raise ValueError("sliced Gramian must be n x n for n pivots")
-        for arr in (hf, lf, sliced):
+        for name, arr in (("hf_snapshots", hf), ("pivot_lf_columns", lf), ("sliced", sliced)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite")
             arr.setflags(write=False)
-        object.__setattr__(self, "hf_snapshots", hf)
-        object.__setattr__(self, "pivot_lf_columns", lf)
-        object.__setattr__(self, "sliced", sliced)
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "pivots", pivots)
+        object.__setattr__(self, "factor", regularized_factor(sliced, self.rcond))
 
 
 @dataclass(frozen=True)
@@ -99,19 +104,18 @@ class CostLedger:
     hf_samples_used: int
     kernel_opt_cost: float
     one_hf_cost: float
-    effective_hf: int
 
     def __post_init__(self):
         if self.one_hf_cost <= 0:
             raise ValueError("one_hf_cost must be positive")
         if self.kernel_opt_cost < 0:
             raise ValueError("kernel_opt_cost must be non-negative")
-        expected = self.hf_samples_used + math.ceil(self.kernel_opt_cost / self.one_hf_cost)
-        if self.effective_hf != expected:
-            raise ValueError(
-                f"effective_hf {self.effective_hf} does not satisfy the ledger "
-                f"identity (expected {expected})"
-            )
+
+    @property
+    def effective_hf(self) -> int:
+        """The ledger identity: HF samples used plus the optimizer cost in
+        whole HF samples, rounded up."""
+        return self.hf_samples_used + math.ceil(self.kernel_opt_cost / self.one_hf_cost)
 
 
 @dataclass(frozen=True)
@@ -126,12 +130,10 @@ def effective_cost(
     hf_samples_used: int, kernel_opt_cost: float, one_hf_cost: float
 ) -> CostLedger:
     """Fold optimizer cost into whole high-fidelity-sample units."""
-    effective = int(hf_samples_used) + math.ceil(kernel_opt_cost / one_hf_cost)
     return CostLedger(
         hf_samples_used=int(hf_samples_used),
         kernel_opt_cost=float(kernel_opt_cost),
         one_hf_cost=float(one_hf_cost),
-        effective_hf=effective,
     )
 
 
@@ -219,7 +221,8 @@ def evaluate(surrogate: Surrogate, query) -> np.ndarray:
 
     ``query`` is a low-fidelity output column or a 2-d block of such
     columns; a block is emulated with one solve and returns one output
-    column per query.
+    column per query. The solve reads ``surrogate.factor``, so no call
+    factors the sliced Gramian again.
     """
     query = np.asarray(query, dtype=float)
     if query.ndim not in (1, 2):
@@ -227,13 +230,8 @@ def evaluate(surrogate: Surrogate, query) -> np.ndarray:
             "query must be low-fidelity output columns, not a sample index; "
             "pass the training ensemble's column instead"
         )
-    return _emulate(surrogate, regularized_factor(surrogate.sliced, surrogate.rcond), query)
-
-
-def _emulate(surrogate: Surrogate, factor, query: np.ndarray) -> np.ndarray:
-    """``evaluate`` with ``factor``, the surrogate's ``regularized_factor``, given."""
     rhs = cross_kernel_vector(surrogate.kernel, surrogate.pivot_lf_columns, query)
-    return surrogate.hf_snapshots @ apply_regularized(factor, rhs)
+    return surrogate.hf_snapshots @ apply_regularized(surrogate.factor, rhs)
 
 
 def _group_sums(squares: np.ndarray, rows: list[int]) -> np.ndarray:
@@ -258,18 +256,16 @@ def median_relative_error(
     excluded from the relative medians. Per-QoI medians follow the label
     groups of ``hf_truth``.
 
-    The held-out samples are emulated and scored in the column blocks of
-    ``column_blocks``, with one factorization of the sliced Gramian: a
-    block's prediction and one copy of its truth, each squared in place,
-    and O(N) column sums, whatever N is. Every norm keeps the summation
-    order of ``np.linalg.norm`` on the whole held-out blocks (aggregate)
-    and on row copies of them (label groups), so the errors do not depend
-    on how the blocks are read.
+    The held-out samples are emulated by ``evaluate`` and scored in the
+    column blocks of ``column_blocks``: a block's prediction and one copy
+    of its truth, each squared in place, and O(N) column sums, whatever N
+    is. Every norm keeps the summation order of ``np.linalg.norm`` on the
+    whole held-out blocks (aggregate) and on row copies of them (label
+    groups), so the errors do not depend on how the blocks are read.
     """
     if hf_truth.n_samples != lf.n_samples:
         raise ValueError("high- and low-fidelity ensembles disagree on sample count")
     test = np.setdiff1d(np.arange(lf.n_samples), surrogate.pivots)
-    factor = regularized_factor(surrogate.sliced, surrogate.rcond)
     groups = list(hf_truth.label_groups().items())
     # squared norms per held-out column: the aggregate in row 0, then one
     # row per label group
@@ -278,7 +274,7 @@ def median_relative_error(
     for cols in column_blocks(hf_truth.output_dim, test.size):
         block = test[cols]
         # emulate first, so its temporaries are gone before the truth is copied
-        err = _emulate(surrogate, factor, lf.outputs[:, block])
+        err = evaluate(surrogate, lf.outputs[:, block])
         # column-major when the ensemble is row-major, so its column sums are pairwise
         truth = hf_truth.outputs[:, block]
         np.subtract(truth, err, out=err)

@@ -1,5 +1,6 @@
 """Command line driver: config parsing, file formats, exit codes, and
 the selection-before-draw access discipline."""
+import base64
 import json
 import math
 import os
@@ -760,6 +761,11 @@ def test_eval_round_trip(toy, tmp_path, capsys):
         ("archive root", [good]),
         ("unreadable archive", {**good, "rcond": None}),
         ("unreadable archive", {**good, "kernel": {**good["kernel"], "h": [[1.0]]}}),
+        # non-finite values, refused at load rather than printed or misreported
+        ("hf_snapshots must be finite", with_matrix(good, "hf_snapshots", math.nan)),
+        ("sliced must be finite", with_matrix(good, "sliced_gramian", math.nan)),
+        ("rcond must be finite", {**good, "rcond": math.nan}),
+        ("rcond must be finite", {**good, "rcond": math.inf}),
     ]
     for k, (field, doc) in enumerate(malformed):
         bad_archive = write_config(tmp_path / f"malformed{k}.json", doc)
@@ -772,3 +778,16 @@ def test_eval_round_trip(toy, tmp_path, capsys):
                         encoding="utf-8")
     assert main(["eval", str(accented), str(col_path)]) == 3
     assert "unreadable archive" in capsys.readouterr().err
+    # a finite but all-zero sliced Gramian is a numerical failure, found at load
+    zero = write_config(tmp_path / "zero.json", with_matrix(good, "sliced_gramian", 0.0, every=True))
+    assert main(["eval", zero, str(col_path)]) == 4
+    assert "Gramian numerically zero" in capsys.readouterr().err
+
+
+def with_matrix(archive: dict, name: str, value: float, every: bool = False) -> dict:
+    """``archive`` with the first entry, or ``every`` entry, of matrix ``name`` set to ``value``."""
+    blob = archive["matrices"][name]
+    data = np.frombuffer(base64.b64decode(blob["data"]), dtype="<f8").copy()
+    data[slice(None) if every else 0] = value
+    blob = {**blob, "data": base64.b64encode(data.tobytes()).decode("ascii")}
+    return {**archive, "matrices": {**archive["matrices"], name: blob}}

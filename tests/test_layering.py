@@ -1,7 +1,8 @@
 """Module layering: the package root imports nothing, data, kernels and
 numerics stand alone, the benchmark generators need only the data layer,
 tuning and the surrogate sit on those three, selection on them and the
-surrogate, and the command line loads no scipy."""
+surrogate, each private name imported across modules is one the table
+below lists, and the command line loads no scipy."""
 import ast
 import json
 import subprocess
@@ -53,6 +54,37 @@ LOWER_LAYERS = {
 @pytest.mark.parametrize("module", sorted(LOWER_LAYERS))
 def test_module_imports_only_its_lower_layers(module):
     assert package_imports(module) == LOWER_LAYERS[module]
+
+
+def private_imports(module: str) -> set[str]:
+    """``sibling._name`` for each private name that ``module`` imports from a sibling module."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    found = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        source = node.module or ""
+        if node.level == 0:
+            if not source.startswith("bifidelity."):
+                continue
+            source = source.partition(".")[2]
+        found.update(f"{source}.{alias.name}" for alias in node.names
+                     if alias.name.startswith("_") and not alias.name.startswith("__"))
+    return found
+
+
+# every private name one module imports from another; any other is a failure
+PRIVATE_IMPORTS = {
+    "bench": {"data._BLOCK_DOUBLES"},
+    "hyperopt": {"data._BLOCK_DOUBLES", "kernels._distances"},
+    "surrogate": {"kernels._kernel_block", "kernels._kernel_diagonal"},
+    "selection": set(),
+}
+
+
+@pytest.mark.parametrize("module", sorted(path.stem for path in PACKAGE.glob("*.py")))
+def test_private_imports_are_the_listed_ones(module):
+    assert private_imports(module) == PRIVATE_IMPORTS.get(module, set())
 
 
 def test_cli_loads_no_scipy():

@@ -294,5 +294,7 @@ def test_solve_dimension_mismatch():
 
 
 def test_solve_negative_rcond_rejected():
-    with pytest.raises(ValueError, match="rcond"):
-        solve(np.eye(2), np.array([1.0, 2.0]), rcond=-1e-3)
+    # NaN and inf too: both keep no eigenvalue, and NaN passes an rcond < 0 check
+    for rcond in (-1e-3, np.nan, np.inf):
+        with pytest.raises(ValueError, match="rcond must be finite and non-negative"):
+            solve(np.eye(2), np.array([1.0, 2.0]), rcond=rcond)

@@ -91,6 +91,20 @@ def test_chosen_family_attains_minimum():
     finite = {f: e for f, e in report.per_kernel_epsilon.items() if math.isfinite(e)}
     assert finite
     assert report.per_kernel_epsilon[report.chosen_family] == min(finite.values())
+    # a tie goes to the lowest family index, whatever order the scores arrive in
+    tied = SelectionReport(
+        per_kernel_epsilon={
+            KernelFamily.MATERN32: 0.1,
+            KernelFamily.LINEAR: math.inf,
+            KernelFamily.EXPONENTIAL: 0.1,
+            KernelFamily.MATERN52: 0.2,
+        },
+        n_used=3,
+    )
+    assert tied.chosen_family == KernelFamily.EXPONENTIAL
+    assert tied.families == (
+        KernelFamily.LINEAR, KernelFamily.EXPONENTIAL, KernelFamily.MATERN32, KernelFamily.MATERN52,
+    )
 
 
 def test_training_indices_stay_out_of_the_median():
@@ -183,15 +197,13 @@ def test_lower_median_picks_the_lower_middle_of_the_sorted_values(values):
 
 
 def test_report_validation():
-    with pytest.raises(ValueError, match="no score"):
-        SelectionReport(
-            families=(KernelFamily.LINEAR,),
-            chosen_family=KernelFamily.LINEAR,
-            per_kernel_epsilon={},
-        )
-    with pytest.raises(ValueError, match="minimal score"):
-        SelectionReport(
-            families=(KernelFamily.LINEAR, KernelFamily.EXPONENTIAL),
-            chosen_family=KernelFamily.EXPONENTIAL,
-            per_kernel_epsilon={KernelFamily.LINEAR: 0.1, KernelFamily.EXPONENTIAL: 0.2},
-        )
+    with pytest.raises(ValueError, match="at least one family"):
+        SelectionReport(per_kernel_epsilon={}, n_used=1)
+    with pytest.raises(ValueError, match="n_used"):
+        SelectionReport(per_kernel_epsilon={KernelFamily.LINEAR: 0.1}, n_used=0)
+    # the winner is derived, so a report cannot name a family without the minimal score
+    report = SelectionReport(
+        per_kernel_epsilon={KernelFamily.LINEAR: 0.1, KernelFamily.EXPONENTIAL: 0.2},
+        n_used=1,
+    )
+    assert report.chosen_family == KernelFamily.LINEAR

@@ -671,7 +671,8 @@ def test_error_metric_in_column_blocks_matches_dense_scorer_bit_for_bit(monkeypa
     )
 
 
-def test_error_metric_factors_the_gramian_once(monkeypatch):
+def counted_factors(monkeypatch) -> list:
+    """The argument tuples of every ``regularized_factor`` call the surrogate module makes from now on."""
     factors = []
     real = surrogate_module.regularized_factor
 
@@ -680,12 +681,29 @@ def test_error_metric_factors_the_gramian_once(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(surrogate_module, "regularized_factor", counted)
+    return factors
+
+
+def test_error_metric_factors_the_gramian_once(monkeypatch):
+    factors = counted_factors(monkeypatch)
     monkeypatch.setattr(data_module, "_BLOCK_DOUBLES", 2 * 4)
     rng = np.random.default_rng(33)
     lf = ensemble_from(rng.normal(size=(3, 20)))
     hf_cols = rng.normal(size=(4, 20))
     surr = build_surrogate(lf, SQEXP, 4, provider_for(hf_cols))
     assert len(column_blocks(4, 16)) == 8
+    median_relative_error(surr, ensemble_from(hf_cols), lf)
+    assert len(factors) == 1
+
+
+def test_a_surrogate_is_factored_once_for_every_evaluation(monkeypatch):
+    factors = counted_factors(monkeypatch)
+    rng = np.random.default_rng(35)
+    lf = ensemble_from(rng.normal(size=(3, 12)))
+    hf_cols = rng.normal(size=(4, 12))
+    surr = build_surrogate(lf, SQEXP, 4, provider_for(hf_cols))
+    for query in (lf.column(0), lf.column(5), lf.outputs[:, 6:9]):
+        evaluate(surr, query)
     median_relative_error(surr, ensemble_from(hf_cols), lf)
     assert len(factors) == 1
 
@@ -729,12 +747,12 @@ def test_effective_cost_ceiling_examples():
 
 
 def test_ledger_identity_enforced():
-    with pytest.raises(ValueError, match="identity"):
-        CostLedger(hf_samples_used=4, kernel_opt_cost=2.5, one_hf_cost=1.0, effective_hf=6)
+    # effective_hf is derived, so an inconsistent ledger cannot be built
+    assert CostLedger(hf_samples_used=4, kernel_opt_cost=2.5, one_hf_cost=1.0).effective_hf == 7
     with pytest.raises(ValueError, match="one_hf_cost"):
-        CostLedger(hf_samples_used=4, kernel_opt_cost=0.0, one_hf_cost=0.0, effective_hf=4)
+        CostLedger(hf_samples_used=4, kernel_opt_cost=0.0, one_hf_cost=0.0)
     with pytest.raises(ValueError, match="non-negative"):
-        CostLedger(hf_samples_used=4, kernel_opt_cost=-1.0, one_hf_cost=1.0, effective_hf=3)
+        CostLedger(hf_samples_used=4, kernel_opt_cost=-1.0, one_hf_cost=1.0)
 
 
 def test_build_threads_opt_cost_into_ledger():
