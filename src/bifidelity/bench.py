@@ -8,7 +8,9 @@ proportional to the work each fidelity performs.
 * oscillator: a damped linear oscillator. The low-fidelity model is a
   coarse forward-Euler run reduced to two scalar quantities of interest,
   so its output space is deliberately low dimensional; the high-fidelity
-  model is a fine RK4 run that keeps the sampled trajectory.
+  model is a fine RK4 run that keeps the sampled trajectory. As the ODE is
+  linear, an RK4 step is one 2x2 matrix per sample, and a block of steps
+  one product with a table of its powers.
 * nbody: a softened-gravity cluster with a rotation parameter. Both
   fidelities report the same three scalar quantities and differ only in
   body count.
@@ -79,9 +81,17 @@ class BenchmarkSpec:
         default_grid, lf_defaults, hf_defaults = _DEFAULTS[self.name]
         if len(self.grid) != len(default_grid):
             raise ValueError(f"{self.name} grid needs {len(default_grid)} axes, got {len(self.grid)}")
-        # floats, bools and strings are refused, not truncated
+        lf = {**lf_defaults, **self.lf_settings}
+        hf = {**hf_defaults, **self.hf_settings}
+        # floats, bools and strings are refused, not truncated: the seed, the
+        # axis counts and every setting whose default is an integer
         counts = [(f"axis {n} count", c) for n, _, _, c in self.grid]
-        for what, value in [("seed", self.seed), *counts]:
+        integer_settings = [
+            (f"{fidelity} {key}", settings[key])
+            for fidelity, settings, defaults in (("lf", lf, lf_defaults), ("hf", hf, hf_defaults))
+            for key, default in defaults.items() if isinstance(default, int)
+        ]
+        for what, value in [("seed", self.seed), *counts, *integer_settings]:
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{what} must be an integer, got {value!r}")
         grid = tuple((str(n), float(lo), float(hi), int(c)) for n, lo, hi, c in self.grid)
@@ -94,8 +104,6 @@ class BenchmarkSpec:
         if self.name == "oscillator" and not grid[0][1] > 0.0:
             name, lo = grid[0][:2]
             raise ValueError(f"axis {name} needs lo > 0 (the first oscillator axis is omega), got {lo}")
-        lf = {**lf_defaults, **self.lf_settings}
-        hf = {**hf_defaults, **self.hf_settings}
         for fidelity, settings in (("lf", lf), ("hf", hf)):
             for key in ("dt", "horizon"):
                 if not float(settings[key]) > 0.0:
@@ -141,6 +149,31 @@ def generate(spec: BenchmarkSpec) -> tuple[SnapshotEnsemble, SnapshotEnsemble]:
 # === damped oscillator ===
 
 
+def _rk4_powers(omega, gamma, dt, rows):
+    """R, R**2, ..., R**rows of each sample's RK4 step matrix, shaped (rows, 2, 2, N).
+
+    For the linear x'' = -omega**2 x - gamma x', one RK4 step of y = (x, v)
+    is exactly y <- R y, with R = I + hA + (hA)**2/2 + (hA)**3/6 + (hA)**4/24
+    the RK4 stability polynomial at A = [[0, 1], [-omega**2, -gamma]]. R is
+    formed in Horner form, I + hA (I + hA/2 (I + hA/3 (I + hA/4))), and
+    each power from the one before: R**(k + 1) = R**k R.
+    """
+    n = omega.size
+    hA = np.zeros((2, 2, n))
+    hA[0, 1] = dt
+    hA[1, 0] = -dt * omega**2
+    hA[1, 1] = -dt * gamma
+    eye = np.eye(2)[:, :, None]
+    R = eye + hA / 4
+    for c in (3, 2, 1):
+        R = eye + np.einsum("ijn,jkn->ikn", hA / c, R)
+    powers = np.empty((rows, 2, 2, n))
+    powers[0] = R
+    for k in range(1, rows):
+        np.einsum("ijn,jkn->ikn", powers[k - 1], R, out=powers[k])
+    return powers
+
+
 def _integrate_blocks(omega, gamma, dt, steps, method, rows):
     """Yield state blocks shaped (rows + 1, 2, n_samples), vectorized over samples.
 
@@ -148,59 +181,49 @@ def _integrate_blocks(omega, gamma, dt, steps, method, rows):
     state of the block before ((1, 0) in the first); rows 1.. are the next
     ``1 <= rows <= steps`` steps (fewer in the last), in a reused buffer
     valid until the next block is asked for. An unstable step overflows
-    without a numpy warning: the callers check the states they keep. A step
-    is straight-line ufunc calls on views bound once, then a slice copy into
-    the block: the byte-identical form of the stage-by-stage integrator. At
-    small N a call costs its dispatch (a slice copy half an ``np.copyto``),
-    so scalars are 0-d float64 arrays: a Python float is converted per call.
+    without a numpy warning: the callers check the states they keep.
+
+    RK4 multiplies row 0 by a table of the step matrix's powers
+    (``_rk4_powers``, 4 doubles per sample and row), one einsum a block;
+    its states differ from the stage-by-stage oracle's in the last digits.
+    Forward Euler is straight-line ufunc calls on views bound once, then a
+    slice copy into the block: the byte-identical form of the
+    stage-by-stage integrator. At small N a call costs its dispatch, so
+    its scalar is a 0-d float64 array: a Python float is converted per call.
     """
     if method not in ("euler", "rk4"):
         raise ValueError(f"unknown integrator {method!r}")
     ys = np.empty((rows + 1, 2, omega.size))
-    # Stage s = 0..3 (0 is the current state) keeps (x_s, v_s, a_s) in z[s].
-    # As x' = v, its state y_s = (x_s, v_s) and slope K_s = (v_s, a_s) are the
-    # overlapping views z[s, 0:2] and z[s, 1:3] (the stage-by-stage k_sx is v_s).
-    z = np.empty((4, 3, omega.size))
-    (y0, y1, y2, y3), (K0, K1, K2, K3), (a0, a1, a2, a3) = z[:, 0:2], z[:, 1:3], z[:, 2]
-    y0[0], y0[1] = 1.0, 0.0
-    coef = np.stack([-(omega**2), gamma])  # a_s = -w2 * x_s - gamma * v_s is P0 - P1, P = coef * y_s
-    P, S, T = np.empty((3, 2, omega.size))
-    P0, P1 = P
-    half, dt, two, six = map(np.array, (0.5 * dt, dt, 2.0, 6.0))
-    mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
-    # Each call performs one operation of tests/oracles.integrate_oscillator_dense,
-    # on the same operands in the same order and grouped as it groups them (its
-    # sums left to right), so every state rounds as there, bit for bit. Regrouping
-    # a sum, or folding dt / 6 into one factor, would move the trajectories by ulps.
-    after = list(ys[1:])
+    ys[0, 0], ys[0, 1] = 1.0, 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # not held across a yield
+        if method == "rk4":
+            powers = _rk4_powers(omega, gamma, dt, min(rows, steps))
+        else:
+            # z = (x, v, a): as x' = v, the state y0 = (x, v) and slope K0 = (v, a)
+            # are the overlapping views z[0:2] and z[1:3]
+            z = np.empty((3, omega.size))
+            y0, K0, a0 = z[0:2], z[1:3], z[2]
+            y0[...] = ys[0]
+            coef = np.stack([-(omega**2), gamma])  # a = -w2 * x - gamma * v is P0 - P1, P = coef * y0
+            P, S = np.empty((2, 2, omega.size))
+            P0, P1 = P
+            dt = np.array(dt)
+            mul, add, sub = np.multiply, np.add, np.subtract
+            after = list(ys[1:])
+    # Each Euler call performs one operation of tests/oracles.integrate_oscillator_dense,
+    # on the same operands in the same order, so every state rounds as there, bit for bit.
     for done in range(0, steps, rows):
         count = min(rows, steps - done)
-        ys[0] = y0
-        with np.errstate(over="ignore", invalid="ignore"):  # not held across the yield
-            if method == "euler":
-                for row in after[:count]:
-                    mul(coef, y0, P)
-                    sub(P0, P1, a0)
-                    add(y0, mul(dt, K0, S), y0)  # y0 + dt * K0
-                    row[...] = y0
+        if done:
+            ys[0] = ys[rows]  # the last state of the block before, which was full
+        with np.errstate(over="ignore", invalid="ignore"):
+            if method == "rk4":
+                np.einsum("kijn,jn->kin", powers[:count], ys[0], out=ys[1 : count + 1])
             else:
                 for row in after[:count]:
                     mul(coef, y0, P)
                     sub(P0, P1, a0)
-                    add(y0, mul(half, K0, y1), y1)  # y_s = y0 + c * K_{s-1}
-                    mul(coef, y1, P)
-                    sub(P0, P1, a1)
-                    add(y0, mul(half, K1, y2), y2)
-                    mul(coef, y2, P)
-                    sub(P0, P1, a2)
-                    add(y0, mul(dt, K2, y3), y3)
-                    mul(coef, y3, P)
-                    sub(P0, P1, a3)
-                    add(K0, mul(two, K1, S), S)  # y0 + dt * (K0 + 2 * K1 + 2 * K2 + K3) / 6
-                    add(S, mul(two, K2, T), S)
-                    add(S, K3, S)
-                    div(mul(dt, S, S), six, S)
-                    add(y0, S, y0)
+                    add(y0, mul(dt, K0, S), y0)  # y0 + dt * K0
                     row[...] = y0
         yield ys[: count + 1]
 
@@ -211,13 +234,14 @@ def _oscillator_qois(omega, gamma, dt, steps, method, points=0):
     x, ``stride = steps // points``, then the time-averaged energy and the
     final amplitude of each sample.
 
-    Integrates in blocks of at most _BLOCK_DOUBLES doubles, so memory is
-    O(_BLOCK_DOUBLES + points * N) whatever the step count. An unstable
-    sample overflows to a non-finite output without a numpy warning; the
-    caller's output check names it.
+    Integrates in blocks of at most _BLOCK_DOUBLES doubles (twice that for
+    RK4, with its table), so memory is O(_BLOCK_DOUBLES + points * N)
+    whatever the step count. An unstable sample overflows to a non-finite
+    output without a numpy warning; the caller's output check names it.
     """
     n = omega.size
-    # 4 doubles per sample and step: x and v, and two energy rows
+    # 4 doubles per sample and step: x and v, and two energy rows (RK4's
+    # table of step-matrix powers takes 4 more)
     rows = min(steps, max(1, _BLOCK_DOUBLES // (4 * n)))
     out = np.empty((points + 2, n))
     samples = out[:points]
