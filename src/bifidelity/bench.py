@@ -81,6 +81,12 @@ class BenchmarkSpec:
         default_grid, lf_defaults, hf_defaults = _DEFAULTS[self.name]
         if len(self.grid) != len(default_grid):
             raise ValueError(f"{self.name} grid needs {len(default_grid)} axes, got {len(self.grid)}")
+        # a misspelt setting would otherwise run silently at its default
+        for fidelity, given, defaults in (("lf", self.lf_settings, lf_defaults),
+                                          ("hf", self.hf_settings, hf_defaults)):
+            unknown = sorted(set(given) - set(defaults))
+            if unknown:
+                raise ValueError(f"unknown {fidelity} setting(s) {unknown} for {self.name}")
         lf = {**lf_defaults, **self.lf_settings}
         hf = {**hf_defaults, **self.hf_settings}
         # floats, bools and strings are refused, not truncated: the seed, the

@@ -30,7 +30,6 @@ from .hyperopt import (
     PsoConfig,
     TuningTable,
     default_bounds,
-    median_pairwise_distance,
     optimize_hyperparams,
 )
 from .kernels import KernelFamily, KernelSpec
@@ -380,13 +379,12 @@ def run_experiment(cfg: ExperimentConfig, parallel: bool = False, header: bool =
     hyper_evals = 0
     adaptive_reports: dict[int, SelectionReport] = {}
     if "adaptive" in cfg.modes:
-        dbar = median_pairwise_distance(lf.outputs)
         table = TuningTable(lf.outputs)  # every family tunes on the same LF data
         for fam in cfg.kernels:
-            obj_cfg = ObjectiveConfig(lam=cfg.lam, family=fam, bounds=default_bounds(fam, dbar))
+            obj_cfg = ObjectiveConfig(lam=cfg.lam, family=fam, bounds=default_bounds(fam, table.dbar))
             pso_cfg = PsoConfig(**cfg.pso, seed=_child_seed(cfg.seed, int(fam)))
             optimized.append(optimize_hyperparams(fam, table, obj_cfg, pso_cfg))
-        del table  # its N x N reference and packed triangles, before selection
+        del table  # its packed triangles, before selection
         hyper_evals = sum(ok.evaluations_used for ok in optimized)
         for n in cfg.budgets:
             adaptive_reports[n] = adaptive_select(optimized, lf, n, cfg.rcond)

@@ -8,13 +8,14 @@ the swarm's best particle. The linear family has nothing to tune: its
 Gramian is the reference, so it scores the stability term alone.
 
 Every family of a run reads one ``TuningTable``, the packed strict upper
-triangles of the LF distances and of the reference; no N x N distance
-matrix is formed. One formula, ``TuningTable.terms``, gives the fit and
-||K||_F in one fixed summation order, and ``_objective`` adds the penalty,
-with ||K||_2 from one eigensolve. The swarm only compares scores, so each
-point is first bracketed from the same terms and cheap bounds on ||K||_2
-(``_bracket``), and scored exactly only when two brackets overlap, or for
-a value the optimizers return or the polish sees. The tuned h are then the
+triangles of the LF distances and of the reference, each collected in one
+pass over row blocks; no N x N matrix is formed for either. One formula,
+``TuningTable.terms``, gives the fit and ||K||_F in one fixed summation
+order, and ``_objective`` adds the penalty, with ||K||_2 from one
+eigensolve. The swarm only compares scores, so each point is first
+bracketed from the same terms and cheap bounds on ||K||_2 (``_bracket``),
+and scored exactly only when two brackets overlap, or for a value the
+optimizers return or the polish sees. The tuned h are then the
 ones exact scores give, with one case a bracket cannot see: an eigensolve
 that fails to converge on a finite symmetric Gramian, which the exact
 objective maps to inf, while the bracket holds finite bounds.
@@ -32,7 +33,8 @@ from .kernels import (
     KernelFamily,
     KernelSpec,
     _distances,
-    gramian_entries,
+    _kernel_block,
+    _kernel_diagonal,
     radial_profile,
 )
 from .numerics import NumericsError, spectral_norm
@@ -46,7 +48,6 @@ __all__ = [
     "TuningTable",
     "optimize_hyperparams",
     "default_bounds",
-    "median_pairwise_distance",
 ]
 
 
@@ -203,26 +204,33 @@ class _Memoized:
 class TuningTable:
     """Tuning's inputs, formed once from the LF columns ``X`` and shared by every family.
 
-    The linear reference Gramian raises ArithmeticError on a non-finite
-    entry, before any distance is formed, and is kept packed: its diagonal
-    ``ref_diag`` and strict upper triangle ``ref_upper``, row by row.
-    ``dists`` holds a 0 (the diagonal's distance), then the distances'
-    strict upper triangle alike, so one ``radial_profile`` call on it gives
-    the diagonal value first and each off-diagonal entry once. No N x N
-    array is held between calls.
+    Both Gramian-sized inputs are packed, each collected by one pass of
+    ``_upper_triangle``, so no N x N array is ever formed. The linear
+    reference is its diagonal ``ref_diag`` and its strict upper triangle
+    ``ref_upper``, row by row; a non-finite entry raises ArithmeticError
+    before any distance is formed. ``dists`` holds a 0 (the diagonal's
+    distance), then the distances' strict upper triangle alike, so one
+    ``radial_profile`` call on it gives the diagonal value first and each
+    off-diagonal entry once. ``dbar``, the scale of the search box, is the
+    median distance between distinct columns: 1.0 for N < 2 or a zero
+    median, and a non-finite distance raises ArithmeticError.
     """
 
-    __slots__ = ("n", "dists", "ref_upper", "ref_diag")
+    __slots__ = ("n", "dists", "ref_upper", "ref_diag", "dbar")
 
     def __init__(self, X: np.ndarray):
-        ref = gramian_entries(KernelSpec(family=KernelFamily.LINEAR), X)
-        if not np.isfinite(ref).all():
+        linear = KernelSpec(family=KernelFamily.LINEAR)
+        self.n = X.shape[1]
+        self.ref_diag = _kernel_diagonal(linear, X)
+        self.ref_upper = _upper_triangle(X, lambda a, b: _kernel_block(linear, a, b))[1:]
+        if not (np.isfinite(self.ref_diag).all() and np.isfinite(self.ref_upper).all()):
             raise ArithmeticError("linear reference Gramian has non-finite entries")
-        self.n = n = X.shape[1]
-        self.ref_upper = ref[~np.tri(n, dtype=bool)]
-        self.ref_diag = np.diagonal(ref).copy()
-        del ref
-        self.dists = _upper_distances(X)
+        self.dists = _upper_triangle(X, _distances)
+        upper = self.dists[1:]
+        if not np.isfinite(upper).all():
+            raise ArithmeticError("pairwise column distances are non-finite")
+        med = float(np.median(upper)) if upper.size else 1.0
+        self.dbar = med if med > 0 else 1.0
 
     def gramian(self, diag, off: np.ndarray) -> np.ndarray:
         """The symmetric matrix with diagonal ``diag`` (one value or N) and strict upper triangle ``off``."""
@@ -270,7 +278,7 @@ def _packed_objective(cfg: ObjectiveConfig, h, tri: TuningTable) -> float:
     """The objective at ``h``, from one profile call on the packed distances.
 
     A radial profile acts entry by entry, so the entries are bit for bit
-    those ``gramian_entries`` forms on the whole distance matrix. Any
+    those ``_kernel_block`` forms on the whole distance matrix. Any
     failure is inf, so the optimizers can treat the objective as total.
     """
     values = _profile(cfg, h, tri)
@@ -534,13 +542,15 @@ def refine_local(
     return best_x, best_f
 
 
-def _upper_distances(columns: np.ndarray) -> np.ndarray:
-    """A 0, then the strict upper triangle of the column distances, row-major.
+def _upper_triangle(columns: np.ndarray, block) -> np.ndarray:
+    """A 0, then the strict upper triangle of ``block(columns, columns)``, row-major.
 
-    Collected one block of rows at a time: each distance sums its squares
-    in row order whatever block it is in, so the values are bit for bit
-    those of the whole distance matrix, and only the n (n - 1) / 2 + 1
-    values and one block are ever held. Overflow is inf.
+    ``block(a, b)`` gives the entries of the columns of ``a`` against those
+    of ``b`` (``_distances``, or a ``_kernel_block``), and is called one
+    block of rows at a time. Each entry is summed in one order whatever
+    block it is in, so the values are bit for bit those of the whole
+    matrix, and only the n (n - 1) / 2 + 1 values and one block are ever
+    held. The leading 0 is the slot of the diagonal's distance.
     """
     n = columns.shape[1]
     upper = np.empty(n * (n - 1) // 2 + 1)
@@ -548,30 +558,16 @@ def _upper_distances(columns: np.ndarray) -> np.ndarray:
     width = max(1, _BLOCK_DOUBLES // n)
     at = 1
     for lo in range(0, n - 1, width):
-        block = _distances(columns[:, lo : lo + width], columns[:, lo + 1 :])
-        for r, row in enumerate(block):
+        rows = block(columns[:, lo : lo + width], columns[:, lo + 1 :])
+        for r, row in enumerate(rows):
             tail = row[r:]  # the columns right of the diagonal
             upper[at : at + tail.size] = tail
             at += tail.size
     return upper
 
 
-def median_pairwise_distance(columns: np.ndarray) -> float:
-    """Median distance between distinct columns; 1.0 when degenerate.
-
-    Raises ArithmeticError when a distance overflows.
-    """
-    if columns.shape[1] < 2:
-        return 1.0
-    upper = _upper_distances(columns)[1:]
-    if not np.all(np.isfinite(upper)):
-        raise ArithmeticError("pairwise column distances are non-finite")
-    med = float(np.median(upper, overwrite_input=True))
-    return med if med > 0 else 1.0
-
-
 def default_bounds(family: KernelFamily, dbar: float) -> tuple[tuple[float, float], ...]:
-    """Search box [1e-3, 1e3] times ``dbar``, the median pairwise column distance."""
+    """Search box [1e-3, 1e3] times ``dbar``, the median pairwise column distance (``TuningTable.dbar``)."""
     return tuple((1e-3 * dbar, 1e3 * dbar) for _ in range(HYPER_DIMS[family]))
 
 

@@ -18,7 +18,6 @@ __all__ = [
     "KernelSpec",
     "HYPER_DIMS",
     "radial_profile",
-    "gramian_entries",
     "cross_kernel_vector",
 ]
 
@@ -124,16 +123,12 @@ def _distances(a, b) -> np.ndarray:
 def _kernel_block(kernel: KernelSpec, a, b) -> np.ndarray:
     """K[i, j] = k(a[:, i], b[:, j]).
 
-    A linear block of columns against themselves (``b is a``) is the
-    symmetrised a.T @ a, so Gramians come out exactly symmetric. Any other
-    linear block sums each entry in one fixed order (einsum, not BLAS),
-    so a query's values do not depend on the block it is evaluated in.
+    A linear block sums each entry in one fixed order (einsum, not BLAS),
+    so an entry does not depend on the block it is evaluated in, and a
+    block of columns against themselves is exactly symmetric.
     """
     if kernel.family == KernelFamily.LINEAR:
-        if b is not a:
-            return np.einsum("ki,kj->ij", a, b)
-        g = a.T @ a
-        return (g + g.T) / 2.0
+        return np.einsum("ki,kj->ij", a, b)
     return radial_profile(kernel, _distances(a, b))
 
 
@@ -142,11 +137,6 @@ def _kernel_diagonal(kernel: KernelSpec, a) -> np.ndarray:
     if kernel.family == KernelFamily.LINEAR:
         return np.einsum("ki,ki->i", a, a)
     return radial_profile(kernel, np.zeros(a.shape[1]))
-
-
-def gramian_entries(kernel: KernelSpec, columns: np.ndarray) -> np.ndarray:
-    """Raw Gramian matrix for columns."""
-    return _kernel_block(kernel, columns, columns)
 
 
 def cross_kernel_vector(kernel: KernelSpec, ensemble_columns, query) -> np.ndarray:

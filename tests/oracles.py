@@ -131,17 +131,19 @@ def srank_svd(A) -> float:
 def objective_full(cfg, h, columns) -> float:
     """The tuning objective at ``h`` from whole N x N Gramians.
 
-    The candidate and the linear reference come from ``gramian_entries``
-    on the full distance matrix, and ``objective_dense`` scores them; a
-    kernel that cannot be formed is inf. What this pins is the packed
-    path around it: the triangle, its unpacking and the bracket.
+    The candidate and the linear reference are ``_kernel_block`` of the
+    columns against themselves, whole matrices, and ``objective_dense``
+    scores them; a kernel that cannot be formed is inf. What this pins is
+    the packed path around it: the triangles, their unpacking and the
+    bracket.
     """
-    from bifidelity.kernels import KernelFamily, KernelSpec, gramian_entries
+    from bifidelity.kernels import KernelFamily, KernelSpec, _kernel_block
 
     columns = np.asarray(columns, dtype=float)
-    ref = gramian_entries(KernelSpec(family=KernelFamily.LINEAR), columns)
+    ref = _kernel_block(KernelSpec(family=KernelFamily.LINEAR), columns, columns)
     try:
-        cand = gramian_entries(KernelSpec(family=cfg.family, h=tuple(np.atleast_1d(h))), columns)
+        spec = KernelSpec(family=cfg.family, h=tuple(np.atleast_1d(h)))
+        cand = _kernel_block(spec, columns, columns)
     except (ValueError, ArithmeticError):
         return math.inf
     return objective_dense(cfg, cand, ref)

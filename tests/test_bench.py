@@ -1,4 +1,5 @@
 """Benchmark generators: determinism, physics sanity, fidelity gaps."""
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -92,6 +93,12 @@ def test_spec_validation():
         for fidelity in ("lf", "hf"):
             with pytest.raises(ValueError, match=f"{fidelity} bodies must be at least 2"):
                 BenchmarkSpec(name="nbody", grid=grid, **{f"{fidelity}_settings": {"bodies": bodies}})
+    # a setting the benchmark does not read is named, not silently ignored
+    cases = [("oscillator", "lf", {"dtt": 3}, "['dtt']"), ("oscillator", "hf", {"bodies": 8}, "['bodies']"),
+             ("nbody", "lf", {"trajectory_points": 20, "dtt": 0.1}, "['dtt', 'trajectory_points']")]
+    for name, fidelity, settings, named in cases:
+        with pytest.raises(ValueError, match=re.escape(f"unknown {fidelity} setting(s) {named} for {name}")):
+            BenchmarkSpec(name=name, grid=grid, **{f"{fidelity}_settings": settings})
     # settings left out take the benchmark's defaults, HF bodies included
     spec = BenchmarkSpec(name="nbody", grid=grid, hf_settings={"dt": 0.01})
     assert spec.hf_settings == {**default_spec("nbody").hf_settings, "dt": 0.01}

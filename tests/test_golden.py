@@ -7,6 +7,8 @@ count. A change that moves output bytes on purpose records the digests
 again in the same commit, and lists the moved values:
 
     python tests/test_golden.py
+
+which prints each config/file whose digest it changes.
 """
 import hashlib
 import json
@@ -77,16 +79,20 @@ def run_digests(names, threads: int, work: Path) -> dict:
     return out
 
 
+def moved(old: dict, new: dict) -> list[str]:
+    """Each file, as config/file, whose digest differs between ``old`` and ``new``."""
+    return [
+        f"{name}/{file}"
+        for name in new
+        for file in sorted(set(old.get(name, {})) | set(new[name]))
+        if old.get(name, {}).get(file) != new[name].get(file)
+    ]
+
+
 def check(names, threads: int, work: Path) -> None:
     """Fails naming each file, as config/file, whose bytes differ from the golden digests."""
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    got = run_digests(names, threads, work)
-    files = [
-        f"{name}/{file}"
-        for name in names
-        for file in sorted(set(golden["digests"][name]) | set(got[name]))
-        if golden["digests"][name].get(file) != got[name].get(file)
-    ]
+    files = moved(golden["digests"], run_digests(names, threads, work))
     recorded = {key: golden[key] for key in build()}
     note = "" if recorded == build() else f"; recorded under {recorded}, running {build()}"
     assert files == [], f"outputs moved at {threads} BLAS thread(s): {files}{note}"
@@ -103,7 +109,10 @@ def test_small_outputs_match_the_golden_digests_at_two_blas_threads(tmp_path):
 if __name__ == "__main__":
     import tempfile
 
+    old = json.loads(GOLDEN.read_text(encoding="utf-8"))["digests"] if GOLDEN.exists() else {}
     with tempfile.TemporaryDirectory() as work:
         doc = {**build(), "threads": 1, "digests": run_digests(list(CONFIGS), 1, Path(work))}
+    for file in moved(old, doc["digests"]):
+        print(file)
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")

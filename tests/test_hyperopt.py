@@ -18,12 +18,11 @@ from bifidelity.hyperopt import (
     PsoConfig,
     TuningTable,
     default_bounds,
-    median_pairwise_distance,
     optimize_hyperparams,
     pso_minimize,
     refine_local,
 )
-from bifidelity.kernels import KernelFamily, KernelSpec, _distances, gramian_entries, radial_profile
+from bifidelity.kernels import KernelFamily, KernelSpec, _distances, _kernel_block, radial_profile
 
 import oracles
 
@@ -38,15 +37,18 @@ def ensemble_from(columns):
     )
 
 
+LINEAR = KernelSpec(family=KernelFamily.LINEAR)
+
+
 def linear_reference(ens):
-    return gramian_entries(KernelSpec(family=KernelFamily.LINEAR), ens.outputs)
+    return _kernel_block(LINEAR, ens.outputs, ens.outputs)
 
 
 def config_for(ens, family, lam=0.1, **flags):
     return ObjectiveConfig(
         lam=lam,
         family=family,
-        bounds=default_bounds(family, median_pairwise_distance(ens.outputs)),
+        bounds=default_bounds(family, TuningTable(ens.outputs).dbar),
         **flags,
     )
 
@@ -83,7 +85,7 @@ def test_objective_lambda_zero_is_pure_frobenius():
     ens = ensemble_from(rng.normal(size=(3, 6)))
     cfg = config_for(ens, KernelFamily.EXPONENTIAL, lam=0.0)
     h = (0.8,)
-    cand = gramian_entries(KernelSpec(family=KernelFamily.EXPONENTIAL, h=h), ens.outputs)
+    cand = _kernel_block(KernelSpec(family=KernelFamily.EXPONENTIAL, h=h), ens.outputs, ens.outputs)
     expected = np.linalg.norm(linear_reference(ens) - cand)
     assert objective(cfg, h, ens) == pytest.approx(expected, rel=1e-13)
 
@@ -159,7 +161,8 @@ def bracket_data(kind, n, seed):
         # between clusters underflow to 0, and the Gramian is reducible
         centers = 1e4 * rng.normal(size=(2, 3))
         X = centers[:, np.arange(n) % 3] + rng.normal(size=(2, n))
-    return X, TuningTable(X), median_pairwise_distance(X)
+    tri = TuningTable(X)
+    return X, tri, tri.dbar
 
 
 @given(
@@ -196,7 +199,7 @@ def test_bracket_holds_the_exact_objective(family, kind, n, seed, where, lam):
 def test_clustered_gramians_underflow_between_clusters():
     # the reducible case test_bracket_holds_the_exact_objective draws
     X, _, dbar = bracket_data("clusters", 36, 0)
-    cand = gramian_entries(KernelSpec(family=KernelFamily.EXPONENTIAL, h=(1e-3 * dbar,)), X)
+    cand = _kernel_block(KernelSpec(family=KernelFamily.EXPONENTIAL, h=(1e-3 * dbar,)), X, X)
     assert np.count_nonzero(cand[0, 1::3]) == 0 and np.all(cand[0, ::3] > 0)
 
 
@@ -211,7 +214,7 @@ def test_pair_bound_lifts_the_bracket_above_the_row_sums():
     X = np.random.default_rng(0).normal(size=(2, n))
     tri = TuningTable(X)
     tri.dists[1:] = dists[np.triu_indices(n, k=1)]  # the crafted distances, packed
-    ref = gramian_entries(KernelSpec(family=KernelFamily.LINEAR), X)
+    ref = _kernel_block(LINEAR, X, X)
     cfg = ObjectiveConfig(lam=100.0, family=KernelFamily.EXPONENTIAL, bounds=((0.1, 10.0),))
     K = radial_profile(KernelSpec(family=KernelFamily.EXPONENTIAL, h=(1.0,)), dists)
     assert np.count_nonzero(K - np.eye(n)) == 2 and K[1, 3] == pytest.approx(a)
@@ -255,7 +258,7 @@ def test_gramians_without_a_bracket_are_scored_exactly(monkeypatch, cand):
     monkeypatch.setattr(hyperopt, "radial_profile", profile)
     monkeypatch.setattr(kernels, "radial_profile", profile)
     spec = KernelSpec(family=KernelFamily.EXPONENTIAL, h=(1.0,))
-    assert np.array_equal(gramian_entries(spec, X), cand, equal_nan=True)
+    assert np.array_equal(_kernel_block(spec, X, X), cand, equal_nan=True)
     tri = TuningTable(X)
     for rows in (False, True):
         assert hyperopt._bracket(cfg, (1.0,), tri, rows=rows) is None
@@ -613,9 +616,9 @@ def test_tuning_eigensolves_stay_within_their_counts(monkeypatch, config):
 
 
 def test_one_run_forms_tuning_inputs_once_and_scores_from_one_eigendecomposition(monkeypatch):
-    # osc-default at seed 0: the median distance and the shared table each
-    # collect the packed triangle once, and the table forms the one linear
-    # reference; each selection score factors its sliced Gramian once.
+    # osc-default at seed 0: the shared table collects the packed distance
+    # triangle once, the median distance included, and the one linear
+    # reference once; each selection score factors its sliced Gramian once.
     # A table per family would make 6 triangles and 6 references, and a
     # separate rank check 30 eigvalsh beside the solves' eigh.
     counts = {"distances": 0, "reference": 0, "eigvalsh": 0, "eigh": 0}
@@ -636,8 +639,13 @@ def test_one_run_forms_tuning_inputs_once_and_scores_from_one_eigendecomposition
             selecting.pop()
 
     adaptive = cli.adaptive_select
-    monkeypatch.setattr(hyperopt, "_upper_distances", counted("distances", hyperopt._upper_distances))
-    monkeypatch.setattr(hyperopt, "gramian_entries", counted("reference", hyperopt.gramian_entries))
+    upper_triangle = hyperopt._upper_triangle
+
+    def triangle(columns, block):
+        counts["distances" if block is hyperopt._distances else "reference"] += 1
+        return upper_triangle(columns, block)
+
+    monkeypatch.setattr(hyperopt, "_upper_triangle", triangle)
     monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh, True))
     monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh, True))
     monkeypatch.setattr(cli, "adaptive_select", select)
@@ -646,21 +654,21 @@ def test_one_run_forms_tuning_inputs_once_and_scores_from_one_eigendecomposition
     assert cfg.seed == 0 and "adaptive" in cfg.modes
     cli.run_experiment(cfg)
     scores = len(cfg.kernels) * len(cfg.budgets)
-    assert counts == {"distances": 2, "reference": 1, "eigvalsh": 0, "eigh": scores}, counts
+    assert counts == {"distances": 1, "reference": 1, "eigvalsh": 0, "eigh": scores}, counts
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_optimize_rejects_non_finite_reference_before_scoring(monkeypatch):
     # distances stay finite, but each column's squared norm overflows
     ens = ensemble_from(1e160 * np.array([[1.0, 1.0 + 1e-9, 1.0 + 2e-9]]))
-    assert np.isfinite(median_pairwise_distance(ens.outputs))
+    assert np.isfinite(_distances(ens.outputs, ens.outputs)).all()
 
     def never_scored(*args):
         raise AssertionError("an objective was scored")
 
     monkeypatch.setattr(hyperopt, "_objective", never_scored)
     for family in (KernelFamily.LINEAR, KernelFamily.EXPONENTIAL):
-        cfg = config_for(ens, family)
+        cfg = ObjectiveConfig(lam=0.1, family=family, bounds=default_bounds(family, 1.0))
         with pytest.raises(ArithmeticError, match="non-finite"):
             optimize_hyperparams(family, TuningTable(ens.outputs), cfg, PsoConfig())
 
@@ -679,7 +687,7 @@ def test_default_bounds_scale_with_median_distance():
     cols = np.array([[0.0, 3.0, 0.0], [0.0, 0.0, 4.0]])
     dbar = np.median([3.0, 4.0, 5.0])
     for family in (KernelFamily.EXPONENTIAL, KernelFamily.RATIONAL_QUADRATIC):
-        bounds = default_bounds(family, median_pairwise_distance(cols))
+        bounds = default_bounds(family, TuningTable(cols).dbar)
         assert len(bounds) == {KernelFamily.EXPONENTIAL: 1, KernelFamily.RATIONAL_QUADRATIC: 2}[family]
         for lo, hi in bounds:
             assert lo == pytest.approx(1e-3 * dbar, rel=1e-12)
@@ -687,13 +695,16 @@ def test_default_bounds_scale_with_median_distance():
 
 
 def test_median_pairwise_distance_degenerate_cases():
-    assert median_pairwise_distance(np.array([[1.0]])) == 1.0
+    assert TuningTable(np.array([[1.0]])).dbar == 1.0
     same = np.column_stack([[1.0, 2.0]] * 3)
-    assert median_pairwise_distance(same) == 1.0
+    assert TuningTable(same).dbar == 1.0
     two = np.array([[0.0, 3.0]])
-    assert median_pairwise_distance(two) == 3.0
+    assert TuningTable(two).dbar == 3.0
     with pytest.raises(ArithmeticError, match="non-finite"):
-        median_pairwise_distance(np.array([[-1e200, 1e200]]))
+        TuningTable(np.array([[-1e200, 1e200]]))
+    # the reference (-1e308 off the diagonal) is finite; the distance overflows
+    with pytest.raises(ArithmeticError, match="distances are non-finite"):
+        TuningTable(np.array([[-1e154, 1e154]]))
 
 
 def whole_matrix_median(columns):
@@ -709,22 +720,28 @@ def test_median_pairwise_distance_in_row_blocks_matches_whole_matrix(monkeypatch
     monkeypatch.setattr(hyperopt, "_BLOCK_DOUBLES", 12)
     rng = np.random.default_rng(n * 10 + dim)
     cols = rng.normal(size=(dim, n)) * 10.0 ** rng.uniform(-3, 3, size=(dim, n))
-    assert median_pairwise_distance(cols) == whole_matrix_median(cols)
+    assert TuningTable(cols).dbar == whole_matrix_median(cols)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 9, 202])
 def test_upper_distances_match_the_dense_loop_bit_for_bit(monkeypatch, d):
     # (n, doubles per row block): one block at n = 2, 3 and 40; rows of
     # one at n = 3, whose last block is a lone entry; at n = 11 rows of 3,
-    # whose last block meets one column, and at n = 12 rows of 3 again
+    # whose last block meets one column, and at n = 12 rows of 3 again.
+    # The table's reference, packed the same way, is the whole-matrix
+    # linear block, which is exactly symmetric.
     rng = np.random.default_rng(d)
     for n, block in [(2, 2**16), (3, 2**16), (3, 3), (11, 33), (12, 36), (40, 2**16)]:
         monkeypatch.setattr(hyperopt, "_BLOCK_DOUBLES", block)
         cols = rng.normal(size=(d, n)) * 10.0 ** rng.uniform(-3, 3, size=(d, n))
-        upper = hyperopt._upper_distances(cols)
+        upper = hyperopt._upper_triangle(cols, _distances)
         assert upper[0] == 0.0 and upper.shape == (n * (n - 1) // 2 + 1,)
         want = oracles.distance_block_dense(cols, cols)[np.triu_indices(n, k=1)]
         np.testing.assert_array_equal(upper[1:], want)
+        table, ref = TuningTable(cols), _kernel_block(LINEAR, cols, cols)
+        np.testing.assert_array_equal(ref, ref.T)
+        np.testing.assert_array_equal(table.ref_upper, ref[np.triu_indices(n, k=1)])
+        np.testing.assert_array_equal(table.ref_diag, np.diagonal(ref))
 
 
 def test_median_pairwise_distance_pins_the_canonical_configs():
@@ -738,21 +755,23 @@ def test_median_pairwise_distance_pins_the_canonical_configs():
     }
     for pinned, spec in specs.items():
         lf, _ = generate(spec)
-        assert median_pairwise_distance(lf.outputs).hex() == pinned, spec
+        assert TuningTable(lf.outputs).dbar.hex() == pinned, spec
 
 
 def test_median_pairwise_distance_holds_the_upper_triangle_once():
-    # the N x N matrix, its triu_indices and a copy of the upper values
-    # peaked at 5x the 16 MB of upper values at N = 2000
+    # the table holds two packed triangles, distances and reference, and
+    # the median partitions a copy of the distances: 3.07 triangles of
+    # 16 MB at N = 2000. The N x N reference and the mask that packed it
+    # peaked at 4.07.
     n = 2000
     cols = np.random.default_rng(35).normal(size=(2, n))
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        dbar = median_pairwise_distance(cols)
+        dbar = TuningTable(cols).dbar
         transient = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
     upper_bytes = n * (n - 1) // 2 * 8
-    assert transient <= 1.3 * upper_bytes, transient / upper_bytes
+    assert transient <= 3.2 * upper_bytes, transient / upper_bytes
     assert dbar == whole_matrix_median(cols)

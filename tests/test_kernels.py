@@ -15,7 +15,6 @@ from bifidelity.kernels import (
     _distances,
     _kernel_block,
     cross_kernel_vector,
-    gramian_entries,
     radial_profile,
 )
 
@@ -69,7 +68,8 @@ def test_matern32_zero_distance_is_one():
 
 
 def test_gramian_single_column_linear():
-    G = gramian_entries(KernelSpec(family=KernelFamily.LINEAR), ensemble_from([[2.0]]).outputs)
+    X = ensemble_from([[2.0]]).outputs
+    G = _kernel_block(KernelSpec(family=KernelFamily.LINEAR), X, X)
     assert G.shape == (1, 1)
     assert G[0, 0] == 4.0
 
@@ -85,14 +85,15 @@ def test_gramian_single_column_linear():
 )
 def test_gramian_identical_columns_all_ones(family):
     ens = ensemble_from(np.column_stack([[1.0, -2.0], [1.0, -2.0]]))
-    G = gramian_entries(make_spec(family), ens.outputs)
+    G = _kernel_block(make_spec(family), ens.outputs, ens.outputs)
     assert np.array_equal(G, np.ones((2, 2)))
 
 
 def test_gramian_squared_exponential_two_points():
     # columns at distance 1, h1 = 0.5: off-diagonal exp(-1/(2*0.5)) = e^{-1}
     ens = ensemble_from([[0.0, 1.0]])
-    G = gramian_entries(KernelSpec(family=KernelFamily.SQUARED_EXPONENTIAL, h=(0.5,)), ens.outputs)
+    spec = KernelSpec(family=KernelFamily.SQUARED_EXPONENTIAL, h=(0.5,))
+    G = _kernel_block(spec, ens.outputs, ens.outputs)
     expected = np.array([[1.0, math.exp(-1)], [math.exp(-1), 1.0]])
     np.testing.assert_allclose(G, expected, rtol=1e-15)
 
@@ -187,7 +188,7 @@ def test_linear_and_squared_exponential_gramians_psd():
             KernelSpec(family=KernelFamily.LINEAR),
             KernelSpec(family=KernelFamily.SQUARED_EXPONENTIAL, h=(1.0,)),
         ):
-            w = np.linalg.eigvalsh(gramian_entries(spec, ens.outputs))
+            w = np.linalg.eigvalsh(_kernel_block(spec, ens.outputs, ens.outputs))
             assert w[0] >= -1e-10 * max(w[-1], 0.0)
 
 

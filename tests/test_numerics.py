@@ -14,13 +14,12 @@ from bifidelity.numerics import (
     spectral_norm,
 )
 from bifidelity.data import SnapshotEnsemble
-from bifidelity.hyperopt import default_bounds, median_pairwise_distance
+from bifidelity.hyperopt import TuningTable, default_bounds
 from bifidelity.kernels import (
     KernelFamily,
     KernelSpec,
     _kernel_block,
     _kernel_diagonal,
-    gramian_entries,
 )
 from bifidelity.surrogate import build_surrogate
 
@@ -222,8 +221,8 @@ def test_stable_rank_of_indefinite_compact_gramian_matches_svd_oracle():
 def test_stable_rank_of_near_identity_matern_gramian_matches_svd_oracle():
     # h at the lower edge of the tuning box gives a Gramian within ~1e-12 of I
     cols = np.random.default_rng(0).normal(size=(2, 40))
-    h_lo = default_bounds(KernelFamily.MATERN32, median_pairwise_distance(cols))[0][0]
-    G = gramian_entries(KernelSpec(family=KernelFamily.MATERN32, h=(h_lo,)), cols)
+    h_lo = default_bounds(KernelFamily.MATERN32, TuningTable(cols).dbar)[0][0]
+    G = _kernel_block(KernelSpec(family=KernelFamily.MATERN32, h=(h_lo,)), cols, cols)
     assert np.max(np.abs(G - np.eye(40))) < 1e-9
     assert spectral_norm(G) == pytest.approx(oracles.spectral_norm_svd(G), rel=1e-12)
 
@@ -239,7 +238,7 @@ def test_slice_gramian_entries_exact():
     )
     spec = KernelSpec(family=KernelFamily.MATERN52, h=(1.1,))
     surr = build_surrogate(lf, spec, 4, lambda j: np.ones(2))
-    G = gramian_entries(spec, lf.outputs)
+    G = _kernel_block(spec, lf.outputs, lf.outputs)
     assert np.array_equal(surr.sliced, G[np.ix_(surr.pivots, surr.pivots)])
     assert not surr.sliced.flags.writeable
 
