@@ -37,10 +37,12 @@ from .numerics import NumericsError
 from .selection import SelectionReport, adaptive_select
 from .surrogate import (
     HfProviderError,
+    PivotPlan,
     build_surrogate,
     effective_cost,
     evaluate,
     median_relative_error,
+    pivot_plan,
     surrogate_from_dict,
     surrogate_to_dict,
 )
@@ -376,6 +378,8 @@ def run_experiment(cfg: ExperimentConfig, parallel: bool = False, header: bool =
 
     trace: list = []
     optimized = []
+    # one pivot plan per distinct kernel, to the largest budget, for every budget
+    plans: dict[KernelSpec, PivotPlan] = {}
     hyper_evals = 0
     adaptive_reports: dict[int, SelectionReport] = {}
     if "adaptive" in cfg.modes:
@@ -386,8 +390,9 @@ def run_experiment(cfg: ExperimentConfig, parallel: bool = False, header: bool =
             optimized.append(optimize_hyperparams(fam, table, obj_cfg, pso_cfg))
         del table  # its packed triangles, before selection
         hyper_evals = sum(ok.evaluations_used for ok in optimized)
+        plans = {ok.spec: pivot_plan(lf, ok.spec, max(cfg.budgets)) for ok in optimized}
         for n in cfg.budgets:
-            adaptive_reports[n] = adaptive_select(optimized, lf, n, cfg.rcond)
+            adaptive_reports[n] = adaptive_select(optimized, lf, n, cfg.rcond, plans)
 
     selection_doc: dict = {"hyperparameters": [
         {
@@ -414,6 +419,14 @@ def run_experiment(cfg: ExperimentConfig, parallel: bool = False, header: bool =
             return KernelSpec(family=KernelFamily.LINEAR)
         return specs_by_family[adaptive_reports[n].chosen_family]
 
+    cells = [(mode, n) for mode in cfg.modes for n in cfg.budgets]
+    # past selection a cell needs only its pivots and their block; every
+    # plan is formed before any cell starts
+    plans = {
+        kernel: (plans.get(kernel) or pivot_plan(lf, kernel, max(cfg.budgets))).trimmed()
+        for kernel in dict.fromkeys(cell_kernel(*c) for c in cells)
+    }
+
     def run_cell(mode: str, n: int):
         local: list = []
 
@@ -421,7 +434,8 @@ def run_experiment(cfg: ExperimentConfig, parallel: bool = False, header: bool =
             local.append(("hf_access", f"{mode}:{n}", int(index)))
             return hf.column(index)
 
-        surr = build_surrogate(lf, cell_kernel(mode, n), n, provider, cfg.rcond)
+        kernel = cell_kernel(mode, n)
+        surr = build_surrogate(lf, kernel, n, provider, cfg.rcond, plans[kernel])
         if len(local) != n:
             raise RuntimeError(f"provider drew {len(local)} columns, expected {n}")
         err = median_relative_error(surr, hf, lf)
@@ -439,7 +453,6 @@ def run_experiment(cfg: ExperimentConfig, parallel: bool = False, header: bool =
         }
         return row, surrogate_to_dict(surr), local
 
-    cells = [(mode, n) for mode in cfg.modes for n in cfg.budgets]
     if parallel:
         with ThreadPoolExecutor() as pool:
             outcomes = list(pool.map(lambda c: run_cell(*c), cells))

@@ -9,7 +9,8 @@ Gramian is the reference, so it scores the stability term alone.
 
 Every family of a run reads one ``TuningTable``, the packed strict upper
 triangles of the LF distances and of the reference, each collected in one
-pass over row blocks; no N x N matrix is formed for either. One formula,
+pass over row blocks; no N x N matrix is formed for either. Every
+profile is written into the table's one buffer. One formula,
 ``TuningTable.terms``, gives the fit and ||K||_F in one fixed summation
 order, and ``_objective`` adds the penalty, with ||K||_2 from one
 eigensolve. The swarm only compares scores, so each point is first
@@ -201,6 +202,11 @@ class _Memoized:
         return float(self.score(x))
 
 
+def _squares(v: np.ndarray) -> float:
+    """The sum of ``v``'s squares, in one fixed order that no BLAS thread count changes."""
+    return float(np.einsum("i,i->", v, v))
+
+
 class TuningTable:
     """Tuning's inputs, formed once from the LF columns ``X`` and shared by every family.
 
@@ -214,9 +220,15 @@ class TuningTable:
     off-diagonal entry once. ``dbar``, the scale of the search box, is the
     median distance between distinct columns: 1.0 for N < 2 or a zero
     median, and a non-finite distance raises ArithmeticError.
+
+    ``profile`` writes a radial kernel's values on ``dists`` into the
+    table's one buffer ``values``, with the zero distances set from their
+    precomputed index ``zeros``, and ``terms`` takes its fit difference in
+    that buffer too. So a profile is read only until the next ``profile``
+    or ``terms`` call, and the table is not for concurrent use.
     """
 
-    __slots__ = ("n", "dists", "ref_upper", "ref_diag", "dbar")
+    __slots__ = ("n", "dists", "zeros", "ref_upper", "ref_diag", "dbar", "values", "_diagonal")
 
     def __init__(self, X: np.ndarray):
         linear = KernelSpec(family=KernelFamily.LINEAR)
@@ -231,6 +243,13 @@ class TuningTable:
             raise ArithmeticError("pairwise column distances are non-finite")
         med = float(np.median(upper)) if upper.size else 1.0
         self.dbar = med if med > 0 else 1.0
+        self.zeros = np.flatnonzero(self.dists == 0.0)
+        self.values = np.empty_like(self.dists)
+        self._diagonal: dict[float, tuple[float, float]] = {}
+
+    def profile(self, spec: KernelSpec) -> np.ndarray:
+        """``radial_profile(spec, dists)``, written into ``values``."""
+        return radial_profile(spec, self.dists, out=self.values, zeros=self.zeros)
 
     def gramian(self, diag, off: np.ndarray) -> np.ndarray:
         """The symmetric matrix with diagonal ``diag`` (one value or N) and strict upper triangle ``off``."""
@@ -244,32 +263,47 @@ class TuningTable:
     def terms(self, diag, off: np.ndarray) -> tuple[float, float]:
         """(||ref - K||_F, ||K||_F^2) for K = ``gramian(diag, off)``: each strict
         upper square counts twice and each diagonal one once, summed by
-        ``np.einsum`` in one fixed order that no BLAS thread count changes."""
-        squares = lambda v: float(np.einsum("i,i->", v, v))
-        diag = np.full(self.n, diag)
-        fit = math.sqrt(2.0 * squares(self.ref_upper - off) + squares(self.ref_diag - diag))
-        return fit, 2.0 * squares(off) + squares(diag)
+        ``_squares``. The difference ref - off is taken in ``values``, which
+        spends a profile held there; the diagonal's two sums are formed once
+        per diagonal value (every radial family's is 1)."""
+        off_squares = _squares(off)
+        fit_squares = _squares(np.subtract(self.ref_upper, off, out=self.values[1:]))
+        ref_squares, diag_squares = self._diagonal_sums(diag)
+        return math.sqrt(2.0 * fit_squares + ref_squares), 2.0 * off_squares + diag_squares
+
+    def _diagonal_sums(self, diag) -> tuple[float, float]:
+        """(||ref_diag - diag||^2, ||diag||^2), kept for a diagonal of one value."""
+        key = None if isinstance(diag, np.ndarray) else float(diag)
+        if key not in self._diagonal:
+            full = np.full(self.n, diag)
+            sums = _squares(self.ref_diag - full), _squares(full)
+            if key is None or key != key:  # an array, or NaN, is never looked up again
+                return sums
+            self._diagonal[key] = sums
+        return self._diagonal[key]
 
 
 def _objective(cfg: ObjectiveConfig, tri: TuningTable, diag, off: np.ndarray) -> float:
     """The objective of ``tri.gramian(diag, off)``, unpacked only for the
-    penalty's ||K||_2 where lam > 0; any numerical failure is inf."""
+    penalty's ||K||_2 where lam > 0, and before ``tri.terms`` spends the
+    profile; any numerical failure is inf."""
+    K = tri.gramian(diag, off) if cfg.lam != 0.0 else None
     fit, fro2 = tri.terms(diag, off)
     if not fro2 < math.inf:  # a non-finite entry, or squares that overflow
         return math.inf
-    if cfg.lam == 0.0:
+    if K is None:
         return fit
     try:
-        sigma = spectral_norm(tri.gramian(diag, off))
+        sigma = spectral_norm(K)
         return fit + cfg.lam / math.sqrt(fro2 / sigma**2)
     except (NumericsError, ValueError, ArithmeticError):
         return math.inf
 
 
 def _profile(cfg: ObjectiveConfig, h, tri: TuningTable) -> np.ndarray | None:
-    """The kernel at ``h`` on the packed distances; None where h names no kernel."""
+    """The kernel at ``h`` on the packed distances, in ``tri.values``; None where h names no kernel."""
     try:
-        return radial_profile(_spec_for(cfg, h), tri.dists)
+        return tri.profile(_spec_for(cfg, h))
     except ValueError:
         return None
 

@@ -66,7 +66,7 @@ class KernelSpec:
         object.__setattr__(self, "h", h)
 
 
-def radial_profile(spec: KernelSpec, r) -> np.ndarray:
+def radial_profile(spec: KernelSpec, r, out=None, zeros=None) -> np.ndarray:
     """Kernel value as a function of distance, vectorized over ``r``.
 
     Undefined for the linear family, which is not radial. Every radial
@@ -77,32 +77,64 @@ def radial_profile(spec: KernelSpec, r) -> np.ndarray:
     true value there is below 2^-1076.9, which pow rounds to 0 anyway, and
     an underflowing pow is the slow one. The skip applies while
     746.5 / h2 < 709, so that the threshold stays finite.
+
+    The values are written into ``out``, a float array of r's shape that
+    does not overlap ``r``, or a new one, and returned; each family takes
+    its formula's operations in one order, so both give the same bits.
+    ``zeros``, where given, holds the flat indices of r's exact zeros, so
+    that they are not searched for again.
     """
     r = np.asarray(r, dtype=float)
+    if out is None:
+        out = np.empty(r.shape)
     fam = spec.family
     h = spec.h
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-        if fam == KernelFamily.EXPONENTIAL:
-            out = np.exp(-r / h[0])
-        elif fam == KernelFamily.SQUARED_EXPONENTIAL:
-            out = np.exp(-(r**2) / (2.0 * h[0]))
-        elif fam == KernelFamily.RATIONAL_QUADRATIC:
+        if fam == KernelFamily.EXPONENTIAL:  # exp(-r / h)
+            np.negative(r, out=out)
+            np.divide(out, h[0], out=out)
+            np.exp(out, out=out)
+        elif fam == KernelFamily.SQUARED_EXPONENTIAL:  # exp(-(r^2) / (2 h))
+            np.square(r, out=out)
+            np.negative(out, out=out)
+            np.divide(out, 2.0 * h[0], out=out)
+            np.exp(out, out=out)
+        elif fam == KernelFamily.RATIONAL_QUADRATIC:  # (1 + r^2 / (2 h1^2 h2))^-h2
             h1, h2 = h
-            base = 1.0 + r**2 / (2.0 * h1**2 * h2)
+            np.square(r, out=out)
+            np.divide(out, 2.0 * h1**2 * h2, out=out)
+            np.add(1.0, out, out=out)
             if 746.5 / h2 < 709.0:
-                keep = ~(base > math.exp(746.5 / h2) * (1.0 + 1e-9))  # a NaN base is kept
-                out = np.power(base, -h2, out=np.zeros_like(base), where=keep)
+                skip = out > math.exp(746.5 / h2) * (1.0 + 1e-9)  # a NaN base is kept
+                np.power(out, -h2, out=out, where=~skip)
+                np.copyto(out, 0.0, where=skip)
             else:
-                out = base ** (-h2)
-        elif fam == KernelFamily.MATERN32:
-            s = np.sqrt(3.0) * r / h[0]
-            out = (1.0 + s) * np.exp(-s)
-        elif fam == KernelFamily.MATERN52:
-            s = np.sqrt(5.0) * r / h[0]
-            out = (1.0 + s + 5.0 * r**2 / (3.0 * h[0] ** 2)) * np.exp(-s)
+                out **= -h2  # the operator's own path, as for h2 = 1
+        elif fam == KernelFamily.MATERN32:  # s = sqrt(3) r / h: (1 + s) exp(-s)
+            np.multiply(np.sqrt(3.0), r, out=out)
+            np.divide(out, h[0], out=out)
+            decay = np.negative(out)
+            np.exp(decay, out=decay)
+            np.add(1.0, out, out=out)
+            np.multiply(out, decay, out=out)
+        elif fam == KernelFamily.MATERN52:  # s = sqrt(5) r / h: (1 + s + 5 r^2 / (3 h^2)) exp(-s)
+            np.multiply(np.sqrt(5.0), r, out=out)
+            np.divide(out, h[0], out=out)
+            decay = np.negative(out)
+            np.exp(decay, out=decay)
+            np.add(1.0, out, out=out)
+            square = np.square(r)
+            np.multiply(square, 5.0, out=square)
+            np.divide(square, 3.0 * h[0] ** 2, out=square)
+            np.add(out, square, out=out)
+            np.multiply(out, decay, out=out)
         else:
             raise ValueError(f"{fam.name} is not a radial family")
-    return np.where(r == 0.0, 1.0, out)
+    if zeros is None:
+        np.copyto(out, 1.0, where=r == 0.0)
+    else:
+        np.put(out, zeros, 1.0)
+    return out
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -124,8 +156,11 @@ def _kernel_block(kernel: KernelSpec, a, b) -> np.ndarray:
     """K[i, j] = k(a[:, i], b[:, j]).
 
     A linear block sums each entry in one fixed order (einsum, not BLAS),
-    so an entry does not depend on the block it is evaluated in, and a
-    block of columns against themselves is exactly symmetric.
+    so over row-major operands an entry does not depend on the block it
+    is evaluated in, and a block of columns against themselves is exactly
+    symmetric. Over column-major operands, as fancy indexing of a
+    row-major array gives, einsum adds more than 2 products, and
+    ``_distances`` more than 7 squares, in another order.
     """
     if kernel.family == KernelFamily.LINEAR:
         return np.einsum("ki,kj->ij", a, b)

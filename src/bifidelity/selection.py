@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import SnapshotEnsemble
-from .kernels import KernelFamily, KernelSpec
-from .numerics import MatrixNotPSDError, ZeroGramianError, lower_median
-from .surrogate import build_surrogate, evaluate
+from .kernels import KernelFamily
+from .numerics import MatrixNotPSDError, ZeroGramianError, apply_regularized, lower_median
+from .surrogate import PivotPlan, build_surrogate, pivot_plan
 
 __all__ = [
     "SelectionReport",
@@ -56,6 +56,7 @@ def adaptive_select(
     lf_ensemble: SnapshotEnsemble,
     n: int,
     rcond: float = 1e-12,
+    plans=None,
 ) -> SelectionReport:
     """Score each family by low-fidelity self-emulation at budget ``n``.
 
@@ -65,12 +66,15 @@ def adaptive_select(
     median of the residual norms. The family with the smallest score
     wins; ties go to the lowest family index.
 
-    A family whose sliced Gramian is degenerate, meaning its numerical
-    rank under ``rcond`` falls short of ``n``, scores +inf. This is what
-    disqualifies the linear kernel whenever the low-fidelity output
-    dimension is below the budget: its Gramian cannot support n pivots,
-    so it cannot claim the win by reconstructing columns that already
-    lie inside a too-small span.
+    ``plans`` maps a tuned spec to its ``pivot_plan`` on ``lf_ensemble``,
+    formed once for every budget; a spec without one is pivoted here, to
+    n steps. A family whose pivoting failed at a step below n, or whose
+    sliced Gramian is degenerate, meaning its numerical rank under
+    ``rcond`` falls short of ``n``, scores +inf. This is what disqualifies
+    the linear kernel whenever the low-fidelity output dimension is below
+    the budget: its Gramian cannot support n pivots, so it cannot claim
+    the win by reconstructing columns that already lie inside a too-small
+    span.
     """
     optimized = sorted(optimized, key=lambda ok: int(ok.spec.family))
     if not optimized:
@@ -78,29 +82,35 @@ def adaptive_select(
     N = lf_ensemble.n_samples
     if not 1 <= n < N:
         raise ValueError(f"budget n must satisfy 1 <= n < {N}, got {n}")
+    plans = plans or {}
 
-    scores = {
-        ok.spec.family: _self_emulation_score(ok.spec, lf_ensemble, n, rcond)
-        for ok in optimized
-    }
+    scores = {}
+    for ok in optimized:
+        plan = plans.get(ok.spec) or pivot_plan(lf_ensemble, ok.spec, n)
+        scores[ok.spec.family] = _self_emulation_score(plan, lf_ensemble, n, rcond)
     return SelectionReport(per_kernel_epsilon=scores, n_used=n)
 
 
-def _self_emulation_score(spec: KernelSpec, lf: SnapshotEnsemble, n: int, rcond: float) -> float:
+def _self_emulation_score(plan: PivotPlan, lf: SnapshotEnsemble, n: int, rcond: float) -> float:
     """Lower-median residual of a budget-n emulator of ``lf`` on its own
     held-out columns; +inf when the family cannot support n pivots.
 
     The surrogate's one factorization of the sliced Gramian gives both the
-    numerical rank under ``rcond`` and the solve ``evaluate`` makes.
+    numerical rank under ``rcond`` and the solve. The right-hand sides are
+    the plan's kernel columns at the held-out samples: the values
+    ``evaluate`` forms from the pivots' LF columns, bit for bit where the
+    sums do not depend on operand layout (see ``kernels._kernel_block``).
     """
     try:
         # the low-fidelity model is its own high-fidelity provider
-        surr = build_surrogate(lf, spec, n, lf.column, rcond)
+        surr = build_surrogate(lf, plan.kernel, n, lf.column, rcond, plan)
     except (MatrixNotPSDError, ZeroGramianError):
         return math.inf
     if surr.factor[1].size < n:
         return math.inf
     others = np.setdiff1d(np.arange(lf.n_samples), surr.pivots)
-    preds = evaluate(surr, lf.outputs[:, others])
+    # row-major, as evaluate's block: for another layout BLAS may sum in another order
+    rhs = plan.columns[:n].take(others, axis=1)
+    preds = surr.hf_snapshots @ apply_regularized(surr.factor, rhs)
     resid = np.linalg.norm(lf.outputs[:, others] - preds, axis=0)
     return lower_median(resid) if np.all(np.isfinite(resid)) else math.inf

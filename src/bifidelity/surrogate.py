@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import base64
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .kernels import (
     cross_kernel_vector,
 )
 from .numerics import (
+    MatrixNotPSDError,
     apply_regularized,
     lower_median,
     pivoted_cholesky_columns,
@@ -35,6 +36,8 @@ __all__ = [
     "CostLedger",
     "ErrorReport",
     "HfProviderError",
+    "PivotPlan",
+    "pivot_plan",
     "build_surrogate",
     "evaluate",
     "median_relative_error",
@@ -93,6 +96,9 @@ class Surrogate:
                 raise ValueError(f"{name} must be finite")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        # the eigensolver reads one triangle, so an asymmetric block would solve silently
+        if not np.array_equal(sliced, sliced.T):
+            raise ValueError("sliced Gramian must be exactly symmetric")
         object.__setattr__(self, "pivots", pivots)
         object.__setattr__(self, "factor", regularized_factor(sliced, self.rcond))
 
@@ -137,23 +143,112 @@ def effective_cost(
     )
 
 
+@dataclass(frozen=True, eq=False)
+class PivotPlan:
+    """One kernel's pivots on one LF ensemble, for every budget up to ``steps``.
+
+    Greedy pivoting runs once, to ``steps``: a greedy pivoted Cholesky's
+    first n pivots are the ones it picks when asked for n (Harbrecht,
+    Peters & Schneider, 2012), and it stops early at the same effective
+    rank whatever it is asked for. So ``pivots[:n]`` are the budget-n
+    pivots, with the lowest unused sample indices filling the budget after
+    an early stop, in ascending order.
+
+    When pivoting raised MatrixNotPSDError at step ``failed_at``,
+    ``pivots`` holds the ``failed_at`` pivots chosen before it, and a
+    budget above ``failed_at`` raises that error again (``failure`` is its
+    message); every smaller budget is unaffected.
+
+    ``block`` is the Gramian over ``pivots``, in pivot order, so a
+    budget's sliced Gramian is its leading n x n block. ``columns`` holds
+    the kernel column of each pivot, one N-long row per pivot, until
+    ``trimmed`` drops it.
+    """
+
+    kernel: KernelSpec
+    steps: int
+    pivots: tuple[int, ...]
+    block: np.ndarray
+    columns: np.ndarray | None
+    failure: str | None = None
+
+    @property
+    def failed_at(self) -> int | None:
+        return None if self.failure is None else len(self.pivots)
+
+    def pivots_for(self, n: int) -> tuple[int, ...]:
+        """The budget-n pivots; MatrixNotPSDError where pivoting failed before step n."""
+        if not 1 <= n <= self.steps:
+            raise ValueError(f"budget n must be in [1, {self.steps}] for this plan, got {n}")
+        if n > len(self.pivots):
+            raise MatrixNotPSDError(self.failure)
+        return self.pivots[:n]
+
+    def trimmed(self) -> PivotPlan:
+        """The plan without its kernel columns: the pivots and their block."""
+        return replace(self, columns=None)
+
+
+def pivot_plan(lf: SnapshotEnsemble, kernel: KernelSpec, steps: int) -> PivotPlan:
+    """Pivot ``kernel`` on ``lf`` once, to ``steps`` pivots, for every budget up to it.
+
+    Pivoting reads the kernel diagonal and one kernel column per pivot,
+    so no N x N Gramian is formed: the plan holds ``steps`` columns of
+    length N. A non-finite value among those raises ArithmeticError.
+    """
+    N = lf.n_samples
+    if not 1 <= steps <= N:
+        raise ValueError(f"budget n must be in [1, {N}], got {steps}")
+    X = lf.outputs
+    diagonal = _kernel_diagonal(kernel, X)
+    if not np.all(np.isfinite(diagonal)):
+        raise ArithmeticError(f"kernel diagonal is non-finite for {kernel}")
+    columns = np.empty((steps, N))
+    pivots: list[int] = []
+
+    # pivoting asks for each pivot's column once, in pivot order
+    def column(p: int) -> np.ndarray:
+        col = _kernel_block(kernel, X, X[:, [p]])[:, 0]
+        if not np.all(np.isfinite(col)):
+            raise ArithmeticError(f"kernel column {p} is non-finite for {kernel}")
+        columns[len(pivots)] = col
+        pivots.append(p)
+        return col
+
+    failure = None
+    try:
+        pivoted_cholesky_columns(diagonal, column, steps)
+    except MatrixNotPSDError as exc:
+        failure = str(exc)
+    else:
+        for p in np.setdiff1d(np.arange(N), pivots)[: steps - len(pivots)]:
+            column(int(p))
+    columns = columns[: len(pivots)]
+    # entry (i, j) is column j at pivot i
+    block = np.ascontiguousarray(columns[:, pivots].T)
+    return PivotPlan(kernel=kernel, steps=steps, pivots=tuple(pivots), block=block,
+                     columns=columns, failure=failure)
+
+
 def build_surrogate(
     lf: SnapshotEnsemble,
     kernel: KernelSpec,
     n: int,
     hf_provider,
     rcond: float = 1e-12,
+    plan: PivotPlan | None = None,
 ) -> Surrogate:
     """Select n pivots from low-fidelity data and draw their HF columns.
 
     ``hf_provider`` maps a sample index to its high-fidelity output
     column and is called exactly n times, once per pivot in pivot order.
 
-    Pivoting reads the kernel diagonal and one kernel column per pivot,
-    so no N x N Gramian is formed. A non-finite value among those raises
-    ArithmeticError. When pivoting stops early, at an effective rank
-    below n, the lowest unused sample indices fill the budget in
-    ascending order.
+    The pivots and the sliced Gramian come from ``plan``, a ``pivot_plan``
+    of ``kernel`` on ``lf`` to at least n steps, or from one formed here
+    to n steps. Either way no N x N Gramian is formed, a non-finite
+    kernel value raises ArithmeticError, and an early stop at an
+    effective rank below n fills the budget with the lowest unused sample
+    indices in ascending order.
 
     Parameters
     ----------
@@ -167,29 +262,17 @@ def build_surrogate(
         Index -> HF column callback.
     rcond : float
         Relative eigenvalue cutoff for the training solve.
+    plan : PivotPlan, optional
+        The kernel's pivots on ``lf``, shared by every budget.
     """
     N = lf.n_samples
     if not 1 <= n <= N:
         raise ValueError(f"budget n must be in [1, {N}], got {n}")
-    X = lf.outputs
-    diagonal = _kernel_diagonal(kernel, X)
-    if not np.all(np.isfinite(diagonal)):
-        raise ArithmeticError(f"kernel diagonal is non-finite for {kernel}")
-    kernel_columns: dict[int, np.ndarray] = {}
-
-    def column(p: int) -> np.ndarray:
-        if p not in kernel_columns:
-            col = _kernel_block(kernel, X, X[:, [p]])[:, 0]
-            if not np.all(np.isfinite(col)):
-                raise ArithmeticError(f"kernel column {p} is non-finite for {kernel}")
-            kernel_columns[p] = col
-        return kernel_columns[p]
-
-    pivots = list(pivoted_cholesky_columns(diagonal, column, n))
-    unused = np.setdiff1d(np.arange(N), pivots)
-    pivots += [int(i) for i in unused[: n - len(pivots)]]
-    # pivots appended after an early stop fetch their columns here
-    sliced = np.column_stack([column(p)[pivots] for p in pivots])
+    if plan is None:
+        plan = pivot_plan(lf, kernel, n)
+    elif plan.kernel != kernel:
+        raise ValueError(f"pivot plan is for {plan.kernel}, not {kernel}")
+    pivots = plan.pivots_for(n)
 
     columns = []
     for idx in pivots:
@@ -210,8 +293,8 @@ def build_surrogate(
         kernel=kernel,
         pivots=pivots,
         hf_snapshots=np.column_stack(columns),
-        sliced=sliced,
-        pivot_lf_columns=lf.outputs[:, pivots],
+        sliced=plan.block[:n, :n],
+        pivot_lf_columns=lf.outputs[:, list(pivots)],
         rcond=float(rcond),
     )
 

@@ -22,7 +22,7 @@ from bifidelity.hyperopt import (
     pso_minimize,
     refine_local,
 )
-from bifidelity.kernels import KernelFamily, KernelSpec, _distances, _kernel_block, radial_profile
+from bifidelity.kernels import HYPER_DIMS, KernelFamily, KernelSpec, _distances, _kernel_block, radial_profile
 
 import oracles
 
@@ -254,7 +254,7 @@ def test_gramians_without_a_bracket_are_scored_exactly(monkeypatch, cand):
     # a profile that maps the distances (0 on the diagonal, 1 off it) to
     # cand's entries
     table = np.array([cand[0, 0], cand[0, 1]])
-    profile = lambda spec, r: table[np.asarray(r).astype(int)]
+    profile = lambda spec, r, out=None, zeros=None: table[np.asarray(r).astype(int)]
     monkeypatch.setattr(hyperopt, "radial_profile", profile)
     monkeypatch.setattr(kernels, "radial_profile", profile)
     spec = KernelSpec(family=KernelFamily.EXPONENTIAL, h=(1.0,))
@@ -266,6 +266,29 @@ def test_gramians_without_a_bracket_are_scored_exactly(monkeypatch, cand):
     assert type(got) is float and got == oracles.objective_full(cfg, (1.0,), X)
     if np.all(np.isfinite(cand)) and cand.any():
         assert np.linalg.norm(cand, 2) > cand.sum(axis=1).max()
+
+
+def test_table_profiles_into_one_buffer_and_sums_each_diagonal_once(monkeypatch):
+    # every profile of a run is written into the table's one buffer, which
+    # terms then spends on ref - off; the radial diagonal (all 1) is summed
+    # once, however many profiles are scored
+    X = oscillator_lf(6, 19).outputs
+    tri = TuningTable(X)
+    sizes = []
+    squares = hyperopt._squares
+    monkeypatch.setattr(hyperopt, "_squares", lambda v: sizes.append(v.size) or squares(v))
+    for family in RADIAL_FAMILIES:
+        spec = KernelSpec(family=family, h=(tri.dbar,) * HYPER_DIMS[family])
+        values = tri.profile(spec)
+        assert values is tri.values
+        expected = radial_profile(spec, tri.dists)
+        np.testing.assert_array_equal(values, expected)
+        assert values[0] == 1.0
+        off = expected[1:]
+        fit = math.sqrt(2.0 * squares(tri.ref_upper - off) + squares(tri.ref_diag - np.ones(tri.n)))
+        assert tri.terms(values[0], values[1:]) == (fit, 2.0 * squares(off) + squares(np.ones(tri.n)))
+    triangle = tri.n * (tri.n - 1) // 2
+    assert sizes == [triangle, triangle, tri.n, tri.n] + [triangle, triangle] * (len(RADIAL_FAMILIES) - 1)
 
 
 def test_tuning_holds_three_gramians_at_most():

@@ -205,6 +205,17 @@ def bits(a):
     return np.asarray(a, dtype=float).view(np.int64)
 
 
+def assert_profiles_match(spec, r, expected):
+    """``radial_profile`` on ``r`` equals ``expected`` bit for bit, both into
+    a new array and written into a NaN-filled buffer, with the zero
+    distances searched for and given by their index."""
+    np.testing.assert_array_equal(bits(radial_profile(spec, r)), bits(expected))
+    for zeros in (None, np.flatnonzero(r == 0.0)):
+        out = np.full(r.shape, np.nan)
+        assert radial_profile(spec, r, out=out, zeros=zeros) is out
+        np.testing.assert_array_equal(bits(out), bits(expected))
+
+
 def test_radial_profile_matches_the_dense_formulas_bit_for_bit():
     # h over the whole tuning box [1e-3, 1e3] * dbar, on distances spread
     # over six decades, with zeros on the diagonal and between duplicates
@@ -212,14 +223,14 @@ def test_radial_profile_matches_the_dense_formulas_bit_for_bit():
     cols = rng.normal(size=(2, 60)) * 10.0 ** rng.uniform(-3, 3, 60)
     cols[:, 50:] = cols[:, :10]
     r = _distances(cols, cols)[np.triu_indices(60)]
+    assert np.count_nonzero(r == 0.0) == 60 + 10  # the diagonal, and 10 pairs of duplicates
     dbar = float(np.median(r[r > 0]))
     skipped = 0
     for family in RADIAL_FAMILIES:
         for _ in range(200):
             h = tuple(dbar * 10.0 ** rng.uniform(-3, 3, HYPER_DIMS[family]))
             spec = KernelSpec(family=family, h=h)
-            expected = oracles.radial_profile_dense(spec, r)
-            np.testing.assert_array_equal(bits(radial_profile(spec, r)), bits(expected))
+            assert_profiles_match(spec, r, oracles.radial_profile_dense(spec, r))
             if family == KernelFamily.RATIONAL_QUADRATIC:
                 with np.errstate(over="ignore"):
                     skipped += h[1] * np.log1p(r**2 / (2.0 * h[0] ** 2 * h[1])).max() > 746.5
@@ -236,7 +247,7 @@ def test_rational_quadratic_matches_the_dense_formula_at_its_underflow_threshold
     with np.errstate(over="ignore"):  # exp overflows where 740 / h2 > 709.78
         sweep = np.sqrt((np.exp(np.linspace(740.0, 750.0, 4001) / h2) - 1.0) * scale)
     profile = radial_profile(spec, sweep)
-    np.testing.assert_array_equal(bits(profile), bits(oracles.radial_profile_dense(spec, sweep)))
+    assert_profiles_match(spec, sweep, oracles.radial_profile_dense(spec, sweep))
     if 746.5 / h2 < 709.0:
         assert profile[0] > 0.0 and profile[-1] == 0.0
         # ulp steps of r around the threshold put the computed base on both sides
@@ -244,8 +255,7 @@ def test_rational_quadratic_matches_the_dense_formula_at_its_underflow_threshold
         near = math.sqrt((threshold - 1.0) * scale) * (1.0 + np.arange(-64, 65) * 2.0**-52)
         base = 1.0 + near**2 / scale
         assert (base > threshold).any() and (base <= threshold).any()
-        expected = oracles.radial_profile_dense(spec, near)
-        np.testing.assert_array_equal(bits(radial_profile(spec, near)), bits(expected))
+        assert_profiles_match(spec, near, oracles.radial_profile_dense(spec, near))
 
 
 # === distances ===

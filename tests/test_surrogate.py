@@ -4,12 +4,14 @@ import json
 import math
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bifidelity.bench import BenchmarkSpec, default_spec, gen_oscillator
 from bifidelity import data as data_module
+from bifidelity import cli
 from bifidelity.cli import _write_json, main
 from bifidelity.data import SnapshotEnsemble, column_blocks, label_groups, normalize_in_place
 from bifidelity.hyperopt import OptimizedKernel
@@ -30,6 +32,7 @@ from bifidelity.surrogate import (
     effective_cost,
     evaluate,
     median_relative_error,
+    pivot_plan,
     surrogate_from_dict,
     surrogate_to_dict,
 )
@@ -298,6 +301,113 @@ def test_build_not_psd_fails_only_past_the_failing_step(indefinite_kernel):
 
 def never_called(idx):
     raise AssertionError("high-fidelity provider called before the kernel checks")
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 9])
+def test_plan_prefix_is_every_budgets_greedy_pivots_and_block(dim):
+    # one plan to m steps gives, for every n <= m, the pivots pivoting to n
+    # steps gives and the dense Gramian's pivot block, bit for bit; below LF
+    # dimension 9 the linear kernel stops early at its rank and the rest is filled
+    m, N = 9, 14
+    cols = np.random.default_rng(20 + dim).normal(size=(dim, N))
+    lf = ensemble_from(cols)
+    for spec, name in ORACLE_KERNELS:
+        dense = _kernel_block(spec, cols, cols)
+        plan = pivot_plan(lf, spec, m)
+        assert plan.failed_at is None and len(plan.pivots) == m
+        if spec.family == KernelFamily.LINEAR and dim < m:
+            assert oracles.greedy_pivots(dense, m)[1] == dim  # the fill rule runs
+        for n in range(1, m + 1):
+            pivots = plan.pivots_for(n)
+            assert pivots == oracles.greedy_pivots(dense, n)[0][:n], f"{name} n={n}"
+            block = dense[np.ix_(pivots, pivots)]
+            np.testing.assert_array_equal(plan.block[:n, :n], block)
+            surr = build_surrogate(lf, spec, n, lambda j: np.ones(2), plan=plan)
+            assert surr.pivots == pivots
+            np.testing.assert_array_equal(surr.sliced, block)
+            assert surr.pivots == build_surrogate(lf, spec, n, lambda j: np.ones(2)).pivots
+        # the kernel columns the self-emulation reads, at every sample
+        np.testing.assert_array_equal(plan.columns, dense[list(plan.pivots)])
+        trimmed = plan.trimmed()
+        assert trimmed.columns is None and trimmed.block is plan.block
+
+
+def test_a_plan_serves_only_its_kernel_and_its_steps():
+    lf = ensemble_from(np.random.default_rng(21).normal(size=(2, 6)))
+    plan = pivot_plan(lf, SQEXP, 3)
+    with pytest.raises(ValueError, match="pivot plan is for"):
+        build_surrogate(lf, LINEAR, 2, never_called, plan=plan)
+    with pytest.raises(ValueError, match="budget"):
+        build_surrogate(lf, SQEXP, 4, never_called, plan=plan)
+
+
+def test_selection_fails_only_budgets_past_the_failing_step(indefinite_kernel):
+    # one Matern-5/2 plan to 3 steps, on the indefinite test kernel, fails
+    # at step 2: budget 2 scores as before, budget 3 scores inf, and a build
+    # cell at budget 3 raises, as a plan per budget does
+    lf = ensemble_from(np.array([[0.0, 1.2, 2.4, 3.6, 30.0]]))
+    spec = KernelSpec(family=KernelFamily.MATERN52, h=(1.0,))
+    indefinite_kernel(spec.family)
+    tuned = [
+        OptimizedKernel(spec=KernelSpec(family=KernelFamily.EXPONENTIAL, h=(10.0,)),
+                        objective_value=0.0, evaluations_used=0),
+        OptimizedKernel(spec=spec, objective_value=0.0, evaluations_used=0),
+    ]
+    plans = {ok.spec: pivot_plan(lf, ok.spec, 3) for ok in tuned}
+    assert plans[spec].failed_at == 2 and plans[spec].pivots == (0, 1)
+    at_2 = adaptive_select(tuned, lf, 2, plans=plans)
+    at_3 = adaptive_select(tuned, lf, 3, plans=plans)
+    assert math.isfinite(at_2.per_kernel_epsilon[spec.family])
+    assert at_3.per_kernel_epsilon[spec.family] == math.inf
+    assert at_2 == adaptive_select(tuned, lf, 2) and at_3 == adaptive_select(tuned, lf, 3)
+    assert build_surrogate(lf, spec, 2, lambda j: np.ones(2), plan=plans[spec]).pivots == (0, 1)
+    with pytest.raises(MatrixNotPSDError, match="not PSD"):
+        build_surrogate(lf, spec, 3, never_called, plan=plans[spec])
+
+
+def test_a_non_finite_column_fails_the_run_before_any_hf_draw(monkeypatch):
+    # Matern-5/2 at h = 1e-170 has a NaN first column (5 r^2 / (3 h^2) is
+    # inf): forming its plan raises, so no build cell draws a HF column
+    optimize = cli.optimize_hyperparams
+
+    def tuned(family, *args):
+        if family == KernelFamily.MATERN52:
+            return OptimizedKernel(spec=KernelSpec(family=family, h=(1e-170,)),
+                                   objective_value=0.0, evaluations_used=0)
+        return optimize(family, *args)
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a build cell started")
+
+    monkeypatch.setattr(cli, "optimize_hyperparams", tuned)
+    monkeypatch.setattr(cli, "build_surrogate", no_build)
+    cfg = cli.parse_config({
+        "data": {"benchmark": {"name": "oscillator",
+                               "grid": [["omega", 1.0, 5.0, 3], ["gamma", 0.05, 0.5, 4]]}},
+        "kernels": ["exponential", "matern52"],
+        "pso": {"swarm_size": 4, "max_iters": 2},
+        "budgets": [2, 3],
+    })
+    with pytest.raises(ArithmeticError, match="column 0 is non-finite"):
+        cli.run_experiment(cfg)
+
+
+def test_a_run_pivots_each_distinct_kernel_once(monkeypatch):
+    # osc-default at seed 0: 6 distinct kernels (the linear baseline is the
+    # linear family's), each pivoted once to the largest budget; pivoting
+    # per selection score and per build cell ran 40 times
+    steps = []
+    pivot = surrogate_module.pivoted_cholesky_columns
+
+    def counted(diagonal, column, max_steps):
+        steps.append(max_steps)
+        return pivot(diagonal, column, max_steps)
+
+    monkeypatch.setattr(surrogate_module, "pivoted_cholesky_columns", counted)
+    cfg = cli.load_config(Path(__file__).resolve().parent.parent / "configs" / "oscillator.json")
+    assert cfg.seed == 0 and set(cfg.modes) == {"linear-baseline", "adaptive"}
+    cli.run_experiment(cfg)
+    assert steps == [max(cfg.budgets)] * len(cfg.kernels) == [12] * 6
 
 
 def test_literal_rational_quadratic_overflowing_diagonal_raises():
@@ -807,6 +917,29 @@ def test_archive_file_round_trip(tmp_path, capsys):
     assert main(["eval", str(path), str(query_path)]) == 0
     printed = np.array([float(v) for v in capsys.readouterr().out.split()])
     np.testing.assert_array_equal(printed, evaluate(surr, query))
+
+
+def test_eval_refuses_an_archive_whose_sliced_gramian_is_not_symmetric(tmp_path, capsys):
+    # the eigensolver reads one triangle, so an edit to the other would
+    # otherwise be ignored in silence; either triangle is refused by name
+    rng = np.random.default_rng(19)
+    lf = ensemble_from(rng.normal(size=(2, 8)))
+    surr = build_surrogate(lf, LINEAR, 3, provider_for(rng.normal(size=(4, 8))))
+    assert np.array_equal(surr.sliced, surr.sliced.T)
+    query = tmp_path / "query.csv"
+    query.write_text("0.3\n-1.1\n", encoding="ascii")
+    for entry in ((0, 2), (2, 0)):
+        doc = surrogate_to_dict(surr)
+        edited = surr.sliced.copy()
+        edited[entry] += 1.0
+        doc["matrices"]["sliced_gramian"]["data"] = surrogate_module._encode_matrix(edited)["data"]
+        with pytest.raises(ValueError, match="sliced Gramian must be exactly symmetric"):
+            surrogate_from_dict(doc)
+        archive = tmp_path / f"edited{entry[0]}{entry[1]}.json"
+        _write_json(archive, doc)
+        capsys.readouterr()
+        assert main(["eval", str(archive), str(query)]) == 3
+        assert "sliced Gramian must be exactly symmetric" in capsys.readouterr().err
 
 
 def test_eval_rejects_mixture_archive(tmp_path, capsys):
