@@ -278,13 +278,15 @@ def read_matrix_csv(path, header: bool = False) -> np.ndarray:
 def _bench_spec_from_config(doc, where: str) -> BenchmarkSpec:
     """The spec a benchmark section describes; a bad value is a ConfigError.
 
-    Each LF/HF setting takes the kind of the benchmark's default for it.
+    Each LF/HF setting takes the kind of the benchmark's default for it;
+    the spec refuses a setting the benchmark does not declare.
     """
     bench = _section(doc, _BENCHMARK, where)
     try:
         spec = default_spec(bench["name"], seed=bench["seed"])
         settings = [
-            _section(bench[fid], {k: _like(v) for k, v in defaults.items()}, f"{where}.{fid}".lstrip("."))
+            {key: _value(v, _like(defaults[key])[0], None, f"{where}.{fid}.{key}".lstrip("."))
+             if key in defaults else v for key, v in bench[fid].items()}
             for fid, defaults in (("lf", spec.lf_settings), ("hf", spec.hf_settings))
         ]
         return replace(spec, grid=bench["grid"] or spec.grid, lf_settings=settings[0],
@@ -420,10 +422,9 @@ def run_experiment(cfg: ExperimentConfig, parallel: bool = False, header: bool =
         return specs_by_family[adaptive_reports[n].chosen_family]
 
     cells = [(mode, n) for mode in cfg.modes for n in cfg.budgets]
-    # past selection a cell needs only its pivots and their block; every
-    # plan is formed before any cell starts
+    # every plan is formed before any cell starts
     plans = {
-        kernel: (plans.get(kernel) or pivot_plan(lf, kernel, max(cfg.budgets))).trimmed()
+        kernel: plans.get(kernel) or pivot_plan(lf, kernel, max(cfg.budgets))
         for kernel in dict.fromkeys(cell_kernel(*c) for c in cells)
     }
 

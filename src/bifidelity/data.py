@@ -128,6 +128,13 @@ def row_selector(rows: list[int]) -> slice | list[int]:
     return slice(lo, lo + len(rows)) if rows == list(range(lo, lo + len(rows))) else rows
 
 
+def held_out(n: int, taken) -> np.ndarray:
+    """The indices of ``range(n)`` not in ``taken``, ascending."""
+    keep = np.ones(n, dtype=bool)
+    keep[np.asarray(taken, dtype=np.intp)] = False
+    return np.flatnonzero(keep)
+
+
 def normalize_in_place(outputs: np.ndarray, labels) -> None:
     """Scale each QoI group of ``outputs`` to unit root-mean-square column
     energy, overwriting it.

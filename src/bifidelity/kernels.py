@@ -158,9 +158,7 @@ def _kernel_block(kernel: KernelSpec, a, b) -> np.ndarray:
     A linear block sums each entry in one fixed order (einsum, not BLAS),
     so over row-major operands an entry does not depend on the block it
     is evaluated in, and a block of columns against themselves is exactly
-    symmetric. Over column-major operands, as fancy indexing of a
-    row-major array gives, einsum adds more than 2 products, and
-    ``_distances`` more than 7 squares, in another order.
+    symmetric.
     """
     if kernel.family == KernelFamily.LINEAR:
         return np.einsum("ki,kj->ij", a, b)
@@ -180,11 +178,17 @@ def cross_kernel_vector(kernel: KernelSpec, ensemble_columns, query) -> np.ndarr
     ``ensemble_columns`` is a (dim x n) array, one vector per column, or a
     single 1-d column. A 1-d ``query`` returns the n kernel values; a
     (dim x m) block of query columns returns the n x m block.
+
+    Both operands are read row-major, whatever layout they come in: the
+    order in which an entry's products or squares are added follows the
+    layout, so a column-major block, as fancy indexing of a row-major
+    array gives, and its row-major copy, as a decoded archive holds, give
+    the same bits.
     """
-    cols = np.asarray(ensemble_columns, dtype=float)
+    cols = np.ascontiguousarray(ensemble_columns, dtype=float)
     if cols.ndim == 1:
         cols = cols[:, None]
-    query = np.asarray(query, dtype=float)
+    query = np.ascontiguousarray(query, dtype=float)
     queries = query if query.ndim == 2 else query.reshape(-1, 1)
     if queries.shape[0] != cols.shape[0]:
         raise ValueError(

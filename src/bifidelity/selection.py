@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SnapshotEnsemble
+from .data import SnapshotEnsemble, held_out
 from .kernels import KernelFamily
-from .numerics import MatrixNotPSDError, ZeroGramianError, apply_regularized, lower_median
-from .surrogate import PivotPlan, build_surrogate, pivot_plan
+from .numerics import MatrixNotPSDError, ZeroGramianError, lower_median
+from .surrogate import PivotPlan, build_surrogate, evaluate, pivot_plan
 
 __all__ = [
     "SelectionReport",
@@ -96,10 +96,7 @@ def _self_emulation_score(plan: PivotPlan, lf: SnapshotEnsemble, n: int, rcond: 
     held-out columns; +inf when the family cannot support n pivots.
 
     The surrogate's one factorization of the sliced Gramian gives both the
-    numerical rank under ``rcond`` and the solve. The right-hand sides are
-    the plan's kernel columns at the held-out samples: the values
-    ``evaluate`` forms from the pivots' LF columns, bit for bit where the
-    sums do not depend on operand layout (see ``kernels._kernel_block``).
+    numerical rank under ``rcond`` and, through ``evaluate``, the solve.
     """
     try:
         # the low-fidelity model is its own high-fidelity provider
@@ -108,9 +105,6 @@ def _self_emulation_score(plan: PivotPlan, lf: SnapshotEnsemble, n: int, rcond: 
         return math.inf
     if surr.factor[1].size < n:
         return math.inf
-    others = np.setdiff1d(np.arange(lf.n_samples), surr.pivots)
-    # row-major, as evaluate's block: for another layout BLAS may sum in another order
-    rhs = plan.columns[:n].take(others, axis=1)
-    preds = surr.hf_snapshots @ apply_regularized(surr.factor, rhs)
-    resid = np.linalg.norm(lf.outputs[:, others] - preds, axis=0)
+    queries = lf.outputs[:, held_out(lf.n_samples, surr.pivots)]
+    resid = np.linalg.norm(queries - evaluate(surr, queries), axis=0)
     return lower_median(resid) if np.all(np.isfinite(resid)) else math.inf

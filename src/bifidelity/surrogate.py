@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import base64
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import SnapshotEnsemble, column_blocks, row_selector
+from .data import SnapshotEnsemble, column_blocks, held_out, row_selector
 from .kernels import (
     KernelFamily,
     KernelSpec,
@@ -160,16 +160,13 @@ class PivotPlan:
     message); every smaller budget is unaffected.
 
     ``block`` is the Gramian over ``pivots``, in pivot order, so a
-    budget's sliced Gramian is its leading n x n block. ``columns`` holds
-    the kernel column of each pivot, one N-long row per pivot, until
-    ``trimmed`` drops it.
+    budget's sliced Gramian is its leading n x n block.
     """
 
     kernel: KernelSpec
     steps: int
     pivots: tuple[int, ...]
     block: np.ndarray
-    columns: np.ndarray | None
     failure: str | None = None
 
     @property
@@ -184,17 +181,13 @@ class PivotPlan:
             raise MatrixNotPSDError(self.failure)
         return self.pivots[:n]
 
-    def trimmed(self) -> PivotPlan:
-        """The plan without its kernel columns: the pivots and their block."""
-        return replace(self, columns=None)
-
 
 def pivot_plan(lf: SnapshotEnsemble, kernel: KernelSpec, steps: int) -> PivotPlan:
     """Pivot ``kernel`` on ``lf`` once, to ``steps`` pivots, for every budget up to it.
 
     Pivoting reads the kernel diagonal and one kernel column per pivot,
-    so no N x N Gramian is formed: the plan holds ``steps`` columns of
-    length N. A non-finite value among those raises ArithmeticError.
+    so no N x N Gramian is formed, and the plan keeps only the pivot rows
+    of those columns. A non-finite value among them raises ArithmeticError.
     """
     N = lf.n_samples
     if not 1 <= steps <= N:
@@ -221,13 +214,11 @@ def pivot_plan(lf: SnapshotEnsemble, kernel: KernelSpec, steps: int) -> PivotPla
     except MatrixNotPSDError as exc:
         failure = str(exc)
     else:
-        for p in np.setdiff1d(np.arange(N), pivots)[: steps - len(pivots)]:
+        for p in held_out(N, pivots)[: steps - len(pivots)]:
             column(int(p))
-    columns = columns[: len(pivots)]
     # entry (i, j) is column j at pivot i
-    block = np.ascontiguousarray(columns[:, pivots].T)
-    return PivotPlan(kernel=kernel, steps=steps, pivots=tuple(pivots), block=block,
-                     columns=columns, failure=failure)
+    block = np.ascontiguousarray(columns[: len(pivots), pivots].T)
+    return PivotPlan(kernel=kernel, steps=steps, pivots=tuple(pivots), block=block, failure=failure)
 
 
 def build_surrogate(
@@ -348,7 +339,7 @@ def median_relative_error(
     """
     if hf_truth.n_samples != lf.n_samples:
         raise ValueError("high- and low-fidelity ensembles disagree on sample count")
-    test = np.setdiff1d(np.arange(lf.n_samples), surrogate.pivots)
+    test = held_out(lf.n_samples, surrogate.pivots)
     groups = list(hf_truth.label_groups().items())
     # squared norms per held-out column: the aggregate in row 0, then one
     # row per label group

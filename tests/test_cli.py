@@ -462,6 +462,22 @@ def test_unknown_fidelity_setting_is_named(toy, tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+def test_fidelity_settings_are_refused_in_the_specs_one_wording(toy, tmp_path, capsys):
+    # run and gen both leave an undeclared key to the spec, and kind-check a declared one
+    bench = {"benchmark": {"name": "oscillator", "hf": {"dtt": 0.01}}}
+    cfg = write_config(tmp_path / "typo.json", toy_doc(toy, data=bench))
+    gen_cfg = write_config(tmp_path / "gen.json", {"hf": {"dtt": 0.01}})
+    capsys.readouterr()
+    assert main(["run", "--config", cfg]) == 2
+    assert "unknown hf setting(s) ['dtt'] for oscillator" in capsys.readouterr().err
+    assert main(["gen", "oscillator", "--config", gen_cfg, "--out", str(tmp_path / "x")]) == 2
+    assert "unknown hf setting(s) ['dtt'] for oscillator" in capsys.readouterr().err
+    bench["benchmark"]["hf"] = {"dt": "0.01"}
+    cfg = write_config(tmp_path / "kind.json", toy_doc(toy, data=bench))
+    assert main(["run", "--config", cfg]) == 2
+    assert "data.benchmark.hf.dt must be a finite number" in capsys.readouterr().err
+
+
 def test_additive_mode_is_rejected(toy, tmp_path, capsys):
     doc = toy_doc(toy, modes=["additive"], out_dir=str(tmp_path / "out"))
     with pytest.raises(ConfigError, match=r"\['linear-baseline', 'adaptive'\]"):

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from bifidelity.data import SnapshotEnsemble
+from bifidelity.data import SnapshotEnsemble, held_out
 
 
 def make(outputs, labels=None):
@@ -51,6 +51,16 @@ def test_label_groups_first_appearance_order():
     ens = make(np.ones((4, 2)), labels=("traj", "traj", "energy", "traj"))
     assert ens.label_groups() == {"traj": [0, 1, 3], "energy": [2]}
     assert make(np.ones((1, 2))).label_groups() == {}
+
+
+@pytest.mark.parametrize("taken", [[], [3], [7, 0, 5], [2, 2, 9], list(range(10))[::-1]],
+                         ids=["empty", "one", "unsorted", "repeated", "full"])
+def test_held_out_is_setdiff_of_the_taken_indices(taken):
+    # np.setdiff1d is the reference: the ascending indices of range(n) not taken
+    got = held_out(10, taken)
+    np.testing.assert_array_equal(got, np.setdiff1d(np.arange(10), taken))
+    assert got.dtype == np.intp
+    np.testing.assert_array_equal(held_out(10, tuple(taken)), got)
 
 
 def test_validation_errors():

@@ -1,5 +1,5 @@
 """Golden output digests: results.csv, selection.json and every archive of
-four configs, byte for byte, against the SHA-256 digests in
+five configs, byte for byte, against the SHA-256 digests in
 ``golden/digests.json``.
 
 Each run is ``bifidelity run`` in a subprocess with a fixed BLAS thread
@@ -35,8 +35,18 @@ CONFIGS = {
         "modes": ["linear-baseline"],
         "budgets": [8, 16, 32, 64],
     },
+    # N = 500, tuned: the bracket pad, the pivot plans and threaded LAPACK act
+    # above N = 114
+    "osc-500": {
+        "data": {"benchmark": {"name": "oscillator",
+                               "grid": [["omega", 1.0, 5.0, 20], ["gamma", 0.05, 0.5, 25]],
+                               "hf": {"dt": 0.01}}},
+        "modes": ["linear-baseline", "adaptive"],
+        "budgets": [8, 16, 32, 64],
+    },
 }
-# the configs of N <= 114, where no BLAS call sets an output value
+# the configs of N <= 114, where no BLAS call sets an output value; at
+# N = 500 the linear objective_value moves by an ulp at two threads
 SMALL = ("osc-default", "osc-narrow", "nbody-default")
 
 

@@ -142,6 +142,27 @@ def test_cross_kernel_block_equals_columnwise(kernel):
         np.testing.assert_array_equal(block[:, j], cross_kernel_vector(kernel, cols, queries[:, j]))
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 8, 16, 64])
+def test_cross_kernel_values_do_not_depend_on_operand_layout(dim):
+    # column-major operands, as fancy indexing gives, and their row-major
+    # copies: from dimension 3 (linear) and 8 (radial) up, a kernel that
+    # read each layout as it came would add in another order
+    rng = np.random.default_rng(60 + dim)
+    X = rng.normal(size=(dim, 48))
+    h = math.sqrt(2.0 * dim)
+    for kernel in (make_spec(KernelFamily.LINEAR), make_spec(KernelFamily.EXPONENTIAL, h),
+                   make_spec(KernelFamily.MATERN52, h)):
+        for cols, queries in ((X[:, [7]], X[:, 8:]), (X[:, [3, 9, 1, 30, 22]], X[:, 10:45]),
+                              (X[:, list(range(12))], X[:, [40, 2, 17]])):
+            # fancy indexing gives column-major blocks, unless one row or column wide
+            assert not (dim > 1 and cols.shape[1] > 1 and cols.flags.c_contiguous)
+            got = cross_kernel_vector(kernel, cols, queries)
+            np.testing.assert_array_equal(
+                got, cross_kernel_vector(kernel, np.ascontiguousarray(cols), np.ascontiguousarray(queries)))
+            np.testing.assert_array_equal(
+                got, cross_kernel_vector(kernel, np.asfortranarray(cols), np.asfortranarray(queries)))
+
+
 # === agreement with the scalar-formula oracle ===
 
 

@@ -1,16 +1,18 @@
 """Kernel selection: adaptive scores against dense least squares, and
 the degeneracy rules."""
 import inspect
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from bifidelity.data import SnapshotEnsemble
+from bifidelity.data import SnapshotEnsemble, held_out
 from bifidelity.hyperopt import OptimizedKernel
 from bifidelity.kernels import KernelFamily, KernelSpec
 from bifidelity.selection import SelectionReport, adaptive_select, lower_median
+from bifidelity.surrogate import build_surrogate, evaluate, surrogate_from_dict, surrogate_to_dict
 
 import oracles
 
@@ -145,6 +147,26 @@ def test_winner_invariant_under_sample_relabeling():
         perm = rng.permutation(10)
         shuffled = adaptive_select(optimized, ensemble_from(cols[:, perm]), n=4)
         assert shuffled.chosen_family == base.chosen_family
+
+
+def test_scores_are_the_residuals_a_reloaded_archive_emulates():
+    # at LF dimension 16 both linear and radial sums depend on operand
+    # layout, so a score formed apart from evaluate, or an archive read
+    # in another layout, would miss by an ulp
+    d, N = 16, 40
+    lf = ensemble_from(np.random.default_rng(16).normal(size=(d, N)))
+    h = math.sqrt(2.0 * d)
+    optimized = [tuned(KernelFamily.LINEAR), tuned(KernelFamily.EXPONENTIAL, (h,)),
+                 tuned(KernelFamily.RATIONAL_QUADRATIC, (h, 1.5)), tuned(KernelFamily.MATERN52, (h,))]
+    for n in (4, 8, 12):
+        report = adaptive_select(optimized, lf, n)
+        for ok in optimized:
+            surr = build_surrogate(lf, ok.spec, n, lf.column)
+            clone = surrogate_from_dict(json.loads(json.dumps(surrogate_to_dict(surr))))
+            queries = lf.outputs[:, held_out(N, clone.pivots)]
+            resid = np.linalg.norm(queries - evaluate(clone, queries), axis=0)
+            score = report.per_kernel_epsilon[ok.spec.family]
+            assert math.isfinite(score) and score == lower_median(resid), f"{ok.spec.family.name} n={n}"
 
 
 def test_non_psd_family_scores_infinity(indefinite_kernel):
