@@ -106,7 +106,7 @@ _CONFIG = {
     "pso": ("section", {}, None),
     "modes": ("string list", list(MODES), None),
     "budgets": ("integer list", [4, 6, 8, 10, 12], "positive"),
-    "seed": ("integer", 0, None),
+    "seed": ("integer", 0, "non-negative"),
     "out_dir": ("string", "results", None),
     "one_hf_cost": ("number", None, "positive"),  # null: the mean HF per-sample cost
     "objective_eval_cost": ("number", 0.0, "non-negative"),
@@ -344,7 +344,7 @@ class RunResult:
 
 
 def _child_seed(seed: int, tag: int) -> int:
-    return int(np.random.SeedSequence([seed & 0x7FFFFFFFFFFFFFFF, tag]).generate_state(1, np.uint64)[0])
+    return int(np.random.SeedSequence([seed, tag]).generate_state(1, np.uint64)[0])
 
 
 def _kernel_label(kernel: KernelSpec) -> str:
@@ -518,9 +518,10 @@ def _write_json(path, doc) -> None:
 
 
 def cmd_run(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+    doc = _read_json(args.config)
+    if args.seed is not None and isinstance(doc, dict):
+        doc = {**doc, "seed": args.seed}
+    cfg = parse_config(doc)
     out_dir = Path(args.out if args.out is not None else cfg.out_dir)
     result = run_experiment(cfg, parallel=args.parallel, header=args.header)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -5,7 +5,8 @@ combination of high-fidelity snapshots taken at n pivot samples chosen
 from cheap low-fidelity data alone. Coefficients come from a regularized
 solve of the pivot-sliced Gramian against the cross-kernel vector of the
 query's low-fidelity output, so the surrogate reproduces the trained
-snapshots wherever that system is well conditioned.
+snapshots wherever that system is well conditioned. The sliced Gramian
+is formed from the pivots' low-fidelity columns, never stored.
 """
 from __future__ import annotations
 
@@ -46,7 +47,7 @@ __all__ = [
     "surrogate_from_dict",
 ]
 
-ARCHIVE_VERSION = 1
+ARCHIVE_VERSION = 2
 
 
 class HfProviderError(RuntimeError):
@@ -65,41 +66,40 @@ class HfProviderError(RuntimeError):
 class Surrogate:
     """Trained emulator state; everything evaluation needs is embedded.
 
-    ``sliced`` is the n x n Gramian block over the pivots, in pivot order.
-    ``factor`` is its ``regularized_factor`` at ``rcond``, formed once here
-    and reused by every evaluation; it is neither an argument nor archived.
-    A non-finite matrix or ``rcond`` is a ValueError naming it.
+    ``sliced`` is the n x n Gramian block over the pivots, in pivot order:
+    ``cross_kernel_vector`` of ``pivot_lf_columns`` against themselves, as
+    ``evaluate`` forms every query's, so it is exactly symmetric.
+    ``factor`` is its ``regularized_factor`` at ``rcond``. Both are formed
+    once here and are neither arguments nor archived. A non-finite matrix
+    or ``rcond`` is a ValueError naming it.
     """
 
     kernel: KernelSpec
     pivots: tuple[int, ...]
     hf_snapshots: np.ndarray
-    sliced: np.ndarray
     pivot_lf_columns: np.ndarray
     rcond: float
+    sliced: np.ndarray = field(init=False, repr=False, compare=False)
     factor: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         hf = np.array(self.hf_snapshots, dtype=float)
         lf = np.array(self.pivot_lf_columns, dtype=float)
-        sliced = np.array(self.sliced, dtype=float)
         pivots = tuple(int(i) for i in self.pivots)
         n = len(pivots)
         if hf.ndim != 2 or hf.shape[1] != n:
             raise ValueError("hf_snapshots must hold one column per pivot")
         if lf.ndim != 2 or lf.shape[1] != n:
             raise ValueError("pivot_lf_columns must hold one column per pivot")
-        if sliced.shape != (n, n):
-            raise ValueError("sliced Gramian must be n x n for n pivots")
-        for name, arr in (("hf_snapshots", hf), ("pivot_lf_columns", lf), ("sliced", sliced)):
+        for name, arr in (("hf_snapshots", hf), ("pivot_lf_columns", lf)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} must be finite")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        # the eigensolver reads one triangle, so an asymmetric block would solve silently
-        if not np.array_equal(sliced, sliced.T):
-            raise ValueError("sliced Gramian must be exactly symmetric")
+        sliced = cross_kernel_vector(self.kernel, lf, lf)
+        sliced.setflags(write=False)
         object.__setattr__(self, "pivots", pivots)
+        object.__setattr__(self, "sliced", sliced)
         object.__setattr__(self, "factor", regularized_factor(sliced, self.rcond))
 
 
@@ -158,15 +158,11 @@ class PivotPlan:
     ``pivots`` holds the ``failed_at`` pivots chosen before it, and a
     budget above ``failed_at`` raises that error again (``failure`` is its
     message); every smaller budget is unaffected.
-
-    ``block`` is the Gramian over ``pivots``, in pivot order, so a
-    budget's sliced Gramian is its leading n x n block.
     """
 
     kernel: KernelSpec
     steps: int
     pivots: tuple[int, ...]
-    block: np.ndarray
     failure: str | None = None
 
     @property
@@ -185,9 +181,10 @@ class PivotPlan:
 def pivot_plan(lf: SnapshotEnsemble, kernel: KernelSpec, steps: int) -> PivotPlan:
     """Pivot ``kernel`` on ``lf`` once, to ``steps`` pivots, for every budget up to it.
 
-    Pivoting reads the kernel diagonal and one kernel column per pivot,
-    so no N x N Gramian is formed, and the plan keeps only the pivot rows
-    of those columns. A non-finite value among them raises ArithmeticError.
+    Pivoting reads the kernel diagonal and one kernel column per greedy
+    pivot, so no N x N Gramian is formed and the plan keeps no kernel
+    value; the budget filled after an early stop needs no column. A
+    non-finite value among them raises ArithmeticError.
     """
     N = lf.n_samples
     if not 1 <= steps <= N:
@@ -196,7 +193,6 @@ def pivot_plan(lf: SnapshotEnsemble, kernel: KernelSpec, steps: int) -> PivotPla
     diagonal = _kernel_diagonal(kernel, X)
     if not np.all(np.isfinite(diagonal)):
         raise ArithmeticError(f"kernel diagonal is non-finite for {kernel}")
-    columns = np.empty((steps, N))
     pivots: list[int] = []
 
     # pivoting asks for each pivot's column once, in pivot order
@@ -204,7 +200,6 @@ def pivot_plan(lf: SnapshotEnsemble, kernel: KernelSpec, steps: int) -> PivotPla
         col = _kernel_block(kernel, X, X[:, [p]])[:, 0]
         if not np.all(np.isfinite(col)):
             raise ArithmeticError(f"kernel column {p} is non-finite for {kernel}")
-        columns[len(pivots)] = col
         pivots.append(p)
         return col
 
@@ -214,11 +209,8 @@ def pivot_plan(lf: SnapshotEnsemble, kernel: KernelSpec, steps: int) -> PivotPla
     except MatrixNotPSDError as exc:
         failure = str(exc)
     else:
-        for p in held_out(N, pivots)[: steps - len(pivots)]:
-            column(int(p))
-    # entry (i, j) is column j at pivot i
-    block = np.ascontiguousarray(columns[: len(pivots), pivots].T)
-    return PivotPlan(kernel=kernel, steps=steps, pivots=tuple(pivots), block=block, failure=failure)
+        pivots.extend(int(p) for p in held_out(N, pivots)[: steps - len(pivots)])
+    return PivotPlan(kernel=kernel, steps=steps, pivots=tuple(pivots), failure=failure)
 
 
 def build_surrogate(
@@ -234,12 +226,12 @@ def build_surrogate(
     ``hf_provider`` maps a sample index to its high-fidelity output
     column and is called exactly n times, once per pivot in pivot order.
 
-    The pivots and the sliced Gramian come from ``plan``, a ``pivot_plan``
-    of ``kernel`` on ``lf`` to at least n steps, or from one formed here
-    to n steps. Either way no N x N Gramian is formed, a non-finite
-    kernel value raises ArithmeticError, and an early stop at an
-    effective rank below n fills the budget with the lowest unused sample
-    indices in ascending order.
+    The pivots come from ``plan``, a ``pivot_plan`` of ``kernel`` on
+    ``lf`` to at least n steps, or from one formed here to n steps. Either
+    way no N x N Gramian is formed, a non-finite kernel value raises
+    ArithmeticError, and an early stop at an effective rank below n fills
+    the budget with the lowest unused sample indices in ascending order.
+    The surrogate forms its sliced Gramian from the pivots' LF columns.
 
     Parameters
     ----------
@@ -284,7 +276,6 @@ def build_surrogate(
         kernel=kernel,
         pivots=pivots,
         hf_snapshots=np.column_stack(columns),
-        sliced=plan.block[:n, :n],
         pivot_lf_columns=lf.outputs[:, list(pivots)],
         rcond=float(rcond),
     )
@@ -383,21 +374,27 @@ def _encode_matrix(arr: np.ndarray) -> dict:
     }
 
 
-def _field(doc: dict, key: str, kind: type):
-    """``doc[key]``, refused with a ValueError naming the field unless it is a ``kind``."""
-    value = doc.get(key)
-    if not isinstance(value, kind):
-        raise ValueError(
-            f"archive field {key!r} must be a {kind.__name__}, got {type(value).__name__}"
-        )
+_NUMBER = (int, float)
+_KINDS = {_NUMBER: "a number", int: "an integer", str: "a string", list: "a list", dict: "an object"}
+
+
+def _checked(value, key: str, kind):
+    """``value``, refused with a ValueError naming field ``key`` unless it
+    is a ``kind``; a bool is neither a number nor an integer."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"archive field {key!r} must be {_KINDS[kind]}, got {type(value).__name__}")
     return value
+
+
+def _field(doc: dict, key: str, kind):
+    return _checked(doc.get(key), key, kind)
 
 
 def _decode_matrix(blob: dict) -> np.ndarray:
     if blob.get("dtype") != "<f8":
         raise ValueError(f"archive field 'dtype' must be '<f8', got {blob.get('dtype')!r}")
     arr = np.frombuffer(base64.b64decode(blob["data"]), dtype="<f8").astype(float)
-    return arr.reshape((int(blob["rows"]), int(blob["cols"])))
+    return arr.reshape((_field(blob, "rows", int), _field(blob, "cols", int)))
 
 
 def _kernel_to_dict(kernel: KernelSpec) -> dict:
@@ -414,7 +411,7 @@ def _kernel_from_dict(doc: dict) -> KernelSpec:
     name = _field(doc, "family", str)
     if name.upper() not in KernelFamily.__members__:
         raise ValueError(f"unsupported kernel family {name!r}")
-    h = tuple(float(v) for v in _field(doc, "h", list))
+    h = tuple(float(_checked(v, "h", _NUMBER)) for v in _field(doc, "h", list))
     return KernelSpec(family=KernelFamily[name.upper()], h=h)
 
 
@@ -425,7 +422,6 @@ def surrogate_to_dict(surrogate: Surrogate) -> dict:
         "pivots": list(surrogate.pivots),
         "rcond": surrogate.rcond,
         "matrices": {
-            "sliced_gramian": _encode_matrix(surrogate.sliced),
             "hf_snapshots": _encode_matrix(surrogate.hf_snapshots),
             "pivot_lf_columns": _encode_matrix(surrogate.pivot_lf_columns),
         },
@@ -437,7 +433,8 @@ def surrogate_from_dict(doc: dict) -> Surrogate:
     if not isinstance(doc, dict):
         raise ValueError(f"archive root must be a JSON object, got {type(doc).__name__}")
     if doc.get("version") != ARCHIVE_VERSION:
-        raise ValueError(f"unsupported archive version {doc.get('version')!r}")
+        raise ValueError(f"unsupported archive version {doc.get('version')!r}, expected "
+                         f"{ARCHIVE_VERSION}; rerun 'bifidelity run' to regenerate it")
     matrices = _field(doc, "matrices", dict)
     pivots = _field(doc, "pivots", list)
     if not all(type(p) is int for p in pivots):
@@ -446,7 +443,6 @@ def surrogate_from_dict(doc: dict) -> Surrogate:
         kernel=_kernel_from_dict(_field(doc, "kernel", dict)),
         pivots=tuple(pivots),
         hf_snapshots=_decode_matrix(_field(matrices, "hf_snapshots", dict)),
-        sliced=_decode_matrix(_field(matrices, "sliced_gramian", dict)),
         pivot_lf_columns=_decode_matrix(_field(matrices, "pivot_lf_columns", dict)),
-        rcond=float(doc["rcond"]),
+        rcond=float(_field(doc, "rcond", _NUMBER)),
     )

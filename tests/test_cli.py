@@ -345,6 +345,12 @@ def test_seed_flag_overrides_config(toy, tmp_path):
     assert (tmp_path / "a" / "results.csv").read_bytes() == (
         tmp_path / "b" / "results.csv"
     ).read_bytes()
+    # a seed is SeedSequence entropy, so no two accepted seeds share a stream
+    for seed in (0, 2**63):
+        assert main(["run", "--config", base, "--out", str(tmp_path / f"s{seed}"), "--seed", str(seed)]) == 0
+    assert (tmp_path / "s0" / "selection.json").read_bytes() != (
+        tmp_path / f"s{2**63}" / "selection.json"
+    ).read_bytes()
 
 
 def test_header_inputs_need_the_flag(toy, tmp_path):
@@ -406,6 +412,14 @@ def test_exit_code_2_on_config_errors(toy, tmp_path, capsys):
         assert not (tmp_path / "g").exists()
     unknown = write_config(tmp_path / "unknown.json", toy_doc(toy, bogus=1))
     assert main(["run", "--config", unknown]) == 2
+    # a negative seed, as the key and as the flag, and nothing is written
+    doc = toy_doc(toy, out_dir=str(tmp_path / "negative"))
+    for args in (["--config", write_config(tmp_path / "neg.json", {**doc, "seed": -1})],
+                 ["--config", write_config(tmp_path / "pos.json", doc), "--seed", "-1"]):
+        capsys.readouterr()
+        assert main(["run", *args]) == 2
+        assert "seed must be non-negative, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "negative").exists()
     # budgets must stay below the 8-sample count
     big = write_config(tmp_path / "big.json", toy_doc(toy, budgets=[8]))
     assert main(["run", "--config", big]) == 2
@@ -777,9 +791,18 @@ def test_eval_round_trip(toy, tmp_path, capsys):
         ("archive root", [good]),
         ("unreadable archive", {**good, "rcond": None}),
         ("unreadable archive", {**good, "kernel": {**good["kernel"], "h": [[1.0]]}}),
+        # a number is a JSON number: neither a string nor a bool
+        ("'rcond' must be a number, got str", {**good, "rcond": "1e-12"}),
+        ("'rcond' must be a number, got bool", {**good, "rcond": True}),
+        ("'h' must be a number, got str", {**good, "kernel": {**good["kernel"], "h": ["0.9"]}}),
+        ("'h' must be a number, got bool", {**good, "kernel": {**good["kernel"], "h": [True]}}),
+        ("'rows' must be an integer, got str",
+         {**good, "matrices": {**matrices, "hf_snapshots": {**hf_blob, "rows": str(hf_blob["rows"])}}}),
+        ("'cols' must be an integer, got bool",
+         {**good, "matrices": {**matrices, "hf_snapshots": {**hf_blob, "cols": True}}}),
         # non-finite values, refused at load rather than printed or misreported
         ("hf_snapshots must be finite", with_matrix(good, "hf_snapshots", math.nan)),
-        ("sliced must be finite", with_matrix(good, "sliced_gramian", math.nan)),
+        ("pivot_lf_columns must be finite", with_matrix(good, "pivot_lf_columns", math.nan)),
         ("rcond must be finite", {**good, "rcond": math.nan}),
         ("rcond must be finite", {**good, "rcond": math.inf}),
     ]
@@ -794,8 +817,10 @@ def test_eval_round_trip(toy, tmp_path, capsys):
                         encoding="utf-8")
     assert main(["eval", str(accented), str(col_path)]) == 3
     assert "unreadable archive" in capsys.readouterr().err
-    # a finite but all-zero sliced Gramian is a numerical failure, found at load
-    zero = write_config(tmp_path / "zero.json", with_matrix(good, "sliced_gramian", 0.0, every=True))
+    # zero LF pivot columns give the linear kernel an all-zero sliced Gramian:
+    # a numerical failure, found at load
+    assert good["kernel"]["family"] == "linear"
+    zero = write_config(tmp_path / "zero.json", with_matrix(good, "pivot_lf_columns", 0.0, every=True))
     assert main(["eval", zero, str(col_path)]) == 4
     assert "Gramian numerically zero" in capsys.readouterr().err
 

@@ -278,7 +278,7 @@ def test_build_pivots_match_dense_oracle_for_every_family():
 
 def test_build_early_stop_appends_lowest_free_indices():
     # linear kernel on LF dimension 2 supports two pivots; the rest of the
-    # budget is the lowest free indices, with their kernel columns fetched
+    # budget is the lowest free indices, which the sliced Gramian covers too
     cols = np.random.default_rng(13).normal(size=(2, 9))
     surr = build_surrogate(ensemble_from(cols), LINEAR, 5, lambda j: np.ones(2))
     ordering, rank = oracles.greedy_pivots(oracles.gramian_dense("linear", cols), max_steps=5)
@@ -303,15 +303,22 @@ def never_called(idx):
     raise AssertionError("high-fidelity provider called before the kernel checks")
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3, 9])
+@pytest.mark.parametrize("dim", [1, 2, 3, 8, 9, 16, 64])
 def test_plan_prefix_is_every_budgets_greedy_pivots_and_block(dim):
     # one plan to m steps gives, for every n <= m, the pivots pivoting to n
-    # steps gives and the dense Gramian's pivot block, bit for bit; below LF
-    # dimension 9 the linear kernel stops early at its rank and the rest is filled
+    # steps gives; the surrogate's sliced Gramian is, column by column, the
+    # cross-kernel vector evaluate forms, and from n = 2 the dense Gramian's
+    # pivot block, bit for bit, so it is exactly symmetric (a lone linear
+    # entry is summed in another order from LF dimension 3). Below LF
+    # dimension 9 the linear kernel stops early at its rank and the rest is
+    # filled. Above it radial widths grow with the distances, so that pivoting
+    # meets no near ties, where the dense oracle may break them otherwise
     m, N = 9, 14
     cols = np.random.default_rng(20 + dim).normal(size=(dim, N))
     lf = ensemble_from(cols)
+    widen = max(1.0, math.sqrt(dim / m))
     for spec, name in ORACLE_KERNELS:
+        spec = KernelSpec(family=spec.family, h=tuple(widen * v for v in spec.h))
         dense = _kernel_block(spec, cols, cols)
         plan = pivot_plan(lf, spec, m)
         assert plan.failed_at is None and len(plan.pivots) == m
@@ -320,12 +327,31 @@ def test_plan_prefix_is_every_budgets_greedy_pivots_and_block(dim):
         for n in range(1, m + 1):
             pivots = plan.pivots_for(n)
             assert pivots == oracles.greedy_pivots(dense, n)[0][:n], f"{name} n={n}"
-            block = dense[np.ix_(pivots, pivots)]
-            np.testing.assert_array_equal(plan.block[:n, :n], block)
             surr = build_surrogate(lf, spec, n, lambda j: np.ones(2), plan=plan)
             assert surr.pivots == pivots
-            np.testing.assert_array_equal(surr.sliced, block)
+            if n > 1:
+                np.testing.assert_array_equal(surr.sliced, dense[np.ix_(pivots, pivots)])
+            np.testing.assert_array_equal(surr.sliced, surr.sliced.T)
+            P = cols[:, list(pivots)]
+            for j in range(n):
+                np.testing.assert_array_equal(surr.sliced[:, j], cross_kernel_vector(spec, P, P[:, j]))
             assert surr.pivots == build_surrogate(lf, spec, n, lambda j: np.ones(2)).pivots
+
+
+def test_a_plan_evaluates_kernel_columns_only_for_greedy_pivots(monkeypatch):
+    # the wide oscillator's linear plan pivots twice, at its rank, and fills
+    # the other 62 of its 64 pivots without a kernel column
+    lf, _ = gen_oscillator(WIDE_SPEC)
+    real_block, calls = surrogate_module._kernel_block, []
+
+    def counted(kernel, a, b):
+        calls.append(b.shape[1])
+        return real_block(kernel, a, b)
+
+    monkeypatch.setattr(surrogate_module, "_kernel_block", counted)
+    plan = pivot_plan(lf, LINEAR, 64)
+    assert len(plan.pivots) == 64 and plan.failed_at is None
+    assert calls == [1, 1]
 
 
 def test_a_plan_serves_only_its_kernel_and_its_steps():
@@ -583,22 +609,9 @@ def crafted_surrogate(lf_queries, hf=2.0):
         kernel=LINEAR,
         pivots=(0,),
         hf_snapshots=np.array([[hf]]),
-        sliced=np.array([[1.0]]),
         pivot_lf_columns=np.array([[1.0]]),
         rcond=1e-12,
     )
-
-
-def test_sliced_gramian_must_match_pivot_count():
-    with pytest.raises(ValueError, match="n x n"):
-        Surrogate(
-            kernel=LINEAR,
-            pivots=(0,),
-            hf_snapshots=np.array([[2.0]]),
-            sliced=np.eye(2),
-            pivot_lf_columns=np.array([[1.0]]),
-            rcond=1e-12,
-        )
 
 
 def test_error_metric_known_relative_errors():
@@ -937,29 +950,6 @@ def test_archive_file_round_trip(tmp_path, capsys):
     np.testing.assert_array_equal(printed, evaluate(surr, query))
 
 
-def test_eval_refuses_an_archive_whose_sliced_gramian_is_not_symmetric(tmp_path, capsys):
-    # the eigensolver reads one triangle, so an edit to the other would
-    # otherwise be ignored in silence; either triangle is refused by name
-    rng = np.random.default_rng(19)
-    lf = ensemble_from(rng.normal(size=(2, 8)))
-    surr = build_surrogate(lf, LINEAR, 3, provider_for(rng.normal(size=(4, 8))))
-    assert np.array_equal(surr.sliced, surr.sliced.T)
-    query = tmp_path / "query.csv"
-    query.write_text("0.3\n-1.1\n", encoding="ascii")
-    for entry in ((0, 2), (2, 0)):
-        doc = surrogate_to_dict(surr)
-        edited = surr.sliced.copy()
-        edited[entry] += 1.0
-        doc["matrices"]["sliced_gramian"]["data"] = surrogate_module._encode_matrix(edited)["data"]
-        with pytest.raises(ValueError, match="sliced Gramian must be exactly symmetric"):
-            surrogate_from_dict(doc)
-        archive = tmp_path / f"edited{entry[0]}{entry[1]}.json"
-        _write_json(archive, doc)
-        capsys.readouterr()
-        assert main(["eval", str(archive), str(query)]) == 3
-        assert "sliced Gramian must be exactly symmetric" in capsys.readouterr().err
-
-
 def test_eval_rejects_mixture_archive(tmp_path, capsys):
     # archive layouts older builds wrote: a convex kernel mixture, and the
     # switches and family of the deleted literal and compact kernel forms
@@ -1010,10 +1000,13 @@ def test_eval_rejects_mixture_archive(tmp_path, capsys):
 
 
 def test_archive_version_gate():
+    # version 1 archives stored the sliced Gramian; no reader is kept for them
     doc = surrogate_to_dict(crafted_surrogate(None))
-    doc["version"] = 99
-    with pytest.raises(ValueError, match="version"):
-        surrogate_from_dict(doc)
+    assert doc["version"] == 2 and set(doc["matrices"]) == {"hf_snapshots", "pivot_lf_columns"}
+    for version in (1, 99):
+        doc["version"] = version
+        with pytest.raises(ValueError, match=f"unsupported archive version {version}, expected 2"):
+            surrogate_from_dict(doc)
 
 
 def test_index_query_requires_training_reference():
