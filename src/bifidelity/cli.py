@@ -229,8 +229,10 @@ def _read_json(path):
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
 
 
-def load_config(path) -> ExperimentConfig:
-    return parse_config(_read_json(path))
+def load_config(path, seed: int | None = None) -> ExperimentConfig:
+    """The config file at ``path``, validated; ``seed``, where given, replaces its ``seed`` key."""
+    doc = _read_json(path)
+    return parse_config({**doc, "seed": seed} if seed is not None and isinstance(doc, dict) else doc)
 
 
 # === CSV matrices ===
@@ -518,10 +520,7 @@ def _write_json(path, doc) -> None:
 
 
 def cmd_run(args) -> int:
-    doc = _read_json(args.config)
-    if args.seed is not None and isinstance(doc, dict):
-        doc = {**doc, "seed": args.seed}
-    cfg = parse_config(doc)
+    cfg = load_config(args.config, args.seed)
     out_dir = Path(args.out if args.out is not None else cfg.out_dir)
     result = run_experiment(cfg, parallel=args.parallel, header=args.header)
     out_dir.mkdir(parents=True, exist_ok=True)

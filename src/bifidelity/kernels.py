@@ -152,16 +152,17 @@ def _distances(a, b) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _kernel_block(kernel: KernelSpec, a, b) -> np.ndarray:
     """K[i, j] = k(a[:, i], b[:, j]).
 
-    A linear block sums each entry in one fixed order (einsum, not BLAS),
-    so over row-major operands an entry does not depend on the block it
-    is evaluated in, and a block of columns against themselves is exactly
+    A linear block sums each entry in row order (einsum, not BLAS), so
+    over row-major operands an entry does not depend on the block it is
+    evaluated in, and a block of columns against themselves is exactly
     symmetric.
     """
-    if kernel.family == KernelFamily.LINEAR:
-        return np.einsum("ki,kj->ij", a, b)
+    if kernel.family == KernelFamily.LINEAR:  # einsum sums a lone entry pairwise; accumulate does not
+        return np.add.accumulate(a * b)[-1:] if a.shape[1] == b.shape[1] == 1 else np.einsum("ki,kj->ij", a, b)
     return radial_profile(kernel, _distances(a, b))
 
 

@@ -87,11 +87,9 @@ class Surrogate:
         lf = np.array(self.pivot_lf_columns, dtype=float)
         pivots = tuple(int(i) for i in self.pivots)
         n = len(pivots)
-        if hf.ndim != 2 or hf.shape[1] != n:
-            raise ValueError("hf_snapshots must hold one column per pivot")
-        if lf.ndim != 2 or lf.shape[1] != n:
-            raise ValueError("pivot_lf_columns must hold one column per pivot")
         for name, arr in (("hf_snapshots", hf), ("pivot_lf_columns", lf)):
+            if arr.ndim != 2 or arr.shape[1] != n:
+                raise ValueError(f"{name} must hold one column per pivot")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} must be finite")
             arr.setflags(write=False)
@@ -394,7 +392,10 @@ def _decode_matrix(blob: dict) -> np.ndarray:
     if blob.get("dtype") != "<f8":
         raise ValueError(f"archive field 'dtype' must be '<f8', got {blob.get('dtype')!r}")
     arr = np.frombuffer(base64.b64decode(blob["data"]), dtype="<f8").astype(float)
-    return arr.reshape((_field(blob, "rows", int), _field(blob, "cols", int)))
+    shape = (_field(blob, "rows", int), _field(blob, "cols", int))
+    if min(shape) < 0:  # reshape would read -1 as "infer"
+        raise ValueError(f"archive fields 'rows' and 'cols' must be non-negative, got {shape}")
+    return arr.reshape(shape)
 
 
 def _kernel_to_dict(kernel: KernelSpec) -> dict:

@@ -194,6 +194,22 @@ def objective_svd(ref, cand, lam: float) -> float:
 # === greedy pivoting with full Schur recomputation ===
 
 
+def schur_diagonal(A, chosen):
+    """(rest, diag): the indices not in ``chosen`` P, ascending, and each
+    one's Schur diagonal A[j,j] - A[j,P] A[P,P]^{-1} A[P,j], unclamped."""
+    A = np.asarray(A, dtype=float)
+    rest = [j for j in range(A.shape[0]) if j not in chosen]
+    diag = np.empty(len(rest))
+    for pos, j in enumerate(rest):
+        if chosen:
+            block = A[np.ix_(chosen, chosen)]
+            cross = A[chosen, j]
+            diag[pos] = A[j, j] - float(cross @ np.linalg.solve(block, cross))
+        else:
+            diag[pos] = A[j, j]
+    return rest, diag
+
+
 def greedy_pivots(A, max_steps: int, drop_tolerance: float = 1e-12):
     """Greedy max-Schur-diagonal ordering, recomputed from scratch each step.
 
@@ -208,15 +224,7 @@ def greedy_pivots(A, max_steps: int, drop_tolerance: float = 1e-12):
     dmax0 = float(np.max(np.diag(A)))
     chosen: list[int] = []
     for _ in range(max_steps):
-        rest = [j for j in range(n) if j not in chosen]
-        diag = np.empty(len(rest))
-        for pos, j in enumerate(rest):
-            if chosen:
-                block = A[np.ix_(chosen, chosen)]
-                cross = A[chosen, j]
-                diag[pos] = A[j, j] - float(cross @ np.linalg.solve(block, cross))
-            else:
-                diag[pos] = A[j, j]
+        rest, diag = schur_diagonal(A, chosen)
         if np.any(diag < -1e-8 * dmax0):
             raise ValueError("matrix not positive semidefinite")
         diag = np.maximum(diag, 0.0)

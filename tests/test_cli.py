@@ -800,6 +800,8 @@ def test_eval_round_trip(toy, tmp_path, capsys):
          {**good, "matrices": {**matrices, "hf_snapshots": {**hf_blob, "rows": str(hf_blob["rows"])}}}),
         ("'cols' must be an integer, got bool",
          {**good, "matrices": {**matrices, "hf_snapshots": {**hf_blob, "cols": True}}}),
+        ("'rows' and 'cols' must be non-negative, got (-1, ",
+         {**good, "matrices": {**matrices, "hf_snapshots": {**hf_blob, "rows": -1}}}),
         # non-finite values, refused at load rather than printed or misreported
         ("hf_snapshots must be finite", with_matrix(good, "hf_snapshots", math.nan)),
         ("pivot_lf_columns must be finite", with_matrix(good, "pivot_lf_columns", math.nan)),

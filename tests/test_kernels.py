@@ -161,6 +161,9 @@ def test_cross_kernel_values_do_not_depend_on_operand_layout(dim):
                 got, cross_kernel_vector(kernel, np.ascontiguousarray(cols), np.ascontiguousarray(queries)))
             np.testing.assert_array_equal(
                 got, cross_kernel_vector(kernel, np.asfortranarray(cols), np.asfortranarray(queries)))
+        # a lone entry is summed in the order of any block it sits in
+        np.testing.assert_array_equal(cross_kernel_vector(kernel, X[:, [7]], X[:, [8]]),
+                                      cross_kernel_vector(kernel, X[:, [7]], X[:, 8:])[:, :1])
 
 
 # === agreement with the scalar-formula oracle ===
