@@ -22,6 +22,7 @@ normalized per QoI label, frozen and handed to the ensemble uncopied.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,25 +82,29 @@ class BenchmarkSpec:
         default_grid, lf_defaults, hf_defaults = _DEFAULTS[self.name]
         if len(self.grid) != len(default_grid):
             raise ValueError(f"{self.name} grid needs {len(default_grid)} axes, got {len(self.grid)}")
-        # a misspelt setting would otherwise run silently at its default
-        for fidelity, given, defaults in (("lf", self.lf_settings, lf_defaults),
-                                          ("hf", self.hf_settings, hf_defaults)):
-            unknown = sorted(set(given) - set(defaults))
-            if unknown:
-                raise ValueError(f"unknown {fidelity} setting(s) {unknown} for {self.name}")
         lf = {**lf_defaults, **self.lf_settings}
         hf = {**hf_defaults, **self.hf_settings}
-        # floats, bools and strings are refused, not truncated: the seed, the
-        # axis counts and every setting whose default is an integer
-        counts = [(f"axis {n} count", c) for n, _, _, c in self.grid]
-        integer_settings = [
-            (f"{fidelity} {key}", settings[key])
-            for fidelity, settings, defaults in (("lf", lf, lf_defaults), ("hf", hf, hf_defaults))
-            for key, default in defaults.items() if isinstance(default, int)
-        ]
-        for what, value in [("seed", self.seed), *counts, *integer_settings]:
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{what} must be an integer, got {value!r}")
+        fidelities = (("lf", lf, lf_defaults), ("hf", hf, hf_defaults))
+        # a misspelt setting would otherwise run silently at its default
+        for fidelity, settings, defaults in fidelities:
+            unknown = sorted(set(settings) - set(defaults))
+            if unknown:
+                raise ValueError(f"unknown {fidelity} setting(s) {unknown} for {self.name}")
+        # each value takes the kind of its default and is refused, not
+        # converted, as another: an integer (the seed, an axis count, an
+        # integer setting) as a float, bool or string, a number (an axis
+        # bound, any other setting) as a bool or string
+        values = [("seed", self.seed, 0)]
+        values += [(f"axis {n} {end}", v, kind) for n, *axis in self.grid
+                   for end, v, kind in zip(("lo", "hi", "count"), axis, (0.0, 0.0, 0))]
+        values += [(f"{fidelity} {key}", settings[key], default)
+                   for fidelity, settings, defaults in fidelities for key, default in defaults.items()]
+        for what, value, default in values:
+            integer = isinstance(default, int)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral if integer else numbers.Real):
+                raise ValueError(f"{what} must be {'an integer' if integer else 'a number'}, got {value!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         grid = tuple((str(n), float(lo), float(hi), int(c)) for n, lo, hi, c in self.grid)
         for name, lo, hi, count in grid:
             if count < 1:
@@ -110,16 +115,20 @@ class BenchmarkSpec:
         if self.name == "oscillator" and not grid[0][1] > 0.0:
             name, lo = grid[0][:2]
             raise ValueError(f"axis {name} needs lo > 0 (the first oscillator axis is omega), got {lo}")
-        for fidelity, settings in (("lf", lf), ("hf", hf)):
+        for fidelity, settings, defaults in fidelities:
+            settings.update((key, float(settings[key])) for key in defaults if isinstance(defaults[key], float))
+            for key, value in settings.items():
+                if not math.isfinite(value):
+                    raise ValueError(f"{fidelity} {key} must be finite, got {value}")
             for key in ("dt", "horizon"):
-                if not float(settings[key]) > 0.0:
+                if not settings[key] > 0.0:
                     raise ValueError(f"{fidelity} {key} must be positive, got {settings[key]}")
-            if float(settings["dt"]) > float(settings["horizon"]):
+            if settings["dt"] > settings["horizon"]:
                 raise ValueError(f"{fidelity} dt must not exceed its horizon, got {settings}")
             if self.name == "nbody" and not settings["bodies"] >= 2:
                 raise ValueError(f"{fidelity} bodies must be at least 2, got {settings['bodies']}")
         # the trajectory stride, HF steps // points, must be at least one step
-        steps = int(round(float(hf["horizon"]) / float(hf["dt"])))
+        steps = int(round(hf["horizon"] / hf["dt"]))
         if self.name == "oscillator" and not 1 <= hf["trajectory_points"] <= steps:
             raise ValueError(f"hf trajectory_points must lie in [1, {steps}], got {hf['trajectory_points']}")
         object.__setattr__(self, "grid", grid)
@@ -128,10 +137,7 @@ class BenchmarkSpec:
 
     @property
     def n_samples(self) -> int:
-        out = 1
-        for _, _, _, count in self.grid:
-            out *= count
-        return out
+        return math.prod(count for *_, count in self.grid)
 
 
 def default_spec(name: str, seed: int = 0) -> BenchmarkSpec:
@@ -314,13 +320,13 @@ def gen_oscillator(spec: BenchmarkSpec) -> tuple[SnapshotEnsemble, SnapshotEnsem
     params = parameter_table(spec)
     omega, gamma = params[:, 0], params[:, 1]
 
-    lf_dt = float(spec.lf_settings["dt"])
-    lf_steps = int(round(float(spec.lf_settings["horizon"]) / lf_dt))
+    lf_dt = spec.lf_settings["dt"]
+    lf_steps = int(round(spec.lf_settings["horizon"] / lf_dt))
     lf_out = _oscillator_qois(omega, gamma, lf_dt, lf_steps, "euler")
     lf = _ensemble(lf_out, params, float(lf_steps), ("energy", "amplitude"), "low-fidelity")
 
-    hf_dt = float(spec.hf_settings["dt"])
-    hf_steps = int(round(float(spec.hf_settings["horizon"]) / hf_dt))
+    hf_dt = spec.hf_settings["dt"]
+    hf_steps = int(round(spec.hf_settings["horizon"] / hf_dt))
     traj_points = int(spec.hf_settings["trajectory_points"])
     hf_out = _oscillator_qois(omega, gamma, hf_dt, hf_steps, "rk4", traj_points)
     hf_labels = ("trajectory",) * traj_points + ("energy", "amplitude")
@@ -393,14 +399,11 @@ def _nbody_fidelity(params, settings, seed, fidelity_tag) -> SnapshotEnsemble:
     """One fidelity's normalized QoIs over ``params``; an overflowing run
     raises ArithmeticError naming the unstable samples, and no numpy warning."""
     bodies = int(settings["bodies"])
-    dt = float(settings["dt"])
-    horizon = float(settings["horizon"])
-    soft_frac = float(settings["softening_fraction"])
-    g_const = float(settings["g_const"])
+    dt, horizon, g_const = settings["dt"], settings["horizon"], settings["g_const"]
     steps = int(round(horizon / dt))
 
     pos0, vel_unit, cluster_radius = nbody_initial_state(bodies, seed, fidelity_tag)
-    eps = soft_frac * cluster_radius
+    eps = settings["softening_fraction"] * cluster_radius
     qois = np.empty((3, params.shape[0]))
     with np.errstate(over="ignore", invalid="ignore"):
         for j, (m_total, rotation) in enumerate(params):

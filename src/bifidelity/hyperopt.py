@@ -3,9 +3,9 @@
 The objective scores a candidate kernel Gramian K by its Frobenius distance
 to the linear-kernel reference Gramian plus a stable-rank penalty
 lambda / sqrt(srank), srank = ||K||_F^2 / ||K||_2^2. A particle swarm
-explores a (log-scaled) box, and a projected quasi-Newton pass polishes
-the swarm's best particle. The linear family has nothing to tune: its
-Gramian is the reference, so it scores the stability term alone.
+explores a (log-scaled) box, and its best particle is the tuned point.
+The linear family has nothing to tune: its Gramian is the reference, so
+it scores the stability term alone.
 
 Every family of a run reads one ``TuningTable``, the packed strict upper
 triangles of the LF distances and of the reference, each collected in one
@@ -16,15 +16,16 @@ order, and ``_objective`` adds the penalty, with ||K||_2 from one
 eigensolve. The swarm only compares scores, so each point is first
 bracketed from the same terms and cheap bounds on ||K||_2 (``_bracket``),
 and scored exactly only when two brackets overlap, or for a value the
-optimizers return or the polish sees. The tuned h are then the
-ones exact scores give, with one case a bracket cannot see: an eigensolve
-that fails to converge on a finite symmetric Gramian, which the exact
-objective maps to inf, while the bracket holds finite bounds.
+swarm returns. The tuned h are then the ones exact scores give, with one
+case a bracket cannot see: an eigensolve that fails to converge on a
+finite symmetric Gramian, which the exact objective maps to inf, while
+the bracket holds finite bounds.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -61,17 +62,15 @@ class ObjectiveConfig:
     bounds: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        if not np.isfinite(self.lam) or self.lam < 0:
-            raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
+        if isinstance(self.lam, bool) or not isinstance(self.lam, numbers.Real) or not 0 <= self.lam < math.inf:
+            raise ValueError(f"lambda must be a finite number >= 0, got {self.lam!r}")
         family = KernelFamily(self.family)
         bounds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
         if len(bounds) != HYPER_DIMS[family]:
-            raise ValueError(
-                f"{family.name} needs {HYPER_DIMS[family]} bound pairs, got {len(bounds)}"
-            )
+            raise ValueError(f"{family.name} needs {HYPER_DIMS[family]} bound pairs, got {len(bounds)}")
         for lo, hi in bounds:
-            if not (0 < lo < hi):
-                raise ValueError(f"bounds must satisfy 0 < lo < hi, got ({lo}, {hi})")
+            if not (0 < lo < hi < math.inf):
+                raise ValueError(f"bounds must satisfy 0 < lo < hi < inf, got ({lo}, {hi})")
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "bounds", bounds)
 
@@ -89,10 +88,11 @@ class PsoConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("swarm_size", "max_iters", "stall_iters"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        # each field takes the kind of its default; a bool is neither kind
+        for f in fields(self):
+            value, integer = getattr(self, f.name), isinstance(f.default, int)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral if integer else numbers.Real):
+                raise ValueError(f"{f.name} must be {'an integer' if integer else 'a number'}, got {value!r}")
         if self.swarm_size < 2:
             raise ValueError("swarm_size must be at least 2")
         # written so that NaN fails each test
@@ -108,7 +108,7 @@ class PsoConfig:
 class OptimizedKernel:
     """A tuned kernel spec with optimization bookkeeping.
 
-    ``evaluations_used`` counts the optimizers' objective requests, repeats
+    ``evaluations_used`` counts the swarm's objective requests, repeats
     included; ``distinct_evaluations`` counts the objective computations,
     one per distinct point.
     """
@@ -176,10 +176,9 @@ class _Memoized:
     returns the very value a fresh computation would. ``score`` returns a
     pending _Bracket where ``bounds`` gives (lo, hi) on ``f``, and ``f``'s
     value otherwise; ``refine``, where given, gives the bracket's tighter
-    bounds. Calling the memo returns the exact value. A pending point
-    holds only its key and bounds. ``requests`` counts every request of
-    either kind, repeats included; ``values`` holds one entry per distinct
-    point.
+    bounds. A pending point holds only its key and bounds. ``requests``
+    counts every request, repeats included; ``values`` holds one entry per
+    distinct point.
     """
 
     def __init__(self, f, bounds, refine=None):
@@ -197,9 +196,6 @@ class _Memoized:
             b = self.bounds(x)
             self.values[key] = self.f(x) if b is None else _Bracket(*b, self._f_at, key, self._refine_at)
         return self.values[key]
-
-    def __call__(self, x) -> float:
-        return float(self.score(x))
 
 
 def _squares(v: np.ndarray) -> float:
@@ -313,7 +309,7 @@ def _packed_objective(cfg: ObjectiveConfig, h, tri: TuningTable) -> float:
 
     A radial profile acts entry by entry, so the entries are bit for bit
     those ``_kernel_block`` forms on the whole distance matrix. Any
-    failure is inf, so the optimizers can treat the objective as total.
+    failure is inf, so the swarm can treat the objective as total.
     """
     values = _profile(cfg, h, tri)
     if values is None:
@@ -433,8 +429,9 @@ def pso_minimize(f, cfg: PsoConfig, bounds) -> tuple[np.ndarray, float, list[flo
     ValueError naming the point.
     """
     bounds = np.asarray(bounds, dtype=float)
-    if bounds.ndim != 2 or bounds.shape[1] != 2 or np.any(bounds[:, 0] >= bounds[:, 1]):
-        raise ValueError("bounds must be an array of (lo, hi) pairs with lo < hi")
+    if (bounds.ndim != 2 or bounds.shape[1] != 2 or not np.isfinite(bounds).all()
+            or np.any(bounds[:, 0] >= bounds[:, 1])):
+        raise ValueError("bounds must be an array of finite (lo, hi) pairs with lo < hi")
     lo, hi = bounds[:, 0], bounds[:, 1]
     dim = bounds.shape[0]
     span = hi - lo
@@ -516,6 +513,8 @@ def refine_local(
     max_iters: int = 500,
 ) -> tuple[np.ndarray, float]:
     """Projected quasi-Newton descent from ``h0`` inside a box.
+
+    Tuning does not call it; it is kept while ``perfbench/child.py`` binds the name.
 
     Gradients use central finite differences with step 1e-6 * max(1, |h|).
     Stops when the gradient infinity norm reaches ``grad_tol``, the step
@@ -611,12 +610,12 @@ def optimize_hyperparams(
     obj_cfg: ObjectiveConfig,
     pso_cfg: PsoConfig,
 ) -> OptimizedKernel:
-    """Tune one family's hyperparameters on ``table``: log-scale PSO plus local polish.
+    """Tune one family's hyperparameters on ``table`` by a log-scale PSO.
 
     Every family of a run is tuned on the one ``TuningTable`` of its LF
-    columns. The swarm and the polish share one memo, so each distinct
-    point is bracketed once and computed exactly at most once;
-    ``evaluations_used`` still counts every request.
+    columns. The swarm scores through one memo, so each distinct point is
+    bracketed once and computed exactly at most once; ``evaluations_used``
+    still counts every request.
 
     The linear family has nothing to tune and returns immediately with the
     objective reduced to its stable-rank term and zero evaluations.
@@ -637,13 +636,10 @@ def optimize_hyperparams(
     f_log = _scores(obj_cfg, table)
 
     log_bounds = np.log(np.asarray(obj_cfg.bounds, dtype=float))
-    theta_pso, _, _ = pso_minimize(f_log.score, pso_cfg, log_bounds)
-    theta_star, f_star = refine_local(f_log, theta_pso, log_bounds)
-    h_star = np.exp(theta_star)
-    spec = _spec_for(obj_cfg, h_star)
+    theta_star, f_star, _ = pso_minimize(f_log.score, pso_cfg, log_bounds)
     return OptimizedKernel(
-        spec=spec,
-        objective_value=float(f_star),
+        spec=_spec_for(obj_cfg, np.exp(theta_star)),
+        objective_value=f_star,
         evaluations_used=f_log.requests,
         distinct_evaluations=len(f_log.values),
     )

@@ -1,4 +1,5 @@
 """Benchmark generators: determinism, physics sanity, fidelity gaps."""
+import math
 import re
 import tracemalloc
 import warnings
@@ -123,6 +124,30 @@ def test_spec_validation():
             with pytest.raises(ValueError, match=f"{fidelity} bodies must be an integer"):
                 BenchmarkSpec(name="nbody", grid=grid, **{f"{fidelity}_settings": {"bodies": bodies}})
     assert BenchmarkSpec(name="nbody", grid=grid, lf_settings={"bodies": np.int64(4)}).lf_settings["bodies"] == 4
+    # a number setting is a finite real, neither a bool nor a string, and is
+    # kept as a float: "0.05" was kept as a string, True ran at dt 1.0, and
+    # an infinite horizon raised OverflowError
+    for name, fidelity, key, value in [("oscillator", "lf", "dt", "0.05"), ("oscillator", "lf", "dt", True),
+                                       ("nbody", "lf", "g_const", "x"), ("nbody", "hf", "softening_fraction", None)]:
+        with pytest.raises(ValueError, match=f"{fidelity} {key} must be a number, got {re.escape(repr(value))}"):
+            BenchmarkSpec(name=name, grid=grid, **{f"{fidelity}_settings": {key: value}})
+    for name, fidelity, key, value in [("oscillator", "hf", "horizon", math.inf), ("oscillator", "lf", "dt", math.nan),
+                                       ("nbody", "lf", "g_const", -math.inf)]:
+        with pytest.raises(ValueError, match=f"{fidelity} {key} must be finite"):
+            BenchmarkSpec(name=name, grid=grid, **{f"{fidelity}_settings": {key: value}})
+    spec = BenchmarkSpec(name="oscillator", grid=grid, lf_settings={"horizon": np.int64(5)}, hf_settings={"horizon": 10})
+    assert type(spec.lf_settings["horizon"]) is float and spec.lf_settings["horizon"] == 5.0
+    assert type(spec.hf_settings["horizon"]) is float and spec.hf_settings["horizon"] == 10.0
+    assert type(BenchmarkSpec(name="nbody", grid=grid, hf_settings={"g_const": np.float32(2)}).hf_settings["g_const"]) is float
+    # so is an axis bound; a seed is non-negative
+    for lo, hi in (("1", 2.0), (0.5, True), (None, 1.0)):
+        end, bad = ("lo", lo) if not isinstance(lo, float) else ("hi", hi)
+        with pytest.raises(ValueError, match=f"axis a {end} must be a number, got {re.escape(repr(bad))}"):
+            BenchmarkSpec(name="oscillator", grid=(("a", lo, hi, 2), b))
+    assert BenchmarkSpec(name="oscillator", grid=(("a", np.float32(0.5), 1, 2), b)).grid[0][1:3] == (0.5, 1.0)
+    for seed in (-1, np.int64(-5)):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            BenchmarkSpec(name="oscillator", grid=grid, seed=seed)
     # the oscillator's first axis is omega, which the amplitude divides by
     for omega in (("omega", 0.0, 2.0, 3), ("omega", -1.0, 2.0, 3), ("omega", 0.0, 0.0, 1),
                   ("omega", np.nan, np.nan, 1)):

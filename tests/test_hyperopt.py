@@ -2,6 +2,7 @@
 random search, and the local refinement contract."""
 import functools
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -140,6 +141,13 @@ def test_objective_config_validation():
             family=KernelFamily.EXPONENTIAL,
             bounds=((1.0, 0.5),),
         )
+    # a bool or a string is not a weight, and the box is finite at both ends
+    for lam in (True, "0.1", math.nan, math.inf):
+        with pytest.raises(ValueError, match="lambda must be a finite number >= 0"):
+            ObjectiveConfig(lam=lam, family=KernelFamily.EXPONENTIAL, bounds=((0.1, 1.0),))
+    for bound in ((1e-3, math.inf), (0.0, 1.0), (1e-3, math.nan)):
+        with pytest.raises(ValueError, match="0 < lo < hi < inf"):
+            ObjectiveConfig(lam=0.1, family=KernelFamily.EXPONENTIAL, bounds=(bound,))
 
 
 # === objective brackets ===
@@ -447,8 +455,20 @@ def test_pso_config_validation():
                 PsoConfig(**{name: bad})
         with pytest.raises(ValueError, match="v_max_fraction"):
             PsoConfig(v_max_fraction=bad)
+    # a bool is not a weight, and a string does not compare
+    for name in ("k1", "k2", "v_max_fraction"):
+        for bad in (True, "x", "1.49", None):
+            with pytest.raises(ValueError, match=f"{name} must be a number, got {re.escape(repr(bad))}"):
+                PsoConfig(**{name: bad})
+    for bad in (True, 3.0, "3"):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            PsoConfig(seed=bad)
     with pytest.raises(ValueError):
         pso_minimize(lambda h: 0.0, PsoConfig(), [(1.0, 1.0)])
+    # an infinite or NaN bound is refused before any particle is placed
+    for bounds in ([(0.0, math.inf)], [(-math.inf, 0.0)], [(0.0, math.nan)], [(0.0, 1.0), (math.nan, 1.0)]):
+        with pytest.raises(ValueError, match="finite"):
+            pso_minimize(lambda h: 0.0, PsoConfig(), bounds)
 
 
 # === local refinement ===
@@ -546,8 +566,17 @@ def test_optimize_scores_each_point_once(monkeypatch):
         scored.append(np.asarray(h, dtype=float).tobytes())
         return exact(cfg, h, tri)
 
+    requests, pso = [], hyperopt.pso_minimize
+
+    def swarm(f, *args):
+        def request(x):
+            requests.append(x)
+            return f(x)
+        return pso(request, *args)
+
     monkeypatch.setattr(hyperopt, "_bracket", bracketing)
     monkeypatch.setattr(hyperopt, "_packed_objective", scoring)
+    monkeypatch.setattr(hyperopt, "pso_minimize", swarm)
     result = optimize_hyperparams(KernelFamily.MATERN32, TuningTable(ens.outputs), cfg, PsoConfig(seed=3))
     monkeypatch.undo()
     # each distinct point is bracketed once, and only some need the row
@@ -559,6 +588,8 @@ def test_optimize_scores_each_point_once(monkeypatch):
     assert len(scored) < len(bracketed)
     assert result.distinct_evaluations == len(bracketed)
     assert result.evaluations_used > len(bracketed)
+    # the swarm is tuning's only optimizer: every request is one of its own
+    assert result.evaluations_used == len(requests)
     assert result.objective_value == objective(cfg, result.spec.h, ens)
 
 
@@ -608,9 +639,9 @@ def test_optimize_squared_exponential_tracks_log_grid_oracle():
 # exponential, rational quadratic, Matern 3/2, Matern 5/2. Each is an
 # upper bound; a change that lowers one lowers its bound too.
 EIGENSOLVES = {
-    "oscillator.json": (1, 5, 4, 23, 5, 4),
-    "oscillator-narrow.json": (1, 6, 6, 18, 5, 4),
-    "nbody.json": (1, 4, 6, 18, 6, 4),
+    "oscillator.json": (1, 3, 2, 19, 3, 2),
+    "oscillator-narrow.json": (1, 4, 4, 14, 3, 2),
+    "nbody.json": (1, 2, 4, 14, 4, 2),
 }
 
 
