@@ -22,12 +22,11 @@ normalized per QoI label, frozen and handed to the ensemble uncopied.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import _BLOCK_DOUBLES, SnapshotEnsemble, normalize_in_place
+from .data import _BLOCK_DOUBLES, SnapshotEnsemble, checked_number, normalize_in_place
 
 __all__ = [
     "BenchmarkSpec",
@@ -85,27 +84,21 @@ class BenchmarkSpec:
         lf = {**lf_defaults, **self.lf_settings}
         hf = {**hf_defaults, **self.hf_settings}
         fidelities = (("lf", lf, lf_defaults), ("hf", hf, hf_defaults))
-        # a misspelt setting would otherwise run silently at its default
+        # a misspelt setting would otherwise run silently at its default; each
+        # value takes the kind of its default (``checked_number``): an integer
+        # for the seed, an axis count and an integer setting, a number for an
+        # axis bound and any other setting
         for fidelity, settings, defaults in fidelities:
             unknown = sorted(set(settings) - set(defaults))
             if unknown:
                 raise ValueError(f"unknown {fidelity} setting(s) {unknown} for {self.name}")
-        # each value takes the kind of its default and is refused, not
-        # converted, as another: an integer (the seed, an axis count, an
-        # integer setting) as a float, bool or string, a number (an axis
-        # bound, any other setting) as a bool or string
-        values = [("seed", self.seed, 0)]
-        values += [(f"axis {n} {end}", v, kind) for n, *axis in self.grid
-                   for end, v, kind in zip(("lo", "hi", "count"), axis, (0.0, 0.0, 0))]
-        values += [(f"{fidelity} {key}", settings[key], default)
-                   for fidelity, settings, defaults in fidelities for key, default in defaults.items()]
-        for what, value, default in values:
-            integer = isinstance(default, int)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral if integer else numbers.Real):
-                raise ValueError(f"{what} must be {'an integer' if integer else 'a number'}, got {value!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        grid = tuple((str(n), float(lo), float(hi), int(c)) for n, lo, hi, c in self.grid)
+            for key, kind in defaults.items():
+                settings[key] = checked_number(settings[key], f"{fidelity} {key}", integer=isinstance(kind, int))
+        seed = checked_number(self.seed, "seed", integer=True)
+        grid = tuple((str(n), checked_number(lo, f"axis {n} lo"), checked_number(hi, f"axis {n} hi"),
+                      checked_number(c, f"axis {n} count", integer=True)) for n, lo, hi, c in self.grid)
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
         for name, lo, hi, count in grid:
             if count < 1:
                 raise ValueError(f"axis {name} needs at least one point")
@@ -115,11 +108,7 @@ class BenchmarkSpec:
         if self.name == "oscillator" and not grid[0][1] > 0.0:
             name, lo = grid[0][:2]
             raise ValueError(f"axis {name} needs lo > 0 (the first oscillator axis is omega), got {lo}")
-        for fidelity, settings, defaults in fidelities:
-            settings.update((key, float(settings[key])) for key in defaults if isinstance(defaults[key], float))
-            for key, value in settings.items():
-                if not math.isfinite(value):
-                    raise ValueError(f"{fidelity} {key} must be finite, got {value}")
+        for fidelity, settings, _ in fidelities:
             for key in ("dt", "horizon"):
                 if not settings[key] > 0.0:
                     raise ValueError(f"{fidelity} {key} must be positive, got {settings[key]}")
@@ -131,6 +120,7 @@ class BenchmarkSpec:
         steps = int(round(hf["horizon"] / hf["dt"]))
         if self.name == "oscillator" and not 1 <= hf["trajectory_points"] <= steps:
             raise ValueError(f"hf trajectory_points must lie in [1, {steps}], got {hf['trajectory_points']}")
+        object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "lf_settings", lf)
         object.__setattr__(self, "hf_settings", hf)

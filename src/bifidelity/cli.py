@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .bench import BenchmarkSpec, default_spec, generate
-from .data import SnapshotEnsemble
+from .data import SnapshotEnsemble, checked_number
 from .hyperopt import (
     ObjectiveConfig,
     PsoConfig,
@@ -83,7 +83,7 @@ class ExperimentConfig:
     kernels: tuple[KernelFamily, ...]
     lam: float
     rcond: float
-    pso: dict
+    pso: PsoConfig
     modes: tuple[str, ...]
     budgets: tuple[int, ...]
     seed: int
@@ -94,10 +94,13 @@ class ExperimentConfig:
 
 _REQUIRED = object()
 
-# One declaration per key: (kind, default, range). A "number" is a finite
-# JSON number, read as a float; a bool or a string is neither a number nor
-# an integer. A list may not be empty, and its kind and range are those of
-# its items. null is accepted only where the default is null.
+# One declaration per key: (kind, default, range). A "number" and an
+# "integer" are what ``checked_number`` accepts, a number read as a float.
+# A list may not be empty, and its kind and range are those of its items.
+# null is accepted only where the default is null. A kind of None leaves
+# the value to the type that holds it. So do the pso settings (PsoConfig)
+# and the grid values and LF/HF settings (BenchmarkSpec): only their JSON
+# shape is checked here.
 _CONFIG = {
     "data": ("section", _REQUIRED, None),
     "kernels": ("string list", list(FAMILY_BY_NAME), None),
@@ -113,7 +116,7 @@ _CONFIG = {
 }
 _BENCHMARK = {
     "name": ("string", _REQUIRED, None),
-    "seed": ("integer", 0, "non-negative"),
+    "seed": (None, 0, None),
     "grid": ("axis list", None, None),  # null: the benchmark's own grid
     "lf": ("section", {}, None),
     "hf": ("section", {}, None),
@@ -124,27 +127,14 @@ _FILES = {
     "hf_outputs": ("string", _REQUIRED, None),
     "costs": ("string", None, None),  # null: unit costs
 }
-# kind -> (what it must be, test); a bool is never a number or an integer
-_KINDS = {
-    "integer": ("an integer", lambda v: isinstance(v, int)),
-    "number": ("a finite number",
-               lambda v: isinstance(v, (int, float)) and abs(v) <= sys.float_info.max),
-    "string": ("a string", lambda v: isinstance(v, str)),
-    "section": ("a JSON object", lambda v: isinstance(v, dict)),
-}
+_KINDS = {"string": ("a string", str), "section": ("a JSON object", dict)}
 _RANGES = {"positive": lambda v: v > 0, "non-negative": lambda v: v >= 0}
 
 
-def _like(default) -> tuple:
-    """The declaration of a key that takes the kind of its default."""
-    return ("integer" if isinstance(default, int) else "number", default, None)
-
-
-_PSO = {f.name: _like(f.default) for f in fields(PsoConfig) if f.name != "seed"}
-
-
-def _value(value, kind: str, rng, where: str):
+def _value(value, kind: str | None, rng, where: str):
     """``value`` if it is of ``kind`` and in ``rng``; else a ConfigError naming ``where``."""
+    if kind is None:
+        return value
     if kind.endswith(" list"):
         if not isinstance(value, list) or not value:
             raise ConfigError(f"{where} must be a non-empty list, got {value!r}")
@@ -152,28 +142,33 @@ def _value(value, kind: str, rng, where: str):
     if kind == "axis":
         if not isinstance(value, list) or len(value) != 4 or not isinstance(value[0], str):
             raise ConfigError(f"{where} axes must be [name, lo, hi, count] lists, got {value!r}")
-        name, lo, hi, count = value
-        where = f"{where} axis {name}"
-        return (name, _value(lo, "number", None, f"{where} lo"),
-                _value(hi, "number", None, f"{where} hi"), _value(count, "integer", None, f"{where} count"))
-    what, test = _KINDS[kind]
-    if isinstance(value, bool) or not test(value):
-        raise ConfigError(f"{where} must be {what}, got {value!r}")
-    if kind == "number":
-        value = float(value)
+        return tuple(value)
+    if kind in ("number", "integer"):
+        try:
+            value = checked_number(value, where, integer=kind == "integer")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+    elif not isinstance(value, _KINDS[kind][1]):
+        raise ConfigError(f"{where} must be {_KINDS[kind][0]}, got {value!r}")
     if rng is not None and not _RANGES[rng](value):
         raise ConfigError(f"{where} must be {rng}, got {value!r}")
     return value
 
 
+def _keys(doc, keys, name: str) -> dict:
+    """``doc``, a JSON object whose keys are all among ``keys``; else a ConfigError naming section ``name``."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {type(doc).__name__}")
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown key(s) {unknown} in {name}")
+    return doc
+
+
 def _section(doc, table: dict, where: str) -> dict:
     """Every declared value of section ``doc``, defaults filled in."""
     name = where or "config"
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{name} must be a JSON object, got {type(doc).__name__}")
-    unknown = sorted(set(doc) - set(table))
-    if unknown:
-        raise ConfigError(f"unknown key(s) {unknown} in {name}")
+    _keys(doc, table, name)
     out = {}
     for key, (kind, default, rng) in table.items():
         if default is _REQUIRED and key not in doc:
@@ -205,14 +200,14 @@ def parse_config(doc: dict) -> ExperimentConfig:
             raise ConfigError(f"{key} must not repeat an entry, got {list(top[key])}")
     if list(top["budgets"]) != sorted(set(top["budgets"])):
         raise ConfigError("budgets must be strictly ascending")
-    pso = _section(top["pso"], _PSO, "pso")
+    # each family's swarm takes its seed from the run's, so seed is no pso key
+    pso_keys = [f.name for f in fields(PsoConfig) if f.name != "seed"]
     try:
-        PsoConfig(**pso)
+        top["pso"] = PsoConfig(**_keys(top["pso"], pso_keys, "pso"))
     except ValueError as exc:
-        raise ConfigError(f"invalid pso settings: {exc}") from exc
-    # the fields are the keys, with lambda as lam; pso keeps the keys given
+        raise ConfigError(f"pso: {exc}") from exc
+    # the fields are the keys, with lambda as lam
     top["kernels"] = tuple(FAMILY_BY_NAME[name] for name in top["kernels"])
-    top["pso"] = {key: pso[key] for key in top["pso"]}
     top["lam"] = top.pop("lambda")
     return ExperimentConfig(**top)
 
@@ -278,21 +273,17 @@ def read_matrix_csv(path, header: bool = False) -> np.ndarray:
 
 
 def _bench_spec_from_config(doc, where: str) -> BenchmarkSpec:
-    """The spec a benchmark section describes; a bad value is a ConfigError.
+    """The spec a benchmark section describes; the spec's ValueError is a
+    ConfigError naming section ``where``.
 
-    Each LF/HF setting takes the kind of the benchmark's default for it;
-    the spec refuses a setting the benchmark does not declare.
+    The section's shape is checked here; the seed, the grid values and the
+    LF/HF settings are the spec's to check.
     """
     bench = _section(doc, _BENCHMARK, where)
     try:
         spec = default_spec(bench["name"], seed=bench["seed"])
-        settings = [
-            {key: _value(v, _like(defaults[key])[0], None, f"{where}.{fid}.{key}".lstrip("."))
-             if key in defaults else v for key, v in bench[fid].items()}
-            for fid, defaults in (("lf", spec.lf_settings), ("hf", spec.hf_settings))
-        ]
-        return replace(spec, grid=bench["grid"] or spec.grid, lf_settings=settings[0],
-                       hf_settings=settings[1])
+        return replace(spec, grid=bench["grid"] or spec.grid, lf_settings=bench["lf"],
+                       hf_settings=bench["hf"])
     except ValueError as exc:
         raise ConfigError(f"{where or 'benchmark'}: {exc}") from exc
 
@@ -390,7 +381,7 @@ def run_experiment(cfg: ExperimentConfig, parallel: bool = False, header: bool =
         table = TuningTable(lf.outputs)  # every family tunes on the same LF data
         for fam in cfg.kernels:
             obj_cfg = ObjectiveConfig(lam=cfg.lam, family=fam, bounds=default_bounds(fam, table.dbar))
-            pso_cfg = PsoConfig(**cfg.pso, seed=_child_seed(cfg.seed, int(fam)))
+            pso_cfg = replace(cfg.pso, seed=_child_seed(cfg.seed, int(fam)))
             optimized.append(optimize_hyperparams(fam, table, obj_cfg, pso_cfg))
         del table  # its packed triangles, before selection
         hyper_evals = sum(ok.evaluations_used for ok in optimized)

@@ -1,11 +1,32 @@
 """Snapshot ensembles (model outputs, parameter tables, per-sample costs)
-and their output normalization, one group per QoI label."""
+and their output normalization, one group per QoI label; and the one rule
+for what a number is, which every setting and archive field follows."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def checked_number(value, what: str, integer: bool = False):
+    """``value`` as an int if ``integer``, else as a float; else a ValueError naming ``what``.
+
+    A bool is neither a number nor an integer. A number is a
+    ``numbers.Real`` and an integer a ``numbers.Integral``, and either is
+    finite as a float: NaN, the infinities and a value beyond the floats,
+    such as the integer 10**400, are refused as not finite.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral if integer else numbers.Real):
+        raise ValueError(f"{what} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer or a fraction beyond the floats
+        finite = False
+    if not finite:
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    return int(value) if integer else float(value)
 
 
 # Doubles in one column block of an output array: code that reads every

@@ -24,12 +24,11 @@ the bracket holds finite bounds.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import _BLOCK_DOUBLES
+from .data import _BLOCK_DOUBLES, checked_number
 from .kernels import (
     HYPER_DIMS,
     KernelFamily,
@@ -62,15 +61,18 @@ class ObjectiveConfig:
     bounds: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        if isinstance(self.lam, bool) or not isinstance(self.lam, numbers.Real) or not 0 <= self.lam < math.inf:
-            raise ValueError(f"lambda must be a finite number >= 0, got {self.lam!r}")
+        lam = checked_number(self.lam, "lambda")
+        if lam < 0:
+            raise ValueError(f"lambda must be non-negative, got {lam!r}")
         family = KernelFamily(self.family)
-        bounds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
+        bounds = tuple((checked_number(lo, f"bounds[{i}] lo"), checked_number(hi, f"bounds[{i}] hi"))
+                       for i, (lo, hi) in enumerate(self.bounds))
         if len(bounds) != HYPER_DIMS[family]:
             raise ValueError(f"{family.name} needs {HYPER_DIMS[family]} bound pairs, got {len(bounds)}")
         for lo, hi in bounds:
-            if not (0 < lo < hi < math.inf):
+            if not 0 < lo < hi:
                 raise ValueError(f"bounds must satisfy 0 < lo < hi < inf, got ({lo}, {hi})")
+        object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "bounds", bounds)
 
@@ -88,16 +90,14 @@ class PsoConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # each field takes the kind of its default; a bool is neither kind
+        # each field takes the kind of its default (``checked_number``)
         for f in fields(self):
-            value, integer = getattr(self, f.name), isinstance(f.default, int)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral if integer else numbers.Real):
-                raise ValueError(f"{f.name} must be {'an integer' if integer else 'a number'}, got {value!r}")
+            value = checked_number(getattr(self, f.name), f.name, integer=isinstance(f.default, int))
+            object.__setattr__(self, f.name, value)
         if self.swarm_size < 2:
             raise ValueError("swarm_size must be at least 2")
-        # written so that NaN fails each test
-        if not (0 < self.k1 < math.inf and 0 < self.k2 < math.inf):
-            raise ValueError(f"k1 and k2 must be positive and finite, got {self.k1}, {self.k2}")
+        if not (self.k1 > 0 and self.k2 > 0):
+            raise ValueError(f"k1 and k2 must be positive, got {self.k1}, {self.k2}")
         if not 0 < self.v_max_fraction <= 1:
             raise ValueError("v_max_fraction must be in (0, 1]")
         if self.max_iters < 1 or self.stall_iters < 1:
@@ -224,7 +224,7 @@ class TuningTable:
     or ``terms`` call, and the table is not for concurrent use.
     """
 
-    __slots__ = ("n", "dists", "zeros", "ref_upper", "ref_diag", "dbar", "values", "_diagonal")
+    __slots__ = ("n", "dists", "zeros", "ref_upper", "ref_diag", "dbar", "values", "_unit_diagonal")
 
     def __init__(self, X: np.ndarray):
         linear = KernelSpec(family=KernelFamily.LINEAR)
@@ -241,7 +241,8 @@ class TuningTable:
         self.dbar = med if med > 0 else 1.0
         self.zeros = np.flatnonzero(self.dists == 0.0)
         self.values = np.empty_like(self.dists)
-        self._diagonal: dict[float, tuple[float, float]] = {}
+        ones = np.ones(self.n)
+        self._unit_diagonal = _squares(self.ref_diag - ones), _squares(ones)
 
     def profile(self, spec: KernelSpec) -> np.ndarray:
         """``radial_profile(spec, dists)``, written into ``values``."""
@@ -260,23 +261,18 @@ class TuningTable:
         """(||ref - K||_F, ||K||_F^2) for K = ``gramian(diag, off)``: each strict
         upper square counts twice and each diagonal one once, summed by
         ``_squares``. The difference ref - off is taken in ``values``, which
-        spends a profile held there; the diagonal's two sums are formed once
-        per diagonal value (every radial family's is 1)."""
+        spends a profile held there. ``diag`` is N values (the linear
+        family's ``ref_diag``) or one; a radial profile's is exactly 1
+        (``radial_profile`` sets each zero distance to 1), whose two sums
+        ``__init__`` formed once."""
         off_squares = _squares(off)
         fit_squares = _squares(np.subtract(self.ref_upper, off, out=self.values[1:]))
-        ref_squares, diag_squares = self._diagonal_sums(diag)
-        return math.sqrt(2.0 * fit_squares + ref_squares), 2.0 * off_squares + diag_squares
-
-    def _diagonal_sums(self, diag) -> tuple[float, float]:
-        """(||ref_diag - diag||^2, ||diag||^2), kept for a diagonal of one value."""
-        key = None if isinstance(diag, np.ndarray) else float(diag)
-        if key not in self._diagonal:
+        if isinstance(diag, np.ndarray) or diag != 1.0:
             full = np.full(self.n, diag)
-            sums = _squares(self.ref_diag - full), _squares(full)
-            if key is None or key != key:  # an array, or NaN, is never looked up again
-                return sums
-            self._diagonal[key] = sums
-        return self._diagonal[key]
+            ref_squares, diag_squares = _squares(self.ref_diag - full), _squares(full)
+        else:
+            ref_squares, diag_squares = self._unit_diagonal
+        return math.sqrt(2.0 * fit_squares + ref_squares), 2.0 * off_squares + diag_squares
 
 
 def _objective(cfg: ObjectiveConfig, tri: TuningTable, diag, off: np.ndarray) -> float:

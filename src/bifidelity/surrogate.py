@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import SnapshotEnsemble, column_blocks, held_out, row_selector
+from .data import SnapshotEnsemble, checked_number, column_blocks, held_out, row_selector
 from .kernels import (
     KernelFamily,
     KernelSpec,
@@ -372,20 +372,19 @@ def _encode_matrix(arr: np.ndarray) -> dict:
     }
 
 
-_NUMBER = (int, float)
-_KINDS = {_NUMBER: "a number", int: "an integer", str: "a string", list: "a list", dict: "an object"}
-
-
-def _checked(value, key: str, kind):
-    """``value``, refused with a ValueError naming field ``key`` unless it
-    is a ``kind``; a bool is neither a number nor an integer."""
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ValueError(f"archive field {key!r} must be {_KINDS[kind]}, got {type(value).__name__}")
-    return value
+_KINDS = {str: "a string", list: "a list", dict: "an object"}
 
 
 def _field(doc: dict, key: str, kind):
-    return _checked(doc.get(key), key, kind)
+    """Field ``key`` of ``doc``, refused with a ValueError naming it unless
+    it is a ``kind``: a number or an integer as ``checked_number`` reads
+    it, else one of ``_KINDS``."""
+    value = doc.get(key)
+    if kind in (float, int):
+        return checked_number(value, f"archive field {key!r}", integer=kind is int)
+    if not isinstance(value, kind):
+        raise ValueError(f"archive field {key!r} must be {_KINDS[kind]}, got {type(value).__name__}")
+    return value
 
 
 def _decode_matrix(blob: dict) -> np.ndarray:
@@ -405,14 +404,13 @@ def _kernel_to_dict(kernel: KernelSpec) -> dict:
 def _kernel_from_dict(doc: dict) -> KernelSpec:
     if doc.get("kind") != "single":
         raise ValueError(f"unsupported kernel kind {doc.get('kind')!r}; expected 'single'")
-    # older archives carry switches for deleted formulas; only "off" is today's
-    switched_on = sorted(k for k, v in doc.items() if k not in ("kind", "family", "h") and v)
-    if switched_on:
-        raise ValueError(f"unsupported kernel form {', '.join(map(repr, switched_on))}")
+    unknown = sorted(set(doc) - {"kind", "family", "h"})
+    if unknown:
+        raise ValueError(f"unknown key(s) {unknown} in archive field 'kernel'")
     name = _field(doc, "family", str)
     if name.upper() not in KernelFamily.__members__:
         raise ValueError(f"unsupported kernel family {name!r}")
-    h = tuple(float(_checked(v, "h", _NUMBER)) for v in _field(doc, "h", list))
+    h = tuple(checked_number(v, "archive field 'h'") for v in _field(doc, "h", list))
     return KernelSpec(family=KernelFamily[name.upper()], h=h)
 
 
@@ -445,5 +443,5 @@ def surrogate_from_dict(doc: dict) -> Surrogate:
         pivots=tuple(pivots),
         hf_snapshots=_decode_matrix(_field(matrices, "hf_snapshots", dict)),
         pivot_lf_columns=_decode_matrix(_field(matrices, "pivot_lf_columns", dict)),
-        rcond=float(_field(doc, "rcond", _NUMBER)),
+        rcond=_field(doc, "rcond", float),
     )

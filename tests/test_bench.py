@@ -131,9 +131,11 @@ def test_spec_validation():
                                        ("nbody", "lf", "g_const", "x"), ("nbody", "hf", "softening_fraction", None)]:
         with pytest.raises(ValueError, match=f"{fidelity} {key} must be a number, got {re.escape(repr(value))}"):
             BenchmarkSpec(name=name, grid=grid, **{f"{fidelity}_settings": {key: value}})
+    # an integer too large for a float is not finite, and is no OverflowError
     for name, fidelity, key, value in [("oscillator", "hf", "horizon", math.inf), ("oscillator", "lf", "dt", math.nan),
-                                       ("nbody", "lf", "g_const", -math.inf)]:
-        with pytest.raises(ValueError, match=f"{fidelity} {key} must be finite"):
+                                       ("nbody", "lf", "g_const", -math.inf), ("oscillator", "lf", "dt", 10**400),
+                                       ("nbody", "hf", "horizon", -(10**400))]:
+        with pytest.raises(ValueError, match=f"{fidelity} {key} must be finite, got {re.escape(repr(value))}"):
             BenchmarkSpec(name=name, grid=grid, **{f"{fidelity}_settings": {key: value}})
     spec = BenchmarkSpec(name="oscillator", grid=grid, lf_settings={"horizon": np.int64(5)}, hf_settings={"horizon": 10})
     assert type(spec.lf_settings["horizon"]) is float and spec.lf_settings["horizon"] == 5.0
@@ -144,15 +146,22 @@ def test_spec_validation():
         end, bad = ("lo", lo) if not isinstance(lo, float) else ("hi", hi)
         with pytest.raises(ValueError, match=f"axis a {end} must be a number, got {re.escape(repr(bad))}"):
             BenchmarkSpec(name="oscillator", grid=(("a", lo, hi, 2), b))
+    for lo, hi in ((0.5, 10**400), (-(10**400), 1.0), (0.5, math.inf)):
+        end, bad = ("hi", hi) if lo == 0.5 else ("lo", lo)
+        with pytest.raises(ValueError, match=f"axis a {end} must be finite, got {re.escape(repr(bad))}"):
+            BenchmarkSpec(name="oscillator", grid=(("a", lo, hi, 2), b))
     assert BenchmarkSpec(name="oscillator", grid=(("a", np.float32(0.5), 1, 2), b)).grid[0][1:3] == (0.5, 1.0)
     for seed in (-1, np.int64(-5)):
         with pytest.raises(ValueError, match="seed must be non-negative"):
             BenchmarkSpec(name="oscillator", grid=grid, seed=seed)
     # the oscillator's first axis is omega, which the amplitude divides by
-    for omega in (("omega", 0.0, 2.0, 3), ("omega", -1.0, 2.0, 3), ("omega", 0.0, 0.0, 1),
-                  ("omega", np.nan, np.nan, 1)):
+    for omega in (("omega", 0.0, 2.0, 3), ("omega", -1.0, 2.0, 3), ("omega", 0.0, 0.0, 1)):
         with pytest.raises(ValueError, match="axis omega needs lo > 0"):
             BenchmarkSpec(name="oscillator", grid=(omega, ("gamma", 0.1, 0.2, 2)))
+    # a NaN bound is not finite, on any axis
+    for name, grid in (("omega", (("omega", np.nan, np.nan, 1), b)), ("b", (("a", 0.5, 1.0, 2), ("b", np.nan, 0.2, 1)))):
+        with pytest.raises(ValueError, match=f"axis {name} lo must be finite, got nan"):
+            BenchmarkSpec(name="oscillator", grid=grid)
     BenchmarkSpec(name="oscillator", grid=(("omega", 1e-3, 2.0, 3), ("gamma", -1.0, 0.2, 2)))
     BenchmarkSpec(name="nbody", grid=(("m_total", 0.0, 2.0, 3), ("rotation", 0.0, 0.9, 2)))
 

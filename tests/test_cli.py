@@ -148,15 +148,20 @@ def test_parse_config_rejects_bad_documents(toy):
         ("objective_eval_cost", {**good, "objective_eval_cost": math.nan}),
         ("out_dir", {**good, "out_dir": 5}),
         ("out_dir", {**good, "out_dir": None}),
-        ("pso.k1", {**good, "pso": {"k1": math.nan}}),
-        ("pso.k1", {**good, "pso": {"k1": True}}),
-        ("pso.k1", {**good, "pso": {"k1": "1.5"}}),
-        ("data.benchmark.lf.dt", bench(lf={"dt": "0.05"})),
-        ("data.benchmark.hf.trajectory_points", bench(hf={"trajectory_points": 20.5})),
-        ("data.benchmark.lf.bodies", bench("nbody", lf={"bodies": True})),
-        ("data.benchmark.seed", bench("nbody", seed=-1)),
-        ("data.benchmark.grid", bench(grid=[["omega", "1", 5.0, 6], ["gamma", 0.05, 0.5, 3]])),
-        ("data.benchmark.grid", bench(grid=[["omega", True, 5.0, 6], ["gamma", 0.05, 0.5, 3]])),
+        # the pso settings and the benchmark's values are checked by the
+        # types that hold them, and named in their section
+        ("pso: k1 must be finite, got nan", {**good, "pso": {"k1": math.nan}}),
+        ("pso: k1 must be a number, got True", {**good, "pso": {"k1": True}}),
+        ("pso: k1 must be a number, got '1.5'", {**good, "pso": {"k1": "1.5"}}),
+        ("data.benchmark: lf dt must be a number, got '0.05'", bench(lf={"dt": "0.05"})),
+        ("data.benchmark: hf trajectory_points must be an integer, got 20.5",
+         bench(hf={"trajectory_points": 20.5})),
+        ("data.benchmark: lf bodies must be an integer, got True", bench("nbody", lf={"bodies": True})),
+        ("data.benchmark: seed must be non-negative, got -1", bench("nbody", seed=-1)),
+        ("data.benchmark: axis omega lo must be a number, got '1'",
+         bench(grid=[["omega", "1", 5.0, 6], ["gamma", 0.05, 0.5, 3]])),
+        ("data.benchmark: axis omega lo must be a number, got True",
+         bench(grid=[["omega", True, 5.0, 6], ["gamma", 0.05, 0.5, 3]])),
         ("data.files.lf_outputs", {**good, "data": {"files": {**good["data"]["files"], "lf_outputs": 1}}}),
     ]
     for key, doc in wrong_kinds:
@@ -412,6 +417,11 @@ def test_exit_code_2_on_config_errors(toy, tmp_path, capsys):
         assert not (tmp_path / "g").exists()
     unknown = write_config(tmp_path / "unknown.json", toy_doc(toy, bogus=1))
     assert main(["run", "--config", unknown]) == 2
+    # each family's swarm seed comes from the run's seed; pso takes none
+    seeded = write_config(tmp_path / "seeded.json", toy_doc(toy, pso={"seed": 1}))
+    capsys.readouterr()
+    assert main(["run", "--config", seeded]) == 2
+    assert "unknown key(s) ['seed'] in pso" in capsys.readouterr().err
     # a negative seed, as the key and as the flag, and nothing is written
     doc = toy_doc(toy, out_dir=str(tmp_path / "negative"))
     for args in (["--config", write_config(tmp_path / "neg.json", {**doc, "seed": -1})],
@@ -489,7 +499,7 @@ def test_fidelity_settings_are_refused_in_the_specs_one_wording(toy, tmp_path, c
     bench["benchmark"]["hf"] = {"dt": "0.01"}
     cfg = write_config(tmp_path / "kind.json", toy_doc(toy, data=bench))
     assert main(["run", "--config", cfg]) == 2
-    assert "data.benchmark.hf.dt must be a finite number" in capsys.readouterr().err
+    assert "data.benchmark: hf dt must be a number, got '0.01'" in capsys.readouterr().err
 
 
 def test_additive_mode_is_rejected(toy, tmp_path, capsys):
@@ -792,21 +802,21 @@ def test_eval_round_trip(toy, tmp_path, capsys):
         ("unreadable archive", {**good, "rcond": None}),
         ("unreadable archive", {**good, "kernel": {**good["kernel"], "h": [[1.0]]}}),
         # a number is a JSON number: neither a string nor a bool
-        ("'rcond' must be a number, got str", {**good, "rcond": "1e-12"}),
-        ("'rcond' must be a number, got bool", {**good, "rcond": True}),
-        ("'h' must be a number, got str", {**good, "kernel": {**good["kernel"], "h": ["0.9"]}}),
-        ("'h' must be a number, got bool", {**good, "kernel": {**good["kernel"], "h": [True]}}),
-        ("'rows' must be an integer, got str",
+        ("'rcond' must be a number, got '1e-12'", {**good, "rcond": "1e-12"}),
+        ("'rcond' must be a number, got True", {**good, "rcond": True}),
+        ("'h' must be a number, got '0.9'", {**good, "kernel": {**good["kernel"], "h": ["0.9"]}}),
+        ("'h' must be a number, got True", {**good, "kernel": {**good["kernel"], "h": [True]}}),
+        (f"'rows' must be an integer, got '{hf_blob['rows']}'",
          {**good, "matrices": {**matrices, "hf_snapshots": {**hf_blob, "rows": str(hf_blob["rows"])}}}),
-        ("'cols' must be an integer, got bool",
+        ("'cols' must be an integer, got True",
          {**good, "matrices": {**matrices, "hf_snapshots": {**hf_blob, "cols": True}}}),
         ("'rows' and 'cols' must be non-negative, got (-1, ",
          {**good, "matrices": {**matrices, "hf_snapshots": {**hf_blob, "rows": -1}}}),
         # non-finite values, refused at load rather than printed or misreported
         ("hf_snapshots must be finite", with_matrix(good, "hf_snapshots", math.nan)),
         ("pivot_lf_columns must be finite", with_matrix(good, "pivot_lf_columns", math.nan)),
-        ("rcond must be finite", {**good, "rcond": math.nan}),
-        ("rcond must be finite", {**good, "rcond": math.inf}),
+        ("'rcond' must be finite, got nan", {**good, "rcond": math.nan}),
+        ("'rcond' must be finite, got inf", {**good, "rcond": math.inf}),
     ]
     for k, (field, doc) in enumerate(malformed):
         bad_archive = write_config(tmp_path / f"malformed{k}.json", doc)

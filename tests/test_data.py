@@ -1,8 +1,17 @@
-"""Snapshot ensemble container invariants."""
+"""Snapshot ensemble container invariants, and the one number rule."""
+import math
+import re
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from bifidelity.data import SnapshotEnsemble, held_out
+from bifidelity.bench import BenchmarkSpec, default_spec
+from bifidelity.cli import ConfigError, parse_config
+from bifidelity.data import SnapshotEnsemble, checked_number, held_out
+from bifidelity.hyperopt import ObjectiveConfig, PsoConfig
+from bifidelity.kernels import KernelFamily, KernelSpec
+from bifidelity.surrogate import Surrogate, surrogate_from_dict, surrogate_to_dict
 
 
 def make(outputs, labels=None):
@@ -76,3 +85,59 @@ def test_validation_errors():
         SnapshotEnsemble(np.array([[1.0, np.nan]]), np.ones((2, 1)), np.ones(2))
     with pytest.raises(ValueError, match="one name per output row"):
         make(np.ones((2, 3)), labels=("only_one",))
+
+
+# === the number rule ===
+
+
+def test_checked_number_returns_the_kind_it_checks():
+    for value in (3, np.int64(3), np.uint8(3), 2**1000):
+        got = checked_number(value, "n", integer=True)
+        assert type(got) is int and got == value
+    for value, expected in ((3, 3.0), (np.float32(0.5), 0.5), (Fraction(1, 4), 0.25), (-(10**300), -1e300)):
+        got = checked_number(value, "x")
+        assert type(got) is float and got == expected
+    # an integer is integral: a float, bool or string is refused, not truncated
+    for value in (3.0, 2.5, True, np.bool_(True), "3", None):
+        with pytest.raises(ValueError, match=f"n must be an integer, got {re.escape(repr(value))}"):
+            checked_number(value, "n", integer=True)
+    # a fraction too large for a float is not finite either, nor a numpy
+    # infinity, nor an integer beyond the floats
+    for value in (Fraction(10**400, 3), np.float32(np.inf), np.float64(np.nan)):
+        with pytest.raises(ValueError, match=f"x must be finite, got {re.escape(repr(value))}"):
+            checked_number(value, "x")
+    for value in (10**400, -(2**1100)):
+        with pytest.raises(ValueError, match=f"n must be finite, got {re.escape(repr(value))}"):
+            checked_number(value, "n", integer=True)
+
+
+REFUSALS = [(True, "a number"), ("1", "a number"), (None, "a number"),
+            (math.nan, "finite"), (math.inf, "finite"), (10**400, "finite")]
+
+
+def _archive() -> dict:
+    linear = KernelSpec(family=KernelFamily.LINEAR)
+    return surrogate_to_dict(Surrogate(kernel=linear, pivots=(0,), hf_snapshots=np.ones((2, 1)),
+                                       pivot_lf_columns=np.ones((1, 1)), rcond=1e-12))
+
+
+# entry point -> (the field its refusal names, a call that feeds it the value)
+ENTRY_POINTS = {
+    "pso-weight": ("k1", lambda v: PsoConfig(k1=v)),
+    "objective-bound": ("bounds[0] hi",
+                        lambda v: ObjectiveConfig(lam=0.1, family=KernelFamily.EXPONENTIAL, bounds=((0.1, v),))),
+    "benchmark-setting": ("lf dt", lambda v: BenchmarkSpec(name="oscillator", grid=default_spec("oscillator").grid,
+                                                           lf_settings={"dt": v})),
+    "archive-rcond": ("archive field 'rcond'", lambda v: surrogate_from_dict({**_archive(), "rcond": v})),
+    "config-lambda": ("lambda", lambda v: parse_config({"data": {"benchmark": {"name": "oscillator"}}, "lambda": v})),
+}
+
+
+@pytest.mark.parametrize("value, kind", REFUSALS, ids=["bool", "string", "null", "nan", "inf", "huge-integer"])
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+def test_every_entry_point_refuses_a_number_in_one_wording(entry, value, kind):
+    what, feed = ENTRY_POINTS[entry]
+    # the config's refusal is a ConfigError, the library's a ValueError
+    with pytest.raises(ConfigError if entry == "config-lambda" else ValueError) as refused:
+        feed(value)
+    assert str(refused.value) == f"{what} must be {kind}, got {value!r}"

@@ -141,12 +141,20 @@ def test_objective_config_validation():
             family=KernelFamily.EXPONENTIAL,
             bounds=((1.0, 0.5),),
         )
-    # a bool or a string is not a weight, and the box is finite at both ends
-    for lam in (True, "0.1", math.nan, math.inf):
-        with pytest.raises(ValueError, match="lambda must be a finite number >= 0"):
+    # a bool or a string is not a weight, and the box is finite at both
+    # ends; an integer too large for a float is not finite
+    for lam, kind in ((True, "a number"), ("0.1", "a number"), (math.nan, "finite"), (math.inf, "finite"),
+                      (10**400, "finite")):
+        with pytest.raises(ValueError, match=f"lambda must be {kind}, got {re.escape(repr(lam))}"):
             ObjectiveConfig(lam=lam, family=KernelFamily.EXPONENTIAL, bounds=((0.1, 1.0),))
-    for bound in ((1e-3, math.inf), (0.0, 1.0), (1e-3, math.nan)):
-        with pytest.raises(ValueError, match="0 < lo < hi < inf"):
+    with pytest.raises(ValueError, match="0 < lo < hi < inf"):
+        ObjectiveConfig(lam=0.1, family=KernelFamily.EXPONENTIAL, bounds=((0.0, 1.0),))
+    # each bound is a number, not converted from a bool or a string
+    for bound, end, kind in (((1e-3, math.inf), "hi", "finite"), ((1e-3, math.nan), "hi", "finite"),
+                             ((1e-3, 10**400), "hi", "finite"), ((True, "2"), "lo", "a number"),
+                             (("0.1", 1.0), "lo", "a number")):
+        bad = bound[end == "hi"]
+        with pytest.raises(ValueError, match=re.escape(f"bounds[0] {end} must be {kind}, got {bad!r}")):
             ObjectiveConfig(lam=0.1, family=KernelFamily.EXPONENTIAL, bounds=(bound,))
 
 
@@ -279,12 +287,12 @@ def test_gramians_without_a_bracket_are_scored_exactly(monkeypatch, cand):
 def test_table_profiles_into_one_buffer_and_sums_each_diagonal_once(monkeypatch):
     # every profile of a run is written into the table's one buffer, which
     # terms then spends on ref - off; the radial diagonal (all 1) is summed
-    # once, however many profiles are scored
+    # once, as the table is formed, however many profiles are scored
     X = oscillator_lf(6, 19).outputs
-    tri = TuningTable(X)
     sizes = []
     squares = hyperopt._squares
     monkeypatch.setattr(hyperopt, "_squares", lambda v: sizes.append(v.size) or squares(v))
+    tri = TuningTable(X)
     for family in RADIAL_FAMILIES:
         spec = KernelSpec(family=family, h=(tri.dbar,) * HYPER_DIMS[family])
         values = tri.profile(spec)
@@ -296,7 +304,7 @@ def test_table_profiles_into_one_buffer_and_sums_each_diagonal_once(monkeypatch)
         fit = math.sqrt(2.0 * squares(tri.ref_upper - off) + squares(tri.ref_diag - np.ones(tri.n)))
         assert tri.terms(values[0], values[1:]) == (fit, 2.0 * squares(off) + squares(np.ones(tri.n)))
     triangle = tri.n * (tri.n - 1) // 2
-    assert sizes == [triangle, triangle, tri.n, tri.n] + [triangle, triangle] * (len(RADIAL_FAMILIES) - 1)
+    assert sizes == [tri.n, tri.n] + [triangle, triangle] * len(RADIAL_FAMILIES)
 
 
 def test_tuning_holds_three_gramians_at_most():
@@ -448,13 +456,15 @@ def test_pso_config_validation():
         PsoConfig(swarm_size=1)
     with pytest.raises(ValueError, match="v_max_fraction"):
         PsoConfig(v_max_fraction=0.0)
-    # non-finite weights and velocity limits are refused; NaN fails no `<= 0` test
-    for bad in (math.nan, math.inf):
-        for name in ("k1", "k2"):
-            with pytest.raises(ValueError, match="k1 and k2 must be positive and finite"):
+    # non-finite weights and velocity limits are refused; NaN fails no `<= 0`
+    # test, and an integer too large for a float is not finite
+    for bad in (math.nan, math.inf, 10**400):
+        for name in ("k1", "k2", "v_max_fraction"):
+            with pytest.raises(ValueError, match=f"{name} must be finite, got {re.escape(repr(bad))}"):
                 PsoConfig(**{name: bad})
-        with pytest.raises(ValueError, match="v_max_fraction"):
-            PsoConfig(v_max_fraction=bad)
+    for name in ("k1", "k2"):
+        with pytest.raises(ValueError, match="k1 and k2 must be positive"):
+            PsoConfig(**{name: 0.0})
     # a bool is not a weight, and a string does not compare
     for name in ("k1", "k2", "v_max_fraction"):
         for bad in (True, "x", "1.49", None):

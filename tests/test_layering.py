@@ -101,3 +101,37 @@ def test_cli_loads_no_scipy():
         check=True,
     ).stdout
     assert json.loads(out) == []
+
+
+class _BoolTests(ast.NodeVisitor):
+    """``module.function`` for each ``isinstance(x, bool)`` call, ``bool`` alone or in a tuple."""
+
+    def __init__(self, module: str):
+        self.scope, self.found = [module], []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Call(self, node):
+        if (isinstance(node.func, ast.Name) and node.func.id == "isinstance" and len(node.args) == 2
+                and any(isinstance(n, ast.Name) and n.id == "bool" for n in ast.walk(node.args[1]))):
+            self.found.append(".".join(self.scope))
+        self.generic_visit(node)
+
+
+def test_one_function_decides_what_a_number_is():
+    # a bool is an int to Python; only data.checked_number may tell them
+    # apart, so every setting and archive field follows one number rule
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        scanner = _BoolTests(path.stem)
+        scanner.visit(ast.parse(path.read_text(encoding="utf-8")))
+        found += scanner.found
+    assert found == ["data.checked_number"]
+    probe = _BoolTests("probe")
+    probe.visit(ast.parse("lambda v: isinstance(v, (int, bool))\ndef f(v):\n    return isinstance(v, bool)"))
+    assert probe.found == ["probe", "probe.f"]

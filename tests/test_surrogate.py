@@ -2,6 +2,7 @@
 ledger, and archive round-trips."""
 import json
 import math
+import re
 import sys
 import tracemalloc
 from pathlib import Path
@@ -968,51 +969,51 @@ def test_archive_file_round_trip(tmp_path, capsys):
 
 def test_eval_rejects_mixture_archive(tmp_path, capsys):
     # archive layouts older builds wrote: a convex kernel mixture, and the
-    # switches and family of the deleted literal and compact kernel forms
+    # switches and family of the deleted literal and compact kernel forms.
+    # A kernel holds exactly kind, family and h, so a switch is refused by
+    # name whatever its value.
     switches = {"rq_literal": False, "compact_wendland": False}
     single = {"kind": "single", "h": [0.9], **switches}
-    rejected = {
-        "unsupported kernel kind 'mixture'": {
+    both = "unknown key(s) ['compact_wendland', 'rq_literal'] in archive field 'kernel'"
+    rejected = [
+        ("unsupported kernel kind 'mixture'", {
             "kind": "mixture",
             "components": [
                 {**single, "family": "exponential", "weight": 0.25},
                 {**single, "family": "matern32", "weight": 0.75},
             ],
-        },
-        "unsupported kernel form 'rq_literal'": {
-            **single, "family": "rational_quadratic", "h": [0.9, 1.3], "rq_literal": True
-        },
-        "unsupported kernel form 'compact_wendland'": {
-            **single, "family": "compact_rbf", "h": [4.0, 3.0], "compact_wendland": True
-        },
-        "unsupported kernel family 'compact_rbf'": {
-            **single, "family": "compact_rbf", "h": [1.0, 2.0]
-        },
-    }
+        }),
+        (both, {**single, "family": "rational_quadratic", "h": [0.9, 1.3], "rq_literal": True}),
+        (both, {**single, "family": "compact_rbf", "h": [4.0, 3.0], "compact_wendland": True}),
+        (both, {**single, "family": "compact_rbf", "h": [1.0, 2.0]}),
+        ("unknown key(s) ['bar', 'foo', 'rq_literal'] in archive field 'kernel'",
+         {"kind": "single", "family": "exponential", "h": [0.9], "foo": 0, "bar": None, "rq_literal": False}),
+        ("unsupported kernel family 'compact_rbf'", {"kind": "single", "family": "compact_rbf", "h": [1.0, 2.0]}),
+    ]
     query = tmp_path / "query.csv"
     query.write_text("1.0\n", encoding="ascii")
-    for k, (message, kernel) in enumerate(rejected.items()):
+    for k, (message, kernel) in enumerate(rejected):
         doc = surrogate_to_dict(crafted_surrogate(None))
         doc["kernel"] = kernel
         archive = tmp_path / f"old{k}.json"
         archive.write_text(json.dumps(doc), encoding="ascii")
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             surrogate_from_dict(doc)
         capsys.readouterr()
         assert main(["eval", str(archive), str(query)]) == 3
         assert message in capsys.readouterr().err
 
-    # with both switches false an old archive is today's formula
+    # switches set to false are refused too: no version-2 archive was written with them
     rng = np.random.default_rng(18)
     spec = KernelSpec(family=KernelFamily.RATIONAL_QUADRATIC, h=(0.9, 1.3))
     surr = build_surrogate(ensemble_from(rng.normal(size=(2, 7))), spec, 3,
                               provider_for(rng.normal(size=(4, 7))))
     doc = surrogate_to_dict(surr)
+    assert set(doc["kernel"]) == {"kind", "family", "h"}
+    assert surrogate_from_dict(doc).kernel == spec
     doc["kernel"].update(switches)
-    clone = surrogate_from_dict(doc)
-    assert clone.kernel == spec
-    queries = rng.normal(size=(2, 5))
-    np.testing.assert_array_equal(evaluate(clone, queries), evaluate(surr, queries))
+    with pytest.raises(ValueError, match=re.escape(both)):
+        surrogate_from_dict(doc)
 
 
 def test_archive_version_gate():
