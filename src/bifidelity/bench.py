@@ -114,8 +114,9 @@ class BenchmarkSpec:
                     raise ValueError(f"{fidelity} {key} must be positive, got {settings[key]}")
             if settings["dt"] > settings["horizon"]:
                 raise ValueError(f"{fidelity} dt must not exceed its horizon, got {settings}")
-            if self.name == "nbody" and not settings["bodies"] >= 2:
-                raise ValueError(f"{fidelity} bodies must be at least 2, got {settings['bodies']}")
+            # numpy sizes an axis by a signed 64-bit integer
+            if self.name == "nbody" and not 2 <= settings["bodies"] < 2**63:
+                raise ValueError(f"{fidelity} bodies must be at least 2 and below 2**63, got {settings['bodies']}")
         # the trajectory stride, HF steps // points, must be at least one step
         steps = int(round(hf["horizon"] / hf["dt"]))
         if self.name == "oscillator" and not 1 <= hf["trajectory_points"] <= steps:

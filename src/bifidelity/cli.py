@@ -336,8 +336,53 @@ class RunResult:
     trace: list
 
 
+_MASK32 = 0xFFFFFFFF
+
+
 def _child_seed(seed: int, tag: int) -> int:
-    return int(np.random.SeedSequence([seed, tag]).generate_state(1, np.uint64)[0])
+    """``np.random.SeedSequence([seed, tag]).generate_state(1, np.uint64)[0]``, in pure Python.
+
+    numpy's SeedSequence (after O'Neill's ``seed_seq``) takes each
+    non-negative integer as its 32-bit words, least significant first (0
+    is one word), hashes them into a pool of four words, mixes every pool
+    word into every other, then mixes in each word past the fourth; the
+    first two words it hashes out of the pool are the 64-bit result, low
+    word first. All arithmetic is mod 2**32.
+    """
+    words = []
+    for value in (seed, tag):
+        words.append(value & _MASK32)
+        while value > _MASK32:
+            value >>= 32
+            words.append(value & _MASK32)
+    hash_a = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_a
+        value ^= hash_a
+        hash_a = hash_a * 0x931E8875 & _MASK32
+        value = value * hash_a & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    out, hash_b = [], 0x8B51F9DD
+    for value in pool[:2]:
+        value ^= hash_b
+        hash_b = hash_b * 0x58F38DED & _MASK32
+        value = value * hash_b & _MASK32
+        out.append(value ^ value >> 16)
+    return out[0] | out[1] << 32
 
 
 def _kernel_label(kernel: KernelSpec) -> str:

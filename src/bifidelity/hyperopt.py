@@ -94,8 +94,9 @@ class PsoConfig:
         for f in fields(self):
             value = checked_number(getattr(self, f.name), f.name, integer=isinstance(f.default, int))
             object.__setattr__(self, f.name, value)
-        if self.swarm_size < 2:
-            raise ValueError("swarm_size must be at least 2")
+        # numpy sizes an axis by a signed 64-bit integer
+        if not 2 <= self.swarm_size < 2**63:
+            raise ValueError(f"swarm_size must be at least 2 and below 2**63, got {self.swarm_size}")
         if not (self.k1 > 0 and self.k2 > 0):
             raise ValueError(f"k1 and k2 must be positive, got {self.k1}, {self.k2}")
         if not 0 < self.v_max_fraction <= 1:
@@ -203,6 +204,19 @@ def _squares(v: np.ndarray) -> float:
     return float(np.einsum("i,i->", v, v))
 
 
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of finite, non-empty ``values``, bit for bit: the middle
+    value, or (a + b) / 2.0 of the two middle ones for an even count.
+
+    The values are partitioned in a copy, freed on return; ``np.median``
+    would load numpy.ma for its NaN check.
+    """
+    n = values.size
+    part = np.partition(values, ((n - 1) // 2, n // 2))
+    a, b = float(part[(n - 1) // 2]), float(part[n // 2])
+    return a if n % 2 else (a + b) / 2.0
+
+
 class TuningTable:
     """Tuning's inputs, formed once from the LF columns ``X`` and shared by every family.
 
@@ -237,7 +251,7 @@ class TuningTable:
         upper = self.dists[1:]
         if not np.isfinite(upper).all():
             raise ArithmeticError("pairwise column distances are non-finite")
-        med = float(np.median(upper)) if upper.size else 1.0
+        med = _median(upper) if upper.size else 1.0
         self.dbar = med if med > 0 else 1.0
         self.zeros = np.flatnonzero(self.dists == 0.0)
         self.values = np.empty_like(self.dists)
@@ -379,25 +393,54 @@ def _scores(cfg: ObjectiveConfig, tri: TuningTable) -> _Memoized:
     )
 
 
-def _stream(
-    generator: np.random.Generator, seed: int, iteration: int, particle: int
-) -> np.random.Generator:
-    """Re-key a Philox ``generator`` to the start of stream (seed, iteration, particle).
+# Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
+# 3", SC 2011), as numpy's Philox bit generator runs it: the multipliers of
+# the two products per round, and the Weyl increments of the two key words.
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_MASK32, _MASK64 = 0xFFFFFFFF, 0xFFFFFFFFFFFFFFFF
+# swarm iterations whose draws one ``_philox_uniforms`` call takes
+_DRAW_CHUNK = 16
 
-    Counter-based: the draws depend on the key alone, whatever the order of
-    the calls. Setting the state of the caller's generator costs a fifth of
-    building a new one per stream.
+
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The low and high words of the 128-bit products m * x, the high one from 32-bit halves."""
+    m0, m1 = np.uint64(m & _MASK32), np.uint64(m >> 32)
+    x0, x1 = x & _MASK32, x >> 32
+    p00, p01, p10 = x0 * m0, x0 * m1, x1 * m0
+    carry = ((p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)) >> 32
+    return x * np.uint64(m), x1 * m1 + (p01 >> 32) + (p10 >> 32) + carry
+
+
+def _philox_uniforms(seed: int, streams: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` uniforms on [0, 1) of each stream, one row per uint64 entry of ``streams``.
+
+    Stream s is the Philox4x64-10 generator keyed (seed mod 2**64, s), so a
+    row is bit for bit ``np.random.Generator(np.random.Philox(key=[seed, s]))
+    .uniform(size=count)``: numpy steps the counter before each block of
+    four words, so the blocks are counters 1, 2, ..., and a word w gives
+    (w >> 11) * 2**-53. Every stream and block is one lane of the same
+    uint64 array arithmetic, which wraps as the generator's does.
     """
-    stream = ((iteration & 0xFFFFFFFF) << 32) | (particle & 0xFFFFFFFF)
-    generator.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": (0, 0, 0, 0), "key": (seed & 0xFFFFFFFFFFFFFFFF, stream)},
-        "buffer": (0, 0, 0, 0),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return generator
+    shape = (streams.size, -(-count // 4))
+    c0 = np.broadcast_to(np.arange(1, shape[1] + 1, dtype=np.uint64), shape)
+    c1 = c2 = c3 = np.zeros(shape, dtype=np.uint64)
+    k0, k1 = seed & _MASK64, streams[:, None]
+    for r in range(10):
+        if r:
+            k0, k1 = (k0 + _PHILOX_W[0]) & _MASK64, k1 + np.uint64(_PHILOX_W[1])
+        lo0, hi0 = _mulhilo(_PHILOX_M[0], c0)
+        lo1, hi1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ k1, lo0
+    words = np.stack((c0, c1, c2, c3), axis=-1).reshape(streams.size, -1)[:, :count]
+    return (words >> 11) * 2.0**-53
+
+
+def _streams(iterations: range, particles: int) -> np.ndarray:
+    """The swarm's stream (it << 32) | p, each index mod 2**32, for every
+    iteration it in ``iterations`` and then every particle p."""
+    its = np.array([(it & _MASK32) << 32 for it in iterations], dtype=np.uint64)
+    return (its[:, None] | (np.arange(particles, dtype=np.uint64) & np.uint64(_MASK32))).ravel()
 
 
 def _score(f, p):
@@ -419,6 +462,13 @@ def pso_minimize(f, cfg: PsoConfig, bounds) -> tuple[np.ndarray, float, list[flo
     clamped componentwise and positions clipped to the box. Returns the
     best-ever position, its value, and the best-value trace per iteration.
 
+    Every draw comes from its own counter-based stream: particle p's
+    starting position and velocity are the first 2 * dim uniforms of
+    stream (0, p), and its (rho, gamma) at iteration it the first two of
+    stream (it, p), each keyed with ``cfg.seed`` (``_philox_uniforms``,
+    numpy's Philox bit for bit). The draws of ``_DRAW_CHUNK`` iterations
+    are taken in one call.
+
     ``f`` returns a float or a _Bracket. Scores are only compared, through
     ``_less``, so a bracket is resolved only when a comparison needs it (and
     for the returned value and trace, which are exact). A NaN score raises
@@ -433,13 +483,9 @@ def pso_minimize(f, cfg: PsoConfig, bounds) -> tuple[np.ndarray, float, list[flo
     span = hi - lo
     vmax = cfg.v_max_fraction * span
 
-    rng = np.random.Generator(np.random.Philox(key=0))  # re-keyed per stream
-    pos = np.empty((cfg.swarm_size, dim))
-    vel = np.empty((cfg.swarm_size, dim))
-    for i in range(cfg.swarm_size):
-        g = _stream(rng, cfg.seed, 0, i)
-        pos[i] = lo + g.uniform(size=dim) * span
-        vel[i] = (2.0 * g.uniform(size=dim) - 1.0) * vmax
+    start = _philox_uniforms(cfg.seed, _streams(range(1), cfg.swarm_size), 2 * dim)
+    pos = lo + start[:, :dim] * span
+    vel = (2.0 * start[:, dim:] - 1.0) * vmax
 
     best_val = [_score(f, p) for p in pos]
     best_pos = pos.copy()
@@ -453,10 +499,12 @@ def pso_minimize(f, cfg: PsoConfig, bounds) -> tuple[np.ndarray, float, list[flo
     trace = [g_val]
 
     stall = 0
-    draws = np.empty((cfg.swarm_size, 2))  # (rho, gamma) per particle
     for it in range(1, cfg.max_iters + 1):
-        for i in range(cfg.swarm_size):
-            draws[i] = _stream(rng, cfg.seed, it, i).uniform(size=2)
+        k = (it - 1) % _DRAW_CHUNK
+        if k == 0:
+            its = range(it, min(it + _DRAW_CHUNK, cfg.max_iters + 1))
+            chunk = _philox_uniforms(cfg.seed, _streams(its, cfg.swarm_size), 2).reshape(len(its), -1, 2)
+        draws = chunk[k]  # (rho, gamma) per particle
         vel += cfg.k1 * draws[:, :1] * (best_pos - pos)
         vel += cfg.k2 * draws[:, 1:] * (g_pos - pos)
         np.clip(vel, -vmax, vmax, out=vel)

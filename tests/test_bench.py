@@ -89,10 +89,10 @@ def test_spec_validation():
         with pytest.raises(ValueError, match=f"{fidelity} dt must not exceed its horizon"):
             BenchmarkSpec(name="oscillator", grid=grid,
                           **{f"{fidelity}_settings": {"dt": 2.0, "horizon": 1.0}})
-    # a cluster needs two bodies
-    for bodies in (1, 0, -2):
+    # a cluster needs two bodies, and numpy sizes an axis below 2**63
+    for bodies in (1, 0, -2, 2**63, 10**20):
         for fidelity in ("lf", "hf"):
-            with pytest.raises(ValueError, match=f"{fidelity} bodies must be at least 2"):
+            with pytest.raises(ValueError, match=f"{fidelity} bodies must be at least 2 and below 2\\*\\*63, got {bodies}"):
                 BenchmarkSpec(name="nbody", grid=grid, **{f"{fidelity}_settings": {"bodies": bodies}})
     # a setting the benchmark does not read is named, not silently ignored
     cases = [("oscillator", "lf", {"dtt": 3}, "['dtt']"), ("oscillator", "hf", {"bodies": 8}, "['bodies']"),

@@ -343,6 +343,15 @@ def test_reruns_are_byte_identical_with_and_without_parallel(toy, tmp_path):
     assert texts[0] == texts[1] == texts[2]
 
 
+def test_child_seed_is_the_seed_sequence_state_bit_for_bit():
+    # multi-word seeds: 2**32 is two words, and 10**30 four, which with
+    # the tag fill more than the four-word pool
+    for seed in (0, 1, 2**32, 2**63 - 1, 10**30):
+        for tag in range(1, 7):
+            want = np.random.SeedSequence([seed, tag]).generate_state(1, np.uint64)[0]
+            assert cli._child_seed(seed, tag) == int(want), (seed, tag)
+
+
 def test_seed_flag_overrides_config(toy, tmp_path):
     base = write_config(tmp_path / "a.json", toy_doc(toy, out_dir=str(tmp_path / "a")))
     assert main(["run", "--config", base, "--out", str(tmp_path / "b"), "--seed", "7"]) == 0
@@ -433,6 +442,13 @@ def test_exit_code_2_on_config_errors(toy, tmp_path, capsys):
     # budgets must stay below the 8-sample count
     big = write_config(tmp_path / "big.json", toy_doc(toy, budgets=[8]))
     assert main(["run", "--config", big]) == 2
+    # a size numpy cannot give an axis is refused by name, not by numpy
+    huge = [("pso", {"pso": {"swarm_size": 10**20}}, "swarm_size"),
+            ("data.benchmark", {"data": {"benchmark": {"name": "nbody", "lf": {"bodies": 10**20}}}}, "lf bodies")]
+    for section, key, what in huge:
+        capsys.readouterr()
+        assert main(["run", "--config", write_config(tmp_path / "huge.json", toy_doc(toy, **key))]) == 2
+        assert f"{section}: {what} must be at least 2 and below 2**63, got {10**20}" in capsys.readouterr().err
     # a negative LF step is refused before any data is generated
     bench = {"benchmark": {"name": "oscillator", "lf": {"dt": -1}}}
     negative = write_config(tmp_path / "negative.json", toy_doc(toy, data=bench))

@@ -434,26 +434,28 @@ def test_pso_on_brackets_matches_the_eager_swarm(seed, spread, staged):
     assert len(refined) <= cfg.swarm_size * len(want[2])
 
 
-def test_rekeyed_stream_draws_what_a_fresh_philox_draws():
-    # one generator re-keyed per stream, whatever the last stream left in
-    # its buffers: float64 draws use whole words, float32 draws half words
-    rng = np.random.Generator(np.random.Philox(key=0))
-    for seed in (0, 7, 2**40):
-        for iteration in range(20):
-            for particle in range(30):
-                key = np.array([seed, (iteration << 32) | particle], dtype=np.uint64)
-                fresh = np.random.Generator(np.random.Philox(key=key))
-                stream = hyperopt._stream(rng, seed, iteration, particle)
-                size = 1 + (iteration + particle) % 3
-                np.testing.assert_array_equal(stream.uniform(size=size), fresh.uniform(size=size))
-                np.testing.assert_array_equal(
-                    stream.random(size, dtype=np.float32), fresh.random(size, dtype=np.float32)
-                )
+def test_swarm_draws_are_what_a_fresh_philox_draws():
+    # stream (it << 32) | p keyed with the seed: a starting draw takes
+    # 2 * dim words, so dimension 3 reaches a second block of four; seeds
+    # and iterations at their word limits exercise the key's carries
+    for seed in (0, 7, 2**40, 2**63 - 1, 2**64 - 1):
+        for iteration in (0, 1, 19, 2**32 - 1):
+            for dim in (1, 2, 3):
+                got = hyperopt._philox_uniforms(seed, hyperopt._streams(range(iteration, iteration + 1), 30), 2 * dim)
+                assert got.shape == (30, 2 * dim)
+                for particle in range(30):
+                    key = np.array([seed, (iteration << 32) | particle], dtype=np.uint64)
+                    fresh = np.random.Generator(np.random.Philox(key=key))
+                    np.testing.assert_array_equal(got[particle], fresh.uniform(size=2 * dim))
 
 
 def test_pso_config_validation():
     with pytest.raises(ValueError, match="swarm_size"):
         PsoConfig(swarm_size=1)
+    # numpy sizes an axis by a signed 64-bit integer
+    for bad in (2**63, 10**20):
+        with pytest.raises(ValueError, match=f"swarm_size must be at least 2 and below 2\\*\\*63, got {bad}"):
+            PsoConfig(swarm_size=bad)
     with pytest.raises(ValueError, match="v_max_fraction"):
         PsoConfig(v_max_fraction=0.0)
     # non-finite weights and velocity limits are refused; NaN fails no `<= 0`
@@ -822,11 +824,25 @@ def test_median_pairwise_distance_pins_the_canonical_configs():
         assert TuningTable(lf.outputs).dbar.hex() == pinned, spec
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 36, 114])
+def test_median_pairwise_distance_is_numpys_median_bit_for_bit(n):
+    # 1, 3, 6, 630 and 6,441 distances: an even count averages the two
+    # middle values, and their sum rounds as np.median's mean rounds it
+    rng = np.random.default_rng(50 + n)
+    cols = rng.normal(size=(3, n)) * 10.0 ** rng.uniform(-3, 3, size=(3, n))
+    table = TuningTable(cols)
+    assert table.dbar.hex() == float(np.median(table.dists[1:])).hex()
+    for size in range(1, 40):
+        values = rng.uniform(size=size) * 10.0 ** rng.uniform(-3, 3, size=size)
+        assert hyperopt._median(values).hex() == float(np.median(values)).hex(), size
+
+
 def test_median_pairwise_distance_holds_the_upper_triangle_once():
     # the table holds two packed triangles, distances and reference, and
-    # the median partitions a copy of the distances: 3.07 triangles of
-    # 16 MB at N = 2000. The N x N reference and the mask that packed it
-    # peaked at 4.07.
+    # the median partitions a copy of the distances, freed before the
+    # profile buffer is allocated: 3.00 triangles of 16 MB at N = 2000
+    # (3.07 by np.median). The N x N reference and the mask that packed
+    # it peaked at 4.07.
     n = 2000
     cols = np.random.default_rng(35).normal(size=(2, n))
     tracemalloc.start()

@@ -2,7 +2,8 @@
 numerics stand alone, the benchmark generators need only the data layer,
 tuning and the surrogate sit on those three, selection on them and the
 surrogate, each private name imported across modules is one the table
-below lists, and the command line loads no scipy."""
+below lists, the command line loads no scipy, and a tuned run loads
+neither numpy.random nor numpy.ma."""
 import ast
 import json
 import subprocess
@@ -92,6 +93,31 @@ def test_cli_loads_no_scipy():
     code = (
         "import json, sys; import bifidelity.cli; "
         "print(json.dumps(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=PACKAGE.parent,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert json.loads(out) == []
+
+
+def test_tuned_run_loads_neither_numpy_random_nor_numpy_ma():
+    # the swarm's draws and seeds are computed, and the median partitions;
+    # either module, imported again, costs megabytes in every run
+    doc = {
+        "data": {"benchmark": {"name": "oscillator", "grid": [["omega", 1.0, 5.0, 3], ["gamma", 0.05, 0.5, 5]],
+                               "hf": {"dt": 0.01, "trajectory_points": 20}}},
+        "kernels": ["linear", "squared_exponential", "rational_quadratic"],
+        "pso": {"swarm_size": 4, "max_iters": 20, "stall_iters": 20},
+        "budgets": [2, 3],
+    }
+    code = (
+        "import json, sys; from bifidelity.cli import parse_config, run_experiment; "
+        f"run_experiment(parse_config({doc!r})); "
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[:2] in (['numpy', 'random'], ['numpy', 'ma']))))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
