@@ -1,9 +1,10 @@
 """Golden output digests: results.csv, selection.json and every archive of
-five configs, byte for byte, against the SHA-256 digests in
+six configs, and the CSV files ``bifidelity gen`` writes for the one that
+reads files, byte for byte, against the SHA-256 digests in
 ``golden/digests.json``.
 
 Each run is ``bifidelity run`` in a subprocess with a fixed BLAS thread
-count. A change that moves output bytes on purpose records the digests
+count, after the ``bifidelity gen`` runs its config reads. A change that moves output bytes on purpose records the digests
 again in the same commit, and lists the moved values:
 
     python tests/test_golden.py
@@ -44,10 +45,22 @@ CONFIGS = {
         "modes": ["linear-baseline", "adaptive"],
         "budgets": [8, 16, 32, 64],
     },
+    # N = 114 with LF dimension 22, the oscillator's coarse trajectory: the
+    # paper's regime of many LF QoIs, read through data.files
+    "osc-traj-lf": "oscillator-trajectory-lf.json",
+}
+# name -> the `bifidelity gen` arguments that write the files its config
+# reads, relative to the run's working directory
+GEN = {
+    "osc-traj-lf": [
+        ["oscillator", "--config", str(ROOT / "configs" / "gen" / "oscillator-trajectory-20.json"),
+         "--out", "bench_data/oscillator-trajectory-lf/lf"],
+        ["oscillator", "--out", "bench_data/oscillator-trajectory-lf/hf"],
+    ],
 }
 # the configs of N <= 114, where no BLAS call sets an output value; at
 # N = 500 the linear objective_value moves by an ulp at two threads
-SMALL = ("osc-default", "osc-narrow", "nbody-default")
+SMALL = ("osc-default", "osc-narrow", "nbody-default", "osc-traj-lf")
 
 
 def build() -> dict:
@@ -59,14 +72,29 @@ def build() -> dict:
     }
 
 
+def sha256_files(root: Path, prefix: str = "") -> dict:
+    """{prefix + relative path: sha256} for every file under ``root``."""
+    return {
+        prefix + path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(root.rglob("*")) if path.is_file()
+    }
+
+
 def run_digests(names, threads: int, work: Path) -> dict:
     """{name: {file: sha256}} for each config, run at ``threads`` BLAS threads.
 
-    The runs start together, each in its own interpreter, and every file
-    under a run's output directory is hashed, keyed by its relative path.
+    The ``GEN`` runs go first, one after another, in ``work``. Then the
+    runs start together, each in its own interpreter in ``work``, and
+    every file under a run's output directory is hashed, keyed by its
+    relative path; the files a config's ``GEN`` runs wrote are hashed
+    under ``gen/``.
     """
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": str(threads),
            "OMP_NUM_THREADS": str(threads)}
+    for name in names:
+        for args in GEN.get(name, []):
+            subprocess.run([sys.executable, "-m", "bifidelity", "gen", *args], cwd=work, env=env,
+                           stdout=subprocess.DEVNULL, check=True)
     procs = {}
     for name in names:
         config = CONFIGS[name]
@@ -82,10 +110,9 @@ def run_digests(names, threads: int, work: Path) -> dict:
     for name, proc in procs.items():
         _, err = proc.communicate(timeout=300)
         assert proc.returncode == 0, f"{name}: {err}"
-        out[name] = {
-            path.relative_to(work / name).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in sorted((work / name).rglob("*")) if path.is_file()
-        }
+        out[name] = sha256_files(work / name)
+        for args in GEN.get(name, []):
+            out[name].update(sha256_files(work / args[-1], f"gen/{Path(args[-1]).name}/"))
     return out
 
 
