@@ -14,10 +14,8 @@ without --parallel.
 """
 from __future__ import annotations
 
-import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -465,6 +463,7 @@ def run_experiment(cfg: ExperimentConfig, parallel: bool = False, header: bool =
         kernel: plans.get(kernel) or pivot_plan(lf, kernel, max(cfg.budgets))
         for kernel in dict.fromkeys(cell_kernel(*c) for c in cells)
     }
+    hf.squared_norms  # and the HF truth's norms, which every cell's error reads
 
     def run_cell(mode: str, n: int):
         local: list = []
@@ -493,6 +492,8 @@ def run_experiment(cfg: ExperimentConfig, parallel: bool = False, header: bool =
         return row, surrogate_to_dict(surr), local
 
     if parallel:
+        from concurrent.futures import ThreadPoolExecutor  # a serial run does without it
+
         with ThreadPoolExecutor() as pool:
             outcomes = list(pool.map(lambda c: run_cell(*c), cells))
     else:
@@ -622,7 +623,9 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    import argparse  # the command line's alone; run_experiment does without it
+
     parser = argparse.ArgumentParser(
         prog="bifidelity", description="Bi-fidelity surrogate experiments"
     )

@@ -1,11 +1,13 @@
-"""Snapshot ensembles (model outputs, parameter tables, per-sample costs)
-and their output normalization, one group per QoI label; and the one rule
-for what a number is, which every setting and archive field follows."""
+"""Snapshot ensembles (model outputs, parameter tables, per-sample costs),
+their squared column norms and their output normalization, one group per
+QoI label; and the one rule for what a number is, which every setting and
+archive field follows."""
 from __future__ import annotations
 
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -132,6 +134,18 @@ class SnapshotEnsemble:
         """Row indices grouped by label, in first-appearance order."""
         return {} if self.labels is None else label_groups(self.labels)
 
+    @cached_property
+    def squared_norms(self) -> np.ndarray:
+        """``squared_column_norms`` of ``outputs`` over its label groups, read-only.
+
+        Formed on the first read and kept, like the outputs it is read
+        from, so code that shares the ensemble between threads reads it
+        once before they start.
+        """
+        sums = squared_column_norms(self.outputs, list(self.label_groups().values()))
+        sums.setflags(write=False)
+        return sums
+
 
 def label_groups(labels) -> dict[str, list[int]]:
     """Row indices grouped by label, in first-appearance order: the QoI
@@ -147,6 +161,27 @@ def row_selector(rows: list[int]) -> slice | list[int]:
     so that indexing reads a view, else the list itself, which copies."""
     lo = rows[0]
     return slice(lo, lo + len(rows)) if rows == list(range(lo, lo + len(rows))) else rows
+
+
+def squared_column_norms(outputs: np.ndarray, groups) -> np.ndarray:
+    """Squared norms of every column of ``outputs``: the whole column in
+    row 0, then one row per group of ``groups``, each a list of row indices.
+
+    Each sum is added in the order ``np.linalg.norm(..., axis=0)`` adds it
+    on a column gather of ``outputs``: the whole column pairwise, as a
+    column-major array sums it, and a group row by row, as a row-major
+    copy of its rows sums it, or pairwise when ``outputs`` has one column.
+    The columns are read in the blocks of ``column_blocks``, which give a
+    block one column only when there is one column in all, so a temporary
+    holds one block's squares, whatever the column count.
+    """
+    sums = np.empty((1 + len(groups), outputs.shape[1]))
+    selectors = [row_selector(rows) for rows in groups]
+    for cols in column_blocks(*outputs.shape):
+        sums[0, cols] = np.square(outputs[:, cols], order="F").sum(axis=0)
+        for k, rows in enumerate(selectors, 1):
+            sums[k, cols] = np.square(outputs[rows, cols], order="C").sum(axis=0)
+    return sums
 
 
 def held_out(n: int, taken) -> np.ndarray:

@@ -16,7 +16,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import SnapshotEnsemble, checked_number, column_blocks, held_out, row_selector
+from .data import (
+    SnapshotEnsemble,
+    checked_number,
+    column_blocks,
+    held_out,
+    row_selector,
+    squared_column_norms,
+)
 from .kernels import (
     KernelFamily,
     KernelSpec,
@@ -297,19 +304,6 @@ def evaluate(surrogate: Surrogate, query) -> np.ndarray:
     return surrogate.hf_snapshots @ apply_regularized(surrogate.factor, rhs)
 
 
-def _group_sums(squares: np.ndarray, rows: list[int]) -> np.ndarray:
-    """Column sums of ``squares[rows]``, added in the order numpy adds a
-    row-major copy of those rows: row by row, or pairwise down a single
-    column. Consecutive ascending rows are read in place."""
-    block = squares[row_selector(rows)]
-    if block.flags.c_contiguous:  # a row copy, a row-major view or one column
-        return block.sum(axis=0)
-    total = block[0].copy()
-    for row in block[1:]:
-        total += row
-    return total
-
-
 def median_relative_error(
     surrogate: Surrogate, hf_truth: SnapshotEnsemble, lf: SnapshotEnsemble
 ) -> ErrorReport:
@@ -319,12 +313,14 @@ def median_relative_error(
     excluded from the relative medians. Per-QoI medians follow the label
     groups of ``hf_truth``.
 
+    The denominators are read from ``hf_truth.squared_norms``, formed once
+    per ensemble; a lone held-out column's are formed from that column.
     The held-out samples are emulated by ``evaluate`` and scored in the
-    column blocks of ``column_blocks``: a block's prediction and one copy
-    of its truth, each squared in place, and O(N) column sums, whatever N
-    is. Every norm keeps the summation order of ``np.linalg.norm`` on the
-    whole held-out blocks (aggregate) and on row copies of them (label
-    groups), so the errors do not depend on how the blocks are read.
+    column blocks of ``column_blocks``: a block's residual, squared in
+    place, and O(N) column sums, whatever N is. Every norm keeps the
+    summation order of ``np.linalg.norm`` on the whole held-out blocks
+    (aggregate) and on row copies of them (label groups), so the errors do
+    not depend on how the blocks are read.
     """
     if hf_truth.n_samples != lf.n_samples:
         raise ValueError("high- and low-fidelity ensembles disagree on sample count")
@@ -332,21 +328,23 @@ def median_relative_error(
     groups = list(hf_truth.label_groups().items())
     # squared norms per held-out column: the aggregate in row 0, then one
     # row per label group
-    err_sq = np.empty((1 + len(groups), test.size))
-    truth_sq = np.empty_like(err_sq)
+    if test.size == 1:  # one column sums its groups pairwise, the cache row by row
+        truth_sq = squared_column_norms(hf_truth.outputs[:, test], [rows for _, rows in groups])
+    else:
+        truth_sq = hf_truth.squared_norms[:, test]
+    err_sq = np.empty_like(truth_sq)
+    selectors = [row_selector(rows) for _, rows in groups]
     for cols in column_blocks(hf_truth.output_dim, test.size):
         block = test[cols]
-        # emulate first, so its temporaries are gone before the truth is copied
+        # row-major, as evaluate returns it, so its column sums add row by
+        # row; so is the truth that take copies, so the subtraction streams
         err = evaluate(surrogate, lf.outputs[:, block])
-        # column-major when the ensemble is row-major, so its column sums are pairwise
-        truth = hf_truth.outputs[:, block]
-        np.subtract(truth, err, out=err)
+        np.subtract(hf_truth.outputs.take(block, axis=1), err, out=err)
         np.square(err, out=err)
-        np.square(truth, out=truth)
-        err_sq[0, cols], truth_sq[0, cols] = err.sum(axis=0), truth.sum(axis=0)
-        for k, (_, rows) in enumerate(groups, 1):
-            err_sq[k, cols], truth_sq[k, cols] = _group_sums(err, rows), _group_sums(truth, rows)
-        del err, truth  # before the next block is emulated
+        err_sq[0, cols] = err.sum(axis=0)
+        for k, rows in enumerate(selectors, 1):
+            err_sq[k, cols] = err[rows].sum(axis=0)
+        del err  # before the next block is emulated
 
     def median_ratio(k) -> float:
         num, den = np.sqrt(err_sq[k]), np.sqrt(truth_sq[k])

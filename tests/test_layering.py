@@ -3,7 +3,7 @@ numerics stand alone, the benchmark generators need only the data layer,
 tuning and the surrogate sit on those three, selection on them and the
 surrogate, each private name imported across modules is one the table
 below lists, the command line loads no scipy, and a tuned run loads
-neither numpy.random nor numpy.ma."""
+neither numpy.random nor numpy.ma, nor argparse or concurrent.futures."""
 import ast
 import json
 import subprocess
@@ -106,7 +106,9 @@ def test_cli_loads_no_scipy():
 
 def test_tuned_run_loads_neither_numpy_random_nor_numpy_ma():
     # the swarm's draws and seeds are computed, and the median partitions;
-    # either module, imported again, costs megabytes in every run
+    # either module, imported again, costs megabytes in every run. Nor
+    # does a serial run load the command line's argparse or the thread
+    # pool of --parallel
     doc = {
         "data": {"benchmark": {"name": "oscillator", "grid": [["omega", 1.0, 5.0, 3], ["gamma", 0.05, 0.5, 5]],
                                "hf": {"dt": 0.01, "trajectory_points": 20}}},
@@ -117,7 +119,8 @@ def test_tuned_run_loads_neither_numpy_random_nor_numpy_ma():
     code = (
         "import json, sys; from bifidelity.cli import parse_config, run_experiment; "
         f"run_experiment(parse_config({doc!r})); "
-        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[:2] in (['numpy', 'random'], ['numpy', 'ma']))))"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[:2] in (['numpy', 'random'], ['numpy', 'ma'])"
+        " or m.split('.')[0] in ('argparse', 'concurrent'))))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],

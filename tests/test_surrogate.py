@@ -731,6 +731,17 @@ def test_error_metric_full_budget_has_no_test_samples():
     assert all(math.isnan(v) for v in report.per_qoi_median_rel_error.values())
 
 
+def assert_matches_dense_scorer(surr, hf, lf):
+    """The report equals the dense scorer's bit for bit, QoI order included."""
+    report = median_relative_error(surr, hf, lf)
+    aggregate, per_qoi = oracles.median_relative_error_dense(surr, hf, lf)
+    assert list(report.per_qoi_median_rel_error) == list(per_qoi)
+    np.testing.assert_array_equal(
+        [report.aggregate_median_rel_error, *report.per_qoi_median_rel_error.values()],
+        [aggregate, *per_qoi.values()],
+    )
+
+
 WIDE_SPEC = BenchmarkSpec(name="oscillator", grid=(("omega", 1.0, 5.0, 40), ("gamma", 0.05, 0.5, 50)),
                           hf_settings={"dt": 0.01})
 
@@ -761,13 +772,7 @@ def test_error_metric_matches_dense_scorer_bit_for_bit(case):
     copies: pairwise down the column-major truth and down a single column,
     row by row otherwise."""
     surr, hf, lf = scoring_case(case)
-    report = median_relative_error(surr, hf, lf)
-    aggregate, per_qoi = oracles.median_relative_error_dense(surr, hf, lf)
-    assert list(report.per_qoi_median_rel_error) == list(per_qoi)
-    np.testing.assert_array_equal(
-        [report.aggregate_median_rel_error, *report.per_qoi_median_rel_error.values()],
-        [aggregate, *per_qoi.values()],
-    )
+    assert_matches_dense_scorer(surr, hf, lf)
 
 
 def test_error_metric_holds_two_held_out_blocks():
@@ -805,13 +810,66 @@ def test_error_metric_in_column_blocks_matches_dense_scorer_bit_for_bit(monkeypa
     truth = rng.normal(size=(D, N)) * 10.0 ** rng.uniform(-3, 3, size=(D, N))
     # "a" and "b" interleave; "c" is a run of eight rows
     hf = ensemble_from(truth, labels=("a", "b") * 8 + ("c",) * 8)
-    report = median_relative_error(surr, hf, lf)
-    aggregate, per_qoi = oracles.median_relative_error_dense(surr, hf, lf)
-    assert list(report.per_qoi_median_rel_error) == list(per_qoi)
-    np.testing.assert_array_equal(
-        [report.aggregate_median_rel_error, *report.per_qoi_median_rel_error.values()],
-        [aggregate, *per_qoi.values()],
-    )
+    assert_matches_dense_scorer(surr, hf, lf)
+
+
+def left_out(N, columns, lf, truth):
+    """A surrogate on every sample of ``lf`` but ``columns``, with ``truth``'s columns there."""
+    pivots = [j for j in range(N) if j not in columns]
+    return Surrogate(kernel=SQEXP, pivots=tuple(pivots), hf_snapshots=truth[:, pivots],
+                     pivot_lf_columns=lf.outputs[:, pivots], rcond=1e-12)
+
+
+@pytest.mark.parametrize("case", ["one-column", "two-column", "wide"])
+def test_one_ensembles_norms_score_every_surrogate_bit_for_bit(case):
+    """One HF ensemble, its norms formed before the first score, scores
+    three surrogates with different pivots as the dense scorer does."""
+    if case == "wide":
+        lf, hf = gen_oscillator(WIDE_SPEC)
+        plan = pivot_plan(lf, LINEAR, 32)
+        surrogates = [build_surrogate(lf, LINEAR, n, hf.column, plan=plan) for n in (8, 16, 32)]
+        assert len(column_blocks(hf.output_dim, hf.n_samples - 8)) > 1
+    else:
+        # 24 rows, magnitudes over six decades; "a" and "b" interleave and
+        # "c" is a run of eight rows, which pairwise and row-by-row sums
+        # add differently
+        N = 12
+        rng = np.random.default_rng(36)
+        lf = ensemble_from(rng.normal(size=(3, N)))
+        truth = rng.normal(size=(24, N)) * 10.0 ** rng.uniform(-3, 3, size=(24, N))
+        hf = ensemble_from(truth, labels=("a", "b") * 8 + ("c",) * 8)
+        held = [(0,), (5,), (11,)] if case == "one-column" else [(0, 1), (3, 7), (10, 11)]
+        surrogates = [left_out(N, columns, lf, truth) for columns in held]
+    warm = hf.squared_norms
+    assert len({surr.pivots for surr in surrogates}) == 3
+    for surr in surrogates:
+        assert_matches_dense_scorer(surr, hf, lf)
+        assert hf.squared_norms is warm
+
+
+def test_a_run_forms_the_truth_norms_once_after_selection(monkeypatch):
+    # osc-default at seed 0, both modes and five budgets: the HF norms are
+    # formed once, after every selection and before the first score, and
+    # selection, which reads LF data alone, forms none
+    events = []
+    norms, select, score = data_module.squared_column_norms, cli.adaptive_select, cli.median_relative_error
+
+    def logged(name, f):
+        def call(*args):
+            events.append(name)
+            return f(*args)
+        return call
+
+    monkeypatch.setattr(data_module, "squared_column_norms", logged("norms", norms))
+    monkeypatch.setattr(cli, "adaptive_select", logged("select", select))
+    monkeypatch.setattr(cli, "median_relative_error", logged("score", score))
+    cfg = cli.load_config(Path(__file__).resolve().parent.parent / "configs" / "oscillator.json")
+    assert set(cfg.modes) == {"linear-baseline", "adaptive"} and len(cfg.budgets) == 5
+    cli.run_experiment(cfg)
+    assert events == ["select"] * 5 + ["norms"] + ["score"] * 10
+    events.clear()
+    cli.run_experiment(cfg, parallel=True)
+    assert events[:6] == ["select"] * 5 + ["norms"] and events.count("norms") == 1
 
 
 def counted_factors(monkeypatch) -> list:
