@@ -813,9 +813,9 @@ def test_error_metric_in_column_blocks_matches_dense_scorer_bit_for_bit(monkeypa
     assert_matches_dense_scorer(surr, hf, lf)
 
 
-def left_out(N, columns, lf, truth):
+def left_out(columns, lf, truth):
     """A surrogate on every sample of ``lf`` but ``columns``, with ``truth``'s columns there."""
-    pivots = [j for j in range(N) if j not in columns]
+    pivots = [j for j in range(lf.n_samples) if j not in columns]
     return Surrogate(kernel=SQEXP, pivots=tuple(pivots), hf_snapshots=truth[:, pivots],
                      pivot_lf_columns=lf.outputs[:, pivots], rcond=1e-12)
 
@@ -839,7 +839,7 @@ def test_one_ensembles_norms_score_every_surrogate_bit_for_bit(case):
         truth = rng.normal(size=(24, N)) * 10.0 ** rng.uniform(-3, 3, size=(24, N))
         hf = ensemble_from(truth, labels=("a", "b") * 8 + ("c",) * 8)
         held = [(0,), (5,), (11,)] if case == "one-column" else [(0, 1), (3, 7), (10, 11)]
-        surrogates = [left_out(N, columns, lf, truth) for columns in held]
+        surrogates = [left_out(columns, lf, truth) for columns in held]
     warm = hf.squared_norms
     assert len({surr.pivots for surr in surrogates}) == 3
     for surr in surrogates:
