@@ -26,6 +26,7 @@ from bifidelity.hyperopt import (
 from bifidelity.kernels import HYPER_DIMS, KernelFamily, KernelSpec, _distances, _kernel_block, radial_profile
 
 import oracles
+import test_golden
 
 
 def ensemble_from(columns):
@@ -654,11 +655,12 @@ EIGENSOLVES = {
     "oscillator.json": (1, 3, 2, 19, 3, 2),
     "oscillator-narrow.json": (1, 4, 4, 14, 3, 2),
     "nbody.json": (1, 2, 4, 14, 4, 2),
+    "oscillator-trajectory-lf.json": (1, 2, 4, 23, 2, 2),
 }
 
 
 @pytest.mark.parametrize("config", sorted(EIGENSOLVES))
-def test_tuning_eigensolves_stay_within_their_counts(monkeypatch, config):
+def test_tuning_eigensolves_stay_within_their_counts(monkeypatch, tmp_path, config):
     counts = dict.fromkeys(KernelFamily, 0)
     tuning = []
     solve, optimize = hyperopt.spectral_norm, cli.optimize_hyperparams
@@ -675,6 +677,10 @@ def test_tuning_eigensolves_stay_within_their_counts(monkeypatch, config):
     monkeypatch.setattr(cli, "optimize_hyperparams", optimize_one)
     path = Path(__file__).resolve().parent.parent / "configs" / config
     cfg = replace(cli.load_config(path), modes=("adaptive",), budgets=(4,))
+    if config == "oscillator-trajectory-lf.json":  # its data files, where the config reads them
+        monkeypatch.chdir(tmp_path)
+        for args in test_golden.GEN["osc-traj-lf"]:
+            assert cli.main(["gen", *args]) == 0
     cli.run_experiment(cfg)
     assert tuning == list(KernelFamily)
     got = tuple(counts[family] for family in KernelFamily)
