@@ -4,8 +4,9 @@ reads files, byte for byte, against the SHA-256 digests in
 ``golden/digests.json``.
 
 Each run is ``bifidelity run`` in a subprocess with a fixed BLAS thread
-count, after the ``bifidelity gen`` runs its config reads. A change that moves output bytes on purpose records the digests
-again in the same commit, and lists the moved values:
+count, after the ``bifidelity gen`` runs whose files its config reads. A
+change that moves output bytes on purpose records the digests again in
+the same commit, and lists the moved values:
 
     python tests/test_golden.py
 
