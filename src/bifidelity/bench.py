@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import _BLOCK_DOUBLES, SnapshotEnsemble, checked_number, normalize_in_place
+from .data import _BLOCK_DOUBLES, SnapshotEnsemble, checked_number, checked_object, normalize_in_place
 
 __all__ = [
     "BenchmarkSpec",
@@ -81,17 +81,14 @@ class BenchmarkSpec:
         default_grid, lf_defaults, hf_defaults = _DEFAULTS[self.name]
         if len(self.grid) != len(default_grid):
             raise ValueError(f"{self.name} grid needs {len(default_grid)} axes, got {len(self.grid)}")
-        lf = {**lf_defaults, **self.lf_settings}
-        hf = {**hf_defaults, **self.hf_settings}
+        # a misspelt setting would otherwise run silently at its default
+        lf = {**lf_defaults, **checked_object(self.lf_settings, lf_defaults, f"{self.name} lf settings")}
+        hf = {**hf_defaults, **checked_object(self.hf_settings, hf_defaults, f"{self.name} hf settings")}
         fidelities = (("lf", lf, lf_defaults), ("hf", hf, hf_defaults))
-        # a misspelt setting would otherwise run silently at its default; each
-        # value takes the kind of its default (``checked_number``): an integer
-        # for the seed, an axis count and an integer setting, a number for an
-        # axis bound and any other setting
+        # each value takes the kind of its default (``checked_number``): an
+        # integer for the seed, an axis count and an integer setting, a
+        # number for an axis bound and any other setting
         for fidelity, settings, defaults in fidelities:
-            unknown = sorted(set(settings) - set(defaults))
-            if unknown:
-                raise ValueError(f"unknown {fidelity} setting(s) {unknown} for {self.name}")
             for key, kind in defaults.items():
                 settings[key] = checked_number(settings[key], f"{fidelity} {key}", integer=isinstance(kind, int))
         seed = checked_number(self.seed, "seed", integer=True)

@@ -7,10 +7,9 @@ gen   dump a benchmark ensemble pair to CSV files
 eval  load a surrogate archive, emulate one low-fidelity column
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
-failure. Matrix CSV files are headerless (pass --header to skip one
-leading row on inputs); outputs use shortest round-trip float printing,
-so reruns with the same config and seed are byte identical, with or
-without --parallel.
+failure. Matrix CSV files are headerless; outputs use shortest
+round-trip float printing, so reruns with the same config and seed are
+byte identical, with or without --parallel.
 """
 from __future__ import annotations
 
@@ -22,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .bench import BenchmarkSpec, default_spec, generate
-from .data import SnapshotEnsemble, checked_number
+from .data import SnapshotEnsemble, checked_kind, checked_number, checked_object
 from .hyperopt import (
     ObjectiveConfig,
     PsoConfig,
@@ -35,7 +34,6 @@ from .numerics import NumericsError
 from .selection import SelectionReport, adaptive_select
 from .surrogate import (
     HfProviderError,
-    PivotPlan,
     build_surrogate,
     effective_cost,
     evaluate,
@@ -92,81 +90,77 @@ class ExperimentConfig:
 
 _REQUIRED = object()
 
-# One declaration per key: (kind, default, range). A "number" and an
-# "integer" are what ``checked_number`` accepts, a number read as a float.
-# A list may not be empty, and its kind and range are those of its items.
-# null is accepted only where the default is null. A kind of None leaves
-# the value to the type that holds it. So do the pso settings (PsoConfig)
-# and the grid values and LF/HF settings (BenchmarkSpec): only their JSON
-# shape is checked here.
+# One declaration per key: (kind, default, range). A kind is a JSON kind
+# (str or dict), "number" or "integer" (what ``checked_number`` accepts, a
+# number read as a float), "axis" (a [name, lo, hi, count] list), or a
+# one-item list [kind]: a non-empty list whose items have that kind and the
+# range. null is accepted only where the default is null. A kind of None
+# leaves the value to the type that holds it: so do the pso settings
+# (PsoConfig) and the benchmark's seed, grid values and LF/HF settings
+# (BenchmarkSpec).
 _CONFIG = {
-    "data": ("section", _REQUIRED, None),
-    "kernels": ("string list", list(FAMILY_BY_NAME), None),
+    "data": (dict, _REQUIRED, None),
+    "kernels": ([str], list(FAMILY_BY_NAME), None),
     "lambda": ("number", 0.1, "non-negative"),
     "rcond": ("number", 1e-12, "non-negative"),
-    "pso": ("section", {}, None),
-    "modes": ("string list", list(MODES), None),
-    "budgets": ("integer list", [4, 6, 8, 10, 12], "positive"),
+    "pso": (dict, {}, None),
+    "modes": ([str], list(MODES), None),
+    "budgets": (["integer"], [4, 6, 8, 10, 12], "positive"),
     "seed": ("integer", 0, "non-negative"),
-    "out_dir": ("string", "results", None),
+    "out_dir": (str, "results", None),
     "one_hf_cost": ("number", None, "positive"),  # null: the mean HF per-sample cost
     "objective_eval_cost": ("number", 0.0, "non-negative"),
 }
 _BENCHMARK = {
-    "name": ("string", _REQUIRED, None),
+    "name": (str, _REQUIRED, None),
     "seed": (None, 0, None),
-    "grid": ("axis list", None, None),  # null: the benchmark's own grid
-    "lf": ("section", {}, None),
-    "hf": ("section", {}, None),
+    "grid": (["axis"], None, None),  # null: the benchmark's own grid
+    "lf": (None, {}, None),
+    "hf": (None, {}, None),
 }
 _FILES = {
-    "lf_outputs": ("string", _REQUIRED, None),
-    "lf_params": ("string", _REQUIRED, None),
-    "hf_outputs": ("string", _REQUIRED, None),
-    "costs": ("string", None, None),  # null: unit costs
+    "lf_outputs": (str, _REQUIRED, None),
+    "lf_params": (str, _REQUIRED, None),
+    "hf_outputs": (str, _REQUIRED, None),
+    "costs": (str, None, None),  # null: unit costs
 }
-_KINDS = {"string": ("a string", str), "section": ("a JSON object", dict)}
 _RANGES = {"positive": lambda v: v > 0, "non-negative": lambda v: v >= 0}
 
 
-def _value(value, kind: str | None, rng, where: str):
+def _checked(check, *args):
+    """``check(*args)``, a ``data`` rule; its ValueError is a ConfigError."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _value(value, kind, rng, where: str):
     """``value`` if it is of ``kind`` and in ``rng``; else a ConfigError naming ``where``."""
     if kind is None:
         return value
-    if kind.endswith(" list"):
-        if not isinstance(value, list) or not value:
-            raise ConfigError(f"{where} must be a non-empty list, got {value!r}")
-        return tuple(_value(item, kind[: -len(" list")], rng, where) for item in value)
+    if isinstance(kind, list):
+        if not _checked(checked_kind, value, list, where):
+            raise ConfigError(f"{where} must not be empty")
+        return tuple(_value(item, kind[0], rng, where) for item in value)
     if kind == "axis":
-        if not isinstance(value, list) or len(value) != 4 or not isinstance(value[0], str):
+        if len(_checked(checked_kind, value, list, where)) != 4:
             raise ConfigError(f"{where} axes must be [name, lo, hi, count] lists, got {value!r}")
+        _checked(checked_kind, value[0], str, f"{where} axis name")
         return tuple(value)
     if kind in ("number", "integer"):
-        try:
-            value = checked_number(value, where, integer=kind == "integer")
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-    elif not isinstance(value, _KINDS[kind][1]):
-        raise ConfigError(f"{where} must be {_KINDS[kind][0]}, got {value!r}")
+        value = _checked(checked_number, value, where, kind == "integer")
+    else:
+        value = _checked(checked_kind, value, kind, where)
     if rng is not None and not _RANGES[rng](value):
         raise ConfigError(f"{where} must be {rng}, got {value!r}")
     return value
 
 
-def _keys(doc, keys, name: str) -> dict:
-    """``doc``, a JSON object whose keys are all among ``keys``; else a ConfigError naming section ``name``."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{name} must be a JSON object, got {type(doc).__name__}")
-    unknown = sorted(set(doc) - set(keys))
-    if unknown:
-        raise ConfigError(f"unknown key(s) {unknown} in {name}")
-    return doc
-
-
 def _section(doc, table: dict, where: str) -> dict:
     """Every declared value of section ``doc``, defaults filled in."""
     name = where or "config"
-    _keys(doc, table, name)
+    _checked(checked_object, doc, table, name)
     out = {}
     for key, (kind, default, rng) in table.items():
         if default is _REQUIRED and key not in doc:
@@ -201,7 +195,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     # each family's swarm takes its seed from the run's, so seed is no pso key
     pso_keys = [f.name for f in fields(PsoConfig) if f.name != "seed"]
     try:
-        top["pso"] = PsoConfig(**_keys(top["pso"], pso_keys, "pso"))
+        top["pso"] = PsoConfig(**_checked(checked_object, top["pso"], pso_keys, "pso"))
     except ValueError as exc:
         raise ConfigError(f"pso: {exc}") from exc
     # the fields are the keys, with lambda as lam
@@ -225,7 +219,7 @@ def _read_json(path):
 def load_config(path, seed: int | None = None) -> ExperimentConfig:
     """The config file at ``path``, validated; ``seed``, where given, replaces its ``seed`` key."""
     doc = _read_json(path)
-    return parse_config({**doc, "seed": seed} if seed is not None and isinstance(doc, dict) else doc)
+    return parse_config(doc if seed is None else {**_checked(checked_kind, doc, dict, "config"), "seed": seed})
 
 
 # === CSV matrices ===
@@ -241,7 +235,7 @@ def write_matrix_csv(path, arr) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
-def read_matrix_csv(path, header: bool = False) -> np.ndarray:
+def read_matrix_csv(path) -> np.ndarray:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError as exc:
@@ -249,10 +243,7 @@ def read_matrix_csv(path, header: bool = False) -> np.ndarray:
     except (OSError, UnicodeDecodeError) as exc:  # a directory, no permission, not UTF-8
         raise DataError(f"unreadable matrix file {path}: {exc}") from exc
     rows = []
-    lines = text.splitlines()
-    if header and lines:
-        lines = lines[1:]
-    for lineno, line in enumerate(lines, start=2 if header else 1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
@@ -274,8 +265,8 @@ def _bench_spec_from_config(doc, where: str) -> BenchmarkSpec:
     """The spec a benchmark section describes; the spec's ValueError is a
     ConfigError naming section ``where``.
 
-    The section's shape is checked here; the seed, the grid values and the
-    LF/HF settings are the spec's to check.
+    The section's keys and its grid's shape are checked here; the seed,
+    the grid values and the LF/HF settings are the spec's to check.
     """
     bench = _section(doc, _BENCHMARK, where)
     try:
@@ -286,13 +277,13 @@ def _bench_spec_from_config(doc, where: str) -> BenchmarkSpec:
         raise ConfigError(f"{where or 'benchmark'}: {exc}") from exc
 
 
-def load_data(cfg: ExperimentConfig, header: bool = False) -> tuple[SnapshotEnsemble, SnapshotEnsemble]:
+def load_data(cfg: ExperimentConfig) -> tuple[SnapshotEnsemble, SnapshotEnsemble]:
     if "benchmark" in cfg.data:
         return generate(_bench_spec_from_config(cfg.data["benchmark"], "data.benchmark"))
     files = cfg.data["files"]
-    lf_out = read_matrix_csv(files["lf_outputs"], header)
-    params = read_matrix_csv(files["lf_params"], header)
-    hf_out = read_matrix_csv(files["hf_outputs"], header)
+    lf_out = read_matrix_csv(files["lf_outputs"])
+    params = read_matrix_csv(files["lf_params"])
+    hf_out = read_matrix_csv(files["hf_outputs"])
     N = lf_out.shape[1]
     if params.shape[0] != N:
         raise DataError(
@@ -303,7 +294,7 @@ def load_data(cfg: ExperimentConfig, header: bool = False) -> tuple[SnapshotEnse
             f"hf_outputs has {hf_out.shape[1]} columns but lf_outputs has {N}"
         )
     if files.get("costs") is not None:
-        costs = read_matrix_csv(files["costs"], header)
+        costs = read_matrix_csv(files["costs"])
         if costs.shape != (2, N):
             raise DataError(f"costs must be a 2x{N} matrix (LF row, HF row)")
         lf_cost, hf_cost = costs[0], costs[1]
@@ -401,14 +392,14 @@ def _report_doc(report: SelectionReport) -> dict:
     }
 
 
-def run_experiment(cfg: ExperimentConfig, parallel: bool = False, header: bool = False) -> RunResult:
+def run_experiment(cfg: ExperimentConfig, parallel: bool = False) -> RunResult:
     """Selection first, then surrogate builds over the (mode, n) matrix.
 
     High-fidelity data is only reached through each cell's provider during
     the build phase, after every selection decision is already made; the
     returned trace records the phase marker and each draw.
     """
-    lf, hf = load_data(cfg, header)
+    lf, hf = load_data(cfg)
     N = lf.n_samples
     if any(b >= N for b in cfg.budgets):
         raise ConfigError(f"budgets must stay below the sample count {N}")
@@ -416,10 +407,7 @@ def run_experiment(cfg: ExperimentConfig, parallel: bool = False, header: bool =
 
     trace: list = []
     optimized = []
-    # one pivot plan per distinct kernel, to the largest budget, for every budget
-    plans: dict[KernelSpec, PivotPlan] = {}
     hyper_evals = 0
-    adaptive_reports: dict[int, SelectionReport] = {}
     if "adaptive" in cfg.modes:
         table = TuningTable(lf.outputs)  # every family tunes on the same LF data
         for fam in cfg.kernels:
@@ -428,7 +416,14 @@ def run_experiment(cfg: ExperimentConfig, parallel: bool = False, header: bool =
             optimized.append(optimize_hyperparams(fam, table, obj_cfg, pso_cfg))
         del table  # its packed triangles, before selection
         hyper_evals = sum(ok.evaluations_used for ok in optimized)
-        plans = {ok.spec: pivot_plan(lf, ok.spec, max(cfg.budgets)) for ok in optimized}
+    # one pivot plan per distinct kernel, to the largest budget, for every
+    # budget: the tuned ones, which selection scores, and the baseline's
+    kernels = [ok.spec for ok in optimized]
+    if "linear-baseline" in cfg.modes:
+        kernels.append(KernelSpec(family=KernelFamily.LINEAR))
+    plans = {kernel: pivot_plan(lf, kernel, max(cfg.budgets)) for kernel in dict.fromkeys(kernels)}
+    adaptive_reports: dict[int, SelectionReport] = {}
+    if "adaptive" in cfg.modes:
         for n in cfg.budgets:
             adaptive_reports[n] = adaptive_select(optimized, lf, n, cfg.rcond, plans)
 
@@ -458,12 +453,7 @@ def run_experiment(cfg: ExperimentConfig, parallel: bool = False, header: bool =
         return specs_by_family[adaptive_reports[n].chosen_family]
 
     cells = [(mode, n) for mode in cfg.modes for n in cfg.budgets]
-    # every plan is formed before any cell starts
-    plans = {
-        kernel: plans.get(kernel) or pivot_plan(lf, kernel, max(cfg.budgets))
-        for kernel in dict.fromkeys(cell_kernel(*c) for c in cells)
-    }
-    hf.squared_norms  # and the HF truth's norms, which every cell's error reads
+    hf.squared_norms  # before any cell starts, as every cell's error reads them
 
     def run_cell(mode: str, n: int):
         local: list = []
@@ -559,7 +549,7 @@ def _write_json(path, doc) -> None:
 def cmd_run(args) -> int:
     cfg = load_config(args.config, args.seed)
     out_dir = Path(args.out if args.out is not None else cfg.out_dir)
-    result = run_experiment(cfg, parallel=args.parallel, header=args.header)
+    result = run_experiment(cfg, parallel=args.parallel)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_results_csv(out_dir / "results.csv", result)
     _write_json(out_dir / "selection.json", result.selection_doc)
@@ -572,12 +562,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    overrides = {}
-    if args.config is not None:
-        overrides = _read_json(args.config)
-        if not isinstance(overrides, dict) or "name" in overrides:
-            raise ConfigError("gen config must be a JSON object without a 'name' key")
-    bench = {"name": args.benchmark, **overrides}
+    overrides = {} if args.config is None else _read_json(args.config)
+    # the benchmark's name is the command's argument, so no key of the config
+    keys = [key for key in _BENCHMARK if key != "name"]
+    bench = {**_checked(checked_object, overrides, keys, "gen config"), "name": args.benchmark}
     if args.seed is not None:
         bench["seed"] = args.seed
     spec = _bench_spec_from_config(bench, "")
@@ -609,7 +597,7 @@ def cmd_eval(args) -> int:
         raise DataError(f"archive not found: {args.archive}") from exc
     except (OSError, KeyError, TypeError, ValueError) as exc:  # a directory, bad JSON, non-ASCII bytes
         raise DataError(f"unreadable archive {args.archive}: {exc}") from exc
-    col = read_matrix_csv(args.lf_column, header=args.header)
+    col = read_matrix_csv(args.lf_column)
     if col.ndim == 2 and 1 in col.shape:
         col = col.ravel()
     elif col.ndim == 2 and col.shape[0] > 1 and col.shape[1] > 1:
@@ -636,7 +624,6 @@ def _build_parser():
     run.add_argument("--out", default=None)
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--parallel", action="store_true")
-    run.add_argument("--header", action="store_true")
     run.set_defaults(func=cmd_run)
 
     gen = sub.add_parser("gen", help="write a benchmark ensemble pair to CSV")
@@ -649,7 +636,6 @@ def _build_parser():
     ev = sub.add_parser("eval", help="emulate one low-fidelity column")
     ev.add_argument("archive")
     ev.add_argument("lf_column")
-    ev.add_argument("--header", action="store_true")
     ev.set_defaults(func=cmd_eval)
     return parser
 

@@ -1,7 +1,6 @@
 """Snapshot ensembles (model outputs, parameter tables, per-sample costs),
 their squared column norms and their output normalization, one group per
-QoI label; and the one rule for what a number is, which every setting and
-archive field follows."""
+QoI label; and the one rule for numbers and JSON kinds that all input follows."""
 from __future__ import annotations
 
 import math
@@ -29,6 +28,26 @@ def checked_number(value, what: str, integer: bool = False):
     if not finite:
         raise ValueError(f"{what} must be finite, got {value!r}")
     return int(value) if integer else float(value)
+
+
+# The JSON kinds a value is checked against, by the type ``json.load``
+# gives it, and the name a refusal gives it.
+_JSON_KINDS = {str: "a string", list: "a list", dict: "a JSON object"}
+
+
+def checked_kind(value, kind: type, what: str):
+    """``value`` if it is of JSON ``kind`` (str, list or dict); else a ValueError naming ``what``."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be {_JSON_KINDS[kind]}, got {type(value).__name__}")
+    return value
+
+
+def checked_object(doc, keys, what: str) -> dict:
+    """``doc`` if it is a JSON object whose keys are all among ``keys``; else a ValueError naming ``what``."""
+    unknown = sorted(set(checked_kind(doc, dict, what)) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown key(s) {unknown} in {what}")
+    return doc
 
 
 # Doubles in one column block of an output array: code that reads every

@@ -224,10 +224,10 @@ class TuningTable:
     ``_upper_triangle``, so no N x N array is ever formed. The linear
     reference is its diagonal ``ref_diag`` and its strict upper triangle
     ``ref_upper``, row by row; a non-finite entry raises ArithmeticError
-    before any distance is formed. ``dists`` holds a 0 (the diagonal's
-    distance), then the distances' strict upper triangle alike, so one
-    ``radial_profile`` call on it gives the diagonal value first and each
-    off-diagonal entry once. ``dbar``, the scale of the search box, is the
+    before any distance is formed. ``dists`` holds the distances' strict
+    upper triangle alike, so one ``radial_profile`` call on it gives each
+    off-diagonal entry once; the diagonal is every radial profile's value
+    at r = 0, exactly 1. ``dbar``, the scale of the search box, is the
     median distance between distinct columns: 1.0 for N < 2 or a zero
     median, and a non-finite distance raises ArithmeticError.
 
@@ -244,14 +244,13 @@ class TuningTable:
         linear = KernelSpec(family=KernelFamily.LINEAR)
         self.n = X.shape[1]
         self.ref_diag = _kernel_diagonal(linear, X)
-        self.ref_upper = _upper_triangle(X, lambda a, b: _kernel_block(linear, a, b))[1:]
+        self.ref_upper = _upper_triangle(X, lambda a, b: _kernel_block(linear, a, b))
         if not (np.isfinite(self.ref_diag).all() and np.isfinite(self.ref_upper).all()):
             raise ArithmeticError("linear reference Gramian has non-finite entries")
         self.dists = _upper_triangle(X, _distances)
-        upper = self.dists[1:]
-        if not np.isfinite(upper).all():
+        if not np.isfinite(self.dists).all():
             raise ArithmeticError("pairwise column distances are non-finite")
-        med = _median(upper) if upper.size else 1.0
+        med = _median(self.dists) if self.dists.size else 1.0
         self.dbar = med if med > 0 else 1.0
         self.zeros = np.flatnonzero(self.dists == 0.0)
         self.values = np.empty_like(self.dists)
@@ -276,14 +275,12 @@ class TuningTable:
         upper square counts twice and each diagonal one once, summed by
         ``_squares``. The difference ref - off is taken in ``values``, which
         spends a profile held there. ``diag`` is N values (the linear
-        family's ``ref_diag``) or one; a radial profile's is exactly 1
-        (``radial_profile`` sets each zero distance to 1), whose two sums
-        ``__init__`` formed once."""
+        family's ``ref_diag``) or 1.0, every radial profile's, whose two
+        sums ``__init__`` formed once."""
         off_squares = _squares(off)
-        fit_squares = _squares(np.subtract(self.ref_upper, off, out=self.values[1:]))
-        if isinstance(diag, np.ndarray) or diag != 1.0:
-            full = np.full(self.n, diag)
-            ref_squares, diag_squares = _squares(self.ref_diag - full), _squares(full)
+        fit_squares = _squares(np.subtract(self.ref_upper, off, out=self.values))
+        if isinstance(diag, np.ndarray):
+            ref_squares, diag_squares = _squares(self.ref_diag - diag), _squares(diag)
         else:
             ref_squares, diag_squares = self._unit_diagonal
         return math.sqrt(2.0 * fit_squares + ref_squares), 2.0 * off_squares + diag_squares
@@ -318,13 +315,14 @@ def _packed_objective(cfg: ObjectiveConfig, h, tri: TuningTable) -> float:
     """The objective at ``h``, from one profile call on the packed distances.
 
     A radial profile acts entry by entry, so the entries are bit for bit
-    those ``_kernel_block`` forms on the whole distance matrix. Any
-    failure is inf, so the swarm can treat the objective as total.
+    those ``_kernel_block`` forms on the whole distance matrix, and its
+    diagonal is 1.0. Any failure is inf, so the swarm can treat the
+    objective as total.
     """
     values = _profile(cfg, h, tri)
     if values is None:
         return math.inf
-    return _objective(cfg, tri, values[0], values[1:])
+    return _objective(cfg, tri, 1.0, values)
 
 
 # The bracket adds its bounds to the exact objective's own fit and
@@ -343,28 +341,28 @@ def _bracket_pad(n: int) -> float:
 def _bracket(cfg: ObjectiveConfig, h, tri: TuningTable, rows: bool = False):
     """Bounds (lo, hi) on ``_packed_objective`` at ``h``, or None where none are known.
 
-    One profile call on the packed triangle gives the diagonal value k0
-    and each off-diagonal entry once. For a finite, nonnegative K (every
-    radial family; the triangle is exactly symmetric) with row sums
-    r = K 1, the Rayleigh quotients at the ones vector and at e_i + e_j
-    give ||K||_2 >= max(mean(r), k0 + max_{i<j} K_ij), and
+    One profile call on the packed triangle gives each off-diagonal entry
+    once; the diagonal value k0 is a radial profile's 1. For a finite,
+    nonnegative K (every radial family; the triangle is exactly symmetric)
+    with row sums r = K 1, the Rayleigh quotients at the ones vector and at
+    e_i + e_j give ||K||_2 >= max(mean(r), k0 + max_{i<j} K_ij), and
     ||K||_2 <= min(max(r), ||K||_F) (Horn & Johnson, Matrix Analysis, 8.1).
     mean(r) is the triangle's sum; the full row sums take the unpacked
     Gramian, so they are formed only with ``rows``, and without them
     max(r) <= k0 + (N - 1) max_{i<j} K_ij stands in. The penalty lies
     between the two, padded by ``_bracket_pad``, on the exact objective's
     own fit and ||K||_F (``tri.terms``). Every other case (lam = 0, a
-    negative or non-finite entry, a zero Gramian) gives None.
+    negative or non-finite entry, squares that overflow) gives None.
     """
     if cfg.lam == 0.0:
         return None
     values = _profile(cfg, h, tri)
     if values is None:
         return None
-    n, k0, off = tri.n, float(values[0]), values[1:]
+    n, k0, off = tri.n, 1.0, values
     top = float(off.max(initial=-math.inf))
     # written so that NaN fails each test
-    if not (k0 >= 0.0 and off.min(initial=k0) >= 0.0 and max(k0, top) < math.inf):
+    if not (off.min(initial=k0) >= 0.0 and top < math.inf):
         return None
     if rows:
         r = tri.gramian(k0, off) @ np.ones(n)
@@ -372,7 +370,7 @@ def _bracket(cfg: ObjectiveConfig, h, tri: TuningTable, rows: bool = False):
     else:
         mean, most = k0 + 2.0 * float(off.sum()) / n, k0 + (n - 1) * max(top, 0.0)
     fit, fro2 = tri.terms(k0, off)
-    if not (fit < math.inf and 0.0 < fro2 < math.inf):
+    if not (fit < math.inf and fro2 < math.inf):  # fro2 >= N, the diagonal's
         return None
     scale, pad = cfg.lam / math.sqrt(fro2), _bracket_pad(n)
     lo = fit + scale * max(mean, k0 + top) * (1.0 - pad)
@@ -620,20 +618,18 @@ def refine_local(
 
 
 def _upper_triangle(columns: np.ndarray, block) -> np.ndarray:
-    """A 0, then the strict upper triangle of ``block(columns, columns)``, row-major.
+    """The strict upper triangle of ``block(columns, columns)``, row-major.
 
     ``block(a, b)`` gives the entries of the columns of ``a`` against those
     of ``b`` (``_distances``, or a ``_kernel_block``), and is called one
     block of rows at a time. Each entry is summed in one order whatever
     block it is in, so the values are bit for bit those of the whole
-    matrix, and only the n (n - 1) / 2 + 1 values and one block are ever
-    held. The leading 0 is the slot of the diagonal's distance.
+    matrix, and only the n (n - 1) / 2 values and one block are ever held.
     """
     n = columns.shape[1]
-    upper = np.empty(n * (n - 1) // 2 + 1)
-    upper[0] = 0.0
+    upper = np.empty(n * (n - 1) // 2)
     width = max(1, _BLOCK_DOUBLES // n)
-    at = 1
+    at = 0
     for lo in range(0, n - 1, width):
         rows = block(columns[:, lo : lo + width], columns[:, lo + 1 :])
         for r, row in enumerate(rows):

@@ -18,7 +18,9 @@ import numpy as np
 
 from .data import (
     SnapshotEnsemble,
+    checked_kind,
     checked_number,
+    checked_object,
     column_blocks,
     held_out,
     row_selector,
@@ -78,7 +80,8 @@ class Surrogate:
     ``evaluate`` forms every query's, so it is exactly symmetric.
     ``factor`` is its ``regularized_factor`` at ``rcond``. Both are formed
     once here and are neither arguments nor archived. A non-finite matrix
-    or ``rcond`` is a ValueError naming it.
+    or ``rcond``, or pivots that are not distinct non-negative integers
+    (the samples the error metric leaves out), is a ValueError naming it.
     """
 
     kernel: KernelSpec
@@ -92,7 +95,9 @@ class Surrogate:
     def __post_init__(self):
         hf = np.array(self.hf_snapshots, dtype=float)
         lf = np.array(self.pivot_lf_columns, dtype=float)
-        pivots = tuple(int(i) for i in self.pivots)
+        pivots = tuple(checked_number(i, "each pivot", integer=True) for i in self.pivots)
+        if min(pivots, default=0) < 0 or len(set(pivots)) != len(pivots):
+            raise ValueError(f"pivots must be distinct and non-negative, got {list(pivots)}")
         n = len(pivots)
         for name, arr in (("hf_snapshots", hf), ("pivot_lf_columns", lf)):
             if arr.ndim != 2 or arr.shape[1] != n:
@@ -370,25 +375,22 @@ def _encode_matrix(arr: np.ndarray) -> dict:
     }
 
 
-_KINDS = {str: "a string", list: "a list", dict: "an object"}
-
-
 def _field(doc: dict, key: str, kind):
     """Field ``key`` of ``doc``, refused with a ValueError naming it unless
-    it is a ``kind``: a number or an integer as ``checked_number`` reads
-    it, else one of ``_KINDS``."""
-    value = doc.get(key)
+    it is a ``kind``: a number or an integer (float, int) as
+    ``checked_number`` reads it, else a JSON kind (str, list) as
+    ``checked_kind`` does. A missing field is None, refused alike."""
+    what = f"archive field {key!r}"
     if kind in (float, int):
-        return checked_number(value, f"archive field {key!r}", integer=kind is int)
-    if not isinstance(value, kind):
-        raise ValueError(f"archive field {key!r} must be {_KINDS[kind]}, got {type(value).__name__}")
-    return value
+        return checked_number(doc.get(key), what, integer=kind is int)
+    return checked_kind(doc.get(key), kind, what)
 
 
-def _decode_matrix(blob: dict) -> np.ndarray:
+def _decode_matrix(matrices: dict, name: str) -> np.ndarray:
+    blob = checked_object(matrices.get(name), ("rows", "cols", "dtype", "data"), f"archive field {name!r}")
     if blob.get("dtype") != "<f8":
         raise ValueError(f"archive field 'dtype' must be '<f8', got {blob.get('dtype')!r}")
-    arr = np.frombuffer(base64.b64decode(blob["data"]), dtype="<f8").astype(float)
+    arr = np.frombuffer(base64.b64decode(_field(blob, "data", str)), dtype="<f8").astype(float)
     shape = (_field(blob, "rows", int), _field(blob, "cols", int))
     if min(shape) < 0:  # reshape would read -1 as "infer"
         raise ValueError(f"archive fields 'rows' and 'cols' must be non-negative, got {shape}")
@@ -399,12 +401,11 @@ def _kernel_to_dict(kernel: KernelSpec) -> dict:
     return {"kind": "single", "family": kernel.family.name.lower(), "h": list(kernel.h)}
 
 
-def _kernel_from_dict(doc: dict) -> KernelSpec:
-    if doc.get("kind") != "single":
+def _kernel_from_dict(doc) -> KernelSpec:
+    # the kind before the keys, so a kernel mixture is named as one
+    if checked_kind(doc, dict, "archive field 'kernel'").get("kind") != "single":
         raise ValueError(f"unsupported kernel kind {doc.get('kind')!r}; expected 'single'")
-    unknown = sorted(set(doc) - {"kind", "family", "h"})
-    if unknown:
-        raise ValueError(f"unknown key(s) {unknown} in archive field 'kernel'")
+    checked_object(doc, ("kind", "family", "h"), "archive field 'kernel'")
     name = _field(doc, "family", str)
     if name.upper() not in KernelFamily.__members__:
         raise ValueError(f"unsupported kernel family {name!r}")
@@ -426,20 +427,19 @@ def surrogate_to_dict(surrogate: Surrogate) -> dict:
 
 
 def surrogate_from_dict(doc: dict) -> Surrogate:
-    """Inverse of ``surrogate_to_dict``; a malformed document is a ValueError naming the field."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"archive root must be a JSON object, got {type(doc).__name__}")
-    if doc.get("version") != ARCHIVE_VERSION:
+    """Inverse of ``surrogate_to_dict``; a malformed document is a ValueError
+    naming the field. Each level holds only the keys the writer writes, and
+    the version is read first, so an archive of another version is named."""
+    if checked_kind(doc, dict, "archive root").get("version") != ARCHIVE_VERSION:
         raise ValueError(f"unsupported archive version {doc.get('version')!r}, expected "
                          f"{ARCHIVE_VERSION}; rerun 'bifidelity run' to regenerate it")
-    matrices = _field(doc, "matrices", dict)
-    pivots = _field(doc, "pivots", list)
-    if not all(type(p) is int for p in pivots):
-        raise ValueError(f"archive field 'pivots' must hold integers, got {pivots!r}")
+    checked_object(doc, ("version", "kernel", "pivots", "rcond", "matrices"), "archive root")
+    matrices = checked_object(doc.get("matrices"), ("hf_snapshots", "pivot_lf_columns"),
+                              "archive field 'matrices'")
     return Surrogate(
-        kernel=_kernel_from_dict(_field(doc, "kernel", dict)),
-        pivots=tuple(pivots),
-        hf_snapshots=_decode_matrix(_field(matrices, "hf_snapshots", dict)),
-        pivot_lf_columns=_decode_matrix(_field(matrices, "pivot_lf_columns", dict)),
+        kernel=_kernel_from_dict(doc.get("kernel")),
+        pivots=tuple(_field(doc, "pivots", list)),
+        hf_snapshots=_decode_matrix(matrices, "hf_snapshots"),
+        pivot_lf_columns=_decode_matrix(matrices, "pivot_lf_columns"),
         rcond=_field(doc, "rcond", float),
     )

@@ -98,7 +98,7 @@ def test_spec_validation():
     cases = [("oscillator", "lf", {"dtt": 3}, "['dtt']"), ("oscillator", "hf", {"bodies": 8}, "['bodies']"),
              ("nbody", "lf", {"trajectory_points": 20, "dtt": 0.1}, "['dtt', 'trajectory_points']")]
     for name, fidelity, settings, named in cases:
-        with pytest.raises(ValueError, match=re.escape(f"unknown {fidelity} setting(s) {named} for {name}")):
+        with pytest.raises(ValueError, match=re.escape(f"unknown key(s) {named} in {name} {fidelity} settings")):
             BenchmarkSpec(name=name, grid=grid, **{f"{fidelity}_settings": settings})
     # settings left out take the benchmark's defaults, HF bodies included
     spec = BenchmarkSpec(name="nbody", grid=grid, hf_settings={"dt": 0.01})

@@ -178,6 +178,29 @@ def test_parse_config_rejects_bad_documents(toy):
             parse_config(doc)
 
 
+def command_line_flags() -> set[str]:
+    """Every option string of ``bifidelity`` and of each of its commands."""
+    parsers, flags = [cli._build_parser()], set()
+    while parsers:
+        parser = parsers.pop()
+        for action in parser._actions:
+            flags.update(action.option_strings)
+            if isinstance(action.choices, dict):  # the commands' subparsers
+                parsers.extend(action.choices.values())
+    return flags
+
+
+def test_readme_names_only_flags_the_command_line_defines():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    # the install lines' flags are pip's
+    named = {flag for line in readme.splitlines() if not line.startswith("pip ")
+             for flag in re.findall(r"(?<![\w-])--[a-z][a-z-]*", line)}
+    flags = command_line_flags()
+    assert {"--config", "--out", "--seed", "--parallel"} <= named
+    assert named <= flags, sorted(named - flags)
+    assert "--header" not in flags
+
+
 def test_readme_config_block_lists_every_key():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     block = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
@@ -255,15 +278,16 @@ def test_matrix_csv_failure_modes(tmp_path):
         read_matrix_csv(empty)
     headered = tmp_path / "headered.csv"
     headered.write_text("colA,colB\n1.0,2.0\n")
-    np.testing.assert_array_equal(read_matrix_csv(headered, header=True), [[1.0, 2.0]])
+    with pytest.raises(DataError, match=re.escape(f"{headered}:1: unparsable number")):
+        read_matrix_csv(headered)
 
 
 @pytest.mark.parametrize("costs", [True, False], ids=["costs-file", "unit-costs"])
 def test_loaded_ensembles_hold_the_parsed_arrays(monkeypatch, toy, costs):
     parsed = []
 
-    def reading(path, header=False):
-        parsed.append(read_matrix_csv(path, header))
+    def reading(path):
+        parsed.append(read_matrix_csv(path))
         return parsed[-1]
 
     monkeypatch.setattr(cli, "read_matrix_csv", reading)
@@ -367,13 +391,10 @@ def test_seed_flag_overrides_config(toy, tmp_path):
     ).read_bytes()
 
 
-def test_header_inputs_need_the_flag(toy, tmp_path):
-    lf = read_matrix_csv(toy / "lf.csv")
-    hf = read_matrix_csv(toy / "hf.csv")
-    params = read_matrix_csv(toy / "params.csv")
-    for name, arr in (("lf.csv", lf), ("hf.csv", hf), ("params.csv", params)):
-        body = (toy / name).read_text()
-        (tmp_path / name).write_text("c0,c1\n" + body)
+def test_header_rows_are_refused_at_line_1(toy, tmp_path, capsys):
+    # matrix files are headerless: a header row is a row that does not parse
+    for name in ("lf.csv", "hf.csv", "params.csv"):
+        (tmp_path / name).write_text("c0,c1\n" + (toy / name).read_text())
     doc = toy_doc(
         toy,
         data={
@@ -387,8 +408,23 @@ def test_header_inputs_need_the_flag(toy, tmp_path):
         out_dir=str(tmp_path / "out"),
     )
     cfg = write_config(tmp_path / "cfg.json", doc)
-    assert main(["run", "--config", cfg, "--header"]) == 0
+    capsys.readouterr()
     assert main(["run", "--config", cfg]) == 3
+    assert f"data error: {tmp_path / 'lf.csv'}:1: unparsable number" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # eval reads its column file by the same rule
+    plain = toy_doc(toy, modes=["linear-baseline"], budgets=[2], out_dir=str(tmp_path / "plain"))
+    assert main(["run", "--config", write_config(tmp_path / "plain.json", plain)]) == 0
+    archive = tmp_path / "plain" / "surrogates" / "linear-baseline_2.json"
+    column = tmp_path / "column.csv"
+    write_matrix_csv(column, read_matrix_csv(toy / "lf.csv")[:, 0])
+    column.write_text("lf\n" + column.read_text())
+    capsys.readouterr()
+    assert main(["eval", str(archive), str(column)]) == 3
+    assert f"data error: {column}:1: unparsable number" in capsys.readouterr().err
+    # and neither command has a flag to skip the row
+    for args in (["run", "--config", cfg, "--header"], ["eval", str(archive), str(column), "--header"]):
+        assert main(args) == 2
 
 
 def test_hf_columns_stay_sealed_until_selection_ends(toy):
@@ -509,9 +545,9 @@ def test_fidelity_settings_are_refused_in_the_specs_one_wording(toy, tmp_path, c
     gen_cfg = write_config(tmp_path / "gen.json", {"hf": {"dtt": 0.01}})
     capsys.readouterr()
     assert main(["run", "--config", cfg]) == 2
-    assert "unknown hf setting(s) ['dtt'] for oscillator" in capsys.readouterr().err
+    assert "unknown key(s) ['dtt'] in oscillator hf settings" in capsys.readouterr().err
     assert main(["gen", "oscillator", "--config", gen_cfg, "--out", str(tmp_path / "x")]) == 2
-    assert "unknown hf setting(s) ['dtt'] for oscillator" in capsys.readouterr().err
+    assert "unknown key(s) ['dtt'] in oscillator hf settings" in capsys.readouterr().err
     bench["benchmark"]["hf"] = {"dt": "0.01"}
     cfg = write_config(tmp_path / "kind.json", toy_doc(toy, data=bench))
     assert main(["run", "--config", cfg]) == 2
@@ -754,11 +790,11 @@ def test_gen_nbody_override_and_regeneration(tmp_path):
 
 
 def test_gen_config_rejects_name_key(tmp_path, capsys):
-    cfg = write_config(tmp_path / "gen.json", {"name": "nbody"})
-    assert main(["gen", "oscillator", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
-    # a root that is not an object, and a grid count that is not an integer
+    # the benchmark is the command's argument; a root that is not an
+    # object, and a grid count that is not an integer
     rejected = {
-        "gen config must be a JSON object": [{"grid": []}],
+        "unknown key(s) ['name'] in gen config": {"name": "nbody"},
+        "gen config must be a JSON object, got list": [{"grid": []}],
         "axis omega count must be an integer": {
             "grid": [["omega", 1.0, 5.0, 2.5], ["gamma", 0.05, 0.5, 3]]
         },
@@ -806,11 +842,19 @@ def test_eval_round_trip(toy, tmp_path, capsys):
     matrices = good["matrices"]
     hf_blob = matrices["hf_snapshots"]
     no_dtype = {k: v for k, v in hf_blob.items() if k != "dtype"}
+    no_data = {k: v for k, v in hf_blob.items() if k != "data"}
     malformed = [
         ("'dtype'", {**good, "matrices": {**matrices, "hf_snapshots": {**hf_blob, "dtype": "<f4"}}}),
         ("'dtype'", {**good, "matrices": {**matrices, "hf_snapshots": no_dtype}}),
         ("'pivots'", {**good, "pivots": 5}),
-        ("'pivots' must hold integers", {**good, "pivots": [p + 0.5 for p in good["pivots"]]}),
+        ("each pivot must be an integer, got ", {**good, "pivots": [p + 0.5 for p in good["pivots"]]}),
+        # every level holds only the keys the writer writes
+        ("unknown key(s) ['note'] in archive root", {**good, "note": "hand-edited"}),
+        ("unknown key(s) ['sliced_gramian'] in archive field 'matrices'",
+         {**good, "matrices": {**matrices, "sliced_gramian": hf_blob}}),
+        ("unknown key(s) ['endian'] in archive field 'hf_snapshots'",
+         {**good, "matrices": {**matrices, "hf_snapshots": {**hf_blob, "endian": "big"}}}),
+        ("archive field 'data' must be a string, got NoneType", {**good, "matrices": {**matrices, "hf_snapshots": no_data}}),
         ("'h'", {**good, "kernel": {**good["kernel"], "h": 3}}),
         ("'matrices'", {**good, "matrices": []}),
         ("'kernel'", {**good, "kernel": "single"}),

@@ -1,4 +1,5 @@
-"""Snapshot ensemble container invariants, and the one number rule."""
+"""Snapshot ensemble container invariants, the one number rule, and the one
+rule for JSON strings, lists and objects."""
 import math
 import re
 from fractions import Fraction
@@ -8,7 +9,7 @@ import pytest
 
 from bifidelity.bench import BenchmarkSpec, default_spec
 from bifidelity.cli import ConfigError, parse_config
-from bifidelity.data import SnapshotEnsemble, checked_number, held_out
+from bifidelity.data import SnapshotEnsemble, checked_kind, checked_number, checked_object, held_out
 from bifidelity.hyperopt import ObjectiveConfig, PsoConfig
 from bifidelity.kernels import KernelFamily, KernelSpec
 from bifidelity.surrogate import Surrogate, surrogate_from_dict, surrogate_to_dict
@@ -141,3 +142,72 @@ def test_every_entry_point_refuses_a_number_in_one_wording(entry, value, kind):
     with pytest.raises(ConfigError if entry == "config-lambda" else ValueError) as refused:
         feed(value)
     assert str(refused.value) == f"{what} must be {kind}, got {value!r}"
+
+
+def test_checked_kind_and_object_refuse_in_one_wording():
+    doc = {"a": 1}
+    assert checked_kind("s", str, "x") == "s" and checked_kind([], list, "x") == []
+    assert checked_object(doc, ("a", "b"), "x") is doc and checked_object({}, (), "x") == {}
+    # a kind is the type json.load gives: a tuple is no list, a bool no string
+    for value, kind, name in (([], str, "a string"), (True, str, "a string"), ((1,), list, "a list"),
+                              ({}, list, "a list"), ([], dict, "a JSON object"), (None, dict, "a JSON object")):
+        with pytest.raises(ValueError) as refused:
+            checked_kind(value, kind, "x")
+        assert str(refused.value) == f"x must be {name}, got {type(value).__name__}"
+    with pytest.raises(ValueError) as refused:
+        checked_object("{}", ("a",), "x")
+    assert str(refused.value) == "x must be a JSON object, got str"
+    # every unknown key is named, sorted, whatever its value
+    with pytest.raises(ValueError) as refused:
+        checked_object({"z": None, "a": 1, "b": {}}, ("a",), "x")
+    assert str(refused.value) == "unknown key(s) ['b', 'z'] in x"
+
+
+def _merged(base: dict, doc):
+    """``base`` updated by ``doc`` where it is an object, else ``doc`` itself."""
+    return {**base, **doc} if isinstance(doc, dict) else doc
+
+
+def _archive_with(doc, *path) -> dict:
+    """An archive whose object at ``path`` is merged with ``doc``."""
+    archive = _archive()
+    if not path:
+        return _merged(archive, doc)
+    *parents, key = path
+    node = archive
+    for name in parents:
+        node = node[name]
+    node[key] = _merged(node[key], doc)
+    return archive
+
+
+BENCHMARK = {"name": "oscillator"}
+FILES = {"lf_outputs": "lf.csv", "lf_params": "params.csv", "hf_outputs": "hf.csv"}
+
+# entry point -> (the object its refusal names, a call that feeds it a document)
+OBJECT_ENTRY_POINTS = {
+    "config-root": ("config", lambda d: parse_config(_merged({"data": {"benchmark": BENCHMARK}}, d))),
+    "config-pso": ("pso", lambda d: parse_config({"data": {"benchmark": BENCHMARK}, "pso": d})),
+    "config-files": ("data.files", lambda d: parse_config({"data": {"files": _merged(FILES, d)}})),
+    "config-benchmark": ("data.benchmark", lambda d: parse_config({"data": {"benchmark": _merged(BENCHMARK, d)}})),
+    "benchmark-settings": ("oscillator hf settings",
+                           lambda d: BenchmarkSpec(name="oscillator", grid=default_spec("oscillator").grid,
+                                                   hf_settings=d)),
+    "archive-root": ("archive root", lambda d: surrogate_from_dict(_archive_with(d))),
+    "archive-kernel": ("archive field 'kernel'", lambda d: surrogate_from_dict(_archive_with(d, "kernel"))),
+    "archive-matrices": ("archive field 'matrices'", lambda d: surrogate_from_dict(_archive_with(d, "matrices"))),
+    "archive-matrix": ("archive field 'hf_snapshots'",
+                       lambda d: surrogate_from_dict(_archive_with(d, "matrices", "hf_snapshots"))),
+}
+
+
+@pytest.mark.parametrize("entry", list(OBJECT_ENTRY_POINTS))
+def test_every_reader_refuses_an_object_in_one_wording(entry):
+    what, feed = OBJECT_ENTRY_POINTS[entry]
+    # the config's refusal is a ConfigError, the library's a ValueError
+    error = ConfigError if entry.startswith("config") else ValueError
+    for doc, message in (({"endian": "big", "b": 0}, f"unknown key(s) ['b', 'endian'] in {what}"),
+                         ([], f"{what} must be a JSON object, got list")):
+        with pytest.raises(error) as refused:
+            feed(doc)
+        assert str(refused.value) == message

@@ -230,7 +230,7 @@ def test_pair_bound_lifts_the_bracket_above_the_row_sums():
     dists[1, 3] = dists[3, 1] = -math.log(a)
     X = np.random.default_rng(0).normal(size=(2, n))
     tri = TuningTable(X)
-    tri.dists[1:] = dists[np.triu_indices(n, k=1)]  # the crafted distances, packed
+    tri.dists[:] = dists[np.triu_indices(n, k=1)]  # the crafted distances, packed
     ref = _kernel_block(LINEAR, X, X)
     cfg = ObjectiveConfig(lam=100.0, family=KernelFamily.EXPONENTIAL, bounds=((0.1, 10.0),))
     K = radial_profile(KernelSpec(family=KernelFamily.EXPONENTIAL, h=(1.0,)), dists)
@@ -261,15 +261,14 @@ def test_bracket_pad_covers_its_rounding_bound_at_every_n(n):
         # symmetric but negative: ||K||_2 = 1.9 lies above every row sum (0.1)
         np.array([[1.0, -0.9], [-0.9, 1.0]]),
         np.array([[1.0, math.nan], [math.nan, 1.0]]),
-        np.zeros((2, 2)),
     ],
-    ids=["negative", "nan", "zero"],
+    ids=["negative", "nan"],
 )
 def test_gramians_without_a_bracket_are_scored_exactly(monkeypatch, cand):
     X = np.array([[0.0, 1.0]])
     cfg = ObjectiveConfig(lam=0.1, family=KernelFamily.EXPONENTIAL, bounds=((0.1, 10.0),))
     # a profile that maps the distances (0 on the diagonal, 1 off it) to
-    # cand's entries
+    # cand's entries; the table takes the diagonal as 1, cand's own
     table = np.array([cand[0, 0], cand[0, 1]])
     profile = lambda spec, r, out=None, zeros=None: table[np.asarray(r).astype(int)]
     monkeypatch.setattr(hyperopt, "radial_profile", profile)
@@ -281,7 +280,7 @@ def test_gramians_without_a_bracket_are_scored_exactly(monkeypatch, cand):
         assert hyperopt._bracket(cfg, (1.0,), tri, rows=rows) is None
     got = hyperopt._scores(cfg, tri).score(np.zeros(1))
     assert type(got) is float and got == oracles.objective_full(cfg, (1.0,), X)
-    if np.all(np.isfinite(cand)) and cand.any():
+    if np.all(np.isfinite(cand)):
         assert np.linalg.norm(cand, 2) > cand.sum(axis=1).max()
 
 
@@ -300,10 +299,9 @@ def test_table_profiles_into_one_buffer_and_sums_each_diagonal_once(monkeypatch)
         assert values is tri.values
         expected = radial_profile(spec, tri.dists)
         np.testing.assert_array_equal(values, expected)
-        assert values[0] == 1.0
-        off = expected[1:]
+        off = expected
         fit = math.sqrt(2.0 * squares(tri.ref_upper - off) + squares(tri.ref_diag - np.ones(tri.n)))
-        assert tri.terms(values[0], values[1:]) == (fit, 2.0 * squares(off) + squares(np.ones(tri.n)))
+        assert tri.terms(1.0, values) == (fit, 2.0 * squares(off) + squares(np.ones(tri.n)))
     triangle = tri.n * (tri.n - 1) // 2
     assert sizes == [tri.n, tri.n] + [triangle, triangle] * len(RADIAL_FAMILIES)
 
@@ -807,9 +805,9 @@ def test_upper_distances_match_the_dense_loop_bit_for_bit(monkeypatch, d):
         monkeypatch.setattr(hyperopt, "_BLOCK_DOUBLES", block)
         cols = rng.normal(size=(d, n)) * 10.0 ** rng.uniform(-3, 3, size=(d, n))
         upper = hyperopt._upper_triangle(cols, _distances)
-        assert upper[0] == 0.0 and upper.shape == (n * (n - 1) // 2 + 1,)
+        assert upper.shape == (n * (n - 1) // 2,)
         want = oracles.distance_block_dense(cols, cols)[np.triu_indices(n, k=1)]
-        np.testing.assert_array_equal(upper[1:], want)
+        np.testing.assert_array_equal(upper, want)
         table, ref = TuningTable(cols), _kernel_block(LINEAR, cols, cols)
         np.testing.assert_array_equal(ref, ref.T)
         np.testing.assert_array_equal(table.ref_upper, ref[np.triu_indices(n, k=1)])
@@ -837,7 +835,7 @@ def test_median_pairwise_distance_is_numpys_median_bit_for_bit(n):
     rng = np.random.default_rng(50 + n)
     cols = rng.normal(size=(3, n)) * 10.0 ** rng.uniform(-3, 3, size=(3, n))
     table = TuningTable(cols)
-    assert table.dbar.hex() == float(np.median(table.dists[1:])).hex()
+    assert table.dbar.hex() == float(np.median(table.dists)).hex()
     for size in range(1, 40):
         values = rng.uniform(size=size) * 10.0 ** rng.uniform(-3, 3, size=size)
         assert hyperopt._median(values).hex() == float(np.median(values)).hex(), size

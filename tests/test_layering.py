@@ -132,35 +132,63 @@ def test_tuned_run_loads_neither_numpy_random_nor_numpy_ma():
     assert json.loads(out) == []
 
 
-class _BoolTests(ast.NodeVisitor):
-    """``module.function`` for each ``isinstance(x, bool)`` call, ``bool`` alone or in a tuple."""
+class _Scanner(ast.NodeVisitor):
+    """``module.Class.function`` for each node that ``matches``, one entry per node."""
 
-    def __init__(self, module: str):
-        self.scope, self.found = [module], []
+    def __init__(self, module: str, matches):
+        self.scope, self.matches, self.found = [module], matches, []
 
     def visit_FunctionDef(self, node):
         self.scope.append(node.name)
         self.generic_visit(node)
         self.scope.pop()
 
-    visit_AsyncFunctionDef = visit_FunctionDef
+    visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
 
-    def visit_Call(self, node):
-        if (isinstance(node.func, ast.Name) and node.func.id == "isinstance" and len(node.args) == 2
-                and any(isinstance(n, ast.Name) and n.id == "bool" for n in ast.walk(node.args[1]))):
+    def generic_visit(self, node):
+        if self.matches(node):
             self.found.append(".".join(self.scope))
-        self.generic_visit(node)
+        super().generic_visit(node)
+
+
+def _bool_test(node) -> bool:
+    """An ``isinstance(x, bool)`` call, ``bool`` alone or in a tuple."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance"
+            and len(node.args) == 2 and any(isinstance(n, ast.Name) and n.id == "bool" for n in ast.walk(node.args[1])))
+
+
+def _key_difference(node) -> bool:
+    """``set(...) - x``: the keys of a document that another set leaves over."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub) and isinstance(node.left, ast.Call)
+            and isinstance(node.left.func, ast.Name) and node.left.func.id == "set")
+
+
+def scan_package(matches) -> list[str]:
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        scanner = _Scanner(path.stem, matches)
+        scanner.visit(ast.parse(path.read_text(encoding="utf-8")))
+        found += scanner.found
+    return found
+
+
+def scan_source(source: str, matches) -> list[str]:
+    scanner = _Scanner("probe", matches)
+    scanner.visit(ast.parse(source))
+    return scanner.found
 
 
 def test_one_function_decides_what_a_number_is():
     # a bool is an int to Python; only data.checked_number may tell them
     # apart, so every setting and archive field follows one number rule
-    found = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        scanner = _BoolTests(path.stem)
-        scanner.visit(ast.parse(path.read_text(encoding="utf-8")))
-        found += scanner.found
-    assert found == ["data.checked_number"]
-    probe = _BoolTests("probe")
-    probe.visit(ast.parse("lambda v: isinstance(v, (int, bool))\ndef f(v):\n    return isinstance(v, bool)"))
-    assert probe.found == ["probe", "probe.f"]
+    assert scan_package(_bool_test) == ["data.checked_number"]
+    probe = "lambda v: isinstance(v, (int, bool))\ndef f(v):\n    return isinstance(v, bool)"
+    assert scan_source(probe, _bool_test) == ["probe", "probe.f"]
+
+
+def test_one_function_decides_which_keys_a_document_may_hold():
+    # every config section, benchmark setting and archive level names its
+    # unknown keys through data.checked_object, in one wording
+    assert scan_package(_key_difference) == ["data.checked_object"]
+    probe = "class C:\n    def f(self, d):\n        return set(d) - {'a'}\nset(x) - set(y)\n{1} - set(y)"
+    assert scan_source(probe, _key_difference) == ["probe.C.f", "probe"]

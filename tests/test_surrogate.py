@@ -1074,6 +1074,34 @@ def test_eval_rejects_mixture_archive(tmp_path, capsys):
         surrogate_from_dict(doc)
 
 
+def test_archive_refuses_pivots_that_are_not_distinct_non_negative_integers(tmp_path, capsys):
+    # the error metric leaves the pivots out of the samples it scores: a
+    # negative pivot would wrap to the end, a repeated one train twice
+    rng = np.random.default_rng(19)
+    surr = build_surrogate(ensemble_from(rng.normal(size=(2, 7))), LINEAR, 2, provider_for(rng.normal(size=(3, 7))))
+    doc = surrogate_to_dict(surr)
+    query = tmp_path / "query.csv"
+    query.write_text("1.0,2.0\n", encoding="ascii")
+    refused = {
+        "pivots must be distinct and non-negative, got [-1, -2]": [-1, -2],
+        "pivots must be distinct and non-negative, got [3, 3]": [3, 3],
+        "pivots must be distinct and non-negative, got [0, -7]": [0, -7],
+        "each pivot must be an integer, got 0.5": [0.5, 1],
+        "each pivot must be an integer, got True": [True, 1],
+    }
+    for k, (message, pivots) in enumerate(refused.items()):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            surrogate_from_dict({**doc, "pivots": pivots})
+        archive = tmp_path / f"pivots{k}.json"
+        archive.write_text(json.dumps({**doc, "pivots": pivots}), encoding="ascii")
+        capsys.readouterr()
+        assert main(["eval", str(archive), str(query)]) == 3
+        assert message in capsys.readouterr().err
+    with pytest.raises(ValueError, match="distinct and non-negative"):
+        Surrogate(kernel=LINEAR, pivots=(0, 0), hf_snapshots=np.ones((1, 2)),
+                  pivot_lf_columns=np.eye(2), rcond=1e-12)
+
+
 def test_archive_version_gate():
     # version 1 archives stored the sliced Gramian; no reader is kept for them
     doc = surrogate_to_dict(crafted_surrogate(None))
