@@ -9,8 +9,9 @@ proportional to the work each fidelity performs.
   coarse forward-Euler run reduced to two scalar quantities of interest,
   so its output space is deliberately low dimensional; the high-fidelity
   model is a fine RK4 run that keeps the sampled trajectory. As the ODE is
-  linear, an RK4 step is one 2x2 matrix per sample, and a block of steps
-  one product with a table of its powers.
+  linear, an RK4 step is one 2x2 matrix per sample: only the states at
+  block starts are chained, each kept state is one product with a table
+  of the matrix's powers, and a block's energy one 2x2 Gram form.
 * nbody: a softened-gravity cluster with a rotation parameter. Both
   fidelities report the same three scalar quantities and differ only in
   body count.
@@ -174,8 +175,8 @@ def _rk4_powers(omega, gamma, dt, rows):
     return powers
 
 
-def _integrate_blocks(omega, gamma, dt, steps, method, rows):
-    """Yield state blocks shaped (rows + 1, 2, n_samples), vectorized over samples.
+def _integrate_blocks(omega, gamma, dt, steps, rows):
+    """Yield forward-Euler state blocks shaped (rows + 1, 2, n_samples), vectorized over samples.
 
     ``y[:, 0]`` and ``y[:, 1]`` of a block are x and v. Row 0 is the last
     state of the block before ((1, 0) in the first); rows 1.. are the next
@@ -183,66 +184,43 @@ def _integrate_blocks(omega, gamma, dt, steps, method, rows):
     valid until the next block is asked for. An unstable step overflows
     without a numpy warning: the callers check the states they keep.
 
-    RK4 multiplies row 0 by a table of the step matrix's powers
-    (``_rk4_powers``, 4 doubles per sample and row), one einsum a block;
-    its states differ from the stage-by-stage oracle's in the last digits.
-    Forward Euler is straight-line ufunc calls on views bound once, then a
+    Each step is straight-line ufunc calls on views bound once, then a
     slice copy into the block: the byte-identical form of the
     stage-by-stage integrator. At small N a call costs its dispatch, so
     its scalar is a 0-d float64 array: a Python float is converted per call.
     """
-    if method not in ("euler", "rk4"):
-        raise ValueError(f"unknown integrator {method!r}")
     ys = np.empty((rows + 1, 2, omega.size))
     ys[0, 0], ys[0, 1] = 1.0, 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # not held across a yield
-        if method == "rk4":
-            powers = _rk4_powers(omega, gamma, dt, min(rows, steps))
-        else:
-            # z = (x, v, a): as x' = v, the state y0 = (x, v) and slope K0 = (v, a)
-            # are the overlapping views z[0:2] and z[1:3]
-            z = np.empty((3, omega.size))
-            y0, K0, a0 = z[0:2], z[1:3], z[2]
-            y0[...] = ys[0]
-            coef = np.stack([-(omega**2), gamma])  # a = -w2 * x - gamma * v is P0 - P1, P = coef * y0
-            P, S = np.empty((2, 2, omega.size))
-            P0, P1 = P
-            dt = np.array(dt)
-            mul, add, sub = np.multiply, np.add, np.subtract
-            after = list(ys[1:])
-    # Each Euler call performs one operation of tests/oracles.integrate_oscillator_dense,
+        # z = (x, v, a): as x' = v, the state y0 = (x, v) and slope K0 = (v, a)
+        # are the overlapping views z[0:2] and z[1:3]
+        z = np.empty((3, omega.size))
+        y0, K0, a0 = z[0:2], z[1:3], z[2]
+        y0[...] = ys[0]
+        coef = np.stack([-(omega**2), gamma])  # a = -w2 * x - gamma * v is P0 - P1, P = coef * y0
+        P, S = np.empty((2, 2, omega.size))
+        P0, P1 = P
+        dt = np.array(dt)
+        mul, add, sub = np.multiply, np.add, np.subtract
+        after = list(ys[1:])
+    # Each call performs one operation of tests/oracles.integrate_oscillator_dense,
     # on the same operands in the same order, so every state rounds as there, bit for bit.
     for done in range(0, steps, rows):
         count = min(rows, steps - done)
         if done:
             ys[0] = ys[rows]  # the last state of the block before, which was full
         with np.errstate(over="ignore", invalid="ignore"):
-            if method == "rk4":
-                np.einsum("kijn,jn->kin", powers[:count], ys[0], out=ys[1 : count + 1])
-            else:
-                for row in after[:count]:
-                    mul(coef, y0, P)
-                    sub(P0, P1, a0)
-                    add(y0, mul(dt, K0, S), y0)  # y0 + dt * K0
-                    row[...] = y0
+            for row in after[:count]:
+                mul(coef, y0, P)
+                sub(P0, P1, a0)
+                add(y0, mul(dt, K0, S), y0)  # y0 + dt * K0
+                row[...] = y0
         yield ys[: count + 1]
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _oscillator_qois(omega, gamma, dt, steps, method, points=0):
-    """One (points + 2, n_samples) array: rows ``stride * (1..points)`` of
-    x, ``stride = steps // points``, then the time-averaged energy and the
-    final amplitude of each sample.
-
-    Integrates in blocks of at most _BLOCK_DOUBLES doubles (twice that for
-    RK4, with its table), so memory is O(_BLOCK_DOUBLES + points * N)
-    whatever the step count. An unstable sample overflows to a non-finite
-    output without a numpy warning; the caller's output check names it.
-    """
+def _euler_qois(omega, gamma, dt, steps, points, rows):
+    """_oscillator_qois for forward Euler: every state, block by block."""
     n = omega.size
-    # 4 doubles per sample and step: x and v, and two energy rows (RK4's
-    # table of step-matrix powers takes 4 more)
-    rows = min(steps, max(1, _BLOCK_DOUBLES // (4 * n)))
     out = np.empty((points + 2, n))
     samples = out[:points]
     energy = np.empty((rows + 1, n))
@@ -251,7 +229,7 @@ def _oscillator_qois(omega, gamma, dt, steps, method, points=0):
     w2 = omega**2
     total = None
     done = 0
-    for y in _integrate_blocks(omega, gamma, dt, steps, method, rows):
+    for y in _integrate_blocks(omega, gamma, dt, steps, rows):
         x, v = y[:, 0], y[:, 1]
         count = len(x) - 1
         first = done // stride + 1
@@ -274,6 +252,91 @@ def _oscillator_qois(omega, gamma, dt, steps, method, points=0):
     np.divide(total, steps + 1, out=out[points])
     out[points + 1] = np.sqrt(x[-1] ** 2 + (v[-1] / omega) ** 2)
     return out
+
+
+def _gram(powers, half_w2):
+    """Sum over a slice of the table of P_k^T diag(omega**2 / 2, 1/2) P_k, shaped (2, 2, N):
+    y^T G y is the energy of the states P_k y, summed."""
+    x_rows, v_rows = powers[:, 0], powers[:, 1]
+    return half_w2 * np.einsum("kin,kjn->ijn", x_rows, x_rows) + 0.5 * np.einsum("kin,kjn->ijn", v_rows, v_rows)
+
+
+def _rk4_qois(omega, gamma, dt, steps, points, rows):
+    """_oscillator_qois for RK4, from the states at block starts alone.
+
+    Block b starts at y_b, the state at step b * rows, and its steps are
+    P_k y_b for the table rows P_k = R**(k + 1) of ``_rk4_powers``. Only
+    the starts are chained, y_(b+1) = P_(rows-1) y_b, and each sampled row
+    and the final state is the one product P_k y_b, as the per-step block
+    of the same rows forms it: the same einsum arithmetic, so the same
+    bits. The energy of a block is y_b^T G y_b with G its ``_gram``, the
+    same for every full block, so the full blocks' energy is G's inner
+    product with sum_b y_b y_b^T; the last block takes the Gram of a
+    prefix of the table, and step 0 adds omega**2 / 2.
+
+    Block starts are chained in chunks of max(1, _BLOCK_DOUBLES // (4 * N))
+    states, and sampled rows formed in groups of half as many, so the
+    temporaries beside the table stay within _BLOCK_DOUBLES doubles.
+    """
+    n = omega.size
+    out = np.empty((points + 2, n))
+    powers = _rk4_powers(omega, gamma, dt, rows)
+    blocks = -(-steps // rows)
+    last = steps - (blocks - 1) * rows  # the steps of the last block, 1..rows
+    half_w2 = 0.5 * omega**2
+    gram_last = _gram(powers[:last], half_w2)
+    gram = gram_last + _gram(powers[last:], half_w2) if last < rows else gram_last
+    # sampled step s is table row s - 1 - b * rows of block b = (s - 1) // rows
+    stride = steps // max(points, 1)
+    before = stride * np.arange(1, points + 1) - 1
+    block, row = np.divmod(before, rows)
+    width, group = max(1, _BLOCK_DOUBLES // (4 * n)), max(1, _BLOCK_DOUBLES // (8 * n))
+    starts = np.empty((width, 2, n))
+    starts[0, 0], starts[0, 1] = 1.0, 0.0
+    advance = powers[rows - 1]
+    moments = np.zeros((2, 2, n))  # sum of y_b y_b^T over the full blocks
+    sampled = 0
+    for first in range(0, blocks, width):
+        count = min(width, blocks - first)
+        if first:
+            np.einsum("ijn,jn->in", advance, starts[width - 1], out=starts[0])
+        for b in range(1, count):
+            np.einsum("ijn,jn->in", advance, starts[b - 1], out=starts[b])
+        end = min(points, (first + count) * rows // stride)  # the samples before the next chunk
+        for p in range(sampled, end, group):
+            q = slice(p, min(end, p + group))
+            np.einsum("qjn,qjn->qn", powers[row[q], 0], starts[block[q] - first], out=out[q])
+        sampled = end
+        full = starts[: count if first + count < blocks else count - 1]
+        moments += np.einsum("bin,bjn->ijn", full, full)
+    y = starts[count - 1]  # the last block's start
+    final = np.einsum("ijn,jn->in", powers[last - 1], y)
+    energy = half_w2 + np.einsum("ijn,ijn->n", gram, moments) + np.einsum("ijn,in,jn->n", gram_last, y, y)
+    np.divide(energy, steps + 1, out=out[points])
+    out[points + 1] = np.sqrt(final[0] ** 2 + (final[1] / omega) ** 2)
+    return out
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _oscillator_qois(omega, gamma, dt, steps, method, points=0):
+    """One (points + 2, n_samples) array: rows ``stride * (1..points)`` of
+    x, ``stride = steps // points``, then the time-averaged energy and the
+    final amplitude of each sample.
+
+    Both integrators step in blocks of ``rows`` steps, at most
+    _BLOCK_DOUBLES // (4 * N): forward Euler (``_euler_qois``) keeps every
+    state of a block and its energy, 4 doubles per sample and step; RK4
+    (``_rk4_qois``) keeps a table of the block's step-matrix powers, 4
+    doubles per sample and row, and states only at block starts and
+    sampled steps. Memory is O(_BLOCK_DOUBLES + points * N) whatever the
+    step count. An unstable sample overflows to a non-finite output
+    without a numpy warning; the caller's output check names it.
+    """
+    if method not in ("euler", "rk4"):
+        raise ValueError(f"unknown integrator {method!r}")
+    rows = min(steps, max(1, _BLOCK_DOUBLES // (4 * omega.size)))
+    qois = _rk4_qois if method == "rk4" else _euler_qois
+    return qois(omega, gamma, dt, steps, points, rows)
 
 
 def _ensemble(outputs, params, cost, labels, what) -> SnapshotEnsemble:

@@ -174,8 +174,8 @@ def _section(doc, table: dict, where: str) -> dict:
 def parse_config(doc: dict) -> ExperimentConfig:
     """Check a raw JSON document against the declarations; unknown keys anywhere are rejected."""
     top = _section(doc, _CONFIG, "")
-    data = top["data"]
-    if set(data) not in ({"benchmark"}, {"files"}):
+    data = _checked(checked_object, top["data"], ("benchmark", "files"), "data")
+    if len(data) != 1:
         raise ConfigError("data section must hold exactly one of 'benchmark' or 'files'")
     if "benchmark" in data:
         _bench_spec_from_config(data["benchmark"], "data.benchmark")
@@ -595,7 +595,7 @@ def cmd_eval(args) -> int:
         surr = surrogate_from_dict(json.loads(Path(args.archive).read_text(encoding="ascii")))
     except FileNotFoundError as exc:
         raise DataError(f"archive not found: {args.archive}") from exc
-    except (OSError, KeyError, TypeError, ValueError) as exc:  # a directory, bad JSON, non-ASCII bytes
+    except (OSError, ValueError) as exc:  # a directory, bad JSON, non-ASCII bytes, a malformed document
         raise DataError(f"unreadable archive {args.archive}: {exc}") from exc
     col = read_matrix_csv(args.lf_column)
     if col.ndim == 2 and 1 in col.shape:

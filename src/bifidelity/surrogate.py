@@ -325,10 +325,13 @@ def median_relative_error(
     place, and O(N) column sums, whatever N is. Every norm keeps the
     summation order of ``np.linalg.norm`` on the whole held-out blocks
     (aggregate) and on row copies of them (label groups), so the errors do
-    not depend on how the blocks are read.
+    not depend on how the blocks are read. A pivot that is not below the
+    sample count is a ValueError naming it.
     """
     if hf_truth.n_samples != lf.n_samples:
         raise ValueError("high- and low-fidelity ensembles disagree on sample count")
+    if max(surrogate.pivots, default=-1) >= lf.n_samples:  # Surrogate checks that none is negative
+        raise ValueError(f"pivot {max(surrogate.pivots)} is out of range for {lf.n_samples} samples")
     test = held_out(lf.n_samples, surrogate.pivots)
     groups = list(hf_truth.label_groups().items())
     # squared norms per held-out column: the aggregate in row 0, then one

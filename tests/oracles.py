@@ -6,15 +6,16 @@ come from dense SVD instead of power iteration, pivot orderings rebuild
 the full Schur complement at every step instead of rank-1 updates, and
 least-squares solves go through numpy's SVD-based lstsq instead of the
 eigendecomposition route. The benchmark generators keep their first
-form: whole oscillator trajectories in memory, and nbody forces from a
-(B, B, 3) difference tensor; so do normalization and the error metric,
-on row copies and whole held-out blocks, the tuning objective, on whole
-N x N Gramians, and the particle swarm, which scores every point
-exactly as it goes. Agreement between these and the package is
+form: whole oscillator trajectories in memory, RK4 also every step of
+each block, and nbody forces from a (B, B, 3) difference tensor; so do
+normalization and the error metric, on row copies and whole held-out
+blocks, the tuning objective, on whole N x N Gramians, and the particle
+swarm, which scores every point exactly as it goes. Agreement between these and the package is
 therefore evidence, not tautology.
 """
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -311,21 +312,93 @@ def nbody_accel_einsum(pos, masses, eps, g_const):
     return -g_const * np.einsum("j,ijk,ij->ik", masses, diff, inv3)
 
 
-def integrate_oscillator(omega: float, gamma: float, dt: float, horizon: float, method: str = "rk4"):
-    """(t, x, v) of one sample of x'' = -omega^2 x - gamma x' from (1, 0),
-    by the package's integrator: not an oracle, the one-sample driver the
-    trajectory tests compare with ``integrate_oscillator_dense``. Euler
-    states equal the oracle's bit for bit; RK4 runs by powers of its step
-    matrix, whose states the tests hold within 1e-11 of the oracle's
-    largest absolute value.
+def rk4_blocks(omega, gamma, dt, steps, rows):
+    """RK4 state blocks shaped (rows + 1, 2, n_samples), every step of each.
 
-    Drives ``bench._integrate_blocks`` with one block of every step, so
-    the whole trajectory comes back (and RK4 forms ``steps`` powers).
+    The package's RK4 before it kept only block starts: row 0 is the last
+    state of the block before ((1, 0) in the first), and rows 1..count are
+    ``bench._rk4_powers``' table times row 0, in one einsum a block, in a
+    reused buffer. The package's sampled rows and final state are the
+    same products, so they equal these states bit for bit; the states lie
+    within the trajectory tests' RK4_BOUND of the stage-by-stage oracle.
+    """
+    from bifidelity.bench import _rk4_powers
+
+    ys = np.empty((rows + 1, 2, omega.size))
+    ys[0, 0], ys[0, 1] = 1.0, 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = _rk4_powers(omega, gamma, dt, min(rows, steps))
+    for done in range(0, steps, rows):
+        count = min(rows, steps - done)
+        if done:
+            ys[0] = ys[rows]
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.einsum("kijn,jn->kin", powers[:count], ys[0], out=ys[1 : count + 1])
+        yield ys[: count + 1]
+
+
+def rk4_qois_per_step(omega, gamma, dt, steps, points):
+    """Raw RK4 (trajectory rows, energy, amplitude) as the package formed
+    them before block starts: ``rk4_blocks`` in the package's blocks of
+    max(1, 2**16 // (4 N)) steps, the energy of every state summed row by
+    row, a block's row 0 carrying the sum so far."""
+    n = omega.size
+    rows = min(steps, max(1, 2**16 // (4 * n)))
+    stride = steps // points
+    out = np.empty((points + 2, n))
+    w2 = omega**2
+    total, done = None, 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for y in rk4_blocks(omega, gamma, dt, steps, rows):
+            x, v = y[:, 0], y[:, 1]
+            count = len(x) - 1
+            first, last = done // stride + 1, min((done + count) // stride, points)
+            if first <= last:
+                out[first - 1 : last] = x[first * stride - done : last * stride - done + 1 : stride]
+            e = np.square(v)
+            e += w2 * np.square(x)
+            e *= 0.5
+            if total is not None:
+                e[0] = total
+            total = e.sum(axis=0)
+            done += count
+        out[points] = total / (steps + 1)
+        out[points + 1] = np.sqrt(x[-1] ** 2 + (v[-1] / omega) ** 2)
+    return out
+
+
+def rk4_energy_long_double(omega, gamma, dt, steps):
+    """The time-averaged energy of every state y <- R y from (1, 0), R the
+    float64 step matrix of ``bench._rk4_powers``, stepped and summed in
+    np.longdouble."""
+    from bifidelity.bench import _rk4_powers
+
+    R = _rk4_powers(omega, gamma, dt, 1)[0].astype(np.longdouble)
+    w2 = np.asarray(omega, dtype=np.longdouble) ** 2
+    x, v = np.ones(len(w2), dtype=np.longdouble), np.zeros(len(w2), dtype=np.longdouble)
+    total = 0.5 * w2
+    for _ in range(steps):
+        x, v = R[0, 0] * x + R[0, 1] * v, R[1, 0] * x + R[1, 1] * v
+        total = total + 0.5 * (v * v + w2 * x * x)
+    return total / (steps + 1)
+
+
+def integrate_oscillator(omega: float, gamma: float, dt: float, horizon: float, method: str = "rk4"):
+    """(t, x, v) of one sample of x'' = -omega^2 x - gamma x' from (1, 0)
+    in one block of every step: forward Euler by the package's
+    ``bench._integrate_blocks``, whose states equal
+    ``integrate_oscillator_dense``'s bit for bit, RK4 by ``rk4_blocks``.
     """
     from bifidelity.bench import _integrate_blocks
 
     steps = int(round(horizon / dt))
-    [y] = _integrate_blocks(np.array([omega], dtype=float), np.array([gamma], dtype=float), dt, steps, method, steps)
+    omega, gamma = np.array([omega], dtype=float), np.array([gamma], dtype=float)
+    if method == "euler":
+        [y] = _integrate_blocks(omega, gamma, dt, steps, steps)
+    elif method == "rk4":
+        [y] = rk4_blocks(omega, gamma, dt, steps, steps)
+    else:
+        raise ValueError(f"unknown integrator {method!r}")
     return dt * np.arange(steps + 1), y[:, 0, 0], y[:, 1, 0]
 
 
@@ -387,6 +460,16 @@ def grid_minimum_1d(f, lo: float, hi: float, n_points: int) -> float:
 def log_grid_minimum_1d(f, lo: float, hi: float, n_points: int) -> float:
     xs = np.exp(np.linspace(math.log(lo), math.log(hi), n_points))
     return min(f(np.array([x])) for x in xs)
+
+
+def log_grid_objective_minimum(f, bounds) -> float:
+    """The least ``f(h)`` over the log grid exp(linspace(log lo, log hi, k))
+    of each axis of the box ``bounds``: k = 61 on one axis, and 21 on each
+    of two (the rational quadratic's 21 x 21). A swarm that clips to the
+    log box reaches the grid's edge values, exp(log lo) and exp(log hi)."""
+    k = 61 if len(bounds) == 1 else 21
+    axes = [np.exp(np.linspace(math.log(lo), math.log(hi), k)) for lo, hi in bounds]
+    return min(f(np.array(h)) for h in itertools.product(*axes))
 
 
 def pso_minimize_eager(f, cfg, bounds):

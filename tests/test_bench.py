@@ -246,8 +246,9 @@ def test_integrated_trajectories_match_dense_loop_euler_exactly_rk4_within_bound
     for dt, horizon, method in [(0.01, 1.0, "rk4"), (0.05, 10.0, "euler")]:
         steps = int(round(horizon / dt))
         xs, vs = oracles.integrate_oscillator_dense(omega, gamma, dt, horizon, method)
+        blocks = oracles.rk4_blocks if method == "rk4" else _integrate_blocks
         done = 0
-        for y in _integrate_blocks(omega, gamma, dt, steps, method, 7):
+        for y in blocks(omega, gamma, dt, steps, 7):
             assert_integrated_like(method, y[:, 0], xs[done : done + len(y)])
             assert_integrated_like(method, y[:, 1], vs[done : done + len(y)])
             done += len(y) - 1
@@ -295,26 +296,25 @@ def dense_generation(spec):
     return tuple(SnapshotEnsemble(outputs=raw, params=params, per_sample_cost=cost) for raw, _ in pairs)
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        default_spec("oscillator"),
-        # HF steps not a multiple of the block, and a multi-block LF run
-        BenchmarkSpec(name="oscillator", grid=(("omega", 1.0, 5.0, 6), ("gamma", 0.05, 0.5, 19)),
-                      lf_settings={"dt": 0.02},
-                      hf_settings={"dt": 0.003, "horizon": 7.0, "trajectory_points": 37}),
-        # every step a trajectory point (stride 1)
-        oscillator_spec(trajectory_points=1000),
-        # every sampled row is the last row of a block: 12 samples take
-        # blocks of _BLOCK_DOUBLES // (4 * 12) steps
-        oscillator_spec(horizon=0.01 * 4 * (_BLOCK_DOUBLES // (4 * 12)), trajectory_points=4),
-        # one sample: numpy sums its energy pairwise, not row by row, but
-        # its normalized energy is 1.0 either way
-        BenchmarkSpec(name="oscillator", grid=(("omega", 2.0, 2.0, 1), ("gamma", 0.1, 0.1, 1))),
-        WIDE_SPEC,
-    ],
-    ids=["default", "odd-steps", "stride-1", "block-boundary", "one-sample", "wide"],
-)
+STREAMED_SPECS = {
+    "default": default_spec("oscillator"),
+    # HF steps not a multiple of the block, and a multi-block LF run
+    "odd-steps": BenchmarkSpec(name="oscillator", grid=(("omega", 1.0, 5.0, 6), ("gamma", 0.05, 0.5, 19)),
+                               lf_settings={"dt": 0.02},
+                               hf_settings={"dt": 0.003, "horizon": 7.0, "trajectory_points": 37}),
+    # every step a trajectory point (stride 1)
+    "stride-1": oscillator_spec(trajectory_points=1000),
+    # every sampled row is the last row of a block: 12 samples take
+    # blocks of _BLOCK_DOUBLES // (4 * 12) steps
+    "block-boundary": oscillator_spec(horizon=0.01 * 4 * (_BLOCK_DOUBLES // (4 * 12)), trajectory_points=4),
+    # one sample: numpy sums its energy pairwise, not row by row, but
+    # its normalized energy is 1.0 either way
+    "one-sample": BenchmarkSpec(name="oscillator", grid=(("omega", 2.0, 2.0, 1), ("gamma", 0.1, 0.1, 1))),
+    "wide": WIDE_SPEC,
+}
+
+
+@pytest.mark.parametrize("spec", STREAMED_SPECS.values(), ids=STREAMED_SPECS.keys())
 def test_streamed_oscillator_matches_dense_generation_lf_exactly_hf_within_bound(spec):
     lf, hf = gen_oscillator(spec)
     dense_lf, dense_hf = dense_generation(spec)
@@ -322,6 +322,50 @@ def test_streamed_oscillator_matches_dense_generation_lf_exactly_hf_within_bound
     # each normalized QoI group: the trajectory rows, the energy, the amplitude
     for rows in hf.label_groups().values():
         assert_near_oracle(hf.outputs[rows], dense_hf.outputs[rows])
+
+
+def rk4_qois(spec):
+    """(the package's raw RK4 QoIs, the per-step reference's, points) for an oscillator spec's HF settings."""
+    params = parameter_table(spec)
+    omega, gamma = params[:, 0], params[:, 1]
+    dt, points = spec.hf_settings["dt"], spec.hf_settings["trajectory_points"]
+    steps = int(round(spec.hf_settings["horizon"] / dt))
+    args = omega, gamma, dt, steps
+    return _oscillator_qois(*args, "rk4", points), oracles.rk4_qois_per_step(*args, points), points
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        *STREAMED_SPECS.values(),
+        # one block of all 1,000 steps, a stride of 142 that leaves 6 steps over
+        oscillator_spec(grid=(("omega", 1.0, 5.0, 3), ("gamma", 0.05, 0.5, 5)), trajectory_points=7),
+        # 125 blocks in 16 chunks of up to 8 starts, the last block 7 steps, the stride 26
+        replace(WIDE_SPEC, hf_settings={"dt": 0.01, "horizon": 9.99, "trajectory_points": 38}),
+    ],
+    ids=[*STREAMED_SPECS, "n15-7-points", "wide-odd"],
+)
+def test_rk4_rows_and_final_state_are_the_per_step_states_bit_for_bit(spec):
+    # the block starts and their products are the per-step blocks' own
+    # arithmetic; only the energy is summed otherwise, per block by its Gram
+    out, ref, points = rk4_qois(spec)
+    np.testing.assert_array_equal(out[:points], ref[:points])
+    np.testing.assert_array_equal(out[points + 1], ref[points + 1])
+    energy, per_step = out[points], ref[points]
+    assert np.max(np.abs(energy - per_step) / per_step) <= 1e-13
+
+
+def test_block_gram_energy_is_no_further_from_a_long_double_sum_than_the_per_step_sum():
+    # the 3 x 4 grid at the default HF step: 10,000 steps in 8 blocks of 1,365
+    spec = oscillator_spec(dt=0.001, trajectory_points=1)
+    out, ref, _ = rk4_qois(spec)
+    params = parameter_table(spec)
+    exact = oracles.rk4_energy_long_double(params[:, 0], params[:, 1], 0.001, 10_000)
+
+    def deviation(energy):
+        return float(np.max(np.abs((energy - exact) / exact)))
+
+    assert deviation(out[1]) <= deviation(ref[1]), (deviation(out[1]), deviation(ref[1]))
 
 
 def traced_generation(spec):

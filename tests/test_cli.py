@@ -121,6 +121,12 @@ def test_parse_config_rejects_bad_documents(toy):
     for doc in cases:
         with pytest.raises(ConfigError):
             parse_config(doc)
+    # the data section holds one source: neither and both are refused as
+    # such, an unknown key by name (test_data checks that wording)
+    for data in ({}, {"benchmark": {"name": "oscillator"}, "files": {}}):
+        with pytest.raises(ConfigError) as refused:
+            parse_config({**good, "data": data})
+        assert str(refused.value) == "data section must hold exactly one of 'benchmark' or 'files'"
     # integers are refused, not truncated, when given as floats, bools or strings
     grid = [["omega", 1.0, 5.0, 6.5], ["gamma", 0.05, 0.5, 3]]
     not_integers = {
@@ -895,6 +901,20 @@ def test_eval_round_trip(toy, tmp_path, capsys):
     zero = write_config(tmp_path / "zero.json", with_matrix(good, "pivot_lf_columns", 0.0, every=True))
     assert main(["eval", zero, str(col_path)]) == 4
     assert "Gramian numerically zero" in capsys.readouterr().err
+
+
+def test_eval_does_not_report_a_reader_bug_as_an_unreadable_archive(tmp_path, capsys, monkeypatch):
+    # the reader refuses a malformed document by ValueError alone; any
+    # other exception is a fault of the reader, and propagates as itself
+    def broken(doc):
+        raise KeyError("pivots")
+
+    monkeypatch.setattr(cli, "surrogate_from_dict", broken)
+    archive = write_config(tmp_path / "archive.json", {})
+    write_matrix_csv(tmp_path / "query.csv", np.ones(2))
+    with pytest.raises(KeyError):
+        main(["eval", archive, str(tmp_path / "query.csv")])
+    assert "unreadable archive" not in capsys.readouterr().err
 
 
 def with_matrix(archive: dict, name: str, value: float, every: bool = False) -> dict:

@@ -188,6 +188,7 @@ FILES = {"lf_outputs": "lf.csv", "lf_params": "params.csv", "hf_outputs": "hf.cs
 OBJECT_ENTRY_POINTS = {
     "config-root": ("config", lambda d: parse_config(_merged({"data": {"benchmark": BENCHMARK}}, d))),
     "config-pso": ("pso", lambda d: parse_config({"data": {"benchmark": BENCHMARK}, "pso": d})),
+    "config-data": ("data", lambda d: parse_config({"data": _merged({"benchmark": BENCHMARK}, d)})),
     "config-files": ("data.files", lambda d: parse_config({"data": {"files": _merged(FILES, d)}})),
     "config-benchmark": ("data.benchmark", lambda d: parse_config({"data": {"benchmark": _merged(BENCHMARK, d)}})),
     "benchmark-settings": ("oscillator hf settings",

@@ -657,6 +657,28 @@ EIGENSOLVES = {
 }
 
 
+# config -> its (lf, hf) ensembles, read-only: nbody-default's generation
+# takes ~1.5 s, so each config's data is made once for the tests below
+_LOADED = {}
+
+
+def run_adaptive(monkeypatch, tmp_path, config):
+    """``run_experiment`` on a committed config at seed 0, adaptive mode at
+    budget 4 alone; osc-traj-lf's data files are written in ``tmp_path``,
+    where its config reads them."""
+    path = Path(__file__).resolve().parent.parent / "configs" / config
+    cfg = replace(cli.load_config(path), modes=("adaptive",), budgets=(4,))
+    assert cfg.seed == 0
+    if config not in _LOADED:
+        if config == "oscillator-trajectory-lf.json":
+            monkeypatch.chdir(tmp_path)
+            for args in test_golden.GEN["osc-traj-lf"]:
+                assert cli.main(["gen", *args]) == 0
+        _LOADED[config] = cli.load_data(cfg)
+    monkeypatch.setattr(cli, "load_data", lambda _: _LOADED[config])
+    cli.run_experiment(cfg)
+
+
 @pytest.mark.parametrize("config", sorted(EIGENSOLVES))
 def test_tuning_eigensolves_stay_within_their_counts(monkeypatch, tmp_path, config):
     counts = dict.fromkeys(KernelFamily, 0)
@@ -673,16 +695,35 @@ def test_tuning_eigensolves_stay_within_their_counts(monkeypatch, tmp_path, conf
 
     monkeypatch.setattr(hyperopt, "spectral_norm", counted_solve)
     monkeypatch.setattr(cli, "optimize_hyperparams", optimize_one)
-    path = Path(__file__).resolve().parent.parent / "configs" / config
-    cfg = replace(cli.load_config(path), modes=("adaptive",), budgets=(4,))
-    if config == "oscillator-trajectory-lf.json":  # its data files, where the config reads them
-        monkeypatch.chdir(tmp_path)
-        for args in test_golden.GEN["osc-traj-lf"]:
-            assert cli.main(["gen", *args]) == 0
-    cli.run_experiment(cfg)
+    run_adaptive(monkeypatch, tmp_path, config)
     assert tuning == list(KernelFamily)
     got = tuple(counts[family] for family in KernelFamily)
     assert all(g <= bound for g, bound in zip(got, EIGENSOLVES[config])), got
+
+
+@pytest.mark.parametrize("config", sorted(EIGENSOLVES))
+def test_tuning_reaches_the_log_grid_minimum_on_a_box_edge(monkeypatch, tmp_path, config):
+    # every tuned family of the four N <= 114 configs: the swarm's value is
+    # no worse than the least exact score on a log grid of its box, and
+    # each tuned h sits on an edge of that box, as the swarm maps it
+    tuned = []
+    optimize = cli.optimize_hyperparams
+
+    def optimize_one(family, table, obj_cfg, pso_cfg):
+        tuned.append((table, obj_cfg, optimize(family, table, obj_cfg, pso_cfg)))
+        return tuned[-1][2]
+
+    monkeypatch.setattr(cli, "optimize_hyperparams", optimize_one)
+    run_adaptive(monkeypatch, tmp_path, config)
+    radial = [(table, obj_cfg, ok) for table, obj_cfg, ok in tuned if obj_cfg.bounds]
+    assert len(radial) == len(KernelFamily) - 1
+    for table, obj_cfg, ok in radial:
+        where = f"{config} {obj_cfg.family.name.lower()}"
+        least = oracles.log_grid_objective_minimum(lambda h: hyperopt._packed_objective(obj_cfg, h, table),
+                                                   obj_cfg.bounds)
+        assert ok.objective_value <= least, f"{where}: {ok.objective_value} above the grid's {least}"
+        edges = np.exp(np.log(obj_cfg.bounds))
+        assert all(h in edge for h, edge in zip(ok.spec.h, edges)), f"{where}: h {ok.spec.h} inside {obj_cfg.bounds}"
 
 
 def test_one_run_forms_tuning_inputs_once_and_scores_from_one_eigendecomposition(monkeypatch):

@@ -719,6 +719,23 @@ def test_error_metric_matches_columnwise_loop():
         )
 
 
+def test_error_metric_refuses_a_pivot_beyond_the_ensemble():
+    # Surrogate cannot know N; the scorer names the pivot and N where
+    # data.held_out raised a bare IndexError
+    lf = ensemble_from(np.arange(1.0, 6.0)[None, :])
+    hf = ensemble_from(2.0 * np.arange(1.0, 6.0)[None, :])
+    for pivots in [(7,), (0, 5)]:
+        surr = Surrogate(kernel=LINEAR, pivots=pivots, hf_snapshots=np.ones((1, len(pivots))),
+                         pivot_lf_columns=np.arange(1.0, len(pivots) + 1)[None, :], rcond=1e-12)
+        with pytest.raises(ValueError) as refused:
+            median_relative_error(surr, hf, lf)
+        assert str(refused.value) == f"pivot {max(pivots)} is out of range for 5 samples"
+    # the last sample is a pivot like any other
+    surr = Surrogate(kernel=LINEAR, pivots=(4,), hf_snapshots=np.array([[10.0]]),
+                     pivot_lf_columns=np.array([[5.0]]), rcond=1e-12)
+    assert median_relative_error(surr, hf, lf).aggregate_median_rel_error == 0.0
+
+
 def test_error_metric_full_budget_has_no_test_samples():
     rng = np.random.default_rng(14)
     lf = ensemble_from(rng.normal(size=(3, 5)))
