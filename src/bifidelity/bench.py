@@ -218,42 +218,6 @@ def _integrate_blocks(omega, gamma, dt, steps, rows):
         yield ys[: count + 1]
 
 
-def _euler_qois(omega, gamma, dt, steps, points, rows):
-    """_oscillator_qois for forward Euler: every state, block by block."""
-    n = omega.size
-    out = np.empty((points + 2, n))
-    samples = out[:points]
-    energy = np.empty((rows + 1, n))
-    scratch = np.empty_like(energy)
-    stride = steps // max(points, 1)  # the LF run keeps no rows
-    w2 = omega**2
-    total = None
-    done = 0
-    for y in _integrate_blocks(omega, gamma, dt, steps, rows):
-        x, v = y[:, 0], y[:, 1]
-        count = len(x) - 1
-        first = done // stride + 1
-        last = min((done + count) // stride, points)
-        if first <= last:
-            samples[first - 1 : last] = x[first * stride - done : last * stride - done + 1 : stride]
-        # 0.5 * (v**2 + w2 * x**2); row 0 then carries the sum so far, and
-        # sum(axis=0) adds rows in order, as a mean over the whole
-        # trajectory does (one sample sums pairwise, but normalizes to 1)
-        e, t = energy[: count + 1], scratch[: count + 1]
-        np.square(v, out=e)
-        np.square(x, out=t)
-        np.multiply(w2, t, out=t)
-        np.add(e, t, out=e)
-        np.multiply(0.5, e, out=e)
-        if total is not None:
-            e[0] = total
-        total = e.sum(axis=0)
-        done += count
-    np.divide(total, steps + 1, out=out[points])
-    out[points + 1] = np.sqrt(x[-1] ** 2 + (v[-1] / omega) ** 2)
-    return out
-
-
 def _gram(powers, half_w2):
     """Sum over a slice of the table of P_k^T diag(omega**2 / 2, 1/2) P_k, shaped (2, 2, N):
     y^T G y is the energy of the states P_k y, summed."""
@@ -262,7 +226,7 @@ def _gram(powers, half_w2):
 
 
 def _rk4_qois(omega, gamma, dt, steps, points, rows):
-    """_oscillator_qois for RK4, from the states at block starts alone.
+    """``_oscillator_qois`` for RK4, from the states at block starts alone.
 
     Block b starts at y_b, the state at step b * rows, and its steps are
     P_k y_b for the table rows P_k = R**(k + 1) of ``_rk4_powers``. Only
@@ -324,19 +288,51 @@ def _oscillator_qois(omega, gamma, dt, steps, method, points=0):
     final amplitude of each sample.
 
     Both integrators step in blocks of ``rows`` steps, at most
-    _BLOCK_DOUBLES // (4 * N): forward Euler (``_euler_qois``) keeps every
-    state of a block and its energy, 4 doubles per sample and step; RK4
-    (``_rk4_qois``) keeps a table of the block's step-matrix powers, 4
-    doubles per sample and row, and states only at block starts and
-    sampled steps. Memory is O(_BLOCK_DOUBLES + points * N) whatever the
-    step count. An unstable sample overflows to a non-finite output
-    without a numpy warning; the caller's output check names it.
+    _BLOCK_DOUBLES // (4 * N): forward Euler keeps every state of a block
+    and its energy, 4 doubles per sample and step; RK4 (``_rk4_qois``)
+    keeps a table of the block's step-matrix powers, 4 doubles per sample
+    and row, and states only at block starts and sampled steps. Memory is
+    O(_BLOCK_DOUBLES + points * N) whatever the step count. An unstable
+    sample overflows to a non-finite output without a numpy warning; the
+    caller's output check names it.
     """
     if method not in ("euler", "rk4"):
         raise ValueError(f"unknown integrator {method!r}")
-    rows = min(steps, max(1, _BLOCK_DOUBLES // (4 * omega.size)))
-    qois = _rk4_qois if method == "rk4" else _euler_qois
-    return qois(omega, gamma, dt, steps, points, rows)
+    n = omega.size
+    rows = min(steps, max(1, _BLOCK_DOUBLES // (4 * n)))
+    if method == "rk4":
+        return _rk4_qois(omega, gamma, dt, steps, points, rows)
+    out = np.empty((points + 2, n))
+    samples = out[:points]
+    energy = np.empty((rows + 1, n))
+    scratch = np.empty_like(energy)
+    stride = steps // max(points, 1)  # the LF run keeps no rows
+    w2 = omega**2
+    total = None
+    done = 0
+    for y in _integrate_blocks(omega, gamma, dt, steps, rows):
+        x, v = y[:, 0], y[:, 1]
+        count = len(x) - 1
+        first = done // stride + 1
+        last = min((done + count) // stride, points)
+        if first <= last:
+            samples[first - 1 : last] = x[first * stride - done : last * stride - done + 1 : stride]
+        # 0.5 * (v**2 + w2 * x**2); row 0 then carries the sum so far, and
+        # sum(axis=0) adds rows in order, as a mean over the whole
+        # trajectory does (one sample sums pairwise, but normalizes to 1)
+        e, t = energy[: count + 1], scratch[: count + 1]
+        np.square(v, out=e)
+        np.square(x, out=t)
+        np.multiply(w2, t, out=t)
+        np.add(e, t, out=e)
+        np.multiply(0.5, e, out=e)
+        if total is not None:
+            e[0] = total
+        total = e.sum(axis=0)
+        done += count
+    np.divide(total, steps + 1, out=out[points])
+    out[points + 1] = np.sqrt(x[-1] ** 2 + (v[-1] / omega) ** 2)
+    return out
 
 
 def _ensemble(outputs, params, cost, labels, what) -> SnapshotEnsemble:
