@@ -6,12 +6,13 @@ come from dense SVD instead of power iteration, pivot orderings rebuild
 the full Schur complement at every step instead of rank-1 updates, and
 least-squares solves go through numpy's SVD-based lstsq instead of the
 eigendecomposition route. The benchmark generators keep their first
-form: whole oscillator trajectories in memory, RK4 also every step of
-each block, and nbody forces from a (B, B, 3) difference tensor; so do
-normalization and the error metric, on row copies and whole held-out
-blocks, the tuning objective, on whole N x N Gramians, and the particle
-swarm, which scores every point exactly as it goes. Agreement between these and the package is
-therefore evidence, not tautology.
+form: whole oscillator trajectories in memory (RK4 also in the per-step
+blocks the package ran before it kept only block starts), and nbody
+forces from a (B, B, 3) difference tensor; so do normalization and the
+error metric, on row copies and whole held-out blocks, the tuning
+objective, on whole N x N Gramians, and the particle swarm, which scores
+every point exactly as it goes. Agreement between these and the package
+is therefore evidence, not tautology.
 """
 from __future__ import annotations
 
@@ -340,10 +341,12 @@ def rk4_blocks(omega, gamma, dt, steps, rows):
 def rk4_qois_per_step(omega, gamma, dt, steps, points):
     """Raw RK4 (trajectory rows, energy, amplitude) as the package formed
     them before block starts: ``rk4_blocks`` in the package's blocks of
-    max(1, 2**16 // (4 N)) steps, the energy of every state summed row by
-    row, a block's row 0 carrying the sum so far."""
+    max(1, _BLOCK_DOUBLES // (4 N)) steps, the energy of every state
+    summed row by row, a block's row 0 carrying the sum so far."""
+    from bifidelity.data import _BLOCK_DOUBLES
+
     n = omega.size
-    rows = min(steps, max(1, 2**16 // (4 * n)))
+    rows = min(steps, max(1, _BLOCK_DOUBLES // (4 * n)))
     stride = steps // points
     out = np.empty((points + 2, n))
     w2 = omega**2

@@ -657,30 +657,32 @@ EIGENSOLVES = {
 }
 
 
-# config -> its (lf, hf) ensembles, read-only: nbody-default's generation
-# takes ~1.5 s, so each config's data is made once for the tests below
-_LOADED = {}
+@pytest.fixture(scope="module")
+def loaded():
+    """config -> its (lf, hf) ensembles, read-only: nbody-default's
+    generation takes ~1.5 s, so the tuning tests make each config's data once."""
+    return {}
 
 
-def run_adaptive(monkeypatch, tmp_path, config):
+def run_adaptive(monkeypatch, tmp_path, loaded, config):
     """``run_experiment`` on a committed config at seed 0, adaptive mode at
     budget 4 alone; osc-traj-lf's data files are written in ``tmp_path``,
     where its config reads them."""
     path = Path(__file__).resolve().parent.parent / "configs" / config
     cfg = replace(cli.load_config(path), modes=("adaptive",), budgets=(4,))
     assert cfg.seed == 0
-    if config not in _LOADED:
+    if config not in loaded:
         if config == "oscillator-trajectory-lf.json":
             monkeypatch.chdir(tmp_path)
             for args in test_golden.GEN["osc-traj-lf"]:
                 assert cli.main(["gen", *args]) == 0
-        _LOADED[config] = cli.load_data(cfg)
-    monkeypatch.setattr(cli, "load_data", lambda _: _LOADED[config])
+        loaded[config] = cli.load_data(cfg)
+    monkeypatch.setattr(cli, "load_data", lambda _: loaded[config])
     cli.run_experiment(cfg)
 
 
 @pytest.mark.parametrize("config", sorted(EIGENSOLVES))
-def test_tuning_eigensolves_stay_within_their_counts(monkeypatch, tmp_path, config):
+def test_tuning_eigensolves_stay_within_their_counts(monkeypatch, tmp_path, loaded, config):
     counts = dict.fromkeys(KernelFamily, 0)
     tuning = []
     solve, optimize = hyperopt.spectral_norm, cli.optimize_hyperparams
@@ -695,14 +697,14 @@ def test_tuning_eigensolves_stay_within_their_counts(monkeypatch, tmp_path, conf
 
     monkeypatch.setattr(hyperopt, "spectral_norm", counted_solve)
     monkeypatch.setattr(cli, "optimize_hyperparams", optimize_one)
-    run_adaptive(monkeypatch, tmp_path, config)
+    run_adaptive(monkeypatch, tmp_path, loaded, config)
     assert tuning == list(KernelFamily)
     got = tuple(counts[family] for family in KernelFamily)
     assert all(g <= bound for g, bound in zip(got, EIGENSOLVES[config])), got
 
 
 @pytest.mark.parametrize("config", sorted(EIGENSOLVES))
-def test_tuning_reaches_the_log_grid_minimum_on_a_box_edge(monkeypatch, tmp_path, config):
+def test_tuning_reaches_the_log_grid_minimum_on_a_box_edge(monkeypatch, tmp_path, loaded, config):
     # every tuned family of the four N <= 114 configs: the swarm's value is
     # no worse than the least exact score on a log grid of its box, and
     # each tuned h sits on an edge of that box, as the swarm maps it
@@ -714,7 +716,7 @@ def test_tuning_reaches_the_log_grid_minimum_on_a_box_edge(monkeypatch, tmp_path
         return tuned[-1][2]
 
     monkeypatch.setattr(cli, "optimize_hyperparams", optimize_one)
-    run_adaptive(monkeypatch, tmp_path, config)
+    run_adaptive(monkeypatch, tmp_path, loaded, config)
     radial = [(table, obj_cfg, ok) for table, obj_cfg, ok in tuned if obj_cfg.bounds]
     assert len(radial) == len(KernelFamily) - 1
     for table, obj_cfg, ok in radial:
