@@ -6,12 +6,13 @@ low- and high-fidelity snapshot ensembles with per-sample cost columns
 proportional to the work each fidelity performs.
 
 * oscillator: a damped linear oscillator. The low-fidelity model is a
-  coarse forward-Euler run reduced to two scalar quantities of interest,
-  so its output space is deliberately low dimensional; the high-fidelity
-  model is a fine RK4 run that keeps the sampled trajectory. As the ODE is
-  linear, an RK4 step is one 2x2 matrix per sample: only the states at
-  block starts are chained, each kept state is one product with a table
-  of the matrix's powers, and a block's energy one 2x2 Gram form.
+  coarse forward-Euler run, stepped in place in O(N) memory and reduced
+  to two scalar quantities of interest, so its output space is
+  deliberately low dimensional; the high-fidelity model is a fine RK4 run
+  that keeps the sampled trajectory. As the ODE is linear, an RK4 step is
+  one 2x2 matrix per sample: only the states at block starts are chained,
+  each kept state is one product with a table of the matrix's powers, and
+  a block's energy one 2x2 Gram form.
 * nbody: a softened-gravity cluster with a rotation parameter. Both
   fidelities report the same three scalar quantities and differ only in
   body count.
@@ -150,6 +151,55 @@ def generate(spec: BenchmarkSpec) -> tuple[SnapshotEnsemble, SnapshotEnsemble]:
 # === damped oscillator ===
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _euler_qois(omega, gamma, dt, steps):
+    """One (2, n_samples) array: the time-averaged energy and the final
+    amplitude of each sample's forward-Euler run from (x, v) = (1, 0).
+
+    The state is stepped in place, in straight-line ufunc calls on views
+    bound once. Each call performs one operation of
+    tests/oracles.integrate_oscillator_dense, on the same operands in the
+    same order, so every state rounds as there, bit for bit. Each state's
+    energy 0.5 * (v**2 + w2 * x**2) is added to a running total in step
+    order, the order in which the oracle's mean over the trajectory adds
+    them (one sample sums pairwise there, but normalizes to 1). Memory is
+    O(N) whatever the step count. At small N a call costs its dispatch,
+    so the step's scalar is a 0-d float64 array: a Python float is
+    converted per call. An unstable sample overflows to a non-finite
+    output without a numpy warning; the caller's output check names it.
+    """
+    n = omega.size
+    # z = (x, v, a): as x' = v, the state y0 = (x, v) and slope K0 = (v, a)
+    # are the overlapping views z[0:2] and z[1:3]
+    z = np.empty((3, n))
+    y0, K0, a0 = z[0:2], z[1:3], z[2]
+    x, v = y0
+    x[...], v[...] = 1.0, 0.0
+    w2 = omega**2
+    coef = np.stack([-w2, gamma])  # a = -w2 * x - gamma * v is P0 - P1, P = coef * y0
+    P, S = np.empty((2, 2, n))
+    P0, P1 = P
+    sq = np.empty((2, n))
+    x2, e = sq  # x**2 then w2 * x**2, v**2 then the state's energy
+    out = np.zeros((2, n))
+    total = out[0]  # 0 + the first state's energy is that energy
+    dt = np.array(dt)
+    mul, add, sub, square = np.multiply, np.add, np.subtract, np.square
+    for step in range(steps + 1):
+        if step:
+            mul(coef, y0, P)
+            sub(P0, P1, a0)
+            add(y0, mul(dt, K0, S), y0)  # y0 + dt * K0
+        square(y0, sq)
+        mul(w2, x2, x2)
+        add(e, x2, e)
+        mul(0.5, e, e)
+        add(total, e, total)
+    np.divide(total, steps + 1, out=total)
+    out[1] = np.sqrt(x**2 + (v / omega) ** 2)
+    return out
+
+
 def _rk4_powers(omega, gamma, dt, rows):
     """R, R**2, ..., R**rows of each sample's RK4 step matrix, shaped (rows, 2, 2, N).
 
@@ -175,49 +225,6 @@ def _rk4_powers(omega, gamma, dt, rows):
     return powers
 
 
-def _integrate_blocks(omega, gamma, dt, steps, rows):
-    """Yield forward-Euler state blocks shaped (rows + 1, 2, n_samples), vectorized over samples.
-
-    ``y[:, 0]`` and ``y[:, 1]`` of a block are x and v. Row 0 is the last
-    state of the block before ((1, 0) in the first); rows 1.. are the next
-    ``1 <= rows <= steps`` steps (fewer in the last), in a reused buffer
-    valid until the next block is asked for. An unstable step overflows
-    without a numpy warning: the callers check the states they keep.
-
-    Each step is straight-line ufunc calls on views bound once, then a
-    slice copy into the block: the byte-identical form of the
-    stage-by-stage integrator. At small N a call costs its dispatch, so
-    its scalar is a 0-d float64 array: a Python float is converted per call.
-    """
-    ys = np.empty((rows + 1, 2, omega.size))
-    ys[0, 0], ys[0, 1] = 1.0, 0.0
-    with np.errstate(over="ignore", invalid="ignore"):  # not held across a yield
-        # z = (x, v, a): as x' = v, the state y0 = (x, v) and slope K0 = (v, a)
-        # are the overlapping views z[0:2] and z[1:3]
-        z = np.empty((3, omega.size))
-        y0, K0, a0 = z[0:2], z[1:3], z[2]
-        y0[...] = ys[0]
-        coef = np.stack([-(omega**2), gamma])  # a = -w2 * x - gamma * v is P0 - P1, P = coef * y0
-        P, S = np.empty((2, 2, omega.size))
-        P0, P1 = P
-        dt = np.array(dt)
-        mul, add, sub = np.multiply, np.add, np.subtract
-        after = list(ys[1:])
-    # Each call performs one operation of tests/oracles.integrate_oscillator_dense,
-    # on the same operands in the same order, so every state rounds as there, bit for bit.
-    for done in range(0, steps, rows):
-        count = min(rows, steps - done)
-        if done:
-            ys[0] = ys[rows]  # the last state of the block before, which was full
-        with np.errstate(over="ignore", invalid="ignore"):
-            for row in after[:count]:
-                mul(coef, y0, P)
-                sub(P0, P1, a0)
-                add(y0, mul(dt, K0, S), y0)  # y0 + dt * K0
-                row[...] = y0
-        yield ys[: count + 1]
-
-
 def _gram(powers, half_w2):
     """Sum over a slice of the table of P_k^T diag(omega**2 / 2, 1/2) P_k, shaped (2, 2, N):
     y^T G y is the energy of the states P_k y, summed."""
@@ -225,10 +232,16 @@ def _gram(powers, half_w2):
     return half_w2 * np.einsum("kin,kjn->ijn", x_rows, x_rows) + 0.5 * np.einsum("kin,kjn->ijn", v_rows, v_rows)
 
 
-def _rk4_qois(omega, gamma, dt, steps, points, rows):
-    """``_oscillator_qois`` for RK4, from the states at block starts alone.
+@np.errstate(over="ignore", invalid="ignore")
+def _rk4_qois(omega, gamma, dt, steps, points):
+    """One (points + 2, n_samples) array: rows ``stride * (1..points)`` of
+    x, ``stride = steps // points``, then the time-averaged energy and the
+    final amplitude of each sample's RK4 run from (x, v) = (1, 0), from the
+    states at block starts alone.
 
-    Block b starts at y_b, the state at step b * rows, and its steps are
+    Blocks are ``rows`` steps, at most _BLOCK_DOUBLES // (4 * N): the
+    table of the block's step-matrix powers takes 4 doubles per sample and
+    row. Block b starts at y_b, the state at step b * rows, and its steps are
     P_k y_b for the table rows P_k = R**(k + 1) of ``_rk4_powers``. Only
     the starts are chained, y_(b+1) = P_(rows-1) y_b, and each sampled row
     and the final state is the one product P_k y_b, as the per-step block
@@ -240,9 +253,13 @@ def _rk4_qois(omega, gamma, dt, steps, points, rows):
 
     Block starts are chained in chunks of max(1, _BLOCK_DOUBLES // (4 * N))
     states, and sampled rows formed in groups of half as many, so the
-    temporaries beside the table stay within _BLOCK_DOUBLES doubles.
+    temporaries beside the table stay within _BLOCK_DOUBLES doubles: memory
+    is O(_BLOCK_DOUBLES + points * N) whatever the step count. An unstable
+    sample overflows to a non-finite output without a numpy warning; the
+    caller's output check names it.
     """
     n = omega.size
+    rows = min(steps, max(1, _BLOCK_DOUBLES // (4 * n)))
     out = np.empty((points + 2, n))
     powers = _rk4_powers(omega, gamma, dt, rows)
     blocks = -(-steps // rows)
@@ -281,60 +298,6 @@ def _rk4_qois(omega, gamma, dt, steps, points, rows):
     return out
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _oscillator_qois(omega, gamma, dt, steps, method, points=0):
-    """One (points + 2, n_samples) array: rows ``stride * (1..points)`` of
-    x, ``stride = steps // points``, then the time-averaged energy and the
-    final amplitude of each sample.
-
-    Both integrators step in blocks of ``rows`` steps, at most
-    _BLOCK_DOUBLES // (4 * N): forward Euler keeps every state of a block
-    and its energy, 4 doubles per sample and step; RK4 (``_rk4_qois``)
-    keeps a table of the block's step-matrix powers, 4 doubles per sample
-    and row, and states only at block starts and sampled steps. Memory is
-    O(_BLOCK_DOUBLES + points * N) whatever the step count. An unstable
-    sample overflows to a non-finite output without a numpy warning; the
-    caller's output check names it.
-    """
-    if method not in ("euler", "rk4"):
-        raise ValueError(f"unknown integrator {method!r}")
-    n = omega.size
-    rows = min(steps, max(1, _BLOCK_DOUBLES // (4 * n)))
-    if method == "rk4":
-        return _rk4_qois(omega, gamma, dt, steps, points, rows)
-    out = np.empty((points + 2, n))
-    samples = out[:points]
-    energy = np.empty((rows + 1, n))
-    scratch = np.empty_like(energy)
-    stride = steps // max(points, 1)  # the LF run keeps no rows
-    w2 = omega**2
-    total = None
-    done = 0
-    for y in _integrate_blocks(omega, gamma, dt, steps, rows):
-        x, v = y[:, 0], y[:, 1]
-        count = len(x) - 1
-        first = done // stride + 1
-        last = min((done + count) // stride, points)
-        if first <= last:
-            samples[first - 1 : last] = x[first * stride - done : last * stride - done + 1 : stride]
-        # 0.5 * (v**2 + w2 * x**2); row 0 then carries the sum so far, and
-        # sum(axis=0) adds rows in order, as a mean over the whole
-        # trajectory does (one sample sums pairwise, but normalizes to 1)
-        e, t = energy[: count + 1], scratch[: count + 1]
-        np.square(v, out=e)
-        np.square(x, out=t)
-        np.multiply(w2, t, out=t)
-        np.add(e, t, out=e)
-        np.multiply(0.5, e, out=e)
-        if total is not None:
-            e[0] = total
-        total = e.sum(axis=0)
-        done += count
-    np.divide(total, steps + 1, out=out[points])
-    out[points + 1] = np.sqrt(x[-1] ** 2 + (v[-1] / omega) ** 2)
-    return out
-
-
 def _ensemble(outputs, params, cost, labels, what) -> SnapshotEnsemble:
     """Finish one fidelity's (len(labels), N) ``outputs``, which no one else holds.
 
@@ -369,13 +332,13 @@ def gen_oscillator(spec: BenchmarkSpec) -> tuple[SnapshotEnsemble, SnapshotEnsem
 
     lf_dt = spec.lf_settings["dt"]
     lf_steps = int(round(spec.lf_settings["horizon"] / lf_dt))
-    lf_out = _oscillator_qois(omega, gamma, lf_dt, lf_steps, "euler")
+    lf_out = _euler_qois(omega, gamma, lf_dt, lf_steps)
     lf = _ensemble(lf_out, params, float(lf_steps), ("energy", "amplitude"), "low-fidelity")
 
     hf_dt = spec.hf_settings["dt"]
     hf_steps = int(round(spec.hf_settings["horizon"] / hf_dt))
     traj_points = int(spec.hf_settings["trajectory_points"])
-    hf_out = _oscillator_qois(omega, gamma, hf_dt, hf_steps, "rk4", traj_points)
+    hf_out = _rk4_qois(omega, gamma, hf_dt, hf_steps, traj_points)
     hf_labels = ("trajectory",) * traj_points + ("energy", "amplitude")
     hf = _ensemble(hf_out, params, float(hf_steps), hf_labels, "high-fidelity")
     return lf, hf

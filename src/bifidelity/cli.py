@@ -598,10 +598,9 @@ def cmd_eval(args) -> int:
     except (OSError, ValueError) as exc:  # a directory, bad JSON, non-ASCII bytes, a malformed document
         raise DataError(f"unreadable archive {args.archive}: {exc}") from exc
     col = read_matrix_csv(args.lf_column)
-    if col.ndim == 2 and 1 in col.shape:
-        col = col.ravel()
-    elif col.ndim == 2 and col.shape[0] > 1 and col.shape[1] > 1:
+    if 1 not in col.shape:
         raise DataError("lf column file must hold a single vector")
+    col = col.ravel()
     try:
         pred = evaluate(surr, col)
     except ValueError as exc:

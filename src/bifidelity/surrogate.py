@@ -164,20 +164,16 @@ class PivotPlan:
     pivots, with the lowest unused sample indices filling the budget after
     an early stop, in ascending order.
 
-    When pivoting raised MatrixNotPSDError at step ``failed_at``,
-    ``pivots`` holds the ``failed_at`` pivots chosen before it, and a
-    budget above ``failed_at`` raises that error again (``failure`` is its
-    message); every smaller budget is unaffected.
+    When pivoting raised MatrixNotPSDError, ``failure`` is its message and
+    ``pivots`` holds the pivots chosen before it; a budget above
+    ``len(pivots)`` raises that error again, and every smaller budget is
+    unaffected.
     """
 
     kernel: KernelSpec
     steps: int
     pivots: tuple[int, ...]
     failure: str | None = None
-
-    @property
-    def failed_at(self) -> int | None:
-        return None if self.failure is None else len(self.pivots)
 
     def pivots_for(self, n: int) -> tuple[int, ...]:
         """The budget-n pivots; MatrixNotPSDError where pivoting failed before step n."""

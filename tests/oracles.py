@@ -387,22 +387,18 @@ def rk4_energy_long_double(omega, gamma, dt, steps):
 
 
 def integrate_oscillator(omega: float, gamma: float, dt: float, horizon: float, method: str = "rk4"):
-    """(t, x, v) of one sample of x'' = -omega^2 x - gamma x' from (1, 0)
-    in one block of every step: forward Euler by the package's
-    ``bench._integrate_blocks``, whose states equal
-    ``integrate_oscillator_dense``'s bit for bit, RK4 by ``rk4_blocks``.
+    """(t, x, v) of one sample of x'' = -omega^2 x - gamma x' from (1, 0):
+    forward Euler by ``integrate_oscillator_dense``, RK4 by ``rk4_blocks``
+    in one block of every step.
     """
-    from bifidelity.bench import _integrate_blocks
-
     steps = int(round(horizon / dt))
+    t = dt * np.arange(steps + 1)
     omega, gamma = np.array([omega], dtype=float), np.array([gamma], dtype=float)
-    if method == "euler":
-        [y] = _integrate_blocks(omega, gamma, dt, steps, steps)
-    elif method == "rk4":
+    if method == "rk4":
         [y] = rk4_blocks(omega, gamma, dt, steps, steps)
-    else:
-        raise ValueError(f"unknown integrator {method!r}")
-    return dt * np.arange(steps + 1), y[:, 0, 0], y[:, 1, 0]
+        return t, y[:, 0, 0], y[:, 1, 0]
+    xs, vs = integrate_oscillator_dense(omega, gamma, dt, horizon, method)  # which refuses other methods
+    return t, xs[:, 0], vs[:, 0]
 
 
 # === normalization and scoring, as first written ===

@@ -11,9 +11,9 @@ import pytest
 from bifidelity.bench import (
     _BLOCK_DOUBLES,
     BenchmarkSpec,
-    _integrate_blocks,
+    _euler_qois,
     _nbody_accel,
-    _oscillator_qois,
+    _rk4_qois,
     default_spec,
     gen_nbody,
     gen_oscillator,
@@ -221,38 +221,27 @@ def assert_near_oracle(actual, oracle):
     assert deviation <= RK4_BOUND * np.max(np.abs(oracle)), deviation / np.max(np.abs(oracle))
 
 
-def assert_integrated_like(method, actual, oracle):
-    """Euler states equal the oracle's bit for bit; RK4 states lie within RK4_BOUND."""
-    if method == "euler":
-        np.testing.assert_array_equal(actual, oracle)
-    else:
-        assert_near_oracle(actual, oracle)
-
-
-def test_integrated_trajectories_match_dense_loop_euler_exactly_rk4_within_bound():
-    # one block of every step, so the full trajectory comes back
-    for omega, gamma, dt, horizon, method in [(2.0, 0.0, 0.001, 10.0, "rk4"),
-                                              (3.3, 0.2, 0.01, 7.77, "rk4"),
-                                              (5.0, 0.05, 0.05, 10.0, "euler")]:
-        t, x, v = oracles.integrate_oscillator(omega, gamma, dt, horizon, method=method)
-        xs, vs = oracles.integrate_oscillator_dense([omega], [gamma], dt, horizon, method)
+def test_integrated_trajectories_match_dense_loop_rk4_within_bound():
+    # forward Euler's states are the dense loop's own bit for bit: the
+    # streamed generation test pins its QoIs exactly on every spec.
+    # RK4 in one block of every step, so the full trajectory comes back
+    for omega, gamma, dt, horizon in [(2.0, 0.0, 0.001, 10.0), (3.3, 0.2, 0.01, 7.77)]:
+        t, x, v = oracles.integrate_oscillator(omega, gamma, dt, horizon, method="rk4")
+        xs, vs = oracles.integrate_oscillator_dense([omega], [gamma], dt, horizon, "rk4")
         np.testing.assert_array_equal(t, dt * np.arange(len(xs)))
-        assert_integrated_like(method, x, xs[:, 0])
-        assert_integrated_like(method, v, vs[:, 0])
-    # a 3 x 4 grid in blocks of 7 rows, which divide neither step count:
-    # every state of every block, the carried row 0 included
+        assert_near_oracle(x, xs[:, 0])
+        assert_near_oracle(v, vs[:, 0])
+    # a 3 x 4 grid in blocks of 7 rows, which do not divide the step
+    # count: every state of every block, the carried row 0 included
     params = parameter_table(oscillator_spec())
     omega, gamma = params[:, 0], params[:, 1]
-    for dt, horizon, method in [(0.01, 1.0, "rk4"), (0.05, 10.0, "euler")]:
-        steps = int(round(horizon / dt))
-        xs, vs = oracles.integrate_oscillator_dense(omega, gamma, dt, horizon, method)
-        blocks = oracles.rk4_blocks if method == "rk4" else _integrate_blocks
-        done = 0
-        for y in blocks(omega, gamma, dt, steps, 7):
-            assert_integrated_like(method, y[:, 0], xs[done : done + len(y)])
-            assert_integrated_like(method, y[:, 1], vs[done : done + len(y)])
-            done += len(y) - 1
-        assert done == steps and steps % 7
+    xs, vs = oracles.integrate_oscillator_dense(omega, gamma, 0.01, 1.0, "rk4")
+    done = 0
+    for y in oracles.rk4_blocks(omega, gamma, 0.01, 100, 7):
+        assert_near_oracle(y[:, 0], xs[done : done + len(y)])
+        assert_near_oracle(y[:, 1], vs[done : done + len(y)])
+        done += len(y) - 1
+    assert done == 100
 
 
 def test_integrator_rejects_unknown_method():
@@ -298,7 +287,7 @@ def dense_generation(spec):
 
 STREAMED_SPECS = {
     "default": default_spec("oscillator"),
-    # HF steps not a multiple of the block, and a multi-block LF run
+    # HF steps not a multiple of the block, and 500 LF steps
     "odd-steps": BenchmarkSpec(name="oscillator", grid=(("omega", 1.0, 5.0, 6), ("gamma", 0.05, 0.5, 19)),
                                lf_settings={"dt": 0.02},
                                hf_settings={"dt": 0.003, "horizon": 7.0, "trajectory_points": 37}),
@@ -331,7 +320,7 @@ def rk4_qois(spec):
     dt, points = spec.hf_settings["dt"], spec.hf_settings["trajectory_points"]
     steps = int(round(spec.hf_settings["horizon"] / dt))
     args = omega, gamma, dt, steps
-    return _oscillator_qois(*args, "rk4", points), oracles.rk4_qois_per_step(*args, points), points
+    return _rk4_qois(*args, points), oracles.rk4_qois_per_step(*args, points), points
 
 
 @pytest.mark.parametrize(
@@ -392,6 +381,20 @@ def test_oscillator_generation_streams_its_trajectory():
     assert peak <= 1.5 * hf.outputs.nbytes, peak / hf.outputs.nbytes
 
 
+def test_euler_qois_memory_is_linear_in_the_sample_count():
+    # the state is stepped in place: ~20 doubles per sample whatever the
+    # step count, where a form that keeps blocks of states reads ~686
+    params = parameter_table(default_spec("oscillator"))
+    omega, gamma = params[:, 0], params[:, 1]
+    tracemalloc.start()
+    try:
+        _euler_qois(omega, gamma, 0.001, 10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 8 * omega.size, peak / (8 * omega.size)
+
+
 def test_unstable_low_fidelity_raises():
     cases = [
         ((("omega", 1000.0, 1000.0, 1), ("gamma", 0.05, 0.5, 3)), {"dt": 0.05, "horizon": 10.0}),
@@ -416,10 +419,11 @@ def test_unstable_low_fidelity_raises():
 
 
 def test_unstable_sample_is_named_when_it_overflows_after_the_first_block():
-    # 40 samples take blocks of _BLOCK_DOUBLES // 160 of the 6,500 LF
-    # steps; only the largest omega's states overflow, in a later block,
-    # but from sample 25 on the energy or amplitude overflows, and every
-    # sample with a non-finite output is named
+    # only the largest omega's states overflow, late in the 6,500 LF
+    # steps: past step _BLOCK_DOUBLES // 160, so a run of 40 samples in
+    # blocks of 2**16 doubles meets it after its first block; but from
+    # sample 25 on the energy or amplitude overflows, and every sample
+    # with a non-finite output is named
     spec = BenchmarkSpec(name="oscillator", grid=(("omega", 1.0, 10.0, 40), ("gamma", 0.0, 0.0, 1)),
                          lf_settings={"dt": 0.05, "horizon": 325.0})
     params = parameter_table(spec)
@@ -493,7 +497,7 @@ def test_rk4_step_matrix_names_the_oracles_unstable_samples_without_warnings():
             dense = np.vstack([xs[100 * np.arange(1, steps // 100 + 1)], *oracles.oscillator_qois_dense(omega, xs, vs)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = _oscillator_qois(omega, gamma, dt, steps, "rk4", steps // 100)
+            out = _rk4_qois(omega, gamma, dt, steps, steps // 100)
         assert np.flatnonzero(~np.isfinite(dense).all(axis=0)).tolist() == unstable
         assert np.flatnonzero(~np.isfinite(out).all(axis=0)).tolist() == unstable
 

@@ -2,8 +2,9 @@
 numerics stand alone, the benchmark generators need only the data layer,
 tuning and the surrogate sit on those three, selection on them and the
 surrogate, each private name imported across modules is one the table
-below lists, the command line loads no scipy, and a tuned run loads
-neither numpy.random nor numpy.ma, nor argparse or concurrent.futures."""
+below lists, the command line loads no scipy, a tuned run loads
+neither numpy.random nor numpy.ma, nor argparse or concurrent.futures,
+and every def in the package but the listed ones runs in some command."""
 import ast
 import json
 import subprocess
@@ -192,3 +193,79 @@ def test_one_function_decides_which_keys_a_document_may_hold():
     assert scan_package(_key_difference) == ["data.checked_object"]
     probe = "class C:\n    def f(self, d):\n        return set(d) - {'a'}\nset(x) - set(y)\n{1} - set(y)"
     assert scan_source(probe, _key_difference) == ["probe.C.f", "probe"]
+
+
+def package_defs() -> dict[tuple[Path, int], str]:
+    """(file, first line) -> ``module.Class.function`` for every def in the
+    package. A decorated def's code object starts at its first decorator
+    (``co_firstlineno``), and so does its key."""
+    defs = {}
+
+    def visit(node, scope, path):
+        for child in ast.iter_child_nodes(node):
+            name = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{scope}.{child.name}"
+                if not isinstance(child, ast.ClassDef):
+                    defs[path, (child.decorator_list or [child])[0].lineno] = name
+            visit(child, name, path)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, path)
+    return defs
+
+
+def traced_calls(commands) -> set[tuple[Path, int]]:
+    """(file, first line) of every function that runs while ``cli.main``
+    runs each argument list of ``commands``, each exiting 0."""
+    from bifidelity import cli
+
+    seen = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            seen.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+    before = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        codes = [cli.main(argv) for argv in commands]
+    finally:
+        sys.setprofile(before)
+    assert codes == [0] * len(commands)
+    return {(Path(name).resolve(), line) for name, line in seen}
+
+
+# defs no command calls: the frozen benchmark's child process binds
+# refine_local and _fd_gradient by name, and HfProviderError is raised
+# only when a provider fails
+UNCALLED = {"hyperopt.refine_local", "hyperopt._fd_gradient", "surrogate.HfProviderError.__init__"}
+
+
+def test_every_def_in_the_package_runs_in_some_command(tmp_path):
+    # a tuned run of both modes (the benchmark's smoke config), gen on both
+    # benchmarks and eval of one of the run's archives; a def that none of
+    # them calls is dead code
+    config = tmp_path / "smoke.json"
+    config.write_text(json.dumps({
+        "data": {"benchmark": {"name": "oscillator", "grid": [["omega", 1.0, 5.0, 3], ["gamma", 0.05, 0.5, 5]],
+                               "hf": {"dt": 0.01, "trajectory_points": 20}}},
+        "kernels": ["linear", "squared_exponential", "matern32"],
+        "pso": {"swarm_size": 4, "max_iters": 3, "stall_iters": 2},
+        "budgets": [2, 3],
+    }), encoding="utf-8")
+    nbody = tmp_path / "nbody.json"
+    nbody.write_text(json.dumps({"grid": [["m_total", 50.0, 500.0, 2], ["rotation", 0.0, 0.9, 2]],
+                                 "lf": {"bodies": 4, "horizon": 0.1}, "hf": {"bodies": 8, "horizon": 0.1}}),
+                     encoding="utf-8")
+    column = tmp_path / "column.csv"
+    column.write_text("0.5\n0.7\n", encoding="utf-8")
+    out = tmp_path / "out"
+    called = traced_calls([
+        ["run", "--config", str(config), "--out", str(out)],
+        ["gen", "nbody", "--config", str(nbody), "--out", str(tmp_path / "nbody")],
+        ["gen", "oscillator", "--out", str(tmp_path / "oscillator")],
+        ["eval", str(out / "surrogates" / "adaptive_3.json"), str(column)],
+    ])
+    defs = package_defs()
+    assert sorted(name for key, name in defs.items() if key not in called) == sorted(UNCALLED)

@@ -333,7 +333,7 @@ def test_plan_prefix_is_every_budgets_greedy_pivots_and_block(dim):
         dense = _kernel_block(spec, cols, cols)
         tol = 1e-14 * float(np.max(np.diag(dense)))
         plan = pivot_plan(lf, spec, m)
-        assert plan.failed_at is None and len(plan.pivots) == m
+        assert plan.failure is None and len(plan.pivots) == m
         ordering, rank = oracles.greedy_pivots(dense, m)
         if spec.family == KernelFamily.LINEAR and dim < m:
             assert rank == dim  # the fill rule runs
@@ -367,7 +367,7 @@ def test_a_plan_evaluates_kernel_columns_only_for_greedy_pivots(monkeypatch):
 
     monkeypatch.setattr(surrogate_module, "_kernel_block", counted)
     plan = pivot_plan(lf, LINEAR, 64)
-    assert len(plan.pivots) == 64 and plan.failed_at is None
+    assert len(plan.pivots) == 64 and plan.failure is None
     assert calls == [1, 1]
 
 
@@ -393,7 +393,7 @@ def test_selection_fails_only_budgets_past_the_failing_step(indefinite_kernel):
         OptimizedKernel(spec=spec, objective_value=0.0, evaluations_used=0),
     ]
     plans = {ok.spec: pivot_plan(lf, ok.spec, 3) for ok in tuned}
-    assert plans[spec].failed_at == 2 and plans[spec].pivots == (0, 1)
+    assert plans[spec].failure is not None and plans[spec].pivots == (0, 1)
     at_2 = adaptive_select(tuned, lf, 2, plans=plans)
     at_3 = adaptive_select(tuned, lf, 3, plans=plans)
     assert math.isfinite(at_2.per_kernel_epsilon[spec.family])
