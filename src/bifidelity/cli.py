@@ -33,9 +33,9 @@ from .kernels import KernelFamily, KernelSpec
 from .numerics import NumericsError
 from .selection import SelectionReport, adaptive_select
 from .surrogate import (
+    CostLedger,
     HfProviderError,
     build_surrogate,
-    effective_cost,
     evaluate,
     median_relative_error,
     pivot_plan,
@@ -204,14 +204,22 @@ def parse_config(doc: dict) -> ExperimentConfig:
     return ExperimentConfig(**top)
 
 
-def _read_json(path):
+def _read_text(path, what: str, error, encoding: str = "utf-8") -> str:
+    """The text of input file ``path``; else an ``error`` naming ``what``:
+    "<what> not found: <path>", or "unreadable <what> <path>: ..." for a
+    directory, a file without read permission or bytes not in ``encoding``."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        return Path(path).read_text(encoding=encoding)
     except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except (OSError, UnicodeDecodeError) as exc:  # a directory, no permission, not UTF-8
-        raise ConfigError(f"unreadable config file {path}: {exc}") from exc
+        raise error(f"{what} not found: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"unreadable {what} {path}: {exc}") from exc
+
+
+def _read_json(path):
+    text = _read_text(path, "config file", ConfigError)
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
 
@@ -236,12 +244,7 @@ def write_matrix_csv(path, arr) -> None:
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError as exc:
-        raise DataError(f"matrix file not found: {path}") from exc
-    except (OSError, UnicodeDecodeError) as exc:  # a directory, no permission, not UTF-8
-        raise DataError(f"unreadable matrix file {path}: {exc}") from exc
+    text = _read_text(path, "matrix file", DataError)
     rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -416,16 +419,18 @@ def run_experiment(cfg: ExperimentConfig, parallel: bool = False) -> RunResult:
             optimized.append(optimize_hyperparams(fam, table, obj_cfg, pso_cfg))
         del table  # its packed triangles, before selection
         hyper_evals = sum(ok.evaluations_used for ok in optimized)
-    # one pivot plan per distinct kernel, to the largest budget, for every
-    # budget: the tuned ones, which selection scores, and the baseline's
+    # one pivot plan per family, to the largest budget, for every budget:
+    # the tuned kernels, which selection scores, and the baseline's (the
+    # tuned linear kernel is the baseline's, as linear has no hyperparameter)
     kernels = [ok.spec for ok in optimized]
     if "linear-baseline" in cfg.modes:
         kernels.append(KernelSpec(family=KernelFamily.LINEAR))
-    plans = {kernel: pivot_plan(lf, kernel, max(cfg.budgets)) for kernel in dict.fromkeys(kernels)}
+    plans = {kernel.family: pivot_plan(lf, kernel, max(cfg.budgets)) for kernel in dict.fromkeys(kernels)}
     adaptive_reports: dict[int, SelectionReport] = {}
     if "adaptive" in cfg.modes:
+        tuned_plans = [plans[ok.spec.family] for ok in optimized]
         for n in cfg.budgets:
-            adaptive_reports[n] = adaptive_select(optimized, lf, n, cfg.rcond, plans)
+            adaptive_reports[n] = adaptive_select(tuned_plans, lf, n, cfg.rcond)
 
     selection_doc: dict = {"hyperparameters": [
         {
@@ -445,29 +450,25 @@ def run_experiment(cfg: ExperimentConfig, parallel: bool = False) -> RunResult:
 
     opt_cost = hyper_evals * cfg.objective_eval_cost
     mode_cost = {"linear-baseline": 0.0, "adaptive": opt_cost}
-    specs_by_family = {ok.spec.family: ok.spec for ok in optimized}
-
-    def cell_kernel(mode: str, n: int):
-        if mode == "linear-baseline":
-            return KernelSpec(family=KernelFamily.LINEAR)
-        return specs_by_family[adaptive_reports[n].chosen_family]
-
-    cells = [(mode, n) for mode in cfg.modes for n in cfg.budgets]
+    cells = []
+    for mode in cfg.modes:
+        for n in cfg.budgets:
+            family = adaptive_reports[n].chosen_family if mode == "adaptive" else KernelFamily.LINEAR
+            cells.append((mode, n, plans[family]))
     hf.squared_norms  # before any cell starts, as every cell's error reads them
 
-    def run_cell(mode: str, n: int):
+    def run_cell(mode: str, n: int, plan):
         local: list = []
 
         def provider(index: int) -> np.ndarray:
             local.append(("hf_access", f"{mode}:{n}", int(index)))
             return hf.column(index)
 
-        kernel = cell_kernel(mode, n)
-        surr = build_surrogate(lf, kernel, n, provider, cfg.rcond, plans[kernel])
+        surr = build_surrogate(lf, plan, n, provider, cfg.rcond)
         if len(local) != n:
             raise RuntimeError(f"provider drew {len(local)} columns, expected {n}")
         err = median_relative_error(surr, hf, lf)
-        ledger = effective_cost(n, mode_cost[mode], one_hf)
+        ledger = CostLedger(n, mode_cost[mode], one_hf)
         row = {
             "mode": mode,
             "n": n,
@@ -491,7 +492,7 @@ def run_experiment(cfg: ExperimentConfig, parallel: bool = False) -> RunResult:
 
     rows = []
     archives = {}
-    for (mode, n), (row, archive, local) in zip(cells, outcomes):
+    for (mode, n, _), (row, archive, local) in zip(cells, outcomes):
         rows.append(row)
         archives[f"{mode}:{n}"] = archive
         trace.extend(local)
@@ -591,11 +592,10 @@ def cmd_gen(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    text = _read_text(args.archive, "archive", DataError, encoding="ascii")
     try:
-        surr = surrogate_from_dict(json.loads(Path(args.archive).read_text(encoding="ascii")))
-    except FileNotFoundError as exc:
-        raise DataError(f"archive not found: {args.archive}") from exc
-    except (OSError, ValueError) as exc:  # a directory, bad JSON, non-ASCII bytes, a malformed document
+        surr = surrogate_from_dict(json.loads(text))
+    except ValueError as exc:  # bad JSON or a malformed document
         raise DataError(f"unreadable archive {args.archive}: {exc}") from exc
     col = read_matrix_csv(args.lf_column)
     if 1 not in col.shape:

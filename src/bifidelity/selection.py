@@ -15,7 +15,7 @@ import numpy as np
 from .data import SnapshotEnsemble, held_out
 from .kernels import KernelFamily
 from .numerics import MatrixNotPSDError, ZeroGramianError, lower_median
-from .surrogate import PivotPlan, build_surrogate, evaluate, pivot_plan
+from .surrogate import PivotPlan, build_surrogate, evaluate
 
 __all__ = [
     "SelectionReport",
@@ -52,42 +52,35 @@ class SelectionReport:
 
 
 def adaptive_select(
-    optimized,
+    plans,
     lf_ensemble: SnapshotEnsemble,
     n: int,
     rcond: float = 1e-12,
-    plans=None,
 ) -> SelectionReport:
-    """Score each family by low-fidelity self-emulation at budget ``n``.
+    """Score each tuned kernel's family by low-fidelity self-emulation at budget ``n``.
 
-    For every family: build a budget-n surrogate of the low-fidelity model
-    itself (the same pivoting and solve as the high-fidelity surrogates),
-    emulate every non-pivot column in one block, and record the lower
-    median of the residual norms. The family with the smallest score
-    wins; ties go to the lowest family index.
+    ``plans`` holds one ``pivot_plan`` on ``lf_ensemble`` per tuned
+    kernel, to at least n steps. For every plan: build a budget-n
+    surrogate of the low-fidelity model itself (the same pivots and solve
+    as the high-fidelity surrogates), emulate every non-pivot column in
+    one block, and record the lower median of the residual norms under
+    the plan's family. The family with the smallest score wins; ties go
+    to the lowest family index.
 
-    ``plans`` maps a tuned spec to its ``pivot_plan`` on ``lf_ensemble``,
-    formed once for every budget; a spec without one is pivoted here, to
-    n steps. A family whose pivoting failed at a step below n, or whose
-    sliced Gramian is degenerate, meaning its numerical rank under
-    ``rcond`` falls short of ``n``, scores +inf. This is what disqualifies
-    the linear kernel whenever the low-fidelity output dimension is below
-    the budget: its Gramian cannot support n pivots, so it cannot claim
-    the win by reconstructing columns that already lie inside a too-small
+    A family whose pivoting failed at a step below n, or whose sliced
+    Gramian is degenerate, meaning its numerical rank under ``rcond``
+    falls short of ``n``, scores +inf. This is what disqualifies the
+    linear kernel whenever the low-fidelity output dimension is below the
+    budget: its Gramian cannot support n pivots, so it cannot claim the
+    win by reconstructing columns that already lie inside a too-small
     span.
     """
-    optimized = sorted(optimized, key=lambda ok: int(ok.spec.family))
-    if not optimized:
+    if not plans:
         raise ValueError("adaptive selection needs at least one tuned kernel")
     N = lf_ensemble.n_samples
     if not 1 <= n < N:
         raise ValueError(f"budget n must satisfy 1 <= n < {N}, got {n}")
-    plans = plans or {}
-
-    scores = {}
-    for ok in optimized:
-        plan = plans.get(ok.spec) or pivot_plan(lf_ensemble, ok.spec, n)
-        scores[ok.spec.family] = _self_emulation_score(plan, lf_ensemble, n, rcond)
+    scores = {plan.kernel.family: _self_emulation_score(plan, lf_ensemble, n, rcond) for plan in plans}
     return SelectionReport(per_kernel_epsilon=scores, n_used=n)
 
 
@@ -100,7 +93,7 @@ def _self_emulation_score(plan: PivotPlan, lf: SnapshotEnsemble, n: int, rcond: 
     """
     try:
         # the low-fidelity model is its own high-fidelity provider
-        surr = build_surrogate(lf, plan.kernel, n, lf.column, rcond, plan)
+        surr = build_surrogate(lf, plan, n, lf.column, rcond)
     except (MatrixNotPSDError, ZeroGramianError):
         return math.inf
     if surr.factor[1].size < n:

@@ -51,7 +51,6 @@ __all__ = [
     "build_surrogate",
     "evaluate",
     "median_relative_error",
-    "effective_cost",
     "surrogate_to_dict",
     "surrogate_from_dict",
 ]
@@ -142,17 +141,6 @@ class ErrorReport:
     per_qoi_median_rel_error: dict[str, float]
 
 
-def effective_cost(
-    hf_samples_used: int, kernel_opt_cost: float, one_hf_cost: float
-) -> CostLedger:
-    """Fold optimizer cost into whole high-fidelity-sample units."""
-    return CostLedger(
-        hf_samples_used=int(hf_samples_used),
-        kernel_opt_cost=float(kernel_opt_cost),
-        one_hf_cost=float(one_hf_cost),
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class PivotPlan:
     """One kernel's pivots on one LF ensemble, for every budget up to ``steps``.
@@ -221,46 +209,23 @@ def pivot_plan(lf: SnapshotEnsemble, kernel: KernelSpec, steps: int) -> PivotPla
 
 def build_surrogate(
     lf: SnapshotEnsemble,
-    kernel: KernelSpec,
+    plan: PivotPlan,
     n: int,
     hf_provider,
     rcond: float = 1e-12,
-    plan: PivotPlan | None = None,
 ) -> Surrogate:
-    """Select n pivots from low-fidelity data and draw their HF columns.
+    """Draw the HF columns of ``plan``'s budget-n pivots.
 
-    ``hf_provider`` maps a sample index to its high-fidelity output
-    column and is called exactly n times, once per pivot in pivot order.
-
-    The pivots come from ``plan``, a ``pivot_plan`` of ``kernel`` on
-    ``lf`` to at least n steps, or from one formed here to n steps. Either
-    way no N x N Gramian is formed, a non-finite kernel value raises
-    ArithmeticError, and an early stop at an effective rank below n fills
-    the budget with the lowest unused sample indices in ascending order.
-    The surrogate forms its sliced Gramian from the pivots' LF columns.
-
-    Parameters
-    ----------
-    lf : SnapshotEnsemble
-        Low-fidelity ensemble used for pivoting and evaluation.
-    kernel : KernelSpec
-        Kernel defining the Gramian geometry.
-    n : int
-        High-fidelity sample budget; 1 <= n <= number of samples.
-    hf_provider : callable
-        Index -> HF column callback.
-    rcond : float
-        Relative eigenvalue cutoff for the training solve.
-    plan : PivotPlan, optional
-        The kernel's pivots on ``lf``, shared by every budget.
+    ``plan`` is a ``pivot_plan`` on ``lf`` to at least n steps; the
+    surrogate takes its kernel from it, and its pivots from
+    ``plan.pivots_for(n)``, so a budget outside [1, ``plan.steps``] is a
+    ValueError and one past a failed pivoting a MatrixNotPSDError, both
+    before any draw. ``hf_provider`` maps a sample index to its
+    high-fidelity output column and is called exactly n times, once per
+    pivot in pivot order. The surrogate forms its sliced Gramian from the
+    pivots' LF columns, with ``rcond`` the relative eigenvalue cutoff of
+    its solve.
     """
-    N = lf.n_samples
-    if not 1 <= n <= N:
-        raise ValueError(f"budget n must be in [1, {N}], got {n}")
-    if plan is None:
-        plan = pivot_plan(lf, kernel, n)
-    elif plan.kernel != kernel:
-        raise ValueError(f"pivot plan is for {plan.kernel}, not {kernel}")
     pivots = plan.pivots_for(n)
 
     columns = []
@@ -279,7 +244,7 @@ def build_surrogate(
         columns.append(col)
 
     return Surrogate(
-        kernel=kernel,
+        kernel=plan.kernel,
         pivots=pivots,
         hf_snapshots=np.column_stack(columns),
         pivot_lf_columns=lf.outputs[:, list(pivots)],

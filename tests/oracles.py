@@ -12,7 +12,9 @@ forces from a (B, B, 3) difference tensor; so do normalization and the
 error metric, on row copies and whole held-out blocks, the tuning
 objective, on whole N x N Gramians, and the particle swarm, which scores
 every point exactly as it goes. Agreement between these and the package
-is therefore evidence, not tautology.
+is therefore evidence, not tautology. The last section alone goes
+through the package: the ensembles, surrogates and selections the tests
+share, each reached through a pivot plan, as a run reaches it.
 """
 from __future__ import annotations
 
@@ -576,3 +578,35 @@ def random_psd(n: int, seed: int, distinct_diag: bool = False) -> np.ndarray:
     if distinct_diag:
         A = A + np.diag(np.linspace(0.0, 1.0, n) * np.trace(A) / n)
     return A
+
+
+# === test fixtures through the package, as a run reaches them ===
+
+
+def ensemble_from(columns, labels=None):
+    """An ensemble of ``columns``, one sample per column, at unit cost."""
+    from bifidelity.data import SnapshotEnsemble
+
+    columns = np.asarray(columns, dtype=float)
+    N = columns.shape[1]
+    return SnapshotEnsemble(
+        outputs=columns,
+        params=np.arange(N, dtype=float)[:, None],
+        per_sample_cost=np.ones(N),
+        labels=labels,
+    )
+
+
+def pivot_and_build(lf, kernel, n: int, hf_provider, rcond: float = 1e-12):
+    """The budget-n surrogate of ``kernel`` on ``lf``, from its pivot plan to n steps."""
+    from bifidelity.surrogate import build_surrogate, pivot_plan
+
+    return build_surrogate(lf, pivot_plan(lf, kernel, n), n, hf_provider, rcond)
+
+
+def pivot_and_select(tuned, lf, n: int, rcond: float = 1e-12):
+    """Adaptive selection at budget n over the tuned kernels' pivot plans to n steps."""
+    from bifidelity.selection import adaptive_select
+    from bifidelity.surrogate import pivot_plan
+
+    return adaptive_select([pivot_plan(lf, ok.spec, n) for ok in tuned], lf, n, rcond)

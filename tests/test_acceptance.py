@@ -20,7 +20,6 @@ from bifidelity.cli import (
     run_experiment,
     write_matrix_csv,
 )
-from bifidelity.data import SnapshotEnsemble
 from bifidelity import hyperopt
 from bifidelity.hyperopt import ObjectiveConfig, OptimizedKernel, PsoConfig, TuningTable, optimize_hyperparams, pso_minimize
 from bifidelity.kernels import (
@@ -29,15 +28,14 @@ from bifidelity.kernels import (
     cross_kernel_vector,
 )
 from bifidelity.numerics import pivoted_cholesky_columns
-from bifidelity.selection import adaptive_select
 from bifidelity.surrogate import (
-    build_surrogate,
-    effective_cost,
+    CostLedger,
     evaluate,
     surrogate_from_dict,
 )
 
 import oracles
+from oracles import ensemble_from
 
 FAMILY_NAMES = {
     KernelFamily.LINEAR: "linear",
@@ -73,16 +71,6 @@ def acceptance(num, label, limit_seconds):
         return run
 
     return decorate
-
-
-def ensemble_from(columns):
-    columns = np.asarray(columns, dtype=float)
-    N = columns.shape[1]
-    return SnapshotEnsemble(
-        outputs=columns,
-        params=np.arange(N, dtype=float)[:, None],
-        per_sample_cost=np.ones(N),
-    )
 
 
 def tuned(family, h=()):
@@ -227,7 +215,7 @@ def test_selection_invariants():
     cols = np.random.default_rng(12).uniform(0.5, 2.0, size=(1, 30))
     scalar_ens = ensemble_from(cols)
     library = [tuned(KernelFamily.LINEAR), tuned(KernelFamily.SQUARED_EXPONENTIAL, (0.3,))]
-    report = adaptive_select(library, scalar_ens, 4, 1e-12)
+    report = oracles.pivot_and_select(library, scalar_ens, 4, 1e-12)
     for ok in library:
         name = FAMILY_NAMES[ok.spec.family]
         gram = oracles.gramian_dense(name, cols, h=ok.spec.h)
@@ -243,8 +231,8 @@ def test_selection_invariants():
 
 @acceptance(8, "cost ledger identity holds on every results row", 60)
 def test_cost_identity_on_results(tmp_path):
-    assert effective_cost(4, 2.5, 1.0).effective_hf == 7
-    assert effective_cost(10, 0.1, 1.0).effective_hf == 11
+    assert CostLedger(4, 2.5, 1.0).effective_hf == 7
+    assert CostLedger(10, 0.1, 1.0).effective_hf == 11
     files = write_toy_dataset(tmp_path)
     out = tmp_path / "out"
     doc = {
@@ -316,7 +304,7 @@ def test_hf_draw_counts(tmp_path):
             calls.append(idx)
             return hf_cols[:, idx]
 
-        build_surrogate(lf, KernelSpec(family=KernelFamily.SQUARED_EXPONENTIAL, h=(1.0,)), n, provider)
+        oracles.pivot_and_build(lf, KernelSpec(family=KernelFamily.SQUARED_EXPONENTIAL, h=(1.0,)), n, provider)
         assert len(calls) == n
 
     files = write_toy_dataset(tmp_path)

@@ -244,11 +244,6 @@ def test_integrated_trajectories_match_dense_loop_rk4_within_bound():
     assert done == 100
 
 
-def test_integrator_rejects_unknown_method():
-    with pytest.raises(ValueError, match="integrator"):
-        oracles.integrate_oscillator(1.0, 0.1, 0.05, 1.0, method="verlet")
-
-
 def test_fidelities_disagree_at_stiff_corner():
     # coarse Euler inflates the amplitude badly at high frequency
     def amplitude(method, dt):

@@ -14,7 +14,6 @@ from hypothesis import example, given, strategies as st
 
 from bifidelity import cli, hyperopt, kernels
 from bifidelity.bench import BenchmarkSpec, default_spec, gen_oscillator, generate
-from bifidelity.data import SnapshotEnsemble
 from bifidelity.hyperopt import (
     ObjectiveConfig,
     PsoConfig,
@@ -25,20 +24,11 @@ from bifidelity.hyperopt import (
     refine_local,
 )
 from bifidelity.kernels import HYPER_DIMS, KernelFamily, KernelSpec, _distances, _kernel_block, radial_profile
-from bifidelity.surrogate import build_surrogate, median_relative_error
+from bifidelity.surrogate import median_relative_error
 
 import oracles
+from oracles import ensemble_from
 import test_golden
-
-
-def ensemble_from(columns):
-    columns = np.asarray(columns, dtype=float)
-    N = columns.shape[1]
-    return SnapshotEnsemble(
-        outputs=columns,
-        params=np.arange(N, dtype=float)[:, None],
-        per_sample_cost=np.ones(N),
-    )
 
 
 LINEAR = KernelSpec(family=KernelFamily.LINEAR)
@@ -745,8 +735,8 @@ def hf_errors_by_budget(monkeypatch, tmp_path, loaded, config):
         tuned.append(optimize(*args))
         return tuned[-1]
 
-    def select_one(optimized, lf, n, *args):
-        reports[n] = select(optimized, lf, n, *args)
+    def select_one(plans, lf, n, *args):
+        reports[n] = select(plans, lf, n, *args)
         return reports[n]
 
     monkeypatch.setattr(cli, "optimize_hyperparams", optimize_one)
@@ -757,7 +747,7 @@ def hf_errors_by_budget(monkeypatch, tmp_path, loaded, config):
     for n in cfg.budgets:
         errors = {}
         for ok in tuned:
-            surr = build_surrogate(lf, ok.spec, n, hf.column, cfg.rcond)
+            surr = oracles.pivot_and_build(lf, ok.spec, n, hf.column, cfg.rcond)
             errors[ok.spec.family] = median_relative_error(surr, hf, lf).aggregate_median_rel_error
         out[n] = reports[n], errors
     return out

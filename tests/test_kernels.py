@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from bifidelity.data import SnapshotEnsemble
 from bifidelity.kernels import (
     HYPER_DIMS,
     KernelFamily,
@@ -19,6 +18,7 @@ from bifidelity.kernels import (
 )
 
 import oracles
+from oracles import ensemble_from
 
 RADIAL_FAMILIES = [f for f in KernelFamily if f != KernelFamily.LINEAR]
 
@@ -32,16 +32,6 @@ def make_spec(family, h1=0.7, h2=1.5):
 def kernel_at(spec, u, v) -> float:
     """k(u, v), evaluated as the query u against the one column v."""
     return float(cross_kernel_vector(spec, v, u)[0])
-
-
-def ensemble_from(columns):
-    columns = np.asarray(columns, dtype=float)
-    N = columns.shape[1]
-    return SnapshotEnsemble(
-        outputs=columns,
-        params=np.arange(N, dtype=float)[:, None],
-        per_sample_cost=np.ones(N),
-    )
 
 
 # === fixed-value checks ===

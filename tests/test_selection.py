@@ -8,23 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from bifidelity.data import SnapshotEnsemble, held_out
+from bifidelity.data import held_out
 from bifidelity.hyperopt import OptimizedKernel
 from bifidelity.kernels import KernelFamily, KernelSpec
 from bifidelity.selection import SelectionReport, adaptive_select, lower_median
-from bifidelity.surrogate import build_surrogate, evaluate, surrogate_from_dict, surrogate_to_dict
+from bifidelity.surrogate import evaluate, pivot_plan, surrogate_from_dict, surrogate_to_dict
 
 import oracles
-
-
-def ensemble_from(columns):
-    columns = np.asarray(columns, dtype=float)
-    N = columns.shape[1]
-    return SnapshotEnsemble(
-        outputs=columns,
-        params=np.arange(N, dtype=float)[:, None],
-        per_sample_cost=np.ones(N),
-    )
+from oracles import ensemble_from
 
 
 def tuned(family, h=()):
@@ -38,7 +29,7 @@ def tuned(family, h=()):
 def test_single_candidate_wins_by_default():
     rng = np.random.default_rng(5)
     ens = ensemble_from(rng.normal(size=(4, 8)))
-    report = adaptive_select([tuned(KernelFamily.LINEAR)], ens, n=3)
+    report = oracles.pivot_and_select([tuned(KernelFamily.LINEAR)], ens, n=3)
     assert report.chosen_family == KernelFamily.LINEAR
     assert report.n_used == 3
 
@@ -50,7 +41,7 @@ def test_linear_wins_on_exactly_low_rank_data():
     coords = rng.normal(size=(3, 10))
     ens = ensemble_from(basis @ coords)
     optimized = [tuned(KernelFamily.LINEAR), tuned(KernelFamily.EXPONENTIAL, (2.0,))]
-    report = adaptive_select(optimized, ens, n=3)
+    report = oracles.pivot_and_select(optimized, ens, n=3)
     eps = report.per_kernel_epsilon
     assert eps[KernelFamily.LINEAR] <= 1e-8
     assert eps[KernelFamily.EXPONENTIAL] > eps[KernelFamily.LINEAR]
@@ -68,7 +59,7 @@ def test_epsilons_match_dense_least_squares_oracle():
         tuned(KernelFamily.LINEAR),
         tuned(KernelFamily.SQUARED_EXPONENTIAL, (0.3,)),
     ]
-    report = adaptive_select(optimized, ens, n=4)
+    report = oracles.pivot_and_select(optimized, ens, n=4)
     eps = report.per_kernel_epsilon
 
     lin_gram = oracles.gramian_dense("linear", cols)
@@ -89,7 +80,7 @@ def test_chosen_family_attains_minimum():
         tuned(KernelFamily.MATERN32, (1.0,)),
         tuned(KernelFamily.MATERN52, (1.0,)),
     ]
-    report = adaptive_select(optimized, ens, n=5)
+    report = oracles.pivot_and_select(optimized, ens, n=5)
     finite = {f: e for f, e in report.per_kernel_epsilon.items() if math.isfinite(e)}
     assert finite
     assert report.per_kernel_epsilon[report.chosen_family] == min(finite.values())
@@ -116,7 +107,7 @@ def test_training_indices_stay_out_of_the_median():
     cols = rng.normal(size=(3, 12))
     ens = ensemble_from(cols)
     spec = KernelSpec(family=KernelFamily.EXPONENTIAL, h=(1.0,))
-    report = adaptive_select([tuned(KernelFamily.EXPONENTIAL, (1.0,))], ens, n=4)
+    report = oracles.pivot_and_select([tuned(KernelFamily.EXPONENTIAL, (1.0,))], ens, n=4)
 
     gram = oracles.gramian_dense("exponential", cols, h=(1.0,))
     ordering, _ = oracles.greedy_pivots(gram, max_steps=4)
@@ -142,10 +133,10 @@ def test_winner_invariant_under_sample_relabeling():
         tuned(KernelFamily.EXPONENTIAL, (1.0,)),
         tuned(KernelFamily.MATERN52, (0.8,)),
     ]
-    base = adaptive_select(optimized, ensemble_from(cols), n=4)
+    base = oracles.pivot_and_select(optimized, ensemble_from(cols), n=4)
     for _ in range(5):
         perm = rng.permutation(10)
-        shuffled = adaptive_select(optimized, ensemble_from(cols[:, perm]), n=4)
+        shuffled = oracles.pivot_and_select(optimized, ensemble_from(cols[:, perm]), n=4)
         assert shuffled.chosen_family == base.chosen_family
 
 
@@ -159,9 +150,9 @@ def test_scores_are_the_residuals_a_reloaded_archive_emulates():
     optimized = [tuned(KernelFamily.LINEAR), tuned(KernelFamily.EXPONENTIAL, (h,)),
                  tuned(KernelFamily.RATIONAL_QUADRATIC, (h, 1.5)), tuned(KernelFamily.MATERN52, (h,))]
     for n in (4, 8, 12):
-        report = adaptive_select(optimized, lf, n)
+        report = oracles.pivot_and_select(optimized, lf, n)
         for ok in optimized:
-            surr = build_surrogate(lf, ok.spec, n, lf.column)
+            surr = oracles.pivot_and_build(lf, ok.spec, n, lf.column)
             clone = surrogate_from_dict(json.loads(json.dumps(surrogate_to_dict(surr))))
             queries = lf.outputs[:, held_out(N, clone.pivots)]
             resid = np.linalg.norm(queries - evaluate(clone, queries), axis=0)
@@ -179,17 +170,18 @@ def test_non_psd_family_scores_infinity(indefinite_kernel):
         tuned(KernelFamily.EXPONENTIAL, (10.0,)),
         tuned(KernelFamily.MATERN52, (1.0,)),
     ]
-    report = adaptive_select(optimized, ens, n=3)
+    report = oracles.pivot_and_select(optimized, ens, n=3)
     assert report.per_kernel_epsilon[KernelFamily.MATERN52] == math.inf
     assert report.chosen_family == KernelFamily.EXPONENTIAL
 
 
 def test_budget_bounds_enforced():
     ens = ensemble_from(np.random.default_rng(0).normal(size=(2, 5)))
+    plans = [pivot_plan(ens, KernelSpec(family=KernelFamily.LINEAR), 5)]
     with pytest.raises(ValueError, match="budget"):
-        adaptive_select([tuned(KernelFamily.LINEAR)], ens, n=5)
+        adaptive_select(plans, ens, n=5)
     with pytest.raises(ValueError, match="budget"):
-        adaptive_select([tuned(KernelFamily.LINEAR)], ens, n=0)
+        adaptive_select(plans, ens, n=0)
 
 
 def test_selectors_accept_no_high_fidelity_data():

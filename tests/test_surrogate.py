@@ -14,7 +14,7 @@ from bifidelity.bench import BenchmarkSpec, default_spec, gen_oscillator
 from bifidelity import data as data_module
 from bifidelity import cli
 from bifidelity.cli import _write_json, main
-from bifidelity.data import SnapshotEnsemble, column_blocks, held_out, label_groups, normalize_in_place
+from bifidelity.data import column_blocks, held_out, label_groups, normalize_in_place
 from bifidelity.hyperopt import OptimizedKernel
 from bifidelity.numerics import MatrixNotPSDError
 from bifidelity.selection import adaptive_select
@@ -30,7 +30,6 @@ from bifidelity.surrogate import (
     HfProviderError,
     Surrogate,
     build_surrogate,
-    effective_cost,
     evaluate,
     median_relative_error,
     pivot_plan,
@@ -39,17 +38,7 @@ from bifidelity.surrogate import (
 )
 
 import oracles
-
-
-def ensemble_from(columns, labels=None):
-    columns = np.asarray(columns, dtype=float)
-    N = columns.shape[1]
-    return SnapshotEnsemble(
-        outputs=columns,
-        params=np.arange(N, dtype=float)[:, None],
-        per_sample_cost=np.ones(N),
-        labels=labels,
-    )
+from oracles import ensemble_from
 
 
 def provider_for(hf_columns):
@@ -179,7 +168,7 @@ def test_full_budget_reproduces_every_sample():
     lf_cols = rng.normal(size=(3, 5))
     hf_cols = rng.normal(size=(6, 5))
     lf = ensemble_from(lf_cols)
-    surr = build_surrogate(lf, SQEXP, 5, provider_for(hf_cols))
+    surr = oracles.pivot_and_build(lf, SQEXP, 5, provider_for(hf_cols))
     for j in range(5):
         pred = evaluate(surr, lf_cols[:, j])
         err = np.linalg.norm(pred - hf_cols[:, j]) / np.linalg.norm(hf_cols[:, j])
@@ -188,7 +177,7 @@ def test_full_budget_reproduces_every_sample():
 
 def test_single_pivot_takes_largest_diagonal():
     lf = ensemble_from(np.array([[3.0, 0.0], [0.0, 2.0]]))
-    surr = build_surrogate(lf, LINEAR, 1, provider_for(np.eye(2)))
+    surr = oracles.pivot_and_build(lf, LINEAR, 1, provider_for(np.eye(2)))
     assert surr.pivots == (0,)
 
 
@@ -204,7 +193,7 @@ def test_budget_exactly_n_provider_calls():
 
     for n in (1, 3, 6, 9):
         calls.clear()
-        surr = build_surrogate(lf, SQEXP, n, provider)
+        surr = oracles.pivot_and_build(lf, SQEXP, n, provider)
         assert len(calls) == n
         assert tuple(calls) == surr.pivots
 
@@ -220,8 +209,8 @@ def test_provider_failure_reports_completed_draws():
 
     seen = []
     with pytest.raises(HfProviderError) as exc_info:
-        build_surrogate(lf, SQEXP, 4, flaky)
-    pivots = build_surrogate(lf, SQEXP, 4, lambda idx: np.ones(3)).pivots
+        oracles.pivot_and_build(lf, SQEXP, 4, flaky)
+    pivots = oracles.pivot_and_build(lf, SQEXP, 4, lambda idx: np.ones(3)).pivots
     assert exc_info.value.completed == 2
     assert exc_info.value.sample_index == pivots[2]
     assert tuple(seen) == pivots[:2]
@@ -231,23 +220,24 @@ def test_misshapen_hf_column_rejected():
     lf = ensemble_from(np.random.default_rng(4).normal(size=(2, 4)))
     columns = iter([np.ones(3), np.ones(5)])
     with pytest.raises(ValueError, match="length"):
-        build_surrogate(lf, SQEXP, 2, lambda idx: next(columns))
+        oracles.pivot_and_build(lf, SQEXP, 2, lambda idx: next(columns))
     with pytest.raises(ValueError, match="non-finite"):
-        build_surrogate(lf, SQEXP, 1, lambda idx: np.array([np.nan]))
+        oracles.pivot_and_build(lf, SQEXP, 1, lambda idx: np.array([np.nan]))
 
 
 def test_budget_out_of_range():
     lf = ensemble_from(np.ones((1, 3)))
+    plan = pivot_plan(lf, SQEXP, 3)
     with pytest.raises(ValueError, match="budget"):
-        build_surrogate(lf, SQEXP, 0, provider_for(np.eye(3)))
+        build_surrogate(lf, plan, 0, provider_for(np.eye(3)))
     with pytest.raises(ValueError, match="budget"):
-        build_surrogate(lf, SQEXP, 4, provider_for(np.eye(3)))
+        pivot_plan(lf, SQEXP, 4)
 
 
 def test_oscillator_pivots_match_greedy_oracle():
     lf, hf = gen_oscillator(default_spec("oscillator"))
     for kernel in (LINEAR, SQEXP):
-        surr = build_surrogate(lf, kernel, 4, provider_for(hf.outputs))
+        surr = oracles.pivot_and_build(lf, kernel, 4, provider_for(hf.outputs))
         gram = _kernel_block(kernel, lf.outputs, lf.outputs)
         ordering, _ = oracles.greedy_pivots(gram, max_steps=4)
         assert set(surr.pivots) == set(ordering[:4])
@@ -269,7 +259,7 @@ def test_build_pivots_match_dense_oracle_for_every_family():
     for spec, name in ORACLE_KERNELS:
         gram = oracles.gramian_dense(name, cols, spec.h)
         for n in (2, 5, 9):
-            surr = build_surrogate(lf, spec, n, lambda j: np.ones(2))
+            surr = oracles.pivot_and_build(lf, spec, n, lambda j: np.ones(2))
             ordering, _ = oracles.greedy_pivots(gram, max_steps=n)
             assert surr.pivots == ordering[:n], f"{name} n={n}"
             np.testing.assert_allclose(
@@ -281,7 +271,7 @@ def test_build_early_stop_appends_lowest_free_indices():
     # linear kernel on LF dimension 2 supports two pivots; the rest of the
     # budget is the lowest free indices, which the sliced Gramian covers too
     cols = np.random.default_rng(13).normal(size=(2, 9))
-    surr = build_surrogate(ensemble_from(cols), LINEAR, 5, lambda j: np.ones(2))
+    surr = oracles.pivot_and_build(ensemble_from(cols), LINEAR, 5, lambda j: np.ones(2))
     ordering, rank = oracles.greedy_pivots(oracles.gramian_dense("linear", cols), max_steps=5)
     assert rank == 2
     assert surr.pivots == ordering[:5]
@@ -294,10 +284,10 @@ def test_build_not_psd_fails_only_past_the_failing_step(indefinite_kernel):
     lf = ensemble_from(np.array([[0.0, 1.2, 2.4, 3.6, 30.0]]))
     spec = KernelSpec(family=KernelFamily.MATERN52, h=(1.0,))
     indefinite_kernel(spec.family)
-    surr = build_surrogate(lf, spec, 2, lambda j: np.ones(2))
+    surr = oracles.pivot_and_build(lf, spec, 2, lambda j: np.ones(2))
     assert surr.pivots == (0, 1)
     with pytest.raises(MatrixNotPSDError):
-        build_surrogate(lf, spec, 3, lambda j: np.ones(2))
+        oracles.pivot_and_build(lf, spec, 3, lambda j: np.ones(2))
 
 
 def never_called(idx):
@@ -345,14 +335,14 @@ def test_plan_prefix_is_every_budgets_greedy_pivots_and_block(dim):
             pivots = plan.pivots_for(n)
             if n <= agree:
                 assert pivots == oracles.greedy_pivots(dense, n)[0][:n], f"{name} n={n}"
-            surr = build_surrogate(lf, spec, n, lambda j: np.ones(2), plan=plan)
+            surr = build_surrogate(lf, plan, n, lambda j: np.ones(2))
             assert surr.pivots == pivots
             np.testing.assert_array_equal(surr.sliced, dense[np.ix_(pivots, pivots)])
             np.testing.assert_array_equal(surr.sliced, surr.sliced.T)
             P = cols[:, list(pivots)]
             for j in range(n):
                 np.testing.assert_array_equal(surr.sliced[:, j], cross_kernel_vector(spec, P, P[:, j]))
-            assert surr.pivots == build_surrogate(lf, spec, n, lambda j: np.ones(2)).pivots
+            assert surr.pivots == oracles.pivot_and_build(lf, spec, n, lambda j: np.ones(2)).pivots
 
 
 def test_a_plan_evaluates_kernel_columns_only_for_greedy_pivots(monkeypatch):
@@ -373,11 +363,11 @@ def test_a_plan_evaluates_kernel_columns_only_for_greedy_pivots(monkeypatch):
 
 def test_a_plan_serves_only_its_kernel_and_its_steps():
     lf = ensemble_from(np.random.default_rng(21).normal(size=(2, 6)))
+    # the surrogate's kernel is the plan's, so no other kernel can be asked for
     plan = pivot_plan(lf, SQEXP, 3)
-    with pytest.raises(ValueError, match="pivot plan is for"):
-        build_surrogate(lf, LINEAR, 2, never_called, plan=plan)
+    assert build_surrogate(lf, plan, 3, lambda j: np.ones(2)).kernel == SQEXP
     with pytest.raises(ValueError, match="budget"):
-        build_surrogate(lf, SQEXP, 4, never_called, plan=plan)
+        build_surrogate(lf, plan, 4, never_called)
 
 
 def test_selection_fails_only_budgets_past_the_failing_step(indefinite_kernel):
@@ -394,14 +384,14 @@ def test_selection_fails_only_budgets_past_the_failing_step(indefinite_kernel):
     ]
     plans = {ok.spec: pivot_plan(lf, ok.spec, 3) for ok in tuned}
     assert plans[spec].failure is not None and plans[spec].pivots == (0, 1)
-    at_2 = adaptive_select(tuned, lf, 2, plans=plans)
-    at_3 = adaptive_select(tuned, lf, 3, plans=plans)
+    at_2 = adaptive_select(list(plans.values()), lf, 2)
+    at_3 = adaptive_select(list(plans.values()), lf, 3)
     assert math.isfinite(at_2.per_kernel_epsilon[spec.family])
     assert at_3.per_kernel_epsilon[spec.family] == math.inf
-    assert at_2 == adaptive_select(tuned, lf, 2) and at_3 == adaptive_select(tuned, lf, 3)
-    assert build_surrogate(lf, spec, 2, lambda j: np.ones(2), plan=plans[spec]).pivots == (0, 1)
+    assert at_2 == oracles.pivot_and_select(tuned, lf, 2) and at_3 == oracles.pivot_and_select(tuned, lf, 3)
+    assert build_surrogate(lf, plans[spec], 2, lambda j: np.ones(2)).pivots == (0, 1)
     with pytest.raises(MatrixNotPSDError, match="not PSD"):
-        build_surrogate(lf, spec, 3, never_called, plan=plans[spec])
+        build_surrogate(lf, plans[spec], 3, never_called)
 
 
 def test_a_non_finite_column_fails_the_run_before_any_hf_draw(monkeypatch):
@@ -462,10 +452,10 @@ def test_literal_rational_quadratic_overflowing_diagonal_raises():
     for spec, outputs, message in cases:
         lf = ensemble_from(outputs)
         with pytest.raises(ArithmeticError, match=message):
-            build_surrogate(lf, spec, 2, never_called)
+            oracles.pivot_and_build(lf, spec, 2, never_called)
         tuned = OptimizedKernel(spec=spec, objective_value=0.0, evaluations_used=0)
         with pytest.raises(ArithmeticError, match=message):
-            adaptive_select([tuned], lf, 2)
+            oracles.pivot_and_select([tuned], lf, 2)
 
 
 def test_non_finite_pivot_column_raises(monkeypatch):
@@ -479,7 +469,7 @@ def test_non_finite_pivot_column_raises(monkeypatch):
     monkeypatch.setattr(surrogate_module, "_kernel_block", overflowing_block)
     lf = ensemble_from(np.random.default_rng(15).normal(size=(2, 6)))
     with pytest.raises(ArithmeticError, match="column .* is non-finite"):
-        build_surrogate(lf, SQEXP, 2, never_called)
+        oracles.pivot_and_build(lf, SQEXP, 2, never_called)
 
 
 def test_build_and_selection_never_form_the_gramian(monkeypatch):
@@ -500,12 +490,12 @@ def test_build_and_selection_never_form_the_gramian(monkeypatch):
     lf = ensemble_from(rng.normal(size=(3, N)))
     hf_cols = rng.normal(size=(4, N))
     for spec in (LINEAR, SQEXP):
-        build_surrogate(lf, spec, 4, provider_for(hf_cols))
+        oracles.pivot_and_build(lf, spec, 4, provider_for(hf_cols))
     tuned = [
         OptimizedKernel(spec=spec, objective_value=0.0, evaluations_used=0)
         for spec in (LINEAR, SQEXP, KernelSpec(family=KernelFamily.MATERN32, h=(1.0,)))
     ]
-    assert adaptive_select(tuned, lf, 4).n_used == 4
+    assert oracles.pivot_and_select(tuned, lf, 4).n_used == 4
     assert shapes  # the blocks were formed through the patched seam
 
 
@@ -516,7 +506,7 @@ def test_build_memory_stays_far_below_one_gramian():
     for spec in (LINEAR, SQEXP):
         tracemalloc.start()
         try:
-            build_surrogate(lf, spec, n, lambda j: np.ones(3))
+            oracles.pivot_and_build(lf, spec, n, lambda j: np.ones(3))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -531,7 +521,7 @@ def test_interpolation_at_training_pivots():
     lf_cols = rng.normal(size=(3, 8))
     hf_cols = rng.normal(size=(4, 8))
     lf = ensemble_from(lf_cols)
-    surr = build_surrogate(lf, SQEXP, 4, provider_for(hf_cols))
+    surr = oracles.pivot_and_build(lf, SQEXP, 4, provider_for(hf_cols))
     assert np.linalg.cond(surr.sliced) <= 1e8
     for pos, j in enumerate(surr.pivots):
         pred = evaluate(surr, lf_cols[:, j])
@@ -543,7 +533,7 @@ def test_single_pivot_closed_form():
     lf_cols = np.array([[0.0, 0.7, 1.4]])
     hf_cols = np.array([[2.0, 5.0, 9.0], [1.0, 0.0, 3.0]])
     lf = ensemble_from(lf_cols)
-    surr = build_surrogate(lf, SQEXP, 1, provider_for(hf_cols))
+    surr = oracles.pivot_and_build(lf, SQEXP, 1, provider_for(hf_cols))
     z1 = surr.pivots[0]
     query = np.array([0.3])
     k_ratio = (
@@ -566,7 +556,7 @@ def test_coefficients_match_dense_solve_oracle():
         drawn.append(idx)
         return col
 
-    surr = build_surrogate(lf, SQEXP, 5, identity_provider)
+    surr = oracles.pivot_and_build(lf, SQEXP, 5, identity_provider)
     query = rng.normal(size=3)
     coeffs = evaluate(surr, query)
     rhs = np.array(
@@ -590,7 +580,7 @@ def test_linear_kernel_matches_classical_inverse_form():
         drawn.append(idx)
         return col
 
-    surr = build_surrogate(lf, LINEAR, 3, identity_provider)
+    surr = oracles.pivot_and_build(lf, LINEAR, 3, identity_provider)
     query = rng.normal(size=4)
     coeffs = evaluate(surr, query)
     rhs = lf_cols[:, list(surr.pivots)].T @ query
@@ -600,7 +590,7 @@ def test_linear_kernel_matches_classical_inverse_form():
 
 def test_evaluate_validates_queries():
     lf = ensemble_from(np.random.default_rng(8).normal(size=(2, 4)))
-    surr = build_surrogate(lf, SQEXP, 2, provider_for(np.eye(4)))
+    surr = oracles.pivot_and_build(lf, SQEXP, 2, provider_for(np.eye(4)))
     with pytest.raises(ValueError, match="dimension"):
         evaluate(surr, np.ones(5))
 
@@ -609,7 +599,7 @@ def test_evaluate_validates_queries():
 def test_evaluate_block_matches_columnwise():
     rng = np.random.default_rng(5)
     lf = ensemble_from(rng.normal(size=(3, 8)))
-    surr = build_surrogate(lf, SQEXP, 4, provider_for(rng.normal(size=(4, 8))))
+    surr = oracles.pivot_and_build(lf, SQEXP, 4, provider_for(rng.normal(size=(4, 8))))
     assert np.linalg.cond(surr.sliced) <= 1e8
     queries = rng.normal(size=(3, 6))
     block = evaluate(surr, queries)
@@ -668,7 +658,7 @@ def test_error_metric_excludes_pivots_and_groups_by_label():
     hf_cols = rng.normal(size=(4, 7))
     lf = ensemble_from(lf_cols)
     hf = ensemble_from(hf_cols, labels=("a", "a", "b", "b"))
-    surr = build_surrogate(lf, SQEXP, 3, provider_for(hf_cols))
+    surr = oracles.pivot_and_build(lf, SQEXP, 3, provider_for(hf_cols))
     report = median_relative_error(surr, hf, lf)
     held_out = [j for j in range(7) if j not in surr.pivots]
     assert len(held_out) == 4
@@ -686,7 +676,7 @@ def test_error_metric_matches_columnwise_loop():
     rng = np.random.default_rng(13)
     lf_cols = rng.normal(size=(3, 12))
     lf = ensemble_from(lf_cols)
-    surr = build_surrogate(lf, SQEXP, 4, provider_for(rng.normal(size=(4, 12))))
+    surr = oracles.pivot_and_build(lf, SQEXP, 4, provider_for(rng.normal(size=(4, 12))))
     held_out = [j for j in range(12) if j not in surr.pivots]
     truth = rng.normal(size=(4, 12))
     truth[:, held_out[0]] = 0.0
@@ -741,7 +731,7 @@ def test_error_metric_full_budget_has_no_test_samples():
     lf = ensemble_from(rng.normal(size=(3, 5)))
     hf_cols = rng.normal(size=(4, 5))
     hf = ensemble_from(hf_cols, labels=("a", "a", "b", "b"))
-    surr = build_surrogate(lf, SQEXP, 5, provider_for(hf_cols))
+    surr = oracles.pivot_and_build(lf, SQEXP, 5, provider_for(hf_cols))
     report = median_relative_error(surr, hf, lf)
     assert math.isnan(report.aggregate_median_rel_error)
     assert set(report.per_qoi_median_rel_error) == {"a", "b"}
@@ -768,11 +758,11 @@ def scoring_case(case):
     if case in ("one-column", "two-column", "wide"):
         lf, hf = gen_oscillator(WIDE_SPEC if case == "wide" else default_spec("oscillator"))
         n = {"one-column": lf.n_samples - 1, "two-column": lf.n_samples - 2, "wide": 8}[case]
-        return build_surrogate(lf, LINEAR, n, hf.column), hf, lf
+        return oracles.pivot_and_build(lf, LINEAR, n, hf.column), hf, lf
     # 24 rows over three labels, with magnitudes that spread over six decades
     rng = np.random.default_rng(31)
     lf = ensemble_from(rng.normal(size=(3, 60)))
-    surr = build_surrogate(lf, SQEXP, 6, provider_for(rng.normal(size=(24, 60))))
+    surr = oracles.pivot_and_build(lf, SQEXP, 6, provider_for(rng.normal(size=(24, 60))))
     truth = rng.normal(size=(24, 60)) * 10.0 ** rng.uniform(-3, 3, size=(24, 60))
     if case == "interleaved":  # no group is a run of rows
         return surr, ensemble_from(truth, labels=("a", "b", "c") * 8), lf
@@ -800,7 +790,7 @@ def test_error_metric_holds_two_held_out_blocks():
     rng = np.random.default_rng(32)
     lf = ensemble_from(rng.normal(size=(2, N)))
     hf = ensemble_from(rng.normal(size=(D, N)), labels=("trajectory",) * 200 + ("energy", "amplitude"))
-    surr = build_surrogate(lf, LINEAR, n, hf.column)
+    surr = oracles.pivot_and_build(lf, LINEAR, n, hf.column)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -822,7 +812,7 @@ def test_error_metric_in_column_blocks_matches_dense_scorer_bit_for_bit(monkeypa
     N = n + held_out
     rng = np.random.default_rng(100 + held_out)
     lf = ensemble_from(rng.normal(size=(3, N)))
-    surr = build_surrogate(lf, kernel, n, provider_for(rng.normal(size=(D, N))))
+    surr = oracles.pivot_and_build(lf, kernel, n, provider_for(rng.normal(size=(D, N))))
     assert len(surr.pivots) == n
     truth = rng.normal(size=(D, N)) * 10.0 ** rng.uniform(-3, 3, size=(D, N))
     # "a" and "b" interleave; "c" is a run of eight rows
@@ -844,7 +834,7 @@ def test_one_ensembles_norms_score_every_surrogate_bit_for_bit(case):
     if case == "wide":
         lf, hf = gen_oscillator(WIDE_SPEC)
         plan = pivot_plan(lf, LINEAR, 32)
-        surrogates = [build_surrogate(lf, LINEAR, n, hf.column, plan=plan) for n in (8, 16, 32)]
+        surrogates = [build_surrogate(lf, plan, n, hf.column) for n in (8, 16, 32)]
         assert len(column_blocks(hf.output_dim, hf.n_samples - 8)) > 1
     else:
         # 24 rows, magnitudes over six decades; "a" and "b" interleave and
@@ -908,7 +898,7 @@ def test_error_metric_factors_the_gramian_once(monkeypatch):
     rng = np.random.default_rng(33)
     lf = ensemble_from(rng.normal(size=(3, 20)))
     hf_cols = rng.normal(size=(4, 20))
-    surr = build_surrogate(lf, SQEXP, 4, provider_for(hf_cols))
+    surr = oracles.pivot_and_build(lf, SQEXP, 4, provider_for(hf_cols))
     assert len(column_blocks(4, 16)) == 8
     median_relative_error(surr, ensemble_from(hf_cols), lf)
     assert len(factors) == 1
@@ -919,7 +909,7 @@ def test_a_surrogate_is_factored_once_for_every_evaluation(monkeypatch):
     rng = np.random.default_rng(35)
     lf = ensemble_from(rng.normal(size=(3, 12)))
     hf_cols = rng.normal(size=(4, 12))
-    surr = build_surrogate(lf, SQEXP, 4, provider_for(hf_cols))
+    surr = oracles.pivot_and_build(lf, SQEXP, 4, provider_for(hf_cols))
     for query in (lf.column(0), lf.column(5), lf.outputs[:, 6:9]):
         evaluate(surr, query)
     median_relative_error(surr, ensemble_from(hf_cols), lf)
@@ -936,7 +926,7 @@ def test_error_metric_memory_does_not_grow_with_the_sample_count():
         rng = np.random.default_rng(34)
         lf = ensemble_from(rng.normal(size=(2, N)))
         hf = ensemble_from(rng.normal(size=(D, N)), labels=("trajectory",) * 200 + ("energy", "amplitude"))
-        surr = build_surrogate(lf, LINEAR, n, hf.column)
+        surr = oracles.pivot_and_build(lf, LINEAR, n, hf.column)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -958,10 +948,10 @@ def test_error_metric_sample_count_mismatch():
 
 
 def test_effective_cost_ceiling_examples():
-    assert effective_cost(4, 2.5, 1.0).effective_hf == 7
-    assert effective_cost(10, 0.1, 1.0).effective_hf == 11
-    assert effective_cost(6, 0.0, 1.0).effective_hf == 6
-    assert effective_cost(3, 10.0, 4.0).effective_hf == 6
+    assert CostLedger(4, 2.5, 1.0).effective_hf == 7
+    assert CostLedger(10, 0.1, 1.0).effective_hf == 11
+    assert CostLedger(6, 0.0, 1.0).effective_hf == 6
+    assert CostLedger(3, 10.0, 4.0).effective_hf == 6
 
 
 def test_ledger_identity_enforced():
@@ -976,8 +966,8 @@ def test_ledger_identity_enforced():
 def test_build_threads_opt_cost_into_ledger():
     # the build draws n columns; the ledger adds the optimizer cost on top
     lf = ensemble_from(np.random.default_rng(10).normal(size=(2, 5)))
-    surr = build_surrogate(lf, SQEXP, 2, provider_for(np.eye(5)))
-    ledger = effective_cost(len(surr.pivots), kernel_opt_cost=2.5, one_hf_cost=1.0)
+    surr = oracles.pivot_and_build(lf, SQEXP, 2, provider_for(np.eye(5)))
+    ledger = CostLedger(len(surr.pivots), kernel_opt_cost=2.5, one_hf_cost=1.0)
     assert ledger.hf_samples_used == 2
     assert ledger.effective_hf == 5
 
@@ -990,7 +980,7 @@ def test_archive_round_trip_bitwise():
     lf_cols = rng.normal(size=(3, 6))
     hf_cols = rng.normal(size=(5, 6))
     lf = ensemble_from(lf_cols)
-    surr = build_surrogate(lf, SQEXP, 3, provider_for(hf_cols))
+    surr = oracles.pivot_and_build(lf, SQEXP, 3, provider_for(hf_cols))
     clone = surrogate_from_dict(surrogate_to_dict(surr))
     assert clone.pivots == surr.pivots
     assert clone.rcond == surr.rcond
@@ -1017,7 +1007,7 @@ def test_a_reloaded_archive_emulates_the_runs_bits(dim):
              KernelSpec(family=KernelFamily.MATERN52, h=(h,)))
     for spec in specs:
         for n in (4, 8, 12):
-            surr = build_surrogate(lf, spec, n, provider_for(hf_cols))
+            surr = oracles.pivot_and_build(lf, spec, n, provider_for(hf_cols))
             clone = surrogate_from_dict(json.loads(json.dumps(surrogate_to_dict(surr))))
             queries = lf.outputs[:, held_out(N, surr.pivots)]
             np.testing.assert_array_equal(evaluate(clone, queries), evaluate(surr, queries),
@@ -1029,7 +1019,7 @@ def test_archive_file_round_trip(tmp_path, capsys):
     rng = np.random.default_rng(12)
     lf = ensemble_from(rng.normal(size=(2, 5)))
     spec = KernelSpec(family=KernelFamily.RATIONAL_QUADRATIC, h=(0.9, 1.3))
-    surr = build_surrogate(lf, spec, 3, provider_for(rng.normal(size=(4, 5))))
+    surr = oracles.pivot_and_build(lf, spec, 3, provider_for(rng.normal(size=(4, 5))))
     path = tmp_path / "surrogate.json"
     _write_json(path, surrogate_to_dict(surr))
     assert surrogate_from_dict(json.loads(path.read_text(encoding="ascii"))).kernel == spec
@@ -1081,8 +1071,8 @@ def test_eval_rejects_mixture_archive(tmp_path, capsys):
     # switches set to false are refused too: no version-2 archive was written with them
     rng = np.random.default_rng(18)
     spec = KernelSpec(family=KernelFamily.RATIONAL_QUADRATIC, h=(0.9, 1.3))
-    surr = build_surrogate(ensemble_from(rng.normal(size=(2, 7))), spec, 3,
-                              provider_for(rng.normal(size=(4, 7))))
+    surr = oracles.pivot_and_build(ensemble_from(rng.normal(size=(2, 7))), spec, 3,
+                                   provider_for(rng.normal(size=(4, 7))))
     doc = surrogate_to_dict(surr)
     assert set(doc["kernel"]) == {"kind", "family", "h"}
     assert surrogate_from_dict(doc).kernel == spec
@@ -1095,7 +1085,8 @@ def test_archive_refuses_pivots_that_are_not_distinct_non_negative_integers(tmp_
     # the error metric leaves the pivots out of the samples it scores: a
     # negative pivot would wrap to the end, a repeated one train twice
     rng = np.random.default_rng(19)
-    surr = build_surrogate(ensemble_from(rng.normal(size=(2, 7))), LINEAR, 2, provider_for(rng.normal(size=(3, 7))))
+    surr = oracles.pivot_and_build(ensemble_from(rng.normal(size=(2, 7))), LINEAR, 2,
+                                   provider_for(rng.normal(size=(3, 7))))
     doc = surrogate_to_dict(surr)
     query = tmp_path / "query.csv"
     query.write_text("1.0,2.0\n", encoding="ascii")
