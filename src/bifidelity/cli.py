@@ -24,6 +24,7 @@ from .bench import BenchmarkSpec, default_spec, generate
 from .data import SnapshotEnsemble, checked_kind, checked_number, checked_object
 from .hyperopt import (
     ObjectiveConfig,
+    OptimizedKernel,
     PsoConfig,
     TuningTable,
     default_bounds,
@@ -321,11 +322,19 @@ def load_data(cfg: ExperimentConfig) -> tuple[SnapshotEnsemble, SnapshotEnsemble
 
 @dataclass
 class RunResult:
+    """Each result of a run, held once: the results.csv rows, the tuned
+    kernels in config order, the selection report per budget, the archive
+    per cell and the trace. selection.json is formed from them."""
+
     rows: list
-    qoi_labels: tuple[str, ...]
-    selection_doc: dict
+    tuned: list[OptimizedKernel]
+    reports: dict[int, SelectionReport]
     archives: dict
     trace: list
+
+    @property
+    def selection_doc(self) -> dict:
+        return _selection_doc(self.tuned, self.reports)
 
 
 _MASK32 = 0xFFFFFFFF
@@ -383,16 +392,26 @@ def _kernel_label(kernel: KernelSpec) -> str:
     return kernel.family.name.lower()
 
 
-def _report_doc(report: SelectionReport) -> dict:
-    return {
-        "mode": "adaptive",
-        "families": [f.name.lower() for f in report.families],
-        "n_used": report.n_used,
-        "chosen_family": report.chosen_family.name.lower(),
-        "per_kernel_epsilon": {
-            fam.name.lower(): eps for fam, eps in sorted(report.per_kernel_epsilon.items())
-        },
-    }
+def _selection_doc(tuned: list[OptimizedKernel], reports: dict[int, SelectionReport]) -> dict:
+    doc: dict = {"hyperparameters": [
+        {
+            "family": ok.spec.family.name.lower(),
+            "h": list(ok.spec.h),
+            "objective_value": ok.objective_value,
+            "evaluations_used": ok.evaluations_used,
+            "distinct_evaluations": ok.distinct_evaluations,
+        }
+        for ok in tuned
+    ]}
+    if reports:
+        doc["adaptive"] = {str(n): {
+            "families": [f.name.lower() for f in rep.families],
+            "chosen_family": rep.chosen_family.name.lower(),
+            "per_kernel_epsilon": {
+                fam.name.lower(): eps for fam, eps in sorted(rep.per_kernel_epsilon.items())
+            },
+        } for n, rep in reports.items()}
+    return doc
 
 
 def run_experiment(cfg: ExperimentConfig, parallel: bool = False) -> RunResult:
@@ -409,51 +428,34 @@ def run_experiment(cfg: ExperimentConfig, parallel: bool = False) -> RunResult:
     one_hf = cfg.one_hf_cost if cfg.one_hf_cost is not None else float(np.mean(hf.per_sample_cost))
 
     trace: list = []
-    optimized = []
-    hyper_evals = 0
+    tuned = []
     if "adaptive" in cfg.modes:
         table = TuningTable(lf.outputs)  # every family tunes on the same LF data
         for fam in cfg.kernels:
             obj_cfg = ObjectiveConfig(lam=cfg.lam, family=fam, bounds=default_bounds(fam, table.dbar))
             pso_cfg = replace(cfg.pso, seed=_child_seed(cfg.seed, int(fam)))
-            optimized.append(optimize_hyperparams(fam, table, obj_cfg, pso_cfg))
+            tuned.append(optimize_hyperparams(fam, table, obj_cfg, pso_cfg))
         del table  # its packed triangles, before selection
-        hyper_evals = sum(ok.evaluations_used for ok in optimized)
     # one pivot plan per family, to the largest budget, for every budget:
     # the tuned kernels, which selection scores, and the baseline's (the
     # tuned linear kernel is the baseline's, as linear has no hyperparameter)
-    kernels = [ok.spec for ok in optimized]
+    kernels = [ok.spec for ok in tuned]
     if "linear-baseline" in cfg.modes:
         kernels.append(KernelSpec(family=KernelFamily.LINEAR))
     plans = {kernel.family: pivot_plan(lf, kernel, max(cfg.budgets)) for kernel in dict.fromkeys(kernels)}
-    adaptive_reports: dict[int, SelectionReport] = {}
+    reports: dict[int, SelectionReport] = {}
     if "adaptive" in cfg.modes:
-        tuned_plans = [plans[ok.spec.family] for ok in optimized]
+        tuned_plans = [plans[ok.spec.family] for ok in tuned]
         for n in cfg.budgets:
-            adaptive_reports[n] = adaptive_select(tuned_plans, lf, n, cfg.rcond)
-
-    selection_doc: dict = {"hyperparameters": [
-        {
-            "family": ok.spec.family.name.lower(),
-            "h": list(ok.spec.h),
-            "objective_value": ok.objective_value,
-            "evaluations_used": ok.evaluations_used,
-            "distinct_evaluations": ok.distinct_evaluations,
-        }
-        for ok in optimized
-    ]}
-    if adaptive_reports:
-        selection_doc["adaptive"] = {
-            str(n): _report_doc(rep) for n, rep in adaptive_reports.items()
-        }
+            reports[n] = adaptive_select(tuned_plans, lf, n, cfg.rcond)
     trace.append(("phase", "selection_complete"))
 
-    opt_cost = hyper_evals * cfg.objective_eval_cost
+    opt_cost = sum(ok.evaluations_used for ok in tuned) * cfg.objective_eval_cost
     mode_cost = {"linear-baseline": 0.0, "adaptive": opt_cost}
     cells = []
     for mode in cfg.modes:
         for n in cfg.budgets:
-            family = adaptive_reports[n].chosen_family if mode == "adaptive" else KernelFamily.LINEAR
+            family = reports[n].chosen_family if mode == "adaptive" else KernelFamily.LINEAR
             cells.append((mode, n, plans[family]))
     hf.squared_norms  # before any cell starts, as every cell's error reads them
 
@@ -496,16 +498,7 @@ def run_experiment(cfg: ExperimentConfig, parallel: bool = False) -> RunResult:
         rows.append(row)
         archives[f"{mode}:{n}"] = archive
         trace.extend(local)
-
-    qoi_labels = tuple(hf.label_groups().keys())
-    selection_doc["surrogates"] = archives
-    return RunResult(
-        rows=rows,
-        qoi_labels=qoi_labels,
-        selection_doc=selection_doc,
-        archives=archives,
-        trace=trace,
-    )
+    return RunResult(rows=rows, tuned=tuned, reports=reports, archives=archives, trace=trace)
 
 
 def write_results_csv(path, result: RunResult) -> None:
@@ -518,7 +511,9 @@ def write_results_csv(path, result: RunResult) -> None:
         "effective_hf",
         "median_rel_error",
     ]
-    cols += [f"error_{label}" for label in result.qoi_labels]
+    # median_relative_error keys per_qoi by the HF labels, in their order
+    qoi_labels = list(result.rows[0]["per_qoi"])
+    cols += [f"error_{label}" for label in qoi_labels]
     cols.append("kernel")
     lines = [",".join(cols)]
     for row in result.rows:
@@ -531,7 +526,7 @@ def write_results_csv(path, result: RunResult) -> None:
             str(row["effective_hf"]),
             _fmt(row["median_rel_error"]),
         ]
-        cells += [_fmt(row["per_qoi"][label]) for label in result.qoi_labels]
+        cells += [_fmt(row["per_qoi"][label]) for label in qoi_labels]
         cells.append(row["kernel"])
         lines.append(",".join(cells))
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")

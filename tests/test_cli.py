@@ -344,7 +344,7 @@ def test_run_emits_full_mode_budget_matrix(toy, tmp_path):
             assert (out / "surrogates" / f"{mode}_{n}.json").exists()
     doc = json.loads((out / "selection.json").read_text())
     assert set(doc["adaptive"]) == {"2", "3"}
-    assert set(doc) == {"hyperparameters", "adaptive", "surrogates"}
+    assert set(doc) == {"hyperparameters", "adaptive"}
 
 
 def test_every_row_satisfies_cost_identity(toy, tmp_path):
