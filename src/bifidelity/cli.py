@@ -334,7 +334,26 @@ class RunResult:
 
     @property
     def selection_doc(self) -> dict:
-        return _selection_doc(self.tuned, self.reports)
+        """The content of selection.json."""
+        doc: dict = {"hyperparameters": [
+            {
+                "family": ok.spec.family.name.lower(),
+                "h": list(ok.spec.h),
+                "objective_value": ok.objective_value,
+                "evaluations_used": ok.evaluations_used,
+                "distinct_evaluations": ok.distinct_evaluations,
+            }
+            for ok in self.tuned
+        ]}
+        if self.reports:
+            doc["adaptive"] = {str(n): {
+                "families": [f.name.lower() for f in rep.families],
+                "chosen_family": rep.chosen_family.name.lower(),
+                "per_kernel_epsilon": {
+                    fam.name.lower(): eps for fam, eps in sorted(rep.per_kernel_epsilon.items())
+                },
+            } for n, rep in self.reports.items()}
+        return doc
 
 
 _MASK32 = 0xFFFFFFFF
@@ -390,28 +409,6 @@ def _kernel_label(kernel: KernelSpec) -> str:
     if kernel.h:
         return f"{kernel.family.name.lower()}(h={'|'.join(_fmt(v) for v in kernel.h)})"
     return kernel.family.name.lower()
-
-
-def _selection_doc(tuned: list[OptimizedKernel], reports: dict[int, SelectionReport]) -> dict:
-    doc: dict = {"hyperparameters": [
-        {
-            "family": ok.spec.family.name.lower(),
-            "h": list(ok.spec.h),
-            "objective_value": ok.objective_value,
-            "evaluations_used": ok.evaluations_used,
-            "distinct_evaluations": ok.distinct_evaluations,
-        }
-        for ok in tuned
-    ]}
-    if reports:
-        doc["adaptive"] = {str(n): {
-            "families": [f.name.lower() for f in rep.families],
-            "chosen_family": rep.chosen_family.name.lower(),
-            "per_kernel_epsilon": {
-                fam.name.lower(): eps for fam, eps in sorted(rep.per_kernel_epsilon.items())
-            },
-        } for n, rep in reports.items()}
-    return doc
 
 
 def run_experiment(cfg: ExperimentConfig, parallel: bool = False) -> RunResult:
