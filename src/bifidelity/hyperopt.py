@@ -15,15 +15,16 @@ profile is written into the table's one buffer. One formula,
 order, and ``_objective`` adds the penalty, with ||K||_2 from one
 eigensolve. The swarm only compares scores, so each point is first
 bracketed from the same terms and cheap bounds on ||K||_2 (``_bracket``),
-and scored exactly only when two brackets overlap, or for a value the
-swarm returns. The tuned h are then the ones exact scores give, with one
-case a bracket cannot see: an eigensolve that fails to converge on a
-finite symmetric Gramian, which the exact objective maps to inf, while
-the bracket holds finite bounds.
+and scored exactly only when two refined brackets overlap, for a value
+the swarm returns, or when an entry of its trace is read. The tuned h are
+then the ones exact scores give, with one case a bracket cannot see: an
+eigensolve that fails to converge on a finite symmetric Gramian, which
+the exact objective maps to inf, while the bracket holds finite bounds.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -332,10 +333,38 @@ def _packed_objective(cfg: ObjectiveConfig, h, tri: TuningTable) -> float:
 # ||K||_2 (backward stable; LAPACK's modest p(N) taken as N), mean(r) sums
 # N^2 / 2 nonnegative terms, sqrt(F) halves F's error, and each side rounds
 # 8 more times: (N^2 / 2 + N + 8) u in all, which N^2 u covers for N >= 5,
-# and the floor 1e-9 up to N = 3,000.
+# and the floor 1e-9 up to N = 3,000. The Ritz quotient z'(K z) / z'z (z >= 0)
+# sums nonnegative terms, 2N deep above and N below: (4N + 9) u with the rest,
+# under the same pad; as z'Kz >= z'z = 1, underflow's 2^-1074 a term is far below u.
 def _bracket_pad(n: int) -> float:
     """The relative pad on the bracket's stability term at N = ``n``."""
     return max(1e-9, n * n * 2.0**-53)
+
+
+# Lanczos steps of ``_ritz_quotient``: on the N <= 114 configs 5 ran as fast as 8
+# and faster than 3 or 12
+_RITZ_STEPS = 5
+
+
+def _ritz_quotient(K: np.ndarray, start: np.ndarray) -> float:
+    """z'Kz / z'z <= ||K||_2 for a nonnegative symmetric ``K``: z is |y|, entry
+    by entry, for the top Ritz vector y of ``_RITZ_STEPS`` Lanczos steps from
+    ``start``, fully reorthogonalized; a step that adds no direction ends
+    them. |y|'K|y| >= y'Ky as K >= 0, and every term summed is nonnegative."""
+    Q = np.empty((_RITZ_STEPS, K.shape[0]))  # the Lanczos vectors, as rows
+    Q[0], m = start / math.sqrt(start @ start), 1
+    while m < _RITZ_STEPS:
+        w = K @ Q[m - 1]
+        size = math.sqrt(w @ w)
+        for _ in range(2):  # twice is enough (Parlett, ch. 6)
+            w -= (Q[:m] @ w) @ Q[:m]
+        beta = math.sqrt(w @ w)
+        if not beta > 1e-10 * size:
+            break
+        Q[m], m = w / beta, m + 1
+    Q = Q[:m]
+    z = np.abs(np.linalg.eigh(Q @ K @ Q.T)[1][:, -1] @ Q)
+    return float(z @ (K @ z)) / float(z @ z)
 
 
 def _bracket(cfg: ObjectiveConfig, h, tri: TuningTable, rows: bool = False):
@@ -349,10 +378,12 @@ def _bracket(cfg: ObjectiveConfig, h, tri: TuningTable, rows: bool = False):
     ||K||_2 <= min(max(r), ||K||_F) (Horn & Johnson, Matrix Analysis, 8.1).
     mean(r) is the triangle's sum; the full row sums take the unpacked
     Gramian, so they are formed only with ``rows``, and without them
-    max(r) <= k0 + (N - 1) max_{i<j} K_ij stands in. The penalty lies
-    between the two, padded by ``_bracket_pad``, on the exact objective's
-    own fit and ||K||_F (``tri.terms``). Every other case (lam = 0, a
-    negative or non-finite entry, squares that overflow) gives None.
+    max(r) <= k0 + (N - 1) max_{i<j} K_ij stands in; with them, the lower
+    end also takes ``_ritz_quotient`` at r, near ||K||_2 where the other two
+    are far below it (Parlett, The Symmetric Eigenvalue Problem, ch. 11).
+    The penalty lies between the bounds, padded by ``_bracket_pad``, on the
+    exact objective's own fit and ||K||_F (``tri.terms``). Every other case
+    (lam = 0, a negative or non-finite entry, overflowing squares) is None.
     """
     if cfg.lam == 0.0:
         return None
@@ -365,15 +396,16 @@ def _bracket(cfg: ObjectiveConfig, h, tri: TuningTable, rows: bool = False):
     if not (off.min(initial=k0) >= 0.0 and top < math.inf):
         return None
     if rows:
-        r = tri.gramian(k0, off) @ np.ones(n)
-        mean, most = float(r.sum()) / n, float(r.max())
+        K = tri.gramian(k0, off)
+        r = K @ np.ones(n)
+        mean, most, ritz = float(r.sum()) / n, float(r.max()), _ritz_quotient(K, r)
     else:
-        mean, most = k0 + 2.0 * float(off.sum()) / n, k0 + (n - 1) * max(top, 0.0)
+        mean, most, ritz = k0 + 2.0 * float(off.sum()) / n, k0 + (n - 1) * max(top, 0.0), 0.0
     fit, fro2 = tri.terms(k0, off)
     if not (fit < math.inf and fro2 < math.inf):  # fro2 >= N, the diagonal's
         return None
     scale, pad = cfg.lam / math.sqrt(fro2), _bracket_pad(n)
-    lo = fit + scale * max(mean, k0 + top) * (1.0 - pad)
+    lo = fit + scale * max(mean, k0 + top, ritz) * (1.0 - pad)
     hi = fit + scale * min(most, math.sqrt(fro2)) * (1.0 + pad)
     return lo, hi
 
@@ -452,7 +484,24 @@ def _score(f, p):
     return value
 
 
-def pso_minimize(f, cfg: PsoConfig, bounds) -> tuple[np.ndarray, float, list[float]]:
+class _Trace(Sequence):
+    """The swarm's best value per iteration. ``len`` resolves nothing; an
+    item is its exact float, its bracket resolved only when it is read."""
+
+    def __init__(self, values: list):
+        self._values = values
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __getitem__(self, i):
+        return [float(v) for v in self._values[i]] if isinstance(i, slice) else float(self._values[i])
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+
+def pso_minimize(f, cfg: PsoConfig, bounds) -> tuple[np.ndarray, float, Sequence[float]]:
     """Particle swarm minimization over a box.
 
     Velocity update: v <- v + k1*rho*(best_own - h) + k2*gamma*(best_all - h)
@@ -468,9 +517,9 @@ def pso_minimize(f, cfg: PsoConfig, bounds) -> tuple[np.ndarray, float, list[flo
     are taken in one call.
 
     ``f`` returns a float or a _Bracket. Scores are only compared, through
-    ``_less``, so a bracket is resolved only when a comparison needs it (and
-    for the returned value and trace, which are exact). A NaN score raises
-    ValueError naming the point.
+    ``_less``, so a bracket is resolved only when a comparison needs it, for
+    the returned value, or when the trace's entry is read; both are exact.
+    A NaN score raises ValueError naming the point.
     """
     bounds = np.asarray(bounds, dtype=float)
     if (bounds.ndim != 2 or bounds.shape[1] != 2 or not np.isfinite(bounds).all()
@@ -522,7 +571,7 @@ def pso_minimize(f, cfg: PsoConfig, bounds) -> tuple[np.ndarray, float, list[flo
         trace.append(g_val)
         if stall >= cfg.stall_iters:
             break
-    return g_pos.copy(), float(g_val), [float(v) for v in trace]
+    return g_pos.copy(), float(g_val), _Trace(trace)
 
 
 def _fd_gradient(f, x: np.ndarray, fx: float) -> np.ndarray:

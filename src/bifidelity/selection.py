@@ -27,19 +27,16 @@ __all__ = [
 class SelectionReport:
     """Outcome of one adaptive selection pass.
 
-    Records the per-family residual scores and the pivot budget ``n_used``
-    they were taken at. The winner is derived: the least score, with ties
-    going to the lowest family index.
+    Records the per-family residual scores at one pivot budget, the key
+    ``RunResult.reports`` holds it under. The winner is derived: the least
+    score, with ties going to the lowest family index.
     """
 
     per_kernel_epsilon: dict[KernelFamily, float]
-    n_used: int
 
     def __post_init__(self) -> None:
         if not self.per_kernel_epsilon:
             raise ValueError("a selection report needs at least one family with a score")
-        if self.n_used < 1:
-            raise ValueError(f"pivot budget n_used must be at least 1, got {self.n_used}")
 
     @property
     def families(self) -> tuple[KernelFamily, ...]:
@@ -81,7 +78,7 @@ def adaptive_select(
     if not 1 <= n < N:
         raise ValueError(f"budget n must satisfy 1 <= n < {N}, got {n}")
     scores = {plan.kernel.family: _self_emulation_score(plan, lf_ensemble, n, rcond) for plan in plans}
-    return SelectionReport(per_kernel_epsilon=scores, n_used=n)
+    return SelectionReport(per_kernel_epsilon=scores)
 
 
 def _self_emulation_score(plan: PivotPlan, lf: SnapshotEnsemble, n: int, rcond: float) -> float:

@@ -238,12 +238,43 @@ def test_pair_bound_lifts_the_bracket_above_the_row_sums():
     assert hi - lo <= 1e-8 * want
 
 
+def test_ritz_quotient_lifts_the_bracket_above_the_mean_row_sum():
+    # two clusters, of 6 samples and of 2, with inner entries c and none
+    # between: ||K||_2 = 1 + 5c, the large cluster's, while the mean row
+    # sum is (6 (1 + 5c) + 2 (1 + c)) / 8 and the pair bound 1 + c. The
+    # Krylov space at r holds both clusters' indicators, so the Ritz
+    # quotient reaches 1 + 5c = max(r), and the bracket with row sums
+    # closes to its pads around the exact value
+    n, c = 8, 0.5
+    dists = np.full((n, n), math.inf)
+    dists[:6, :6] = dists[6:, 6:] = -math.log(c)
+    np.fill_diagonal(dists, 0.0)
+    X = np.random.default_rng(0).normal(size=(2, n))
+    tri = TuningTable(X)
+    tri.dists[:] = dists[np.triu_indices(n, k=1)]  # the crafted distances, packed
+    ref = _kernel_block(LINEAR, X, X)
+    cfg = ObjectiveConfig(lam=100.0, family=KernelFamily.EXPONENTIAL, bounds=((0.1, 10.0),))
+    K = radial_profile(KernelSpec(family=KernelFamily.EXPONENTIAL, h=(1.0,)), dists)
+    norm = float(np.linalg.eigvalsh(K)[-1])
+    assert norm == pytest.approx(1.0 + 5 * c) and max(K.sum(axis=1).mean(), 1.0 + c) < 0.9 * norm
+    want = oracles.objective_dense(cfg, K, ref)
+    assert hyperopt._packed_objective(cfg, (1.0,), tri) == want
+    lifted = np.linalg.norm(ref - K) + cfg.lam * norm / np.linalg.norm(K) * (1.0 - 1e-8)
+    lo, hi = hyperopt._bracket(cfg, (1.0,), tri)
+    assert lo < lifted and lo <= want <= hi
+    lo, hi = hyperopt._bracket(cfg, (1.0,), tri, rows=True)
+    assert lifted <= lo <= want <= hi
+    assert hi - lo <= 1e-8 * want
+
+
 @pytest.mark.parametrize("n", [114, 2000, 3000, 10**4])
 def test_bracket_pad_covers_its_rounding_bound_at_every_n(n):
     # the bound the pad's comment derives: (N^2 / 2 + N + 8) 2^-53 relative
     # on the stability term; the 1e-9 floor holds up to N = 3,000
     pad = hyperopt._bracket_pad(n)
     assert pad >= (n * n / 2 + n + 8) * 2.0**-53
+    # and the Ritz quotient's side: (4N + 9) 2^-53
+    assert pad >= (4 * n + 9) * 2.0**-53
     assert pad == 1e-9 if n <= 3000 else pad > 1e-9
 
 
@@ -423,6 +454,26 @@ def test_pso_on_brackets_matches_the_eager_swarm(seed, spread, staged):
         assert len(resolved) == len(set(got[2])) and not refined
     assert len(resolved) <= cfg.swarm_size * len(want[2])
     assert len(refined) <= cfg.swarm_size * len(want[2])
+
+
+def test_the_swarms_trace_resolves_an_entry_only_when_it_is_read():
+    # point brackets settle every comparison, so the swarm resolves only
+    # the value it returns; the trace's length resolves nothing more
+    resolved = []
+
+    def resolve(value):
+        resolved.append(value)
+        return value
+
+    def bracketed(h):
+        value = float(np.sum((h - 0.3) ** 2))
+        return hyperopt._Bracket(value, value, resolve, value)
+
+    cfg = PsoConfig(swarm_size=8, max_iters=30, seed=1)
+    _, f_best, trace = pso_minimize(bracketed, cfg, [(-1.0, 1.0), (0.0, 2.0)])
+    assert len(trace) > 2 and resolved == [f_best]
+    first = trace[0]
+    assert first > f_best and resolved == [f_best, first]
 
 
 def test_swarm_draws_are_what_a_fresh_philox_draws():
@@ -638,14 +689,17 @@ def test_optimize_squared_exponential_tracks_log_grid_oracle():
     assert fro_at(result.spec.h) <= 1.1 * grid_best
 
 
+# the committed configs of N <= 114
+SMALL_CONFIGS = ["nbody.json", "oscillator-narrow.json", "oscillator-trajectory-lf.json", "oscillator.json"]
 # Tuning eigensolves per family at seed 0: linear, exponential, squared
 # exponential, rational quadratic, Matern 3/2, Matern 5/2. Each is an
 # upper bound; a change that lowers one lowers its bound too.
 EIGENSOLVES = {
-    "oscillator.json": (1, 3, 2, 19, 3, 2),
-    "oscillator-narrow.json": (1, 4, 4, 14, 3, 2),
-    "nbody.json": (1, 2, 4, 14, 4, 2),
-    "oscillator-trajectory-lf.json": (1, 2, 4, 23, 2, 2),
+    "oscillator.json": (1, 2, 1, 5, 1, 1),
+    "oscillator-narrow.json": (1, 1, 3, 11, 1, 1),
+    "nbody.json": (1, 1, 3, 11, 3, 1),
+    "oscillator-trajectory-lf.json": (1, 1, 3, 20, 1, 1),
+    "osc-500": (1, 2, 1, 5, 1, 1),
 }
 
 
@@ -658,12 +712,13 @@ def loaded():
 
 
 def run_adaptive(monkeypatch, tmp_path, loaded, config, budgets=(4,)):
-    """``run_experiment`` on a committed config at seed 0, adaptive mode at
-    ``budgets`` (None: the config's own): the config it ran and its
-    ``RunResult``; osc-traj-lf's data files are written in ``tmp_path``,
-    where its config reads them."""
-    path = Path(__file__).resolve().parent.parent / "configs" / config
-    cfg = cli.load_config(path)
+    """``run_experiment`` on a committed config, or on a golden config held
+    as a document (osc-500), at seed 0, adaptive mode at ``budgets`` (None:
+    the config's own): the config it ran and its ``RunResult``;
+    osc-traj-lf's data files are written in ``tmp_path``, where its config
+    reads them."""
+    doc = test_golden.CONFIGS.get(config)
+    cfg = cli.parse_config(doc) if doc else cli.load_config(Path(__file__).resolve().parent.parent / "configs" / config)
     cfg = replace(cfg, modes=("adaptive",), budgets=budgets or cfg.budgets)
     assert cfg.seed == 0
     if config not in loaded:
@@ -698,7 +753,7 @@ def test_tuning_eigensolves_stay_within_their_counts(monkeypatch, tmp_path, load
     assert all(g <= bound for g, bound in zip(got, EIGENSOLVES[config])), got
 
 
-@pytest.mark.parametrize("config", sorted(EIGENSOLVES))
+@pytest.mark.parametrize("config", SMALL_CONFIGS)
 def test_tuning_reaches_the_log_grid_minimum_on_a_box_edge(monkeypatch, tmp_path, loaded, config):
     # every tuned family of the four N <= 114 configs: the swarm's value is
     # no worse than the least exact score on a log grid of its box, and

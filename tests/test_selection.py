@@ -31,7 +31,6 @@ def test_single_candidate_wins_by_default():
     ens = ensemble_from(rng.normal(size=(4, 8)))
     report = oracles.pivot_and_select([tuned(KernelFamily.LINEAR)], ens, n=3)
     assert report.chosen_family == KernelFamily.LINEAR
-    assert report.n_used == 3
 
 
 def test_linear_wins_on_exactly_low_rank_data():
@@ -92,7 +91,6 @@ def test_chosen_family_attains_minimum():
             KernelFamily.EXPONENTIAL: 0.1,
             KernelFamily.MATERN52: 0.2,
         },
-        n_used=3,
     )
     assert tied.chosen_family == KernelFamily.EXPONENTIAL
     assert tied.families == (
@@ -212,12 +210,9 @@ def test_lower_median_picks_the_lower_middle_of_the_sorted_values(values):
 
 def test_report_validation():
     with pytest.raises(ValueError, match="at least one family"):
-        SelectionReport(per_kernel_epsilon={}, n_used=1)
-    with pytest.raises(ValueError, match="n_used"):
-        SelectionReport(per_kernel_epsilon={KernelFamily.LINEAR: 0.1}, n_used=0)
+        SelectionReport(per_kernel_epsilon={})
     # the winner is derived, so a report cannot name a family without the minimal score
     report = SelectionReport(
         per_kernel_epsilon={KernelFamily.LINEAR: 0.1, KernelFamily.EXPONENTIAL: 0.2},
-        n_used=1,
     )
     assert report.chosen_family == KernelFamily.LINEAR

@@ -495,7 +495,7 @@ def test_build_and_selection_never_form_the_gramian(monkeypatch):
         OptimizedKernel(spec=spec, objective_value=0.0, evaluations_used=0)
         for spec in (LINEAR, SQEXP, KernelSpec(family=KernelFamily.MATERN32, h=(1.0,)))
     ]
-    assert oracles.pivot_and_select(tuned, lf, 4).n_used == 4
+    assert len(oracles.pivot_and_select(tuned, lf, 4).families) == 3
     assert shapes  # the blocks were formed through the patched seam
 
 
